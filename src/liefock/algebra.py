@@ -10,7 +10,10 @@ possibly irrational unit, e.g. 1/sqrt(3)).
 
 Representations on truncated bases break the algebraic identities in the
 outermost cutoff levels; identity checks therefore run on an interior block
-that excludes a configurable window (default 2) of boundary states.
+that excludes a configurable window (default 2) of boundary states. The
+blocks P A P stay sparse: norms and Frobenius products are taken over their
+stored entries, so the checks scale with the operators' non-zeros rather
+than with the square of the basis dimension.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sparse
 
 from .errors import DegenerateGeneratorsError
 from .fock import FockBasis, boson, fermion, spin
@@ -28,6 +32,7 @@ from .operators import (
     ODD,
     SparseOperator,
     diagonal_op,
+    frobenius_inner,
     graded_commutator,
     identity,
     ladder_ops,
@@ -133,33 +138,64 @@ class ClosureReport:
 CLOSURE_TOL = 1e-10
 
 
+def _norm(block) -> float:
+    """Frobenius norm of a sparse block, from its stored entries."""
+    return float(np.linalg.norm(block.data))
+
+
+def _flat_keys(block) -> np.ndarray:
+    """Row-major flat positions of the stored entries of a CSR block."""
+    rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+    return rows * block.shape[1] + block.indices
+
+
+def _on_pattern(block, keys) -> sparse.csr_matrix:
+    """The block re-laid on the CSR pattern of the sorted flat positions
+    `keys`, which cover its own; explicit zeros fill the rest."""
+    rows, cols = block.shape
+    data = np.zeros(len(keys), dtype=complex)
+    data[np.searchsorted(keys, _flat_keys(block))] = block.data
+    indptr = np.searchsorted(keys, np.arange(rows + 1) * cols)
+    return sparse.csr_matrix((data, keys % cols, indptr), shape=block.shape)
+
+
+def _bracket(a, b, graded):
+    """[a, b}: the graded bracket when `graded`, else the plain commutator."""
+    if graded:
+        return graded_commutator(a, b)
+    return SparseOperator(a.mat @ b.mat - b.mat @ a.mat, grade=a.grade ^ b.grade)
+
+
 class _Span:
-    """Orthonormal span of operators under the interior trace inner product."""
+    """Orthonormal span of operators under the interior trace inner product.
+
+    The orthonormal directions are sparse interior blocks laid on one shared
+    CSR pattern, the union of the supports seen so far, so that each
+    Gram-Schmidt step is a Frobenius product and an update of data arrays.
+    """
 
     def __init__(self, interior_idx):
         self.idx = interior_idx
-        self.q = []  # orthonormal flattened blocks
-
-    def _vec(self, op: SparseOperator) -> np.ndarray:
-        return op.restricted(self.idx).ravel()
-
-    def residual(self, op):
-        v = self._vec(op)
-        r = v.copy()
-        for q in self.q:
-            r -= np.vdot(q, r) * q
-        for q in self.q:  # second pass guards against cancellation
-            r -= np.vdot(q, r) * q
-        return v, r
+        self.keys = np.empty(0, dtype=np.int64)  # the shared pattern
+        self.q = []  # orthonormal blocks on that pattern
 
     def try_add(self, op, scale, tol=CLOSURE_TOL):
-        v, r = self.residual(op)
-        norm_v = np.linalg.norm(v)
+        v = op.block(self.idx)
+        norm_v = _norm(v)
         if norm_v <= tol * scale:
             return False
-        rn = np.linalg.norm(r)
+        keys = _flat_keys(v)
+        if not np.isin(keys, self.keys).all():
+            self.keys = np.union1d(self.keys, keys)
+            self.q = [_on_pattern(q, self.keys) for q in self.q]
+        r = _on_pattern(v, self.keys)
+        for _ in range(2):  # second pass guards against cancellation
+            for q in self.q:
+                r.data -= frobenius_inner(q, r) * q.data
+        rn = _norm(r)
         if rn > tol * max(norm_v, scale):
-            self.q.append(r / rn)
+            r.data /= rn
+            self.q.append(r)
             return True
         return False
 
@@ -191,28 +227,29 @@ def lie_closure(
         labels = [f"g{i}" for i in range(len(seed))]
 
     span = _Span(idx)
-    ops, names = [], []
+    ops, names, norms = [], [], []
     for op, lab in zip(seed, labels):
-        if span.try_add(op, scale=np.linalg.norm(op.restricted(idx)), tol=tol):
+        norm = _norm(op.block(idx))
+        if span.try_add(op, scale=norm, tol=tol):
             ops.append(op)
             names.append(lab)
+            norms.append(norm)
     added = []
     dims = [len(span)]
-    norms = [np.linalg.norm(op.restricted(idx)) for op in ops]
 
     while True:
         grew = False
         k = len(ops)
         for i in range(k):
             for j in range(i + 1, k):
-                br = graded_commutator(ops[i], ops[j]) if graded else _plain_comm(ops[i], ops[j])
+                br = _bracket(ops[i], ops[j], graded)
                 scale = norms[i] * norms[j]
                 if span.try_add(br, scale=scale, tol=tol):
                     both_odd = graded and ops[i].grade == ODD and ops[j].grade == ODD
                     sym = "{%s,%s}" if both_odd else "[%s,%s]"
                     ops.append(br)
                     names.append(sym % (names[i], names[j]))
-                    norms.append(np.linalg.norm(br.restricted(idx)))
+                    norms.append(_norm(br.block(idx)))
                     added.append(names[-1])
                     grew = True
                     if len(span) > cap:
@@ -224,11 +261,6 @@ def lie_closure(
 
     sc = extract_structure_constants(ops, graded=graded, interior=mask, labels=names)
     return ClosureReport(dims, True, len(span), cap, added, float(np.max(sc.residuals)))
-
-
-def _plain_comm(a, b):
-    out = SparseOperator(a.mat @ b.mat - b.mat @ a.mat, grade=a.grade ^ b.grade)
-    return out
 
 
 def extract_structure_constants(
@@ -245,8 +277,13 @@ def extract_structure_constants(
     if labels is None:
         labels = [f"g{i}" for i in range(len(gens))]
 
-    vecs = np.stack([g.restricted(idx).ravel() for g in gens])
-    gram = vecs.conj() @ vecs.T
+    n = len(gens)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    blocks = [g.block(idx) for g in gens]
+    brackets = [_bracket(gens[a], gens[b], graded).block(idx) for a, b in pairs]
+    keys = np.unique(np.concatenate([_flat_keys(x) for x in blocks + brackets]))
+    blocks = [_on_pattern(x, keys) for x in blocks]
+    gram = np.array([[frobenius_inner(x, y) for y in blocks] for x in blocks])
     sv = np.linalg.svd(gram, compute_uv=False)
     if sv[-1] <= 0 or sv[0] / sv[-1] > 1e12:
         _, _, vh = np.linalg.svd(gram)
@@ -255,30 +292,27 @@ def extract_structure_constants(
         raise DegenerateGeneratorsError(suspects or labels)
     gram_pinv = np.linalg.pinv(gram, rcond=1e-12)
 
-    n = len(gens)
     coeffs = np.zeros((n, n, n), dtype=complex)
     residuals = np.zeros((n, n))
-    norms = np.linalg.norm(vecs, axis=1)
-    for a in range(n):
-        for b in range(a + 1, n):
-            br = (
-                graded_commutator(gens[a], gens[b])
-                if graded
-                else _plain_comm(gens[a], gens[b])
-            )
-            v = br.restricted(idx).ravel()
-            nv = np.linalg.norm(v)
-            noise = 1e-13 * norms[a] * norms[b]
-            if nv <= noise:
-                continue
-            lam = gram_pinv @ (vecs.conj() @ v)
-            left = v - vecs.T @ lam
-            coeffs[a, b] = lam
-            residuals[a, b] = np.linalg.norm(left) / nv
-            both_odd = graded and gens[a].grade == ODD and gens[b].grade == ODD
-            sign = 1.0 if both_odd else -1.0
-            coeffs[b, a] = sign * lam
-            residuals[b, a] = residuals[a, b]
+    norms = [_norm(x) for x in blocks]
+    for (a, b), v in zip(pairs, brackets):
+        nv = _norm(v)
+        noise = 1e-13 * norms[a] * norms[b]
+        if nv <= noise:
+            continue
+        v = _on_pattern(v, keys)
+        lam = gram_pinv @ np.array([frobenius_inner(x, v) for x in blocks])
+        # the explicit difference keeps the 1e-10 relative residual
+        # resolvable; ||v||^2 - c^H G^-1 c would have to resolve 1e-20
+        left = v.data.copy()
+        for lc, x in zip(lam, blocks):
+            left -= lc * x.data
+        coeffs[a, b] = lam
+        residuals[a, b] = np.linalg.norm(left) / nv
+        both_odd = graded and gens[a].grade == ODD and gens[b].grade == ODD
+        sign = 1.0 if both_odd else -1.0
+        coeffs[b, a] = sign * lam
+        residuals[b, a] = residuals[a, b]
     return StructureConstants(
         labels, coeffs, residuals, bool(np.max(residuals) < 1e-10)
     )
@@ -287,15 +321,14 @@ def extract_structure_constants(
 def verify_casimir(op: SparseOperator, model: AlgebraModel, window=DEFAULT_BOUNDARY_WINDOW) -> float:
     """max over generators of ||[op, X]|| / (||op|| ||X||) on the interior block."""
     idx = np.where(model.interior(window))[0]
-    op_block = op.restricted(idx)
-    op_norm = np.linalg.norm(op_block)
+    op_norm = _norm(op.block(idx))
     worst = 0.0
     for g in model.generators:
-        comm = _plain_comm(op, g)
-        g_norm = np.linalg.norm(g.restricted(idx))
+        g_norm = _norm(g.block(idx))
         if op_norm == 0 or g_norm == 0:
             continue
-        worst = max(worst, np.linalg.norm(comm.restricted(idx)) / (op_norm * g_norm))
+        comm = graded_commutator(op, g)
+        worst = max(worst, _norm(comm.block(idx)) / (op_norm * g_norm))
     return float(worst)
 
 
@@ -330,9 +363,7 @@ def verify_model(model: AlgebraModel, window=DEFAULT_BOUNDARY_WINDOW, closure_ca
     """Self-check report: Cartan diagonality/commutativity, root eigen-relations,
     closure of the generator set, and Casimir residuals."""
     idx = np.where(model.interior(window))[0]
-    scale = max(
-        (np.linalg.norm(g.restricted(idx)) for g in model.generators), default=1.0
-    )
+    scale = max((_norm(g.block(idx)) for g in model.generators), default=1.0)
 
     cartan_ok = True
     for ci in model.cartan:
@@ -340,8 +371,8 @@ def verify_model(model: AlgebraModel, window=DEFAULT_BOUNDARY_WINDOW, closure_ca
             cartan_ok = False
     for i, ci in enumerate(model.cartan):
         for cj in model.cartan[i + 1 :]:
-            comm = _plain_comm(model.generators[ci], model.generators[cj])
-            if np.linalg.norm(comm.restricted(idx)) > 1e-12 * scale**2:
+            comm = graded_commutator(model.generators[ci], model.generators[cj])
+            if _norm(comm.block(idx)) > 1e-12 * scale**2:
                 cartan_ok = False
 
     root_ok = True
@@ -349,14 +380,13 @@ def verify_model(model: AlgebraModel, window=DEFAULT_BOUNDARY_WINDOW, closure_ca
     for pair in model.root_pairs:
         e = model.generators[pair.raising]
         alpha = model.root_float(pair)
+        enorm = _norm(e.block(idx))
         for a, ci in enumerate(model.cartan):
-            comm = _plain_comm(model.generators[ci], e)
-            diff = comm.mat - alpha[a] * e.mat
-            block = SparseOperator(diff).restricted(idx)
-            enorm = np.linalg.norm(e.restricted(idx))
-            rel = np.linalg.norm(block) / max(enorm, 1e-300)
+            comm = graded_commutator(model.generators[ci], e)
+            diff = SparseOperator(comm.mat - alpha[a] * e.mat)
+            rel = _norm(diff.block(idx)) / max(enorm, 1e-300)
             root_worst = max(root_worst, rel)
-            if rel > 1e-10 * max(1.0, np.linalg.norm(model.generators[ci].restricted(idx))):
+            if rel > 1e-10 * max(1.0, _norm(model.generators[ci].block(idx))):
                 root_ok = False
 
     cap = closure_cap if closure_cap is not None else 4 * model.dim + 8
@@ -392,6 +422,17 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _root_of(modes, create, destroy):
+    """Root of a quadratic mode operator: +1 per created mode, -1 per
+    destroyed mode."""
+    r = [Fraction(0)] * modes
+    for c in create:
+        r[c] += 1
+    for d in destroy:
+        r[d] -= 1
+    return tuple(r)
+
+
 def _e2(L=21):
     """Shift algebra of a finite chain: position operator plus unit shifts.
 
@@ -407,10 +448,8 @@ def _e2(L=21):
     e0 = diagonal_op(sites.astype(float), hermitian=True, rational=[int(s) for s in sites])
     rows = np.arange(1, L)
     cols = np.arange(0, L - 1)
-    import scipy.sparse as sp
-
     ep = SparseOperator(
-        sp.csr_matrix((np.ones(L - 1, dtype=complex), (rows, cols)), shape=(L, L))
+        sparse.csr_matrix((np.ones(L - 1, dtype=complex), (rows, cols)), shape=(L, L))
     )
     em = ep.dagger()
     casimir = SparseOperator(ep.mat @ em.mat, hermitian=True)
@@ -635,11 +674,9 @@ def _su11_intensity(cutoff=40):
     """Intensity-dependent representation: K+ |n> = (n+1) |n+1>, k = 1/2."""
     basis = FockBasis([boson(int(cutoff))])
     n = np.arange(basis.dim)
-    import scipy.sparse as sp
-
     vals = (n[:-1] + 1).astype(complex)
     kp = SparseOperator(
-        sp.csr_matrix((vals, (n[1:], n[:-1])), shape=(basis.dim, basis.dim))
+        sparse.csr_matrix((vals, (n[1:], n[:-1])), shape=(basis.dim, basis.dim))
     )
     k0_exact = [Fraction(2 * int(v) + 1, 2) for v in n]
     k0 = diagonal_op([float(v) for v in k0_exact], hermitian=True, rational=k0_exact)
@@ -699,23 +736,15 @@ def _sp2n_boson(modes=2, cutoff=6):
             gens.append(SparseOperator(low[i].mat @ low[j].mat))
             labels.append(f"p{i}{j}-")
 
-    def root_of(create, destroy):
-        r = [Fraction(0)] * m
-        for c in create:
-            r[c] += 1
-        for d in destroy:
-            r[d] -= 1
-        return tuple(r)
-
     for i in range(m):
         for j in range(i + 1, m):
             root_pairs.append(
-                RootPair(labels.index(f"h{i}{j}"), labels.index(f"h{j}{i}"), root_of([i], [j]))
+                RootPair(labels.index(f"h{i}{j}"), labels.index(f"h{j}{i}"), _root_of(m, [i], [j]))
             )
     for i in range(m):
         for j in range(i, m):
             root_pairs.append(
-                RootPair(labels.index(f"p{i}{j}+"), labels.index(f"p{i}{j}-"), root_of([i, j], []))
+                RootPair(labels.index(f"p{i}{j}+"), labels.index(f"p{i}{j}-"), _root_of(m, [i, j], []))
             )
     annihilators = [labels.index(l) for l in labels if l.startswith("h")]
     annihilators += [labels.index(l) for l in labels if l.endswith("-") and l.startswith("p")]
@@ -765,22 +794,14 @@ def _so2n_fermion(modes=2):
             gens.append(pair_raisers[(i, j)].dagger())  # = c_j c_i, sign included
             labels.append(f"p{i}{j}-")
 
-    def root_of(create, destroy):
-        r = [Fraction(0)] * m
-        for c in create:
-            r[c] += 1
-        for d in destroy:
-            r[d] -= 1
-        return tuple(r)
-
     root_pairs = []
     for i in range(m):
         for j in range(i + 1, m):
             root_pairs.append(
-                RootPair(labels.index(f"h{i}{j}"), labels.index(f"h{j}{i}"), root_of([i], [j]))
+                RootPair(labels.index(f"h{i}{j}"), labels.index(f"h{j}{i}"), _root_of(m, [i], [j]))
             )
             root_pairs.append(
-                RootPair(labels.index(f"p{i}{j}+"), labels.index(f"p{i}{j}-"), root_of([i, j], []))
+                RootPair(labels.index(f"p{i}{j}+"), labels.index(f"p{i}{j}-"), _root_of(m, [i, j], []))
             )
     annihilators = [labels.index(l) for l in labels if l.startswith("h")]
     annihilators += [labels.index(l) for l in labels if l.endswith("-") and l.startswith("p")]

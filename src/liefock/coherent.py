@@ -352,7 +352,9 @@ def husimi_disk(psi_or_rho_chain, k, n_rad=160, n_arg=160, chain_len=None) -> Hu
     states onto the relevant parity chain first. Weight w = (2k-1)/pi with
     the invariant measure (1-|zeta|^2)^{-2} d^2 zeta folded into the
     quadrature weights. The normalization integral converges for k > 1/2
-    only; for smaller k the grid is still usable for plotting.
+    only. For k <= 1/2, where (2k-1)/pi would be zero or negative, the grid
+    uses w = 1/pi instead (reported in `normalization`): its values are
+    non-negative and usable for plotting, but its integral is not 1.
     """
     arr = np.asarray(psi_or_rho_chain)
     if chain_len is None:
@@ -368,7 +370,7 @@ def husimi_disk(psi_or_rho_chain, k, n_rad=160, n_arg=160, chain_len=None) -> Hu
     zmag = np.sqrt(s)
     theta = np.linspace(-np.pi, np.pi, n_arg, endpoint=False)
     dth = 2 * np.pi / n_arg
-    w_const = (2 * k - 1) / np.pi
+    w_const = (2 * k - 1) / np.pi if k > 0.5 else 1 / np.pi
     values = np.empty((n_rad, n_arg))
     for ir, zm in enumerate(zmag):
         states = np.stack(

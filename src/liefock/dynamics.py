@@ -1,10 +1,10 @@
 """Unitary time evolution, spectra, revival detection, and observable series.
 
-Two propagators: a cached dense eigendecomposition (exact up to machine
-precision, dimension-capped) and an adaptive short-iterate Lanczos
-exponential for larger problems. Both honor the unitarity contract
-| ||psi(t)|| - 1 | < 1e-10; a breach raises NumericContractError instead of
-silently renormalizing.
+Two propagators: a dense eigendecomposition, computed afresh by every call
+(exact up to machine precision, dimension-capped at DENSE_LIMIT), and an
+adaptive short-iterate Lanczos exponential for larger problems. Both honor
+the unitarity contract | ||psi(t)|| - 1 | < 1e-10; a breach raises
+NumericContractError instead of silently renormalizing.
 """
 
 from __future__ import annotations

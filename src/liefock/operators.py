@@ -79,10 +79,14 @@ class SparseOperator:
     def diagonal(self) -> np.ndarray:
         return self.mat.diagonal()
 
+    def block(self, indices) -> sparse.csr_matrix:
+        """Sparse sub-block over the given basis indices (rows and columns)."""
+        indices = np.asarray(indices)
+        return self.mat[indices][:, indices]
+
     def restricted(self, indices) -> np.ndarray:
         """Dense sub-block over the given basis indices (rows and columns)."""
-        indices = np.asarray(indices)
-        return self.mat.toarray()[np.ix_(indices, indices)]
+        return self.block(indices).toarray()
 
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.mat.data))) if self.mat.nnz else 0.0
@@ -332,9 +336,23 @@ def apply(a: SparseOperator, vec: np.ndarray) -> np.ndarray:
     return a.apply(vec)
 
 
-def frobenius_inner(a: SparseOperator, b: SparseOperator) -> complex:
-    """trace(a^dagger b)."""
-    return complex(a.mat.conj().multiply(b.mat).sum())
+def frobenius_inner(a, b) -> complex:
+    """trace(a^dagger b) of two operators, or of two CSR blocks of one shape.
+
+    Blocks laid on one CSR pattern (equal index arrays, explicit zeros
+    allowed) reduce to a dot product of their data arrays. The patterns are
+    compared as bytes, which for short index arrays costs a fraction of an
+    elementwise comparison.
+    """
+    a = a.mat if isinstance(a, SparseOperator) else a
+    b = b.mat if isinstance(b, SparseOperator) else b
+    if (
+        a.shape == b.shape
+        and a.indptr.tobytes() == b.indptr.tobytes()
+        and a.indices.tobytes() == b.indices.tobytes()
+    ):
+        return complex(np.vdot(a.data, b.data))
+    return complex(a.conj().multiply(b).sum())
 
 
 def linear_combination(ops, coeffs) -> SparseOperator:

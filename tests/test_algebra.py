@@ -1,7 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liefock import (
     SparseOperator,
@@ -16,6 +19,7 @@ from liefock import (
     verify_model,
 )
 from liefock.errors import DegenerateGeneratorsError
+from liefock.operators import ODD, linear_combination
 
 
 # --- symbolic oracle for commutators of number-conserving boson bilinears ---
@@ -283,22 +287,24 @@ def test_unknown_algebra_and_bad_k():
         build_algebra("su11_single", k=Fraction(1, 2), cutoff=10)
 
 
+VERIFY_CASES = [
+    ("e2", {"L": 15}),
+    ("hw", {"cutoff": 12}),
+    ("su2_spin", {"S": Fraction(5, 2)}),
+    ("su2_schwinger", {"N": 4}),
+    ("su3_schwinger", {"N": 3}),
+    ("so5_quoted", {"N": 2}),
+    ("su11_single", {"k": Fraction(3, 4), "cutoff": 14}),
+    ("su11_intensity", {"cutoff": 14}),
+    ("su11_twomode", {"cutoff": 6}),
+    ("sp2n_boson", {"modes": 2, "cutoff": 5}),
+    ("so2n_fermion", {"modes": 2}),
+    ("jc_super", {"cutoff": 8}),
+]
+
+
 def test_verify_model_full_catalog():
-    cases = [
-        ("e2", {"L": 15}),
-        ("hw", {"cutoff": 12}),
-        ("su2_spin", {"S": Fraction(5, 2)}),
-        ("su2_schwinger", {"N": 4}),
-        ("su3_schwinger", {"N": 3}),
-        ("so5_quoted", {"N": 2}),
-        ("su11_single", {"k": Fraction(3, 4), "cutoff": 14}),
-        ("su11_intensity", {"cutoff": 14}),
-        ("su11_twomode", {"cutoff": 6}),
-        ("sp2n_boson", {"modes": 2, "cutoff": 5}),
-        ("so2n_fermion", {"modes": 2}),
-        ("jc_super", {"cutoff": 8}),
-    ]
-    for name, kwargs in cases:
+    for name, kwargs in VERIFY_CASES:
         model = build_algebra(name, **kwargs)
         report = verify_model(model)
         assert report["cartan_ok"], name
@@ -357,3 +363,221 @@ def test_catalog_root_pairs_are_structural_daggers():
             up = model.generators[pair.raising].mat
             down = model.generators[pair.lowering].mat
             assert (up - down.conj().T.tocsr()).nnz == 0, (name, pair)
+
+
+# --- dense reference: the closure and structure-constant code that flattened
+# whole dense interior blocks, kept to check the sparse-block path against ---
+
+
+def _dense_bracket(a, b, graded):
+    if graded:
+        return graded_commutator(a, b)
+    return SparseOperator(a.mat @ b.mat - b.mat @ a.mat, grade=a.grade ^ b.grade)
+
+
+class _DenseSpan:
+    def __init__(self, interior_idx):
+        self.idx = interior_idx
+        self.q = []
+
+    def _vec(self, op):
+        return op.restricted(self.idx).ravel()
+
+    def residual(self, op):
+        v = self._vec(op)
+        r = v.copy()
+        for q in self.q:
+            r -= np.vdot(q, r) * q
+        for q in self.q:
+            r -= np.vdot(q, r) * q
+        return v, r
+
+    def try_add(self, op, scale, tol=1e-10):
+        v, r = self.residual(op)
+        norm_v = np.linalg.norm(v)
+        if norm_v <= tol * scale:
+            return False
+        rn = np.linalg.norm(r)
+        if rn > tol * max(norm_v, scale):
+            self.q.append(r / rn)
+            return True
+        return False
+
+
+def dense_lie_closure(seed, cap, graded=False, interior=None, labels=None, tol=1e-10):
+    """(iterations, closed, added labels, operators of the span)."""
+    seed = list(seed)
+    mask = np.ones(seed[0].dim, dtype=bool) if interior is None else np.asarray(interior, bool)
+    idx = np.where(mask)[0]
+    if labels is None:
+        labels = [f"g{i}" for i in range(len(seed))]
+    span = _DenseSpan(idx)
+    ops, names = [], []
+    for op, lab in zip(seed, labels):
+        if span.try_add(op, scale=np.linalg.norm(op.restricted(idx)), tol=tol):
+            ops.append(op)
+            names.append(lab)
+    added, dims = [], [len(span.q)]
+    norms = [np.linalg.norm(op.restricted(idx)) for op in ops]
+    while True:
+        grew = False
+        k = len(ops)
+        for i in range(k):
+            for j in range(i + 1, k):
+                br = _dense_bracket(ops[i], ops[j], graded)
+                if span.try_add(br, scale=norms[i] * norms[j], tol=tol):
+                    both_odd = graded and ops[i].grade == ODD and ops[j].grade == ODD
+                    ops.append(br)
+                    names.append(("{%s,%s}" if both_odd else "[%s,%s]") % (names[i], names[j]))
+                    norms.append(np.linalg.norm(br.restricted(idx)))
+                    added.append(names[-1])
+                    grew = True
+                    if len(span.q) > cap:
+                        dims.append(len(span.q))
+                        return dims, False, added, ops
+        dims.append(len(span.q))
+        if not grew:
+            return dims, True, added, ops
+
+
+def dense_structure_constants(gens, graded=False, interior=None):
+    """(coeffs, residuals, condition number of the Gram matrix) by least
+    squares on flattened dense blocks."""
+    gens = list(gens)
+    if len(gens) < 2:
+        raise ValueError("need at least two generators")
+    mask = np.ones(gens[0].dim, dtype=bool) if interior is None else np.asarray(interior, bool)
+    idx = np.where(mask)[0]
+    vecs = np.stack([g.restricted(idx).ravel() for g in gens])
+    gram = vecs.conj() @ vecs.T
+    sv = np.linalg.svd(gram, compute_uv=False)
+    if sv[-1] <= 0 or sv[0] / sv[-1] > 1e12:
+        raise DegenerateGeneratorsError([])
+    gram_pinv = np.linalg.pinv(gram, rcond=1e-12)
+    n = len(gens)
+    coeffs = np.zeros((n, n, n), dtype=complex)
+    residuals = np.zeros((n, n))
+    norms = np.linalg.norm(vecs, axis=1)
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = _dense_bracket(gens[a], gens[b], graded).restricted(idx).ravel()
+            nv = np.linalg.norm(v)
+            if nv <= 1e-13 * norms[a] * norms[b]:
+                continue
+            lam = gram_pinv @ (vecs.conj() @ v)
+            coeffs[a, b] = lam
+            residuals[a, b] = np.linalg.norm(v - vecs.T @ lam) / nv
+            both_odd = graded and gens[a].grade == ODD and gens[b].grade == ODD
+            coeffs[b, a] = (1.0 if both_odd else -1.0) * lam
+            residuals[b, a] = residuals[a, b]
+    return coeffs, residuals, sv[0] / sv[-1]
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type of the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, DegenerateGeneratorsError) as exc:
+        return type(exc)
+
+
+def sparse_and_dense(seed, cap, graded, interior, labels):
+    """Run the sparse-block closure next to the dense reference and assert
+    that they agree: closure dims, added labels and closed flag. Returns the
+    closure report, the sparse-block structure constants and the dense
+    (coeffs, residuals, cond), of the closed span or, for an open closure,
+    which stops at an arbitrary ill-conditioned span, of the seed; None when
+    both refuse to form structure constants (fewer than two independent
+    operators, or a degenerate set)."""
+    dims, closed, added, ops = dense_lie_closure(seed, cap, graded, interior, labels)
+    report = _outcome(lie_closure, seed, cap, graded=graded, interior=interior, labels=labels)
+    if isinstance(report, type):
+        assert closed
+        assert report is _outcome(dense_structure_constants, ops, graded, interior)
+        return None
+    assert report.iterations == dims
+    assert report.added_labels == added
+    assert report.closed == closed
+    assert report.dimension == dims[-1]
+    gens = ops if closed else seed
+    reference = _outcome(dense_structure_constants, gens, graded, interior)
+    sc = _outcome(extract_structure_constants, gens, graded=graded, interior=interior)
+    if isinstance(reference, type):
+        assert sc is reference
+        return None
+    return report, sc, reference
+
+
+def coeff_error(sc, coeffs):
+    """Largest coefficient difference relative to the largest coefficient."""
+    return np.max(np.abs(sc.coeffs - coeffs)) / max(1.0, float(np.max(np.abs(coeffs))))
+
+
+@pytest.mark.parametrize("name,kwargs", VERIFY_CASES)
+def test_sparse_blocks_match_dense_reference_on_catalog(name, kwargs):
+    model = build_algebra(name, **kwargs)
+    report, sc, (coeffs, residuals, _) = sparse_and_dense(
+        model.generators, 4 * model.dim + 8, model.graded, model.interior(), list(model.labels)
+    )
+    assert report.closed
+    assert coeff_error(sc, coeffs) <= 1e-12
+    assert np.max(sc.residuals) < 1e-10 and np.max(residuals) < 1e-10
+    assert report.max_residual < 1e-10
+
+
+@pytest.mark.parametrize("seed_fn", [rabi_seed, lmg_seed])
+def test_sparse_blocks_match_dense_reference_on_open_seeds(seed_fn):
+    ops, labels, mask = seed_fn()
+    report, sc, (coeffs, residuals, _) = sparse_and_dense(ops, 64, False, mask, labels)
+    assert not report.closed and report.dimension == 65
+    assert coeff_error(sc, coeffs) <= 1e-12
+    assert np.max(np.abs(sc.residuals - residuals)) < 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sparse_blocks_match_dense_reference_on_random_spans(data):
+    name, kwargs = data.draw(
+        st.sampled_from([
+            ("su2_spin", {"S": 1}),
+            ("su2_spin", {"S": Fraction(5, 2)}),
+            ("su3_schwinger", {"N": 2}),
+            ("su3_schwinger", {"N": 3}),
+        ])
+    )
+    model = build_algebra(name, **kwargs)
+    dim = model.basis.dim
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
+    if not mask.any():
+        mask[0] = True
+    coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    seed = [
+        linear_combination(
+            model.generators, data.draw(st.lists(coeff, min_size=model.dim, max_size=model.dim))
+        )
+        for _ in range(data.draw(st.integers(min_value=2, max_value=3)))
+    ]
+    result = sparse_and_dense(seed, 4 * model.dim + 8, False, mask, None)
+    if result is None:
+        return
+    report, sc, (coeffs, residuals, cond) = result
+    # least-squares coefficients and residuals carry round-off amplified by
+    # the Gram condition number, which a random mask can make large
+    amplified = 100 * np.finfo(float).eps * cond
+    assert coeff_error(sc, coeffs) <= max(1e-12, amplified)
+    assert np.max(np.abs(sc.residuals - residuals)) <= max(1e-10, amplified)
+
+
+def test_verify_model_su3_large_sector_stays_sparse():
+    # one dense interior block at N = 90 (dim 4186) is 280 MB of complex128
+    model = build_algebra("su3_schwinger", N=90)
+    assert model.basis.dim == 4186
+    tracemalloc.start()
+    try:
+        report = verify_model(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["closure"]["closed"] and report["closure"]["dim"] == 8
+    assert report["closure"]["residual"] < 1e-10
+    assert peak < 64 * 2**20

@@ -286,6 +286,28 @@ def test_cli_lattice_and_husimi(tmp_path, capsys):
     assert (tmp_path / "q.csv").exists() and (tmp_path / "q.pgm").exists()
 
 
+def test_cli_husimi_disk_default_k(tmp_path, capsys):
+    # the default k = 1/4 lies below the k > 1/2 normalizable range
+    amp = np.zeros(25)
+    amp[0] = 1.0
+    state = {
+        "basis": {"modes": [{"kind": "boson", "capacity": 24}]},
+        "state": {"amplitudes": [[float(a), 0.0] for a in amp]},
+    }
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps(state))
+    out = tmp_path / "disk.csv"
+    code = main(
+        ["husimi", "--state", str(spath), "--space", "disk", "--out", str(out), "--nodes", "30", "20"]
+    )
+    assert code == EXIT_OK
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (30 * 20, 4)
+    values = rows[:, 3]
+    assert np.all(np.isfinite(values)) and np.all(values >= 0)
+    assert np.max(values) > 0
+
+
 def test_cli_missing_file_exit(capsys):
     assert main(["evolve", "--scenario", "/nonexistent/file.json"]) == EXIT_CONFIG
 

@@ -13,6 +13,7 @@ from liefock.coherent import (
     displacement_unitary,
     euclidean_coherent_state,
     glauber_state,
+    husimi,
     husimi_disk,
     husimi_plane,
     husimi_sphere,
@@ -259,6 +260,30 @@ def test_husimi_disk_normalization_k_three_quarters():
     chain[0] = 1.0
     grid = husimi_disk(chain, 0.75, n_rad=260, n_arg=48)
     assert grid.integral() == pytest.approx(1.0, abs=1e-4)
+
+
+def test_husimi_disk_weight_below_half_is_positive():
+    # (2k-1)/pi is <= 0 for k <= 1/2; the chart uses 1/pi there instead
+    chain = su11_pcs(0.25, 0.3 * np.exp(0.4j), 40)
+    grid = husimi_disk(chain, Fraction(1, 4), n_rad=40, n_arg=24)
+    assert grid.normalization == pytest.approx(1 / np.pi)
+    assert np.all(np.isfinite(grid.values)) and np.all(grid.values >= 0)
+    assert np.max(grid.values) > 0.1
+    # above 1/2 the weight is unchanged
+    assert husimi_disk(chain, 0.75, n_rad=8, n_arg=8).normalization == (2 * 0.75 - 1) / np.pi
+
+
+@pytest.mark.parametrize(
+    "name,kwargs", [("su11_single", {"cutoff": 30}), ("su11_intensity", {"cutoff": 30})]
+)
+def test_husimi_dispatch_disk_at_low_k(name, kwargs):
+    # su11_single has k = 1/4, su11_intensity k = 1/2
+    model = build_algebra(name, **kwargs)
+    chain = np.zeros(20, dtype=complex)
+    chain[1] = 1.0
+    grid = husimi(chain, "disk", model, nodes=(30, 24))
+    assert np.all(np.isfinite(grid.values)) and np.all(grid.values >= 0)
+    assert np.max(grid.values) > 0
 
 
 def test_uncertainty_pole_saturation():
