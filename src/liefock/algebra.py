@@ -445,7 +445,7 @@ def _e2(L=21):
     basis = FockBasis([boson(L - 1)])
     offset = (L - 1) // 2
     sites = np.arange(L) - offset
-    e0 = diagonal_op(sites.astype(float), hermitian=True, rational=[int(s) for s in sites])
+    e0 = diagonal_op(sites.astype(float), hermitian=True, rational=(sites, 1))
     rows = np.arange(1, L)
     cols = np.arange(0, L - 1)
     ep = SparseOperator(
@@ -496,8 +496,8 @@ def _su2_spin(S=1):
     basis = FockBasis([spec])
     sm, sp_ = ladder_ops(basis, 0)
     s = spec.spin_s
-    m_exact = [Fraction(level) - s for level in range(spec.levels)]
-    sz = diagonal_op([float(m) for m in m_exact], hermitian=True, rational=m_exact)
+    two_m = 2 * np.arange(spec.levels) - spec.capacity
+    sz = diagonal_op(two_m / 2, hermitian=True, rational=(two_m, 2))
     s2 = SparseOperator(
         sz.mat @ sz.mat + 0.5 * (sp_.mat @ sm.mat + sm.mat @ sp_.mat), hermitian=True
     )
@@ -521,11 +521,11 @@ def _su2_schwinger(N=4):
     basis = FockBasis([boson(N), boson(N)], constraint=N)
     na = basis.occupations_of_mode(0)
     nb = basis.occupations_of_mode(1)
-    sz_exact = [Fraction(int(x) - int(y), 2) for x, y in zip(na, nb)]
-    sz = diagonal_op([float(v) for v in sz_exact], hermitian=True, rational=sz_exact)
+    two_sz = na - nb
+    sz = diagonal_op(two_sz / 2, hermitian=True, rational=(two_sz, 2))
     sp_ = transfer_op(basis, 0, 1)
     sm = sp_.dagger()
-    ntot = diagonal_op((na + nb).astype(float), hermitian=True, rational=[int(v) for v in na + nb])
+    ntot = diagonal_op((na + nb).astype(float), hermitian=True, rational=(na + nb, 1))
     s2 = SparseOperator(
         sz.mat @ sz.mat + 0.5 * (sp_.mat @ sm.mat + sm.mat @ sp_.mat), hermitian=True
     )
@@ -551,12 +551,10 @@ def _su3_schwinger(N=3):
     na = basis.occupations_of_mode(0)
     nb = basis.occupations_of_mode(1)
     nc = basis.occupations_of_mode(2)
-    h1_exact = [Fraction(int(x) - int(y), 2) for x, y in zip(na, nb)]
-    h2_exact = [Fraction(int(x) + int(y) - 2 * int(z), 2) for x, y, z in zip(na, nb, nc)]
-    h1 = diagonal_op([float(v) for v in h1_exact], hermitian=True, rational=h1_exact)
-    h2 = diagonal_op(
-        [float(v) / np.sqrt(3.0) for v in h2_exact], hermitian=True, rational=h2_exact
-    )
+    two_h1 = na - nb
+    two_h2 = na + nb - 2 * nc
+    h1 = diagonal_op(two_h1 / 2, hermitian=True, rational=(two_h1, 2))
+    h2 = diagonal_op(two_h2 / 2 / np.sqrt(3.0), hermitian=True, rational=(two_h2, 2))
     ip = transfer_op(basis, 0, 1)
     up = transfer_op(basis, 1, 2)
     vp = transfer_op(basis, 0, 2)
@@ -598,10 +596,10 @@ def _so5_quoted(N=2):
     n_ad = basis.occupations_of_mode(1)
     n_bu = basis.occupations_of_mode(2)
     n_bd = basis.occupations_of_mode(3)
-    h1_exact = [Fraction(int(x) - int(y), 2) for x, y in zip(n_au, n_ad)]
-    h2_exact = [Fraction(int(x) - int(y), 2) for x, y in zip(n_bu, n_bd)]
-    h1 = diagonal_op([float(v) for v in h1_exact], hermitian=True, rational=h1_exact)
-    h2 = diagonal_op([float(v) for v in h2_exact], hermitian=True, rational=h2_exact)
+    two_h1 = n_au - n_ad
+    two_h2 = n_bu - n_bd
+    h1 = diagonal_op(two_h1 / 2, hermitian=True, rational=(two_h1, 2))
+    h2 = diagonal_op(two_h2 / 2, hermitian=True, rational=(two_h2, 2))
     sa = transfer_op(basis, 0, 1)   # a-spin flip up
     sb = transfer_op(basis, 2, 3)   # b-spin flip up
     sab = transfer_op(basis, 0, 3)  # cross flip along (1/2, 1/2)
@@ -662,8 +660,8 @@ def _su11_single(k=Fraction(1, 4), cutoff=40):
     basis = FockBasis([boson(int(cutoff))])
     a, adag = ladder_ops(basis, 0)
     n = np.arange(basis.dim)
-    k0_exact = [Fraction(2 * int(v) + 1, 4) for v in n]
-    k0 = diagonal_op([float(v) for v in k0_exact], hermitian=True, rational=k0_exact)
+    four_k0 = 2 * n + 1
+    k0 = diagonal_op(four_k0 / 4, hermitian=True, rational=(four_k0, 4))
     kp = SparseOperator(adag.mat @ adag.mat * 0.5)
     return _su11_chain(
         k0, kp, "su11_single", {"k": k, "cutoff": int(cutoff)}, basis, (0,)
@@ -678,8 +676,8 @@ def _su11_intensity(cutoff=40):
     kp = SparseOperator(
         sparse.csr_matrix((vals, (n[1:], n[:-1])), shape=(basis.dim, basis.dim))
     )
-    k0_exact = [Fraction(2 * int(v) + 1, 2) for v in n]
-    k0 = diagonal_op([float(v) for v in k0_exact], hermitian=True, rational=k0_exact)
+    two_k0 = 2 * n + 1
+    k0 = diagonal_op(two_k0 / 2, hermitian=True, rational=(two_k0, 2))
     return _su11_chain(
         k0, kp, "su11_intensity", {"k": Fraction(1, 2), "cutoff": int(cutoff)}, basis, (0,)
     )
@@ -693,8 +691,8 @@ def _su11_twomode(cutoff=20):
     kp = SparseOperator(adag.mat @ bdag.mat)
     na = basis.occupations_of_mode(0)
     nb = basis.occupations_of_mode(1)
-    k0_exact = [Fraction(int(x) + int(y) + 1, 2) for x, y in zip(na, nb)]
-    k0 = diagonal_op([float(v) for v in k0_exact], hermitian=True, rational=k0_exact)
+    two_k0 = na + nb + 1
+    k0 = diagonal_op(two_k0 / 2, hermitian=True, rational=(two_k0, 2))
     model = _su11_chain(
         k0, kp, "su11_twomode", {"cutoff": int(cutoff)}, basis, (0, 1)
     )
@@ -712,14 +710,12 @@ def _sp2n_boson(modes=2, cutoff=6):
     raise_ = [op.dagger() for op in low]
     gens, labels = [], []
     cartan_idx = []
-    diag_exact = []
     for i in range(m):
         occ = basis.occupations_of_mode(i)
-        exact = [Fraction(2 * int(v) + 1, 2) for v in occ]
-        gens.append(diagonal_op([float(v) for v in exact], hermitian=True, rational=exact))
+        two_d = 2 * occ + 1
+        gens.append(diagonal_op(two_d / 2, hermitian=True, rational=(two_d, 2)))
         labels.append(f"D{i}")
         cartan_idx.append(i)
-        diag_exact.append(exact)
     root_pairs = []
     for i in range(m):
         for j in range(m):
@@ -773,8 +769,8 @@ def _so2n_fermion(modes=2):
     gens, labels, cartan_idx = [], [], []
     for i in range(m):
         occ = basis.occupations_of_mode(i)
-        exact = [Fraction(2 * int(v) - 1, 2) for v in occ]
-        gens.append(diagonal_op([float(v) for v in exact], hermitian=True, rational=exact))
+        two_d = 2 * occ - 1
+        gens.append(diagonal_op(two_d / 2, hermitian=True, rational=(two_d, 2)))
         labels.append(f"D{i}")
         cartan_idx.append(i)
     for i in range(m):

@@ -1,11 +1,18 @@
 """Fock bases for registers of bosonic, fermionic, and spin modes.
 
-States are occupation tuples, one entry per mode: bosons count quanta up to
-an explicit cutoff, fermions are 0/1, and a spin-S mode stores the level
-index 0..2S (magnetic quantum number m = level - S). An optional constraint
-restricts the basis to the sector of fixed total occupation. The enumeration
-order is fixed once and for all so that indices are reproducible across runs
-and can be baked into golden files.
+A basis stores its states as one `(dim, modes)` int64 array `occ`, one row
+of occupations per state: bosons count quanta up to an explicit cutoff,
+fermions are 0/1, and a spin-S mode stores the level index 0..2S (magnetic
+quantum number m = level - S). An optional constraint restricts the basis to
+the sector of fixed total occupation.
+
+Each state also has a mixed-radix int64 key, with the first mode most
+significant and one digit per mode of radix `min(capacity, constraint) + 1`
+(`capacity + 1` without a constraint). States are enumerated in ascending
+tuple order, which is ascending key order, so lookups are a `searchsorted`
+on the sorted keys. A basis whose radix product does not fit in int64 is
+refused at construction. The enumeration order is fixed once and for all so
+that indices are reproducible across runs and can be baked into golden files.
 """
 
 from __future__ import annotations
@@ -13,16 +20,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleSectorError, StateNotInBasisError
+from .errors import ConfigError, InfeasibleSectorError, ResourceGuardError, StateNotInBasisError
 
 BOSON = "boson"
 FERMION = "fermion"
 SPIN = "spin"
 
 _SERIAL_VERSION = 1
+_KEY_LIMIT = 2**63 - 1  # largest int64
 
 
 @dataclass(frozen=True)
@@ -73,45 +82,38 @@ def spin(s) -> ModeSpec:
 
 
 def _enumerate_constrained(capacities, total):
-    """All occupation tuples with given per-mode capacities summing to total,
-    generated directly in ascending lexicographic order."""
-    n_modes = len(capacities)
-    suffix_cap = [0] * (n_modes + 1)
-    for i in range(n_modes - 1, -1, -1):
-        suffix_cap[i] = suffix_cap[i + 1] + capacities[i]
-
-    out = []
-    state = [0] * n_modes
-
-    def rec(pos, remaining):
-        if pos == n_modes - 1:
-            if remaining <= capacities[pos]:
-                state[pos] = remaining
-                out.append(tuple(state))
-            return
-        lo = max(0, remaining - suffix_cap[pos + 1])
-        hi = min(capacities[pos], remaining)
-        for v in range(lo, hi + 1):
-            state[pos] = v
-            rec(pos + 1, remaining - v)
-
-    rec(0, total)
-    return out
+    """Occupation rows with given per-mode capacities summing to total, in
+    ascending lexicographic order. Built one mode at a time: every partial
+    row is extended by each value that still leaves a completable remainder."""
+    suffix_cap = np.concatenate([np.cumsum(capacities[::-1])[::-1], [0]])
+    rows = np.zeros((1, 0), dtype=np.int64)
+    remaining = np.array([total], dtype=np.int64)
+    for pos, cap in enumerate(capacities):
+        lo = np.maximum(0, remaining - suffix_cap[pos + 1])
+        hi = np.minimum(cap, remaining)
+        counts = np.maximum(hi - lo + 1, 0)
+        parent = np.repeat(np.arange(len(rows)), counts)
+        first = np.cumsum(counts) - counts
+        value = lo[parent] + np.arange(len(parent)) - first[parent]
+        rows = np.column_stack([rows[parent], value])
+        remaining = remaining[parent] - value
+    return rows
 
 
 def _enumerate_unconstrained(capacities):
-    grids = [np.arange(c + 1) for c in capacities]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    stacked = np.stack([m.ravel() for m in mesh], axis=-1)
-    return [tuple(int(v) for v in row) for row in stacked]
+    levels = [c + 1 for c in capacities]
+    return np.indices(levels, dtype=np.int64).reshape(len(levels), -1).T.copy()
 
 
 class FockBasis:
-    """Ordered, bijectively indexed basis of occupation tuples.
+    """Ordered, bijectively indexed basis of occupation rows.
 
-    The ordering is plain ascending tuple order on the occupations (first
-    mode most significant), so the all-zero state comes first when present
-    and within a fixed-N two-mode sector |j, N-j> appears at index j.
+    `occ[i]` holds the occupations of state i and `keys[i]` its mixed-radix
+    key (see the module docstring). The ordering is plain ascending tuple
+    order on the occupations (first mode most significant), so the all-zero
+    state comes first when present and within a fixed-N two-mode sector
+    |j, N-j> appears at index j. `states`, `state_at` and iteration give
+    plain tuples, built from `occ` on demand.
     """
 
     def __init__(self, modes, constraint=None):
@@ -134,22 +136,34 @@ class FockBasis:
                     f"constraint N={self.constraint} exceeds the capacity sum "
                     f"{sum(capacities)} of the mode list"
                 )
-            states = _enumerate_constrained(capacities, self.constraint)
-            if not states:
-                raise InfeasibleSectorError(
-                    f"no occupation tuple satisfies N={self.constraint}"
-                )
+            radix = [min(c, self.constraint) + 1 for c in capacities]
         else:
-            states = _enumerate_unconstrained(capacities)
+            radix = [c + 1 for c in capacities]
+        if prod(radix) > _KEY_LIMIT:
+            raise ResourceGuardError(
+                f"the radix product {prod(radix)} of {len(radix)} modes exceeds the "
+                "int64 range of basis keys"
+            )
+        self._radix = np.array(radix, dtype=np.int64)
+        # place value of each mode's digit; the first mode is most significant
+        self._place = np.array(
+            [prod(radix[i + 1:]) for i in range(len(radix))], dtype=np.int64
+        )
 
-        self.states = tuple(states)
-        self._index = {s: i for i, s in enumerate(self.states)}
+        if self.constraint is not None:
+            occ = _enumerate_constrained(capacities, self.constraint)
+        else:
+            occ = _enumerate_unconstrained(capacities)
+        occ.flags.writeable = False
+        self.occ = occ
+        self.keys = occ @ self._place
+        self.keys.flags.writeable = False
 
     def __len__(self):
-        return len(self.states)
+        return self.occ.shape[0]
 
     def __iter__(self):
-        return iter(self.states)
+        return map(tuple, self.occ.tolist())
 
     def __eq__(self, other):
         return (
@@ -164,23 +178,48 @@ class FockBasis:
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return self.occ.shape[0]
+
+    @property
+    def states(self) -> tuple:
+        """All occupation tuples in basis order (built on each access)."""
+        return tuple(self)
+
+    def key_of(self, occ) -> np.ndarray:
+        """Mixed-radix keys of occupation rows (one row or a 2D array). The
+        key is linear in the occupations, so the key of a difference of two
+        rows is the shift between their keys."""
+        return np.asarray(occ, dtype=np.int64) @ self._place
+
+    def indices_of_keys(self, keys) -> np.ndarray:
+        """Basis index of each key, -1 where the key is not a basis state."""
+        keys = np.asarray(keys, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self) - 1)
+        return np.where(self.keys[pos] == keys, pos, -1)
+
+    def _lookup(self, state):
+        """(tuple, index or -1); entries outside a mode's radix, or a tuple of
+        the wrong length, are never encoded, since they would alias the key
+        of another state."""
+        occ = tuple(int(v) for v in state)
+        if len(occ) != len(self.modes) or any(
+            not 0 <= v < r for v, r in zip(occ, self._radix.tolist())
+        ):
+            return occ, -1
+        return occ, int(self.indices_of_keys(self.key_of(occ)))
 
     def index_of(self, state) -> int:
         """Position of an occupation tuple; inverse of state_at."""
-        key = tuple(int(v) for v in state)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise StateNotInBasisError(
-                f"occupation tuple {key} is not in {self!r}"
-            ) from None
+        occ, index = self._lookup(state)
+        if index < 0:
+            raise StateNotInBasisError(f"occupation tuple {occ} is not in {self!r}")
+        return index
 
     def state_at(self, i) -> tuple:
-        return self.states[i]
+        return tuple(self.occ[i].tolist())
 
     def contains(self, state) -> bool:
-        return tuple(int(v) for v in state) in self._index
+        return self._lookup(state)[1] >= 0
 
     def vector(self, state) -> np.ndarray:
         """Unit coefficient vector for a basis state."""
@@ -190,7 +229,7 @@ class FockBasis:
 
     def occupations_of_mode(self, mode) -> np.ndarray:
         """Occupation of one mode across all basis states, as an int array."""
-        return np.array([s[mode] for s in self.states], dtype=int)
+        return self.occ[:, mode].copy()
 
     def interior_mask(self, window=2, truncated_modes=(), two_sided_modes=()) -> np.ndarray:
         """Boolean mask of states at least `window` away from the listed
@@ -237,5 +276,6 @@ class FockBasis:
 def enumerate_basis(modes, constraint=None) -> FockBasis:
     """Build the basis of all admissible occupation tuples, deterministically
     ordered. Raises InfeasibleSectorError for unsatisfiable constraints
-    rather than returning an empty basis."""
+    rather than returning an empty basis, and ResourceGuardError when the
+    keys would overflow int64."""
     return FockBasis(modes, constraint)

@@ -12,10 +12,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from .errors import NumericContractError
+from .errors import NumericContractError, ResourceGuardError
 from .operators import SparseOperator
 
 FLUX_DEDUP_TOL = 1e-9
@@ -62,20 +63,68 @@ class FSLGraph:
 
 @dataclass
 class WeightLattice:
-    coordinates: list          # per-vertex tuple of exact rationals
+    """Exact weights of every vertex, merged into lattice sites.
+
+    Vertex v has coordinates `numerators[v] / denominator`, one common
+    positive denominator for all entries. `site_numerators` lists the
+    distinct rows in ascending order, which is ascending order of the
+    rational tuples, and `site_index[v]` is the site of vertex v. Fractions
+    are only built on request (`coordinates`, `sites`, `site_keys`).
+    """
+
+    numerators: np.ndarray     # (n_vertices, rank) int64
+    denominator: int
     coordinates_float: np.ndarray
-    sites: list                # list of (coordinate tuple, member vertex list)
+    site_numerators: np.ndarray  # (n_sites, rank) int64, ascending rows
+    site_index: np.ndarray     # (n_vertices,) site of each vertex
+
+    @classmethod
+    def from_numerators(cls, numerators, denominator, coordinates_float=None):
+        """Group vertices by their exact weight. Without explicit floats the
+        float coordinates are numerators / denominator, correctly rounded
+        like float(Fraction) since both fit in a double exactly."""
+        numerators = np.asarray(numerators, dtype=np.int64)
+        check_exact(int(np.max(np.abs(numerators), initial=0)), denominator)
+        if coordinates_float is None:
+            coordinates_float = numerators / denominator
+        sites, index = np.unique(numerators, axis=0, return_inverse=True)
+        return cls(numerators, int(denominator), coordinates_float, sites, index.ravel())
+
+    def _fractions(self, rows):
+        den = self.denominator
+        return [tuple(Fraction(n, den) for n in row) for row in rows.tolist()]
+
+    @property
+    def coordinates(self) -> list:
+        """Per-vertex tuples of exact rationals."""
+        return self._fractions(self.numerators)
+
+    def site_keys(self) -> list:
+        """Exact rational coordinates of each site, in site order."""
+        return self._fractions(self.site_numerators)
+
+    def site_members(self) -> list:
+        """Ascending vertex indices of each site, in site order."""
+        order = np.argsort(self.site_index, kind="stable")
+        return np.split(order, np.cumsum(self.multiplicity_array())[:-1])
+
+    def multiplicity_array(self) -> np.ndarray:
+        return np.bincount(self.site_index, minlength=len(self.site_numerators))
+
+    @property
+    def sites(self) -> list:
+        """(coordinate tuple, member vertex list) per site."""
+        return [
+            (key, members.tolist())
+            for key, members in zip(self.site_keys(), self.site_members())
+        ]
 
     @property
     def multiplicities(self):
-        return [len(members) for _, members in self.sites]
+        return self.multiplicity_array().tolist()
 
     def site_of_vertex(self):
-        lookup = {}
-        for s, (_, members) in enumerate(self.sites):
-            for v in members:
-                lookup[v] = s
-        return lookup
+        return dict(enumerate(self.site_index.tolist()))
 
 
 @dataclass
@@ -104,11 +153,13 @@ def build_fsl(H: SparseOperator, basis=None, tol=None) -> FSLGraph:
         raise ValueError("tolerance must be non-negative")
     onsite = H.diagonal().real.copy()
     coo = H.mat.tocoo()
-    edges = []
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        if r < c and abs(v) > tol:
-            edges.append(Edge(int(r), int(c), complex(v)))
-    edges.sort(key=lambda e: (e.i, e.j))
+    keep = (coo.row < coo.col) & (np.abs(coo.data) > tol)
+    rows, cols, amps = coo.row[keep], coo.col[keep], coo.data[keep]
+    order = np.lexsort((cols, rows))
+    edges = [
+        Edge(i, j, a)
+        for i, j, a in zip(rows[order].tolist(), cols[order].tolist(), amps[order].tolist())
+    ]
     return FSLGraph(H.dim, onsite, edges, basis=basis)
 
 
@@ -121,28 +172,45 @@ def labeled_fsl(model, terms, tol=None) -> FSLGraph:
     """
     from .operators import linear_combination
 
-    ops = [model.generator(lab) for lab, _ in terms]
-    coeffs = [c for _, c in terms]
-    H = linear_combination(ops, coeffs)
+    labels = [lab for lab, _ in terms]
+    ops = [model.generator(lab) for lab in labels]
+    H = linear_combination(ops, [c for _, c in terms])
     graph = build_fsl(H, basis=model.basis, tol=tol)
-    edge_label = {}
-    for lab, _ in terms:
-        coo = model.generator(lab).mat.tocoo()
-        for r, c in zip(coo.row, coo.col):
-            key = (min(int(r), int(c)), max(int(r), int(c)))
-            if key[0] == key[1]:
-                continue
-            prev = edge_label.get(key)
-            if prev is None or prev == lab:
-                edge_label[key] = lab
-            elif _conjugate_labels(prev, lab):
-                edge_label[key] = min(prev, lab)  # one name per raise/lower pair
-            elif lab not in prev.split("|"):
-                edge_label[key] = prev + "|" + lab
+    if not graph.edges:
+        return graph
+    n = graph.n_vertices
+    ends = np.array([(e.i, e.j) for e in graph.edges], dtype=np.int64)
+    edge_keys = ends[:, 0] * n + ends[:, 1]
+    # covers[e, k]: term k has an entry on edge e (in either direction)
+    covers = np.empty((len(edge_keys), len(ops)), dtype=bool)
+    for k, op in enumerate(ops):
+        coo = op.mat.tocoo()
+        lo, hi = np.minimum(coo.row, coo.col), np.maximum(coo.row, coo.col)
+        covers[:, k] = np.isin(edge_keys, (lo * n + hi)[lo != hi])
+    patterns, pattern_of_edge = np.unique(covers, axis=0, return_inverse=True)
+    names = [
+        _merge_labels([lab for lab, hit in zip(labels, row) if hit]) for row in patterns
+    ]
     graph.edges = [
-        Edge(e.i, e.j, e.amplitude, edge_label.get((e.i, e.j))) for e in graph.edges
+        Edge(e.i, e.j, e.amplitude, names[p])
+        for e, p in zip(graph.edges, pattern_of_edge.ravel().tolist())
     ]
     return graph
+
+
+def _merge_labels(labels):
+    """One edge label from the labels of the terms covering it, in term
+    order: repeats collapse, a raise/lower pair keeps one name, and
+    distinct generators are joined with '|'. None when no term covers it."""
+    merged = None
+    for lab in labels:
+        if merged is None or merged == lab:
+            merged = lab
+        elif _conjugate_labels(merged, lab):
+            merged = min(merged, lab)  # one name per raise/lower pair
+        elif lab not in merged.split("|"):
+            merged = merged + "|" + lab
+    return merged
 
 
 def _conjugate_labels(a: str, b: str) -> bool:
@@ -152,44 +220,80 @@ def _conjugate_labels(a: str, b: str) -> bool:
     return len(a) == len(b) and a[:-1] == b[:-1] and swap.get(a[-1]) == b[-1]
 
 
+EXACT_LIMIT = 2**53  # integers up to this are exact in a double
+
+
+def check_exact(largest, denominator):
+    """Exact weights are integers that a double holds exactly, so that
+    numerators / denominator is correctly rounded and no int64 product
+    overflows. `largest` bounds the absolute numerators (Python ints)."""
+    if denominator > EXACT_LIMIT or largest > EXACT_LIMIT:
+        raise ResourceGuardError(
+            "exact weights need numerators and a common denominator of at most "
+            f"2^53; got denominator {denominator}, numerators up to {largest}"
+        )
+
+
 def _rationalize(values, max_den=1 << 20, tol=1e-9):
-    out = []
-    for x in values:
-        fr = Fraction(float(x)).limit_denominator(max_den)
-        if abs(float(fr) - float(x)) > tol:
+    """Exact rationals recovered from floats, as (int64 numerators, common
+    denominator). Only the distinct values are rationalised."""
+    distinct, index = np.unique(np.asarray(values, dtype=float), return_inverse=True)
+    fracs = []
+    for x in distinct.tolist():
+        fr = Fraction(x).limit_denominator(max_den)
+        if abs(float(fr) - x) > tol:
             raise ValueError(
                 f"diagonal entry {x} is not rational within {tol}; "
                 "supply operators with exact rational diagonals"
             )
-        out.append(fr)
-    return out
+        fracs.append(fr)
+    den = lcm(*(fr.denominator for fr in fracs))
+    nums = [fr.numerator * (den // fr.denominator) for fr in fracs]
+    check_exact(max(map(abs, nums)), den)
+    return np.array(nums, dtype=np.int64)[index.ravel()], den
 
 
-def weight_coordinates(fsl: FSLGraph, cartan_ops) -> WeightLattice:
+def _common_denominator(columns):
+    """Stack exact columns given as (numerators, denominator) pairs over
+    their least common denominator: ((n, k) int64 numerators, denominator)."""
+    den = lcm(*(d for _, d in columns))
+    scaled = []
+    for num, d in columns:
+        check_exact(int(np.max(np.abs(num), initial=0)) * (den // d), den)
+        scaled.append(num * (den // d))
+    return np.stack(scaled, axis=-1), den
+
+
+def cartan_weights(cartan_ops) -> WeightLattice:
     """Per-vertex tuples of Cartan eigenvalues, merged into distinct lattice
-    sites with multiplicity. Merging uses exact rational arithmetic (taken
-    from `rational_diagonal` when present, else recovered from the floats)."""
+    sites with multiplicity. Merging is exact: the eigenvalues come from
+    `rational_diagonal` when present, else are recovered from the floats."""
+    if not cartan_ops:
+        raise ValueError("weight coordinates need at least one Cartan operator")
     exact_columns = []
     float_columns = []
     for op in cartan_ops:
         if not op.is_diagonal():
             raise ValueError("weight coordinates require diagonal operators")
         diag = op.diagonal().real
-        if len(diag) != fsl.n_vertices:
-            raise ValueError("Cartan operator dimension does not match the graph")
         float_columns.append(diag)
         if op.rational_diagonal is not None:
-            exact_columns.append([Fraction(v) for v in op.rational_diagonal])
+            exact_columns.append(op.rational_diagonal)
         else:
             exact_columns.append(_rationalize(diag))
-    coords = [tuple(col[v] for col in exact_columns) for v in range(fsl.n_vertices)]
-    floats = np.stack(float_columns, axis=-1) if float_columns else np.zeros((fsl.n_vertices, 0))
-    groups = {}
-    for v, c in enumerate(coords):
-        groups.setdefault(c, []).append(v)
-    sites = sorted(groups.items(), key=lambda kv: kv[0])
-    fsl.weights = floats
-    return WeightLattice(coords, floats, sites)
+    numerators, den = _common_denominator(exact_columns)
+    return WeightLattice.from_numerators(numerators, den, np.stack(float_columns, axis=-1))
+
+
+def weight_coordinates(fsl: FSLGraph, cartan_ops) -> WeightLattice:
+    """`cartan_weights` of the Cartan operators, checked against the graph's
+    vertex count; the float coordinates are attached to the graph."""
+    for op in cartan_ops:
+        if op.dim != fsl.n_vertices:
+            raise ValueError("Cartan operator dimension does not match the graph")
+    wl = cartan_weights(cartan_ops)
+    fsl.weights = wl.coordinates_float
+    return wl
 
 
 def connected_components(fsl: FSLGraph) -> list:
@@ -349,20 +453,16 @@ def _shortest_path_avoiding(adj, src, dst):
 def graph_to_json_dict(fsl: FSLGraph, weight_lattice: WeightLattice = None) -> dict:
     """Export form: sorted vertex records with onsite energy, optional weight
     tuple and site multiplicity, plus edge records with re/im amplitudes."""
-    site_lookup = {}
-    mult = {}
-    if weight_lattice is not None:
-        site_lookup = weight_lattice.site_of_vertex()
-        for s, (_, members) in enumerate(weight_lattice.sites):
-            for v in members:
-                mult[v] = len(members)
-    vertices = []
-    for v in range(fsl.n_vertices):
-        rec = {"id": v, "onsite": float(fsl.onsite[v])}
-        if weight_lattice is not None:
-            rec["weight"] = [float(x) for x in weight_lattice.coordinates_float[v]]
-            rec["multiplicity"] = mult.get(v, 1)
-        vertices.append(rec)
+    onsite = fsl.onsite.tolist()
+    if weight_lattice is None:
+        vertices = [{"id": v, "onsite": e} for v, e in enumerate(onsite)]
+    else:
+        weights = weight_lattice.coordinates_float.tolist()
+        mult = weight_lattice.multiplicity_array()[weight_lattice.site_index].tolist()
+        vertices = [
+            {"id": v, "onsite": e, "weight": w, "multiplicity": m}
+            for v, (e, w, m) in enumerate(zip(onsite, weights, mult))
+        ]
     edges = [
         {
             "i": e.i,

@@ -38,8 +38,9 @@ class SparseOperator:
     """Complex sparse matrix with hermiticity flag and even/odd grade.
 
     `rational_diagonal` (optional) carries exact diagonal eigenvalues for
-    operators used as lattice coordinates; it is preserved by nothing except
-    explicit construction.
+    operators used as lattice coordinates, as a pair (int64 numerator
+    array, common positive int denominator); it is preserved by nothing
+    except explicit construction.
     """
 
     __slots__ = ("mat", "hermitian", "grade", "rational_diagonal")
@@ -54,9 +55,15 @@ class SparseOperator:
         if grade not in (EVEN, ODD):
             raise ValueError("grade must be EVEN (0) or ODD (1)")
         self.grade = grade
-        self.rational_diagonal = (
-            None if rational_diagonal is None else tuple(rational_diagonal)
-        )
+        if rational_diagonal is not None:
+            num, den = rational_diagonal
+            rational_diagonal = (np.asarray(num, dtype=np.int64), int(den))
+            if rational_diagonal[0].shape != (self.mat.shape[0],) or rational_diagonal[1] < 1:
+                raise ValueError(
+                    "rational_diagonal needs one numerator per basis state "
+                    "and a positive denominator"
+                )
+        self.rational_diagonal = rational_diagonal
 
     # -- basic structure -------------------------------------------------
 
@@ -204,6 +211,8 @@ def zero(dim_or_basis) -> SparseOperator:
 
 
 def diagonal_op(values, hermitian=None, rational=None) -> SparseOperator:
+    """Diagonal operator; `rational` optionally gives its exact diagonal as
+    a pair (integer numerators, common positive denominator)."""
     values = np.asarray(values, dtype=complex)
     if hermitian is None:
         hermitian = bool(np.max(np.abs(values.imag), initial=0.0) == 0.0)
@@ -212,22 +221,13 @@ def diagonal_op(values, hermitian=None, rational=None) -> SparseOperator:
     )
 
 
-def _jw_sign(state, mode, order):
-    """(-1)^(occupied fermion modes preceding `mode` in `order`)."""
-    count = 0
-    for m in order:
-        if m == mode:
-            break
-        count += state[m]
-    return -1.0 if count % 2 else 1.0
-
-
 def ladder_ops(basis: FockBasis, mode: int, jw_order=None):
     """(lower, raise) pair for one mode of an unconstrained basis.
 
     Bosons: <n-1|a|n> = sqrt(n). Fermions: Jordan-Wigner signs over the
-    declared ordering, which defaults to the basis mode-list order. Spin:
-    <S,m-1|S-|S,m> = sqrt(S(S+1) - m(m-1)). The raising operator is the
+    declared ordering, which defaults to the basis mode-list order: the sign
+    is the parity of the occupations of the fermion modes preceding `mode`.
+    Spin: <S,m-1|S-|S,m> = sqrt(S(S+1) - m(m-1)). The raising operator is the
     exact structural conjugate transpose of the lowering one.
     """
     if basis.constraint is not None:
@@ -239,7 +239,13 @@ def ladder_ops(basis: FockBasis, mode: int, jw_order=None):
         raise ValueError(f"mode index {mode} out of range")
     spec = basis.modes[mode]
 
-    if spec.kind == FERMION:
+    cols = np.flatnonzero(basis.occ[:, mode])
+    n = basis.occ[cols, mode]
+    unit = np.eye(len(basis.modes), dtype=np.int64)
+    rows = basis.indices_of_keys(basis.keys[cols] - basis.key_of(unit[mode]))
+    if spec.kind == BOSON:
+        amp = np.sqrt(n)
+    elif spec.kind == FERMION:
         fermion_modes = [i for i, m in enumerate(basis.modes) if m.kind == FERMION]
         if jw_order is None:
             order = fermion_modes
@@ -250,31 +256,16 @@ def ladder_ops(basis: FockBasis, mode: int, jw_order=None):
                     "Jordan-Wigner ordering must list every fermion mode exactly once; "
                     f"got {order}, fermion modes are {fermion_modes}"
                 )
-    else:
-        order = None
-
-    rows, cols, vals = [], [], []
-    for col, state in enumerate(basis.states):
-        n = state[mode]
-        if n == 0:
-            continue
-        target = list(state)
-        target[mode] = n - 1
-        row = basis.index_of(target)
-        if spec.kind == BOSON:
-            amp = np.sqrt(n)
-        elif spec.kind == FERMION:
-            amp = _jw_sign(state, mode, order)
-        else:  # spin: level n corresponds to m = n - S
-            s = float(spec.spin_s)
-            m = n - s
-            amp = np.sqrt(s * (s + 1) - m * (m - 1))
-        rows.append(row)
-        cols.append(col)
-        vals.append(amp)
+        preceding = order[: order.index(mode)]
+        parity = basis.occ[np.ix_(cols, preceding)].sum(axis=1) % 2
+        amp = np.where(parity, -1.0, 1.0)
+    else:  # spin: level n corresponds to m = n - S
+        s = float(spec.spin_s)
+        m = n - s
+        amp = np.sqrt(s * (s + 1) - m * (m - 1))
 
     lower_mat = sparse.csr_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(basis.dim, basis.dim)
+        (amp.astype(complex), (rows, cols)), shape=(basis.dim, basis.dim)
     )
     grade = ODD if spec.kind == FERMION else EVEN
     lower = SparseOperator(lower_mat, hermitian=False, grade=grade)
@@ -284,7 +275,7 @@ def ladder_ops(basis: FockBasis, mode: int, jw_order=None):
 def number_op(basis: FockBasis, mode: int) -> SparseOperator:
     """Occupation-number operator of one mode (diagonal, exact)."""
     occ = basis.occupations_of_mode(mode)
-    return diagonal_op(occ.astype(float), hermitian=True, rational=[int(n) for n in occ])
+    return diagonal_op(occ.astype(float), hermitian=True, rational=(occ, 1))
 
 
 def transfer_op(basis: FockBasis, to_mode: int, from_mode: int) -> SparseOperator:
@@ -298,22 +289,16 @@ def transfer_op(basis: FockBasis, to_mode: int, from_mode: int) -> SparseOperato
             raise ValueError("transfer_op is defined for boson modes")
     if to_mode == from_mode:
         return number_op(basis, to_mode)
-    rows, cols, vals = [], [], []
-    for col, state in enumerate(basis.states):
-        if state[from_mode] == 0:
-            continue
-        if state[to_mode] >= basis.modes[to_mode].capacity:
-            continue
-        target = list(state)
-        target[from_mode] -= 1
-        target[to_mode] += 1
-        if not basis.contains(target):
-            continue
-        rows.append(basis.index_of(target))
-        cols.append(col)
-        vals.append(np.sqrt((state[to_mode] + 1) * state[from_mode]))
+    n_to, n_from = basis.occ[:, to_mode], basis.occ[:, from_mode]
+    cols = np.flatnonzero((n_from > 0) & (n_to < basis.modes[to_mode].capacity))
+    unit = np.eye(len(basis.modes), dtype=np.int64)
+    shift = basis.key_of(unit[to_mode] - unit[from_mode])
+    rows = basis.indices_of_keys(basis.keys[cols] + shift)
+    found = rows >= 0
+    rows, cols = rows[found], cols[found]
+    vals = np.sqrt((n_to[cols] + 1) * n_from[cols])
     mat = sparse.csr_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(basis.dim, basis.dim)
+        (vals.astype(complex), (rows, cols)), shape=(basis.dim, basis.dim)
     )
     return SparseOperator(mat, hermitian=False, grade=EVEN)
 

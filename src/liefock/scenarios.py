@@ -12,6 +12,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -20,7 +21,15 @@ from .coherent import CoherentParams, closed_form_state, husimi_plane, husimi_sp
 from .dynamics import DENSE_LIMIT, evolve, expectation_series, fidelity_series
 from .errors import ConfigError, ResourceGuardError
 from .fock import FockBasis, ModeSpec
-from .lattice import build_fsl, graph_to_adjacency_csv, graph_to_json_dict, labeled_fsl, weight_coordinates
+from .lattice import (
+    WeightLattice,
+    build_fsl,
+    cartan_weights,
+    check_exact,
+    graph_to_adjacency_csv,
+    graph_to_json_dict,
+    labeled_fsl,
+)
 from .operators import SparseOperator, linear_combination, number_op, transfer_op
 from .output import fmt_float, heatmap_bytes, sha256_bytes, write_json
 
@@ -315,15 +324,15 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
 
     graph = None
     wl = None
-    needs_graph = any(k in config.outputs for k in ("graph_json", "adjacency_csv"))
     needs_sites = config.outputs.get("site_populations") or "heatmap" in config.outputs
-    if needs_graph or needs_sites:
+    if "graph_json" in config.outputs or "adjacency_csv" in config.outputs:
         if model is not None and terms is not None:
             graph = labeled_fsl(model, terms, tol=tol)
         else:
             graph = build_fsl(H, basis, tol=tol)
+    if graph is not None or needs_sites:
         if model is not None and model.cartan:
-            wl = weight_coordinates(graph, model.cartan_ops())
+            wl = cartan_weights(model.cartan_ops())
         elif "weights" in config.system:
             wl = _weights_from_linear_forms(basis, config.system["weights"])
         elif needs_sites:
@@ -423,37 +432,31 @@ def _csv_bytes(header, rows):
     return ("\n".join(lines) + "\n").encode()
 
 
-def _make_weight_lattice(coords):
-    from .lattice import WeightLattice
-
-    floats = np.array([[float(v) for v in c] for c in coords])
-    groups = {}
-    for v, c in enumerate(coords):
-        groups.setdefault(c, []).append(v)
-    sites = sorted(groups.items(), key=lambda kv: kv[0])
-    return WeightLattice(coords, floats, sites)
-
-
 def _weights_from_occupations(basis):
-    return _make_weight_lattice([tuple(Fraction(v) for v in s) for s in basis.states])
+    return WeightLattice.from_numerators(basis.occ, 1)
 
 
 def _weights_from_linear_forms(basis, rows):
     """Coordinates as exact rational linear forms of the occupations; each
-    row lists one Fraction-parseable coefficient per mode."""
+    row lists one Fraction-parseable coefficient per mode. The forms are
+    scaled to integers over their common denominator."""
     forms = [[Fraction(str(c)) for c in row] for row in rows]
-    coords = [
-        tuple(sum(f * occ for f, occ in zip(row, state)) for row in forms)
-        for state in basis.states
-    ]
-    return _make_weight_lattice(coords)
+    den = lcm(*(f.denominator for row in forms for f in row))
+    coeffs = [[int(f * den) for f in row] for row in forms]
+    caps = [m.capacity for m in basis.modes]
+    check_exact(max((sum(abs(c) * n for c, n in zip(row, caps)) for row in coeffs), default=0), den)
+    coeffs = np.array(coeffs, dtype=np.int64).reshape(len(forms), len(caps))
+    return WeightLattice.from_numerators(basis.occ @ coeffs.T, den)
 
 
 def _site_populations(populations, wl):
-    keys = []
-    out = np.zeros((populations.shape[0], len(wl.sites)))
-    for s, (coord, members) in enumerate(wl.sites):
-        keys.append("(" + ",".join(str(c) for c in coord) + ")")
+    """Populations summed over the members of each site, one column per site,
+    with the site keys written like (1/2,-1/2)."""
+    keys = ["(" + ",".join(str(c) for c in coord) + ")" for coord in wl.site_keys()]
+    out = np.zeros((populations.shape[0], len(keys)))
+    # one sum per site over its ascending members keeps numpy's summation
+    # order, so the written floats do not depend on how sites are grouped
+    for s, members in enumerate(wl.site_members()):
         out[:, s] = populations[:, members].sum(axis=1)
     return out, keys
 
@@ -462,22 +465,13 @@ def _weight_grid(populations_at_t, wl):
     """Populations summed per weight site, arranged on the rectangular grid
     spanned by the first two weight coordinates (rows: second coordinate
     descending, columns: first ascending). 1D weights produce a single row."""
-    coords = [c for c, _ in wl.sites]
-    if not coords:
-        raise ValueError("empty weight lattice")
-    dim = len(coords[0])
-    sums = []
-    for coord, members in wl.sites:
-        sums.append(float(np.sum(populations_at_t[members])))
-    if dim == 1:
-        return np.asarray(sums)[None, :]
-    xs = sorted({c[0] for c in coords})
-    ys = sorted({c[1] for c in coords})
-    xi = {v: k for k, v in enumerate(xs)}
-    yi = {v: k for k, v in enumerate(ys)}
+    sums = np.array([np.sum(populations_at_t[members]) for members in wl.site_members()])
+    if wl.site_numerators.shape[1] == 1:
+        return sums[None, :]
+    xs, col = np.unique(wl.site_numerators[:, 0], return_inverse=True)
+    ys, row = np.unique(wl.site_numerators[:, 1], return_inverse=True)
     table = np.zeros((len(ys), len(xs)))
-    for (coord, _), val in zip(wl.sites, sums):
-        table[len(ys) - 1 - yi[coord[1]], xi[coord[0]]] = val
+    table[len(ys) - 1 - row, col] = sums
     return table
 
 

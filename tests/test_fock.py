@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from liefock import FockBasis, boson, enumerate_basis, fermion, spin
-from liefock.errors import InfeasibleSectorError, StateNotInBasisError
+from liefock.errors import InfeasibleSectorError, ResourceGuardError, StateNotInBasisError
 
 
 def brute_force_sector(capacities, total):
@@ -123,3 +123,38 @@ def test_serialization_round_trip():
     clone = FockBasis.from_json(basis.to_json())
     assert clone == basis
     assert clone.states == basis.states
+
+
+def test_above_capacity_lookup_does_not_alias():
+    # radix (2, 5): (0, 5) would encode to the key of (1, 0)
+    basis = enumerate_basis([boson(1), boson(4)])
+    assert basis.index_of((1, 0)) == 5
+    assert not basis.contains((0, 5))
+    with pytest.raises(StateNotInBasisError, match=r"\(0, 5\)"):
+        basis.index_of((0, 5))
+
+
+def test_negative_and_wrong_length_lookups_raise():
+    basis = enumerate_basis([boson(3), boson(3)])
+    for bad in ((2, -1), (-1, 3), (1,), (1, 2, 0), ()):
+        assert not basis.contains(bad)
+        with pytest.raises(StateNotInBasisError):
+            basis.index_of(bad)
+
+
+def test_constrained_radix_is_capped_by_the_constraint():
+    basis = enumerate_basis([boson(50)] * 3, constraint=2)
+    assert basis.keys.max() < 3**3
+    assert basis.index_of((0, 0, 2)) == 0
+    for bad in ((0, 0, 3), (0, 3, -1), (3, -1, 0), (0, 0, 50)):
+        assert not basis.contains(bad)
+        with pytest.raises(StateNotInBasisError):
+            basis.index_of(bad)
+
+
+def test_key_overflow_is_refused_at_construction():
+    with pytest.raises(ResourceGuardError):
+        FockBasis([fermion()] * 64)
+    with pytest.raises(ResourceGuardError):
+        FockBasis([boson(100)] * 10, constraint=100)
+    assert FockBasis([fermion()] * 20).keys[-1] == 2**20 - 1

@@ -1,0 +1,58 @@
+"""Byte-exact outputs pinned by SHA-256.
+
+The cases avoid BLAS-dependent numbers: lattice exports hold generator
+matrix elements, onsite energies and weight coordinates only, and of the
+quench CSV only the header line (the site keys) is pinned.
+"""
+
+import hashlib
+import json
+
+from liefock.cli import main
+
+SU3_FLUX = {
+    "algebra": {"name": "su3_schwinger", "params": {"N": 12}},
+    "terms": [{"label": lab, "coeff": 1.0} for lab in ("I+", "I-", "U+", "U-")]
+    + [{"label": "V+", "coeff": 1.0, "phase": 0.7}, {"label": "V-", "coeff": 1.0, "phase": -0.7}],
+}
+SO5_BONDS = [(0, 1, 1.0, 0.0), (2, 3, 1.0, 0.0), (0, 2, 0.8, 0.5), (0, 3, 0.8, 0.0), (1, 2, 0.8, 0.0), (1, 3, 0.8, 0.0)]
+SO5_BILINEAR = {
+    "basis": {"modes": [{"kind": "boson", "capacity": 8}] * 4, "constraint": 8},
+    "bilinears": [
+        {"create": c, "annihilate": a, "coeff": k, "phase": p} for c, a, k, p in SO5_BONDS
+    ],
+}
+
+GOLDEN = {
+    "su3": (
+        "f5be56f409afeddd883e53645148a4cd9a9f935c5b3b22f6bb42b12896c47296",
+        "31d074b8c768b0fa63aeabd8e9e1e84ed7641c34ceac165509389537e86fcd8b",
+    ),
+    "so5": (
+        "718b996a482bd8399c82c962aca7fe3f8e6ac60c923ca3aec4f2c08e62137b06",
+        "1d642eebd699db0ef1ad6a544ba6a6f79005bfa8211d092adbab1ccc10ffbaa6",
+    ),
+}
+SO5_QUENCH_HEADER = "a3a923e3dcd1c83d9185c89ef9f17205f62ac6340c1e2eec21e9c817bcc3ab91"
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_lattice_export_and_csv_bytes(tmp_path, capsys):
+    for name, system in (("su3", SU3_FLUX), ("so5", SO5_BILINEAR)):
+        ham = tmp_path / f"{name}_ham.json"
+        ham.write_text(json.dumps(system))
+        graph, csv = tmp_path / f"{name}_graph.json", tmp_path / f"{name}_adj.csv"
+        assert main(["lattice", "--ham", str(ham), "--export", str(graph), "--csv", str(csv)]) == 0
+        assert (sha256(graph.read_bytes()), sha256(csv.read_bytes())) == GOLDEN[name], name
+
+
+def test_so5_quench_site_key_header(tmp_path, capsys):
+    argv = ["--out-dir", str(tmp_path), "scenario", "run", "--name", "so5_quench", "--params", '{"N": 12}']
+    assert main(argv) == 0
+    with open(tmp_path / "so5_quench.csv", "rb") as fh:
+        header = fh.readline()
+    assert header.startswith(b"t,fidelity,norm,P(-6,0),P(-11/2,-1/2),")
+    assert sha256(header) == SO5_QUENCH_HEADER

@@ -323,3 +323,33 @@ def test_zero_amplitude_cycle_edge_rejected():
     )
     with pytest.raises(ValueError, match="zero-amplitude"):
         pf(graph)
+
+
+def test_exact_weights_beyond_a_double_are_refused():
+    from liefock.errors import ResourceGuardError
+    from liefock.lattice import cartan_weights
+    from liefock.operators import diagonal_op
+    from liefock.scenarios import _weights_from_linear_forms
+
+    huge = diagonal_op(np.ones(3), hermitian=True, rational=([1, 1, 1], 2**60))
+    with pytest.raises(ResourceGuardError):
+        cartan_weights([huge])
+    # four distinct denominators near 2^20: their least common multiple is ~2^80
+    primes = [1048573, 1048571, 1048559, 1048549]
+    with pytest.raises(ResourceGuardError):
+        cartan_weights([diagonal_op([1 / p for p in primes], hermitian=True)])
+    basis = enumerate_basis([boson(4)] * 2, constraint=4)
+    with pytest.raises(ResourceGuardError):
+        _weights_from_linear_forms(basis, [["1/9007199254740993", "0"]])
+    wl = _weights_from_linear_forms(basis, [["1/2", "-1/3"]])
+    assert wl.denominator == 6 and wl.site_keys()[0] == (Fraction(-4, 3),)
+
+
+def test_weight_grid_places_sites_by_exact_coordinates():
+    from liefock.lattice import WeightLattice
+    from liefock.scenarios import _weight_grid
+
+    wl = WeightLattice.from_numerators([[0, 0], [1, 0], [0, 1], [1, 0], [-1, 1]], 2)
+    table = _weight_grid(np.array([0.5, 0.1, 0.2, 0.15, 0.05]), wl)
+    # rows: second coordinate descending; columns: first ascending
+    assert table.tolist() == [[0.05, 0.2, 0.0], [0.0, 0.5, 0.25]]
