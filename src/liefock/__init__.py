@@ -10,7 +10,6 @@ from .operators import (
     EVEN,
     ODD,
     SparseOperator,
-    apply,
     diagonal_op,
     frobenius_inner,
     graded_commutator,

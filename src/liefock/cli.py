@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import CATALOG, build_algebra, lie_closure, lmg_seed, rabi_seed, verify_model
+from .coherent import husimi_chart
 from .errors import (
     ConfigError,
     InfeasibleSectorError,
@@ -30,13 +31,15 @@ from .lattice import (
     weight_coordinates,
 )
 from .oracles import LADDER_KINDS, bloch, ladder_oracles, so5_manybody, so5_revival, so5_singles, squeezing
-from .output import write_json
+from .output import export_heatmap, grid_csv_bytes, write_json
 from .scenarios import (
     BUILTIN_SCENARIOS,
+    build_basis,
+    build_initial_state,
+    build_system,
     builtin_scenario,
     parse_config,
     run_scenario,
-    _build_system,
 )
 
 EXIT_OK = 0
@@ -117,7 +120,7 @@ def _cmd_closure(args):
 def _cmd_lattice(args):
     with open(args.ham) as fh:
         system = json.load(fh)
-    basis, H, model, terms = _build_system(system)
+    basis, H, model, terms = build_system(system)
     if terms is not None and model is not None:
         from .lattice import labeled_fsl
 
@@ -160,47 +163,12 @@ def _cmd_evolve(args):
 
 
 def _cmd_husimi(args):
-    from .coherent import husimi_cylinder, husimi_disk, husimi_plane, husimi_sphere
-    from .output import export_heatmap, fmt_float
-    from .scenarios import _build_initial_state
-
     with open(args.state) as fh:
         spec = json.load(fh)
-    from .fock import FockBasis, ModeSpec
-
-    basis = FockBasis(
-        [ModeSpec(m["kind"], int(m["capacity"])) for m in spec["basis"]["modes"]],
-        spec["basis"].get("constraint"),
-    )
-    state = _build_initial_state(spec["state"], basis)
-    params = spec.get("space_params", {})
-    n1, n2 = args.nodes
-    if args.space == "sphere":
-        S = params.get("S", Fraction(basis.dim - 1, 2))
-        grid = husimi_sphere(state, S, n_theta=n1, n_phi=n2)
-    elif args.space == "plane":
-        half = float(params.get("half_width", 6.0))
-        xs = np.linspace(-half, half, n1)
-        ps = np.linspace(-half, half, n2)
-        grid = husimi_plane(state, basis.dim - 1, xs, ps)
-    elif args.space == "cylinder":
-        grid = husimi_cylinder(state, basis.dim, n_arc=n1, n_rad=n2)
-    elif args.space == "disk":
-        k = Fraction(str(params.get("k", "1/4")))
-        grid = husimi_disk(state, k, n_rad=n1, n_arg=n2, chain_len=basis.dim)
-    else:
-        raise ConfigError(f"unknown space {args.space!r}")
-    lines = ["coord_a,coord_b,weight,value"]
-    ax_a, ax_b = grid.axes[0], grid.axes[1]
-    for ia in range(grid.values.shape[0]):
-        for ib in range(grid.values.shape[1]):
-            a = ax_a[ia] if len(ax_a) == grid.values.shape[0] else ax_a[ib]
-            b = ax_b[ib] if len(ax_b) == grid.values.shape[1] else ax_b[ia]
-            lines.append(
-                ",".join(fmt_float(v) for v in (a, b, grid.weights[ia, ib], grid.values[ia, ib]))
-            )
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    state = build_initial_state(spec["state"], build_basis(spec["basis"]))
+    grid = husimi_chart(state, args.space, args.nodes, spec.get("space_params", {}))
+    with open(args.out, "wb") as fh:
+        fh.write(grid_csv_bytes(grid))
     print(f"wrote {args.out} (integral {grid.integral():.6f})")
     if args.heatmap:
         export_heatmap(grid.values, args.heatmap)
@@ -289,8 +257,6 @@ def build_parser():
         description="Fock-state lattices from operator algebras: build, analyze, evolve.",
     )
     parser.add_argument("--out-dir", default=".", help="directory for output files")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="advisory thread budget for BLAS-backed steps")
     parser.add_argument("--tol", type=float, default=None, help="edge/drop tolerance override")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -325,7 +291,8 @@ def build_parser():
     p.add_argument("--space", required=True, choices=["plane", "sphere", "cylinder", "disk"])
     p.add_argument("--out", required=True, help="CSV output (coords, weight, value)")
     p.add_argument("--heatmap", default=None, help="optional 16-bit PGM output")
-    p.add_argument("--nodes", type=int, nargs=2, default=[101, 101])
+    p.add_argument("--nodes", type=int, nargs=2, default=[101, 101],
+                   help="node counts along coord_a and coord_b")
     p.set_defaults(fn=_cmd_husimi)
 
     p = sub.add_parser("oracle", help="closed-form reference values")

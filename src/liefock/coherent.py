@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
-from scipy.special import gammaln, jv
+from scipy.special import gammaln, jv, xlogy
 
 from .errors import TruncationLeakageWarning
 from .fock import FockBasis, boson
@@ -89,39 +89,58 @@ def displace(model, root_label, beta, state, leak_tol=LEAK_TOL, window=2) -> np.
 # ---------------------------------------------------------------------------
 
 
+def _glauber_radial(r, cutoff):
+    """|<n|alpha>| at |alpha| = r (any shape) over n = 0..cutoff, and the
+    orders n of the phases e^{i n arg(alpha)}."""
+    n = np.arange(cutoff + 1)
+    r = np.asarray(r, dtype=float)[..., None]
+    return np.exp(-(r**2) / 2 + xlogy(n, r) - 0.5 * gammaln(n + 1)), n
+
+
+def _spin_radial(two_s, theta):
+    """|<m|theta, phi>| over m = -S..S (index 0 is m = -S) at polar angles
+    `theta` (any shape), and the orders m - S of the phases e^{i (m-S) phi}."""
+    j = np.arange(two_s + 1)  # S + m
+    half = np.asarray(theta, dtype=float)[..., None] / 2.0
+    log_binom = gammaln(two_s + 1) - gammaln(j + 1) - gammaln(two_s - j + 1)
+    radial = np.exp(0.5 * log_binom + xlogy(j, np.cos(half)) + xlogy(two_s - j, np.sin(half)))
+    return radial / np.linalg.norm(radial, axis=-1, keepdims=True), j - two_s
+
+
+def _bessel_radial(r, L, start):
+    """J_l(2r) on the sites start + l of an L-site chain at |beta| = r (any
+    shape), and the orders l of the phases e^{i l arg(beta)}."""
+    ls = np.arange(L) - start
+    return jv(ls, 2 * np.asarray(r, dtype=float)[..., None]), ls
+
+
+def _pcs_radial(k, r, chain_len):
+    """(1-r^2)^k sqrt(Gamma(m+2k)/(m! Gamma(2k))) r^m over m = 0..chain_len-1
+    at |zeta| = r (any shape), and the orders m of the phases e^{i m arg(zeta)}."""
+    m = np.arange(chain_len)
+    r = np.asarray(r, dtype=float)[..., None]
+    log_mag = 0.5 * (gammaln(m + 2 * k) - gammaln(m + 1) - gammaln(2 * k)) + xlogy(m, r)
+    return (1 - r**2) ** k * np.exp(log_mag), m
+
+
+def _coherent(radial, orders, angle):
+    """radial_n * exp(i orders_n angle): one state for a scalar angle, one
+    state per entry (stacked on the last axis) for an array of angles."""
+    return radial * np.exp(1j * np.multiply.outer(angle, orders))
+
+
 def glauber_state(alpha, cutoff) -> np.ndarray:
     """exp(-|a|^2/2) a^n / sqrt(n!) on a cutoff basis."""
     alpha = complex(alpha)
-    n = np.arange(cutoff + 1)
-    log_mag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1) \
-        if alpha != 0 else None
-    if alpha == 0:
-        out = np.zeros(cutoff + 1, dtype=complex)
-        out[0] = 1.0
-        return out
-    out = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
-    return out.astype(complex)
+    return _coherent(*_glauber_radial(abs(alpha), cutoff), np.angle(alpha))
 
 
 def spin_coherent_state(S, theta, phi) -> np.ndarray:
-    """Binomial expansion over levels m = -S..S (index 0 is m = -S)."""
-    two_s = int(Fraction(S) * 2)
-    S = two_s / 2.0
+    """Binomial expansion over levels m = -S..S (index 0 is m = -S); theta = 0
+    is the pole state m = +S."""
     if not 0 <= theta <= np.pi:
         raise ValueError("theta must lie in [0, pi]")
-    m = np.arange(-two_s / 2.0, two_s / 2.0 + 1)
-    out = np.zeros(two_s + 1, dtype=complex)
-    if theta == 0:
-        out[-1] = 1.0  # pole state m = +S
-        return out
-    if theta == np.pi:
-        out[0] = 1.0
-        return out
-    ct, st = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    log_binom = gammaln(two_s + 1) - gammaln(S + m + 1) - gammaln(S - m + 1)
-    amp = np.exp(0.5 * log_binom + (S + m) * np.log(ct) + (S - m) * np.log(st))
-    out = amp * np.exp(-1j * (S - m) * phi)
-    return out / np.linalg.norm(out)
+    return _coherent(*_spin_radial(int(Fraction(S) * 2), theta), phi)
 
 
 def squeezed_vacuum_state(xi, cutoff, k=Fraction(1, 4)) -> np.ndarray:
@@ -171,9 +190,7 @@ def euclidean_coherent_state(beta, L, start=None) -> np.ndarray:
     beta = complex(beta)
     if start is None:
         start = (L - 1) // 2
-    ls = np.arange(L) - start
-    out = jv(ls, 2 * abs(beta)) * np.exp(1j * ls * np.angle(beta))
-    return out.astype(complex)
+    return _coherent(*_bessel_radial(abs(beta), L, start), np.angle(beta))
 
 
 def su3_coherent_state(N, zeta, basis: FockBasis = None) -> np.ndarray:
@@ -214,14 +231,10 @@ def su3_angles_to_zeta(theta1, theta2, phi1, phi2):
 def su11_pcs(k, zeta, chain_len) -> np.ndarray:
     """Chain-space PCS (1-|z|^2)^k sum_m sqrt(Gamma(m+2k)/(m! Gamma(2k))) z^m,
     over ladder index m = 0..chain_len-1."""
-    k = float(k)
     z = complex(zeta)
     if abs(z) >= 1:
         raise ValueError("disk coordinate must satisfy |zeta| < 1")
-    m = np.arange(chain_len)
-    log_mag = 0.5 * (gammaln(m + 2 * k) - gammaln(m + 1) - gammaln(2 * k))
-    amp = np.exp(log_mag) * z**m
-    return (1 - abs(z) ** 2) ** k * amp
+    return _coherent(*_pcs_radial(float(k), abs(z), chain_len), np.angle(z))
 
 
 def closed_form_state(params: CoherentParams, basis: FockBasis = None) -> np.ndarray:
@@ -265,7 +278,7 @@ def closed_form_state(params: CoherentParams, basis: FockBasis = None) -> np.nda
 @dataclass
 class HusimiGrid:
     parametrization: str
-    axes: tuple          # coordinate arrays, meaning depends on parametrization
+    axes: tuple          # coordinate arrays; axes[i] runs along values axis i
     weights: np.ndarray  # quadrature weights including the invariant measure
     values: np.ndarray   # w * <coherent| rho |coherent>, clipped at -1e-12
     normalization: float  # the constant w
@@ -274,19 +287,22 @@ class HusimiGrid:
         return float(np.sum(self.weights * self.values))
 
 
-def _overlap_sq(states, psi_or_rho):
-    """states: (n_nodes, dim); returns <c|rho|c> for each node."""
+def _chart_values(psi_or_rho, rows, w):
+    """w * <c|rho|c> over a grid, one row of coherent states c at a time.
+
+    `rows` yields the states of each grid row as one (n_b, dim) array, so no
+    array over all nodes is ever built. A pure state is the one-term case of
+    rho = sum_k lam_k |v_k><v_k| (the eigenvectors of rho's Hermitian part),
+    so both take the same path: <c|rho|c> = sum_k lam_k |<c|v_k>|^2.
+    """
     arr = np.asarray(psi_or_rho)
     if arr.ndim == 1:
-        amps = states.conj() @ arr
-        return np.abs(amps) ** 2
-    if arr.ndim == 2:
-        return np.real(np.einsum("ni,ij,nj->n", states.conj(), arr, states))
-    raise ValueError("expected a state vector or a density matrix")
-
-
-def _clip(values):
-    values = np.real(values)
+        lam, vecs = np.ones(1), arr[:, None]
+    elif arr.ndim == 2:
+        lam, vecs = np.linalg.eigh((arr + arr.conj().T) / 2)
+    else:
+        raise ValueError("expected a state vector or a density matrix")
+    values = w * np.array([np.abs(states.conj() @ vecs) ** 2 @ lam for states in rows])
     if np.min(values, initial=0.0) < -1e-12:
         raise ValueError("Husimi values fell below the -1e-12 clip floor")
     return np.maximum(values, 0.0)
@@ -299,15 +315,14 @@ def husimi_plane(psi_or_rho, cutoff, x, p) -> HusimiGrid:
     for normalized states."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    values = np.empty((x.size, p.size))
-    for ix, xv in enumerate(x):
-        alphas = (xv + 1j * p) / np.sqrt(2.0)
-        states = np.stack([glauber_state(a, cutoff) for a in alphas])
-        values[ix] = _overlap_sq(states, psi_or_rho) / np.pi
+    alphas = (x[:, None] + 1j * p) / np.sqrt(2.0)
+    # the radial profile differs per node here, not per row
+    rows = (_coherent(*_glauber_radial(np.abs(row), cutoff), np.angle(row)) for row in alphas)
+    values = _chart_values(psi_or_rho, rows, 1.0 / np.pi)
     dx = x[1] - x[0] if x.size > 1 else 1.0
     dp = p[1] - p[0] if p.size > 1 else 1.0
     weights = np.full(values.shape, dx * dp / 2.0)
-    return HusimiGrid("plane", (x, p), weights, _clip(values), 1.0 / np.pi)
+    return HusimiGrid("plane", (x, p), weights, values, 1.0 / np.pi)
 
 
 def husimi_sphere(psi_or_rho, S, n_theta=200, n_phi=200) -> HusimiGrid:
@@ -320,33 +335,33 @@ def husimi_sphere(psi_or_rho, S, n_theta=200, n_phi=200) -> HusimiGrid:
     theta = np.arccos(nodes)
     phi = np.linspace(0, 2 * np.pi, n_phi, endpoint=False)
     dphi = 2 * np.pi / n_phi
-    values = np.empty((n_theta, n_phi))
-    for it, th in enumerate(theta):
-        states = np.stack([spin_coherent_state(Fraction(two_s, 2), th, ph) for ph in phi])
-        values[it] = _overlap_sq(states, psi_or_rho) * norm
+    radial, orders = _spin_radial(two_s, theta)
+    phases = _coherent(1.0, orders, phi)
+    values = _chart_values(psi_or_rho, (r * phases for r in radial), norm)
     weights = np.outer(gl_w, np.full(n_phi, dphi))
-    return HusimiGrid("sphere", (theta, phi), weights, _clip(values), norm)
+    return HusimiGrid("sphere", (theta, phi), weights, values, norm)
 
 
 def husimi_cylinder(psi_or_rho, L, n_arc=201, n_rad=201, rad_max=None) -> HusimiGrid:
     """Shift-algebra Husimi over beta = r e^{i arc}: the arc coordinate winds
-    around the cylinder, |beta| runs along it; w = 1/pi with measure r dr darc."""
+    around the cylinder, |beta| runs along it; w = 1/pi with measure r dr darc.
+    Axes (rad, arc): rows run over |beta|."""
     if rad_max is None:
         rad_max = L / 4.0
     arc = np.linspace(-np.pi, np.pi, n_arc, endpoint=False)
     rad = np.linspace(0, rad_max, n_rad)
-    values = np.empty((n_rad, n_arc))
-    for ir, r in enumerate(rad):
-        states = np.stack([euclidean_coherent_state(r * np.exp(1j * u), L) for u in arc])
-        values[ir] = _overlap_sq(states, psi_or_rho) / np.pi
+    radial, orders = _bessel_radial(rad, L, (L - 1) // 2)
+    phases = _coherent(1.0, orders, arc)
+    values = _chart_values(psi_or_rho, (r * phases for r in radial), 1.0 / np.pi)
     dr = rad[1] - rad[0] if n_rad > 1 else 1.0
     darc = 2 * np.pi / n_arc
     weights = np.outer(rad * dr, np.full(n_arc, darc))
-    return HusimiGrid("cylinder", (arc, rad), weights, _clip(values), 1.0 / np.pi)
+    return HusimiGrid("cylinder", (rad, arc), weights, values, 1.0 / np.pi)
 
 
-def husimi_disk(psi_or_rho_chain, k, n_rad=160, n_arg=160, chain_len=None) -> HusimiGrid:
+def husimi_disk(psi_or_rho_chain, k, n_rad=160, n_arg=160) -> HusimiGrid:
     """Hyperbolic-disk Husimi over zeta = tanh(r) e^{i theta}, |zeta| < 1.
+    Axes (|zeta|, theta): rows run over |zeta|.
 
     Works in chain space (ladder index m), so callers project Fock-space
     states onto the relevant parity chain first. Weight w = (2k-1)/pi with
@@ -356,9 +371,6 @@ def husimi_disk(psi_or_rho_chain, k, n_rad=160, n_arg=160, chain_len=None) -> Hu
     uses w = 1/pi instead (reported in `normalization`): its values are
     non-negative and usable for plotting, but its integral is not 1.
     """
-    arr = np.asarray(psi_or_rho_chain)
-    if chain_len is None:
-        chain_len = arr.shape[0]
     k = float(k)
     # radial substitution s = |zeta|^2 = 1 - (1-u)^2 regularizes the
     # (1-s)^(2k-2) endpoint behavior for 1/2 < k < 1
@@ -371,16 +383,36 @@ def husimi_disk(psi_or_rho_chain, k, n_rad=160, n_arg=160, chain_len=None) -> Hu
     theta = np.linspace(-np.pi, np.pi, n_arg, endpoint=False)
     dth = 2 * np.pi / n_arg
     w_const = (2 * k - 1) / np.pi if k > 0.5 else 1 / np.pi
-    values = np.empty((n_rad, n_arg))
-    for ir, zm in enumerate(zmag):
-        states = np.stack(
-            [su11_pcs(k, zm * np.exp(1j * th), chain_len) for th in theta]
-        )
-        values[ir] = _overlap_sq(states, psi_or_rho_chain) * w_const
+    radial, orders = _pcs_radial(k, zmag, np.shape(psi_or_rho_chain)[0])
+    phases = _coherent(1.0, orders, theta)
+    values = _chart_values(psi_or_rho_chain, (r * phases for r in radial), w_const)
     # d^2 zeta = (1/2) ds dtheta ; invariant measure divides by (1-s)^2
-    radial = 0.5 * ds / (1 - s) ** 2
-    weights = np.outer(radial, np.full(n_arg, dth))
-    return HusimiGrid("disk", (theta, zmag), weights, _clip(values), w_const)
+    radial_w = 0.5 * ds / (1 - s) ** 2
+    weights = np.outer(radial_w, np.full(n_arg, dth))
+    return HusimiGrid("disk", (zmag, theta), weights, values, w_const)
+
+
+def husimi_chart(psi_or_rho, space, nodes, params) -> HusimiGrid:
+    """The Husimi chart of a state or density matrix on `space`, with
+    nodes[0] rows (axes[0]) and nodes[1] columns (axes[1]). The chart's
+    dimension is the state's length; `params` and their defaults: sphere
+    S = (dim-1)/2, plane half_width = 6, cylinder rad_max = dim/4, disk
+    k = 1/4 (a string such as "3/4" is read as an exact rational)."""
+    n_a, n_b = (int(n) for n in nodes)
+    dim = np.shape(psi_or_rho)[0]
+    if space == "sphere":
+        return husimi_sphere(psi_or_rho, params.get("S", Fraction(dim - 1, 2)), n_theta=n_a, n_phi=n_b)
+    if space == "plane":
+        half = float(params.get("half_width", 6.0))
+        xs = np.linspace(-half, half, n_a)
+        ps = np.linspace(-half, half, n_b)
+        return husimi_plane(psi_or_rho, dim - 1, xs, ps)
+    if space == "cylinder":
+        return husimi_cylinder(psi_or_rho, dim, n_arc=n_b, n_rad=n_a, rad_max=params.get("rad_max"))
+    if space == "disk":
+        k = Fraction(str(params.get("k", "1/4")))
+        return husimi_disk(psi_or_rho, k, n_rad=n_a, n_arg=n_b)
+    raise ValueError(f"unknown phase space {space!r}")
 
 
 PHASE_SPACES = {
@@ -394,9 +426,10 @@ PHASE_SPACES = {
 }
 
 
-def husimi(state_or_rho, space, model, nodes=(101, 101), **kwargs) -> HusimiGrid:
-    """Dispatch a Husimi evaluation for a catalog model, rejecting grids whose
-    parametrization does not match the model's phase space."""
+def husimi(state_or_rho, space, model, nodes=(101, 101), **params) -> HusimiGrid:
+    """husimi_chart for a catalog model, rejecting grids whose
+    parametrization does not match the model's phase space. A disk chart
+    takes k from the model's parameters (1/2 if it has none)."""
     expected = PHASE_SPACES.get(model.name)
     if expected is None:
         raise ValueError(f"no phase-space chart registered for {model.name!r}")
@@ -404,24 +437,9 @@ def husimi(state_or_rho, space, model, nodes=(101, 101), **kwargs) -> HusimiGrid
         raise ValueError(
             f"parametrization mismatch: {model.name} lives on the {expected}, not the {space}"
         )
-    n1, n2 = nodes
-    if space == "plane":
-        half = float(kwargs.get("half_width", 6.0))
-        xs = np.linspace(-half, half, n1)
-        ps = np.linspace(-half, half, n2)
-        return husimi_plane(state_or_rho, model.basis.modes[0].capacity, xs, ps)
-    if space == "sphere":
-        if model.name == "su2_spin":
-            S = model.params["S"]
-        else:
-            S = Fraction(model.params["N"], 2)
-        return husimi_sphere(state_or_rho, S, n_theta=n1, n_phi=n2)
-    if space == "cylinder":
-        return husimi_cylinder(state_or_rho, model.basis.dim, n_arc=n1, n_rad=n2,
-                               rad_max=kwargs.get("rad_max"))
-    k = model.params.get("k", Fraction(1, 2))
-    return husimi_disk(state_or_rho, k, n_rad=n1, n_arg=n2,
-                       chain_len=np.asarray(state_or_rho).shape[0])
+    if space == "disk":
+        params.setdefault("k", model.params.get("k", Fraction(1, 2)))
+    return husimi_chart(state_or_rho, space, nodes, params)
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,8 @@ def _krylov_propagate(H: SparseOperator, v, dt, m, tol):
     guard = 0
     while remaining > 1e-15 * abs(dt):
         h = min(h, remaining)
-        w, err, ok = _lanczos_step(mat, v, h, m)
-        if not ok or err > tol:
+        w, err = _lanczos_step(mat, v, h, m)
+        if err > tol:
             h *= 0.5
             guard += 1
             if guard > 60:
@@ -148,7 +148,7 @@ def _krylov_propagate(H: SparseOperator, v, dt, m, tol):
 def _lanczos_step(mat, v, dt, m):
     """One exp(-i mat dt) v approximation in an m-dimensional Krylov space.
 
-    Returns (result, error_estimate, success). Full reorthogonalization: the
+    Returns (result, error_estimate). Full reorthogonalization: the
     subspace is small and the catalog problems are stiff enough to drift.
     """
     n = v.shape[0]
@@ -188,7 +188,7 @@ def _lanczos_step(mat, v, dt, m):
             - (beta[m - 1] * V[m - 2] if m > 1 else 0)
         )
         err = abs(res_beta * u[m - 1]) * abs(dt)
-    return result, err, True
+    return result, err
 
 
 def expectation_series(result: EvolutionResult, op: SparseOperator):
@@ -227,7 +227,7 @@ def detect_revivals(
     revival_times, fidelities = [], []
     last = None
     for k in range(1, len(times)):
-        left = fid[k - 1] if k >= 1 else -np.inf
+        left = fid[k - 1]
         right = fid[k + 1] if k + 1 < len(times) else -np.inf
         if fid[k] >= threshold and fid[k] >= left and fid[k] >= right:
             if last is not None and times[k] - last < refractory:

@@ -317,10 +317,6 @@ def graded_commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return SparseOperator(mat, hermitian=False, grade=a.grade ^ b.grade)
 
 
-def apply(a: SparseOperator, vec: np.ndarray) -> np.ndarray:
-    return a.apply(vec)
-
-
 def frobenius_inner(a, b) -> complex:
     """trace(a^dagger b) of two operators, or of two CSR blocks of one shape.
 

@@ -16,6 +16,18 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
+def grid_csv_bytes(grid) -> bytes:
+    """A Husimi grid as CSV `coord_a,coord_b,weight,value`, one line per node
+    in row-major order: coord_a runs over grid.axes[0] (the rows of
+    grid.values) and coord_b over grid.axes[1]."""
+    a, b = np.meshgrid(*grid.axes, indexing="ij")
+    table = np.stack([a, b, grid.weights, grid.values], axis=-1)
+    # one grid row at a time: Python floats for the whole grid would take
+    # several times the size of the text
+    rows = ("".join(",".join(map(repr, node)) + "\n" for node in row.tolist()).encode() for row in table)
+    return b"".join([b"coord_a,coord_b,weight,value\n", *rows])
+
+
 def write_json(path, payload):
     data = (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
     with open(path, "wb") as fh:

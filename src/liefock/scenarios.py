@@ -17,7 +17,7 @@ from math import lcm
 import numpy as np
 
 from .algebra import build_algebra, lie_closure, lmg_seed, rabi_seed
-from .coherent import CoherentParams, closed_form_state, husimi_plane, husimi_sphere
+from .coherent import PHASE_SPACES, CoherentParams, closed_form_state, husimi_chart
 from .dynamics import DENSE_LIMIT, evolve, expectation_series, fidelity_series
 from .errors import ConfigError, ResourceGuardError
 from .fock import FockBasis, ModeSpec
@@ -31,7 +31,7 @@ from .lattice import (
     labeled_fsl,
 )
 from .operators import SparseOperator, linear_combination, number_op, transfer_op
-from .output import fmt_float, heatmap_bytes, sha256_bytes, write_json
+from .output import grid_csv_bytes, heatmap_bytes, sha256_bytes, write_json
 
 CONFIG_VERSION = 1
 
@@ -45,6 +45,13 @@ def _require_keys(obj, allowed, required, path):
     for key in required:
         if key not in obj:
             raise ConfigError(f"missing required field {key!r}", field=path or key)
+
+
+def _rational_str(obj):
+    """Exact rationals, such as S = 7/2 given on the command line, as "7/2"."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -77,7 +84,7 @@ class ScenarioConfig:
         return out
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"), default=_rational_str)
 
     def hash(self) -> str:
         return sha256_bytes(self.canonical_json().encode())
@@ -183,6 +190,8 @@ def parse_config(payload) -> ScenarioConfig:
         _require_keys(
             outputs["husimi"], {"space", "path", "time_index", "nodes", "params"}, {"space", "path"}, "outputs.husimi"
         )
+        if outputs["husimi"]["space"] not in PHASE_SPACES.values():
+            raise ConfigError(f"unknown phase space {outputs['husimi']['space']!r}", field="outputs.husimi.space")
 
     return ScenarioConfig(
         name=payload["name"],
@@ -208,7 +217,12 @@ def _check_real(value, path):
 # ---------------------------------------------------------------------------
 
 
-def _build_system(system):
+def build_basis(spec):
+    """The basis of a `{"modes": [{"kind", "capacity"}, ...], "constraint"}` spec."""
+    return FockBasis([ModeSpec(m["kind"], int(m["capacity"])) for m in spec["modes"]], spec.get("constraint"))
+
+
+def build_system(system):
     """Returns (basis, H, model_or_None, labeled_graph_or_None)."""
     if "algebra" in system:
         model = build_algebra(system["algebra"]["name"], **system["algebra"].get("params", {}))
@@ -229,10 +243,7 @@ def _build_system(system):
                 "the requested generator combination is not Hermitian", field="system.terms"
             )
         return model.basis, H, model, terms
-    basis = FockBasis(
-        [ModeSpec(m["kind"], int(m["capacity"])) for m in system["basis"]["modes"]],
-        system["basis"].get("constraint"),
-    )
+    basis = build_basis(system["basis"])
     acc = None
     for term in system["bilinears"]:
         i, j = int(term["create"]), int(term["annihilate"])
@@ -250,7 +261,7 @@ def _build_system(system):
     return basis, H, None, None
 
 
-def _build_initial_state(state_spec, basis):
+def build_initial_state(state_spec, basis):
     if "fock" in state_spec:
         occ = tuple(int(v) for v in state_spec["fock"])
         return basis.vector(occ)
@@ -310,13 +321,13 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
         pending.append((name, json.dumps(payload, indent=1, sort_keys=True).encode() + b"\n"))
         return _finalize(config, out_dir, pending, started)
 
-    basis, H, model, terms = _build_system(config.system)
+    basis, H, model, terms = build_system(config.system)
     if H.dim > DENSE_LIMIT and config.method == "dense_eig":
         raise ResourceGuardError(
             f"dense evolution of dimension {H.dim} exceeds the limit {DENSE_LIMIT}; "
             "select the krylov method explicitly"
         )
-    psi0 = _build_initial_state(config.initial_state, basis)
+    psi0 = build_initial_state(config.initial_state, basis)
     times = np.linspace(config.times["start"], config.times["stop"], config.times["num"])
     if config.times["num"] == 1:
         times = np.array([config.times["start"]], dtype=float)
@@ -392,35 +403,9 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
         hu = config.outputs["husimi"]
         if config.store != "snapshots":
             raise ConfigError("husimi output requires snapshots", field="outputs.husimi")
-        k = int(hu.get("time_index", len(times) - 1))
-        state = result.snapshots[k]
-        nodes = hu.get("nodes", [101, 101])
-        params = hu.get("params", {})
-        space = hu["space"]
-        if space == "sphere":
-            s_param = params.get("S")
-            if s_param is None:
-                s_param = Fraction(basis.dim - 1, 2)
-            grid = husimi_sphere(state, s_param, n_theta=int(nodes[0]), n_phi=int(nodes[1]))
-            axis_a, axis_b = grid.axes
-        elif space == "plane":
-            half = float(params.get("half_width", 6.0))
-            xs = np.linspace(-half, half, int(nodes[0]))
-            ps = np.linspace(-half, half, int(nodes[1]))
-            grid = husimi_plane(state, basis.dim - 1, xs, ps)
-            axis_a, axis_b = grid.axes
-        else:
-            raise ConfigError(f"scenario husimi supports sphere/plane, not {space!r}", field="outputs.husimi.space")
-        lines = ["coord_a,coord_b,weight,value"]
-        for ia, av in enumerate(axis_a):
-            for ib, bv in enumerate(axis_b):
-                lines.append(
-                    ",".join(
-                        fmt_float(v)
-                        for v in (av, bv, grid.weights[ia, ib], grid.values[ia, ib])
-                    )
-                )
-        pending.append((hu["path"], ("\n".join(lines) + "\n").encode()))
+        state = result.snapshots[int(hu.get("time_index", len(times) - 1))]
+        grid = husimi_chart(state, hu["space"], hu.get("nodes", [101, 101]), hu.get("params", {}))
+        pending.append((hu["path"], grid_csv_bytes(grid)))
 
     return _finalize(config, out_dir, pending, started)
 

@@ -102,11 +102,11 @@ def test_fig3_mirror_symmetry_small(tmp_path):
     graph = json.loads((tmp_path / "su3_center_release_graph.json").read_text())
     assert len(graph["vertices"]) == 10 * 11 // 2
     # mirror symmetry of the final snapshot under swapping modes a and c
-    from liefock.scenarios import _build_initial_state, _build_system
+    from liefock.scenarios import build_initial_state, build_system
     from liefock.dynamics import evolve
 
-    basis, H, model, _ = _build_system(config.system)
-    psi0 = _build_initial_state(config.initial_state, basis)
+    basis, H, model, _ = build_system(config.system)
+    psi0 = build_initial_state(config.initial_state, basis)
     res = evolve(H, psi0, np.array([0.3]))
     P = res.populations[0]
     perm = np.array([basis.index_of((s[2], s[1], s[0])) for s in basis.states])
@@ -357,3 +357,58 @@ def test_scenario_husimi_output(tmp_path):
         _, _, w, v = (float(x) for x in line.split(","))
         total += w * v
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("nodes", [(7, 7), (6, 9), (9, 4)])
+@pytest.mark.parametrize("space", ["cylinder", "disk"])
+def test_cli_husimi_fock_state_depends_on_radius_only(tmp_path, capsys, space, nodes):
+    # a Fock state is rotation invariant: its chart varies with coord_a (the
+    # radius |beta| or |zeta|) and not with coord_b (the angle)
+    spec = {
+        "basis": {"modes": [{"kind": "boson", "capacity": 20}]},
+        "state": {"fock": [10]},
+        "space_params": {"k": "3/4"},
+    }
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps(spec))
+    out = tmp_path / "q.csv"
+    args = ["husimi", "--state", str(spath), "--space", space, "--out", str(out)]
+    assert main(args + ["--nodes", *map(str, nodes)]) == EXIT_OK
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (nodes[0] * nodes[1], 4)
+    radius, angle, values = rows[:, 0], rows[:, 1], rows[:, 3]
+    assert np.all(radius >= 0) and np.min(angle) < 0
+    assert len(np.unique(radius)) == nodes[0] and len(np.unique(angle)) == nodes[1]
+    for r in np.unique(radius):
+        group = values[radius == r]
+        assert np.ptp(group) <= 1e-12 * max(1.0, np.max(values))
+    assert np.ptp(values) > 1e-3 * np.max(values)
+
+
+def test_cli_scenario_rational_override(tmp_path, capsys):
+    args = ["scenario", "run", "--name", "su2_transport", "--params", '{"S": "7/2", "num": 3}']
+    hashes = []
+    for run in ("a", "b"):
+        assert main(["--out-dir", str(tmp_path / run)] + args) == EXIT_OK
+        hashes.append(json.loads(capsys.readouterr().out)["config_hash"])
+    assert hashes[0] == hashes[1]
+    config = builtin_scenario("su2_transport", S="7/2", num=3)
+    assert config.hash() == hashes[0]
+    lines = (tmp_path / "a" / "su2_transport.csv").read_text().splitlines()
+    assert len(lines) == 4
+
+
+@pytest.mark.parametrize("space", ["cylinder", "disk"])
+def test_scenario_husimi_output_all_charts(tmp_path, space):
+    payload = builtin_scenario("su2_transport", S=5, num=3).to_dict()
+    payload["outputs"] = {"husimi": {"space": space, "path": "q.csv", "nodes": [5, 8]}}
+    run_scenario(parse_config(payload), out_dir=tmp_path)
+    rows = np.loadtxt(tmp_path / "q.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (40, 4) and np.all(rows[:, 0] >= 0)
+
+
+def test_scenario_husimi_unknown_space_rejected():
+    payload = builtin_scenario("su2_transport", S=5, num=3).to_dict()
+    payload["outputs"] = {"husimi": {"space": "torus", "path": "q.csv"}}
+    with pytest.raises(ConfigError, match="outputs.husimi.space"):
+        parse_config(payload)

@@ -6,7 +6,6 @@ import scipy.sparse as sparse
 
 from liefock import (
     SparseOperator,
-    apply,
     boson,
     enumerate_basis,
     fermion,

@@ -5,7 +5,11 @@ The oracles below are the earlier implementations, kept verbatim apart from
 taking plain mode lists and state lists instead of a basis object: tuple
 enumeration with a dict index, per-state transfer and ladder loops with a
 per-state Jordan-Wigner sign, and `Fraction` weights grouped in a dict.
-Every comparison is exact equality.
+Every comparison of those is exact equality.
+
+The Husimi charts are checked against the per-node loops they replaced (one
+closed-form coherent state per grid node) and the two per-cell CSV writers:
+values within 1e-12 * max(1, max|ref|), weights and written bytes exact.
 """
 
 from fractions import Fraction
@@ -13,11 +17,14 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln, jv
 
 from liefock import FockBasis, boson, fermion, spin
 from liefock.fock import BOSON, FERMION
+from liefock.coherent import HusimiGrid, husimi_cylinder, husimi_disk, husimi_plane, husimi_sphere
 from liefock.lattice import WeightLattice, cartan_weights
 from liefock.operators import EVEN, ODD, SparseOperator, diagonal_op, ladder_ops, transfer_op
+from liefock.output import grid_csv_bytes
 from liefock.scenarios import _weights_from_linear_forms, _weights_from_occupations
 
 # ---------------------------------------------------------------------------
@@ -164,6 +171,181 @@ def oracle_weight_coordinates(columns):
 
 
 # ---------------------------------------------------------------------------
+# oracles: the per-node Husimi loops and the per-cell CSV writers
+# ---------------------------------------------------------------------------
+
+
+def oracle_glauber_state(alpha, cutoff):
+    alpha = complex(alpha)
+    n = np.arange(cutoff + 1)
+    log_mag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1) \
+        if alpha != 0 else None
+    if alpha == 0:
+        out = np.zeros(cutoff + 1, dtype=complex)
+        out[0] = 1.0
+        return out
+    out = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
+    return out.astype(complex)
+
+
+def oracle_spin_coherent_state(S, theta, phi):
+    two_s = int(Fraction(S) * 2)
+    S = two_s / 2.0
+    if not 0 <= theta <= np.pi:
+        raise ValueError("theta must lie in [0, pi]")
+    m = np.arange(-two_s / 2.0, two_s / 2.0 + 1)
+    out = np.zeros(two_s + 1, dtype=complex)
+    if theta == 0:
+        out[-1] = 1.0  # pole state m = +S
+        return out
+    if theta == np.pi:
+        out[0] = 1.0
+        return out
+    ct, st_ = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    log_binom = gammaln(two_s + 1) - gammaln(S + m + 1) - gammaln(S - m + 1)
+    amp = np.exp(0.5 * log_binom + (S + m) * np.log(ct) + (S - m) * np.log(st_))
+    out = amp * np.exp(-1j * (S - m) * phi)
+    return out / np.linalg.norm(out)
+
+
+def oracle_euclidean_coherent_state(beta, L, start=None):
+    beta = complex(beta)
+    if start is None:
+        start = (L - 1) // 2
+    ls = np.arange(L) - start
+    out = jv(ls, 2 * abs(beta)) * np.exp(1j * ls * np.angle(beta))
+    return out.astype(complex)
+
+
+def oracle_su11_pcs(k, zeta, chain_len):
+    k = float(k)
+    z = complex(zeta)
+    if abs(z) >= 1:
+        raise ValueError("disk coordinate must satisfy |zeta| < 1")
+    m = np.arange(chain_len)
+    log_mag = 0.5 * (gammaln(m + 2 * k) - gammaln(m + 1) - gammaln(2 * k))
+    amp = np.exp(log_mag) * z**m
+    return (1 - abs(z) ** 2) ** k * amp
+
+
+def oracle_overlap_sq(states, psi_or_rho):
+    arr = np.asarray(psi_or_rho)
+    if arr.ndim == 1:
+        amps = states.conj() @ arr
+        return np.abs(amps) ** 2
+    if arr.ndim == 2:
+        return np.real(np.einsum("ni,ij,nj->n", states.conj(), arr, states))
+    raise ValueError("expected a state vector or a density matrix")
+
+
+def oracle_clip(values):
+    values = np.real(values)
+    if np.min(values, initial=0.0) < -1e-12:
+        raise ValueError("Husimi values fell below the -1e-12 clip floor")
+    return np.maximum(values, 0.0)
+
+
+def oracle_husimi_plane(psi_or_rho, cutoff, x, p):
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    values = np.empty((x.size, p.size))
+    for ix, xv in enumerate(x):
+        alphas = (xv + 1j * p) / np.sqrt(2.0)
+        states = np.stack([oracle_glauber_state(a, cutoff) for a in alphas])
+        values[ix] = oracle_overlap_sq(states, psi_or_rho) / np.pi
+    dx = x[1] - x[0] if x.size > 1 else 1.0
+    dp = p[1] - p[0] if p.size > 1 else 1.0
+    weights = np.full(values.shape, dx * dp / 2.0)
+    return HusimiGrid("plane", (x, p), weights, oracle_clip(values), 1.0 / np.pi)
+
+
+def oracle_husimi_sphere(psi_or_rho, S, n_theta=200, n_phi=200):
+    two_s = int(Fraction(S) * 2)
+    norm = (two_s + 1) / (4 * np.pi)
+    nodes, gl_w = np.polynomial.legendre.leggauss(n_theta)
+    theta = np.arccos(nodes)
+    phi = np.linspace(0, 2 * np.pi, n_phi, endpoint=False)
+    dphi = 2 * np.pi / n_phi
+    values = np.empty((n_theta, n_phi))
+    for it, th in enumerate(theta):
+        states = np.stack([oracle_spin_coherent_state(Fraction(two_s, 2), th, ph) for ph in phi])
+        values[it] = oracle_overlap_sq(states, psi_or_rho) * norm
+    weights = np.outer(gl_w, np.full(n_phi, dphi))
+    return HusimiGrid("sphere", (theta, phi), weights, oracle_clip(values), norm)
+
+
+def oracle_husimi_cylinder(psi_or_rho, L, n_arc=201, n_rad=201, rad_max=None):
+    """Axes (arc, rad) while values are indexed [rad, arc], as they were."""
+    if rad_max is None:
+        rad_max = L / 4.0
+    arc = np.linspace(-np.pi, np.pi, n_arc, endpoint=False)
+    rad = np.linspace(0, rad_max, n_rad)
+    values = np.empty((n_rad, n_arc))
+    for ir, r in enumerate(rad):
+        states = np.stack([oracle_euclidean_coherent_state(r * np.exp(1j * u), L) for u in arc])
+        values[ir] = oracle_overlap_sq(states, psi_or_rho) / np.pi
+    dr = rad[1] - rad[0] if n_rad > 1 else 1.0
+    darc = 2 * np.pi / n_arc
+    weights = np.outer(rad * dr, np.full(n_arc, darc))
+    return HusimiGrid("cylinder", (arc, rad), weights, oracle_clip(values), 1.0 / np.pi)
+
+
+def oracle_husimi_disk(psi_or_rho_chain, k, n_rad=160, n_arg=160, chain_len=None):
+    """Axes (theta, zmag) while values are indexed [zmag, theta], as they were."""
+    arr = np.asarray(psi_or_rho_chain)
+    if chain_len is None:
+        chain_len = arr.shape[0]
+    k = float(k)
+    u_nodes, u_w = np.polynomial.legendre.leggauss(n_rad)
+    u = 0.5 * (u_nodes + 1)
+    du = 0.5 * u_w
+    s = 1 - (1 - u) ** 2
+    ds = 2 * (1 - u) * du
+    zmag = np.sqrt(s)
+    theta = np.linspace(-np.pi, np.pi, n_arg, endpoint=False)
+    dth = 2 * np.pi / n_arg
+    w_const = (2 * k - 1) / np.pi if k > 0.5 else 1 / np.pi
+    values = np.empty((n_rad, n_arg))
+    for ir, zm in enumerate(zmag):
+        states = np.stack(
+            [oracle_su11_pcs(k, zm * np.exp(1j * th), chain_len) for th in theta]
+        )
+        values[ir] = oracle_overlap_sq(states, psi_or_rho_chain) * w_const
+    radial = 0.5 * ds / (1 - s) ** 2
+    weights = np.outer(radial, np.full(n_arg, dth))
+    return HusimiGrid("disk", (theta, zmag), weights, oracle_clip(values), w_const)
+
+
+def oracle_cli_csv(grid):
+    """The CLI writer, with its axis-length matching."""
+    lines = ["coord_a,coord_b,weight,value"]
+    ax_a, ax_b = grid.axes[0], grid.axes[1]
+    for ia in range(grid.values.shape[0]):
+        for ib in range(grid.values.shape[1]):
+            a = ax_a[ia] if len(ax_a) == grid.values.shape[0] else ax_a[ib]
+            b = ax_b[ib] if len(ax_b) == grid.values.shape[1] else ax_b[ia]
+            lines.append(
+                ",".join(repr(float(v)) for v in (a, b, grid.weights[ia, ib], grid.values[ia, ib]))
+            )
+    return ("\n".join(lines) + "\n").encode()
+
+
+def oracle_scenario_csv(grid):
+    """The scenario writer."""
+    axis_a, axis_b = grid.axes
+    lines = ["coord_a,coord_b,weight,value"]
+    for ia, av in enumerate(axis_a):
+        for ib, bv in enumerate(axis_b):
+            lines.append(
+                ",".join(
+                    repr(float(v))
+                    for v in (av, bv, grid.weights[ia, ib], grid.values[ia, ib])
+                )
+            )
+    return ("\n".join(lines) + "\n").encode()
+
+
+# ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
 
@@ -307,3 +489,83 @@ def test_from_numerators_orders_sites_like_fractions():
     keys = [tuple(Fraction(int(n), 2) for n in row) for row in nums]
     assert wl.site_keys() == sorted(set(keys))
     assert wl.multiplicities == [1, 1, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# Husimi charts
+# ---------------------------------------------------------------------------
+
+node_counts = st.integers(1, 9)
+
+
+@st.composite
+def husimi_cases(draw):
+    """(chart, dim, new call, oracle call): the same grid for the kernel and
+    for the per-node loop; grids are square, non-square or a single node."""
+    chart = draw(st.sampled_from(["plane", "sphere", "cylinder", "disk"]))
+    n_a, n_b = draw(node_counts), draw(node_counts)
+    if chart == "plane":
+        cutoff = draw(st.integers(0, 14))
+        half = draw(st.floats(0.5, 6.0))
+        x, p = np.linspace(-half, half, n_a), np.linspace(-half, half, n_b)
+        return chart, cutoff + 1, (lambda s: husimi_plane(s, cutoff, x, p)), (
+            lambda s: oracle_husimi_plane(s, cutoff, x, p))
+    if chart == "sphere":
+        two_s = draw(st.integers(0, 14))
+        S = Fraction(two_s, 2)
+        return chart, two_s + 1, (lambda s: husimi_sphere(s, S, n_a, n_b)), (
+            lambda s: oracle_husimi_sphere(s, S, n_a, n_b))
+    if chart == "cylinder":
+        L = draw(st.integers(1, 15))
+        rad_max = draw(st.one_of(st.none(), st.floats(0.1, 4.0)))
+        return chart, L, (lambda s: husimi_cylinder(s, L, n_b, n_a, rad_max)), (
+            lambda s: oracle_husimi_cylinder(s, L, n_b, n_a, rad_max))
+    chain_len = draw(st.integers(1, 15))
+    k = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 2)]))
+    return chart, chain_len, (lambda s: husimi_disk(s, k, n_a, n_b)), (
+        lambda s: oracle_husimi_disk(s, k, n_a, n_b))
+
+
+def random_state(seed, dim, mixed):
+    """A normalized pure state, or a density matrix of rank 1..dim."""
+    rng = np.random.default_rng(seed)
+    if not mixed:
+        amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return amp / np.linalg.norm(amp)
+    rank = rng.integers(1, dim + 1)
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@settings(max_examples=200, deadline=None)
+@given(husimi_cases(), st.integers(0, 2**32 - 1), st.booleans())
+def test_husimi_kernel_matches_per_node_loops(case, seed, mixed):
+    chart, dim, new, old = case
+    state = random_state(seed, dim, mixed)
+    got, want = new(state), old(state)
+    assert got.parametrization == want.parametrization == chart
+    assert got.values.shape == want.values.shape
+    tol = 1e-12 * max(1.0, np.max(np.abs(want.values)))
+    assert np.max(np.abs(got.values - want.values)) <= tol
+    assert np.array_equal(got.weights, want.weights)
+    assert got.normalization == want.normalization
+    # the old cylinder and disk axes were listed angle first
+    want_axes = want.axes[::-1] if chart in ("cylinder", "disk") else want.axes
+    for g, w in zip(got.axes, want_axes):
+        assert np.array_equal(g, w)
+    assert [len(a) for a in got.axes] == list(got.values.shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(husimi_cases(), st.integers(0, 2**32 - 1))
+def test_grid_writer_matches_per_cell_writers(case, seed):
+    chart, dim, new, old = case
+    grid = new(random_state(seed, dim, False))
+    data = grid_csv_bytes(grid)
+    assert data == oracle_cli_csv(grid) == oracle_scenario_csv(grid)
+    if chart in ("sphere", "plane"):
+        # coordinates and weights are byte-identical to the old chart's CSV
+        before = oracle_cli_csv(old(random_state(seed, dim, False))).decode().splitlines()
+        after = data.decode().splitlines()
+        assert [line.rsplit(",", 1)[0] for line in after] == [line.rsplit(",", 1)[0] for line in before]
