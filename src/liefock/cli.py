@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import CATALOG, build_algebra, lie_closure, lmg_seed, rabi_seed, verify_model
-from .coherent import husimi_chart
+from .coherent import SPACES, husimi_chart
 from .errors import (
     ConfigError,
     InfeasibleSectorError,
@@ -288,7 +288,7 @@ def build_parser():
 
     p = sub.add_parser("husimi", help="evaluate a Husimi grid for a stored state")
     p.add_argument("--state", required=True, help="JSON state spec")
-    p.add_argument("--space", required=True, choices=["plane", "sphere", "cylinder", "disk"])
+    p.add_argument("--space", required=True, choices=SPACES)
     p.add_argument("--out", required=True, help="CSV output (coords, weight, value)")
     p.add_argument("--heatmap", default=None, help="optional 16-bit PGM output")
     p.add_argument("--nodes", type=int, nargs=2, default=[101, 101],

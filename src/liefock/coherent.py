@@ -392,12 +392,16 @@ def husimi_disk(psi_or_rho_chain, k, n_rad=160, n_arg=160) -> HusimiGrid:
     return HusimiGrid("disk", (zmag, theta), weights, values, w_const)
 
 
+SPACES = ("plane", "sphere", "cylinder", "disk")
+
+
 def husimi_chart(psi_or_rho, space, nodes, params) -> HusimiGrid:
-    """The Husimi chart of a state or density matrix on `space`, with
-    nodes[0] rows (axes[0]) and nodes[1] columns (axes[1]). The chart's
-    dimension is the state's length; `params` and their defaults: sphere
-    S = (dim-1)/2, plane half_width = 6, cylinder rad_max = dim/4, disk
-    k = 1/4 (a string such as "3/4" is read as an exact rational)."""
+    """The Husimi chart of a state or density matrix on `space` (one of
+    SPACES), with nodes[0] rows (axes[0]) and nodes[1] columns (axes[1]).
+    The chart's dimension is the state's length; `params` and their
+    defaults: sphere S = (dim-1)/2, plane half_width = 6, disk k = 1/4 (a
+    string such as "3/4" is read as an exact rational). The cylinder's
+    radius runs to dim/4."""
     n_a, n_b = (int(n) for n in nodes)
     dim = np.shape(psi_or_rho)[0]
     if space == "sphere":
@@ -408,7 +412,7 @@ def husimi_chart(psi_or_rho, space, nodes, params) -> HusimiGrid:
         ps = np.linspace(-half, half, n_b)
         return husimi_plane(psi_or_rho, dim - 1, xs, ps)
     if space == "cylinder":
-        return husimi_cylinder(psi_or_rho, dim, n_arc=n_b, n_rad=n_a, rad_max=params.get("rad_max"))
+        return husimi_cylinder(psi_or_rho, dim, n_arc=n_b, n_rad=n_a)
     if space == "disk":
         k = Fraction(str(params.get("k", "1/4")))
         return husimi_disk(psi_or_rho, k, n_rad=n_a, n_arg=n_b)
@@ -426,10 +430,11 @@ PHASE_SPACES = {
 }
 
 
-def husimi(state_or_rho, space, model, nodes=(101, 101), **params) -> HusimiGrid:
+def husimi(state_or_rho, space, model, nodes=(101, 101), half_width=6.0) -> HusimiGrid:
     """husimi_chart for a catalog model, rejecting grids whose
-    parametrization does not match the model's phase space. A disk chart
-    takes k from the model's parameters (1/2 if it has none)."""
+    parametrization does not match the model's phase space. A plane chart
+    spans [-half_width, half_width]^2; a disk chart takes k from the model's
+    parameters (1/2 if it has none)."""
     expected = PHASE_SPACES.get(model.name)
     if expected is None:
         raise ValueError(f"no phase-space chart registered for {model.name!r}")
@@ -437,8 +442,7 @@ def husimi(state_or_rho, space, model, nodes=(101, 101), **params) -> HusimiGrid
         raise ValueError(
             f"parametrization mismatch: {model.name} lives on the {expected}, not the {space}"
         )
-    if space == "disk":
-        params.setdefault("k", model.params.get("k", Fraction(1, 2)))
+    params = {"half_width": half_width, "k": model.params.get("k", Fraction(1, 2))}
     return husimi_chart(state_or_rho, space, nodes, params)
 
 

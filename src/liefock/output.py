@@ -11,9 +11,14 @@ import json
 import numpy as np
 
 
+# The float format of fmt_float and of the grid writer's cells: the shortest
+# decimal that round-trips to the same float.
+_float_text = float.__repr__
+
+
 def fmt_float(x) -> str:
     """Shortest decimal that round-trips to the same float."""
-    return repr(float(x))
+    return _float_text(float(x))
 
 
 def grid_csv_bytes(grid) -> bytes:
@@ -23,8 +28,9 @@ def grid_csv_bytes(grid) -> bytes:
     a, b = np.meshgrid(*grid.axes, indexing="ij")
     table = np.stack([a, b, grid.weights, grid.values], axis=-1)
     # one grid row at a time: Python floats for the whole grid would take
-    # several times the size of the text
-    rows = ("".join(",".join(map(repr, node)) + "\n" for node in row.tolist()).encode() for row in table)
+    # several times the size of the text. .tolist() already gives floats;
+    # calling fmt_float per cell would make the writer about 40% slower.
+    rows = ("".join(",".join(map(_float_text, node)) + "\n" for node in row.tolist()).encode() for row in table)
     return b"".join([b"coord_a,coord_b,weight,value\n", *rows])
 
 

@@ -17,7 +17,7 @@ from math import lcm
 import numpy as np
 
 from .algebra import build_algebra, lie_closure, lmg_seed, rabi_seed
-from .coherent import PHASE_SPACES, CoherentParams, closed_form_state, husimi_chart
+from .coherent import SPACES, CoherentParams, closed_form_state, husimi_chart
 from .dynamics import DENSE_LIMIT, evolve, expectation_series, fidelity_series
 from .errors import ConfigError, ResourceGuardError
 from .fock import FockBasis, ModeSpec
@@ -190,7 +190,7 @@ def parse_config(payload) -> ScenarioConfig:
         _require_keys(
             outputs["husimi"], {"space", "path", "time_index", "nodes", "params"}, {"space", "path"}, "outputs.husimi"
         )
-        if outputs["husimi"]["space"] not in PHASE_SPACES.values():
+        if outputs["husimi"]["space"] not in SPACES:
             raise ConfigError(f"unknown phase space {outputs['husimi']['space']!r}", field="outputs.husimi.space")
 
     return ScenarioConfig(

@@ -358,7 +358,7 @@ def test_occupation_shell():
 
 
 def test_husimi_dispatcher_validates_phase_space():
-    from liefock.coherent import husimi
+    from liefock.coherent import PHASE_SPACES, SPACES, husimi
 
     model = build_algebra("su2_spin", S=3)
     state = model.basis.vector((6,))
@@ -376,6 +376,12 @@ def test_husimi_dispatcher_validates_phase_space():
     assert grid.parametrization == "cylinder"
     # a site state winds around the cylinder: no dependence on the arc angle
     assert np.max(np.std(grid.values, axis=1)) < 1e-12
+
+    grid = husimi(hw.basis.vector((0,)), "plane", hw, nodes=(5, 3), half_width=2.5)
+    assert grid.axes[0].tolist() == [-2.5, -1.25, 0.0, 1.25, 2.5]
+    assert grid.axes[1].tolist() == [-2.5, 0.0, 2.5]
+    # every model's chart is one of the dispatcher's spaces
+    assert set(PHASE_SPACES.values()) == set(SPACES)
 
 
 def test_su3_angle_parametrization_normalized():
