@@ -34,14 +34,13 @@ from .algebra import (
     verify_model,
 )
 from .lattice import (
-    Edge,
     FluxReport,
     FSLGraph,
     WeightLattice,
     build_fsl,
     connected_components,
-    labeled_fsl,
     plaquette_fluxes,
+    system_graph,
     weight_coordinates,
 )
 from .dynamics import (

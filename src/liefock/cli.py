@@ -23,11 +23,11 @@ from .errors import (
     ResourceGuardError,
 )
 from .lattice import (
-    build_fsl,
     connected_components,
     graph_to_adjacency_csv,
     graph_to_json_dict,
     plaquette_fluxes,
+    system_graph,
     weight_coordinates,
 )
 from .oracles import LADDER_KINDS, bloch, ladder_oracles, so5_manybody, so5_revival, so5_singles, squeezing
@@ -121,12 +121,7 @@ def _cmd_lattice(args):
     with open(args.ham) as fh:
         system = json.load(fh)
     basis, H, model, terms = build_system(system)
-    if terms is not None and model is not None:
-        from .lattice import labeled_fsl
-
-        graph = labeled_fsl(model, terms, tol=args.tol)
-    else:
-        graph = build_fsl(H, basis, tol=args.tol)
+    graph = system_graph(basis, H, model, terms, tol=args.tol)
     wl = None
     if model is not None and model.cartan:
         wl = weight_coordinates(graph, model.cartan_ops())

@@ -454,10 +454,8 @@ def husimi(state_or_rho, space, model, nodes=(101, 101), half_width=6.0) -> Husi
 def uncertainty(state, A: SparseOperator, B: SparseOperator):
     """Both sides of the Robertson inequality: (dA*dB, |<[A,B]>|/2)."""
     state = np.asarray(state, dtype=complex)
-    for op in (A, B):
-        scale = max(op.max_norm(), 1.0)
-        if op.hermiticity_defect() > 1e-12 * scale:
-            raise ValueError("uncertainty requires Hermitian operators")
+    if not (A.is_hermitian() and B.is_hermitian()):
+        raise ValueError("uncertainty requires Hermitian operators")
     ea = np.real(np.vdot(state, A.apply(state)))
     eb = np.real(np.vdot(state, B.apply(state)))
     ea2 = np.real(np.vdot(state, A.apply(A.apply(state))))

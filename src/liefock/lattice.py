@@ -2,9 +2,11 @@
 coordinates from diagonal generators, connected components, and gauge-
 invariant plaquette fluxes via spanning-tree cycle bases.
 
-Vertices are basis states with real onsite energies; an edge exists wherever
-the corresponding off-diagonal matrix element exceeds a tolerance, storing
-the amplitude H[i, j] for i < j (the reverse direction is its conjugate).
+Vertices are basis states with real onsite energies. A graph keeps its edges
+as arrays: `edges[k] = (i, j)` with i < j, lexsorted, wherever |H[i, j]|
+exceeds a tolerance, and `amplitudes[k] = H[i, j]` (the reverse direction
+carries the conjugate). Components and breadth-first spanning trees come
+from `scipy.sparse.csgraph` on the symmetric CSR adjacency of the edges.
 """
 
 from __future__ import annotations
@@ -12,29 +14,26 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import numpy as np
+import scipy.sparse as sparse  # loads sparse.csgraph on first use
 
 from .errors import NumericContractError, ResourceGuardError
 from .operators import SparseOperator
+from .output import float_rows
 
 FLUX_DEDUP_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Edge:
-    i: int
-    j: int
-    amplitude: complex
-    label: str = None
 
 
 @dataclass
 class FSLGraph:
     n_vertices: int
     onsite: np.ndarray
-    edges: list
+    edges: np.ndarray          # (n_edges, 2) int64, i < j, lexsorted
+    amplitudes: np.ndarray     # (n_edges,) complex H[i, j]
+    labels: list = None        # None, or the generator label of each edge
     basis: object = None
     weights: np.ndarray = None  # optional per-vertex float weight coordinates
 
@@ -42,23 +41,16 @@ class FSLGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def adjacency(self):
-        """dict vertex -> {neighbor: amplitude from vertex's row}."""
-        adj = {v: {} for v in range(self.n_vertices)}
-        for e in self.edges:
-            adj[e.i][e.j] = e.amplitude          # H[i, j]
-            adj[e.j][e.i] = np.conj(e.amplitude)  # H[j, i]
-        return adj
-
-    def degree(self, v) -> int:
-        return sum(1 for e in self.edges if e.i == v or e.j == v)
-
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=int)
-        for e in self.edges:
-            deg[e.i] += 1
-            deg[e.j] += 1
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n_vertices)
+
+    def csr(self) -> sparse.csr_matrix:
+        """Symmetric adjacency with sorted column indices."""
+        i, j = self.edges.T
+        shape = (self.n_vertices, self.n_vertices)
+        adj = sparse.csr_matrix((np.ones(2 * self.n_edges), (np.r_[i, j], np.r_[j, i])), shape=shape)
+        adj.sort_indices()
+        return adj
 
 
 @dataclass
@@ -123,9 +115,6 @@ class WeightLattice:
     def multiplicities(self):
         return self.multiplicity_array().tolist()
 
-    def site_of_vertex(self):
-        return dict(enumerate(self.site_index.tolist()))
-
 
 @dataclass
 class FluxReport:
@@ -141,11 +130,10 @@ def build_fsl(H: SparseOperator, basis=None, tol=None) -> FSLGraph:
 
     Raises NumericContractError if H is not Hermitian at 1e-12 relative.
     """
-    scale = max(H.max_norm(), 1.0)
-    if H.hermiticity_defect() > 1e-12 * scale:
+    if not H.is_hermitian():
         raise NumericContractError(
             f"Hamiltonian is not Hermitian: defect {H.hermiticity_defect():.3e} "
-            f"exceeds 1e-12 * {scale:.3e}"
+            f"exceeds 1e-12 * {max(H.max_norm(), 1.0):.3e}"
         )
     if tol is None:
         tol = 1e-12 * H.max_norm()
@@ -154,48 +142,40 @@ def build_fsl(H: SparseOperator, basis=None, tol=None) -> FSLGraph:
     onsite = H.diagonal().real.copy()
     coo = H.mat.tocoo()
     keep = (coo.row < coo.col) & (np.abs(coo.data) > tol)
-    rows, cols, amps = coo.row[keep], coo.col[keep], coo.data[keep]
+    rows, cols = coo.row[keep].astype(np.int64), coo.col[keep].astype(np.int64)
     order = np.lexsort((cols, rows))
-    edges = [
-        Edge(i, j, a)
-        for i, j, a in zip(rows[order].tolist(), cols[order].tolist(), amps[order].tolist())
-    ]
-    return FSLGraph(H.dim, onsite, edges, basis=basis)
+    edges = np.stack((rows[order], cols[order]), axis=1)
+    return FSLGraph(H.dim, onsite, edges, coo.data[keep][order], basis=basis)
 
 
-def labeled_fsl(model, terms, tol=None) -> FSLGraph:
-    """Graph of a linear combination of algebra generators, with each edge
-    labeled by the generator that produced it (merged labels on collision).
-
-    `terms` is a list of (label, coefficient) with complex coefficients;
-    the assembled operator must come out Hermitian.
-    """
-    from .operators import linear_combination
-
-    labels = [lab for lab, _ in terms]
-    ops = [model.generator(lab) for lab in labels]
-    H = linear_combination(ops, [c for _, c in terms])
-    graph = build_fsl(H, basis=model.basis, tol=tol)
-    if not graph.edges:
-        return graph
-    n = graph.n_vertices
-    ends = np.array([(e.i, e.j) for e in graph.edges], dtype=np.int64)
-    edge_keys = ends[:, 0] * n + ends[:, 1]
-    # covers[e, k]: term k has an entry on edge e (in either direction)
-    covers = np.empty((len(edge_keys), len(ops)), dtype=bool)
-    for k, op in enumerate(ops):
-        coo = op.mat.tocoo()
-        lo, hi = np.minimum(coo.row, coo.col), np.maximum(coo.row, coo.col)
-        covers[:, k] = np.isin(edge_keys, (lo * n + hi)[lo != hi])
-    patterns, pattern_of_edge = np.unique(covers, axis=0, return_inverse=True)
-    names = [
-        _merge_labels([lab for lab, hit in zip(labels, row) if hit]) for row in patterns
-    ]
-    graph.edges = [
-        Edge(e.i, e.j, e.amplitude, names[p])
-        for e, p in zip(graph.edges, pattern_of_edge.ravel().tolist())
-    ]
+def system_graph(basis, H, model, terms, tol=None) -> FSLGraph:
+    """The graph of a system as `scenarios.build_system` returns it. When the
+    system names an algebra (`terms` given), each edge is labeled by the
+    generator that produced it (merged labels on collision)."""
+    graph = build_fsl(H, basis, tol=tol)
+    if terms is not None and graph.n_edges:
+        graph.labels = _edge_labels(graph, [lab for lab, _ in terms], model)
     return graph
+
+
+def _pair_keys(n, a, b):
+    """Keys min * n + max of vertex pairs; for a graph's edges these ascend."""
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
+def _edge_labels(graph, labels, model):
+    """Per edge, the merged labels of the generators with an entry on it."""
+    n = graph.n_vertices
+    edge_keys = _pair_keys(n, *graph.edges.T)
+    # covers[e, k]: generator k has an entry on edge e (in either direction)
+    covers = np.empty((graph.n_edges, len(labels)), dtype=bool)
+    for k, lab in enumerate(labels):
+        coo = model.generator(lab).mat.tocoo()
+        off = coo.row != coo.col
+        covers[:, k] = np.isin(edge_keys, _pair_keys(n, coo.row[off].astype(np.int64), coo.col[off]))
+    patterns, pattern_of_edge = np.unique(covers, axis=0, return_inverse=True)
+    names = [_merge_labels([lab for lab, hit in zip(labels, row) if hit]) for row in patterns]
+    return np.array(names, dtype=object)[pattern_of_edge.ravel()].tolist()
 
 
 def _merge_labels(labels):
@@ -298,59 +278,97 @@ def weight_coordinates(fsl: FSLGraph, cartan_ops) -> WeightLattice:
 
 def connected_components(fsl: FSLGraph) -> list:
     """Vertex sets connected through edges, ordered by smallest member."""
-    parent = list(range(fsl.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in fsl.edges:
-        ri, rj = find(e.i), find(e.j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    groups = {}
-    for v in range(fsl.n_vertices):
-        groups.setdefault(find(v), []).append(v)
-    return [sorted(groups[r]) for r in sorted(groups)]
+    _, labels = sparse.csgraph.connected_components(fsl.csr(), directed=False)
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    return sorted(m.tolist() for m in members)
 
 
-def _wrap_phase(x):
-    # report phases in (-pi, pi]
-    out = (x + np.pi) % (2 * np.pi) - np.pi
-    if out <= -np.pi + 1e-15:
-        out = np.pi
-    return float(out)
+def _bfs_forest(adj, roots):
+    """Breadth-first spanning forest: the parent of every vertex (roots are
+    their own parents), each tree grown from its root with neighbours taken
+    in ascending order. One search from an extra vertex whose neighbours
+    are the roots grows the same trees as one search per root."""
+    n = adj.shape[0]
+    indptr = np.append(adj.indptr, adj.indptr[-1] + len(roots))
+    indices = np.append(adj.indices, roots)
+    forest = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
+    _, pred = sparse.csgraph.breadth_first_order(forest, n, directed=True, return_predecessors=True)
+    return np.where(pred[:n] == n, np.arange(n), pred[:n]).astype(np.int64)
 
 
-def _cycle_flux(cycle, adj):
-    """arg of the product of amplitudes around the closed vertex sequence."""
-    prod = 1.0 + 0.0j
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        amp = adj[b][a]  # transition a -> b carries H[b, a]
-        if amp == 0:
-            raise ValueError("zero-amplitude edge encountered in a cycle")
-        prod *= amp
-    return _wrap_phase(np.angle(prod))
+def _ancestor_tables(parent):
+    """Binary lifting tables (tables[k][v] is the 2^k-th ancestor of v,
+    stopping at the root) and the depth of every vertex."""
+    tables = [parent]
+    depth = (parent != np.arange(len(parent))).astype(np.int64)  # length of each jump
+    while True:
+        last = tables[-1]
+        jumped = last[last]
+        if np.array_equal(jumped, last):  # every jump ends at a root
+            return tables, depth
+        depth = depth + depth[last]
+        tables.append(jumped)
 
 
-def _signed_area(cycle, weights):
-    pts = weights[list(cycle)]
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _ancestor(tables, v, k):
+    """The k-th ancestor of each v (arrays of one shape)."""
+    for level, table in enumerate(tables):
+        v = np.where((k >> level) & 1 == 1, table[v], v)
+    return v
 
 
-def _orient(cycle, weights):
-    """Canonical orientation: counterclockwise in 2D weight coordinates when
-    available and non-degenerate, else lowest-vertex-first ascending."""
+def _lowest_common_ancestor(tables, depth, u, v):
+    a = _ancestor(tables, u, np.maximum(depth[u] - depth[v], 0))
+    b = _ancestor(tables, v, np.maximum(depth[v] - depth[u], 0))
+    for table in reversed(tables):
+        apart = table[a] != table[b]
+        a, b = np.where(apart, table[a], a), np.where(apart, table[b], b)
+    return np.where(a == b, a, tables[0][a])
+
+
+def _orient(cycles, weights):
+    """Canonical orientation of each row of vertices: counterclockwise in 2D
+    weight coordinates when available and non-degenerate, else
+    lowest-vertex-first towards the lower of its two neighbours."""
+    length = cycles.shape[1]
+    area = np.zeros(len(cycles))
     if weights is not None and weights.shape[1] == 2:
-        area = _signed_area(cycle, weights)
-        if abs(area) > 1e-12:
-            return cycle if area > 0 else cycle[::-1]
-    k = cycle.index(min(cycle))
-    rot = cycle[k:] + cycle[:k]
-    return rot if rot[1] <= rot[-1] else [rot[0]] + rot[1:][::-1]
+        x, y = weights[cycles, 0], weights[cycles, 1]
+        area = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
+    steps = np.arange(length)
+    first = np.argmin(cycles, axis=1)
+    rot = np.take_along_axis(cycles, (first[:, None] + steps) % length, axis=1)
+    rot = np.where((rot[:, 1] > rot[:, -1])[:, None], rot[:, -steps], rot)
+    by_area = np.where((area > 0)[:, None], cycles, cycles[:, ::-1])
+    return np.where((np.abs(area) > 1e-12)[:, None], by_area, rot)
+
+
+def _cycle_fluxes(fsl, lengths, cycle_vertices, weights):
+    """arg of the product of amplitudes around each oriented cycle, in
+    (-pi, pi]. Cycles are taken one length at a time, never padded:
+    `cycle_vertices(rows, length)` returns the vertex sequences of those
+    cycles as a (len(rows), length) array."""
+    n = fsl.n_vertices
+    edge_keys = _pair_keys(n, *fsl.edges.T)
+    out = np.empty(len(lengths))
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        a = _orient(cycle_vertices(rows, length), weights)
+        b = np.roll(a, -1, axis=1)
+        amp = fsl.amplitudes[np.searchsorted(edge_keys, _pair_keys(n, a, b))]
+        # the step a -> b carries H[b, a]: the stored H[i, j] when b < a,
+        # else its conjugate
+        re, im = amp.real, np.where(b > a, -amp.imag, amp.imag)
+        if np.any((re == 0) & (im == 0)):
+            raise ValueError("zero-amplitude edge encountered in a cycle")
+        # Python's complex product written out: numpy's vectorised complex
+        # multiply can differ from it in the last bit
+        pr, pi = np.ones(len(rows)), np.zeros(len(rows))
+        for s in range(length):
+            pr, pi = pr * re[:, s] - pi * im[:, s], pr * im[:, s] + pi * re[:, s]
+        out[rows] = np.arctan2(pi, pr)
+    out = (out + np.pi) % (2 * np.pi) - np.pi  # report phases in (-pi, pi]
+    return np.where(out <= -np.pi + 1e-15, np.pi, out)
 
 
 def plaquette_fluxes(fsl: FSLGraph, weights=None) -> FluxReport:
@@ -364,90 +382,81 @@ def plaquette_fluxes(fsl: FSLGraph, weights=None) -> FluxReport:
     """
     if weights is None:
         weights = fsl.weights
-    adj = fsl.adjacency()
-    components = connected_components(fsl)
+    n = fsl.n_vertices
+    adj = fsl.csr()
+    _, labels = sparse.csgraph.connected_components(adj, directed=False)
+    roots = np.sort(np.unique(labels, return_index=True)[1])  # smallest member of each
+    parent = _bfs_forest(adj, roots)
+    tables, depth = _ancestor_tables(parent)
 
-    parent = {}
-    depth = {}
-    tree_edges = set()
-    for comp in components:
-        root = comp[0]
-        parent[root] = None
-        depth[root] = 0
-        queue = deque([root])
-        seen = {root}
-        while queue:
-            u = queue.popleft()
-            for w in sorted(adj[u]):
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = u
-                    depth[w] = depth[u] + 1
-                    tree_edges.add((min(u, w), max(u, w)))
-                    queue.append(w)
-
-    non_tree = [e for e in fsl.edges if (e.i, e.j) not in tree_edges]
-    cycle_count = fsl.n_edges - fsl.n_vertices + len(components)
+    child = np.flatnonzero(parent != np.arange(n))
+    non_tree = fsl.edges[~np.isin(_pair_keys(n, *fsl.edges.T), _pair_keys(n, child, parent[child]))]
+    cycle_count = fsl.n_edges - n + len(roots)
     assert len(non_tree) == cycle_count
 
-    fluxes = []
-    for e in non_tree:
-        u, v = e.i, e.j
-        pu, pv = [u], [v]
-        a, b = u, v
-        while depth[a] > depth[b]:
-            a = parent[a]
-            pu.append(a)
-        while depth[b] > depth[a]:
-            b = parent[b]
-            pv.append(b)
-        while a != b:
-            a = parent[a]
-            b = parent[b]
-            pu.append(a)
-            pv.append(b)
-        cycle = pu + pv[:-1][::-1]  # u .. lca .. v, closed by edge (v, u)
-        fluxes.append(_cycle_flux(_orient(cycle, weights), adj))
+    # fundamental cycle of edge (u, v): u .. lca .. v, closed by the edge
+    u, v = non_tree.T
+    lca = _lowest_common_ancestor(tables, depth, u, v)
+    up_u = depth[u] - depth[lca]
+    lengths = up_u + depth[v] - depth[lca] + 1
 
-    elementary = []
-    for e in non_tree:
-        path = _shortest_path_avoiding(adj, e.i, e.j)
-        if path is None:
-            elementary.append(_cycle_flux(_orient([e.i, e.j], weights), adj))
-            continue
-        elementary.append(_cycle_flux(_orient(path, weights), adj))
+    def tree_cycle(rows, length):
+        steps = np.arange(length)
+        on_u = steps <= up_u[rows, None]
+        start = np.where(on_u, u[rows, None], v[rows, None])
+        return _ancestor(tables, start, np.where(on_u, steps, length - 1 - steps))
 
-    nonzero = [f for f in elementary if abs(f) > FLUX_DEDUP_TOL]
+    fluxes = _cycle_fluxes(fsl, lengths, tree_cycle, weights)
+
+    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
+    paths = [_shortest_path_avoiding(indptr, indices, i, j) for i, j in non_tree.tolist()]
+    lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    flat, ends = np.fromiter(chain.from_iterable(paths), dtype=np.int64), np.cumsum(lengths)
+
+    def path_cycle(rows, length):
+        return flat[(ends[rows] - length)[:, None] + np.arange(length)]
+
+    elementary = _cycle_fluxes(fsl, lengths, path_cycle, weights)
+
+    class_values, independent = _flux_classes(elementary)
+    return FluxReport(cycle_count, fluxes.tolist(), elementary.tolist(), class_values, independent)
+
+
+def _flux_classes(values):
+    """Distinct nonzero values, ascending, each class starting FLUX_DEDUP_TOL
+    or more above the last; and their number after identifying v ~ -v."""
+    nonzero = np.sort(values[np.abs(values) > FLUX_DEDUP_TOL])
     class_values = []
-    for f in sorted(nonzero):
-        if not any(abs(f - g) < FLUX_DEDUP_TOL for g in class_values):
-            class_values.append(f)
+    k = 0
+    while k < len(nonzero):
+        class_values.append(float(nonzero[k]))
+        k += int(np.searchsorted(nonzero[k:] - nonzero[k], FLUX_DEDUP_TOL))
     unsigned = []
     for f in class_values:
         if not any(abs(abs(f) - g) < FLUX_DEDUP_TOL for g in unsigned):
             unsigned.append(abs(f))
-    return FluxReport(cycle_count, fluxes, elementary, class_values, len(unsigned))
+    return class_values, len(unsigned)
 
 
-def _shortest_path_avoiding(adj, src, dst):
-    """BFS shortest path src -> dst avoiding the direct edge (src, dst)."""
+def _shortest_path_avoiding(indptr, indices, src, dst):
+    """BFS shortest path src -> dst avoiding the direct edge (src, dst), on
+    CSR lists with ascending neighbours."""
     prev = {src: None}
     queue = deque([src])
     while queue:
         u = queue.popleft()
-        for w in sorted(adj[u]):
+        for w in indices[indptr[u]:indptr[u + 1]]:
             if u == src and w == dst:
                 continue
             if w not in prev:
                 prev[w] = u
                 if w == dst:
-                    node, path = dst, []
-                    while node is not None:
-                        path.append(node)
-                        node = prev[node]
+                    path = [dst]
+                    while path[-1] != src:
+                        path.append(prev[path[-1]])
                     return path[::-1]
                 queue.append(w)
-    return None
+    raise AssertionError("a non-tree edge always closes a cycle")
 
 
 def graph_to_json_dict(fsl: FSLGraph, weight_lattice: WeightLattice = None) -> dict:
@@ -463,23 +472,19 @@ def graph_to_json_dict(fsl: FSLGraph, weight_lattice: WeightLattice = None) -> d
             {"id": v, "onsite": e, "weight": w, "multiplicity": m}
             for v, (e, w, m) in enumerate(zip(onsite, weights, mult))
         ]
+    re, im = fsl.amplitudes.real.tolist(), fsl.amplitudes.imag.tolist()
     edges = [
-        {
-            "i": e.i,
-            "j": e.j,
-            "re": float(e.amplitude.real),
-            "im": float(e.amplitude.imag),
-            "label": e.label,
-        }
-        for e in fsl.edges
+        {"i": i, "j": j, "re": r, "im": m, "label": lab}
+        for (i, j), r, m, lab in zip(fsl.edges.tolist(), re, im, fsl.labels or [None] * fsl.n_edges)
     ]
     return {"vertices": vertices, "edges": edges}
 
 
 def graph_to_adjacency_csv(fsl: FSLGraph) -> str:
     """Spreadsheet-style adjacency listing: i, j, re, im, label per line."""
-    lines = ["i,j,re,im,label"]
-    for e in fsl.edges:
-        lab = e.label if e.label is not None else ""
-        lines.append(f"{e.i},{e.j},{e.amplitude.real!r},{e.amplitude.imag!r},{lab}")
+    amps = float_rows(np.stack((fsl.amplitudes.real, fsl.amplitudes.imag), axis=1))
+    lines = ["i,j,re,im,label"] + [
+        f"{i},{j},{re_im},{'' if lab is None else lab}"
+        for (i, j), re_im, lab in zip(fsl.edges.tolist(), amps, fsl.labels or [None] * fsl.n_edges)
+    ]
     return "\n".join(lines) + "\n"

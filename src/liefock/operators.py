@@ -106,6 +106,12 @@ class SparseOperator:
         d = self.mat - self.mat.conj().T
         return float(np.max(np.abs(d.data))) if d.nnz else 0.0
 
+    def is_hermitian(self) -> bool:
+        """The numeric Hermiticity test every caller applies:
+        max|A - A^dagger| <= 1e-12 * max(max|A|, 1). The `hermitian` flag
+        only records what the constructor was told."""
+        return self.hermiticity_defect() <= 1e-12 * max(self.max_norm(), 1.0)
+
     def is_diagonal(self, rel_tol=1e-12) -> bool:
         off = self.mat - sparse.diags(self.mat.diagonal())
         if off.nnz == 0:
@@ -344,6 +350,5 @@ def linear_combination(ops, coeffs) -> SparseOperator:
     for op, c in zip(ops[1:], coeffs[1:]):
         acc = acc + op.mat * complex(c)
     out = SparseOperator(acc, hermitian=False, grade=ops[0].grade)
-    scale = max(out.max_norm(), 1.0)
-    out.hermitian = out.hermiticity_defect() <= 1e-12 * scale
+    out.hermitian = out.is_hermitian()
     return out

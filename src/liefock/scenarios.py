@@ -23,15 +23,14 @@ from .errors import ConfigError, ResourceGuardError
 from .fock import FockBasis, ModeSpec
 from .lattice import (
     WeightLattice,
-    build_fsl,
     cartan_weights,
     check_exact,
     graph_to_adjacency_csv,
     graph_to_json_dict,
-    labeled_fsl,
+    system_graph,
 )
 from .operators import SparseOperator, linear_combination, number_op, transfer_op
-from .output import grid_csv_bytes, heatmap_bytes, sha256_bytes, write_json
+from .output import float_rows, grid_csv_bytes, heatmap_bytes, sha256_bytes, write_json
 
 CONFIG_VERSION = 1
 
@@ -223,7 +222,8 @@ def build_basis(spec):
 
 
 def build_system(system):
-    """Returns (basis, H, model_or_None, labeled_graph_or_None)."""
+    """Returns (basis, H, model, terms): model and the (label, coefficient)
+    terms are None unless the system names an algebra."""
     if "algebra" in system:
         model = build_algebra(system["algebra"]["name"], **system["algebra"].get("params", {}))
         known = set(model.labels)
@@ -256,7 +256,7 @@ def build_system(system):
             raise ConfigError("diagonal bilinears cannot carry a phase", field="system.bilinears")
         acc = piece if acc is None else acc + piece
     H = SparseOperator(acc, hermitian=True)
-    if H.hermiticity_defect() > 1e-12 * max(H.max_norm(), 1.0):
+    if not H.is_hermitian():
         raise ConfigError("assembled Hamiltonian is not Hermitian", field="system.bilinears")
     return basis, H, None, None
 
@@ -337,10 +337,7 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
     wl = None
     needs_sites = config.outputs.get("site_populations") or "heatmap" in config.outputs
     if "graph_json" in config.outputs or "adjacency_csv" in config.outputs:
-        if model is not None and terms is not None:
-            graph = labeled_fsl(model, terms, tol=tol)
-        else:
-            graph = build_fsl(H, basis, tol=tol)
+        graph = system_graph(basis, H, model, terms, tol=tol)
     if graph is not None or needs_sites:
         if model is not None and model.cartan:
             wl = cartan_weights(model.cartan_ops())
@@ -374,12 +371,10 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
         site_columns = [(f"P{key}", site_pops[:, s]) for s, key in enumerate(site_keys)]
 
     if "csv" in config.outputs:
-        header = ["t"] + [name for name, _ in columns] + [name for name, _ in site_columns]
-        rows = []
-        for k, t in enumerate(times):
-            row = [t] + [col[k] for _, col in columns] + [col[k] for _, col in site_columns]
-            rows.append(row)
-        pending.append((config.outputs["csv"], _csv_bytes(header, rows)))
+        header = ["t"] + [name for name, _ in columns + site_columns]
+        table = np.column_stack([times] + [col for _, col in columns + site_columns])
+        text = "\n".join([",".join(header), *float_rows(table)]) + "\n"
+        pending.append((config.outputs["csv"], text.encode()))
 
     if "graph_json" in config.outputs:
         payload = graph_to_json_dict(graph, wl)
@@ -408,13 +403,6 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
         pending.append((hu["path"], grid_csv_bytes(grid)))
 
     return _finalize(config, out_dir, pending, started)
-
-
-def _csv_bytes(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return ("\n".join(lines) + "\n").encode()
 
 
 def _weights_from_occupations(basis):

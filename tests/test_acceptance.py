@@ -30,9 +30,14 @@ from liefock.coherent import (
     squeezed_vacuum_state,
     uncertainty,
 )
-from liefock.lattice import labeled_fsl
+from liefock.lattice import system_graph
 from liefock.operators import linear_combination
 from liefock.oracles import so5_generator_matrix, so5_manybody, so5_singles
+
+
+def labeled_graph(model, terms):
+    H = linear_combination([model.generator(lab) for lab, _ in terms], [c for _, c in terms])
+    return system_graph(model.basis, H, model, terms)
 
 
 def report(num, ok, detail):
@@ -135,7 +140,7 @@ def test_criterion_06_su3_lattice_flux_and_mirror():
 
     # lattice shape
     terms0 = [("I+", J), ("I-", J), ("U+", J), ("U-", J), ("V+", J), ("V-", J)]
-    graph = labeled_fsl(model, terms0)
+    graph = labeled_graph(model, terms0)
     weight_coordinates(graph, model.cartan_ops())
     degrees = graph.degrees()
     interior = [v for v, s in enumerate(model.basis.states) if all(o > 0 for o in s)]
@@ -147,7 +152,7 @@ def test_criterion_06_su3_lattice_flux_and_mirror():
         ("I+", J), ("I-", J), ("U+", J), ("U-", J),
         ("V+", J * np.exp(1j * phi)), ("V-", J * np.exp(-1j * phi)),
     ]
-    graph_phi = labeled_fsl(model, terms_phi)
+    graph_phi = labeled_graph(model, terms_phi)
     weight_coordinates(graph_phi, model.cartan_ops())
     rep = plaquette_fluxes(graph_phi)
     classes = sorted(rep.class_values)

@@ -33,6 +33,11 @@ GOLDEN = {
         "1d642eebd699db0ef1ad6a544ba6a6f79005bfa8211d092adbab1ccc10ffbaa6",
     ),
 }
+# `lattice --fluxes --export`: the graph JSON with cycle count and flux classes
+GOLDEN_FLUXES = {
+    "su3": "3bea6dba4ab7a88ea66d5fd7afb71cc0990c2497112ca3ecd488e356f9baed72",
+    "so5": "495893558af29acb8bb06e1ee392043c74a43b29a230b6490a5a1e75df5e75f4",
+}
 SO5_QUENCH_HEADER = "a3a923e3dcd1c83d9185c89ef9f17205f62ac6340c1e2eec21e9c817bcc3ab91"
 
 
@@ -47,6 +52,15 @@ def test_lattice_export_and_csv_bytes(tmp_path, capsys):
         graph, csv = tmp_path / f"{name}_graph.json", tmp_path / f"{name}_adj.csv"
         assert main(["lattice", "--ham", str(ham), "--export", str(graph), "--csv", str(csv)]) == 0
         assert (sha256(graph.read_bytes()), sha256(csv.read_bytes())) == GOLDEN[name], name
+
+
+def test_lattice_flux_export_bytes(tmp_path, capsys):
+    for name, system in (("su3", SU3_FLUX), ("so5", SO5_BILINEAR)):
+        ham = tmp_path / f"{name}_ham.json"
+        ham.write_text(json.dumps(system))
+        graph = tmp_path / f"{name}_graph.json"
+        assert main(["lattice", "--ham", str(ham), "--fluxes", "--export", str(graph)]) == 0
+        assert sha256(graph.read_bytes()) == GOLDEN_FLUXES[name], name
 
 
 def test_so5_quench_site_key_header(tmp_path, capsys):

@@ -16,7 +16,7 @@ from liefock import (
     weight_coordinates,
 )
 from liefock.errors import NumericContractError
-from liefock.lattice import graph_to_adjacency_csv, graph_to_json_dict, labeled_fsl
+from liefock.lattice import graph_to_adjacency_csv, graph_to_json_dict, system_graph
 from liefock.operators import linear_combination, number_op
 
 
@@ -26,7 +26,8 @@ def su3_hamiltonian(N, phi, J=1.0):
         ("I+", J), ("I-", J), ("U+", J), ("U-", J),
         ("V+", J * np.exp(1j * phi)), ("V-", J * np.exp(-1j * phi)),
     ]
-    return model, labeled_fsl(model, terms)
+    H = linear_combination([model.generator(lab) for lab, _ in terms], [c for _, c in terms])
+    return model, system_graph(model.basis, H, model, terms)
 
 
 def test_two_mode_chain_amplitudes():
@@ -35,10 +36,10 @@ def test_two_mode_chain_amplitudes():
     H = linear_combination([model.generator("S+"), model.generator("S-")], [J0, J0])
     graph = build_fsl(H, model.basis)
     assert graph.n_vertices == 5
-    assert [(e.i, e.j) for e in graph.edges] == [(0, 1), (1, 2), (2, 3), (3, 4)]
-    first = graph.edges[0]
-    assert abs(first.amplitude) == pytest.approx(2 * J0)  # sqrt(1 * 4)
-    hops = [abs(e.amplitude) for e in graph.edges]
+    assert [(i, j) for i, j in graph.edges.tolist()] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    first = graph.amplitudes[0]
+    assert abs(first) == pytest.approx(2 * J0)  # sqrt(1 * 4)
+    hops = [abs(a) for a in graph.amplitudes]
     assert hops == [
         pytest.approx(v) for v in (2.0, np.sqrt(6), np.sqrt(6), 2.0)
     ]
@@ -172,11 +173,11 @@ def test_root_labeled_edges_translate_by_root():
     model, graph = su3_hamiltonian(3, 0.0)
     wl = weight_coordinates(graph, model.cartan_ops())
     roots = {model.labels[p.raising]: p.root for p in model.root_pairs}
-    for e in graph.edges:
-        assert e.label in roots
-        alpha = roots[e.label]
-        ci = wl.coordinates[e.i]
-        cj = wl.coordinates[e.j]
+    for (i, j), label in zip(graph.edges.tolist(), graph.labels):
+        assert label in roots
+        alpha = roots[label]
+        ci = wl.coordinates[i]
+        cj = wl.coordinates[j]
         delta = tuple(b - a for a, b in zip(ci, cj))
         neg = tuple(-d for d in delta)
         assert delta == alpha or neg == alpha
@@ -193,7 +194,10 @@ def test_su3_fluxes_zero_without_phase():
 
 def brute_force_triangle_fluxes(model, graph, wl):
     """Direct product around every CCW triangle, no cycle-basis machinery."""
-    adj = graph.adjacency()
+    adj = {v: {} for v in range(graph.n_vertices)}
+    for (i, j), amp in zip(graph.edges.tolist(), graph.amplitudes):
+        adj[i][j] = amp           # H[i, j]
+        adj[j][i] = np.conj(amp)  # H[j, i]
     out = []
     for i in range(graph.n_vertices):
         for j in adj[i]:
@@ -287,8 +291,8 @@ def test_gauge_invariance_of_fluxes_and_moduli():
 
     assert np.allclose(sorted(rep.fluxes), sorted(rep2.fluxes), atol=1e-10)
     assert np.allclose(
-        sorted(abs(e.amplitude) for e in graph.edges),
-        sorted(abs(e.amplitude) for e in graph2.edges),
+        sorted(abs(a) for a in graph.amplitudes),
+        sorted(abs(a) for a in graph2.amplitudes),
     )
     assert np.allclose(graph.onsite, graph2.onsite)
     assert rep2.independent_classes == rep.independent_classes
@@ -314,12 +318,13 @@ def test_graph_export_round_trip():
 
 
 def test_zero_amplitude_cycle_edge_rejected():
-    from liefock.lattice import Edge, FSLGraph, plaquette_fluxes as pf
+    from liefock.lattice import FSLGraph, plaquette_fluxes as pf
 
     graph = FSLGraph(
         3,
         np.zeros(3),
-        [Edge(0, 1, 1.0 + 0j), Edge(1, 2, 1.0 + 0j), Edge(0, 2, 0.0 + 0j)],
+        np.array([(0, 1), (0, 2), (1, 2)]),
+        np.array([1.0 + 0j, 0.0 + 0j, 1.0 + 0j]),
     )
     with pytest.raises(ValueError, match="zero-amplitude"):
         pf(graph)

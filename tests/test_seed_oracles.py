@@ -10,11 +10,19 @@ Every comparison of those is exact equality.
 The Husimi charts are checked against the per-node loops they replaced (one
 closed-form coherent state per grid node) and the two per-cell CSV writers:
 values within 1e-12 * max(1, max|ref|), weights and written bytes exact.
+
+The edge-array lattice graph is checked against the `Edge`-list graph it
+replaced (adjacency dicts, union-find components, dict BFS trees and one
+Python product per cycle) on random Hermitian sparse matrices: edges,
+components and cycle counts equal, every flux equal bit for bit.
 """
 
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import pytest
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln, jv
@@ -22,7 +30,15 @@ from scipy.special import gammaln, jv
 from liefock import FockBasis, boson, fermion, spin
 from liefock.fock import BOSON, FERMION
 from liefock.coherent import HusimiGrid, husimi_cylinder, husimi_disk, husimi_plane, husimi_sphere
-from liefock.lattice import WeightLattice, cartan_weights
+from liefock.lattice import (
+    FSLGraph,
+    WeightLattice,
+    _flux_classes,
+    build_fsl,
+    cartan_weights,
+    connected_components,
+    plaquette_fluxes,
+)
 from liefock.operators import EVEN, ODD, SparseOperator, diagonal_op, ladder_ops, transfer_op
 from liefock.output import grid_csv_bytes
 from liefock.scenarios import _weights_from_linear_forms, _weights_from_occupations
@@ -569,3 +585,302 @@ def test_grid_writer_matches_per_cell_writers(case, seed):
         before = oracle_cli_csv(old(random_state(seed, dim, False))).decode().splitlines()
         after = data.decode().splitlines()
         assert [line.rsplit(",", 1)[0] for line in after] == [line.rsplit(",", 1)[0] for line in before]
+
+
+# ---------------------------------------------------------------------------
+# lattice graph: the Edge-list implementation
+# ---------------------------------------------------------------------------
+
+ORACLE_FLUX_DEDUP_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class OracleEdge:
+    i: int
+    j: int
+    amplitude: complex
+    label: str = None
+
+
+def oracle_edges(H, tol=None):
+    """build_fsl's Edge list (its Hermiticity check left out)."""
+    if tol is None:
+        tol = 1e-12 * H.max_norm()
+    coo = H.mat.tocoo()
+    keep = (coo.row < coo.col) & (np.abs(coo.data) > tol)
+    rows, cols, amps = coo.row[keep], coo.col[keep], coo.data[keep]
+    order = np.lexsort((cols, rows))
+    return [
+        OracleEdge(i, j, a)
+        for i, j, a in zip(rows[order].tolist(), cols[order].tolist(), amps[order].tolist())
+    ]
+
+
+def oracle_adjacency(n_vertices, edges):
+    adj = {v: {} for v in range(n_vertices)}
+    for e in edges:
+        adj[e.i][e.j] = e.amplitude          # H[i, j]
+        adj[e.j][e.i] = np.conj(e.amplitude)  # H[j, i]
+    return adj
+
+
+def oracle_degree(edges, v):
+    return sum(1 for e in edges if e.i == v or e.j == v)
+
+
+def oracle_connected_components(n_vertices, edges):
+    parent = list(range(n_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in edges:
+        ri, rj = find(e.i), find(e.j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for v in range(n_vertices):
+        groups.setdefault(find(v), []).append(v)
+    return [sorted(groups[r]) for r in sorted(groups)]
+
+
+def oracle_wrap_phase(x):
+    out = (x + np.pi) % (2 * np.pi) - np.pi
+    if out <= -np.pi + 1e-15:
+        out = np.pi
+    return float(out)
+
+
+def oracle_cycle_flux(cycle, adj):
+    prod = 1.0 + 0.0j
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        amp = adj[b][a]  # transition a -> b carries H[b, a]
+        if amp == 0:
+            raise ValueError("zero-amplitude edge encountered in a cycle")
+        prod *= amp
+    return oracle_wrap_phase(np.angle(prod))
+
+
+def oracle_signed_area(cycle, weights):
+    pts = weights[list(cycle)]
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def oracle_orient(cycle, weights):
+    if weights is not None and weights.shape[1] == 2:
+        area = oracle_signed_area(cycle, weights)
+        if abs(area) > 1e-12:
+            return cycle if area > 0 else cycle[::-1]
+    k = cycle.index(min(cycle))
+    rot = cycle[k:] + cycle[:k]
+    return rot if rot[1] <= rot[-1] else [rot[0]] + rot[1:][::-1]
+
+
+def oracle_shortest_path_avoiding(adj, src, dst):
+    prev = {src: None}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for w in sorted(adj[u]):
+            if u == src and w == dst:
+                continue
+            if w not in prev:
+                prev[w] = u
+                if w == dst:
+                    node, path = dst, []
+                    while node is not None:
+                        path.append(node)
+                        node = prev[node]
+                    return path[::-1]
+                queue.append(w)
+    return None
+
+
+def oracle_bfs_tree(adj, components):
+    parent, depth, tree_edges = {}, {}, set()
+    for comp in components:
+        root = comp[0]
+        parent[root] = None
+        depth[root] = 0
+        queue = deque([root])
+        seen = {root}
+        while queue:
+            u = queue.popleft()
+            for w in sorted(adj[u]):
+                if w not in seen:
+                    seen.add(w)
+                    parent[w] = u
+                    depth[w] = depth[u] + 1
+                    tree_edges.add((min(u, w), max(u, w)))
+                    queue.append(w)
+    return parent, depth, tree_edges
+
+
+def oracle_plaquette_fluxes(n_vertices, edges, weights):
+    """(cycle_count, fluxes, elementary_fluxes, class_values, independent_classes)."""
+    adj = oracle_adjacency(n_vertices, edges)
+    components = oracle_connected_components(n_vertices, edges)
+    parent, depth, tree_edges = oracle_bfs_tree(adj, components)
+
+    non_tree = [e for e in edges if (e.i, e.j) not in tree_edges]
+    cycle_count = len(edges) - n_vertices + len(components)
+    assert len(non_tree) == cycle_count
+
+    fluxes = []
+    for e in non_tree:
+        u, v = e.i, e.j
+        pu, pv = [u], [v]
+        a, b = u, v
+        while depth[a] > depth[b]:
+            a = parent[a]
+            pu.append(a)
+        while depth[b] > depth[a]:
+            b = parent[b]
+            pv.append(b)
+        while a != b:
+            a = parent[a]
+            b = parent[b]
+            pu.append(a)
+            pv.append(b)
+        cycle = pu + pv[:-1][::-1]  # u .. lca .. v, closed by edge (v, u)
+        fluxes.append(oracle_cycle_flux(oracle_orient(cycle, weights), adj))
+
+    elementary = []
+    for e in non_tree:
+        path = oracle_shortest_path_avoiding(adj, e.i, e.j)
+        if path is None:
+            elementary.append(oracle_cycle_flux(oracle_orient([e.i, e.j], weights), adj))
+            continue
+        elementary.append(oracle_cycle_flux(oracle_orient(path, weights), adj))
+
+    return (cycle_count, fluxes, elementary, *oracle_flux_classes(elementary))
+
+
+def oracle_flux_classes(elementary):
+    nonzero = [f for f in elementary if abs(f) > ORACLE_FLUX_DEDUP_TOL]
+    class_values = []
+    for f in sorted(nonzero):
+        if not any(abs(f - g) < ORACLE_FLUX_DEDUP_TOL for g in class_values):
+            class_values.append(f)
+    unsigned = []
+    for f in class_values:
+        if not any(abs(abs(f) - g) < ORACLE_FLUX_DEDUP_TOL for g in unsigned):
+            unsigned.append(abs(f))
+    return class_values, len(unsigned)
+
+
+PHASES = (0.0, np.pi / 2, np.pi, -np.pi / 2, np.pi / 3)
+
+
+@st.composite
+def hermitian_graphs(draw):
+    """A random Hermitian sparse matrix: vertices split into components
+    (some isolated), random edges inside each, amplitudes with random or
+    special phases (real, imaginary, negative), plus vertex weights."""
+    n = draw(st.integers(1, 24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.floats(0.05, 0.9))
+    rng = np.random.default_rng(seed)
+    component = rng.integers(draw(st.integers(1, 4)), size=n)
+    upper = np.triu(rng.random((n, n)) < density, k=1) & (component[:, None] == component[None, :])
+    phase = np.where(rng.random((n, n)) < 0.5, rng.uniform(-np.pi, np.pi, (n, n)), rng.choice(PHASES, (n, n)))
+    amp = np.where(upper, rng.uniform(0.5, 2.0, (n, n)) * np.exp(1j * phase), 0)
+    H = amp + amp.conj().T + np.diag(rng.normal(size=n))
+    kind = draw(st.sampled_from(["none", "2d", "2d_int", "collinear", "1d"]))
+    weights = {
+        "none": None,
+        "2d": rng.normal(size=(n, 2)),
+        "2d_int": rng.integers(-2, 3, size=(n, 2)).astype(float),
+        "collinear": np.outer(rng.integers(-3, 4, size=n), [1.0, -2.0]),
+        "1d": rng.normal(size=(n, 1)),
+    }[kind]
+    return SparseOperator(sparse.csr_matrix(H), hermitian=True), weights
+
+
+def same_bits(got, want):
+    bits = [np.asarray(values, dtype=float).view(np.int64) for values in (got, want)]
+    return np.array_equal(*bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermitian_graphs())
+def test_edge_array_graph_matches_edge_list_oracle(case):
+    H, weights = case
+    graph = build_fsl(H)
+    edges = oracle_edges(H)
+    assert graph.edges.dtype == np.int64 and graph.edges.shape == (len(edges), 2)
+    assert graph.edges.tolist() == [[e.i, e.j] for e in edges]
+    want_amplitudes = np.array([e.amplitude for e in edges], dtype=complex)
+    assert same_bits(graph.amplitudes.view(float), want_amplitudes.view(float))
+    assert graph.degrees().tolist() == [oracle_degree(edges, v) for v in range(H.dim)]
+    assert connected_components(graph) == oracle_connected_components(H.dim, edges)
+
+    rep = plaquette_fluxes(graph, weights)
+    want = oracle_plaquette_fluxes(H.dim, edges, weights)
+    cycle_count, fluxes, elementary, class_values, independent = want
+    assert rep.cycle_count == cycle_count
+    assert same_bits(rep.fluxes, fluxes)
+    assert same_bits(rep.elementary_fluxes, elementary)
+    assert rep.class_values == class_values
+    assert rep.independent_classes == independent
+
+
+@settings(max_examples=100, deadline=None)
+@given(hermitian_graphs(), st.data())
+def test_zero_amplitude_edges_raise_like_the_oracle(case, data):
+    H, weights = case
+    graph = build_fsl(H)
+    if not graph.n_edges:
+        return
+    k = data.draw(st.integers(0, graph.n_edges - 1))
+    graph.amplitudes[k] = 0
+    edges = oracle_edges(H)
+    edges[k] = OracleEdge(edges[k].i, edges[k].j, 0j)
+    try:
+        want = oracle_plaquette_fluxes(H.dim, edges, weights)
+    except ValueError as exc:
+        assert "zero-amplitude" in str(exc)
+        with pytest.raises(ValueError, match="zero-amplitude"):
+            plaquette_fluxes(graph, weights)
+    else:
+        rep = plaquette_fluxes(graph, weights)
+        assert same_bits(rep.fluxes, want[1]) and same_bits(rep.elementary_fluxes, want[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.5, -0.5, np.pi, -np.pi, 1e-9, -2e-9]), min_size=1, max_size=6),
+    st.lists(st.integers(-6, 6), max_size=40),
+    st.integers(0, 2**32 - 1),
+)
+def test_flux_classes_match_oracle(centres, offsets, seed):
+    """Values clustered within a few FLUX_DEDUP_TOL of each other, so that
+    classes chain, split and merge at the tolerance."""
+    rng = np.random.default_rng(seed)
+    values = [rng.choice(centres) + k * 0.4e-9 for k in offsets]
+    assert _flux_classes(np.array(values, dtype=float)) == oracle_flux_classes(values)
+
+
+def test_flux_classes_split_at_exactly_the_tolerance():
+    low, high = 1.0346191165296315e-09, 2.0346191165296315e-09
+    assert high - low == ORACLE_FLUX_DEDUP_TOL
+    assert _flux_classes(np.array([high, low])) == oracle_flux_classes([high, low]) == ([low, high], 2)
+
+
+def test_graph_of_hand_built_arrays_matches_oracle():
+    """A two-component graph with an isolated vertex, built from arrays."""
+    pairs = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (5, 6), (5, 7), (6, 7)]
+    amps = np.exp(1j * np.arange(1, len(pairs) + 1))
+    graph = FSLGraph(8, np.zeros(8), np.array(pairs, dtype=np.int64), amps)
+    edges = [OracleEdge(i, j, a) for (i, j), a in zip(pairs, amps.tolist())]
+    components = [[0, 1, 2, 3], [4], [5, 6, 7]]
+    assert connected_components(graph) == oracle_connected_components(8, edges) == components
+    rep = plaquette_fluxes(graph)
+    want = oracle_plaquette_fluxes(8, edges, None)
+    assert rep.cycle_count == want[0] == 3
+    assert same_bits(rep.fluxes, want[1]) and same_bits(rep.elementary_fluxes, want[2])
+    assert (rep.class_values, rep.independent_classes) == (want[3], want[4])
