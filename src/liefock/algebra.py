@@ -11,9 +11,10 @@ possibly irrational unit, e.g. 1/sqrt(3)).
 Representations on truncated bases break the algebraic identities in the
 outermost cutoff levels; identity checks therefore run on an interior block
 that excludes a configurable window (default 2) of boundary states. The
-blocks P A P stay sparse: norms and Frobenius products are taken over their
-stored entries, so the checks scale with the operators' non-zeros rather
-than with the square of the basis dimension.
+blocks P A P stay sparse: norms are taken over their stored entries, and the
+closure span and structure-constant fit hold blocks as rows of one array over
+their stored flat positions, so the checks scale with the operators' non-zeros
+rather than with the square of the basis dimension.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .operators import (
     ODD,
     SparseOperator,
     diagonal_op,
-    frobenius_inner,
     graded_commutator,
     identity,
     ladder_ops,
@@ -119,16 +119,21 @@ class StructureConstants:
 
 @dataclass
 class ClosureReport:
+    """`max_residual` is the largest r / max(||[X_i, X_j}||, ||X_i|| ||X_j||)
+    over the brackets of the final round, r being the norm of a bracket's part
+    outside the orthonormal span, all on the interior block. That round adds
+    nothing, so `closed=True` implies `max_residual <= tol`; NaN when `closed`
+    is False (the span exceeded `cap`). No structure constants are fitted, so
+    `lie_closure` never raises `DegenerateGeneratorsError`; for coefficients
+    call `extract_structure_constants`, which keeps its conditioning checks.
+    """
+
     iterations: list
     closed: bool
     dimension: int
     cap: int
     added_labels: list
     max_residual: float
-
-    @property
-    def final(self) -> str:
-        return f"closed at dim {self.dimension}" if self.closed else "exceeded cap"
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +154,23 @@ def _flat_keys(block) -> np.ndarray:
     return rows * block.shape[1] + block.indices
 
 
-def _on_pattern(block, keys) -> sparse.csr_matrix:
-    """The block re-laid on the CSR pattern of the sorted flat positions
-    `keys`, which cover its own; explicit zeros fill the rest."""
-    rows, cols = block.shape
-    data = np.zeros(len(keys), dtype=complex)
-    data[np.searchsorted(keys, _flat_keys(block))] = block.data
-    indptr = np.searchsorted(keys, np.arange(rows + 1) * cols)
-    return sparse.csr_matrix((data, keys % cols, indptr), shape=block.shape)
+def _on_keys(block, keys):
+    """The block's entries at the sorted flat positions `keys` (zeros where it
+    stores none), and the norm of the entries it stores elsewhere."""
+    flat = _flat_keys(block)
+    pos = np.searchsorted(keys, flat)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == flat[hit]
+    row = np.zeros(len(keys), dtype=complex)
+    row[pos[hit]] = block.data[hit]
+    return row, float(np.linalg.norm(block.data[~hit]))
+
+
+def _interior_and_labels(ops, interior, labels):
+    """Interior basis indices (all of them when `interior` is None) and the
+    labels, g0, g1, ... when none are given."""
+    idx = np.arange(ops[0].dim) if interior is None else np.flatnonzero(np.asarray(interior, bool))
+    return idx, labels if labels is not None else [f"g{i}" for i in range(len(ops))]
 
 
 def _bracket(a, b, graded):
@@ -169,35 +183,40 @@ def _bracket(a, b, graded):
 class _Span:
     """Orthonormal span of operators under the interior trace inner product.
 
-    The orthonormal directions are sparse interior blocks laid on one shared
-    CSR pattern, the union of the supports seen so far, so that each
-    Gram-Schmidt step is a Frobenius product and an update of data arrays.
+    The span is one dense (n_span, n_keys) complex array `q`: row k holds
+    the k-th orthonormal direction at the sorted row-major flat positions
+    `keys` of the interior block, the union of the supports seen so far.
+    A growing pattern is one scatter into a wider array, and each of the two
+    projection passes (classical Gram-Schmidt twice) is two GEMVs.
     """
 
     def __init__(self, interior_idx):
         self.idx = interior_idx
-        self.keys = np.empty(0, dtype=np.int64)  # the shared pattern
-        self.q = []  # orthonormal blocks on that pattern
+        self.keys = np.empty(0, dtype=np.int64)
+        self.q = np.empty((0, 0), dtype=complex)
 
-    def try_add(self, op, scale, tol=CLOSURE_TOL):
+    def try_add(self, op, scale, tol=CLOSURE_TOL) -> float:
+        """Add the part of `op`'s interior block outside the span when its
+        norm r exceeds tol * max(||v||, scale). Returns the ratio it tested,
+        r / max(||v||, scale); the direction was added iff that exceeds tol."""
         v = op.block(self.idx)
         norm_v = _norm(v)
-        if norm_v <= tol * scale:
-            return False
-        keys = _flat_keys(v)
-        if not np.isin(keys, self.keys).all():
-            self.keys = np.union1d(self.keys, keys)
-            self.q = [_on_pattern(q, self.keys) for q in self.q]
-        r = _on_pattern(v, self.keys)
-        for _ in range(2):  # second pass guards against cancellation
-            for q in self.q:
-                r.data -= frobenius_inner(q, r) * q.data
-        rn = _norm(r)
-        if rn > tol * max(norm_v, scale):
-            r.data /= rn
-            self.q.append(r)
-            return True
-        return False
+        denom = max(norm_v, scale) or 1.0
+        if norm_v / denom <= tol:  # r <= ||v||: nothing to project or add
+            return norm_v / denom
+        keys = np.union1d(self.keys, _flat_keys(v))
+        if len(keys) > len(self.keys):
+            q = np.zeros((len(self.q), len(keys)), dtype=complex)
+            q[:, np.searchsorted(keys, self.keys)] = self.q
+            self.keys, self.q = keys, q
+        r, _ = _on_keys(v, self.keys)
+        for _ in range(2):  # the second pass guards against cancellation
+            r -= (self.q @ r.conj()).conj() @ self.q
+        rn = float(np.linalg.norm(r))
+        ratio = rn / denom
+        if ratio > tol:
+            self.q = np.vstack([self.q, r / rn])
+        return ratio
 
     def __len__(self):
         return len(self.q)
@@ -220,17 +239,13 @@ def lie_closure(
     seed = list(seed)
     if cap < len(seed):
         raise ValueError(f"cap {cap} is smaller than the seed size {len(seed)}")
-    dim = seed[0].dim
-    mask = np.ones(dim, dtype=bool) if interior is None else np.asarray(interior, bool)
-    idx = np.where(mask)[0]
-    if labels is None:
-        labels = [f"g{i}" for i in range(len(seed))]
+    idx, labels = _interior_and_labels(seed, interior, labels)
 
     span = _Span(idx)
     ops, names, norms = [], [], []
     for op, lab in zip(seed, labels):
         norm = _norm(op.block(idx))
-        if span.try_add(op, scale=norm, tol=tol):
+        if span.try_add(op, scale=norm, tol=tol) > tol:
             ops.append(op)
             names.append(lab)
             norms.append(norm)
@@ -238,29 +253,25 @@ def lie_closure(
     dims = [len(span)]
 
     while True:
-        grew = False
+        worst = 0.0
         k = len(ops)
         for i in range(k):
             for j in range(i + 1, k):
                 br = _bracket(ops[i], ops[j], graded)
-                scale = norms[i] * norms[j]
-                if span.try_add(br, scale=scale, tol=tol):
+                ratio = span.try_add(br, scale=norms[i] * norms[j], tol=tol)
+                if ratio > tol:
                     both_odd = graded and ops[i].grade == ODD and ops[j].grade == ODD
-                    sym = "{%s,%s}" if both_odd else "[%s,%s]"
                     ops.append(br)
-                    names.append(sym % (names[i], names[j]))
+                    names.append(("{%s,%s}" if both_odd else "[%s,%s]") % (names[i], names[j]))
                     norms.append(_norm(br.block(idx)))
                     added.append(names[-1])
-                    grew = True
                     if len(span) > cap:
                         dims.append(len(span))
                         return ClosureReport(dims, False, len(span), cap, added, np.nan)
+                worst = max(worst, ratio)
         dims.append(len(span))
-        if not grew:
-            break
-
-    sc = extract_structure_constants(ops, graded=graded, interior=mask, labels=names)
-    return ClosureReport(dims, True, len(span), cap, added, float(np.max(sc.residuals)))
+        if len(span) == k:
+            return ClosureReport(dims, True, len(span), cap, added, worst)
 
 
 def extract_structure_constants(
@@ -271,19 +282,13 @@ def extract_structure_constants(
     gens = list(gens)
     if len(gens) < 2:
         raise ValueError("need at least two generators")
-    dim = gens[0].dim
-    mask = np.ones(dim, dtype=bool) if interior is None else np.asarray(interior, bool)
-    idx = np.where(mask)[0]
-    if labels is None:
-        labels = [f"g{i}" for i in range(len(gens))]
+    idx, labels = _interior_and_labels(gens, interior, labels)
 
     n = len(gens)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     blocks = [g.block(idx) for g in gens]
-    brackets = [_bracket(gens[a], gens[b], graded).block(idx) for a, b in pairs]
-    keys = np.unique(np.concatenate([_flat_keys(x) for x in blocks + brackets]))
-    blocks = [_on_pattern(x, keys) for x in blocks]
-    gram = np.array([[frobenius_inner(x, y) for y in blocks] for x in blocks])
+    keys = np.unique(np.concatenate([_flat_keys(x) for x in blocks]))
+    rows = np.array([_on_keys(x, keys)[0] for x in blocks])
+    gram = rows.conj() @ rows.T
     sv = np.linalg.svd(gram, compute_uv=False)
     if sv[-1] <= 0 or sv[0] / sv[-1] > 1e12:
         _, _, vh = np.linalg.svd(gram)
@@ -294,25 +299,25 @@ def extract_structure_constants(
 
     coeffs = np.zeros((n, n, n), dtype=complex)
     residuals = np.zeros((n, n))
-    norms = [_norm(x) for x in blocks]
-    for (a, b), v in zip(pairs, brackets):
-        nv = _norm(v)
-        noise = 1e-13 * norms[a] * norms[b]
-        if nv <= noise:
-            continue
-        v = _on_pattern(v, keys)
-        lam = gram_pinv @ np.array([frobenius_inner(x, v) for x in blocks])
-        # the explicit difference keeps the 1e-10 relative residual
-        # resolvable; ||v||^2 - c^H G^-1 c would have to resolve 1e-20
-        left = v.data.copy()
-        for lc, x in zip(lam, blocks):
-            left -= lc * x.data
-        coeffs[a, b] = lam
-        residuals[a, b] = np.linalg.norm(left) / nv
-        both_odd = graded and gens[a].grade == ODD and gens[b].grade == ODD
-        sign = 1.0 if both_odd else -1.0
-        coeffs[b, a] = sign * lam
-        residuals[b, a] = residuals[a, b]
+    norms = np.linalg.norm(rows, axis=1)
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = _bracket(gens[a], gens[b], graded).block(idx)
+            nv = _norm(v)
+            if nv <= 1e-13 * norms[a] * norms[b]:
+                continue
+            # one bracket at a time; entries off the generators' pattern are left over
+            v, outside = _on_keys(v, keys)
+            lam = gram_pinv @ (rows.conj() @ v)
+            # the explicit difference keeps the 1e-10 relative residual
+            # resolvable; ||v||^2 - c^H G^-1 c would have to resolve 1e-20
+            inside = np.linalg.norm(v - lam @ rows)
+            coeffs[a, b] = lam
+            residuals[a, b] = np.hypot(inside, outside) / nv
+            both_odd = graded and gens[a].grade == ODD and gens[b].grade == ODD
+            sign = 1.0 if both_odd else -1.0
+            coeffs[b, a] = sign * lam
+            residuals[b, a] = residuals[a, b]
     return StructureConstants(
         labels, coeffs, residuals, bool(np.max(residuals) < 1e-10)
     )

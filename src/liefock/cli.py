@@ -31,7 +31,7 @@ from .lattice import (
     weight_coordinates,
 )
 from .oracles import LADDER_KINDS, bloch, ladder_oracles, so5_manybody, so5_revival, so5_singles, squeezing
-from .output import export_heatmap, grid_csv_bytes, write_json
+from .output import export_heatmap, grid_csv_bytes, json_text, write_json
 from .scenarios import (
     BUILTIN_SCENARIOS,
     build_basis,
@@ -84,7 +84,7 @@ def _cmd_algebra(args):
                 for rp in model.root_pairs
             ],
         }
-    print(json.dumps(report, indent=1, sort_keys=True))
+    print(json_text(report), end="")
     return EXIT_OK
 
 
@@ -138,7 +138,7 @@ def _cmd_lattice(args):
         write_json(args.export, payload)
         print(f"wrote {args.export}")
     else:
-        print(json.dumps(payload, indent=1, sort_keys=True))
+        print(json_text(payload), end="")
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(graph_to_adjacency_csv(graph))
@@ -153,7 +153,7 @@ def _cmd_evolve(args):
         config.outputs = dict(config.outputs)
         config.outputs["csv"] = args.out
     archive = run_scenario(config, out_dir=args.out_dir, tol=args.tol)
-    print(json.dumps(archive.to_dict(), indent=1, sort_keys=True))
+    print(json_text(archive.to_dict()), end="")
     return EXIT_OK
 
 
@@ -242,7 +242,7 @@ def _cmd_scenario(args):
     else:
         raise ConfigError("scenario run needs --name or --config")
     archive = run_scenario(config, out_dir=args.out_dir, tol=args.tol)
-    print(json.dumps(archive.to_dict(), indent=1, sort_keys=True))
+    print(json_text(archive.to_dict()), end="")
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from scipy.special import gammaln, jv, xlogy
 
 from .errors import TruncationLeakageWarning
 from .fock import FockBasis, boson
-from .operators import SparseOperator
+from .operators import SparseOperator, within_hermitian_bound
 
 LEAK_TOL = 1e-8
 
@@ -46,9 +46,9 @@ def displacement_unitary(raising: SparseOperator, lowering: SparseOperator, beta
     """Dense unitary exp(beta * raising - conj(beta) * lowering)."""
     beta = complex(beta)
     gen = beta * raising.mat - np.conj(beta) * lowering.mat
-    herm = 1j * gen.toarray()
-    defect = np.max(np.abs(herm - herm.conj().T)) if herm.size else 0.0
-    if defect > 1e-12 * max(1.0, np.max(np.abs(herm))):
+    herm = 1j * gen.toarray()  # dense, so no small entry is dropped before the check
+    defect = np.max(np.abs(herm - herm.conj().T), initial=0.0)
+    if not within_hermitian_bound(defect, np.max(np.abs(herm), initial=0.0)):
         raise ValueError("raising/lowering pair is not mutually adjoint")
     evals, evecs = scipy.linalg.eigh(herm)
     return (evecs * np.exp(-1j * evals)) @ evecs.conj().T

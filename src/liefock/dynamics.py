@@ -163,15 +163,16 @@ def _lanczos_step(mat, v, dt, m):
         w = w - alpha[k] * V[k]
         if k > 0:
             w = w - beta[k] * V[k - 1]
+        if k + 1 == m:
+            break  # w is the residual direction of the error estimate
         for kk in range(k + 1):  # full reorthogonalization, subspace is small
             w = w - np.vdot(V[kk], w) * V[kk]
         nb = np.linalg.norm(w)
-        if k + 1 < m:
-            if nb < 1e-14:
-                happy = k + 1
-                break
-            beta[k + 1] = nb
-            V[k + 1] = w / nb
+        if nb < 1e-14:
+            happy = k + 1
+            break
+        beta[k + 1] = nb
+        V[k + 1] = w / nb
     k_eff = happy
     T = np.diag(alpha[:k_eff]) + np.diag(beta[1:k_eff], 1) + np.diag(beta[1:k_eff], -1)
     evals, evecs = np.linalg.eigh(T)
@@ -180,13 +181,7 @@ def _lanczos_step(mat, v, dt, m):
     if happy < m:
         err = 0.0  # invariant subspace: the projected exponential is exact
     else:
-        w_last = mat @ V[m - 1]
-        res_beta = np.linalg.norm(
-            w_last
-            - alpha[m - 1] * V[m - 1]
-            - (beta[m - 1] * V[m - 2] if m > 1 else 0)
-        )
-        err = abs(res_beta * u[m - 1]) * abs(dt)
+        err = abs(np.linalg.norm(w) * u[m - 1]) * abs(dt)
     return result, err
 
 

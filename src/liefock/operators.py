@@ -22,6 +22,12 @@ ODD = 1
 DROP_TOL = 1e-14
 
 
+def within_hermitian_bound(defect, scale) -> bool:
+    """The one numeric Hermiticity rule: max|A - A^dagger| <= 1e-12 * max(max|A|, 1).
+    A NaN defect or scale fails it."""
+    return defect <= 1e-12 * max(scale, 1.0)
+
+
 def _drop_small(mat: sparse.csr_matrix) -> sparse.csr_matrix:
     mat = mat.tocsr()
     mat.eliminate_zeros()
@@ -107,10 +113,9 @@ class SparseOperator:
         return float(np.max(np.abs(d.data))) if d.nnz else 0.0
 
     def is_hermitian(self) -> bool:
-        """The numeric Hermiticity test every caller applies:
-        max|A - A^dagger| <= 1e-12 * max(max|A|, 1). The `hermitian` flag
-        only records what the constructor was told."""
-        return self.hermiticity_defect() <= 1e-12 * max(self.max_norm(), 1.0)
+        """`within_hermitian_bound` of max|A - A^dagger| and max|A|. The
+        `hermitian` flag only records what the constructor was told."""
+        return within_hermitian_bound(self.hermiticity_defect(), self.max_norm())
 
     def is_diagonal(self, rel_tol=1e-12) -> bool:
         off = self.mat - sparse.diags(self.mat.diagonal())
@@ -324,21 +329,9 @@ def graded_commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
 
 
 def frobenius_inner(a, b) -> complex:
-    """trace(a^dagger b) of two operators, or of two CSR blocks of one shape.
-
-    Blocks laid on one CSR pattern (equal index arrays, explicit zeros
-    allowed) reduce to a dot product of their data arrays. The patterns are
-    compared as bytes, which for short index arrays costs a fraction of an
-    elementwise comparison.
-    """
+    """trace(a^dagger b) of two operators, or of two sparse blocks of one shape."""
     a = a.mat if isinstance(a, SparseOperator) else a
     b = b.mat if isinstance(b, SparseOperator) else b
-    if (
-        a.shape == b.shape
-        and a.indptr.tobytes() == b.indptr.tobytes()
-        and a.indices.tobytes() == b.indices.tobytes()
-    ):
-        return complex(np.vdot(a.data, b.data))
     return complex(a.conj().multiply(b).sum())
 
 

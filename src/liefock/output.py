@@ -40,8 +40,14 @@ def grid_csv_bytes(grid) -> bytes:
     return b"".join([b"coord_a,coord_b,weight,value\n", *rows])
 
 
+def json_text(payload) -> str:
+    """The one JSON spelling of every JSON file and of the CLI's JSON
+    reports: one-space indent, sorted keys, a final newline."""
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
 def write_json(path, payload):
-    data = (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
+    data = json_text(payload).encode()
     with open(path, "wb") as fh:
         fh.write(data)
     return data

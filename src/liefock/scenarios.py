@@ -30,7 +30,7 @@ from .lattice import (
     system_graph,
 )
 from .operators import SparseOperator, linear_combination, number_op, transfer_op
-from .output import float_rows, grid_csv_bytes, heatmap_bytes, sha256_bytes, write_json
+from .output import float_rows, grid_csv_bytes, heatmap_bytes, json_text, sha256_bytes, write_json
 
 CONFIG_VERSION = 1
 
@@ -318,7 +318,7 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
     if config.kind == "closure_gallery":
         payload = closure_gallery_report()
         name = config.outputs.get("csv") or f"{config.name}.json"
-        pending.append((name, json.dumps(payload, indent=1, sort_keys=True).encode() + b"\n"))
+        pending.append((name, json_text(payload).encode()))
         return _finalize(config, out_dir, pending, started)
 
     basis, H, model, terms = build_system(config.system)
@@ -378,9 +378,7 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
 
     if "graph_json" in config.outputs:
         payload = graph_to_json_dict(graph, wl)
-        pending.append(
-            (config.outputs["graph_json"], json.dumps(payload, indent=1, sort_keys=True).encode() + b"\n")
-        )
+        pending.append((config.outputs["graph_json"], json_text(payload).encode()))
     if "adjacency_csv" in config.outputs:
         pending.append((config.outputs["adjacency_csv"], graph_to_adjacency_csv(graph).encode()))
 

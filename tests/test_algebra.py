@@ -18,6 +18,7 @@ from liefock import (
     verify_casimir,
     verify_model,
 )
+from liefock.algebra import CLOSURE_TOL
 from liefock.errors import DegenerateGeneratorsError
 from liefock.operators import ODD, linear_combination
 
@@ -220,6 +221,32 @@ def test_lmg_seed_exceeds_cap():
     report = lie_closure(ops, cap=64, interior=mask, labels=labels)
     assert not report.closed
     assert report.dimension > 64
+
+
+def test_nearly_dependent_seed_closes_within_tolerance():
+    # S+ with a 6.1e-5 admixture of S-, and a scaled Sz, on the interior
+    # [F, T, T]: the Gram matrix of the closed span has condition number
+    # 1.3e10, so its least-squares fit leaves residuals near 1.5e-8. The
+    # closure measures against an orthonormal span and keeps closed=True
+    # within CLOSURE_TOL; it once reported closed=True at 1.28e-8.
+    model = build_algebra("su2_spin", S=1)
+    sz, sp, sm = model.generators
+    seed = [linear_combination([sp, sm], [1.0, 6.1e-5]), linear_combination([sz], [0.0726])]
+    report = lie_closure(seed, cap=20, interior=np.array([False, True, True]))
+    assert report.closed and report.dimension == 3
+    assert report.iterations == [2, 3, 3] and report.added_labels == ["[g0,g1]"]
+    assert report.max_residual <= CLOSURE_TOL
+
+
+def test_closure_residual_is_relative_to_the_larger_norm():
+    # spin 1/2, seeds S+ and S- + Sz: [S+, S- + Sz] = 2 Sz - S+, whose part
+    # outside the span has norm sqrt(4/3) against ||v|| = sqrt(3) and
+    # ||S+|| ||S- + Sz|| = sqrt(3/2); the ratio 2/3 stays below tol = 0.9
+    sz, sp, sm = build_algebra("su2_spin", S=Fraction(1, 2)).generators
+    seed = [sp, linear_combination([sm, sz], [1.0, 1.0])]
+    report = lie_closure(seed, cap=3, tol=0.9)
+    assert report.closed and report.iterations == [2, 2]
+    assert report.max_residual == pytest.approx(2 / 3, rel=1e-12)
 
 
 def test_cap_smaller_than_seed_rejected():
@@ -499,6 +526,9 @@ def sparse_and_dense(seed, cap, graded, interior, labels):
     assert report.added_labels == added
     assert report.closed == closed
     assert report.dimension == dims[-1]
+    # the closed flag's promise: every bracket of the final round is inside
+    # the span to within the tolerance
+    assert not report.closed or report.max_residual <= CLOSURE_TOL
     gens = ops if closed else seed
     reference = _outcome(dense_structure_constants, gens, graded, interior)
     sc = _outcome(extract_structure_constants, gens, graded=graded, interior=interior)

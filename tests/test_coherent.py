@@ -392,3 +392,21 @@ def test_su3_angle_parametrization_normalized():
     basis = enumerate_basis([boson(5)] * 3, constraint=5)
     state = su3_coherent_state(5, zeta, basis)
     assert np.linalg.norm(state) == pytest.approx(1.0)
+
+
+def test_displacement_unitary_checks_the_pair_is_mutually_adjoint():
+    basis = enumerate_basis([boson(6)])
+    lower, raising = ladder_ops(basis, 0)
+    # within the bound: a defect of 1e-13 relative to the largest entry
+    nearly = SparseOperator(lower.mat * (1 + 1e-13))
+    U = displacement_unitary(raising, nearly, 0.3 + 0.2j)
+    assert np.allclose(U.conj().T @ U, np.eye(basis.dim), atol=1e-10)
+    # below max|A| = 1 the bound stays 1e-12: a defect of 2.4e-13 passes
+    displacement_unitary(raising, SparseOperator(lower.mat * (1 + 1e-11)), 0.01)
+    # outside it: the lowering partner is off by 1e-9 of the largest entry
+    off = SparseOperator(lower.mat * (1 + 1e-9))
+    with pytest.raises(ValueError, match="mutually adjoint"):
+        displacement_unitary(raising, off, 0.3 + 0.2j)
+    # not a pair at all: i * (0.3i R + 0.3i R) = -0.6 R
+    with pytest.raises(ValueError, match="mutually adjoint"):
+        displacement_unitary(raising, raising, 0.3j)

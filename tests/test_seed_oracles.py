@@ -15,6 +15,10 @@ The edge-array lattice graph is checked against the `Edge`-list graph it
 replaced (adjacency dicts, union-find components, dict BFS trees and one
 Python product per cycle) on random Hermitian sparse matrices: edges,
 components and cycle counts equal, every flux equal bit for bit.
+
+The Lanczos step is checked against the version that computed the last
+basis vector's matvec a second time for its error estimate: results and
+error estimates equal bit for bit.
 """
 
 from collections import deque
@@ -29,6 +33,7 @@ from scipy.special import gammaln, jv
 
 from liefock import FockBasis, boson, fermion, spin
 from liefock.fock import BOSON, FERMION
+from liefock.dynamics import _lanczos_step
 from liefock.coherent import HusimiGrid, husimi_cylinder, husimi_disk, husimi_plane, husimi_sphere
 from liefock.lattice import (
     FSLGraph,
@@ -884,3 +889,74 @@ def test_graph_of_hand_built_arrays_matches_oracle():
     assert rep.cycle_count == want[0] == 3
     assert same_bits(rep.fluxes, want[1]) and same_bits(rep.elementary_fluxes, want[2])
     assert (rep.class_values, rep.independent_classes) == (want[3], want[4])
+
+
+# ---------------------------------------------------------------------------
+# the Lanczos step that recomputed its last matvec
+# ---------------------------------------------------------------------------
+
+
+def oracle_lanczos_step(mat, v, dt, m):
+    n = v.shape[0]
+    m = min(m, n)
+    V = np.empty((m, n), dtype=complex)
+    alpha = np.zeros(m)
+    beta = np.zeros(m)  # beta[k] couples V[k-1], V[k]
+    V[0] = v
+    happy = m
+    for k in range(m):
+        w = mat @ V[k]
+        alpha[k] = np.real(np.vdot(V[k], w))
+        w = w - alpha[k] * V[k]
+        if k > 0:
+            w = w - beta[k] * V[k - 1]
+        for kk in range(k + 1):  # full reorthogonalization, subspace is small
+            w = w - np.vdot(V[kk], w) * V[kk]
+        nb = np.linalg.norm(w)
+        if k + 1 < m:
+            if nb < 1e-14:
+                happy = k + 1
+                break
+            beta[k + 1] = nb
+            V[k + 1] = w / nb
+    k_eff = happy
+    T = np.diag(alpha[:k_eff]) + np.diag(beta[1:k_eff], 1) + np.diag(beta[1:k_eff], -1)
+    evals, evecs = np.linalg.eigh(T)
+    u = evecs @ (np.exp(-1j * evals * dt) * evecs[0].conj())
+    result = u @ V[:k_eff]
+    if happy < m:
+        err = 0.0  # invariant subspace: the projected exponential is exact
+    else:
+        w_last = mat @ V[m - 1]
+        res_beta = np.linalg.norm(
+            w_last
+            - alpha[m - 1] * V[m - 1]
+            - (beta[m - 1] * V[m - 2] if m > 1 else 0)
+        )
+        err = abs(res_beta * u[m - 1]) * abs(dt)
+    return result, err
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hermitian_graphs(),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 30),
+    st.floats(1e-3, 5.0),
+    st.booleans(),
+)
+def test_lanczos_step_matches_oracle(case, seed, m, dt, localized):
+    """Random Hermitian sparse matrices; a start vector on one vertex of a
+    graph with several components stops at a happy breakdown."""
+    H, _ = case
+    rng = np.random.default_rng(seed)
+    if localized:
+        v = np.zeros(H.dim, dtype=complex)
+        v[rng.integers(H.dim)] = 1.0
+    else:
+        v = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
+        v /= np.linalg.norm(v)
+    got, got_err = _lanczos_step(H.mat, v, dt, m)
+    want, want_err = oracle_lanczos_step(H.mat, v, dt, m)
+    assert same_bits(got.view(float), want.view(float))
+    assert got_err == want_err
