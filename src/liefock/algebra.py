@@ -120,10 +120,13 @@ class StructureConstants:
 @dataclass
 class ClosureReport:
     """`max_residual` is the largest r / max(||[X_i, X_j}||, ||X_i|| ||X_j||)
-    over the brackets of the final round, r being the norm of a bracket's part
-    outside the orthonormal span, all on the interior block. That round adds
-    nothing, so `closed=True` implies `max_residual <= tol`; NaN when `closed`
-    is False (the span exceeded `cap`). No structure constants are fitted, so
+    over the brackets that were not added, r being the norm of a bracket's
+    part outside the orthonormal span it was tested against, all on the
+    interior block. Every pair is bracketed once, and the span only grows, so
+    each such ratio bounds that bracket's residual against the final span;
+    a bracket is added exactly when its ratio exceeds `tol`, so
+    `closed=True` implies `max_residual <= tol`. NaN when `closed` is False
+    (the span exceeded `cap`). No structure constants are fitted, so
     `lie_closure` never raises `DegenerateGeneratorsError`; for coefficients
     call `extract_structure_constants`, which keeps its conditioning checks.
     """
@@ -230,8 +233,11 @@ def lie_closure(
     labels=None,
     tol=CLOSURE_TOL,
 ) -> ClosureReport:
-    """Repeatedly bracket all pairs, adding independent directions until a
-    fixed point or until the span exceeds `cap`.
+    """Repeatedly bracket pairs, adding independent directions until a
+    fixed point or until the span exceeds `cap`. Each pair is bracketed
+    once: a round brackets only the pairs with a member that joined in the
+    previous round, since an older pair was tested against a smaller span
+    and the span only grows.
 
     When `graded`, odd-odd pairs use the anticommutator. `interior` is a
     boolean mask restricting the inner product to truncation-safe states.
@@ -251,12 +257,13 @@ def lie_closure(
             norms.append(norm)
     added = []
     dims = [len(span)]
+    worst = 0.0
+    start = 0  # ops[start:] joined in the previous round (the seed: all)
 
     while True:
-        worst = 0.0
         k = len(ops)
         for i in range(k):
-            for j in range(i + 1, k):
+            for j in range(max(i + 1, start), k):
                 br = _bracket(ops[i], ops[j], graded)
                 ratio = span.try_add(br, scale=norms[i] * norms[j], tol=tol)
                 if ratio > tol:
@@ -268,10 +275,12 @@ def lie_closure(
                     if len(span) > cap:
                         dims.append(len(span))
                         return ClosureReport(dims, False, len(span), cap, added, np.nan)
-                worst = max(worst, ratio)
+                else:
+                    worst = max(worst, ratio)
         dims.append(len(span))
         if len(span) == k:
             return ClosureReport(dims, True, len(span), cap, added, worst)
+        start = k
 
 
 def extract_structure_constants(

@@ -34,6 +34,7 @@ from .oracles import LADDER_KINDS, bloch, ladder_oracles, so5_manybody, so5_revi
 from .output import export_heatmap, grid_csv_bytes, json_text, write_json
 from .scenarios import (
     BUILTIN_SCENARIOS,
+    _check_system,
     build_basis,
     build_initial_state,
     build_system,
@@ -120,6 +121,7 @@ def _cmd_closure(args):
 def _cmd_lattice(args):
     with open(args.ham) as fh:
         system = json.load(fh)
+    _check_system(system)
     basis, H, model, terms = build_system(system)
     graph = system_graph(basis, H, model, terms, tol=args.tol)
     wl = None

@@ -205,16 +205,9 @@ def su3_coherent_state(N, zeta, basis: FockBasis = None) -> np.ndarray:
     zeta = zeta / norm
     if basis is None:
         basis = FockBasis([boson(N)] * 3, constraint=N)
-    out = np.zeros(basis.dim, dtype=complex)
-    logN = gammaln(N + 1)
-    for i, occ in enumerate(basis.states):
-        na, nb, nc = occ
-        log_mult = 0.5 * (logN - gammaln(na + 1) - gammaln(nb + 1) - gammaln(nc + 1))
-        term = np.exp(log_mult)
-        for z, p in zip(zeta, occ):
-            if p:
-                term = term * z**p
-        out[i] = term
+    log_fact = gammaln(basis.occ + 1)
+    log_mult = 0.5 * (gammaln(N + 1) - log_fact[:, 0] - log_fact[:, 1] - log_fact[:, 2])
+    out = np.exp(log_mult) * np.prod(zeta**basis.occ, axis=1)
     return out / np.linalg.norm(out)
 
 

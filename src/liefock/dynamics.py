@@ -2,9 +2,10 @@
 
 Two propagators: a dense eigendecomposition, computed afresh by every call
 (exact up to machine precision, dimension-capped at DENSE_LIMIT), and an
-adaptive short-iterate Lanczos exponential for larger problems. Both honor
-the unitarity contract | ||psi(t)|| - 1 | < 1e-10; a breach raises
-NumericContractError instead of silently renormalizing.
+adaptive short-iterate Lanczos exponential, one Krylov basis per accepted
+substep, for larger problems. The caller picks the method; DENSE_LIMIT is
+read here alone. Both honor the unitarity contract | ||psi(t)|| - 1 | < 1e-10;
+a breach raises NumericContractError instead of silently renormalizing.
 """
 
 from __future__ import annotations
@@ -52,13 +53,16 @@ def _check_hermitian(H: SparseOperator):
         )
 
 
+def _check_dense_size(H: SparseOperator):
+    """The one dense-size guard, shared by `spectrum` and dense evolution."""
+    if H.dim > DENSE_LIMIT:
+        raise ResourceGuardError(f"dimension {H.dim} exceeds the dense limit {DENSE_LIMIT}; use krylov")
+
+
 def spectrum(H: SparseOperator) -> np.ndarray:
     """Ascending eigenvalues (degeneracies repeated) of a Hermitian operator."""
     _check_hermitian(H)
-    if H.dim > DENSE_LIMIT:
-        raise ResourceGuardError(
-            f"dimension {H.dim} exceeds the dense eigensolver limit {DENSE_LIMIT}"
-        )
+    _check_dense_size(H)
     return np.sort(scipy.linalg.eigvalsh(H.toarray()))
 
 
@@ -68,8 +72,6 @@ def evolve(
     times,
     method="dense_eig",
     store="snapshots",
-    krylov_dim=KRYLOV_DIM,
-    krylov_tol=KRYLOV_TOL,
 ) -> EvolutionResult:
     """Propagate psi0 through exp(-i H t) on a strictly increasing time grid."""
     _check_hermitian(H)
@@ -85,10 +87,7 @@ def evolve(
         raise ValueError("time grid must be strictly increasing")
 
     if method == "dense_eig":
-        if H.dim > DENSE_LIMIT:
-            raise ResourceGuardError(
-                f"dimension {H.dim} exceeds the dense limit {DENSE_LIMIT}; use krylov"
-            )
+        _check_dense_size(H)
         energies, vectors = scipy.linalg.eigh(H.toarray())
         c0 = vectors.conj().T @ psi0
         coeffs = np.exp(-1j * np.outer(times, energies)) * c0  # (n_times, dim)
@@ -100,7 +99,7 @@ def evolve(
         for k, t in enumerate(times):
             dt = t - t_prev
             if dt > 0:
-                current = _krylov_propagate(H, current, dt, krylov_dim, krylov_tol)
+                current = _krylov_propagate(H, current, dt)
             snaps[k] = current
             t_prev = t
     else:
@@ -119,44 +118,45 @@ def evolve(
     return EvolutionResult(times, snaps, populations, norms, method)
 
 
-def _krylov_propagate(H: SparseOperator, v, dt, m, tol):
-    """Adaptive Lanczos exponential: substeps until the a-posteriori residual
-    estimate stays below tol per step."""
-    mat = H.mat
+def _krylov_propagate(H: SparseOperator, v, dt):
+    """Adaptive Lanczos exponential over dt in accepted substeps; h grows by
+    1.5 after a substep whose error estimate is below KRYLOV_TOL / 10."""
     remaining = float(dt)
     h = remaining
-    guard = 0
     while remaining > 1e-15 * abs(dt):
-        h = min(h, remaining)
-        w, err = _lanczos_step(mat, v, h, m)
-        if err > tol:
-            h *= 0.5
-            guard += 1
-            if guard > 60:
-                raise NumericContractError(
-                    "Krylov substepping failed to reach the local error target"
-                )
-            continue
-        v = w
+        v, h, err = _krylov_substep(H.mat, v, min(h, remaining))
         remaining -= h
-        if err < 0.1 * tol:
+        if err < 0.1 * KRYLOV_TOL:
             h *= 1.5
     return v
 
 
-def _lanczos_step(mat, v, dt, m):
-    """One exp(-i mat dt) v approximation in an m-dimensional Krylov space.
+def _krylov_substep(mat, v, h):
+    """One accepted substep from v on one Krylov basis: a step size whose
+    error estimate exceeds KRYLOV_TOL is halved and exponentiated on the same
+    basis, which does not depend on it; a 61st halving of one substep raises.
+    Returns (state, accepted h, error estimate)."""
+    basis = _krylov_basis(mat, v, KRYLOV_DIM)
+    for _ in range(61):
+        u, err = _krylov_step(basis, h)
+        if not err > KRYLOV_TOL:
+            return u @ basis[0], h, err
+        h *= 0.5
+    raise NumericContractError("Krylov substepping failed to reach the local error target")
 
-    Returns (result, error_estimate). Full reorthogonalization: the
-    subspace is small and the catalog problems are stiff enough to drift.
-    """
+
+def _krylov_basis(mat, v, m):
+    """The Krylov basis of v in at most m dimensions: (V, evals, evecs, res),
+    the orthonormal rows V, the eigendecomposition of the tridiagonal
+    projection T and the residual norm res, 0 on a happy breakdown. Full
+    reorthogonalization: the subspace is small and the catalog problems are
+    stiff enough to drift."""
     n = v.shape[0]
     m = min(m, n)
     V = np.empty((m, n), dtype=complex)
     alpha = np.zeros(m)
     beta = np.zeros(m)  # beta[k] couples V[k-1], V[k]
     V[0] = v
-    happy = m
     for k in range(m):
         w = mat @ V[k]
         alpha[k] = np.real(np.vdot(V[k], w))
@@ -164,25 +164,27 @@ def _lanczos_step(mat, v, dt, m):
         if k > 0:
             w = w - beta[k] * V[k - 1]
         if k + 1 == m:
-            break  # w is the residual direction of the error estimate
+            res = np.linalg.norm(w)  # w is the residual direction of the error estimate
+            break
         for kk in range(k + 1):  # full reorthogonalization, subspace is small
             w = w - np.vdot(V[kk], w) * V[kk]
         nb = np.linalg.norm(w)
         if nb < 1e-14:
-            happy = k + 1
+            m, res = k + 1, 0.0
             break
         beta[k + 1] = nb
         V[k + 1] = w / nb
-    k_eff = happy
-    T = np.diag(alpha[:k_eff]) + np.diag(beta[1:k_eff], 1) + np.diag(beta[1:k_eff], -1)
+    T = np.diag(alpha[:m]) + np.diag(beta[1:m], 1) + np.diag(beta[1:m], -1)
     evals, evecs = np.linalg.eigh(T)
-    u = evecs @ (np.exp(-1j * evals * dt) * evecs[0].conj())
-    result = u @ V[:k_eff]
-    if happy < m:
-        err = 0.0  # invariant subspace: the projected exponential is exact
-    else:
-        err = abs(np.linalg.norm(w) * u[m - 1]) * abs(dt)
-    return result, err
+    return V[:m], evals, evecs, res
+
+
+def _krylov_step(basis, h):
+    """Coefficients u of exp(-i mat h) v on the basis rows, and the local
+    error estimate |res u[-1]| h (0 after a happy breakdown)."""
+    _, evals, evecs, res = basis
+    u = evecs @ (np.exp(-1j * evals * h) * evecs[0].conj())
+    return u, abs(res * u[-1]) * abs(h)
 
 
 def expectation_series(result: EvolutionResult, op: SparseOperator):

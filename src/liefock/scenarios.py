@@ -9,8 +9,9 @@ cannot drift silently.
 from __future__ import annotations
 
 import json
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -18,8 +19,8 @@ import numpy as np
 
 from .algebra import build_algebra, lie_closure, lmg_seed, rabi_seed
 from .coherent import SPACES, CoherentParams, closed_form_state, husimi_chart
-from .dynamics import DENSE_LIMIT, evolve, expectation_series, fidelity_series
-from .errors import ConfigError, ResourceGuardError
+from .dynamics import evolve, expectation_series, fidelity_series
+from .errors import ConfigError
 from .fock import FockBasis, ModeSpec
 from .lattice import (
     WeightLattice,
@@ -117,31 +118,7 @@ def parse_config(payload) -> ScenarioConfig:
             raise ConfigError(f"missing required field {key!r}", field=key)
 
     system = payload["system"]
-    if "algebra" in system:
-        _require_keys(system, {"algebra", "terms"}, {"algebra", "terms"}, "system")
-        _require_keys(system["algebra"], {"name", "params"}, {"name"}, "system.algebra")
-        for k, term in enumerate(system["terms"]):
-            _require_keys(term, {"label", "coeff", "phase"}, {"label", "coeff"}, f"system.terms[{k}]")
-            _check_real(term["coeff"], f"system.terms[{k}].coeff")
-    elif "basis" in system:
-        _require_keys(system, {"basis", "bilinears", "weights"}, {"basis", "bilinears"}, "system")
-        _require_keys(system["basis"], {"modes", "constraint"}, {"modes"}, "system.basis")
-        for k, row in enumerate(system.get("weights", [])):
-            if len(row) != len(system["basis"]["modes"]):
-                raise ConfigError(
-                    "each weight row needs one rational entry per mode",
-                    field=f"system.weights[{k}]",
-                )
-        for k, spec in enumerate(system["basis"]["modes"]):
-            _require_keys(spec, {"kind", "capacity"}, {"kind", "capacity"}, f"system.basis.modes[{k}]")
-        for k, term in enumerate(system["bilinears"]):
-            _require_keys(
-                term, {"create", "annihilate", "coeff", "phase"}, {"create", "annihilate", "coeff"},
-                f"system.bilinears[{k}]",
-            )
-            _check_real(term["coeff"], f"system.bilinears[{k}].coeff")
-    else:
-        raise ConfigError("system must contain either 'algebra'+'terms' or 'basis'+'bilinears'", field="system")
+    _check_system(system)
 
     state = payload["initial_state"]
     _require_keys(state, {"fock", "coherent", "amplitudes"}, set(), "initial_state")
@@ -206,9 +183,44 @@ def parse_config(payload) -> ScenarioConfig:
     )
 
 
+def _check_system(system):
+    """Validate a system spec, algebra+terms or basis+bilinears: a malformed
+    one raises ConfigError naming the field."""
+    if isinstance(system, dict) and "algebra" in system:
+        _require_keys(system, {"algebra", "terms"}, {"algebra", "terms"}, "system")
+        _require_keys(system["algebra"], {"name", "params"}, {"name"}, "system.algebra")
+        if not isinstance(system["algebra"].get("params", {}), dict):
+            raise ConfigError("expected an object", field="system.algebra.params")
+        terms, path, fields = system["terms"], "system.terms", {"label", "coeff", "phase"}
+    elif isinstance(system, dict) and "basis" in system:
+        _require_keys(system, {"basis", "bilinears", "weights"}, {"basis", "bilinears"}, "system")
+        _require_keys(system["basis"], {"modes", "constraint"}, {"modes"}, "system.basis")
+        modes = _require_list(system["basis"]["modes"], "system.basis.modes")
+        for k, spec in enumerate(modes):
+            _require_keys(spec, {"kind", "capacity"}, {"kind", "capacity"}, f"system.basis.modes[{k}]")
+        for k, row in enumerate(_require_list(system.get("weights", []), "system.weights")):
+            if len(_require_list(row, f"system.weights[{k}]")) != len(modes):
+                raise ConfigError("each weight row needs one rational entry per mode", field=f"system.weights[{k}]")
+        terms, path, fields = system["bilinears"], "system.bilinears", {"create", "annihilate", "coeff", "phase"}
+    else:
+        raise ConfigError("system must contain either 'algebra'+'terms' or 'basis'+'bilinears'", field="system")
+    for k, term in enumerate(_require_list(terms, path)):
+        _require_keys(term, fields, fields - {"phase"}, f"{path}[{k}]")
+        for key in ("coeff", "phase"):
+            _check_real(term.get(key, 0.0), f"{path}[{k}].{key}")
+        if not isinstance(term.get("label", ""), str):
+            raise ConfigError("expected a string", field=f"{path}[{k}].label")
+
+
+def _require_list(obj, path):
+    if not isinstance(obj, list):
+        raise ConfigError("expected a list", field=path)
+    return obj
+
+
 def _check_real(value, path):
     if not isinstance(value, (int, float)) or isinstance(value, bool) or not np.isfinite(value):
-        raise ConfigError("coefficient must be a finite real number", field=path)
+        raise ConfigError("expected a finite real number", field=path)
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +311,11 @@ class RunArchive:
     wall_clock_seconds: float
 
     def to_dict(self):
-        return {
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "outputs": self.outputs,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        return asdict(self)
 
 
 def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
     """Assemble, evolve, and persist. All files are written at the end."""
-    import os
-
     started = time.monotonic()
     os.makedirs(out_dir, exist_ok=True)
     pending = []  # (filename, bytes) written by a single writer at the end
@@ -322,11 +327,6 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
         return _finalize(config, out_dir, pending, started)
 
     basis, H, model, terms = build_system(config.system)
-    if H.dim > DENSE_LIMIT and config.method == "dense_eig":
-        raise ResourceGuardError(
-            f"dense evolution of dimension {H.dim} exceeds the limit {DENSE_LIMIT}; "
-            "select the krylov method explicitly"
-        )
     psi0 = build_initial_state(config.initial_state, basis)
     times = np.linspace(config.times["start"], config.times["stop"], config.times["num"])
     if config.times["num"] == 1:
@@ -447,8 +447,6 @@ def _weight_grid(populations_at_t, wl):
 
 
 def _finalize(config, out_dir, pending, started):
-    import os
-
     outputs = []
     for name, blob in pending:
         path = os.path.join(out_dir, name)
@@ -536,15 +534,11 @@ def su2_transport(S=50, J0=1.0, num=241):
     )
 
 
-def su3_center_release(N=90, phi=0.0, J=1.0, t_snap=0.3, method=None):
+def su3_center_release(N=90, phi=0.0, J=1.0, t_snap=0.3, method="krylov"):
     """Center-site release on the triangular lattice, with and without the
     staggered flux; exports the graph and a snapshot heatmap."""
     if N % 3:
         raise ConfigError("su3_center_release needs N divisible by 3 for the center start")
-    if method is None:
-        from math import comb
-
-        method = "dense_eig" if comb(N + 2, 2) <= DENSE_LIMIT else "krylov"
     return parse_config(
         {
             "version": 1,
@@ -572,7 +566,7 @@ def su3_center_release(N=90, phi=0.0, J=1.0, t_snap=0.3, method=None):
     )
 
 
-def so5_quench(N=20, phi=0.0, J1=1.0, J2=1.0, start="corner", t_snap=1.0, form="six_bond", method=None):
+def so5_quench(N=20, phi=0.0, J1=1.0, J2=1.0, start="corner", t_snap=1.0, form="six_bond", method="krylov"):
     """Four-mode square-lattice snapshots rendered as a fourth-root heatmap.
 
     form='six_bond' uses the six-bond Hamiltonian; form='roots' uses the
@@ -587,10 +581,6 @@ def so5_quench(N=20, phi=0.0, J1=1.0, J2=1.0, start="corner", t_snap=1.0, form="
     }
     if start not in starts:
         raise ConfigError(f"unknown start {start!r}", field="extra.start")
-    if method is None:
-        from math import comb
-
-        method = "dense_eig" if comb(N + 3, 3) <= DENSE_LIMIT else "krylov"
     if form == "six_bond":
         system = {
             "basis": {

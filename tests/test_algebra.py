@@ -238,6 +238,43 @@ def test_nearly_dependent_seed_closes_within_tolerance():
     assert report.max_residual <= CLOSURE_TOL
 
 
+def test_closure_brackets_each_pair_once(monkeypatch):
+    # su3 from I+, U+ and V- closes in three rounds; a round brackets
+    # only the pairs with a member from the previous round, so every pair
+    # of the closed span is bracketed exactly once
+    from liefock import algebra
+
+    model = build_algebra("su3_schwinger", N=3)
+    seed = [model.generator(lab) for lab in ("I+", "U+", "V-")]
+    pairs = []
+    bracket = algebra._bracket
+
+    def counting_bracket(a, b, graded):
+        pairs.append(frozenset((id(a), id(b))))
+        return bracket(a, b, graded)
+
+    monkeypatch.setattr(algebra, "_bracket", counting_bracket)
+    report = lie_closure(seed, cap=20)
+    assert report.closed and report.iterations == [3, 6, 8, 8]
+    assert len(pairs) == len(set(pairs)) == 8 * 7 // 2
+    assert report.max_residual <= CLOSURE_TOL
+
+
+def test_closure_residual_keeps_brackets_left_out_in_earlier_rounds():
+    # su3 N=1 at tol 0.2: a bracket left out in an early round at ratio
+    # 0.11 is not bracketed again, and the final round's brackets lie inside
+    # to round-off; max_residual still reports the earlier ratio
+    model = build_algebra("su3_schwinger", N=1)
+    gen = dict(zip(model.labels, model.generators))
+    seed = [
+        linear_combination([gen["I-"], gen["V+"]], [2.0, -2.0]),
+        linear_combination([gen["H2"], gen["I+"], gen["U-"], gen["V+"]], [-1.0, 2.0, -1.0, 1.0]),
+    ]
+    report = lie_closure(seed, cap=20, tol=0.2)
+    assert report.closed and report.iterations == [2, 3, 5, 7, 8, 8]
+    assert 0.1 < report.max_residual <= 0.2
+
+
 def test_closure_residual_is_relative_to_the_larger_norm():
     # spin 1/2, seeds S+ and S- + Sz: [S+, S- + Sz] = 2 Sz - S+, whose part
     # outside the span has norm sqrt(4/3) against ||v|| = sqrt(3) and

@@ -286,6 +286,42 @@ def test_cli_lattice_and_husimi(tmp_path, capsys):
     assert (tmp_path / "q.csv").exists() and (tmp_path / "q.pgm").exists()
 
 
+@pytest.mark.parametrize(
+    "spec,field",
+    [
+        (
+            {"algebra": "su2_spin", "terms": [{"label": "S+", "coeff": 1.0}]},
+            "system.algebra",
+        ),
+        (
+            {
+                "algebra": {"name": "su2_spin", "params": {"S": 1}},
+                "terms": [{"label": "S+", "coeff": "1.0"}, {"label": "S-", "coeff": 1.0}],
+            },
+            "system.terms[0].coeff",
+        ),
+        (
+            {"algebra": {"name": "su2_spin", "params": {"S": 1}}, "terms": [{"label": ["S+"], "coeff": 1.0}]},
+            "system.terms[0].label",
+        ),
+        (
+            {
+                "basis": {"modes": [{"kind": "boson", "capacity": 2}] * 2},
+                "bilinears": [{"create": 0, "annihilate": 1, "coeff": 1.0, "phase": "pi"}],
+            },
+            "system.bilinears[0].phase",
+        ),
+    ],
+)
+def test_cli_lattice_rejects_malformed_spec(tmp_path, capsys, spec, field):
+    ham = tmp_path / "sys.json"
+    ham.write_text(json.dumps(spec))
+    assert main(["lattice", "--ham", str(ham)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(field: {field})" in err
+    assert "Traceback" not in err
+
+
 def test_cli_husimi_disk_default_k(tmp_path, capsys):
     # the default k = 1/4 lies below the k > 1/2 normalizable range
     amp = np.zeros(25)

@@ -1,8 +1,11 @@
 """Byte-exact outputs pinned by SHA-256.
 
-The cases avoid BLAS-dependent numbers: lattice exports hold generator
-matrix elements, onsite energies and weight coordinates only, and of the
-quench CSV only the header line (the site keys) is pinned.
+The lattice cases avoid BLAS-dependent numbers: lattice exports hold
+generator matrix elements, onsite energies and weight coordinates only, and
+of the quench CSV only the header line (the site keys) is pinned. The Krylov
+scenario CSV is the exception: it pins every float of an adaptive Lanczos
+run that rejects step sizes, so it holds for the BLAS kernels it was
+recorded with (OpenBLAS, x86-64).
 """
 
 import hashlib
@@ -39,6 +42,22 @@ GOLDEN_FLUXES = {
     "so5": "495893558af29acb8bb06e1ee392043c74a43b29a230b6490a5a1e75df5e75f4",
 }
 SO5_QUENCH_HEADER = "a3a923e3dcd1c83d9185c89ef9f17205f62ac6340c1e2eec21e9c817bcc3ab91"
+# a spin-20 chain from the top state over t = 0, 1, 2, 3: 21 Lanczos step
+# sizes tried, 9 of them rejected
+SU2_KRYLOV = {
+    "version": 1,
+    "name": "su2_krylov",
+    "system": {
+        "algebra": {"name": "su2_spin", "params": {"S": 20}},
+        "terms": [{"label": "S+", "coeff": 1.0}, {"label": "S-", "coeff": 1.0}],
+    },
+    "initial_state": {"fock": [40]},
+    "times": {"start": 0.0, "stop": 3.0, "num": 4},
+    "evolve": {"method": "krylov"},
+    "observables": [{"name": "Sz", "generator": "Sz"}],
+    "outputs": {"csv": "su2_krylov.csv", "site_populations": True},
+}
+SU2_KRYLOV_CSV = "66f75a627896731ce3cd25a3456ab309ebdd3386162d9b687af7caec6ff1b08d"
 
 
 def sha256(data):
@@ -70,3 +89,10 @@ def test_so5_quench_site_key_header(tmp_path, capsys):
         header = fh.readline()
     assert header.startswith(b"t,fidelity,norm,P(-6,0),P(-11/2,-1/2),")
     assert sha256(header) == SO5_QUENCH_HEADER
+
+
+def test_krylov_scenario_csv_bytes(tmp_path, capsys):
+    config = tmp_path / "su2_krylov.json"
+    config.write_text(json.dumps(SU2_KRYLOV))
+    assert main(["--out-dir", str(tmp_path), "scenario", "run", "--config", str(config)]) == 0
+    assert sha256((tmp_path / "su2_krylov.csv").read_bytes()) == SU2_KRYLOV_CSV

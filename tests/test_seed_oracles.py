@@ -16,9 +16,16 @@ replaced (adjacency dicts, union-find components, dict BFS trees and one
 Python product per cycle) on random Hermitian sparse matrices: edges,
 components and cycle counts equal, every flux equal bit for bit.
 
-The Lanczos step is checked against the version that computed the last
+The Krylov basis (`_krylov_basis`, built once per accepted substep) is checked
+against the Lanczos step that rebuilt the basis for every attempted step
+size and against the earlier version of that step, which computed the last
 basis vector's matvec a second time for its error estimate: results and
-error estimates equal bit for bit.
+error estimates equal bit for bit. Krylov evolution is checked bit for bit
+against the propagator that retried a rejected step through a rebuild.
+
+The array-expression SU(3) coherent state is checked against its per-state
+loop to within 1e-15 * max|ref|: the two multiply the factors in a
+different order.
 """
 
 from collections import deque
@@ -31,10 +38,17 @@ import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln, jv
 
-from liefock import FockBasis, boson, fermion, spin
+from liefock import FockBasis, boson, dynamics, fermion, spin
 from liefock.fock import BOSON, FERMION
-from liefock.dynamics import _lanczos_step
-from liefock.coherent import HusimiGrid, husimi_cylinder, husimi_disk, husimi_plane, husimi_sphere
+from liefock.dynamics import KRYLOV_DIM, KRYLOV_TOL, _krylov_basis, _krylov_step, evolve
+from liefock.coherent import (
+    HusimiGrid,
+    husimi_cylinder,
+    husimi_disk,
+    husimi_plane,
+    husimi_sphere,
+    su3_coherent_state,
+)
 from liefock.lattice import (
     FSLGraph,
     WeightLattice,
@@ -44,6 +58,7 @@ from liefock.lattice import (
     connected_components,
     plaquette_fluxes,
 )
+from liefock.errors import NumericContractError
 from liefock.operators import EVEN, ODD, SparseOperator, diagonal_op, ladder_ops, transfer_op
 from liefock.output import grid_csv_bytes
 from liefock.scenarios import _weights_from_linear_forms, _weights_from_occupations
@@ -892,7 +907,7 @@ def test_graph_of_hand_built_arrays_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
-# the Lanczos step that recomputed its last matvec
+# the Lanczos steps that rebuilt the basis for every attempted step size
 # ---------------------------------------------------------------------------
 
 
@@ -937,6 +952,95 @@ def oracle_lanczos_step(mat, v, dt, m):
     return result, err
 
 
+def oracle_lanczos_attempt(mat, v, dt, m):
+    """One exp(-i mat dt) v approximation in an m-dimensional Krylov space.
+
+    Returns (result, error_estimate). Full reorthogonalization: the
+    subspace is small and the catalog problems are stiff enough to drift.
+    """
+    n = v.shape[0]
+    m = min(m, n)
+    V = np.empty((m, n), dtype=complex)
+    alpha = np.zeros(m)
+    beta = np.zeros(m)  # beta[k] couples V[k-1], V[k]
+    V[0] = v
+    happy = m
+    for k in range(m):
+        w = mat @ V[k]
+        alpha[k] = np.real(np.vdot(V[k], w))
+        w = w - alpha[k] * V[k]
+        if k > 0:
+            w = w - beta[k] * V[k - 1]
+        if k + 1 == m:
+            break  # w is the residual direction of the error estimate
+        for kk in range(k + 1):  # full reorthogonalization, subspace is small
+            w = w - np.vdot(V[kk], w) * V[kk]
+        nb = np.linalg.norm(w)
+        if nb < 1e-14:
+            happy = k + 1
+            break
+        beta[k + 1] = nb
+        V[k + 1] = w / nb
+    k_eff = happy
+    T = np.diag(alpha[:k_eff]) + np.diag(beta[1:k_eff], 1) + np.diag(beta[1:k_eff], -1)
+    evals, evecs = np.linalg.eigh(T)
+    u = evecs @ (np.exp(-1j * evals * dt) * evecs[0].conj())
+    result = u @ V[:k_eff]
+    if happy < m:
+        err = 0.0  # invariant subspace: the projected exponential is exact
+    else:
+        err = abs(np.linalg.norm(w) * u[m - 1]) * abs(dt)
+    return result, err
+
+
+def oracle_krylov_propagate(H, v, dt, m, tol):
+    """Adaptive Lanczos exponential: substeps until the a-posteriori residual
+    estimate stays below tol per step."""
+    mat = H.mat
+    remaining = float(dt)
+    h = remaining
+    guard = 0
+    while remaining > 1e-15 * abs(dt):
+        h = min(h, remaining)
+        w, err = oracle_lanczos_attempt(mat, v, h, m)
+        if err > tol:
+            h *= 0.5
+            guard += 1
+            if guard > 60:
+                raise NumericContractError(
+                    "Krylov substepping failed to reach the local error target"
+                )
+            continue
+        v = w
+        remaining -= h
+        if err < 0.1 * tol:
+            h *= 1.5
+    return v
+
+
+def oracle_krylov_evolve(H, psi0, times):
+    """The snapshots of `evolve(..., method="krylov")` through the oracle."""
+    snaps = np.empty((len(times), H.dim), dtype=complex)
+    current = np.asarray(psi0, dtype=complex)
+    t_prev = 0.0
+    for k, t in enumerate(times):
+        dt = t - t_prev
+        if dt > 0:
+            current = oracle_krylov_propagate(H, current, dt, KRYLOV_DIM, KRYLOV_TOL)
+        snaps[k] = current
+        t_prev = t
+    return snaps
+
+
+def random_start(rng, dim, localized):
+    if localized:
+        v = np.zeros(dim, dtype=complex)
+        v[rng.integers(dim)] = 1.0
+        return v
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     hermitian_graphs(),
@@ -949,14 +1053,110 @@ def test_lanczos_step_matches_oracle(case, seed, m, dt, localized):
     """Random Hermitian sparse matrices; a start vector on one vertex of a
     graph with several components stops at a happy breakdown."""
     H, _ = case
-    rng = np.random.default_rng(seed)
-    if localized:
-        v = np.zeros(H.dim, dtype=complex)
-        v[rng.integers(H.dim)] = 1.0
-    else:
-        v = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
-        v /= np.linalg.norm(v)
-    got, got_err = _lanczos_step(H.mat, v, dt, m)
-    want, want_err = oracle_lanczos_step(H.mat, v, dt, m)
+    v = random_start(np.random.default_rng(seed), H.dim, localized)
+    basis = _krylov_basis(H.mat, v, m)
+    u, got_err = _krylov_step(basis, dt)
+    got = u @ basis[0]
+    for oracle in (oracle_lanczos_attempt, oracle_lanczos_step):
+        want, want_err = oracle(H.mat, v, dt, m)
+        assert same_bits(got.view(float), want.view(float))
+        assert got_err == want_err
+
+
+@st.composite
+def krylov_problems(draw):
+    """A random Hermitian sparse matrix larger than the Krylov dimension,
+    a start vector, and a time grid whose spacings are long enough for the
+    first step sizes to be rejected."""
+    n = draw(st.integers(KRYLOV_DIM + 1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chain = sparse.diags(rng.uniform(0.5, 2.0, n - 1) * np.exp(1j * rng.uniform(-np.pi, np.pi, n - 1)), 1)
+    extra = sparse.random(n, n, density=draw(st.floats(0.0, 0.05)), random_state=rng, format="csr")
+    upper = sparse.triu(chain + extra.astype(complex), k=1)
+    H = (upper + upper.conj().T + sparse.diags(rng.normal(size=n))).tocsr()
+    psi0 = random_start(rng, n, draw(st.booleans()))
+    steps = draw(st.lists(st.floats(0.5, 6.0), min_size=1, max_size=4))
+    start = draw(st.sampled_from([0.0, 0.3]))
+    return SparseOperator(H, hermitian=True), psi0, start + np.cumsum(steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(krylov_problems())
+def test_krylov_evolution_matches_rebuilding_oracle(case):
+    H, psi0, times = case
+    got = evolve(H, psi0, times, method="krylov").snapshots
+    assert same_bits(got.view(float), oracle_krylov_evolve(H, psi0, times).view(float))
+
+
+def test_one_krylov_basis_per_accepted_substep(monkeypatch):
+    """A spin-20 chain over t = 1, 2, 3 rejects several step sizes; the
+    basis is still built once per accepted substep."""
+    from liefock.algebra import build_algebra
+    from liefock.operators import linear_combination
+
+    model = build_algebra("su2_spin", S=20)
+    H = linear_combination([model.generator("S+"), model.generator("S-")], [1.0, 1.0])
+    psi0 = model.basis.vector((40,))
+    times = np.array([1.0, 2.0, 3.0])
+
+    attempts = []
+    attempt = oracle_lanczos_attempt
+
+    def counting_attempt(mat, v, dt, m):
+        result, err = attempt(mat, v, dt, m)
+        attempts.append(err > KRYLOV_TOL)
+        return result, err
+
+    builds = []
+
+    def counting_basis(mat, v, m):
+        builds.append(m)
+        return _krylov_basis(mat, v, m)
+
+    monkeypatch.setitem(globals(), "oracle_lanczos_attempt", counting_attempt)
+    monkeypatch.setattr(dynamics, "_krylov_basis", counting_basis)
+    got = evolve(H, psi0, times, method="krylov").snapshots
+    want = oracle_krylov_evolve(H, psi0, times)
     assert same_bits(got.view(float), want.view(float))
-    assert got_err == want_err
+    rejected = sum(attempts)
+    assert rejected > 0
+    assert len(builds) == len(attempts) - rejected
+
+
+# ---------------------------------------------------------------------------
+# the per-state SU(3) coherent state
+# ---------------------------------------------------------------------------
+
+
+def oracle_su3_coherent_state(N, zeta, basis):
+    zeta = np.asarray(zeta, dtype=complex)
+    zeta = zeta / np.linalg.norm(zeta)
+    out = np.zeros(basis.dim, dtype=complex)
+    logN = gammaln(N + 1)
+    for i, occ in enumerate(basis.states):
+        na, nb, nc = occ
+        log_mult = 0.5 * (logN - gammaln(na + 1) - gammaln(nb + 1) - gammaln(nc + 1))
+        term = np.exp(log_mult)
+        for z, p in zip(zeta, occ):
+            if p:
+                term = term * z**p
+        out[i] = term
+    return out / np.linalg.norm(out)
+
+
+component = st.one_of(
+    st.just(0j),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False, allow_subnormal=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.tuples(component, component, component).filter(lambda z: any(abs(c) > 1e-3 for c in z)),
+)
+def test_su3_coherent_state_matches_per_state_loop(N, zeta):
+    basis = FockBasis([boson(N)] * 3, constraint=N)
+    want = oracle_su3_coherent_state(N, zeta, basis)
+    got = su3_coherent_state(N, zeta, basis)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
