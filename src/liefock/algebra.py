@@ -29,7 +29,6 @@ import scipy.sparse as sparse
 from .errors import DegenerateGeneratorsError
 from .fock import FockBasis, boson, fermion, spin
 from .operators import (
-    EVEN,
     ODD,
     SparseOperator,
     diagonal_op,
@@ -63,7 +62,6 @@ class AlgebraModel:
     cartan: list
     root_pairs: list
     cartan_units: tuple
-    graded: bool = False
     annihilators: list = field(default_factory=list)
     casimirs: dict = field(default_factory=dict)
     truncated_modes: tuple = ()
@@ -100,7 +98,8 @@ class StructureConstants:
 
     `f` rescales to the convention [X_a, X_b] = i f_ab^c X_c. `residuals`
     holds the per-pair relative norm of the part of the bracket outside the
-    generator span; `closed` is true when the largest residual is below 1e-10.
+    generator span; `closed` is true when the largest residual is at most
+    `CLOSURE_TOL` (1e-10), the threshold `lie_closure` uses.
     """
 
     labels: list
@@ -176,13 +175,6 @@ def _interior_and_labels(ops, interior, labels):
     return idx, labels if labels is not None else [f"g{i}" for i in range(len(ops))]
 
 
-def _bracket(a, b, graded):
-    """[a, b}: the graded bracket when `graded`, else the plain commutator."""
-    if graded:
-        return graded_commutator(a, b)
-    return SparseOperator(a.mat @ b.mat - b.mat @ a.mat, grade=a.grade ^ b.grade)
-
-
 class _Span:
     """Orthonormal span of operators under the interior trace inner product.
 
@@ -228,7 +220,6 @@ class _Span:
 def lie_closure(
     seed,
     cap,
-    graded=False,
     interior=None,
     labels=None,
     tol=CLOSURE_TOL,
@@ -239,8 +230,9 @@ def lie_closure(
     previous round, since an older pair was tested against a smaller span
     and the span only grows.
 
-    When `graded`, odd-odd pairs use the anticommutator. `interior` is a
-    boolean mask restricting the inner product to truncation-safe states.
+    Pairs are bracketed by `graded_commutator`, so two odd operators give
+    their anticommutator, labelled {a,b}. `interior` is a boolean mask
+    restricting the inner product to truncation-safe states.
     """
     seed = list(seed)
     if cap < len(seed):
@@ -264,10 +256,10 @@ def lie_closure(
         k = len(ops)
         for i in range(k):
             for j in range(max(i + 1, start), k):
-                br = _bracket(ops[i], ops[j], graded)
+                br = graded_commutator(ops[i], ops[j])
                 ratio = span.try_add(br, scale=norms[i] * norms[j], tol=tol)
                 if ratio > tol:
-                    both_odd = graded and ops[i].grade == ODD and ops[j].grade == ODD
+                    both_odd = ops[i].grade == ODD and ops[j].grade == ODD
                     ops.append(br)
                     names.append(("{%s,%s}" if both_odd else "[%s,%s]") % (names[i], names[j]))
                     norms.append(_norm(br.block(idx)))
@@ -283,10 +275,8 @@ def lie_closure(
         start = k
 
 
-def extract_structure_constants(
-    gens, graded=False, interior=None, labels=None
-) -> StructureConstants:
-    """Least-squares projection of every pairwise (graded) bracket onto the
+def extract_structure_constants(gens, interior=None, labels=None) -> StructureConstants:
+    """Least-squares projection of every pairwise `graded_commutator` onto the
     generator span under the interior trace inner product."""
     gens = list(gens)
     if len(gens) < 2:
@@ -311,7 +301,7 @@ def extract_structure_constants(
     norms = np.linalg.norm(rows, axis=1)
     for a in range(n):
         for b in range(a + 1, n):
-            v = _bracket(gens[a], gens[b], graded).block(idx)
+            v = graded_commutator(gens[a], gens[b]).block(idx)
             nv = _norm(v)
             if nv <= 1e-13 * norms[a] * norms[b]:
                 continue
@@ -323,12 +313,12 @@ def extract_structure_constants(
             inside = np.linalg.norm(v - lam @ rows)
             coeffs[a, b] = lam
             residuals[a, b] = np.hypot(inside, outside) / nv
-            both_odd = graded and gens[a].grade == ODD and gens[b].grade == ODD
+            both_odd = gens[a].grade == ODD and gens[b].grade == ODD
             sign = 1.0 if both_odd else -1.0
             coeffs[b, a] = sign * lam
             residuals[b, a] = residuals[a, b]
     return StructureConstants(
-        labels, coeffs, residuals, bool(np.max(residuals) < 1e-10)
+        labels, coeffs, residuals, bool(np.max(residuals) <= CLOSURE_TOL)
     )
 
 
@@ -407,7 +397,6 @@ def verify_model(model: AlgebraModel, window=DEFAULT_BOUNDARY_WINDOW, closure_ca
     report = lie_closure(
         model.generators,
         cap=cap,
-        graded=model.graded,
         interior=model.interior(window),
         labels=list(model.labels),
     )
@@ -459,14 +448,14 @@ def _e2(L=21):
     basis = FockBasis([boson(L - 1)])
     offset = (L - 1) // 2
     sites = np.arange(L) - offset
-    e0 = diagonal_op(sites.astype(float), hermitian=True, rational=(sites, 1))
+    e0 = diagonal_op(sites.astype(float), rational=(sites, 1))
     rows = np.arange(1, L)
     cols = np.arange(0, L - 1)
     ep = SparseOperator(
         sparse.csr_matrix((np.ones(L - 1, dtype=complex), (rows, cols)), shape=(L, L))
     )
     em = ep.dagger()
-    casimir = SparseOperator(ep.mat @ em.mat, hermitian=True)
+    casimir = SparseOperator(ep.mat @ em.mat)
     return AlgebraModel(
         name="e2",
         params={"L": L},
@@ -511,10 +500,8 @@ def _su2_spin(S=1):
     sm, sp_ = ladder_ops(basis, 0)
     s = spec.spin_s
     two_m = 2 * np.arange(spec.levels) - spec.capacity
-    sz = diagonal_op(two_m / 2, hermitian=True, rational=(two_m, 2))
-    s2 = SparseOperator(
-        sz.mat @ sz.mat + 0.5 * (sp_.mat @ sm.mat + sm.mat @ sp_.mat), hermitian=True
-    )
+    sz = diagonal_op(two_m / 2, rational=(two_m, 2))
+    s2 = SparseOperator(sz.mat @ sz.mat + 0.5 * (sp_.mat @ sm.mat + sm.mat @ sp_.mat))
     return AlgebraModel(
         name="su2_spin",
         params={"S": s},
@@ -536,13 +523,11 @@ def _su2_schwinger(N=4):
     na = basis.occupations_of_mode(0)
     nb = basis.occupations_of_mode(1)
     two_sz = na - nb
-    sz = diagonal_op(two_sz / 2, hermitian=True, rational=(two_sz, 2))
+    sz = diagonal_op(two_sz / 2, rational=(two_sz, 2))
     sp_ = transfer_op(basis, 0, 1)
     sm = sp_.dagger()
-    ntot = diagonal_op((na + nb).astype(float), hermitian=True, rational=(na + nb, 1))
-    s2 = SparseOperator(
-        sz.mat @ sz.mat + 0.5 * (sp_.mat @ sm.mat + sm.mat @ sp_.mat), hermitian=True
-    )
+    ntot = diagonal_op((na + nb).astype(float), rational=(na + nb, 1))
+    s2 = SparseOperator(sz.mat @ sz.mat + 0.5 * (sp_.mat @ sm.mat + sm.mat @ sp_.mat))
     return AlgebraModel(
         name="su2_schwinger",
         params={"N": N},
@@ -567,20 +552,20 @@ def _su3_schwinger(N=3):
     nc = basis.occupations_of_mode(2)
     two_h1 = na - nb
     two_h2 = na + nb - 2 * nc
-    h1 = diagonal_op(two_h1 / 2, hermitian=True, rational=(two_h1, 2))
-    h2 = diagonal_op(two_h2 / 2 / np.sqrt(3.0), hermitian=True, rational=(two_h2, 2))
+    h1 = diagonal_op(two_h1 / 2, rational=(two_h1, 2))
+    h2 = diagonal_op(two_h2 / 2 / np.sqrt(3.0), rational=(two_h2, 2))
     ip = transfer_op(basis, 0, 1)
     up = transfer_op(basis, 1, 2)
     vp = transfer_op(basis, 0, 2)
     gens = [h1, h2, ip, ip.dagger(), up, up.dagger(), vp, vp.dagger()]
     labels = ["H1", "H2", "I+", "I-", "U+", "U-", "V+", "V-"]
-    ntot = diagonal_op((na + nb + nc).astype(float), hermitian=True)
+    ntot = diagonal_op((na + nb + nc).astype(float))
     quad = None
     acc = h1.mat @ h1.mat * 0
     for raising, lowering in ((ip, ip.dagger()), (up, up.dagger()), (vp, vp.dagger())):
         acc = acc + 0.5 * (raising.mat @ lowering.mat + lowering.mat @ raising.mat)
     h2s = h2.mat @ h2.mat
-    quad = SparseOperator(h1.mat @ h1.mat + h2s + acc, hermitian=True)
+    quad = SparseOperator(h1.mat @ h1.mat + h2s + acc)
     return AlgebraModel(
         name="su3_schwinger",
         params={"N": N},
@@ -612,15 +597,15 @@ def _so5_quoted(N=2):
     n_bd = basis.occupations_of_mode(3)
     two_h1 = n_au - n_ad
     two_h2 = n_bu - n_bd
-    h1 = diagonal_op(two_h1 / 2, hermitian=True, rational=(two_h1, 2))
-    h2 = diagonal_op(two_h2 / 2, hermitian=True, rational=(two_h2, 2))
+    h1 = diagonal_op(two_h1 / 2, rational=(two_h1, 2))
+    h2 = diagonal_op(two_h2 / 2, rational=(two_h2, 2))
     sa = transfer_op(basis, 0, 1)   # a-spin flip up
     sb = transfer_op(basis, 2, 3)   # b-spin flip up
     sab = transfer_op(basis, 0, 3)  # cross flip along (1/2, 1/2)
     sba = transfer_op(basis, 1, 2)  # cross flip along (-1/2, -1/2)
     gens = [h1, h2, sa, sa.dagger(), sb, sb.dagger(), sab, sab.dagger(), sba, sba.dagger()]
     labels = ["H1", "H2", "Sa+", "Sa-", "Sb+", "Sb-", "Sab+", "Sab-", "Sba+", "Sba-"]
-    ntot = diagonal_op((n_au + n_ad + n_bu + n_bd).astype(float), hermitian=True)
+    ntot = diagonal_op((n_au + n_ad + n_bu + n_bd).astype(float))
     return AlgebraModel(
         name="so5_quoted",
         params={"N": N},
@@ -642,11 +627,9 @@ def _so5_quoted(N=2):
 
 def _su11_chain(k0_diag, kp: SparseOperator, name, params, basis, truncated):
     km = kp.dagger()
-    k1 = SparseOperator(0.5 * (kp.mat + km.mat), hermitian=True)
-    k2 = SparseOperator((kp.mat - km.mat) / 2j, hermitian=True)
-    casimir = SparseOperator(
-        k0_diag.mat @ k0_diag.mat - k1.mat @ k1.mat - k2.mat @ k2.mat, hermitian=True
-    )
+    k1 = SparseOperator(0.5 * (kp.mat + km.mat))
+    k2 = SparseOperator((kp.mat - km.mat) / 2j)
+    casimir = SparseOperator(k0_diag.mat @ k0_diag.mat - k1.mat @ k1.mat - k2.mat @ k2.mat)
     return AlgebraModel(
         name=name,
         params=params,
@@ -675,7 +658,7 @@ def _su11_single(k=Fraction(1, 4), cutoff=40):
     a, adag = ladder_ops(basis, 0)
     n = np.arange(basis.dim)
     four_k0 = 2 * n + 1
-    k0 = diagonal_op(four_k0 / 4, hermitian=True, rational=(four_k0, 4))
+    k0 = diagonal_op(four_k0 / 4, rational=(four_k0, 4))
     kp = SparseOperator(adag.mat @ adag.mat * 0.5)
     return _su11_chain(
         k0, kp, "su11_single", {"k": k, "cutoff": int(cutoff)}, basis, (0,)
@@ -691,7 +674,7 @@ def _su11_intensity(cutoff=40):
         sparse.csr_matrix((vals, (n[1:], n[:-1])), shape=(basis.dim, basis.dim))
     )
     two_k0 = 2 * n + 1
-    k0 = diagonal_op(two_k0 / 2, hermitian=True, rational=(two_k0, 2))
+    k0 = diagonal_op(two_k0 / 2, rational=(two_k0, 2))
     return _su11_chain(
         k0, kp, "su11_intensity", {"k": Fraction(1, 2), "cutoff": int(cutoff)}, basis, (0,)
     )
@@ -706,11 +689,11 @@ def _su11_twomode(cutoff=20):
     na = basis.occupations_of_mode(0)
     nb = basis.occupations_of_mode(1)
     two_k0 = na + nb + 1
-    k0 = diagonal_op(two_k0 / 2, hermitian=True, rational=(two_k0, 2))
+    k0 = diagonal_op(two_k0 / 2, rational=(two_k0, 2))
     model = _su11_chain(
         k0, kp, "su11_twomode", {"cutoff": int(cutoff)}, basis, (0, 1)
     )
-    imbalance = diagonal_op((na - nb).astype(float), hermitian=True)
+    imbalance = diagonal_op((na - nb).astype(float))
     model.casimirs["imbalance"] = imbalance
     return model
 
@@ -727,7 +710,7 @@ def _sp2n_boson(modes=2, cutoff=6):
     for i in range(m):
         occ = basis.occupations_of_mode(i)
         two_d = 2 * occ + 1
-        gens.append(diagonal_op(two_d / 2, hermitian=True, rational=(two_d, 2)))
+        gens.append(diagonal_op(two_d / 2, rational=(two_d, 2)))
         labels.append(f"D{i}")
         cartan_idx.append(i)
     root_pairs = []
@@ -784,7 +767,7 @@ def _so2n_fermion(modes=2):
     for i in range(m):
         occ = basis.occupations_of_mode(i)
         two_d = 2 * occ - 1
-        gens.append(diagonal_op(two_d / 2, hermitian=True, rational=(two_d, 2)))
+        gens.append(diagonal_op(two_d / 2, rational=(two_d, 2)))
         labels.append(f"D{i}")
         cartan_idx.append(i)
     for i in range(m):
@@ -839,10 +822,7 @@ def _jc_super(cutoff=10):
     nf = number_op(basis, 1)
     r = SparseOperator(adag.mat @ c.mat, grade=ODD)
     rd = r.dagger()
-    ntot = diagonal_op(
-        (basis.occupations_of_mode(0) + basis.occupations_of_mode(1)).astype(float),
-        hermitian=True,
-    )
+    ntot = diagonal_op((basis.occupations_of_mode(0) + basis.occupations_of_mode(1)).astype(float))
     return AlgebraModel(
         name="jc_super",
         params={"cutoff": int(cutoff)},
@@ -852,7 +832,6 @@ def _jc_super(cutoff=10):
         cartan=[0, 1],
         root_pairs=[RootPair(2, 3, (_frac(1), _frac(-1)))],
         cartan_units=(1.0, 1.0),
-        graded=True,
         annihilators=[2],
         casimirs={"excitations": ntot},
         truncated_modes=(0,),
@@ -898,11 +877,9 @@ def rabi_seed(cutoff=12):
     basis = FockBasis([boson(int(cutoff)), spin(Fraction(1, 2))])
     a, adag = ladder_ops(basis, 0)
     sm, sp_ = ladder_ops(basis, 1)
-    sz = diagonal_op(
-        (2.0 * basis.occupations_of_mode(1) - 1.0).astype(float), hermitian=True
-    )
-    rot = SparseOperator(a.mat @ sp_.mat + adag.mat @ sm.mat, hermitian=True)
-    counter = SparseOperator(a.mat @ sm.mat + adag.mat @ sp_.mat, hermitian=True)
+    sz = diagonal_op((2.0 * basis.occupations_of_mode(1) - 1.0).astype(float))
+    rot = SparseOperator(a.mat @ sp_.mat + adag.mat @ sm.mat)
+    counter = SparseOperator(a.mat @ sm.mat + adag.mat @ sp_.mat)
     n = number_op(basis, 0)
     mask = basis.interior_mask(window=2, truncated_modes=(0,))
     return [n, sz, rot, counter], ["n", "sz", "g+", "g-"], mask
@@ -913,6 +890,6 @@ def lmg_seed(S=8):
     closure. Returns (ops, labels, interior_mask=None)."""
     model = _su2_spin(S)
     sz, sp_, sm = model.generators
-    sx = SparseOperator(0.5 * (sp_.mat + sm.mat), hermitian=True)
-    sx2 = SparseOperator(sx.mat @ sx.mat / float(S), hermitian=True)
+    sx = SparseOperator(0.5 * (sp_.mat + sm.mat))
+    sx2 = SparseOperator(sx.mat @ sx.mat / float(S))
     return [sz, sx2], ["Sz", "Sx2/S"], None

@@ -92,15 +92,12 @@ def _cmd_algebra(args):
 def _cmd_closure(args):
     if args.seed == "rabi":
         ops, labels, mask = rabi_seed(cutoff=args.cutoff or 12)
-        graded = args.graded
     elif args.seed == "lmg":
         ops, labels, mask = lmg_seed(S=args.cutoff or 8)
-        graded = args.graded
     else:
         model = build_algebra(args.seed, **_load_params(args.params))
         ops, labels, mask = model.generators, list(model.labels), model.interior()
-        graded = model.graded or args.graded
-    report = lie_closure(ops, cap=args.cap, graded=graded, interior=mask, labels=labels)
+    report = lie_closure(ops, cap=args.cap, interior=mask, labels=labels)
     print(
         json.dumps(
             {
@@ -267,7 +264,6 @@ def build_parser():
     p.add_argument("seed", help="catalog algebra name, or 'rabi' / 'lmg'")
     p.add_argument("--cap", type=int, default=64)
     p.add_argument("--cutoff", type=int, default=None, help="cutoff (rabi) or S (lmg)")
-    p.add_argument("--graded", action="store_true")
     p.add_argument("--params", default="")
     p.set_defaults(fn=_cmd_closure)
 

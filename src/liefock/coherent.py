@@ -447,8 +447,8 @@ def husimi(state_or_rho, space, model, nodes=(101, 101), half_width=6.0) -> Husi
 def uncertainty(state, A: SparseOperator, B: SparseOperator):
     """Both sides of the Robertson inequality: (dA*dB, |<[A,B]>|/2)."""
     state = np.asarray(state, dtype=complex)
-    if not (A.is_hermitian() and B.is_hermitian()):
-        raise ValueError("uncertainty requires Hermitian operators")
+    A.check_hermitian()
+    B.check_hermitian()
     ea = np.real(np.vdot(state, A.apply(state)))
     eb = np.real(np.vdot(state, B.apply(state)))
     ea2 = np.real(np.vdot(state, A.apply(A.apply(state))))

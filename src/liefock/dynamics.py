@@ -45,14 +45,6 @@ class RevivalReport:
     threshold: float
 
 
-def _check_hermitian(H: SparseOperator):
-    if not H.is_hermitian():
-        raise NumericContractError(
-            f"operator is not Hermitian: defect {H.hermiticity_defect():.3e} "
-            f"at scale {max(H.max_norm(), 1.0):.3e}"
-        )
-
-
 def _check_dense_size(H: SparseOperator):
     """The one dense-size guard, shared by `spectrum` and dense evolution."""
     if H.dim > DENSE_LIMIT:
@@ -61,7 +53,7 @@ def _check_dense_size(H: SparseOperator):
 
 def spectrum(H: SparseOperator) -> np.ndarray:
     """Ascending eigenvalues (degeneracies repeated) of a Hermitian operator."""
-    _check_hermitian(H)
+    H.check_hermitian()
     _check_dense_size(H)
     return np.sort(scipy.linalg.eigvalsh(H.toarray()))
 
@@ -74,7 +66,7 @@ def evolve(
     store="snapshots",
 ) -> EvolutionResult:
     """Propagate psi0 through exp(-i H t) on a strictly increasing time grid."""
-    _check_hermitian(H)
+    H.check_hermitian()
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (H.dim,):
         raise ValueError(f"state shape {psi0.shape} does not match dim {H.dim}")
@@ -195,7 +187,7 @@ def expectation_series(result: EvolutionResult, op: SparseOperator):
     if op.dim != result.snapshots.shape[1]:
         raise ValueError("operator dimension does not match snapshots")
     out = np.array([np.vdot(s, op.apply(s)) for s in result.snapshots])
-    if op.hermitian:
+    if op.is_hermitian():
         return out.real
     return out
 

@@ -20,7 +20,7 @@ from math import lcm
 import numpy as np
 import scipy.sparse as sparse  # loads sparse.csgraph on first use
 
-from .errors import NumericContractError, ResourceGuardError
+from .errors import ResourceGuardError
 from .operators import SparseOperator
 from .output import float_rows
 
@@ -130,11 +130,7 @@ def build_fsl(H: SparseOperator, basis=None, tol=None) -> FSLGraph:
 
     Raises NumericContractError if H is not Hermitian at 1e-12 relative.
     """
-    if not H.is_hermitian():
-        raise NumericContractError(
-            f"Hamiltonian is not Hermitian: defect {H.hermiticity_defect():.3e} "
-            f"exceeds 1e-12 * {max(H.max_norm(), 1.0):.3e}"
-        )
+    H.check_hermitian()
     if tol is None:
         tol = 1e-12 * H.max_norm()
     if tol < 0:

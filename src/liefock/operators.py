@@ -1,10 +1,13 @@
 """Sparse complex operators over a Fock basis.
 
-Thin wrapper around scipy CSR matrices carrying a hermiticity flag and a
-fermion-parity grade, plus constructors for ladder, number, and bilinear
-transfer operators and the graded commutator. Entries below a relative drop
-tolerance are eliminated after every product so chained commutators do not
-accumulate numerical fill-in.
+Thin wrapper around scipy CSR matrices. An operator carries its matrix and
+its fermion-parity grade and nothing else: Hermiticity is always computed
+from the matrix by the one numeric rule (`within_hermitian_bound`), and the
+bracket of two operators (`graded_commutator`) is the commutator or, for two
+odd operators, the anticommutator. Also constructors for ladder, number, and
+bilinear transfer operators. Entries below a relative drop tolerance are
+eliminated after every product so chained commutators do not accumulate
+numerical fill-in.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import json
 import numpy as np
 import scipy.sparse as sparse
 
+from .errors import NumericContractError
 from .fock import BOSON, FERMION, FockBasis
 
 EVEN = 0
@@ -41,7 +45,7 @@ def _drop_small(mat: sparse.csr_matrix) -> sparse.csr_matrix:
 
 
 class SparseOperator:
-    """Complex sparse matrix with hermiticity flag and even/odd grade.
+    """Complex sparse matrix with an even/odd grade.
 
     `rational_diagonal` (optional) carries exact diagonal eigenvalues for
     operators used as lattice coordinates, as a pair (int64 numerator
@@ -49,15 +53,14 @@ class SparseOperator:
     except explicit construction.
     """
 
-    __slots__ = ("mat", "hermitian", "grade", "rational_diagonal")
+    __slots__ = ("mat", "grade", "rational_diagonal")
 
-    def __init__(self, mat, hermitian=False, grade=EVEN, rational_diagonal=None):
+    def __init__(self, mat, grade=EVEN, rational_diagonal=None):
         if not sparse.issparse(mat):
             mat = sparse.csr_matrix(np.asarray(mat, dtype=complex))
         self.mat = _drop_small(mat.astype(complex))
         if self.mat.shape[0] != self.mat.shape[1]:
             raise ValueError("operators must be square")
-        self.hermitian = bool(hermitian)
         if grade not in (EVEN, ODD):
             raise ValueError("grade must be EVEN (0) or ODD (1)")
         self.grade = grade
@@ -82,9 +85,7 @@ class SparseOperator:
         return self.mat.nnz
 
     def dagger(self) -> "SparseOperator":
-        return SparseOperator(
-            self.mat.conj().T.tocsr(), hermitian=self.hermitian, grade=self.grade
-        )
+        return SparseOperator(self.mat.conj().T.tocsr(), grade=self.grade)
 
     def toarray(self) -> np.ndarray:
         return self.mat.toarray()
@@ -113,9 +114,16 @@ class SparseOperator:
         return float(np.max(np.abs(d.data))) if d.nnz else 0.0
 
     def is_hermitian(self) -> bool:
-        """`within_hermitian_bound` of max|A - A^dagger| and max|A|. The
-        `hermitian` flag only records what the constructor was told."""
+        """`within_hermitian_bound` of max|A - A^dagger| and max|A|."""
         return within_hermitian_bound(self.hermiticity_defect(), self.max_norm())
+
+    def check_hermitian(self):
+        """Raise NumericContractError unless `is_hermitian()`."""
+        if not self.is_hermitian():
+            raise NumericContractError(
+                f"operator is not Hermitian: defect {self.hermiticity_defect():.3e} "
+                f"exceeds 1e-12 * {max(self.max_norm(), 1.0):.3e}"
+            )
 
     def is_diagonal(self, rel_tol=1e-12) -> bool:
         off = self.mat - sparse.diags(self.mat.diagonal())
@@ -127,25 +135,16 @@ class SparseOperator:
 
     def __add__(self, other):
         return SparseOperator(
-            self.mat + other.mat,
-            hermitian=self.hermitian and other.hermitian,
-            grade=self.grade if self.grade == other.grade else EVEN,
+            self.mat + other.mat, grade=self.grade if self.grade == other.grade else EVEN
         )
 
     def __sub__(self, other):
         return SparseOperator(
-            self.mat - other.mat,
-            hermitian=self.hermitian and other.hermitian,
-            grade=self.grade if self.grade == other.grade else EVEN,
+            self.mat - other.mat, grade=self.grade if self.grade == other.grade else EVEN
         )
 
     def __mul__(self, scalar):
-        scalar = complex(scalar)
-        return SparseOperator(
-            self.mat * scalar,
-            hermitian=self.hermitian and scalar.imag == 0.0,
-            grade=self.grade,
-        )
+        return SparseOperator(self.mat * complex(scalar), grade=self.grade)
 
     __rmul__ = __mul__
 
@@ -153,9 +152,7 @@ class SparseOperator:
         return self * (-1.0)
 
     def __matmul__(self, other):
-        return SparseOperator(
-            self.mat @ other.mat, hermitian=False, grade=self.grade ^ other.grade
-        )
+        return SparseOperator(self.mat @ other.mat, grade=self.grade ^ other.grade)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Exact sparse matrix-vector product."""
@@ -172,7 +169,8 @@ class SparseOperator:
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
-        """Triplet-list form with entries sorted by (row, col)."""
+        """Triplet-list form with entries sorted by (row, col); `"hermitian"`
+        reports `is_hermitian()` and `from_json` ignores it."""
         coo = self.mat.tocoo()
         order = np.lexsort((coo.col, coo.row))
         entries = [
@@ -182,7 +180,7 @@ class SparseOperator:
         return json.dumps(
             {
                 "dim": self.dim,
-                "hermitian": self.hermitian,
+                "hermitian": self.is_hermitian(),
                 "grade": "odd" if self.grade == ODD else "even",
                 "entries": entries,
             }
@@ -197,15 +195,11 @@ class SparseOperator:
         cols = [e[1] for e in entries]
         vals = [complex(e[2], e[3]) for e in entries]
         mat = sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-        return cls(
-            mat,
-            hermitian=bool(payload.get("hermitian", False)),
-            grade=ODD if payload.get("grade") == "odd" else EVEN,
-        )
+        return cls(mat, grade=ODD if payload.get("grade") == "odd" else EVEN)
 
     def __repr__(self):
         g = "odd" if self.grade == ODD else "even"
-        return f"SparseOperator(dim={self.dim}, nnz={self.nnz}, hermitian={self.hermitian}, grade={g})"
+        return f"SparseOperator(dim={self.dim}, nnz={self.nnz}, grade={g})"
 
 
 # -- constructors ----------------------------------------------------------
@@ -213,23 +207,19 @@ class SparseOperator:
 
 def identity(dim_or_basis) -> SparseOperator:
     dim = dim_or_basis.dim if isinstance(dim_or_basis, FockBasis) else int(dim_or_basis)
-    return SparseOperator(sparse.identity(dim, dtype=complex, format="csr"), hermitian=True)
+    return SparseOperator(sparse.identity(dim, dtype=complex, format="csr"))
 
 
 def zero(dim_or_basis) -> SparseOperator:
     dim = dim_or_basis.dim if isinstance(dim_or_basis, FockBasis) else int(dim_or_basis)
-    return SparseOperator(sparse.csr_matrix((dim, dim), dtype=complex), hermitian=True)
+    return SparseOperator(sparse.csr_matrix((dim, dim), dtype=complex))
 
 
-def diagonal_op(values, hermitian=None, rational=None) -> SparseOperator:
+def diagonal_op(values, rational=None) -> SparseOperator:
     """Diagonal operator; `rational` optionally gives its exact diagonal as
     a pair (integer numerators, common positive denominator)."""
     values = np.asarray(values, dtype=complex)
-    if hermitian is None:
-        hermitian = bool(np.max(np.abs(values.imag), initial=0.0) == 0.0)
-    return SparseOperator(
-        sparse.diags(values, format="csr"), hermitian=hermitian, rational_diagonal=rational
-    )
+    return SparseOperator(sparse.diags(values, format="csr"), rational_diagonal=rational)
 
 
 def ladder_ops(basis: FockBasis, mode: int, jw_order=None):
@@ -279,14 +269,14 @@ def ladder_ops(basis: FockBasis, mode: int, jw_order=None):
         (amp.astype(complex), (rows, cols)), shape=(basis.dim, basis.dim)
     )
     grade = ODD if spec.kind == FERMION else EVEN
-    lower = SparseOperator(lower_mat, hermitian=False, grade=grade)
+    lower = SparseOperator(lower_mat, grade=grade)
     return lower, lower.dagger()
 
 
 def number_op(basis: FockBasis, mode: int) -> SparseOperator:
     """Occupation-number operator of one mode (diagonal, exact)."""
     occ = basis.occupations_of_mode(mode)
-    return diagonal_op(occ.astype(float), hermitian=True, rational=(occ, 1))
+    return diagonal_op(occ.astype(float), rational=(occ, 1))
 
 
 def transfer_op(basis: FockBasis, to_mode: int, from_mode: int) -> SparseOperator:
@@ -311,13 +301,13 @@ def transfer_op(basis: FockBasis, to_mode: int, from_mode: int) -> SparseOperato
     mat = sparse.csr_matrix(
         (vals.astype(complex), (rows, cols)), shape=(basis.dim, basis.dim)
     )
-    return SparseOperator(mat, hermitian=False, grade=EVEN)
+    return SparseOperator(mat)
 
 
 def graded_commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    """[a, b] for any pair except odd-odd, where it is the anticommutator.
-
-    The result grade is the XOR of the input grades.
+    """The superalgebra bracket [a, b}: the commutator, or the anticommutator
+    when both grades are ODD. The result grade is the XOR of the input grades.
+    This is the only bracket; to commute two odd matrices, wrap them as EVEN.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -325,7 +315,7 @@ def graded_commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
         mat = a.mat @ b.mat + b.mat @ a.mat
     else:
         mat = a.mat @ b.mat - b.mat @ a.mat
-    return SparseOperator(mat, hermitian=False, grade=a.grade ^ b.grade)
+    return SparseOperator(mat, grade=a.grade ^ b.grade)
 
 
 def frobenius_inner(a, b) -> complex:
@@ -336,12 +326,10 @@ def frobenius_inner(a, b) -> complex:
 
 
 def linear_combination(ops, coeffs) -> SparseOperator:
-    """sum_k coeffs[k] * ops[k]; hermiticity is re-checked numerically."""
+    """sum_k coeffs[k] * ops[k], with the grade of ops[0]."""
     if len(ops) != len(coeffs) or not ops:
         raise ValueError("need equally many operators and coefficients, at least one")
     acc = ops[0].mat * complex(coeffs[0])
     for op, c in zip(ops[1:], coeffs[1:]):
         acc = acc + op.mat * complex(c)
-    out = SparseOperator(acc, hermitian=False, grade=ops[0].grade)
-    out.hermitian = out.is_hermitian()
-    return out
+    return SparseOperator(acc, grade=ops[0].grade)

@@ -127,6 +127,8 @@ def parse_config(payload) -> ScenarioConfig:
 
     times = payload["times"]
     _require_keys(times, {"start", "stop", "num"}, {"start", "stop", "num"}, "times")
+    for key in ("start", "stop"):
+        _check_real(times[key], f"times.{key}")
     if not isinstance(times["num"], int) or times["num"] < 1:
         raise ConfigError("times.num must be a positive integer", field="times.num")
     if not times["stop"] > times["start"]:
@@ -198,13 +200,19 @@ def _check_system(system):
         modes = _require_list(system["basis"]["modes"], "system.basis.modes")
         for k, spec in enumerate(modes):
             _require_keys(spec, {"kind", "capacity"}, {"kind", "capacity"}, f"system.basis.modes[{k}]")
+            try:
+                int(spec["capacity"])
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError("expected an integer", field=f"system.basis.modes[{k}].capacity") from None
         for k, row in enumerate(_require_list(system.get("weights", []), "system.weights")):
             if len(_require_list(row, f"system.weights[{k}]")) != len(modes):
                 raise ConfigError("each weight row needs one rational entry per mode", field=f"system.weights[{k}]")
         terms, path, fields = system["bilinears"], "system.bilinears", {"create", "annihilate", "coeff", "phase"}
     else:
         raise ConfigError("system must contain either 'algebra'+'terms' or 'basis'+'bilinears'", field="system")
-    for k, term in enumerate(_require_list(terms, path)):
+    if not _require_list(terms, path):
+        raise ConfigError("at least one term is needed", field=path)
+    for k, term in enumerate(terms):
         _require_keys(term, fields, fields - {"phase"}, f"{path}[{k}]")
         for key in ("coeff", "phase"):
             _check_real(term.get(key, 0.0), f"{path}[{k}].{key}")
@@ -250,7 +258,7 @@ def build_system(system):
             terms.append((term["label"], coeff))
         ops = [model.generator(lab) for lab, _ in terms]
         H = linear_combination(ops, [c for _, c in terms])
-        if not H.hermitian:
+        if not H.is_hermitian():
             raise ConfigError(
                 "the requested generator combination is not Hermitian", field="system.terms"
             )
@@ -267,7 +275,7 @@ def build_system(system):
         elif term.get("phase", 0.0) != 0.0:
             raise ConfigError("diagonal bilinears cannot carry a phase", field="system.bilinears")
         acc = piece if acc is None else acc + piece
-    H = SparseOperator(acc, hermitian=True)
+    H = SparseOperator(acc)
     if not H.is_hermitian():
         raise ConfigError("assembled Hamiltonian is not Hermitian", field="system.bilinears")
     return basis, H, None, None
@@ -475,8 +483,8 @@ def closure_gallery_report(cap=64):
     and squared-spin seeds exceed the cap."""
     rows = []
 
-    def run(name, seed, labels, interior, graded, cap_=cap):
-        rep = lie_closure(seed, cap=cap_, graded=graded, interior=interior, labels=labels)
+    def run(name, seed, labels, interior, cap_=cap):
+        rep = lie_closure(seed, cap=cap_, interior=interior, labels=labels)
         rows.append(
             {
                 "name": name,
@@ -489,19 +497,19 @@ def closure_gallery_report(cap=64):
 
     hw = build_algebra("hw", cutoff=24)
     a, adag, n, one = hw.generators
-    run("ladder_triple", [a, adag, one], ["a", "adag", "I"], hw.interior(), False)
+    run("ladder_triple", [a, adag, one], ["a", "adag", "I"], hw.interior())
     su2 = build_algebra("su2_spin", S=4)
-    run("su2", su2.generators, list(su2.labels), None, False)
+    run("su2", su2.generators, list(su2.labels), None)
     su3 = build_algebra("su3_schwinger", N=3)
-    run("su3", su3.generators, list(su3.labels), None, False)
+    run("su3", su3.generators, list(su3.labels), None)
     sp4 = build_algebra("sp2n_boson", modes=2, cutoff=6)
-    run("sp4", sp4.generators, list(sp4.labels), sp4.interior(), False)
+    run("sp4", sp4.generators, list(sp4.labels), sp4.interior())
     jc = build_algebra("jc_super", cutoff=10)
-    run("jc_super", jc.generators, list(jc.labels), jc.interior(), True)
+    run("jc_super", jc.generators, list(jc.labels), jc.interior())
     ops, labels, mask = rabi_seed(cutoff=12)
-    run("rabi", ops, labels, mask, False)
+    run("rabi", ops, labels, mask)
     ops, labels, mask = lmg_seed(S=8)
-    run("lmg", ops, labels, mask, False)
+    run("lmg", ops, labels, mask)
     return {"cap": cap, "results": rows}
 
 

@@ -54,7 +54,7 @@ def quadratic_hamiltonian(h4, N):
                 continue
             piece = transfer_op(basis, i, j).mat * h4[i, j]
             acc = piece if acc is None else acc + piece
-    return basis, SparseOperator(acc, hermitian=True)
+    return basis, SparseOperator(acc)
 
 
 def test_criterion_01_su2_revival_and_transfer():
@@ -228,7 +228,6 @@ def test_criterion_08_su11_occupation_and_ground_population():
     n_op = number_op(basis, 0)
     H = SparseOperator(
         omega * n_op.mat + 0.5 * (xi * adag.mat @ adag.mat + np.conj(xi) * a.mat @ a.mat),
-        hermitian=True,
     )
     gap = np.sqrt(omega**2 - abs(xi) ** 2)
     times = np.linspace(1e-3, 3 * np.pi / gap, 120)
@@ -238,7 +237,7 @@ def test_criterion_08_su11_occupation_and_ground_population():
     predicted = abs(xi) ** 2 / gap**2 * np.sin(gap * times) ** 2
     n_dev = float(np.max(np.abs(n_series - predicted)))
 
-    n2 = SparseOperator(n_op.mat @ n_op.mat, hermitian=True)
+    n2 = SparseOperator(n_op.mat @ n_op.mat)
     var_series = np.array(
         [np.real(np.vdot(s, n2.apply(s))) for s in res.snapshots]
     ) - n_series**2
@@ -278,9 +277,7 @@ def test_criterion_09_closure_gallery():
     results["sp4"] = (rep.closed, rep.dimension, rep.max_residual)
 
     jc = build_algebra("jc_super", cutoff=10)
-    rep = lie_closure(
-        jc.generators, cap=64, graded=True, interior=jc.interior(), labels=list(jc.labels)
-    )
+    rep = lie_closure(jc.generators, cap=64, interior=jc.interior(), labels=list(jc.labels))
     results["jc_super"] = (rep.closed, rep.dimension, rep.max_residual)
 
     ops, labels, mask = rabi_seed(cutoff=12)
@@ -322,8 +319,8 @@ def test_criterion_10_coherent_state_suite():
     # Robertson saturation at the pole
     model = build_algebra("su2_spin", S=S)
     sz, sp, sm = model.generators
-    sx = SparseOperator(0.5 * (sp.mat + sm.mat), hermitian=True)
-    sy = SparseOperator((sp.mat - sm.mat) / 2j, hermitian=True)
+    sx = SparseOperator(0.5 * (sp.mat + sm.mat))
+    sy = SparseOperator((sp.mat - sm.mat) / 2j)
     product, bound = uncertainty(model.basis.vector((2 * S,)), sx, sy)
     saturation_dev = abs(product - bound) + abs(product - S / 2)
     saturation_ok = saturation_dev < 1e-10

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from liefock import (
     SparseOperator,
     build_algebra,
+    enumerate_basis,
     extract_structure_constants,
+    fermion,
     find_reference_states,
     graded_commutator,
+    ladder_ops,
     lie_closure,
     lmg_seed,
     rabi_seed,
@@ -20,7 +23,7 @@ from liefock import (
 )
 from liefock.algebra import CLOSURE_TOL
 from liefock.errors import DegenerateGeneratorsError
-from liefock.operators import ODD, linear_combination
+from liefock.operators import EVEN, ODD, linear_combination
 
 
 # --- symbolic oracle for commutators of number-conserving boson bilinears ---
@@ -71,8 +74,8 @@ def test_structure_constants_su2_cartesian():
     # Hermitian triple: [Sx, Sy] = i Sz means f_xy^z = 1 in the i*f convention
     model = build_algebra("su2_spin", S=2)
     sz, sp, sm = model.generators
-    sx = SparseOperator(0.5 * (sp.mat + sm.mat), hermitian=True)
-    sy = SparseOperator((sp.mat - sm.mat) / 2j, hermitian=True)
+    sx = SparseOperator(0.5 * (sp.mat + sm.mat))
+    sy = SparseOperator((sp.mat - sm.mat) / 2j)
     sc = extract_structure_constants([sx, sy, sz], labels=["Sx", "Sy", "Sz"])
     assert sc.closed
     assert sc.coefficient("Sx", "Sy", "Sz") == pytest.approx(1j)
@@ -126,7 +129,6 @@ def test_catalog_closes_at_seed_dimension(name, kwargs):
     report = lie_closure(
         model.generators,
         cap=4 * model.dim + 8,
-        graded=model.graded,
         interior=model.interior(),
         labels=list(model.labels),
     )
@@ -192,13 +194,12 @@ def test_so2n_dimension_formula():
 def test_jc_super_graded_closure_and_odd_bracket():
     model = build_algebra("jc_super", cutoff=10)
     report = lie_closure(
-        model.generators, cap=20, graded=True, interior=model.interior(),
-        labels=list(model.labels),
+        model.generators, cap=20, interior=model.interior(), labels=list(model.labels)
     )
     assert report.closed and report.dimension == 4
     # odd-odd bracket lies in the span of the two number operators
     sc = extract_structure_constants(
-        model.generators, graded=True, interior=model.interior(), labels=list(model.labels)
+        model.generators, interior=model.interior(), labels=list(model.labels)
     )
     anti = sc.coeffs[2, 3]  # {bf+, bf-}
     assert sc.residuals[2, 3] < 1e-12
@@ -207,6 +208,26 @@ def test_jc_super_graded_closure_and_odd_bracket():
     assert abs(anti[2]) < 1e-12 and abs(anti[3]) < 1e-12
     # graded symmetry: odd-odd coefficients are symmetric under swap
     assert np.allclose(sc.coeffs[3, 2], sc.coeffs[2, 3])
+
+
+@pytest.mark.parametrize(
+    "grade,label,diag,swap_sign",
+    [(ODD, "{c,cdag}", [1, 1], 1), (EVEN, "[c,cdag]", [1, -1], -1)],
+)
+def test_grade_picks_the_bracket(grade, label, diag, swap_sign):
+    # one fermion mode: as odd operators c, c^dag close through {c, c^dag} = 1,
+    # the same matrices wrapped as even close through [c, c^dag] = 1 - 2n
+    c, cdag = (
+        SparseOperator(op.mat, grade=grade) for op in ladder_ops(enumerate_basis([fermion()]), 0)
+    )
+    report = lie_closure([c, cdag], cap=4, labels=["c", "cdag"])
+    assert report.closed and report.dimension == 3 and report.added_labels == [label]
+    bracket = graded_commutator(c, cdag)
+    assert np.array_equal(bracket.toarray(), np.diag(diag).astype(complex))
+    sc = extract_structure_constants([c, cdag, bracket], labels=["c", "cdag", label])
+    assert sc.closed
+    assert sc.coeffs[0, 1, 2] == pytest.approx(1.0, abs=1e-12)
+    assert sc.coeffs[1, 0, 2] == pytest.approx(swap_sign, abs=1e-12)
 
 
 def test_rabi_seed_exceeds_cap():
@@ -247,13 +268,13 @@ def test_closure_brackets_each_pair_once(monkeypatch):
     model = build_algebra("su3_schwinger", N=3)
     seed = [model.generator(lab) for lab in ("I+", "U+", "V-")]
     pairs = []
-    bracket = algebra._bracket
+    bracket = algebra.graded_commutator
 
-    def counting_bracket(a, b, graded):
+    def counting_bracket(a, b):
         pairs.append(frozenset((id(a), id(b))))
-        return bracket(a, b, graded)
+        return bracket(a, b)
 
-    monkeypatch.setattr(algebra, "_bracket", counting_bracket)
+    monkeypatch.setattr(algebra, "graded_commutator", counting_bracket)
     report = lie_closure(seed, cap=20)
     assert report.closed and report.iterations == [3, 6, 8, 8]
     assert len(pairs) == len(set(pairs)) == 8 * 7 // 2
@@ -545,16 +566,18 @@ def _outcome(fn, *args, **kwargs):
         return type(exc)
 
 
-def sparse_and_dense(seed, cap, graded, interior, labels):
+def sparse_and_dense(seed, cap, interior, labels):
     """Run the sparse-block closure next to the dense reference and assert
-    that they agree: closure dims, added labels and closed flag. Returns the
+    that they agree: closure dims, added labels and closed flag. The dense
+    reference brackets gradedly when the seed has an odd member. Returns the
     closure report, the sparse-block structure constants and the dense
     (coeffs, residuals, cond), of the closed span or, for an open closure,
     which stops at an arbitrary ill-conditioned span, of the seed; None when
     both refuse to form structure constants (fewer than two independent
     operators, or a degenerate set)."""
+    graded = any(op.grade == ODD for op in seed)
     dims, closed, added, ops = dense_lie_closure(seed, cap, graded, interior, labels)
-    report = _outcome(lie_closure, seed, cap, graded=graded, interior=interior, labels=labels)
+    report = _outcome(lie_closure, seed, cap, interior=interior, labels=labels)
     if isinstance(report, type):
         assert closed
         assert report is _outcome(dense_structure_constants, ops, graded, interior)
@@ -568,7 +591,7 @@ def sparse_and_dense(seed, cap, graded, interior, labels):
     assert not report.closed or report.max_residual <= CLOSURE_TOL
     gens = ops if closed else seed
     reference = _outcome(dense_structure_constants, gens, graded, interior)
-    sc = _outcome(extract_structure_constants, gens, graded=graded, interior=interior)
+    sc = _outcome(extract_structure_constants, gens, interior=interior)
     if isinstance(reference, type):
         assert sc is reference
         return None
@@ -584,7 +607,7 @@ def coeff_error(sc, coeffs):
 def test_sparse_blocks_match_dense_reference_on_catalog(name, kwargs):
     model = build_algebra(name, **kwargs)
     report, sc, (coeffs, residuals, _) = sparse_and_dense(
-        model.generators, 4 * model.dim + 8, model.graded, model.interior(), list(model.labels)
+        model.generators, 4 * model.dim + 8, model.interior(), list(model.labels)
     )
     assert report.closed
     assert coeff_error(sc, coeffs) <= 1e-12
@@ -595,7 +618,7 @@ def test_sparse_blocks_match_dense_reference_on_catalog(name, kwargs):
 @pytest.mark.parametrize("seed_fn", [rabi_seed, lmg_seed])
 def test_sparse_blocks_match_dense_reference_on_open_seeds(seed_fn):
     ops, labels, mask = seed_fn()
-    report, sc, (coeffs, residuals, _) = sparse_and_dense(ops, 64, False, mask, labels)
+    report, sc, (coeffs, residuals, _) = sparse_and_dense(ops, 64, mask, labels)
     assert not report.closed and report.dimension == 65
     assert coeff_error(sc, coeffs) <= 1e-12
     assert np.max(np.abs(sc.residuals - residuals)) < 1e-10
@@ -624,7 +647,7 @@ def test_sparse_blocks_match_dense_reference_on_random_spans(data):
         )
         for _ in range(data.draw(st.integers(min_value=2, max_value=3)))
     ]
-    result = sparse_and_dense(seed, 4 * model.dim + 8, False, mask, None)
+    result = sparse_and_dense(seed, 4 * model.dim + 8, mask, None)
     if result is None:
         return
     report, sc, (coeffs, residuals, cond) = result

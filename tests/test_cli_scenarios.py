@@ -311,6 +311,15 @@ def test_cli_lattice_and_husimi(tmp_path, capsys):
             },
             "system.bilinears[0].phase",
         ),
+        (
+            {
+                "basis": {"modes": [{"kind": "boson", "capacity": [2]}]},
+                "bilinears": [{"create": 0, "annihilate": 0, "coeff": 1.0}],
+            },
+            "system.basis.modes[0].capacity",
+        ),
+        ({"basis": {"modes": [{"kind": "boson", "capacity": 2}]}, "bilinears": []}, "system.bilinears"),
+        ({"algebra": {"name": "su2_spin", "params": {"S": 1}}, "terms": []}, "system.terms"),
     ],
 )
 def test_cli_lattice_rejects_malformed_spec(tmp_path, capsys, spec, field):
@@ -320,6 +329,37 @@ def test_cli_lattice_rejects_malformed_spec(tmp_path, capsys, spec, field):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"(field: {field})" in err
     assert "Traceback" not in err
+    if field in ("system.bilinears", "system.terms"):
+        assert "at least one term is needed" in err
+
+
+def test_cli_lattice_accepts_capacity_that_int_reads(tmp_path, capsys):
+    spec = {
+        "basis": {"modes": [{"kind": "boson", "capacity": "2"}, {"kind": "boson", "capacity": 2.0}]},
+        "bilinears": [{"create": 0, "annihilate": 1, "coeff": 1.0}],
+    }
+    ham = tmp_path / "sys.json"
+    ham.write_text(json.dumps(spec))
+    assert main(["lattice", "--ham", str(ham)]) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)["vertices"]) == 9
+
+
+@pytest.mark.parametrize("key,value", [("start", "0"), ("stop", None), ("stop", True)])
+def test_cli_evolve_rejects_non_numeric_times(tmp_path, capsys, key, value):
+    payload = builtin_scenario("su2_transport", S=4, num=9).to_dict()
+    payload["times"][key] = value
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(payload))
+    assert main(["--out-dir", str(tmp_path), "evolve", "--scenario", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(field: times.{key})" in err
+    assert "Traceback" not in err
+
+
+def test_cli_closure_has_no_graded_flag(capsys):
+    # the bracket follows the generators' grades; there is nothing to select
+    with pytest.raises(SystemExit):
+        main(["closure", "jc_super", "--graded"])
 
 
 def test_cli_husimi_disk_default_k(tmp_path, capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 from scipy.special import jv
 
 from liefock import boson, build_algebra, enumerate_basis, evolve, ladder_ops, number_op
@@ -24,7 +25,7 @@ from liefock.coherent import (
     su3_coherent_state,
     uncertainty,
 )
-from liefock.errors import TruncationLeakageWarning
+from liefock.errors import NumericContractError, TruncationLeakageWarning
 from liefock.operators import SparseOperator
 
 
@@ -159,7 +160,7 @@ def test_quadratic_generators_complete_two_circuits_per_rotation():
     cutoff, omega = 50, 1.0
     basis = enumerate_basis([boson(cutoff)])
     a, adag = ladder_ops(basis, 0)
-    H = SparseOperator(omega * number_op(basis, 0).mat, hermitian=True)
+    H = SparseOperator(omega * number_op(basis, 0).mat)
     psi0 = glauber_state(1.2, cutoff)
     times = np.array([np.pi / omega, 2 * np.pi / omega])
     res = evolve(H, psi0, times)
@@ -200,13 +201,13 @@ def test_shift_coherent_overcompleteness_identities():
     # discrepancy so the formal identity is never silently trusted.
     R = 200.0
     r = np.linspace(0, R, 400001)
-    val00 = np.trapezoid(jv(0, 2 * r) ** 2 * r, r)
+    val00 = trapezoid(jv(0, 2 * r) ** 2 * r, r)
     assert val00 == pytest.approx(R / (2 * np.pi), rel=0.02)
     assert abs(val00 - 0.5) > 10  # nowhere near the formal value 1/2
-    val02 = np.trapezoid(jv(0, 2 * r) * jv(2, 2 * r) * r, r)
+    val02 = trapezoid(jv(0, 2 * r) * jv(2, 2 * r) * r, r)
     assert val02 == pytest.approx(-R / (2 * np.pi), rel=0.02)
     # opposite-parity orders have no secular term and stay bounded
-    val01 = np.trapezoid(jv(0, 2 * r) * jv(1, 2 * r) * r, r)
+    val01 = trapezoid(jv(0, 2 * r) * jv(1, 2 * r) * r, r)
     assert abs(val01) < 0.5
 
 
@@ -290,9 +291,11 @@ def test_uncertainty_pole_saturation():
     S = 7
     model = build_algebra("su2_spin", S=S)
     sz, sp, sm = model.generators
-    sx = SparseOperator(0.5 * (sp.mat + sm.mat), hermitian=True)
-    sy = SparseOperator((sp.mat - sm.mat) / 2j, hermitian=True)
+    sx = SparseOperator(0.5 * (sp.mat + sm.mat))
+    sy = SparseOperator((sp.mat - sm.mat) / 2j)
     pole = model.basis.vector((2 * S,))
+    with pytest.raises(NumericContractError, match="operator is not Hermitian"):
+        uncertainty(pole, sx, sp)
     product, bound = uncertainty(pole, sx, sy)
     assert product == pytest.approx(S / 2, abs=1e-10)
     assert bound == pytest.approx(S / 2, abs=1e-10)
@@ -303,8 +306,8 @@ def test_squeezed_quadrature_variances():
     state = squeezed_vacuum_state(r, cutoff)  # theta_s = 0
     basis = enumerate_basis([boson(cutoff)])
     a, adag = ladder_ops(basis, 0)
-    x = SparseOperator((a.mat + adag.mat) / np.sqrt(2), hermitian=True)
-    p = SparseOperator((a.mat - adag.mat) / (1j * np.sqrt(2)), hermitian=True)
+    x = SparseOperator((a.mat + adag.mat) / np.sqrt(2))
+    p = SparseOperator((a.mat - adag.mat) / (1j * np.sqrt(2)))
     dx_dp, bound = uncertainty(state, x, p)
     var_x = uncertainty(state, x, x)[0]
     var_p = uncertainty(state, p, p)[0]
@@ -318,8 +321,8 @@ def test_fock_state_uncertainty_product():
     cutoff = 30
     basis = enumerate_basis([boson(cutoff)])
     a, adag = ladder_ops(basis, 0)
-    x = SparseOperator((a.mat + adag.mat) / np.sqrt(2), hermitian=True)
-    p = SparseOperator((a.mat - adag.mat) / (1j * np.sqrt(2)), hermitian=True)
+    x = SparseOperator((a.mat + adag.mat) / np.sqrt(2))
+    p = SparseOperator((a.mat - adag.mat) / (1j * np.sqrt(2)))
     for n in (0, 1, 4):
         state = basis.vector((n,))
         product, bound = uncertainty(state, x, p)

@@ -49,12 +49,12 @@ def quadratic_boson_hamiltonian(h4, N):
                 continue
             piece = transfer_op(basis, i, j).mat * h4[i, j]
             acc = piece if acc is None else acc + piece
-    return basis, SparseOperator(acc, hermitian=True)
+    return basis, SparseOperator(acc)
 
 
 def test_zero_hamiltonian_constant():
     basis = enumerate_basis([boson(4)])
-    H = SparseOperator(sparse.csr_matrix((5, 5), dtype=complex), hermitian=True)
+    H = SparseOperator(sparse.csr_matrix((5, 5), dtype=complex))
     psi0 = basis.vector((2,))
     res = evolve(H, psi0, np.linspace(0, 3, 7))
     assert np.allclose(res.snapshots, psi0[None, :])
@@ -193,8 +193,8 @@ def test_bloch_oracle_spin_components():
     S, delta, J = 5, 1.0, 1.0
     model = build_algebra("su2_spin", S=S)
     sz, sp, sm = model.generators
-    sx = SparseOperator(0.5 * (sp.mat + sm.mat), hermitian=True)
-    sy = SparseOperator((sp.mat - sm.mat) / 2j, hermitian=True)
+    sx = SparseOperator(0.5 * (sp.mat + sm.mat))
+    sy = SparseOperator((sp.mat - sm.mat) / 2j)
     H = linear_combination([sz, sx], [delta, 2 * J])
     psi0 = model.basis.vector((2 * S,))
     times = np.linspace(0, 3.0, 61)
@@ -236,7 +236,6 @@ def test_su11_mean_occupation_matches_formula():
     H = SparseOperator(
         omega * number_op(basis, 0).mat
         + 0.5 * (xi * adag.mat @ adag.mat + np.conj(xi) * a.mat @ a.mat),
-        hermitian=True,
     )
     gap = np.sqrt(omega**2 - abs(xi) ** 2)
     times = np.linspace(0, 3 * np.pi / gap, 91)
@@ -246,7 +245,7 @@ def test_su11_mean_occupation_matches_formula():
     oracle = squeezing(omega, xi, times)
     assert np.max(np.abs(n_series - oracle.n_mean)) < 1e-6
     var_series = expectation_series(
-        res, SparseOperator(number_op(basis, 0).mat @ number_op(basis, 0).mat, hermitian=True)
+        res, SparseOperator(number_op(basis, 0).mat @ number_op(basis, 0).mat)
     ) - n_series**2
     assert np.max(np.abs(var_series - oracle.var_n)) < 1e-5
 
@@ -267,7 +266,6 @@ def test_squeezing_oracle_reconstructs_full_state():
         H = SparseOperator(
             omega * number_op(basis, 0).mat
             + 0.5 * (xi * adag.mat @ adag.mat + np.conj(xi) * a.mat @ a.mat),
-            hermitian=True,
         )
         times = np.linspace(1e-4, tmax, 31)
         res = evolve(H, basis.vector((0,)), times)
@@ -303,7 +301,7 @@ def test_krylov_on_larger_grid_matches_dense():
     basis = enumerate_basis([boson(cutoff)])
     a, adag = ladder_ops(basis, 0)
     H = SparseOperator(
-        number_op(basis, 0).mat + 0.4 * (a.mat + adag.mat), hermitian=True
+        number_op(basis, 0).mat + 0.4 * (a.mat + adag.mat)
     )
     psi0 = basis.vector((3,))
     times = np.linspace(0.5, 4.0, 8)
@@ -332,7 +330,7 @@ def test_equidistant_spectrum_implies_revival():
     rng = np.random.default_rng(9)
     levels = np.sort(rng.choice(np.arange(0, 40), size=12, replace=False)).astype(float)
     g = 0.37
-    H = diagonal_op(levels * g, hermitian=True)
+    H = diagonal_op(levels * g)
     base = equidistant_gap(spectrum(H))
     assert base is not None and base == pytest.approx(g, rel=1e-9)
     amp = rng.normal(size=12) + 1j * rng.normal(size=12)
@@ -364,10 +362,23 @@ def test_so5_quadratic_sum_rule():
             assert np.max(np.abs(many - oracle)) < 1e-9
 
 
+def test_expectation_series_of_hermitian_product_is_real():
+    # adag @ a is Hermitian by the numeric rule, although it is a product
+    basis = enumerate_basis([boson(8)])
+    a, adag = ladder_ops(basis, 0)
+    n = number_op(basis, 0)
+    H = SparseOperator(n.mat + 0.3 * (a.mat + adag.mat))
+    res = evolve(H, basis.vector((0,)), np.linspace(0.0, 1.0, 5))
+    series = expectation_series(res, adag @ a)
+    assert series.dtype == np.float64
+    assert np.max(np.abs(series - expectation_series(res, n))) < 1e-12
+    assert np.iscomplexobj(expectation_series(res, a))
+
+
 def test_validation_errors():
     basis = enumerate_basis([boson(3)])
     a, _ = ladder_ops(basis, 0)
-    with pytest.raises(NumericContractError):
+    with pytest.raises(NumericContractError, match="operator is not Hermitian"):
         evolve(a, basis.vector((0,)), np.array([1.0]))
     H = number_op(basis, 0)
     with pytest.raises(ValueError, match="normalized"):

@@ -2,10 +2,11 @@
 
 The lattice cases avoid BLAS-dependent numbers: lattice exports hold
 generator matrix elements, onsite energies and weight coordinates only, and
-of the quench CSV only the header line (the site keys) is pinned. The Krylov
-scenario CSV is the exception: it pins every float of an adaptive Lanczos
-run that rejects step sizes, so it holds for the BLAS kernels it was
-recorded with (OpenBLAS, x86-64).
+of the quench CSV only the header line (the site keys) is pinned. Three pins
+are exceptions and hold for the BLAS kernels they were recorded with
+(OpenBLAS, x86-64): the Krylov scenario CSV pins every float of an adaptive
+Lanczos run that rejects step sizes, and `closure_gallery.json` and the
+`algebra jc_super --verify` report pin closure residuals at round-off.
 """
 
 import hashlib
@@ -58,6 +59,8 @@ SU2_KRYLOV = {
     "outputs": {"csv": "su2_krylov.csv", "site_populations": True},
 }
 SU2_KRYLOV_CSV = "66f75a627896731ce3cd25a3456ab309ebdd3386162d9b687af7caec6ff1b08d"
+CLOSURE_GALLERY_JSON = "895437809e03c43931ffe6cc1d07fcfabefc6306f362bc9a222fda4e2d791abe"
+JC_SUPER_VERIFY = "b389ba4239a4606dffc3d4bccb68f7e3d4d109b9aa5085cf49dcc1c0ebc5dc73"
 
 
 def sha256(data):
@@ -96,3 +99,14 @@ def test_krylov_scenario_csv_bytes(tmp_path, capsys):
     config.write_text(json.dumps(SU2_KRYLOV))
     assert main(["--out-dir", str(tmp_path), "scenario", "run", "--config", str(config)]) == 0
     assert sha256((tmp_path / "su2_krylov.csv").read_bytes()) == SU2_KRYLOV_CSV
+
+
+def test_closure_gallery_json_bytes(tmp_path, capsys):
+    assert main(["--out-dir", str(tmp_path), "scenario", "run", "--name", "closure_gallery"]) == 0
+    assert sha256((tmp_path / "closure_gallery.json").read_bytes()) == CLOSURE_GALLERY_JSON
+
+
+def test_jc_super_verify_stdout_bytes(capsys):
+    # the superalgebra's odd pair is bracketed by its anticommutator
+    assert main(["algebra", "jc_super", "--verify"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == JC_SUPER_VERIFY

@@ -56,7 +56,7 @@ def test_diagonal_hamiltonian_has_no_edges():
 def test_non_hermitian_rejected():
     basis = enumerate_basis([boson(4)])
     a, _ = ladder_ops(basis, 0)
-    with pytest.raises(NumericContractError):
+    with pytest.raises(NumericContractError, match="operator is not Hermitian"):
         build_fsl(a, basis)
 
 
@@ -94,7 +94,7 @@ def test_two_mode_unconstrained_sectors():
     from liefock import transfer_op
 
     hop = transfer_op(basis, 0, 1)
-    H = SparseOperator(hop.mat + hop.mat.conj().T, hermitian=True)
+    H = SparseOperator(hop.mat + hop.mat.conj().T)
     graph = build_fsl(H, basis)
     comps = connected_components(graph)
     by_total = {}
@@ -253,7 +253,7 @@ def so5_full_hamiltonian(N, phi, J1=1.0, J2=1.0):
         piece = transfer_op(basis, i, j).mat * c
         piece = piece + piece.conj().T
         acc = piece if acc is None else acc + piece
-    H = SparseOperator(acc, hermitian=True)
+    H = SparseOperator(acc)
     model = build_algebra("so5_quoted", N=N)
     return model, basis, H
 
@@ -283,7 +283,7 @@ def test_gauge_invariance_of_fluxes_and_moduli():
     ]
     H = linear_combination([model.generator(l) for l, _ in terms], [c for _, c in terms])
     gauged = SparseOperator(
-        (np.diag(phases) @ H.toarray() @ np.diag(phases.conj())), hermitian=True
+        (np.diag(phases) @ H.toarray() @ np.diag(phases.conj()))
     )
     graph2 = build_fsl(gauged, model.basis)
     weight_coordinates(graph2, model.cartan_ops())
@@ -336,13 +336,13 @@ def test_exact_weights_beyond_a_double_are_refused():
     from liefock.operators import diagonal_op
     from liefock.scenarios import _weights_from_linear_forms
 
-    huge = diagonal_op(np.ones(3), hermitian=True, rational=([1, 1, 1], 2**60))
+    huge = diagonal_op(np.ones(3), rational=([1, 1, 1], 2**60))
     with pytest.raises(ResourceGuardError):
         cartan_weights([huge])
     # four distinct denominators near 2^20: their least common multiple is ~2^80
     primes = [1048573, 1048571, 1048559, 1048549]
     with pytest.raises(ResourceGuardError):
-        cartan_weights([diagonal_op([1 / p for p in primes], hermitian=True)])
+        cartan_weights([diagonal_op([1 / p for p in primes])])
     basis = enumerate_basis([boson(4)] * 2, constraint=4)
     with pytest.raises(ResourceGuardError):
         _weights_from_linear_forms(basis, [["1/9007199254740993", "0"]])

@@ -205,9 +205,27 @@ def test_jacobi_identity_random():
 
 
 def test_hermitian_flag_contract():
+    # Hermiticity is computed from the matrix by the one 1e-12-relative rule,
+    # whatever built the operator
     basis = enumerate_basis([boson(6)])
+    a, adag = ladder_ops(basis, 0)
     n = number_op(basis, 0)
-    assert n.hermitian and n.hermiticity_defect() <= 1e-12 * n.max_norm()
+    assert n.is_hermitian() and n.hermiticity_defect() <= 1e-12 * n.max_norm()
+    assert (adag @ a).is_hermitian() and (a + adag).is_hermitian()
+    assert not a.is_hermitian() and not (1j * (a + adag)).is_hermitian()
+    assert SparseOperator(n.mat + 1e-13 * a.mat).is_hermitian()
+    assert not SparseOperator(n.mat + 1e-9 * a.mat).is_hermitian()
+
+
+def test_to_json_reports_computed_hermiticity():
+    basis = enumerate_basis([boson(4)])
+    a, adag = ladder_ops(basis, 0)
+    assert json.loads((adag @ a).to_json())["hermitian"] is True
+    assert json.loads(a.to_json())["hermitian"] is False
+    # from_json ignores the key: the matrix decides
+    payload = json.loads((adag @ a).to_json())
+    payload["hermitian"] = False
+    assert SparseOperator.from_json(json.dumps(payload)).is_hermitian()
 
 
 def test_drop_tolerance_strips_noise():

@@ -507,10 +507,10 @@ def test_cartan_weights_match_oracle(dim, rank, seed, data):
         if data.draw(st.booleans()):
             den = np.lcm.reduce([v.denominator for v in values])
             num = [v.numerator * (int(den) // v.denominator) for v in values]
-            ops.append(diagonal_op(diag, hermitian=True, rational=(num, int(den))))
+            ops.append(diagonal_op(diag, rational=(num, int(den))))
             columns.append((diag, values))
         else:
-            ops.append(diagonal_op(diag, hermitian=True))
+            ops.append(diagonal_op(diag))
             columns.append((diag, None))
     wl = cartan_weights(ops)
     coords, sites = oracle_weight_coordinates(columns)
@@ -818,7 +818,7 @@ def hermitian_graphs(draw):
         "collinear": np.outer(rng.integers(-3, 4, size=n), [1.0, -2.0]),
         "1d": rng.normal(size=(n, 1)),
     }[kind]
-    return SparseOperator(sparse.csr_matrix(H), hermitian=True), weights
+    return SparseOperator(sparse.csr_matrix(H)), weights
 
 
 def same_bits(got, want):
@@ -1077,7 +1077,7 @@ def krylov_problems(draw):
     psi0 = random_start(rng, n, draw(st.booleans()))
     steps = draw(st.lists(st.floats(0.5, 6.0), min_size=1, max_size=4))
     start = draw(st.sampled_from([0.0, 0.3]))
-    return SparseOperator(H, hermitian=True), psi0, start + np.cumsum(steps)
+    return SparseOperator(H), psi0, start + np.cumsum(steps)
 
 
 @settings(max_examples=60, deadline=None)
