@@ -560,10 +560,8 @@ def _su3_schwinger(N=3):
     gens = [h1, h2, ip, ip.dagger(), up, up.dagger(), vp, vp.dagger()]
     labels = ["H1", "H2", "I+", "I-", "U+", "U-", "V+", "V-"]
     ntot = diagonal_op((na + nb + nc).astype(float))
-    quad = None
-    acc = h1.mat @ h1.mat * 0
-    for raising, lowering in ((ip, ip.dagger()), (up, up.dagger()), (vp, vp.dagger())):
-        acc = acc + 0.5 * (raising.mat @ lowering.mat + lowering.mat @ raising.mat)
+    pairs = ((ip, ip.dagger()), (up, up.dagger()), (vp, vp.dagger()))
+    acc = sum(0.5 * (raising.mat @ lowering.mat + lowering.mat @ raising.mat) for raising, lowering in pairs)
     h2s = h2.mat @ h2.mat
     quad = SparseOperator(h1.mat @ h1.mat + h2s + acc)
     return AlgebraModel(

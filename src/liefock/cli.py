@@ -28,7 +28,6 @@ from .lattice import (
     graph_to_json_dict,
     plaquette_fluxes,
     system_graph,
-    weight_coordinates,
 )
 from .oracles import LADDER_KINDS, bloch, ladder_oracles, so5_manybody, so5_revival, so5_singles, squeezing
 from .output import export_heatmap, grid_csv_bytes, json_text, write_json
@@ -41,6 +40,7 @@ from .scenarios import (
     builtin_scenario,
     parse_config,
     run_scenario,
+    system_weights,
 )
 
 EXIT_OK = 0
@@ -120,13 +120,11 @@ def _cmd_lattice(args):
         system = json.load(fh)
     _check_system(system)
     basis, H, model, terms = build_system(system)
-    graph = system_graph(basis, H, model, terms, tol=args.tol)
-    wl = None
-    if model is not None and model.cartan:
-        wl = weight_coordinates(graph, model.cartan_ops())
+    graph = system_graph(H, model, terms, tol=args.tol)
+    wl = system_weights(system, basis, model)
     payload = graph_to_json_dict(graph, wl)
     if args.fluxes:
-        rep = plaquette_fluxes(graph)
+        rep = plaquette_fluxes(graph, None if wl is None else wl.coordinates_float)
         payload["fluxes"] = {
             "cycle_count": rep.cycle_count,
             "class_values": rep.class_values,

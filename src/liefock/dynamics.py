@@ -32,11 +32,6 @@ class EvolutionResult:
     norms: np.ndarray
     method: str
 
-    def snapshot(self, k) -> np.ndarray:
-        if self.snapshots is None:
-            raise ValueError("snapshots were not stored for this run")
-        return self.snapshots[k]
-
 
 @dataclass
 class RevivalReport:

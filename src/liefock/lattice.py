@@ -7,6 +7,8 @@ as arrays: `edges[k] = (i, j)` with i < j, lexsorted, wherever |H[i, j]|
 exceeds a tolerance, and `amplitudes[k] = H[i, j]` (the reverse direction
 carries the conjugate). Components and breadth-first spanning trees come
 from `scipy.sparse.csgraph` on the symmetric CSR adjacency of the edges.
+A graph carries bonds only: site coordinates are a separate `WeightLattice`,
+passed to the functions that use them.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ class FSLGraph:
     edges: np.ndarray          # (n_edges, 2) int64, i < j, lexsorted
     amplitudes: np.ndarray     # (n_edges,) complex H[i, j]
     labels: list = None        # None, or the generator label of each edge
-    basis: object = None
-    weights: np.ndarray = None  # optional per-vertex float weight coordinates
 
     @property
     def n_edges(self) -> int:
@@ -125,7 +125,7 @@ class FluxReport:
     independent_classes: int   # distinct values after identifying v ~ -v
 
 
-def build_fsl(H: SparseOperator, basis=None, tol=None) -> FSLGraph:
+def build_fsl(H: SparseOperator, tol=None) -> FSLGraph:
     """Vertex per basis state, edge wherever |H_nm| > tol for n != m.
 
     Raises NumericContractError if H is not Hermitian at 1e-12 relative.
@@ -141,14 +141,14 @@ def build_fsl(H: SparseOperator, basis=None, tol=None) -> FSLGraph:
     rows, cols = coo.row[keep].astype(np.int64), coo.col[keep].astype(np.int64)
     order = np.lexsort((cols, rows))
     edges = np.stack((rows[order], cols[order]), axis=1)
-    return FSLGraph(H.dim, onsite, edges, coo.data[keep][order], basis=basis)
+    return FSLGraph(H.dim, onsite, edges, coo.data[keep][order])
 
 
-def system_graph(basis, H, model, terms, tol=None) -> FSLGraph:
+def system_graph(H, model, terms, tol=None) -> FSLGraph:
     """The graph of a system as `scenarios.build_system` returns it. When the
     system names an algebra (`terms` given), each edge is labeled by the
     generator that produced it (merged labels on collision)."""
-    graph = build_fsl(H, basis, tol=tol)
+    graph = build_fsl(H, tol=tol)
     if terms is not None and graph.n_edges:
         graph.labels = _edge_labels(graph, [lab for lab, _ in terms], model)
     return graph
@@ -240,7 +240,7 @@ def _common_denominator(columns):
     return np.stack(scaled, axis=-1), den
 
 
-def cartan_weights(cartan_ops) -> WeightLattice:
+def weight_coordinates(cartan_ops) -> WeightLattice:
     """Per-vertex tuples of Cartan eigenvalues, merged into distinct lattice
     sites with multiplicity. Merging is exact: the eigenvalues come from
     `rational_diagonal` when present, else are recovered from the floats."""
@@ -259,17 +259,6 @@ def cartan_weights(cartan_ops) -> WeightLattice:
             exact_columns.append(_rationalize(diag))
     numerators, den = _common_denominator(exact_columns)
     return WeightLattice.from_numerators(numerators, den, np.stack(float_columns, axis=-1))
-
-
-def weight_coordinates(fsl: FSLGraph, cartan_ops) -> WeightLattice:
-    """`cartan_weights` of the Cartan operators, checked against the graph's
-    vertex count; the float coordinates are attached to the graph."""
-    for op in cartan_ops:
-        if op.dim != fsl.n_vertices:
-            raise ValueError("Cartan operator dimension does not match the graph")
-    wl = cartan_weights(cartan_ops)
-    fsl.weights = wl.coordinates_float
-    return wl
 
 
 def connected_components(fsl: FSLGraph) -> list:
@@ -371,14 +360,15 @@ def plaquette_fluxes(fsl: FSLGraph, weights=None) -> FluxReport:
     """Fluxes of a fundamental cycle basis plus the shortest ("elementary")
     cycle through every non-tree edge.
 
-    Cycles are canonically oriented (counterclockwise when 2D weight
-    coordinates are attached), so signed flux values are reproducible.
-    `independent_classes` counts distinct nonzero elementary flux values
-    after identifying a value with its traversal reverse (v ~ -v).
+    Cycles are canonically oriented (counterclockwise in `weights`, one
+    row of float coordinates per vertex, when they are 2D), so signed flux
+    values are reproducible. `independent_classes` counts distinct nonzero
+    elementary flux values after identifying a value with its traversal
+    reverse (v ~ -v).
     """
-    if weights is None:
-        weights = fsl.weights
     n = fsl.n_vertices
+    if weights is not None and len(weights) != n:
+        raise ValueError(f"weights have {len(weights)} rows for a graph of {n} vertices")
     adj = fsl.csr()
     _, labels = sparse.csgraph.connected_components(adj, directed=False)
     roots = np.sort(np.unique(labels, return_index=True)[1])  # smallest member of each

@@ -1,10 +1,12 @@
 """Sparse complex operators over a Fock basis.
 
-Thin wrapper around scipy CSR matrices. An operator carries its matrix and
-its fermion-parity grade and nothing else: Hermiticity is always computed
-from the matrix by the one numeric rule (`within_hermitian_bound`), and the
-bracket of two operators (`graded_commutator`) is the commutator or, for two
-odd operators, the anticommutator. Also constructors for ladder, number, and
+Thin wrapper around scipy CSR matrices. An operator carries its matrix, its
+fermion-parity grade and, when built with exact eigenvalues, a
+`rational_diagonal` that only `lattice.weight_coordinates` reads. It carries
+nothing else: Hermiticity is always computed from the matrix by the one
+numeric rule (`within_hermitian_bound`), and the bracket of two operators
+(`graded_commutator`) is the commutator or, for two odd operators, the
+anticommutator. Also constructors for ladder, number, and
 bilinear transfer operators. Entries below a relative drop tolerance are
 eliminated after every product so chained commutators do not accumulate
 numerical fill-in.
@@ -50,7 +52,8 @@ class SparseOperator:
     `rational_diagonal` (optional) carries exact diagonal eigenvalues for
     operators used as lattice coordinates, as a pair (int64 numerator
     array, common positive int denominator); it is preserved by nothing
-    except explicit construction.
+    except explicit construction, and its one reader is
+    `lattice.weight_coordinates`.
     """
 
     __slots__ = ("mat", "grade", "rational_diagonal")

@@ -24,11 +24,11 @@ from .errors import ConfigError
 from .fock import FockBasis, ModeSpec
 from .lattice import (
     WeightLattice,
-    cartan_weights,
     check_exact,
     graph_to_adjacency_csv,
     graph_to_json_dict,
     system_graph,
+    weight_coordinates,
 )
 from .operators import SparseOperator, linear_combination, number_op, transfer_op
 from .output import float_rows, grid_csv_bytes, heatmap_bytes, json_text, sha256_bytes, write_json
@@ -170,6 +170,9 @@ def parse_config(payload) -> ScenarioConfig:
         )
         if outputs["husimi"]["space"] not in SPACES:
             raise ConfigError(f"unknown phase space {outputs['husimi']['space']!r}", field="outputs.husimi.space")
+    for key in ("heatmap", "husimi"):
+        if "time_index" in outputs.get(key, {}):
+            _check_time_index(outputs[key]["time_index"], times["num"], f"outputs.{key}.time_index")
 
     return ScenarioConfig(
         name=payload["name"],
@@ -231,6 +234,16 @@ def _check_real(value, path):
         raise ConfigError("expected a finite real number", field=path)
 
 
+def _check_time_index(value, num, path):
+    """A snapshot index k that `int()` reads, with 0 <= k < num."""
+    try:
+        k = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("expected an integer", field=path) from None
+    if not 0 <= k < num:
+        raise ConfigError(f"time_index {k} outside the time grid of {num} points", field=path)
+
+
 # ---------------------------------------------------------------------------
 # system assembly
 # ---------------------------------------------------------------------------
@@ -279,6 +292,24 @@ def build_system(system):
     if not H.is_hermitian():
         raise ConfigError("assembled Hamiltonian is not Hermitian", field="system.bilinears")
     return basis, H, None, None
+
+
+def system_weights(system, basis, model):
+    """The exact coordinates that label a system's lattice sites, or None:
+    the Cartan weights of a named algebra, else the spec's `weights` rows,
+    exact rational linear forms of the occupations (one Fraction-parseable
+    coefficient per mode), scaled to integers over their common denominator."""
+    if model is not None and model.cartan:
+        return weight_coordinates(model.cartan_ops())
+    if "weights" not in system:
+        return None
+    forms = [[Fraction(str(c)) for c in row] for row in system["weights"]]
+    den = lcm(*(f.denominator for row in forms for f in row))
+    coeffs = [[int(f * den) for f in row] for row in forms]
+    caps = [m.capacity for m in basis.modes]
+    check_exact(max((sum(abs(c) * n for c, n in zip(row, caps)) for row in coeffs), default=0), den)
+    coeffs = np.array(coeffs, dtype=np.int64).reshape(len(forms), len(caps))
+    return WeightLattice.from_numerators(basis.occ @ coeffs.T, den)
 
 
 def build_initial_state(state_spec, basis):
@@ -345,14 +376,12 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
     wl = None
     needs_sites = config.outputs.get("site_populations") or "heatmap" in config.outputs
     if "graph_json" in config.outputs or "adjacency_csv" in config.outputs:
-        graph = system_graph(basis, H, model, terms, tol=tol)
+        graph = system_graph(H, model, terms, tol=tol)
     if graph is not None or needs_sites:
-        if model is not None and model.cartan:
-            wl = cartan_weights(model.cartan_ops())
-        elif "weights" in config.system:
-            wl = _weights_from_linear_forms(basis, config.system["weights"])
-        elif needs_sites:
-            wl = _weights_from_occupations(basis)
+        wl = system_weights(config.system, basis, model)
+    if wl is None and needs_sites:
+        # site populations and heatmaps fall back to the occupations
+        wl = WeightLattice.from_numerators(basis.occ, 1)
 
     # observable columns
     columns = []
@@ -392,10 +421,7 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
 
     if "heatmap" in config.outputs:
         hm = config.outputs["heatmap"]
-        k = int(hm["time_index"])
-        if not 0 <= k < times.size:
-            raise ConfigError("heatmap time_index outside the time grid", field="outputs.heatmap.time_index")
-        table = _weight_grid(result.populations[k], wl)
+        table = _weight_grid(result.populations[int(hm["time_index"])], wl)
         pending.append(
             (hm["path"], heatmap_bytes(table, bool(hm.get("fourth_root", False))))
         )
@@ -409,23 +435,6 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
         pending.append((hu["path"], grid_csv_bytes(grid)))
 
     return _finalize(config, out_dir, pending, started)
-
-
-def _weights_from_occupations(basis):
-    return WeightLattice.from_numerators(basis.occ, 1)
-
-
-def _weights_from_linear_forms(basis, rows):
-    """Coordinates as exact rational linear forms of the occupations; each
-    row lists one Fraction-parseable coefficient per mode. The forms are
-    scaled to integers over their common denominator."""
-    forms = [[Fraction(str(c)) for c in row] for row in rows]
-    den = lcm(*(f.denominator for row in forms for f in row))
-    coeffs = [[int(f * den) for f in row] for row in forms]
-    caps = [m.capacity for m in basis.modes]
-    check_exact(max((sum(abs(c) * n for c, n in zip(row, caps)) for row in coeffs), default=0), den)
-    coeffs = np.array(coeffs, dtype=np.int64).reshape(len(forms), len(caps))
-    return WeightLattice.from_numerators(basis.occ @ coeffs.T, den)
 
 
 def _site_populations(populations, wl):
@@ -443,14 +452,15 @@ def _site_populations(populations, wl):
 def _weight_grid(populations_at_t, wl):
     """Populations summed per weight site, arranged on the rectangular grid
     spanned by the first two weight coordinates (rows: second coordinate
-    descending, columns: first ascending). 1D weights produce a single row."""
+    descending, columns: first ascending); sites that share their first two
+    coordinates are summed into one cell. 1D weights produce a single row."""
     sums = np.array([np.sum(populations_at_t[members]) for members in wl.site_members()])
     if wl.site_numerators.shape[1] == 1:
         return sums[None, :]
     xs, col = np.unique(wl.site_numerators[:, 0], return_inverse=True)
     ys, row = np.unique(wl.site_numerators[:, 1], return_inverse=True)
     table = np.zeros((len(ys), len(xs)))
-    table[len(ys) - 1 - row, col] = sums
+    np.add.at(table, (len(ys) - 1 - row, col), sums)
     return table
 
 

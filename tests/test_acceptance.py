@@ -37,7 +37,7 @@ from liefock.oracles import so5_generator_matrix, so5_manybody, so5_singles
 
 def labeled_graph(model, terms):
     H = linear_combination([model.generator(lab) for lab, _ in terms], [c for _, c in terms])
-    return system_graph(model.basis, H, model, terms)
+    return system_graph(H, model, terms)
 
 
 def report(num, ok, detail):
@@ -141,7 +141,6 @@ def test_criterion_06_su3_lattice_flux_and_mirror():
     # lattice shape
     terms0 = [("I+", J), ("I-", J), ("U+", J), ("U-", J), ("V+", J), ("V-", J)]
     graph = labeled_graph(model, terms0)
-    weight_coordinates(graph, model.cartan_ops())
     degrees = graph.degrees()
     interior = [v for v, s in enumerate(model.basis.states) if all(o > 0 for o in s)]
     shape_ok = graph.n_vertices == 496 and all(degrees[v] == 6 for v in interior)
@@ -153,8 +152,8 @@ def test_criterion_06_su3_lattice_flux_and_mirror():
         ("V+", J * np.exp(1j * phi)), ("V-", J * np.exp(-1j * phi)),
     ]
     graph_phi = labeled_graph(model, terms_phi)
-    weight_coordinates(graph_phi, model.cartan_ops())
-    rep = plaquette_fluxes(graph_phi)
+    wl = weight_coordinates(model.cartan_ops())
+    rep = plaquette_fluxes(graph_phi, wl.coordinates_float)
     classes = sorted(rep.class_values)
     flux_ok = (
         len(classes) == 2

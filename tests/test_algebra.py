@@ -153,14 +153,10 @@ def test_so5_quoted_set_does_not_close_at_ten():
 def test_so5_site_count_disagrees_with_quadratic_formula():
     # both counts are reported, neither hardcoded as truth: for N = 2 the
     # sector has 10 states on 9 distinct weight sites, while N^2/2 + N + 1 = 5
-    from liefock import build_fsl, weight_coordinates
-    from liefock.operators import linear_combination
+    from liefock import weight_coordinates
 
     model = build_algebra("so5_quoted", N=2)
-    terms = ["Sa+", "Sa-", "Sb+", "Sb-", "Sab+", "Sab-", "Sba+", "Sba-"]
-    H = linear_combination([model.generator(t) for t in terms], [1.0] * 8)
-    graph = build_fsl(H, model.basis)
-    wl = weight_coordinates(graph, model.cartan_ops())
+    wl = weight_coordinates(model.cartan_ops())
     claimed = 2**2 // 2 + 2 + 1
     assert model.basis.dim == 10
     assert len(wl.sites) == 9

@@ -7,6 +7,7 @@ import pytest
 from liefock.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCE, main
 from liefock.errors import ConfigError, ResourceGuardError
 from liefock.output import heatmap_bytes, read_heatmap
+from test_golden_bytes import SO5_BILINEAR
 from liefock.scenarios import (
     BUILTIN_SCENARIOS,
     builtin_scenario,
@@ -356,6 +357,61 @@ def test_cli_evolve_rejects_non_numeric_times(tmp_path, capsys, key, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("heatmap", 7), ("heatmap", -1), ("heatmap", "x"), ("husimi", 7), ("husimi", -1), ("husimi", None)],
+)
+def test_cli_evolve_rejects_time_index_outside_grid(tmp_path, capsys, key, value):
+    payload = builtin_scenario("su2_transport", S=4, num=3).to_dict()
+    payload["outputs"] = {
+        "heatmap": {"path": "h.pgm", "time_index": 0},
+        "husimi": {"space": "sphere", "path": "q.csv", "time_index": 0, "nodes": [5, 5]},
+    }
+    payload["outputs"][key]["time_index"] = value
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(payload))
+    assert main(["--out-dir", str(tmp_path), "evolve", "--scenario", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(field: outputs.{key}.time_index)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "h.pgm").exists()
+
+
+def test_time_index_that_int_reads_is_accepted(tmp_path):
+    payload = builtin_scenario("su2_transport", S=4, num=3).to_dict()
+    payload["outputs"] = {
+        "heatmap": {"path": "h.pgm", "time_index": "2"},
+        "husimi": {"space": "sphere", "path": "q.csv", "time_index": 2.0, "nodes": [5, 5]},
+    }
+    run_scenario(parse_config(payload), out_dir=tmp_path)
+    assert (tmp_path / "h.pgm").exists() and (tmp_path / "q.csv").exists()
+
+
+def test_cli_lattice_exports_the_scenario_weights(tmp_path, capsys):
+    # one coordinate rule: a bilinear spec's `weights` rows label the sites of
+    # `liefock lattice` exactly as they do a scenario's graph_json
+    system = dict(SO5_BILINEAR, weights=[["1/2", "-1/2", "0", "0"], ["0", "0", "1/2", "-1/2"]])
+    ham = tmp_path / "sys.json"
+    ham.write_text(json.dumps(system))
+    assert main(["lattice", "--ham", str(ham), "--export", str(tmp_path / "cli.json")]) == EXIT_OK
+    config = parse_config(
+        {
+            "version": 1,
+            "name": "so5_weights",
+            "system": system,
+            "initial_state": {"fock": [8, 0, 0, 0]},
+            "times": {"start": 0.0, "stop": 0.1, "num": 2},
+            "outputs": {"graph_json": "scenario.json"},
+        }
+    )
+    run_scenario(config, out_dir=tmp_path)
+    cli = json.loads((tmp_path / "cli.json").read_text())
+    scenario = json.loads((tmp_path / "scenario.json").read_text())
+    assert cli["vertices"] == scenario["vertices"]
+    assert cli["edges"] == scenario["edges"]
+    assert cli["vertices"][0]["weight"] == [0.0, -4.0]  # the state (0, 0, 0, 8)
+
+
 def test_cli_closure_has_no_graded_flag(capsys):
     # the bracket follows the generators' grades; there is nothing to select
     with pytest.raises(SystemExit):
@@ -481,6 +537,29 @@ def test_scenario_husimi_output_all_charts(tmp_path, space):
     run_scenario(parse_config(payload), out_dir=tmp_path)
     rows = np.loadtxt(tmp_path / "q.csv", delimiter=",", skiprows=1)
     assert rows.shape == (40, 4) and np.all(rows[:, 0] >= 0)
+
+
+def test_rank3_heatmap_keeps_all_population(tmp_path):
+    # three Cartan coordinates: sites that share the first two fall in one
+    # pixel, and their populations add up there
+    payload = {
+        "version": 1,
+        "name": "sp6",
+        "system": {
+            "algebra": {"name": "sp2n_boson", "params": {"modes": 3, "cutoff": 2}},
+            "terms": [{"label": lab, "coeff": 1.0} for lab in ("h01", "h10", "h12", "h21")],
+        },
+        "initial_state": {"fock": [2, 0, 0]},
+        "times": {"start": 0.0, "stop": 1.0, "num": 2},
+        "outputs": {"csv": "sp6.csv", "site_populations": True, "heatmap": {"path": "sp6.pgm", "time_index": 1}},
+    }
+    run_scenario(parse_config(payload), out_dir=tmp_path)
+    last = (tmp_path / "sp6.csv").read_text().splitlines()[-1]
+    sites = [float(v) for v in last.split(",")[3:]]  # after t, fidelity, norm
+    assert len(sites) == 27 and sum(sites) == pytest.approx(1.0, abs=1e-12)
+    arr, peak, _ = read_heatmap(tmp_path / "sp6.pgm")
+    # each pixel is rounded to 1/65535 of the peak
+    assert np.sum(arr) * peak / 65535 == pytest.approx(1.0, abs=arr.size * peak / 65535)
 
 
 def test_scenario_husimi_unknown_space_rejected():

@@ -27,14 +27,14 @@ def su3_hamiltonian(N, phi, J=1.0):
         ("V+", J * np.exp(1j * phi)), ("V-", J * np.exp(-1j * phi)),
     ]
     H = linear_combination([model.generator(lab) for lab, _ in terms], [c for _, c in terms])
-    return model, system_graph(model.basis, H, model, terms)
+    return model, system_graph(H, model, terms)
 
 
 def test_two_mode_chain_amplitudes():
     model = build_algebra("su2_schwinger", N=4)
     J0 = 1.0
     H = linear_combination([model.generator("S+"), model.generator("S-")], [J0, J0])
-    graph = build_fsl(H, model.basis)
+    graph = build_fsl(H)
     assert graph.n_vertices == 5
     assert [(i, j) for i, j in graph.edges.tolist()] == [(0, 1), (1, 2), (2, 3), (3, 4)]
     first = graph.amplitudes[0]
@@ -48,7 +48,7 @@ def test_two_mode_chain_amplitudes():
 def test_diagonal_hamiltonian_has_no_edges():
     basis = enumerate_basis([boson(5)])
     H = number_op(basis, 0)
-    graph = build_fsl(H, basis)
+    graph = build_fsl(H)
     assert graph.n_edges == 0
     assert np.allclose(graph.onsite, np.arange(6.0))
 
@@ -57,7 +57,7 @@ def test_non_hermitian_rejected():
     basis = enumerate_basis([boson(4)])
     a, _ = ladder_ops(basis, 0)
     with pytest.raises(NumericContractError, match="operator is not Hermitian"):
-        build_fsl(a, basis)
+        build_fsl(a)
 
 
 def test_jc_graph_components():
@@ -66,7 +66,7 @@ def test_jc_graph_components():
         [model.generator(l) for l in ("n_b", "n_f", "bf+", "bf-")],
         [1.0, 1.0, 0.2, 0.2],
     )
-    graph = build_fsl(H, model.basis)
+    graph = build_fsl(H)
     comps = connected_components(graph)
     sizes = sorted(len(c) for c in comps)
     # excitation sectors pair |n, 1> with |n+1, 0>; the vacuum is isolated and
@@ -82,7 +82,7 @@ def test_jc_graph_components():
 def test_su11_hopping_graph_two_chains():
     model = build_algebra("su11_single", cutoff=20)
     H = linear_combination([model.generator("K+"), model.generator("K-")], [1.0, 1.0])
-    graph = build_fsl(H, model.basis)
+    graph = build_fsl(H)
     comps = connected_components(graph)
     assert len(comps) == 2
     assert comps[0] == list(range(0, 21, 2))
@@ -95,7 +95,7 @@ def test_two_mode_unconstrained_sectors():
 
     hop = transfer_op(basis, 0, 1)
     H = SparseOperator(hop.mat + hop.mat.conj().T)
-    graph = build_fsl(H, basis)
+    graph = build_fsl(H)
     comps = connected_components(graph)
     by_total = {}
     for comp in comps:
@@ -108,16 +108,14 @@ def test_two_mode_unconstrained_sectors():
 
 def test_edgeless_graph_components():
     basis = enumerate_basis([boson(3)])
-    graph = build_fsl(number_op(basis, 0), basis)
+    graph = build_fsl(number_op(basis, 0))
     comps = connected_components(graph)
     assert comps == [[0], [1], [2], [3]]
 
 
 def test_weight_coordinates_su2():
     model = build_algebra("su2_schwinger", N=4)
-    H = linear_combination([model.generator("S+"), model.generator("S-")], [1.0, 1.0])
-    graph = build_fsl(H, model.basis)
-    wl = weight_coordinates(graph, model.cartan_ops())
+    wl = weight_coordinates(model.cartan_ops())
     coords = [c[0] for c in wl.coordinates]
     assert coords == [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(2)]
     assert wl.multiplicities == [1] * 5
@@ -125,7 +123,7 @@ def test_weight_coordinates_su2():
 
 def test_weight_coordinates_su3_triangle():
     model, graph = su3_hamiltonian(1, 0.0)
-    wl = weight_coordinates(graph, model.cartan_ops())
+    wl = weight_coordinates(model.cartan_ops())
     assert len(wl.sites) == 3
     assert wl.multiplicities == [1, 1, 1]
     assert graph.n_edges == 3  # triangle
@@ -133,12 +131,7 @@ def test_weight_coordinates_su3_triangle():
 
 def test_weight_multiplicities_so5():
     model = build_algebra("so5_quoted", N=2)
-    H = linear_combination(
-        [model.generator(l) for l in ("Sa+", "Sa-", "Sb+", "Sb-", "Sab+", "Sab-", "Sba+", "Sba-")],
-        [1.0] * 8,
-    )
-    graph = build_fsl(H, model.basis)
-    wl = weight_coordinates(graph, model.cartan_ops())
+    wl = weight_coordinates(model.cartan_ops())
     assert len(wl.sites) == 9
     mult = dict(zip([tuple(c) for c, _ in wl.sites], wl.multiplicities))
     assert mult[(Fraction(0), Fraction(0))] == 2
@@ -147,10 +140,8 @@ def test_weight_multiplicities_so5():
 
 def test_non_diagonal_cartan_rejected():
     model = build_algebra("su2_schwinger", N=2)
-    H = linear_combination([model.generator("S+"), model.generator("S-")], [1.0, 1.0])
-    graph = build_fsl(H, model.basis)
     with pytest.raises(ValueError, match="diagonal"):
-        weight_coordinates(graph, [model.generator("S+")])
+        weight_coordinates([model.generator("S+")])
 
 
 def test_su3_lattice_shape():
@@ -171,7 +162,7 @@ def test_su3_lattice_shape():
 
 def test_root_labeled_edges_translate_by_root():
     model, graph = su3_hamiltonian(3, 0.0)
-    wl = weight_coordinates(graph, model.cartan_ops())
+    wl = weight_coordinates(model.cartan_ops())
     roots = {model.labels[p.raising]: p.root for p in model.root_pairs}
     for (i, j), label in zip(graph.edges.tolist(), graph.labels):
         assert label in roots
@@ -224,8 +215,8 @@ def brute_force_triangle_fluxes(model, graph, wl):
 def test_su3_staggered_fluxes_match_brute_force():
     phi = np.pi / 3
     model, graph = su3_hamiltonian(3, phi)
-    wl = weight_coordinates(graph, model.cartan_ops())
-    rep = plaquette_fluxes(graph)
+    wl = weight_coordinates(model.cartan_ops())
+    rep = plaquette_fluxes(graph, wl.coordinates_float)
     oracle = brute_force_triangle_fluxes(model, graph, wl)
     assert sorted(round(v, 9) for v in set(np.round(oracle, 9))) == [
         pytest.approx(-phi),
@@ -261,9 +252,9 @@ def so5_full_hamiltonian(N, phi, J1=1.0, J2=1.0):
 def test_so5_single_flux_class():
     phi = 1.3
     model, basis, H = so5_full_hamiltonian(2, phi)
-    graph = build_fsl(H, basis)
-    wl = weight_coordinates(graph, model.cartan_ops())
-    rep = plaquette_fluxes(graph)
+    graph = build_fsl(H)
+    wl = weight_coordinates(model.cartan_ops())
+    rep = plaquette_fluxes(graph, wl.coordinates_float)
     assert rep.independent_classes == 1
     mags = {round(abs(v), 9) for v in rep.class_values}
     assert mags == {round(phi, 9)}
@@ -272,8 +263,8 @@ def test_so5_single_flux_class():
 def test_gauge_invariance_of_fluxes_and_moduli():
     phi = 0.77
     model, graph = su3_hamiltonian(3, phi)
-    wl = weight_coordinates(graph, model.cartan_ops())
-    rep = plaquette_fluxes(graph)
+    wl = weight_coordinates(model.cartan_ops())
+    rep = plaquette_fluxes(graph, wl.coordinates_float)
 
     rng = np.random.default_rng(5)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, graph.n_vertices))
@@ -285,9 +276,8 @@ def test_gauge_invariance_of_fluxes_and_moduli():
     gauged = SparseOperator(
         (np.diag(phases) @ H.toarray() @ np.diag(phases.conj()))
     )
-    graph2 = build_fsl(gauged, model.basis)
-    weight_coordinates(graph2, model.cartan_ops())
-    rep2 = plaquette_fluxes(graph2)
+    graph2 = build_fsl(gauged)
+    rep2 = plaquette_fluxes(graph2, wl.coordinates_float)
 
     assert np.allclose(sorted(rep.fluxes), sorted(rep2.fluxes), atol=1e-10)
     assert np.allclose(
@@ -308,13 +298,20 @@ def test_cycle_count_formula():
 
 def test_graph_export_round_trip():
     model, graph = su3_hamiltonian(2, 0.5)
-    wl = weight_coordinates(graph, model.cartan_ops())
+    wl = weight_coordinates(model.cartan_ops())
     payload = graph_to_json_dict(graph, wl)
     assert [v["id"] for v in payload["vertices"]] == list(range(graph.n_vertices))
     assert all({"i", "j", "re", "im", "label"} <= set(e) for e in payload["edges"])
     csv_text = graph_to_adjacency_csv(graph)
     assert csv_text.splitlines()[0] == "i,j,re,im,label"
     assert len(csv_text.splitlines()) == graph.n_edges + 1
+
+
+def test_flux_weights_need_one_row_per_vertex():
+    _, graph = su3_hamiltonian(2, 0.5)
+    wl = weight_coordinates(build_algebra("su3_schwinger", N=3).cartan_ops())
+    with pytest.raises(ValueError, match="10 rows for a graph of 6 vertices"):
+        plaquette_fluxes(graph, wl.coordinates_float)
 
 
 def test_zero_amplitude_cycle_edge_rejected():
@@ -332,21 +329,20 @@ def test_zero_amplitude_cycle_edge_rejected():
 
 def test_exact_weights_beyond_a_double_are_refused():
     from liefock.errors import ResourceGuardError
-    from liefock.lattice import cartan_weights
     from liefock.operators import diagonal_op
-    from liefock.scenarios import _weights_from_linear_forms
+    from liefock.scenarios import system_weights
 
     huge = diagonal_op(np.ones(3), rational=([1, 1, 1], 2**60))
     with pytest.raises(ResourceGuardError):
-        cartan_weights([huge])
+        weight_coordinates([huge])
     # four distinct denominators near 2^20: their least common multiple is ~2^80
     primes = [1048573, 1048571, 1048559, 1048549]
     with pytest.raises(ResourceGuardError):
-        cartan_weights([diagonal_op([1 / p for p in primes])])
+        weight_coordinates([diagonal_op([1 / p for p in primes])])
     basis = enumerate_basis([boson(4)] * 2, constraint=4)
     with pytest.raises(ResourceGuardError):
-        _weights_from_linear_forms(basis, [["1/9007199254740993", "0"]])
-    wl = _weights_from_linear_forms(basis, [["1/2", "-1/3"]])
+        system_weights({"weights": [["1/9007199254740993", "0"]]}, basis, None)
+    wl = system_weights({"weights": [["1/2", "-1/3"]]}, basis, None)
     assert wl.denominator == 6 and wl.site_keys()[0] == (Fraction(-4, 3),)
 
 

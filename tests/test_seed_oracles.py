@@ -54,14 +54,14 @@ from liefock.lattice import (
     WeightLattice,
     _flux_classes,
     build_fsl,
-    cartan_weights,
     connected_components,
     plaquette_fluxes,
+    weight_coordinates,
 )
 from liefock.errors import NumericContractError
 from liefock.operators import EVEN, ODD, SparseOperator, diagonal_op, ladder_ops, transfer_op
 from liefock.output import grid_csv_bytes
-from liefock.scenarios import _weights_from_linear_forms, _weights_from_occupations
+from liefock.scenarios import system_weights
 
 # ---------------------------------------------------------------------------
 # oracles: the per-state loop implementations
@@ -475,7 +475,7 @@ def test_linear_form_weights_match_oracle(case, data):
         st.lists(st.lists(rationals.map(str), min_size=len(modes), max_size=len(modes)),
                  min_size=rank, max_size=rank)
     )
-    wl = _weights_from_linear_forms(basis, rows)
+    wl = system_weights({"weights": rows}, basis, None)
     coords = oracle_linear_forms(oracle_states(modes, constraint), rows)
     floats, sites = oracle_group(coords)
     assert wl.coordinates == coords
@@ -491,7 +491,7 @@ def test_occupation_weights_match_oracle(case):
     basis = FockBasis(modes, constraint)
     coords = [tuple(Fraction(v) for v in s) for s in oracle_states(modes, constraint)]
     floats, sites = oracle_group(coords)
-    wl = _weights_from_occupations(basis)
+    wl = WeightLattice.from_numerators(basis.occ, 1)
     assert wl.sites == sites and np.array_equal(wl.coordinates_float, floats)
 
 
@@ -512,7 +512,7 @@ def test_cartan_weights_match_oracle(dim, rank, seed, data):
         else:
             ops.append(diagonal_op(diag))
             columns.append((diag, None))
-    wl = cartan_weights(ops)
+    wl = weight_coordinates(ops)
     coords, sites = oracle_weight_coordinates(columns)
     assert wl.coordinates == coords
     assert wl.sites == sites
