@@ -1,6 +1,7 @@
 """Fock-state lattice graphs: extraction from Hermitian operators, weight
 coordinates from diagonal generators, connected components, and gauge-
-invariant plaquette fluxes via spanning-tree cycle bases.
+invariant plaquette fluxes of the shortest cycle through each non-tree edge
+of a breadth-first spanning forest.
 
 Vertices are basis states with real onsite energies. A graph keeps its edges
 as arrays: `edges[k] = (i, j)` with i < j, lexsorted, wherever |H[i, j]|
@@ -118,9 +119,8 @@ class WeightLattice:
 
 @dataclass
 class FluxReport:
-    cycle_count: int
-    fluxes: list               # per fundamental cycle, in (-pi, pi]
-    elementary_fluxes: list    # shortest cycle through each non-tree edge
+    cycle_count: int           # independent cycles: edges - vertices + components
+    elementary_fluxes: list    # shortest cycle through each non-tree edge, in (-pi, pi]
     class_values: list         # distinct nonzero elementary fluxes (signed)
     independent_classes: int   # distinct values after identifying v ~ -v
 
@@ -281,36 +281,6 @@ def _bfs_forest(adj, roots):
     return np.where(pred[:n] == n, np.arange(n), pred[:n]).astype(np.int64)
 
 
-def _ancestor_tables(parent):
-    """Binary lifting tables (tables[k][v] is the 2^k-th ancestor of v,
-    stopping at the root) and the depth of every vertex."""
-    tables = [parent]
-    depth = (parent != np.arange(len(parent))).astype(np.int64)  # length of each jump
-    while True:
-        last = tables[-1]
-        jumped = last[last]
-        if np.array_equal(jumped, last):  # every jump ends at a root
-            return tables, depth
-        depth = depth + depth[last]
-        tables.append(jumped)
-
-
-def _ancestor(tables, v, k):
-    """The k-th ancestor of each v (arrays of one shape)."""
-    for level, table in enumerate(tables):
-        v = np.where((k >> level) & 1 == 1, table[v], v)
-    return v
-
-
-def _lowest_common_ancestor(tables, depth, u, v):
-    a = _ancestor(tables, u, np.maximum(depth[u] - depth[v], 0))
-    b = _ancestor(tables, v, np.maximum(depth[v] - depth[u], 0))
-    for table in reversed(tables):
-        apart = table[a] != table[b]
-        a, b = np.where(apart, table[a], a), np.where(apart, table[b], b)
-    return np.where(a == b, a, tables[0][a])
-
-
 def _orient(cycles, weights):
     """Canonical orientation of each row of vertices: counterclockwise in 2D
     weight coordinates when available and non-degenerate, else
@@ -328,24 +298,22 @@ def _orient(cycles, weights):
     return np.where((np.abs(area) > 1e-12)[:, None], by_area, rot)
 
 
-def _cycle_fluxes(fsl, lengths, cycle_vertices, weights):
+def _cycle_fluxes(fsl, flat, lengths, weights):
     """arg of the product of amplitudes around each oriented cycle, in
-    (-pi, pi]. Cycles are taken one length at a time, never padded:
-    `cycle_vertices(rows, length)` returns the vertex sequences of those
-    cycles as a (len(rows), length) array."""
+    (-pi, pi]. Cycle k is the next `lengths[k]` vertices of `flat`. Cycles
+    are taken one length at a time, never padded."""
     n = fsl.n_vertices
     edge_keys = _pair_keys(n, *fsl.edges.T)
+    starts = np.cumsum(lengths) - lengths
     out = np.empty(len(lengths))
     for length in np.unique(lengths).tolist():
         rows = np.flatnonzero(lengths == length)
-        a = _orient(cycle_vertices(rows, length), weights)
+        a = _orient(flat[starts[rows, None] + np.arange(length)], weights)
         b = np.roll(a, -1, axis=1)
         amp = fsl.amplitudes[np.searchsorted(edge_keys, _pair_keys(n, a, b))]
         # the step a -> b carries H[b, a]: the stored H[i, j] when b < a,
         # else its conjugate
         re, im = amp.real, np.where(b > a, -amp.imag, amp.imag)
-        if np.any((re == 0) & (im == 0)):
-            raise ValueError("zero-amplitude edge encountered in a cycle")
         # Python's complex product written out: numpy's vectorised complex
         # multiply can differ from it in the last bit
         pr, pi = np.ones(len(rows)), np.zeros(len(rows))
@@ -357,55 +325,40 @@ def _cycle_fluxes(fsl, lengths, cycle_vertices, weights):
 
 
 def plaquette_fluxes(fsl: FSLGraph, weights=None) -> FluxReport:
-    """Fluxes of a fundamental cycle basis plus the shortest ("elementary")
-    cycle through every non-tree edge.
+    """Fluxes of the shortest ("elementary") cycle through every non-tree
+    edge of a breadth-first spanning forest.
 
     Cycles are canonically oriented (counterclockwise in `weights`, one
     row of float coordinates per vertex, when they are 2D), so signed flux
     values are reproducible. `independent_classes` counts distinct nonzero
     elementary flux values after identifying a value with its traversal
-    reverse (v ~ -v).
+    reverse (v ~ -v). Raises ValueError on an edge whose amplitude is
+    exactly 0, as its phase is undefined.
     """
     n = fsl.n_vertices
     if weights is not None and len(weights) != n:
         raise ValueError(f"weights have {len(weights)} rows for a graph of {n} vertices")
+    zero = fsl.edges[fsl.amplitudes == 0]
+    if len(zero):
+        raise ValueError(f"zero-amplitude edge {tuple(zero[0].tolist())} has no phase")
     adj = fsl.csr()
     _, labels = sparse.csgraph.connected_components(adj, directed=False)
     roots = np.sort(np.unique(labels, return_index=True)[1])  # smallest member of each
     parent = _bfs_forest(adj, roots)
-    tables, depth = _ancestor_tables(parent)
 
     child = np.flatnonzero(parent != np.arange(n))
     non_tree = fsl.edges[~np.isin(_pair_keys(n, *fsl.edges.T), _pair_keys(n, child, parent[child]))]
     cycle_count = fsl.n_edges - n + len(roots)
     assert len(non_tree) == cycle_count
 
-    # fundamental cycle of edge (u, v): u .. lca .. v, closed by the edge
-    u, v = non_tree.T
-    lca = _lowest_common_ancestor(tables, depth, u, v)
-    up_u = depth[u] - depth[lca]
-    lengths = up_u + depth[v] - depth[lca] + 1
-
-    def tree_cycle(rows, length):
-        steps = np.arange(length)
-        on_u = steps <= up_u[rows, None]
-        start = np.where(on_u, u[rows, None], v[rows, None])
-        return _ancestor(tables, start, np.where(on_u, steps, length - 1 - steps))
-
-    fluxes = _cycle_fluxes(fsl, lengths, tree_cycle, weights)
-
     indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
     paths = [_shortest_path_avoiding(indptr, indices, i, j) for i, j in non_tree.tolist()]
     lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
-    flat, ends = np.fromiter(chain.from_iterable(paths), dtype=np.int64), np.cumsum(lengths)
-
-    def path_cycle(rows, length):
-        return flat[(ends[rows] - length)[:, None] + np.arange(length)]
-
-    elementary = _cycle_fluxes(fsl, lengths, path_cycle, weights)
+    flat = np.fromiter(chain.from_iterable(paths), dtype=np.int64)
+    elementary = _cycle_fluxes(fsl, flat, lengths, weights)
 
     class_values, independent = _flux_classes(elementary)
-    return FluxReport(cycle_count, fluxes.tolist(), elementary.tolist(), class_values, independent)
+    return FluxReport(cycle_count, elementary.tolist(), class_values, independent)
 
 
 def _flux_classes(values):

@@ -170,9 +170,15 @@ def parse_config(payload) -> ScenarioConfig:
         )
         if outputs["husimi"]["space"] not in SPACES:
             raise ConfigError(f"unknown phase space {outputs['husimi']['space']!r}", field="outputs.husimi.space")
+        if "nodes" in outputs["husimi"]:
+            nodes = _require_list(outputs["husimi"]["nodes"], "outputs.husimi.nodes")
+            if len(nodes) != 2:
+                raise ConfigError("expected two node counts", field="outputs.husimi.nodes")
+            for n in nodes:
+                _check_int(n, "outputs.husimi.nodes")
     for key in ("heatmap", "husimi"):
         if "time_index" in outputs.get(key, {}):
-            _check_time_index(outputs[key]["time_index"], times["num"], f"outputs.{key}.time_index")
+            _check_index(outputs[key]["time_index"], times["num"], f"outputs.{key}.time_index")
 
     return ScenarioConfig(
         name=payload["name"],
@@ -203,10 +209,9 @@ def _check_system(system):
         modes = _require_list(system["basis"]["modes"], "system.basis.modes")
         for k, spec in enumerate(modes):
             _require_keys(spec, {"kind", "capacity"}, {"kind", "capacity"}, f"system.basis.modes[{k}]")
-            try:
-                int(spec["capacity"])
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError("expected an integer", field=f"system.basis.modes[{k}].capacity") from None
+            _check_int(spec["capacity"], f"system.basis.modes[{k}].capacity")
+        if system["basis"].get("constraint") is not None:
+            _check_int(system["basis"]["constraint"], "system.basis.constraint")
         for k, row in enumerate(_require_list(system.get("weights", []), "system.weights")):
             if len(_require_list(row, f"system.weights[{k}]")) != len(modes):
                 raise ConfigError("each weight row needs one rational entry per mode", field=f"system.weights[{k}]")
@@ -221,6 +226,9 @@ def _check_system(system):
             _check_real(term.get(key, 0.0), f"{path}[{k}].{key}")
         if not isinstance(term.get("label", ""), str):
             raise ConfigError("expected a string", field=f"{path}[{k}].label")
+        if "basis" in system:
+            for key in ("create", "annihilate"):
+                _check_index(term[key], len(modes), f"{path}[{k}].{key}")
 
 
 def _require_list(obj, path):
@@ -234,14 +242,21 @@ def _check_real(value, path):
         raise ConfigError("expected a finite real number", field=path)
 
 
-def _check_time_index(value, num, path):
-    """A snapshot index k that `int()` reads, with 0 <= k < num."""
+def _check_int(value, path):
+    """The integer `int()` reads from value."""
     try:
-        k = int(value)
+        return int(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError("expected an integer", field=path) from None
-    if not 0 <= k < num:
-        raise ConfigError(f"time_index {k} outside the time grid of {num} points", field=path)
+
+
+def _check_index(value, size, path):
+    """An index k that `int()` reads, with 0 <= k < size: a mode of the
+    basis or a point of the time grid."""
+    k = _check_int(value, path)
+    if not 0 <= k < size:
+        raise ConfigError(f"index {k} is outside 0..{size - 1}", field=path)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +329,13 @@ def system_weights(system, basis, model):
 
 def build_initial_state(state_spec, basis):
     if "fock" in state_spec:
-        occ = tuple(int(v) for v in state_spec["fock"])
-        return basis.vector(occ)
+        occ = _require_list(state_spec["fock"], "initial_state.fock")
+        return basis.vector(tuple(_check_int(v, "initial_state.fock") for v in occ))
     if "amplitudes" in state_spec:
-        amp = np.array([complex(re, im) for re, im in state_spec["amplitudes"]])
+        try:
+            amp = np.array([complex(re, im) for re, im in state_spec["amplitudes"]])
+        except (TypeError, ValueError):
+            raise ConfigError("expected a list of [re, im] pairs", field="initial_state.amplitudes") from None
         if amp.shape[0] != basis.dim:
             raise ConfigError(
                 f"amplitude vector length {amp.shape[0]} does not match dim {basis.dim}",
@@ -328,11 +346,11 @@ def build_initial_state(state_spec, basis):
             raise ConfigError("amplitude vector is zero", field="initial_state.amplitudes")
         return amp / nrm
     if "coherent" in state_spec:
-        spec = dict(state_spec["coherent"])
-        kind = spec.pop("kind", None)
-        if kind is None:
-            raise ConfigError("coherent state needs a 'kind'", field="initial_state.coherent")
-        vec = closed_form_state(CoherentParams(kind, spec), basis)
+        spec = state_spec["coherent"]
+        if not isinstance(spec, dict) or spec.get("kind") is None:
+            raise ConfigError("expected an object with a 'kind'", field="initial_state.coherent")
+        params = {key: value for key, value in spec.items() if key != "kind"}
+        vec = closed_form_state(CoherentParams(spec["kind"], params), basis)
         if vec.shape[0] != basis.dim:
             raise ConfigError(
                 "coherent state dimension does not match the system basis",
@@ -367,6 +385,19 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
 
     basis, H, model, terms = build_system(config.system)
     psi0 = build_initial_state(config.initial_state, basis)
+    observables = []
+    for k, obs in enumerate(config.observables):
+        if config.store != "snapshots":
+            raise ConfigError("observables require snapshot storage", field="observables")
+        if "generator" in obs:
+            if model is None:
+                raise ConfigError(
+                    "generator observables need an algebra-based system", field="observables"
+                )
+            op = model.generator(obs["generator"])
+        else:
+            op = number_op(basis, _check_index(obs["number_mode"], len(basis.modes), f"observables[{k}].number_mode"))
+        observables.append((obs["name"], op))
     times = np.linspace(config.times["start"], config.times["stop"], config.times["num"])
     if config.times["num"] == 1:
         times = np.array([config.times["start"]], dtype=float)
@@ -388,19 +419,8 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
     if config.store == "snapshots":
         columns.append(("fidelity", fidelity_series(result, psi0)))
     columns.append(("norm", result.norms))
-    for obs in config.observables:
-        if config.store != "snapshots":
-            raise ConfigError("observables require snapshot storage", field="observables")
-        if "generator" in obs:
-            if model is None:
-                raise ConfigError(
-                    "generator observables need an algebra-based system", field="observables"
-                )
-            op = model.generator(obs["generator"])
-        else:
-            op = number_op(basis, int(obs["number_mode"]))
-        series = expectation_series(result, op)
-        columns.append((obs["name"], np.real(series)))
+    for name, op in observables:
+        columns.append((name, np.real(expectation_series(result, op))))
 
     site_columns = []
     if config.outputs.get("site_populations"):

@@ -321,6 +321,27 @@ def test_cli_lattice_and_husimi(tmp_path, capsys):
         ),
         ({"basis": {"modes": [{"kind": "boson", "capacity": 2}]}, "bilinears": []}, "system.bilinears"),
         ({"algebra": {"name": "su2_spin", "params": {"S": 1}}, "terms": []}, "system.terms"),
+        (
+            {
+                "basis": {"modes": [{"kind": "boson", "capacity": 2}] * 2, "constraint": {"total": 2}},
+                "bilinears": [{"create": 0, "annihilate": 1, "coeff": 1.0}],
+            },
+            "system.basis.constraint",
+        ),
+        (
+            {
+                "basis": {"modes": [{"kind": "boson", "capacity": 2}] * 2},
+                "bilinears": [{"create": 2, "annihilate": 1, "coeff": 1.0}],
+            },
+            "system.bilinears[0].create",
+        ),
+        (
+            {
+                "basis": {"modes": [{"kind": "boson", "capacity": 2}] * 2},
+                "bilinears": [{"create": 0, "annihilate": 1, "coeff": 1.0}, {"create": 1, "annihilate": -1, "coeff": 1.0}],
+            },
+            "system.bilinears[1].annihilate",
+        ),
     ],
 )
 def test_cli_lattice_rejects_malformed_spec(tmp_path, capsys, spec, field):
@@ -336,13 +357,51 @@ def test_cli_lattice_rejects_malformed_spec(tmp_path, capsys, spec, field):
 
 def test_cli_lattice_accepts_capacity_that_int_reads(tmp_path, capsys):
     spec = {
-        "basis": {"modes": [{"kind": "boson", "capacity": "2"}, {"kind": "boson", "capacity": 2.0}]},
+        "basis": {"modes": [{"kind": "boson", "capacity": "2"}, {"kind": "boson", "capacity": 2.0}], "constraint": "2"},
         "bilinears": [{"create": 0, "annihilate": 1, "coeff": 1.0}],
     }
     ham = tmp_path / "sys.json"
     ham.write_text(json.dumps(spec))
     assert main(["lattice", "--ham", str(ham)]) == EXIT_OK
-    assert len(json.loads(capsys.readouterr().out)["vertices"]) == 9
+    assert len(json.loads(capsys.readouterr().out)["vertices"]) == 3
+
+
+BOSON_PAIR = {
+    "version": 1,
+    "name": "boson_pair",
+    "system": {
+        "basis": {"modes": [{"kind": "boson", "capacity": 2}] * 2},
+        "bilinears": [{"create": 0, "annihilate": 1, "coeff": 1.0}],
+    },
+    "initial_state": {"fock": [2, 0]},
+    "times": {"start": 0.0, "stop": 0.1, "num": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "key,value,field",
+    [
+        ("system", dict(BOSON_PAIR["system"], bilinears=[{"create": 0, "annihilate": 5, "coeff": 1.0}]),
+         "system.bilinears[0].annihilate"),
+        ("observables", [{"name": "n0", "number_mode": 0}, {"name": "n2", "number_mode": 2}],
+         "observables[1].number_mode"),
+        ("initial_state", {"fock": 4}, "initial_state.fock"),
+        ("initial_state", {"fock": [2, "x"]}, "initial_state.fock"),
+        ("initial_state", {"amplitudes": 4}, "initial_state.amplitudes"),
+        ("initial_state", {"amplitudes": [[1.0, 0.0, 0.0]] * 6}, "initial_state.amplitudes"),
+        ("initial_state", {"coherent": 4}, "initial_state.coherent"),
+        ("outputs", {"husimi": {"space": "plane", "path": "q.csv", "nodes": 4}}, "outputs.husimi.nodes"),
+        ("outputs", {"husimi": {"space": "plane", "path": "q.csv", "nodes": [5]}}, "outputs.husimi.nodes"),
+        ("outputs", {"husimi": {"space": "plane", "path": "q.csv", "nodes": [5, [5]]}}, "outputs.husimi.nodes"),
+    ],
+)
+def test_cli_evolve_rejects_malformed_config(tmp_path, capsys, key, value, field):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(dict(BOSON_PAIR, **{key: value})))
+    assert main(["--out-dir", str(tmp_path), "evolve", "--scenario", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(field: {field})" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("key,value", [("start", "0"), ("stop", None), ("stop", True)])

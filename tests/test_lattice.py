@@ -16,7 +16,7 @@ from liefock import (
     weight_coordinates,
 )
 from liefock.errors import NumericContractError
-from liefock.lattice import graph_to_adjacency_csv, graph_to_json_dict, system_graph
+from liefock.lattice import FSLGraph, graph_to_adjacency_csv, graph_to_json_dict, system_graph
 from liefock.operators import linear_combination, number_op
 
 
@@ -178,7 +178,7 @@ def test_su3_fluxes_zero_without_phase():
     _, graph = su3_hamiltonian(3, 0.0)
     rep = plaquette_fluxes(graph)
     assert rep.cycle_count == graph.n_edges - graph.n_vertices + 1
-    assert np.max(np.abs(rep.fluxes)) < 1e-12
+    assert np.max(np.abs(rep.elementary_fluxes)) < 1e-12
     assert rep.class_values == []
     assert rep.independent_classes == 0
 
@@ -279,7 +279,7 @@ def test_gauge_invariance_of_fluxes_and_moduli():
     graph2 = build_fsl(gauged)
     rep2 = plaquette_fluxes(graph2, wl.coordinates_float)
 
-    assert np.allclose(sorted(rep.fluxes), sorted(rep2.fluxes), atol=1e-10)
+    assert np.allclose(sorted(rep.elementary_fluxes), sorted(rep2.elementary_fluxes), atol=1e-10)
     assert np.allclose(
         sorted(abs(a) for a in graph.amplitudes),
         sorted(abs(a) for a in graph2.amplitudes),
@@ -315,8 +315,6 @@ def test_flux_weights_need_one_row_per_vertex():
 
 
 def test_zero_amplitude_cycle_edge_rejected():
-    from liefock.lattice import FSLGraph, plaquette_fluxes as pf
-
     graph = FSLGraph(
         3,
         np.zeros(3),
@@ -324,7 +322,20 @@ def test_zero_amplitude_cycle_edge_rejected():
         np.array([1.0 + 0j, 0.0 + 0j, 1.0 + 0j]),
     )
     with pytest.raises(ValueError, match="zero-amplitude"):
-        pf(graph)
+        plaquette_fluxes(graph)
+
+
+def test_zero_amplitude_bridge_rejected():
+    """A triangle and a bridge to vertex 3: no cycle runs through the
+    zero-amplitude bridge, and it still has no phase."""
+    graph = FSLGraph(
+        4,
+        np.zeros(4),
+        np.array([(0, 1), (0, 2), (1, 2), (2, 3)]),
+        np.array([1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 0.0 + 0j]),
+    )
+    with pytest.raises(ValueError, match="zero-amplitude"):
+        plaquette_fluxes(graph)
 
 
 def test_exact_weights_beyond_a_double_are_refused():

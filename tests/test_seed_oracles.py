@@ -841,9 +841,8 @@ def test_edge_array_graph_matches_edge_list_oracle(case):
 
     rep = plaquette_fluxes(graph, weights)
     want = oracle_plaquette_fluxes(H.dim, edges, weights)
-    cycle_count, fluxes, elementary, class_values, independent = want
+    cycle_count, _, elementary, class_values, independent = want
     assert rep.cycle_count == cycle_count
-    assert same_bits(rep.fluxes, fluxes)
     assert same_bits(rep.elementary_fluxes, elementary)
     assert rep.class_values == class_values
     assert rep.independent_classes == independent
@@ -851,24 +850,35 @@ def test_edge_array_graph_matches_edge_list_oracle(case):
 
 @settings(max_examples=100, deadline=None)
 @given(hermitian_graphs(), st.data())
-def test_zero_amplitude_edges_raise_like_the_oracle(case, data):
+def test_every_zero_amplitude_edge_raises(case, data):
+    """An amplitude of exactly 0 has no phase, so any such edge raises,
+    whether or not an elementary cycle runs through it."""
     H, weights = case
     graph = build_fsl(H)
     if not graph.n_edges:
         return
     k = data.draw(st.integers(0, graph.n_edges - 1))
-    graph.amplitudes[k] = 0
-    edges = oracle_edges(H)
-    edges[k] = OracleEdge(edges[k].i, edges[k].j, 0j)
-    try:
-        want = oracle_plaquette_fluxes(H.dim, edges, weights)
-    except ValueError as exc:
-        assert "zero-amplitude" in str(exc)
-        with pytest.raises(ValueError, match="zero-amplitude"):
-            plaquette_fluxes(graph, weights)
-    else:
-        rep = plaquette_fluxes(graph, weights)
-        assert same_bits(rep.fluxes, want[1]) and same_bits(rep.elementary_fluxes, want[2])
+    graph.amplitudes[k] = data.draw(st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0)]))
+    with pytest.raises(ValueError, match="zero-amplitude"):
+        plaquette_fluxes(graph, weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hermitian_graphs(), st.integers(0, 2**32 - 1))
+def test_fluxes_are_gauge_invariant(case, seed):
+    """A diagonal gauge D H D^dagger, D = diag(exp(i theta)), changes every
+    amplitude's phase but no cycle's flux."""
+    H, weights = case
+    theta = np.random.default_rng(seed).uniform(-np.pi, np.pi, H.dim)
+    D = sparse.diags(np.exp(1j * theta))
+    gauged = SparseOperator((D @ H.mat @ D.conj()).tocsr())
+    rep = plaquette_fluxes(build_fsl(H), weights)
+    got = plaquette_fluxes(build_fsl(gauged), weights)
+    assert got.cycle_count == rep.cycle_count
+    assert np.max(np.abs(np.subtract(got.elementary_fluxes, rep.elementary_fluxes)), initial=0) < 1e-12
+    assert len(got.class_values) == len(rep.class_values)
+    assert np.max(np.abs(np.subtract(got.class_values, rep.class_values)), initial=0) < 1e-12
+    assert got.independent_classes == rep.independent_classes
 
 
 @settings(max_examples=300, deadline=None)
@@ -902,7 +912,7 @@ def test_graph_of_hand_built_arrays_matches_oracle():
     rep = plaquette_fluxes(graph)
     want = oracle_plaquette_fluxes(8, edges, None)
     assert rep.cycle_count == want[0] == 3
-    assert same_bits(rep.fluxes, want[1]) and same_bits(rep.elementary_fluxes, want[2])
+    assert same_bits(rep.elementary_fluxes, want[2])
     assert (rep.class_values, rep.independent_classes) == (want[3], want[4])
 
 
