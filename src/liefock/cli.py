@@ -34,10 +34,9 @@ from .output import export_heatmap, grid_csv_bytes, json_text, write_json
 from .scenarios import (
     BUILTIN_SCENARIOS,
     _check_system,
-    build_basis,
-    build_initial_state,
     build_system,
     builtin_scenario,
+    load_state_file,
     parse_config,
     run_scenario,
     system_weights,
@@ -157,8 +156,8 @@ def _cmd_evolve(args):
 def _cmd_husimi(args):
     with open(args.state) as fh:
         spec = json.load(fh)
-    state = build_initial_state(spec["state"], build_basis(spec["basis"]))
-    grid = husimi_chart(state, args.space, args.nodes, spec.get("space_params", {}))
+    state, space_params = load_state_file(spec)
+    grid = husimi_chart(state, args.space, args.nodes, space_params)
     with open(args.out, "wb") as fh:
         fh.write(grid_csv_bytes(grid))
     print(f"wrote {args.out} (integral {grid.integral():.6f})")

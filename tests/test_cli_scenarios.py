@@ -342,6 +342,11 @@ def test_cli_lattice_and_husimi(tmp_path, capsys):
             },
             "system.bilinears[1].annihilate",
         ),
+        ({"algebra": {"name": []}, "terms": [{"label": "S+", "coeff": 1.0}]}, "system.algebra.name"),
+        (
+            {"algebra": {"name": "su2_spin", "params": {"S": None}}, "terms": [{"label": "S+", "coeff": 1.0}]},
+            "system.algebra.params.S",
+        ),
     ],
 )
 def test_cli_lattice_rejects_malformed_spec(tmp_path, capsys, spec, field):
@@ -393,6 +398,20 @@ BOSON_PAIR = {
         ("outputs", {"husimi": {"space": "plane", "path": "q.csv", "nodes": 4}}, "outputs.husimi.nodes"),
         ("outputs", {"husimi": {"space": "plane", "path": "q.csv", "nodes": [5]}}, "outputs.husimi.nodes"),
         ("outputs", {"husimi": {"space": "plane", "path": "q.csv", "nodes": [5, [5]]}}, "outputs.husimi.nodes"),
+        ("outputs", {"husimi": {"space": "plane", "path": "q.csv", "params": 4}}, "outputs.husimi.params"),
+        ("outputs", {"husimi": {"space": "plane", "path": "q.csv", "params": {"half_width": None}}},
+         "outputs.husimi.params.half_width"),
+        ("outputs", {"csv": 4}, "outputs.csv"),
+        ("outputs", {"graph_json": ""}, "outputs.graph_json"),
+        ("outputs", {"adjacency_csv": None}, "outputs.adjacency_csv"),
+        ("outputs", {"heatmap": {"path": ["h.pgm"], "time_index": 0}}, "outputs.heatmap.path"),
+        ("outputs", {"husimi": {"space": "plane", "path": 4}}, "outputs.husimi.path"),
+        ("outputs", {"husimi": {"space": "plane", "path": "q.csv", "nodes": [0, 5]}}, "outputs.husimi.nodes"),
+        ("outputs", {"husimi": {"space": "plane", "path": "q.csv", "nodes": [5, 0]}}, "outputs.husimi.nodes"),
+        ("system", dict(BOSON_PAIR["system"], bilinears=[{"create": 0, "annihilate": 1, "coeff": 10**400}]),
+         "system.bilinears[0].coeff"),
+        ("observables", None, "observables"),
+        ("initial_state", {"coherent": {"kind": "glauber", "alpha": None, "cutoff": 2}}, "initial_state.coherent.alpha"),
     ],
 )
 def test_cli_evolve_rejects_malformed_config(tmp_path, capsys, key, value, field):
@@ -402,6 +421,18 @@ def test_cli_evolve_rejects_malformed_config(tmp_path, capsys, key, value, field
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"(field: {field})" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "boson_pair_manifest.json").exists()
+
+
+def test_integer_coefficient_beyond_int64_reads_as_its_float(tmp_path, capsys):
+    csv = {}
+    for coeff in (10**30, 1e30):
+        system = dict(BOSON_PAIR["system"], bilinears=[{"create": 0, "annihilate": 1, "coeff": coeff}])
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(dict(BOSON_PAIR, system=system, outputs={"csv": "out.csv"})))
+        assert main(["--out-dir", str(tmp_path), "evolve", "--scenario", str(config)]) == EXIT_OK
+        csv[coeff] = (tmp_path / "out.csv").read_bytes()
+    assert csv[10**30] == csv[1e30]
 
 
 @pytest.mark.parametrize("key,value", [("start", "0"), ("stop", None), ("stop", True)])
@@ -475,6 +506,52 @@ def test_cli_closure_has_no_graded_flag(capsys):
     # the bracket follows the generators' grades; there is nothing to select
     with pytest.raises(SystemExit):
         main(["closure", "jc_super", "--graded"])
+
+
+MISSING = object()
+SPIN_STATE_FILE = {
+    "basis": {"modes": [{"kind": "spin", "capacity": 8}]},
+    "state": {"coherent": {"kind": "spin", "S": 4, "theta": 0.9, "phi": 0.2}},
+    "space_params": {"S": 4},
+}
+
+
+@pytest.mark.parametrize(
+    "key,value,field",
+    [
+        ("basis", 4, "basis"),
+        ("basis", {"modes": 4}, "basis.modes"),
+        ("state", 4, "state"),
+        ("state", {"fock": [1], "amplitudes": [[1.0, 0.0]]}, "state"),
+        ("state", {"coherent": {"kind": "spin", "S": None, "theta": 0.9, "phi": 0.2}}, "state.coherent.S"),
+        ("state", {"fock": ["x"]}, "state.fock"),
+        ("space_params", 4, "space_params"),
+        ("space_params", {"S": None}, "space_params.S"),
+        ("state", MISSING, "state"),
+    ],
+)
+def test_cli_husimi_rejects_malformed_state_file(tmp_path, capsys, key, value, field):
+    spec = dict(SPIN_STATE_FILE, **{key: value})
+    if value is MISSING:
+        del spec[key]
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps(spec))
+    out = tmp_path / "q.csv"
+    code = main(["husimi", "--state", str(spath), "--space", "sphere", "--out", str(out), "--nodes", "5", "5"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(field: {field})" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_husimi_rejects_empty_node_counts(tmp_path, capsys):
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps(SPIN_STATE_FILE))
+    out = tmp_path / "q.csv"
+    assert main(["husimi", "--state", str(spath), "--space", "sphere", "--out", str(out), "--nodes", "5", "0"]) == EXIT_CONFIG
+    assert "node counts must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_husimi_disk_default_k(tmp_path, capsys):

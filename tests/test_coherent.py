@@ -6,12 +6,12 @@ from scipy.integrate import trapezoid
 from scipy.special import jv
 
 from liefock import boson, build_algebra, enumerate_basis, evolve, ladder_ops, number_op
+from liefock.algebra import AlgebraModel, RootPair
 from liefock.coherent import (
     CoherentParams,
     closed_form_state,
     displace,
     displacement_to_squeeze,
-    displacement_unitary,
     euclidean_coherent_state,
     glauber_state,
     husimi,
@@ -20,6 +20,7 @@ from liefock.coherent import (
     husimi_sphere,
     occupation_shell,
     spin_coherent_state,
+    squeeze_to_displacement,
     squeezed_vacuum_state,
     su11_pcs,
     su3_coherent_state,
@@ -27,6 +28,7 @@ from liefock.coherent import (
 )
 from liefock.errors import NumericContractError, TruncationLeakageWarning
 from liefock.operators import SparseOperator
+from test_seed_oracles import oracle_displacement_unitary
 
 
 def phase_aligned_distance(u, v):
@@ -178,9 +180,9 @@ def test_displacement_composition_phase():
     model = build_algebra("hw", cutoff=cutoff)
     raising, lowering = model.generator("adag"), model.generator("a")
     alpha, beta = 0.4 + 0.1j, -0.25 + 0.3j
-    Da = displacement_unitary(raising, lowering, alpha)
-    Db = displacement_unitary(raising, lowering, beta)
-    Dab = displacement_unitary(raising, lowering, alpha + beta)
+    Da = oracle_displacement_unitary(raising, lowering, alpha)
+    Db = oracle_displacement_unitary(raising, lowering, beta)
+    Dab = oracle_displacement_unitary(raising, lowering, alpha + beta)
     lhs = Da @ Db
     rhs = np.exp(1j * np.imag(alpha * np.conj(beta))) * Dab
     block = slice(0, 30)  # interior columns: far from the cutoff boundary
@@ -397,19 +399,45 @@ def test_su3_angle_parametrization_normalized():
     assert np.linalg.norm(state) == pytest.approx(1.0)
 
 
-def test_displacement_unitary_checks_the_pair_is_mutually_adjoint():
+def ladder_pair_model(basis, raising, lowering):
+    """A hand-built model whose one root pair is (raising, lowering)."""
+    return AlgebraModel(
+        "ladder_pair", {}, basis, ["R", "L"], [raising, lowering], [], [RootPair(0, 1, (Fraction(1),))], ()
+    )
+
+
+def test_displace_checks_the_pair_is_mutually_adjoint():
     basis = enumerate_basis([boson(6)])
     lower, raising = ladder_ops(basis, 0)
+    state = basis.vector((2,))
     # within the bound: a defect of 1e-13 relative to the largest entry
     nearly = SparseOperator(lower.mat * (1 + 1e-13))
-    U = displacement_unitary(raising, nearly, 0.3 + 0.2j)
-    assert np.allclose(U.conj().T @ U, np.eye(basis.dim), atol=1e-10)
+    out = displace(ladder_pair_model(basis, raising, nearly), "R", 0.3 + 0.2j, state)
+    assert np.max(np.abs(out - oracle_displacement_unitary(raising, nearly, 0.3 + 0.2j) @ state)) <= 1e-12
     # below max|A| = 1 the bound stays 1e-12: a defect of 2.4e-13 passes
-    displacement_unitary(raising, SparseOperator(lower.mat * (1 + 1e-11)), 0.01)
+    displace(ladder_pair_model(basis, raising, SparseOperator(lower.mat * (1 + 1e-11))), "R", 0.01, state)
     # outside it: the lowering partner is off by 1e-9 of the largest entry
     off = SparseOperator(lower.mat * (1 + 1e-9))
-    with pytest.raises(ValueError, match="mutually adjoint"):
-        displacement_unitary(raising, off, 0.3 + 0.2j)
+    with pytest.raises(NumericContractError, match="not Hermitian"):
+        displace(ladder_pair_model(basis, raising, off), "R", 0.3 + 0.2j, state)
     # not a pair at all: i * (0.3i R + 0.3i R) = -0.6 R
-    with pytest.raises(ValueError, match="mutually adjoint"):
-        displacement_unitary(raising, raising, 0.3j)
+    with pytest.raises(NumericContractError, match="not Hermitian"):
+        displace(ladder_pair_model(basis, raising, raising), "R", 0.3j, state)
+
+
+def test_displace_rejects_an_unnormalized_state():
+    model = build_algebra("hw", cutoff=10)
+    with pytest.raises(ValueError, match="normalized"):
+        displace(model, "adag", 0.3, 2 * model.basis.vector((0,)))
+
+
+def test_squeezed_three_quarter_chain_is_the_displaced_state_unchanged():
+    # the sparse propagator keeps parity exactly, so nothing is zeroed or
+    # renormalized after the displacement
+    xi, cutoff = 0.5 - 0.4j, 60
+    out = squeezed_vacuum_state(xi, cutoff, k="3/4")
+    model = build_algebra("su11_single", k=Fraction(3, 4), cutoff=cutoff)
+    one = model.basis.vector((1,))
+    assert np.array_equal(out, displace(model, "K+", squeeze_to_displacement(xi), one))
+    assert np.all(out[0::2] == 0)
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-10

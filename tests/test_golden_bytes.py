@@ -58,7 +58,7 @@ SU2_KRYLOV = {
     "observables": [{"name": "Sz", "generator": "Sz"}],
     "outputs": {"csv": "su2_krylov.csv", "site_populations": True},
 }
-SU2_KRYLOV_CSV = "66f75a627896731ce3cd25a3456ab309ebdd3386162d9b687af7caec6ff1b08d"
+SU2_KRYLOV_CSV = "03cb3228bcdd91260804c3d6218f16da1ce58d9c24fc9006877de72cede3b040"
 CLOSURE_GALLERY_JSON = "895437809e03c43931ffe6cc1d07fcfabefc6306f362bc9a222fda4e2d791abe"
 JC_SUPER_VERIFY = "b389ba4239a4606dffc3d4bccb68f7e3d4d109b9aa5085cf49dcc1c0ebc5dc73"
 

@@ -16,33 +16,41 @@ replaced (adjacency dicts, union-find components, dict BFS trees and one
 Python product per cycle) on random Hermitian sparse matrices: edges,
 components and cycle counts equal, every flux equal bit for bit.
 
-The Krylov basis (`_krylov_basis`, built once per accepted substep) is checked
-against the Lanczos step that rebuilt the basis for every attempted step
-size and against the earlier version of that step, which computed the last
-basis vector's matvec a second time for its error estimate: results and
-error estimates equal bit for bit. Krylov evolution is checked bit for bit
-against the propagator that retried a rejected step through a rebuild.
+The Krylov basis (`_krylov_basis`, the plain three-term Lanczos recurrence,
+built once per accepted substep) and Krylov evolution are checked against
+dense `eigh` on random sparse Hermitian matrices, including spectra that
+stress the recurrence, within stated bounds. The modified Gram-Schmidt
+Lanczos steps and the propagator they replaced are kept as oracles and meet
+the same bounds on the same draws. `displace` is checked against the dense
+displacement unitary it replaced.
 
 The array-expression SU(3) coherent state is checked against its per-state
 loop to within 1e-15 * max|ref|: the two multiply the factors in a
 different order.
 """
 
+import functools
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import trapezoid
 from scipy.special import gammaln, jv
 
 from liefock import FockBasis, boson, dynamics, fermion, spin
 from liefock.fock import BOSON, FERMION
 from liefock.dynamics import KRYLOV_DIM, KRYLOV_TOL, _krylov_basis, _krylov_step, evolve
+from liefock.algebra import build_algebra
 from liefock.coherent import (
     HusimiGrid,
+    displace,
     husimi_cylinder,
     husimi_disk,
     husimi_plane,
@@ -58,8 +66,16 @@ from liefock.lattice import (
     plaquette_fluxes,
     weight_coordinates,
 )
-from liefock.errors import NumericContractError
-from liefock.operators import EVEN, ODD, SparseOperator, diagonal_op, ladder_ops, transfer_op
+from liefock.errors import NumericContractError, TruncationLeakageWarning
+from liefock.operators import (
+    EVEN,
+    ODD,
+    SparseOperator,
+    diagonal_op,
+    ladder_ops,
+    transfer_op,
+    within_hermitian_bound,
+)
 from liefock.output import grid_csv_bytes
 from liefock.scenarios import system_weights
 
@@ -1051,57 +1067,142 @@ def random_start(rng, dim, localized):
     return v / np.linalg.norm(v)
 
 
+def dense_propagate(H, psi0, times):
+    """exp(-i H t) psi0 for every t of the grid through a dense `eigh`: the
+    exact reference of the Krylov checks."""
+    energies, vectors = scipy.linalg.eigh(H.toarray())
+    return (np.exp(-1j * np.outer(times, energies)) * (vectors.conj().T @ psi0)) @ vectors.T
+
+
+@st.composite
+def stressed_hermitian(draw, min_dim=1):
+    """A random sparse Hermitian matrix of one of four kinds, each a stress
+    on the Lanczos recurrence. 'chain': a hopping chain with random phases
+    plus sparse extra bonds. 'outliers': the same with two large diagonal
+    entries, whose Ritz values converge within a few steps and then come
+    back as ghosts once the basis loses orthogonality. 'clustered': diagonal
+    entries from at most three values coupled by bonds of 1e-6 to 1e-3, so
+    the recurrence nears a breakdown without reaching one. 'blocks':
+    uncoupled chains, so a start inside one block breaks down early."""
+    n = draw(st.integers(min_dim, 120))
+    kind = draw(st.sampled_from(["chain", "outliers", "clustered", "blocks"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def chain(size):
+        hops = rng.uniform(0.5, 2.0, size - 1) * np.exp(1j * rng.uniform(-np.pi, np.pi, size - 1))
+        return sparse.diags(hops, 1, shape=(size, size))
+
+    diag = rng.normal(size=n)
+    if kind == "blocks":
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(int(rng.integers(1, 41)))
+        sizes[-1] -= sum(sizes) - n
+        upper = sparse.block_diag([chain(size) for size in sizes])
+    else:
+        extra = sparse.random(n, n, density=draw(st.floats(0.0, 0.05)), random_state=rng, format="csr")
+        upper = chain(n) + extra.astype(complex)
+    if kind == "outliers":
+        where = rng.choice(n, min(n, 2), replace=False)
+        diag[where] = rng.choice([-1.0, 1.0], where.size) * rng.uniform(20.0, 200.0, where.size)
+    if kind == "clustered":
+        upper = upper * 10.0 ** rng.uniform(-6, -3)
+        diag = rng.choice(rng.normal(scale=3.0, size=rng.integers(1, 4)), n)
+    upper = sparse.triu(upper, k=1)
+    return SparseOperator((upper + upper.conj().T + sparse.diags(diag)).tocsr())
+
+
+def lanczos_error_bound(basis, h):
+    """The bound res * integral_0^h |u_m(s)| ds on the error of one Lanczos
+    step of size h, u_m(s) the last entry of exp(-i T s) e_1 (the error
+    representation of Saad, SIAM J. Numer. Anal. 29, 1992). `_krylov_step`
+    estimates it by its end point, |res u_m(h)| h, which is no bound: on
+    clustered spectra u_m oscillates, and one step's error has reached four
+    times that estimate."""
+    _, evals, evecs, res = basis
+    s = np.linspace(0.0, h, 257)
+    last = (evecs[-1] * evecs[0].conj()) @ np.exp(-1j * np.outer(evals, s))
+    return res * trapezoid(np.abs(last), s)
+
+
+# round-off of one step, h * eps * ||H|| with ||H|| <= a few hundred here
+STEP_ROUNDOFF = 1e-12
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    hermitian_graphs(),
+    st.one_of(hermitian_graphs().map(lambda case: case[0]), stressed_hermitian()),
     st.integers(0, 2**32 - 1),
     st.integers(1, 30),
     st.floats(1e-3, 5.0),
     st.booleans(),
 )
-def test_lanczos_step_matches_oracle(case, seed, m, dt, localized):
-    """Random Hermitian sparse matrices; a start vector on one vertex of a
-    graph with several components stops at a happy breakdown."""
-    H, _ = case
+def test_lanczos_step_matches_oracle(H, seed, m, dt, localized):
+    """One accepted step on one basis against dense `eigh`: dt is halved
+    until the error estimate is at most KRYLOV_TOL, as `_krylov_substep`
+    does, and the step's error is then at most `lanczos_error_bound` plus
+    round-off. The MGS oracles, which rebuilt a reorthogonalized basis for
+    the step, meet the same bound at the same step size. A start on one
+    vertex of a graph with several components stops at a happy breakdown."""
     v = random_start(np.random.default_rng(seed), H.dim, localized)
     basis = _krylov_basis(H.mat, v, m)
-    u, got_err = _krylov_step(basis, dt)
-    got = u @ basis[0]
+    for _ in range(61):
+        u, err = _krylov_step(basis, dt)
+        if not err > KRYLOV_TOL:
+            break
+        dt *= 0.5
+    want = dense_propagate(H, v, [dt])[0]
+    bound = lanczos_error_bound(basis, dt) + STEP_ROUNDOFF
+    assert np.linalg.norm(u @ basis[0] - want) <= bound
     for oracle in (oracle_lanczos_attempt, oracle_lanczos_step):
-        want, want_err = oracle(H.mat, v, dt, m)
-        assert same_bits(got.view(float), want.view(float))
-        assert got_err == want_err
+        assert np.linalg.norm(oracle(H.mat, v, dt, m)[0] - want) <= bound
 
 
 @st.composite
 def krylov_problems(draw):
-    """A random Hermitian sparse matrix larger than the Krylov dimension,
-    a start vector, and a time grid whose spacings are long enough for the
-    first step sizes to be rejected."""
-    n = draw(st.integers(KRYLOV_DIM + 1, 120))
+    """A stressed Hermitian matrix larger than the Krylov dimension, a start
+    vector, and a time grid whose spacings are long enough for the first
+    step sizes to be rejected."""
+    H = draw(stressed_hermitian(min_dim=KRYLOV_DIM + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    chain = sparse.diags(rng.uniform(0.5, 2.0, n - 1) * np.exp(1j * rng.uniform(-np.pi, np.pi, n - 1)), 1)
-    extra = sparse.random(n, n, density=draw(st.floats(0.0, 0.05)), random_state=rng, format="csr")
-    upper = sparse.triu(chain + extra.astype(complex), k=1)
-    H = (upper + upper.conj().T + sparse.diags(rng.normal(size=n))).tocsr()
-    psi0 = random_start(rng, n, draw(st.booleans()))
+    psi0 = random_start(rng, H.dim, draw(st.booleans()))
     steps = draw(st.lists(st.floats(0.5, 6.0), min_size=1, max_size=4))
     start = draw(st.sampled_from([0.0, 0.3]))
-    return SparseOperator(H), psi0, start + np.cumsum(steps)
+    return H, psi0, start + np.cumsum(steps)
+
+
+def counting_basis_builds(builds):
+    """`_krylov_basis` that appends m to `builds` for every basis it builds."""
+    build = dynamics._krylov_basis
+
+    def counting(mat, v, m):
+        builds.append(m)
+        return build(mat, v, m)
+
+    return counting
 
 
 @settings(max_examples=60, deadline=None)
 @given(krylov_problems())
 def test_krylov_evolution_matches_rebuilding_oracle(case):
+    """Krylov evolution against dense `eigh`. Each accepted substep (one
+    basis build) keeps its error estimate at most KRYLOV_TOL, and the
+    propagator is unitary, so local errors add without growing: after s
+    substeps the error is at most s * KRYLOV_TOL. The MGS propagator that
+    rebuilt the basis for every step size meets the same bound."""
     H, psi0, times = case
-    got = evolve(H, psi0, times, method="krylov").snapshots
-    assert same_bits(got.view(float), oracle_krylov_evolve(H, psi0, times).view(float))
+    builds = []
+    with mock.patch.object(dynamics, "_krylov_basis", counting_basis_builds(builds)):
+        got = evolve(H, psi0, times, method="krylov").snapshots
+    want = dense_propagate(H, psi0, times)
+    bound = len(builds) * KRYLOV_TOL
+    assert np.max(np.linalg.norm(got - want, axis=1)) <= bound
+    assert np.max(np.linalg.norm(oracle_krylov_evolve(H, psi0, times) - want, axis=1)) <= bound
 
 
 def test_one_krylov_basis_per_accepted_substep(monkeypatch):
     """A spin-20 chain over t = 1, 2, 3 rejects several step sizes; the
     basis is still built once per accepted substep."""
-    from liefock.algebra import build_algebra
     from liefock.operators import linear_combination
 
     model = build_algebra("su2_spin", S=20)
@@ -1109,28 +1210,78 @@ def test_one_krylov_basis_per_accepted_substep(monkeypatch):
     psi0 = model.basis.vector((40,))
     times = np.array([1.0, 2.0, 3.0])
 
-    attempts = []
-    attempt = oracle_lanczos_attempt
+    rejected = []
+    step = dynamics._krylov_step
 
-    def counting_attempt(mat, v, dt, m):
-        result, err = attempt(mat, v, dt, m)
-        attempts.append(err > KRYLOV_TOL)
-        return result, err
+    def counting_step(basis, h):
+        u, err = step(basis, h)
+        rejected.append(err > KRYLOV_TOL)
+        return u, err
 
     builds = []
-
-    def counting_basis(mat, v, m):
-        builds.append(m)
-        return _krylov_basis(mat, v, m)
-
-    monkeypatch.setitem(globals(), "oracle_lanczos_attempt", counting_attempt)
-    monkeypatch.setattr(dynamics, "_krylov_basis", counting_basis)
+    monkeypatch.setattr(dynamics, "_krylov_step", counting_step)
+    monkeypatch.setattr(dynamics, "_krylov_basis", counting_basis_builds(builds))
     got = evolve(H, psi0, times, method="krylov").snapshots
-    want = oracle_krylov_evolve(H, psi0, times)
-    assert same_bits(got.view(float), want.view(float))
-    rejected = sum(attempts)
-    assert rejected > 0
-    assert len(builds) == len(attempts) - rejected
+    assert sum(rejected) > 0
+    assert len(builds) == len(rejected) - sum(rejected)
+    assert np.max(np.linalg.norm(got - dense_propagate(H, psi0, times), axis=1)) <= len(builds) * KRYLOV_TOL
+
+
+# ---------------------------------------------------------------------------
+# the dense displacement unitary
+# ---------------------------------------------------------------------------
+
+
+def oracle_displacement_unitary(raising: SparseOperator, lowering: SparseOperator, beta) -> np.ndarray:
+    """Dense unitary exp(beta * raising - conj(beta) * lowering)."""
+    beta = complex(beta)
+    gen = beta * raising.mat - np.conj(beta) * lowering.mat
+    herm = 1j * gen.toarray()  # dense, so no small entry is dropped before the check
+    defect = np.max(np.abs(herm - herm.conj().T), initial=0.0)
+    if not within_hermitian_bound(defect, np.max(np.abs(herm), initial=0.0)):
+        raise ValueError("raising/lowering pair is not mutually adjoint")
+    evals, evecs = scipy.linalg.eigh(herm)
+    return (evecs * np.exp(-1j * evals)) @ evecs.conj().T
+
+
+DISPLACEMENT_MODELS = (
+    ("su2_spin", {"S": 20}),
+    ("hw", {"cutoff": 80}),
+    ("e2", {"L": 61}),
+    ("su11_single", {"cutoff": 120}),
+    ("su3_schwinger", {"N": 20}),
+)
+
+
+@functools.cache
+def displacement_model(which):
+    name, params = DISPLACEMENT_MODELS[which]
+    return build_algebra(name, **params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, len(DISPLACEMENT_MODELS) - 1),
+    st.integers(0, 2),
+    st.floats(0.0, 1.0),
+    st.floats(-np.pi, np.pi),
+    st.integers(0, 2**32 - 1),
+)
+def test_displace_matches_dense_oracle(which, pair, radius, angle, seed):
+    """`displace` against the dense unitary on catalog models, for random
+    beta with |beta| <= 1 applied to random normalized states. A
+    displacement is one Krylov evolution over unit time, so its error bound
+    is the evolution's: s * KRYLOV_TOL after s accepted substeps."""
+    model = displacement_model(which)
+    rp = model.root_pairs[pair % len(model.root_pairs)]
+    beta = radius * np.exp(1j * angle)
+    psi = random_start(np.random.default_rng(seed), model.basis.dim, False)
+    builds = []
+    with warnings.catch_warnings(), mock.patch.object(dynamics, "_krylov_basis", counting_basis_builds(builds)):
+        warnings.simplefilter("ignore", TruncationLeakageWarning)  # states reach the cutoff
+        got = displace(model, model.labels[rp.raising], beta, psi)
+    U = oracle_displacement_unitary(model.generators[rp.raising], model.generators[rp.lowering], beta)
+    assert np.max(np.abs(got - U @ psi)) <= len(builds) * KRYLOV_TOL
 
 
 # ---------------------------------------------------------------------------
