@@ -300,8 +300,10 @@ def _orient(cycles, weights):
 
 def _cycle_fluxes(fsl, flat, lengths, weights):
     """arg of the product of amplitudes around each oriented cycle, in
-    (-pi, pi]. Cycle k is the next `lengths[k]` vertices of `flat`. Cycles
-    are taken one length at a time, never padded."""
+    (-pi, pi], with a value within FLUX_DEDUP_TOL of +-pi reported as pi:
+    the product's round-off puts a flux of pi on either side of the cut.
+    Cycle k is the next `lengths[k]` vertices of `flat`. Cycles are taken
+    one length at a time, never padded."""
     n = fsl.n_vertices
     edge_keys = _pair_keys(n, *fsl.edges.T)
     starts = np.cumsum(lengths) - lengths
@@ -320,8 +322,8 @@ def _cycle_fluxes(fsl, flat, lengths, weights):
         for s in range(length):
             pr, pi = pr * re[:, s] - pi * im[:, s], pr * im[:, s] + pi * re[:, s]
         out[rows] = np.arctan2(pi, pr)
-    out = (out + np.pi) % (2 * np.pi) - np.pi  # report phases in (-pi, pi]
-    return np.where(out <= -np.pi + 1e-15, np.pi, out)
+    out = (out + np.pi) % (2 * np.pi) - np.pi
+    return np.where(np.pi - np.abs(out) < FLUX_DEDUP_TOL, np.pi, out)
 
 
 def plaquette_fluxes(fsl: FSLGraph, weights=None) -> FluxReport:
@@ -363,7 +365,10 @@ def plaquette_fluxes(fsl: FSLGraph, weights=None) -> FluxReport:
 
 def _flux_classes(values):
     """Distinct nonzero values, ascending, each class starting FLUX_DEDUP_TOL
-    or more above the last; and their number after identifying v ~ -v."""
+    or more above the last; and their number after identifying v ~ -v.
+    Fluxes near +-pi are already pi (`_cycle_fluxes`), so the smallest and
+    largest values are FLUX_DEDUP_TOL or more apart on the circle, and this
+    scan merges by circular distance."""
     nonzero = np.sort(values[np.abs(values) > FLUX_DEDUP_TOL])
     class_values = []
     k = 0

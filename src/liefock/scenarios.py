@@ -39,7 +39,7 @@ CONFIG_VERSION = 1
 
 def _require_keys(obj, allowed, required, path):
     if not isinstance(obj, dict):
-        raise ConfigError("expected an object", field=path)
+        raise ConfigError("expected an object", field=path or "top level")
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"unknown field {key!r}", field=f"{path}.{key}" if path else key)
@@ -294,6 +294,57 @@ def _check_index(value, size, path):
     return k
 
 
+# the coherent-state fields that are not one number: a displaced state's
+# algebra and root names and its algebra's parameters, and the entries of
+# su3's zeta and a displaced state's reference; amplitudes that are complex
+# also read a string complex() reads, such as "1+0.5j"
+_COHERENT_NAMES = {"algebra", "root"}
+_COHERENT_LISTS = {"zeta", "reference"}
+_COHERENT_COMPLEX = {"alpha", "beta", "xi", "zeta", "reference"}
+_COHERENT_INTEGERS = {"cutoff", "L", "N", "start"}
+
+
+def _coherent_field(key, value, path):
+    """A coherent-state field as closed_form_state takes it. Each number is
+    a finite real or a rational string such as "7/2", read as an int when
+    it is whole and as a float otherwise."""
+    if key in _COHERENT_NAMES:
+        if not isinstance(value, str):
+            raise ConfigError("expected a name", field=path)
+        return value
+    if key == "params":
+        _check_params(value, path)
+        return value
+    if key in _COHERENT_LISTS:
+        return [_coherent_number(v, key in _COHERENT_COMPLEX, path) for v in _require_list(value, path)]
+    number = _coherent_number(value, key in _COHERENT_COMPLEX, path)
+    if key in _COHERENT_INTEGERS:
+        if number != int(number):
+            raise ConfigError("expected an integer", field=path)
+        return int(number)
+    return number
+
+
+def _coherent_number(value, complex_ok, path):
+    if not isinstance(value, str):
+        _check_real(value, path)
+        return value
+    try:
+        q = Fraction(value)
+        if abs(q) <= sys.float_info.max:
+            return int(q) if q.denominator == 1 else float(q)
+    except (ValueError, ZeroDivisionError):
+        pass
+    if complex_ok:
+        try:
+            z = complex(value)
+            if np.isfinite(z):
+                return z
+        except ValueError:
+            pass
+    raise ConfigError("expected a finite real number or a rational string", field=path)
+
+
 # ---------------------------------------------------------------------------
 # system assembly
 # ---------------------------------------------------------------------------
@@ -385,10 +436,9 @@ def build_initial_state(state_spec, basis, path="initial_state"):
         spec = state_spec["coherent"]
         if not isinstance(spec, dict) or spec.get("kind") is None:
             raise ConfigError("expected an object with a 'kind'", field=f"{path}.coherent")
-        params = {key: value for key, value in spec.items() if key != "kind"}
-        for key, value in params.items():
-            if value is None:
-                raise ConfigError("expected a value", field=f"{path}.coherent.{key}")
+        params = {
+            key: _coherent_field(key, value, f"{path}.coherent.{key}") for key, value in spec.items() if key != "kind"
+        }
         vec = closed_form_state(CoherentParams(spec["kind"], params), basis)
         if vec.shape[0] != basis.dim:
             raise ConfigError(

@@ -412,6 +412,12 @@ BOSON_PAIR = {
          "system.bilinears[0].coeff"),
         ("observables", None, "observables"),
         ("initial_state", {"coherent": {"kind": "glauber", "alpha": None, "cutoff": 2}}, "initial_state.coherent.alpha"),
+        ("initial_state", {"coherent": {"kind": "glauber", "alpha": [1.0], "cutoff": 2}}, "initial_state.coherent.alpha"),
+        ("initial_state", {"coherent": {"kind": "glauber", "alpha": "x", "cutoff": 2}}, "initial_state.coherent.alpha"),
+        ("initial_state", {"coherent": {"kind": "glauber", "alpha": 0.5, "cutoff": 2.5}}, "initial_state.coherent.cutoff"),
+        ("initial_state", {"coherent": {"kind": "su3", "N": 2, "zeta": 1.0}}, "initial_state.coherent.zeta"),
+        ("initial_state", {"coherent": {"kind": "displaced", "algebra": 4, "root": "S+", "beta": 0.1}},
+         "initial_state.coherent.algebra"),
     ],
 )
 def test_cli_evolve_rejects_malformed_config(tmp_path, capsys, key, value, field):
@@ -528,6 +534,11 @@ SPIN_STATE_FILE = {
         ("space_params", 4, "space_params"),
         ("space_params", {"S": None}, "space_params.S"),
         ("state", MISSING, "state"),
+        ("state", {"coherent": {"kind": "spin", "S": [4], "theta": 0.9, "phi": 0.2}}, "state.coherent.S"),
+        ("state", {"coherent": {"kind": "spin", "S": 4, "theta": "x", "phi": 0.2}}, "state.coherent.theta"),
+        ("state", {"coherent": {"kind": "spin", "S": 4, "theta": 0.9, "phi": True}}, "state.coherent.phi"),
+        ("state", {"coherent": {"kind": "spin", "S": 4, "theta": {"x": 1}, "phi": 0.2}}, "state.coherent.theta"),
+        ("state", {"coherent": {"kind": "spin", "S": "1/0", "theta": 0.9, "phi": 0.2}}, "state.coherent.S"),
     ],
 )
 def test_cli_husimi_rejects_malformed_state_file(tmp_path, capsys, key, value, field):
@@ -543,6 +554,30 @@ def test_cli_husimi_rejects_malformed_state_file(tmp_path, capsys, key, value, f
     assert err.startswith("error: ") and f"(field: {field})" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_coherent_fields_read_rational_strings(tmp_path, capsys):
+    # "0.9" and "9/10" are the float 0.9, "4" is the int 4: the same bytes
+    csv = []
+    for state in (SPIN_STATE_FILE["state"], {"coherent": {"kind": "spin", "S": "4", "theta": "9/10", "phi": "0.2"}}):
+        spath, out = tmp_path / "state.json", tmp_path / f"q{len(csv)}.csv"
+        spath.write_text(json.dumps(dict(SPIN_STATE_FILE, state=state)))
+        assert main(["husimi", "--state", str(spath), "--space", "sphere", "--out", str(out), "--nodes", "5", "5"]) == EXIT_OK
+        csv.append(out.read_bytes())
+    assert csv[0] == csv[1]
+
+
+@pytest.mark.parametrize("command", ["evolve", "husimi"])
+def test_cli_names_a_top_level_that_is_not_an_object(tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    path.write_text("4")
+    if command == "evolve":
+        argv = ["--out-dir", str(tmp_path), "evolve", "--scenario", str(path)]
+    else:
+        argv = ["husimi", "--state", str(path), "--space", "sphere", "--out", str(tmp_path / "q.csv")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: expected an object (field: top level)\n"
 
 
 def test_cli_husimi_rejects_empty_node_counts(tmp_path, capsys):

@@ -2,11 +2,13 @@
 
 The lattice cases avoid BLAS-dependent numbers: lattice exports hold
 generator matrix elements, onsite energies and weight coordinates only, and
-of the quench CSV only the header line (the site keys) is pinned. Three pins
-are exceptions and hold for the BLAS kernels they were recorded with
+of the quench CSV only the header line (the site keys) is pinned. Four kinds
+of pin are exceptions and hold for the BLAS kernels they were recorded with
 (OpenBLAS, x86-64): the Krylov scenario CSV pins every float of an adaptive
-Lanczos run that rejects step sizes, and `closure_gallery.json` and the
-`algebra jc_super --verify` report pin closure residuals at round-off.
+Lanczos run that rejects step sizes, `closure_gallery.json` and the
+`algebra jc_super --verify` report pin closure residuals at round-off, and
+the `husimi` CSVs and heatmap pin Husimi values that come out of a matrix
+product.
 """
 
 import hashlib
@@ -62,6 +64,37 @@ SU2_KRYLOV_CSV = "03cb3228bcdd91260804c3d6218f16da1ce58d9c24fc9006877de72cede3b0
 CLOSURE_GALLERY_JSON = "895437809e03c43931ffe6cc1d07fcfabefc6306f362bc9a222fda4e2d791abe"
 JC_SUPER_VERIFY = "b389ba4239a4606dffc3d4bccb68f7e3d4d109b9aa5085cf49dcc1c0ebc5dc73"
 
+# `husimi` state files, one per phase space, charted on 12 x 9 nodes
+HUSIMI_AMPLITUDES = [[0.6, 0.0], [0.0, 0.5], [0.3, -0.2], [0.1, 0.4]] + [[0.0, 0.0]] * 17
+HUSIMI_STATES = {
+    "sphere": {
+        "basis": {"modes": [{"kind": "spin", "capacity": 8}]},
+        "state": {"coherent": {"kind": "spin", "S": 4, "theta": 0.9, "phi": 0.2}},
+        "space_params": {"S": 4},
+    },
+    "plane": {
+        "basis": {"modes": [{"kind": "boson", "capacity": 20}]},
+        "state": {"coherent": {"kind": "glauber", "alpha": 1.5, "cutoff": 20}},
+        "space_params": {"half_width": 4},
+    },
+    "cylinder": {
+        "basis": {"modes": [{"kind": "boson", "capacity": 20}]},
+        "state": {"amplitudes": HUSIMI_AMPLITUDES},
+    },
+    "disk": {
+        "basis": {"modes": [{"kind": "boson", "capacity": 20}]},
+        "state": {"amplitudes": HUSIMI_AMPLITUDES},
+        "space_params": {"k": "3/4"},
+    },
+}
+HUSIMI_CSV = {
+    "sphere": "c1e27acd62b8f65878f900a40057d50a1e67e994f78b09726e549ae995406853",
+    "plane": "2ccd8074e00dc3b120baa88a31319e1f390023f5582defe24cdf014c5a872d48",
+    "cylinder": "f227bd237775ea97ccb5561e7962c6edf108fa8e9305ddc943151c60e5c23c9f",
+    "disk": "3e891ec64233937055379060ecb0819b6eeed1333c8b3bccebf47e31354f7789",
+}
+HUSIMI_SPHERE_PGM = "9486d24fdd5b3691ed3fc49c2833ea878bf609e98e20c2634a7daaa2d43c1efd"
+
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -110,3 +143,14 @@ def test_jc_super_verify_stdout_bytes(capsys):
     # the superalgebra's odd pair is bracketed by its anticommutator
     assert main(["algebra", "jc_super", "--verify"]) == 0
     assert sha256(capsys.readouterr().out.encode()) == JC_SUPER_VERIFY
+
+
+def test_husimi_csv_and_heatmap_bytes(tmp_path, capsys):
+    for space, spec in HUSIMI_STATES.items():
+        state, csv, pgm = tmp_path / f"{space}.json", tmp_path / f"{space}.csv", tmp_path / f"{space}.pgm"
+        state.write_text(json.dumps(spec))
+        heatmap = ["--heatmap", str(pgm)] if space == "sphere" else []
+        argv = ["husimi", "--state", str(state), "--space", space, "--out", str(csv), "--nodes", "12", "9"]
+        assert main(argv + heatmap) == 0
+        assert sha256(csv.read_bytes()) == HUSIMI_CSV[space], space
+    assert sha256((tmp_path / "sphere.pgm").read_bytes()) == HUSIMI_SPHERE_PGM
