@@ -4,9 +4,12 @@ Casimir verification, and reference-state search.
 
 Every catalog entry realizes its generators over an explicit FockBasis and
 classifies them into mutually commuting diagonal (Cartan) generators and
-raising/lowering pairs carrying a root vector. Root vectors are stored as
-exact rationals in per-Cartan eigenvalue units (`cartan_units` holds the
-possibly irrational unit, e.g. 1/sqrt(3)).
+raising/lowering pairs carrying a root vector. Root vectors and the Cartan
+weights of the basis states (`cartan_weights`, integer numerators over one
+denominator) are stored exactly in per-Cartan eigenvalue units
+(`cartan_units` holds the possibly irrational unit, e.g. 1/sqrt(3)); the
+builder that picks the Cartan generators supplies both, and the operators
+carry no exact values.
 
 Representations on truncated bases break the algebraic identities in the
 outermost cutoff levels; identity checks therefore run on an interior block
@@ -28,6 +31,7 @@ import scipy.sparse as sparse
 
 from .errors import DegenerateGeneratorsError
 from .fock import FockBasis, boson, fermion, spin
+from .lattice import WeightLattice, weight_coordinates
 from .operators import (
     ODD,
     SparseOperator,
@@ -62,6 +66,7 @@ class AlgebraModel:
     cartan: list
     root_pairs: list
     cartan_units: tuple
+    cartan_weights: tuple      # (numerators (dim, rank) int64, denominator), in cartan_units
     annihilators: list = field(default_factory=list)
     casimirs: dict = field(default_factory=dict)
     truncated_modes: tuple = ()
@@ -84,6 +89,12 @@ class AlgebraModel:
 
     def cartan_ops(self):
         return [self.generators[i] for i in self.cartan]
+
+    def weight_lattice(self) -> WeightLattice:
+        """Exact Cartan weights of the basis states; the float coordinates
+        are the Cartan generators' diagonals."""
+        floats = np.stack([op.diagonal().real for op in self.cartan_ops()], axis=-1)
+        return weight_coordinates(*self.cartan_weights, floats)
 
     def root_float(self, pair: RootPair) -> np.ndarray:
         """Root vector in physical (float) Cartan eigenvalues."""
@@ -448,7 +459,7 @@ def _e2(L=21):
     basis = FockBasis([boson(L - 1)])
     offset = (L - 1) // 2
     sites = np.arange(L) - offset
-    e0 = diagonal_op(sites.astype(float), rational=(sites, 1))
+    e0 = diagonal_op(sites.astype(float))
     rows = np.arange(1, L)
     cols = np.arange(0, L - 1)
     ep = SparseOperator(
@@ -465,6 +476,7 @@ def _e2(L=21):
         cartan=[0],
         root_pairs=[RootPair(1, 2, (_frac(1),))],
         cartan_units=(1.0,),
+        cartan_weights=(sites[:, None], 1),
         annihilators=[1],
         casimirs={"shift_product": casimir},
         truncated_modes=(),
@@ -487,6 +499,7 @@ def _hw(cutoff=20):
         cartan=[2],
         root_pairs=[RootPair(1, 0, (_frac(1),))],
         cartan_units=(1.0,),
+        cartan_weights=(basis.occ, 1),
         annihilators=[0],
         casimirs={"identity": one},
         truncated_modes=(0,),
@@ -500,7 +513,7 @@ def _su2_spin(S=1):
     sm, sp_ = ladder_ops(basis, 0)
     s = spec.spin_s
     two_m = 2 * np.arange(spec.levels) - spec.capacity
-    sz = diagonal_op(two_m / 2, rational=(two_m, 2))
+    sz = diagonal_op(two_m / 2)
     s2 = SparseOperator(sz.mat @ sz.mat + 0.5 * (sp_.mat @ sm.mat + sm.mat @ sp_.mat))
     return AlgebraModel(
         name="su2_spin",
@@ -511,6 +524,7 @@ def _su2_spin(S=1):
         cartan=[0],
         root_pairs=[RootPair(1, 2, (_frac(1),))],
         cartan_units=(1.0,),
+        cartan_weights=(two_m[:, None], 2),
         annihilators=[1],
         casimirs={"S2": s2},
     )
@@ -523,10 +537,10 @@ def _su2_schwinger(N=4):
     na = basis.occupations_of_mode(0)
     nb = basis.occupations_of_mode(1)
     two_sz = na - nb
-    sz = diagonal_op(two_sz / 2, rational=(two_sz, 2))
+    sz = diagonal_op(two_sz / 2)
     sp_ = transfer_op(basis, 0, 1)
     sm = sp_.dagger()
-    ntot = diagonal_op((na + nb).astype(float), rational=(na + nb, 1))
+    ntot = diagonal_op((na + nb).astype(float))
     s2 = SparseOperator(sz.mat @ sz.mat + 0.5 * (sp_.mat @ sm.mat + sm.mat @ sp_.mat))
     return AlgebraModel(
         name="su2_schwinger",
@@ -537,6 +551,7 @@ def _su2_schwinger(N=4):
         cartan=[0],
         root_pairs=[RootPair(1, 2, (_frac(1),))],
         cartan_units=(1.0,),
+        cartan_weights=(two_sz[:, None], 2),
         annihilators=[1],
         casimirs={"total_number": ntot, "S2": s2},
     )
@@ -552,8 +567,8 @@ def _su3_schwinger(N=3):
     nc = basis.occupations_of_mode(2)
     two_h1 = na - nb
     two_h2 = na + nb - 2 * nc
-    h1 = diagonal_op(two_h1 / 2, rational=(two_h1, 2))
-    h2 = diagonal_op(two_h2 / 2 / np.sqrt(3.0), rational=(two_h2, 2))
+    h1 = diagonal_op(two_h1 / 2)
+    h2 = diagonal_op(two_h2 / 2 / np.sqrt(3.0))
     ip = transfer_op(basis, 0, 1)
     up = transfer_op(basis, 1, 2)
     vp = transfer_op(basis, 0, 2)
@@ -577,6 +592,7 @@ def _su3_schwinger(N=3):
             RootPair(6, 7, (Fraction(1, 2), Fraction(3, 2))),
         ],
         cartan_units=(1.0, 1.0 / np.sqrt(3.0)),
+        cartan_weights=(np.stack([two_h1, two_h2], axis=1), 2),
         annihilators=[2, 4, 6],
         casimirs={"total_number": ntot, "quadratic": quad},
     )
@@ -595,8 +611,8 @@ def _so5_quoted(N=2):
     n_bd = basis.occupations_of_mode(3)
     two_h1 = n_au - n_ad
     two_h2 = n_bu - n_bd
-    h1 = diagonal_op(two_h1 / 2, rational=(two_h1, 2))
-    h2 = diagonal_op(two_h2 / 2, rational=(two_h2, 2))
+    h1 = diagonal_op(two_h1 / 2)
+    h2 = diagonal_op(two_h2 / 2)
     sa = transfer_op(basis, 0, 1)   # a-spin flip up
     sb = transfer_op(basis, 2, 3)   # b-spin flip up
     sab = transfer_op(basis, 0, 3)  # cross flip along (1/2, 1/2)
@@ -618,12 +634,13 @@ def _so5_quoted(N=2):
             RootPair(8, 9, (Fraction(-1, 2), Fraction(-1, 2))),
         ],
         cartan_units=(1.0, 1.0),
+        cartan_weights=(np.stack([two_h1, two_h2], axis=1), 2),
         annihilators=[2, 4, 6, 8],
         casimirs={"total_number": ntot},
     )
 
 
-def _su11_chain(k0_diag, kp: SparseOperator, name, params, basis, truncated):
+def _su11_chain(k0_diag, k0_weights, kp: SparseOperator, name, params, basis, truncated):
     km = kp.dagger()
     k1 = SparseOperator(0.5 * (kp.mat + km.mat))
     k2 = SparseOperator((kp.mat - km.mat) / 2j)
@@ -637,6 +654,7 @@ def _su11_chain(k0_diag, kp: SparseOperator, name, params, basis, truncated):
         cartan=[0],
         root_pairs=[RootPair(1, 2, (_frac(1),))],
         cartan_units=(1.0,),
+        cartan_weights=k0_weights,
         annihilators=[2],
         casimirs={"hyperbolic": casimir},
         truncated_modes=truncated,
@@ -656,10 +674,10 @@ def _su11_single(k=Fraction(1, 4), cutoff=40):
     a, adag = ladder_ops(basis, 0)
     n = np.arange(basis.dim)
     four_k0 = 2 * n + 1
-    k0 = diagonal_op(four_k0 / 4, rational=(four_k0, 4))
+    k0 = diagonal_op(four_k0 / 4)
     kp = SparseOperator(adag.mat @ adag.mat * 0.5)
     return _su11_chain(
-        k0, kp, "su11_single", {"k": k, "cutoff": int(cutoff)}, basis, (0,)
+        k0, (four_k0[:, None], 4), kp, "su11_single", {"k": k, "cutoff": int(cutoff)}, basis, (0,)
     )
 
 
@@ -672,9 +690,9 @@ def _su11_intensity(cutoff=40):
         sparse.csr_matrix((vals, (n[1:], n[:-1])), shape=(basis.dim, basis.dim))
     )
     two_k0 = 2 * n + 1
-    k0 = diagonal_op(two_k0 / 2, rational=(two_k0, 2))
+    k0 = diagonal_op(two_k0 / 2)
     return _su11_chain(
-        k0, kp, "su11_intensity", {"k": Fraction(1, 2), "cutoff": int(cutoff)}, basis, (0,)
+        k0, (two_k0[:, None], 2), kp, "su11_intensity", {"k": Fraction(1, 2), "cutoff": int(cutoff)}, basis, (0,)
     )
 
 
@@ -687,9 +705,9 @@ def _su11_twomode(cutoff=20):
     na = basis.occupations_of_mode(0)
     nb = basis.occupations_of_mode(1)
     two_k0 = na + nb + 1
-    k0 = diagonal_op(two_k0 / 2, rational=(two_k0, 2))
+    k0 = diagonal_op(two_k0 / 2)
     model = _su11_chain(
-        k0, kp, "su11_twomode", {"cutoff": int(cutoff)}, basis, (0, 1)
+        k0, (two_k0[:, None], 2), kp, "su11_twomode", {"cutoff": int(cutoff)}, basis, (0, 1)
     )
     imbalance = diagonal_op((na - nb).astype(float))
     model.casimirs["imbalance"] = imbalance
@@ -703,14 +721,9 @@ def _sp2n_boson(modes=2, cutoff=6):
     basis = FockBasis([boson(int(cutoff))] * m)
     low = [ladder_ops(basis, i)[0] for i in range(m)]
     raise_ = [op.dagger() for op in low]
-    gens, labels = [], []
-    cartan_idx = []
-    for i in range(m):
-        occ = basis.occupations_of_mode(i)
-        two_d = 2 * occ + 1
-        gens.append(diagonal_op(two_d / 2, rational=(two_d, 2)))
-        labels.append(f"D{i}")
-        cartan_idx.append(i)
+    two_d = 2 * basis.occ + 1
+    gens = [diagonal_op(col / 2) for col in two_d.T]
+    labels = [f"D{i}" for i in range(m)]
     root_pairs = []
     for i in range(m):
         for j in range(m):
@@ -745,9 +758,10 @@ def _sp2n_boson(modes=2, cutoff=6):
         basis=basis,
         labels=labels,
         generators=gens,
-        cartan=cartan_idx,
+        cartan=list(range(m)),
         root_pairs=root_pairs,
         cartan_units=(1.0,) * m,
+        cartan_weights=(two_d, 2),
         annihilators=annihilators,
         casimirs={},
         truncated_modes=tuple(range(m)),
@@ -761,13 +775,9 @@ def _so2n_fermion(modes=2):
     basis = FockBasis([fermion()] * m)
     low = [ladder_ops(basis, i)[0] for i in range(m)]
     raise_ = [op.dagger() for op in low]
-    gens, labels, cartan_idx = [], [], []
-    for i in range(m):
-        occ = basis.occupations_of_mode(i)
-        two_d = 2 * occ - 1
-        gens.append(diagonal_op(two_d / 2, rational=(two_d, 2)))
-        labels.append(f"D{i}")
-        cartan_idx.append(i)
+    two_d = 2 * basis.occ - 1
+    gens = [diagonal_op(col / 2) for col in two_d.T]
+    labels = [f"D{i}" for i in range(m)]
     for i in range(m):
         for j in range(m):
             if i != j:
@@ -802,9 +812,10 @@ def _so2n_fermion(modes=2):
         basis=basis,
         labels=labels,
         generators=gens,
-        cartan=cartan_idx,
+        cartan=list(range(m)),
         root_pairs=root_pairs,
         cartan_units=(1.0,) * m,
+        cartan_weights=(two_d, 2),
         annihilators=annihilators,
         casimirs={},
     )
@@ -830,6 +841,7 @@ def _jc_super(cutoff=10):
         cartan=[0, 1],
         root_pairs=[RootPair(2, 3, (_frac(1), _frac(-1)))],
         cartan_units=(1.0, 1.0),
+        cartan_weights=(basis.occ, 1),
         annihilators=[2],
         casimirs={"excitations": ntot},
         truncated_modes=(0,),

@@ -1,7 +1,7 @@
-"""Fock-state lattice graphs: extraction from Hermitian operators, weight
-coordinates from diagonal generators, connected components, and gauge-
-invariant plaquette fluxes of the shortest cycle through each non-tree edge
-of a breadth-first spanning forest.
+"""Fock-state lattice graphs: extraction from Hermitian operators, exact
+weight coordinates merged into lattice sites, connected components, and
+gauge-invariant plaquette fluxes of the shortest cycle through each non-tree
+edge of a breadth-first spanning forest.
 
 Vertices are basis states with real onsite energies. A graph keeps its edges
 as arrays: `edges[k] = (i, j)` with i < j, lexsorted, wherever |H[i, j]|
@@ -9,7 +9,10 @@ exceeds a tolerance, and `amplitudes[k] = H[i, j]` (the reverse direction
 carries the conjugate). Components and breadth-first spanning trees come
 from `scipy.sparse.csgraph` on the symmetric CSR adjacency of the edges.
 A graph carries bonds only: site coordinates are a separate `WeightLattice`,
-passed to the functions that use them.
+passed to the functions that use them. `weight_coordinates` is its one
+constructor; it takes exact integer numerators over a common denominator,
+whatever their source (an algebra's Cartan weights, a spec's `weights` rows
+or the occupations; `scenarios.system_weights` picks).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 
 import numpy as np
 import scipy.sparse as sparse  # loads sparse.csgraph on first use
@@ -63,6 +65,7 @@ class WeightLattice:
     distinct rows in ascending order, which is ascending order of the
     rational tuples, and `site_index[v]` is the site of vertex v. Fractions
     are only built on request (`coordinates`, `sites`, `site_keys`).
+    Build one with `weight_coordinates`.
     """
 
     numerators: np.ndarray     # (n_vertices, rank) int64
@@ -70,18 +73,6 @@ class WeightLattice:
     coordinates_float: np.ndarray
     site_numerators: np.ndarray  # (n_sites, rank) int64, ascending rows
     site_index: np.ndarray     # (n_vertices,) site of each vertex
-
-    @classmethod
-    def from_numerators(cls, numerators, denominator, coordinates_float=None):
-        """Group vertices by their exact weight. Without explicit floats the
-        float coordinates are numerators / denominator, correctly rounded
-        like float(Fraction) since both fit in a double exactly."""
-        numerators = np.asarray(numerators, dtype=np.int64)
-        check_exact(int(np.max(np.abs(numerators), initial=0)), denominator)
-        if coordinates_float is None:
-            coordinates_float = numerators / denominator
-        sites, index = np.unique(numerators, axis=0, return_inverse=True)
-        return cls(numerators, int(denominator), coordinates_float, sites, index.ravel())
 
     def _fractions(self, rows):
         den = self.denominator
@@ -210,55 +201,17 @@ def check_exact(largest, denominator):
         )
 
 
-def _rationalize(values, max_den=1 << 20, tol=1e-9):
-    """Exact rationals recovered from floats, as (int64 numerators, common
-    denominator). Only the distinct values are rationalised."""
-    distinct, index = np.unique(np.asarray(values, dtype=float), return_inverse=True)
-    fracs = []
-    for x in distinct.tolist():
-        fr = Fraction(x).limit_denominator(max_den)
-        if abs(float(fr) - x) > tol:
-            raise ValueError(
-                f"diagonal entry {x} is not rational within {tol}; "
-                "supply operators with exact rational diagonals"
-            )
-        fracs.append(fr)
-    den = lcm(*(fr.denominator for fr in fracs))
-    nums = [fr.numerator * (den // fr.denominator) for fr in fracs]
-    check_exact(max(map(abs, nums)), den)
-    return np.array(nums, dtype=np.int64)[index.ravel()], den
-
-
-def _common_denominator(columns):
-    """Stack exact columns given as (numerators, denominator) pairs over
-    their least common denominator: ((n, k) int64 numerators, denominator)."""
-    den = lcm(*(d for _, d in columns))
-    scaled = []
-    for num, d in columns:
-        check_exact(int(np.max(np.abs(num), initial=0)) * (den // d), den)
-        scaled.append(num * (den // d))
-    return np.stack(scaled, axis=-1), den
-
-
-def weight_coordinates(cartan_ops) -> WeightLattice:
-    """Per-vertex tuples of Cartan eigenvalues, merged into distinct lattice
-    sites with multiplicity. Merging is exact: the eigenvalues come from
-    `rational_diagonal` when present, else are recovered from the floats."""
-    if not cartan_ops:
-        raise ValueError("weight coordinates need at least one Cartan operator")
-    exact_columns = []
-    float_columns = []
-    for op in cartan_ops:
-        if not op.is_diagonal():
-            raise ValueError("weight coordinates require diagonal operators")
-        diag = op.diagonal().real
-        float_columns.append(diag)
-        if op.rational_diagonal is not None:
-            exact_columns.append(op.rational_diagonal)
-        else:
-            exact_columns.append(_rationalize(diag))
-    numerators, den = _common_denominator(exact_columns)
-    return WeightLattice.from_numerators(numerators, den, np.stack(float_columns, axis=-1))
+def weight_coordinates(numerators, denominator, coordinates_float=None) -> WeightLattice:
+    """Vertices with exact weights numerators / denominator, grouped into
+    lattice sites. Without explicit floats the float coordinates are
+    numerators / denominator, correctly rounded like float(Fraction) since
+    both fit in a double exactly."""
+    numerators = np.asarray(numerators, dtype=np.int64)
+    check_exact(int(np.max(np.abs(numerators), initial=0)), denominator)
+    if coordinates_float is None:
+        coordinates_float = numerators / denominator
+    sites, index = np.unique(numerators, axis=0, return_inverse=True)
+    return WeightLattice(numerators, int(denominator), coordinates_float, sites, index.ravel())
 
 
 def connected_components(fsl: FSLGraph) -> list:

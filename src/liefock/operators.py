@@ -1,15 +1,14 @@
 """Sparse complex operators over a Fock basis.
 
-Thin wrapper around scipy CSR matrices. An operator carries its matrix, its
-fermion-parity grade and, when built with exact eigenvalues, a
-`rational_diagonal` that only `lattice.weight_coordinates` reads. It carries
-nothing else: Hermiticity is always computed from the matrix by the one
-numeric rule (`within_hermitian_bound`), and the bracket of two operators
+Thin wrapper around scipy CSR matrices. An operator carries its matrix and
+its fermion-parity grade, nothing else. Exact Cartan weights belong to the
+algebra model (`AlgebraModel.cartan_weights`), not to its operators.
+Hermiticity is always computed from the matrix by the one numeric rule
+(`within_hermitian_bound`), and the bracket of two operators
 (`graded_commutator`) is the commutator or, for two odd operators, the
-anticommutator. Also constructors for ladder, number, and
-bilinear transfer operators. Entries below a relative drop tolerance are
-eliminated after every product so chained commutators do not accumulate
-numerical fill-in.
+anticommutator. Also constructors for ladder, number, and bilinear transfer
+operators. Entries below a relative drop tolerance are eliminated after
+every product so chained commutators do not accumulate numerical fill-in.
 """
 
 from __future__ import annotations
@@ -47,18 +46,11 @@ def _drop_small(mat: sparse.csr_matrix) -> sparse.csr_matrix:
 
 
 class SparseOperator:
-    """Complex sparse matrix with an even/odd grade.
+    """Complex sparse matrix with an even/odd grade."""
 
-    `rational_diagonal` (optional) carries exact diagonal eigenvalues for
-    operators used as lattice coordinates, as a pair (int64 numerator
-    array, common positive int denominator); it is preserved by nothing
-    except explicit construction, and its one reader is
-    `lattice.weight_coordinates`.
-    """
+    __slots__ = ("mat", "grade")
 
-    __slots__ = ("mat", "grade", "rational_diagonal")
-
-    def __init__(self, mat, grade=EVEN, rational_diagonal=None):
+    def __init__(self, mat, grade=EVEN):
         if not sparse.issparse(mat):
             mat = sparse.csr_matrix(np.asarray(mat, dtype=complex))
         self.mat = _drop_small(mat.astype(complex))
@@ -67,15 +59,6 @@ class SparseOperator:
         if grade not in (EVEN, ODD):
             raise ValueError("grade must be EVEN (0) or ODD (1)")
         self.grade = grade
-        if rational_diagonal is not None:
-            num, den = rational_diagonal
-            rational_diagonal = (np.asarray(num, dtype=np.int64), int(den))
-            if rational_diagonal[0].shape != (self.mat.shape[0],) or rational_diagonal[1] < 1:
-                raise ValueError(
-                    "rational_diagonal needs one numerator per basis state "
-                    "and a positive denominator"
-                )
-        self.rational_diagonal = rational_diagonal
 
     # -- basic structure -------------------------------------------------
 
@@ -166,9 +149,6 @@ class SparseOperator:
             )
         return self.mat @ vec
 
-    def expectation(self, vec: np.ndarray) -> complex:
-        return complex(np.vdot(vec, self.apply(vec)))
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
@@ -218,11 +198,9 @@ def zero(dim_or_basis) -> SparseOperator:
     return SparseOperator(sparse.csr_matrix((dim, dim), dtype=complex))
 
 
-def diagonal_op(values, rational=None) -> SparseOperator:
-    """Diagonal operator; `rational` optionally gives its exact diagonal as
-    a pair (integer numerators, common positive denominator)."""
+def diagonal_op(values) -> SparseOperator:
     values = np.asarray(values, dtype=complex)
-    return SparseOperator(sparse.diags(values, format="csr"), rational_diagonal=rational)
+    return SparseOperator(sparse.diags(values, format="csr"))
 
 
 def ladder_ops(basis: FockBasis, mode: int, jw_order=None):
@@ -277,9 +255,8 @@ def ladder_ops(basis: FockBasis, mode: int, jw_order=None):
 
 
 def number_op(basis: FockBasis, mode: int) -> SparseOperator:
-    """Occupation-number operator of one mode (diagonal, exact)."""
-    occ = basis.occupations_of_mode(mode)
-    return diagonal_op(occ.astype(float), rational=(occ, 1))
+    """Occupation-number operator of one mode (diagonal)."""
+    return diagonal_op(basis.occupations_of_mode(mode).astype(float))
 
 
 def transfer_op(basis: FockBasis, to_mode: int, from_mode: int) -> SparseOperator:

@@ -22,9 +22,8 @@ from .algebra import build_algebra, lie_closure, lmg_seed, rabi_seed
 from .coherent import SPACES, CoherentParams, closed_form_state, husimi_chart
 from .dynamics import evolve, expectation_series, fidelity_series
 from .errors import ConfigError
-from .fock import FockBasis, ModeSpec
+from .fock import BOSON, FockBasis, ModeSpec
 from .lattice import (
-    WeightLattice,
     check_exact,
     graph_to_adjacency_csv,
     graph_to_json_dict,
@@ -397,11 +396,13 @@ def build_system(system):
 
 def system_weights(system, basis, model):
     """The exact coordinates that label a system's lattice sites, or None:
-    the Cartan weights of a named algebra, else the spec's `weights` rows,
-    exact rational linear forms of the occupations (one Fraction-parseable
-    coefficient per mode), scaled to integers over their common denominator."""
+    the Cartan weights of a named algebra (`AlgebraModel.weight_lattice`),
+    else the spec's `weights` rows, exact rational linear forms of the
+    occupations (one Fraction-parseable coefficient per mode), scaled to
+    integers over their common denominator. Both go through
+    `lattice.weight_coordinates`."""
     if model is not None and model.cartan:
-        return weight_coordinates(model.cartan_ops())
+        return model.weight_lattice()
     if "weights" not in system:
         return None
     forms = [[Fraction(str(c)) for c in row] for row in system["weights"]]
@@ -410,7 +411,7 @@ def system_weights(system, basis, model):
     caps = [m.capacity for m in basis.modes]
     check_exact(max((sum(abs(c) * n for c, n in zip(row, caps)) for row in coeffs), default=0), den)
     coeffs = np.array(coeffs, dtype=np.int64).reshape(len(forms), len(caps))
-    return WeightLattice.from_numerators(basis.occ @ coeffs.T, den)
+    return weight_coordinates(basis.occ @ coeffs.T, den)
 
 
 def build_initial_state(state_spec, basis, path="initial_state"):
@@ -439,6 +440,16 @@ def build_initial_state(state_spec, basis, path="initial_state"):
         params = {
             key: _coherent_field(key, value, f"{path}.coherent.{key}") for key, value in spec.items() if key != "kind"
         }
+        if spec["kind"] == "su3":
+            # the state covers the whole fixed-N sector of three boson modes
+            N, modes = params.get("N"), basis.modes
+            if N is None or basis.constraint != N or len(modes) != 3 or any(
+                m.kind != BOSON or m.capacity < N for m in modes
+            ):
+                raise ConfigError(
+                    f"an su3 coherent state needs three boson modes of capacity at least N with constraint N = {N}",
+                    field=f"{path}.coherent",
+                )
         vec = closed_form_state(CoherentParams(spec["kind"], params), basis)
         if vec.shape[0] != basis.dim:
             raise ConfigError(
@@ -513,7 +524,7 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
         wl = system_weights(config.system, basis, model)
     if wl is None and needs_sites:
         # site populations and heatmaps fall back to the occupations
-        wl = WeightLattice.from_numerators(basis.occ, 1)
+        wl = weight_coordinates(basis.occ, 1)
 
     # observable columns
     columns = []

@@ -20,7 +20,6 @@ from liefock import (
     rabi_seed,
     spectrum,
     transfer_op,
-    weight_coordinates,
 )
 from liefock.coherent import (
     displace,
@@ -152,7 +151,7 @@ def test_criterion_06_su3_lattice_flux_and_mirror():
         ("V+", J * np.exp(1j * phi)), ("V-", J * np.exp(-1j * phi)),
     ]
     graph_phi = labeled_graph(model, terms_phi)
-    wl = weight_coordinates(model.cartan_ops())
+    wl = model.weight_lattice()
     rep = plaquette_fluxes(graph_phi, wl.coordinates_float)
     classes = sorted(rep.class_values)
     flux_ok = (

@@ -21,7 +21,7 @@ from liefock import (
     verify_casimir,
     verify_model,
 )
-from liefock.algebra import CLOSURE_TOL
+from liefock.algebra import CATALOG, CLOSURE_TOL
 from liefock.errors import DegenerateGeneratorsError
 from liefock.operators import EVEN, ODD, linear_combination
 
@@ -150,13 +150,48 @@ def test_so5_quoted_set_does_not_close_at_ten():
     assert report.max_residual < 1e-10
 
 
+# every catalog entry at its defaults, then once with a parameter changed
+CATALOG_CASES = [(name, {}) for name in CATALOG] + [
+    ("e2", {"L": 8}),
+    ("hw", {"cutoff": 7}),
+    ("su2_spin", {"S": Fraction(7, 2)}),
+    ("su2_schwinger", {"N": 5}),
+    ("su3_schwinger", {"N": 4}),
+    ("so5_quoted", {"N": 3}),
+    ("su11_single", {"k": Fraction(3, 4)}),
+    ("su11_intensity", {"cutoff": 9}),
+    ("su11_twomode", {"cutoff": 5}),
+    ("sp2n_boson", {"modes": 3, "cutoff": 3}),
+    ("so2n_fermion", {"modes": 3}),
+    ("jc_super", {"cutoff": 4}),
+]
+
+
+@pytest.mark.parametrize("name,params", CATALOG_CASES)
+def test_cartan_weights_agree_with_generators_and_roots(name, params):
+    model = build_algebra(name, **params)
+    num, den = model.cartan_weights
+    assert num.shape == (model.basis.dim, len(model.cartan)) and num.dtype == np.int64
+    # the exact weights times the unit are the Cartan generators' diagonals
+    for k, (op, unit) in enumerate(zip(model.cartan_ops(), model.cartan_units)):
+        diag, scaled = op.diagonal(), num[:, k] / den * unit
+        assert not np.any(diag.imag)
+        if unit == 1.0:
+            assert np.array_equal(diag.real, scaled)
+        else:
+            np.testing.assert_array_max_ulp(diag.real, scaled, maxulp=1)
+    # each stored entry of a raising generator moves the weight by its root
+    for pair in model.root_pairs:
+        coo = model.generators[pair.raising].mat.tocoo()
+        steps = np.unique(num[coo.row] - num[coo.col], axis=0)
+        assert coo.nnz and [tuple(Fraction(int(d), den) for d in step) for step in steps] == [pair.root]
+
+
 def test_so5_site_count_disagrees_with_quadratic_formula():
     # both counts are reported, neither hardcoded as truth: for N = 2 the
     # sector has 10 states on 9 distinct weight sites, while N^2/2 + N + 1 = 5
-    from liefock import weight_coordinates
-
     model = build_algebra("so5_quoted", N=2)
-    wl = weight_coordinates(model.cartan_ops())
+    wl = model.weight_lattice()
     claimed = 2**2 // 2 + 2 + 1
     assert model.basis.dim == 10
     assert len(wl.sites) == 9
@@ -395,6 +430,12 @@ def test_verify_model_full_catalog():
             assert cas["residual"] < 1e-10, (name, cas)
         expected_dim = 15 if name == "so5_quoted" else model.dim
         assert report["closure"]["dim"] == expected_dim, name
+
+
+def test_verify_model_flags_a_non_diagonal_cartan():
+    model = build_algebra("su2_schwinger", N=4)
+    model.cartan = [model.labels.index("S+")]
+    assert not verify_model(model)["cartan_ok"]
 
 
 def test_su11_intensity_matrix_elements():

@@ -371,6 +371,13 @@ def test_cli_lattice_accepts_capacity_that_int_reads(tmp_path, capsys):
     assert len(json.loads(capsys.readouterr().out)["vertices"]) == 3
 
 
+SU3_COHERENT = {"coherent": {"kind": "su3", "N": 2, "zeta": [1, 0.5, 0]}}
+
+
+def three_bosons(**extra):
+    return {"modes": [{"kind": "boson", "capacity": 3}] * 3, **extra}
+
+
 BOSON_PAIR = {
     "version": 1,
     "name": "boson_pair",
@@ -418,11 +425,17 @@ BOSON_PAIR = {
         ("initial_state", {"coherent": {"kind": "su3", "N": 2, "zeta": 1.0}}, "initial_state.coherent.zeta"),
         ("initial_state", {"coherent": {"kind": "displaced", "algebra": 4, "root": "S+", "beta": 0.1}},
          "initial_state.coherent.algebra"),
+        # an su3 coherent state needs three bosons with constraint N; key None overrides several keys
+        ("initial_state", SU3_COHERENT, "initial_state.coherent"),
+        (None, {"system": dict(BOSON_PAIR["system"], basis=three_bosons(constraint=3)), "initial_state": SU3_COHERENT},
+         "initial_state.coherent"),
+        (None, {"system": dict(BOSON_PAIR["system"], basis=three_bosons()), "initial_state": SU3_COHERENT},
+         "initial_state.coherent"),
     ],
 )
 def test_cli_evolve_rejects_malformed_config(tmp_path, capsys, key, value, field):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps(dict(BOSON_PAIR, **{key: value})))
+    config.write_text(json.dumps(dict(BOSON_PAIR, **(value if key is None else {key: value}))))
     assert main(["--out-dir", str(tmp_path), "evolve", "--scenario", str(config)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"(field: {field})" in err
@@ -539,10 +552,14 @@ SPIN_STATE_FILE = {
         ("state", {"coherent": {"kind": "spin", "S": 4, "theta": 0.9, "phi": True}}, "state.coherent.phi"),
         ("state", {"coherent": {"kind": "spin", "S": 4, "theta": {"x": 1}, "phi": 0.2}}, "state.coherent.theta"),
         ("state", {"coherent": {"kind": "spin", "S": "1/0", "theta": 0.9, "phi": 0.2}}, "state.coherent.S"),
+        # an su3 coherent state needs three bosons with constraint N; key None overrides several keys
+        ("state", SU3_COHERENT, "state.coherent"),
+        (None, {"basis": three_bosons(constraint=3), "state": SU3_COHERENT}, "state.coherent"),
+        (None, {"basis": three_bosons(), "state": SU3_COHERENT}, "state.coherent"),
     ],
 )
 def test_cli_husimi_rejects_malformed_state_file(tmp_path, capsys, key, value, field):
-    spec = dict(SPIN_STATE_FILE, **{key: value})
+    spec = dict(SPIN_STATE_FILE, **(value if key is None else {key: value}))
     if value is MISSING:
         del spec[key]
     spath = tmp_path / "state.json"

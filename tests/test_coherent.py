@@ -402,7 +402,8 @@ def test_su3_angle_parametrization_normalized():
 def ladder_pair_model(basis, raising, lowering):
     """A hand-built model whose one root pair is (raising, lowering)."""
     return AlgebraModel(
-        "ladder_pair", {}, basis, ["R", "L"], [raising, lowering], [], [RootPair(0, 1, (Fraction(1),))], ()
+        "ladder_pair", {}, basis, ["R", "L"], [raising, lowering], [], [RootPair(0, 1, (Fraction(1),))], (),
+        (np.zeros((basis.dim, 0), dtype=np.int64), 1),
     )
 
 

@@ -66,7 +66,6 @@ from liefock.coherent import (
 from liefock.lattice import (
     FLUX_DEDUP_TOL,
     FSLGraph,
-    WeightLattice,
     _flux_classes,
     build_fsl,
     connected_components,
@@ -78,7 +77,6 @@ from liefock.operators import (
     EVEN,
     ODD,
     SparseOperator,
-    diagonal_op,
     ladder_ops,
     transfer_op,
     within_hermitian_bound,
@@ -209,20 +207,9 @@ def oracle_linear_forms(states, rows):
     ]
 
 
-def oracle_rationalize(values, max_den=1 << 20, tol=1e-9):
-    out = []
-    for x in values:
-        fr = Fraction(float(x)).limit_denominator(max_den)
-        assert abs(float(fr) - float(x)) <= tol
-        out.append(fr)
-    return out
-
-
 def oracle_weight_coordinates(columns):
-    """`columns`: per Cartan operator, (float diagonal, exact Fractions or None)."""
-    exact = [col if col is not None else oracle_rationalize(diag) for diag, col in columns]
-    n = len(columns[0][0])
-    coords = [tuple(col[v] for col in exact) for v in range(n)]
+    """`columns`: per Cartan generator, the exact Fractions of each vertex."""
+    coords = list(zip(*columns))
     groups = {}
     for v, c in enumerate(coords):
         groups.setdefault(c, []).append(v)
@@ -525,7 +512,7 @@ def test_occupation_weights_match_oracle(case):
     basis = FockBasis(modes, constraint)
     coords = [tuple(Fraction(v) for v in s) for s in oracle_states(modes, constraint)]
     floats, sites = oracle_group(coords)
-    wl = WeightLattice.from_numerators(basis.occ, 1)
+    wl = weight_coordinates(basis.occ, 1)
     assert wl.sites == sites and np.array_equal(wl.coordinates_float, floats)
 
 
@@ -533,29 +520,22 @@ def test_occupation_weights_match_oracle(case):
 @given(st.integers(1, 40), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
 def test_cartan_weights_match_oracle(dim, rank, seed, data):
     rng = np.random.default_rng(seed)
-    ops, columns = [], []
-    for _ in range(rank):
-        pool = data.draw(st.lists(rationals, min_size=1, max_size=6))
-        values = [pool[k] for k in rng.integers(len(pool), size=dim)]
-        diag = np.array([float(v) for v in values])
-        if data.draw(st.booleans()):
-            den = np.lcm.reduce([v.denominator for v in values])
-            num = [v.numerator * (int(den) // v.denominator) for v in values]
-            ops.append(diagonal_op(diag, rational=(num, int(den))))
-            columns.append((diag, values))
-        else:
-            ops.append(diagonal_op(diag))
-            columns.append((diag, None))
-    wl = weight_coordinates(ops)
+    den = data.draw(st.integers(1, 12))
+    pool = data.draw(st.lists(st.integers(-36, 36), min_size=1, max_size=6))
+    numerators = np.array(pool)[rng.integers(len(pool), size=(dim, rank))]
+    columns = [[Fraction(int(n), den) for n in col] for col in numerators.T]
+    floats = rng.normal(size=(dim, rank)) if data.draw(st.booleans()) else None
+    wl = weight_coordinates(numerators, den, floats)
     coords, sites = oracle_weight_coordinates(columns)
     assert wl.coordinates == coords
     assert wl.sites == sites
-    assert np.array_equal(wl.coordinates_float, np.stack([d for d, _ in columns], axis=-1))
+    expected = floats if floats is not None else [[float(c) for c in row] for row in coords]
+    assert np.array_equal(wl.coordinates_float, expected)
 
 
-def test_from_numerators_orders_sites_like_fractions():
+def test_weight_coordinates_orders_sites_like_fractions():
     nums = np.array([[3, -1], [-2, 5], [3, -1], [-2, -7], [0, 0]])
-    wl = WeightLattice.from_numerators(nums, 2)
+    wl = weight_coordinates(nums, 2)
     keys = [tuple(Fraction(int(n), 2) for n in row) for row in nums]
     assert wl.site_keys() == sorted(set(keys))
     assert wl.multiplicities == [1, 1, 1, 2]
