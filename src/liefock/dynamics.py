@@ -1,28 +1,45 @@
 """Unitary time evolution, spectra, revival detection, and observable series.
 
 Two propagators: a dense eigendecomposition, computed afresh by every call
-(exact up to machine precision, dimension-capped at DENSE_LIMIT), and an
-adaptive short-iterate Lanczos exponential, one plain Lanczos basis per
-accepted substep, for larger problems and for `coherent.displace`. The caller
-picks the method; DENSE_LIMIT is read here alone. Both honor the unitarity
-contract | ||psi(t)|| - 1 | < 1e-10; a breach raises NumericContractError
-instead of silently renormalizing.
+(exact up to machine precision, dimension-capped at DENSE_LIMIT), and a
+short-iterate Lanczos exponential for larger problems and for
+`coherent.displace`. The Lanczos propagator builds one plain Lanczos basis
+per substep and takes the largest step whose error estimate stays within
+KRYLOV_TOL on a fine geometric grid of smaller steps (the first crossing),
+so an estimate that dips back below the tolerance far out, as it does on
+near-commensurate spectra, is never reached. The caller picks the method;
+DENSE_LIMIT is read here alone. Both honor the unitarity contract
+| ||psi(t)|| - 1 | < 1e-10; a breach raises NumericContractError instead of
+silently renormalizing. Every result carries `EvolutionStats`, which no
+output writer reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dznrm2, zaxpy, zdotc
 
 from .errors import NumericContractError, ResourceGuardError
 from .operators import SparseOperator
 
 DENSE_LIMIT = 4096
 UNITARITY_TOL = 1e-10
-KRYLOV_DIM = 30
+KRYLOV_DIM = 40
 KRYLOV_TOL = 1e-10
+STEP_GRID_RATIO = 1.05
+
+
+@dataclass
+class EvolutionStats:
+    """What one evolution did. Kept out of every written output, so the
+    bytes of a run do not depend on it."""
+    bases: int = 0                 # Krylov bases built, one per substep
+    steps: list = field(default_factory=list)  # accepted Krylov step sizes
+    max_estimate: float = 0.0      # largest accepted local error estimate
+    norm_drift: float = 0.0        # max | ||psi(t)|| - 1 | over the grid
 
 
 @dataclass
@@ -32,6 +49,7 @@ class EvolutionResult:
     populations: np.ndarray        # (n_times, dim) real, always available
     norms: np.ndarray
     method: str
+    stats: EvolutionStats = field(default_factory=EvolutionStats)
 
 
 @dataclass
@@ -74,6 +92,7 @@ def evolve(
     if np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing")
 
+    stats = EvolutionStats()
     if method == "dense_eig":
         _check_dense_size(H)
         energies, vectors = scipy.linalg.eigh(H.toarray())
@@ -87,50 +106,45 @@ def evolve(
         for k, t in enumerate(times):
             dt = t - t_prev
             if dt > 0:
-                current = _krylov_propagate(H, current, dt)
+                current = _krylov_propagate(H, current, dt, stats)
             snaps[k] = current
             t_prev = t
     else:
         raise ValueError(f"unknown method {method!r}")
 
     norms = np.linalg.norm(snaps, axis=1)
-    if np.max(np.abs(norms - 1.0)) > UNITARITY_TOL:
-        raise NumericContractError(
-            f"unitarity breach: max | ||psi|| - 1 | = {np.max(np.abs(norms - 1.0)):.3e}"
-        )
+    stats.norm_drift = float(np.max(np.abs(norms - 1.0)))
+    if stats.norm_drift > UNITARITY_TOL:
+        raise NumericContractError(f"unitarity breach: max | ||psi|| - 1 | = {stats.norm_drift:.3e}")
     populations = np.abs(snaps) ** 2
     if store == "populations":
-        return EvolutionResult(times, None, populations, norms, method)
+        return EvolutionResult(times, None, populations, norms, method, stats)
     if store != "snapshots":
         raise ValueError(f"unknown store mode {store!r}")
-    return EvolutionResult(times, snaps, populations, norms, method)
+    return EvolutionResult(times, snaps, populations, norms, method, stats)
 
 
-def _krylov_propagate(H: SparseOperator, v, dt):
-    """Adaptive Lanczos exponential over dt in accepted substeps; h grows by
-    1.5 after a substep whose error estimate is below KRYLOV_TOL / 10."""
+def _krylov_propagate(H: SparseOperator, v, dt, stats):
+    """Lanczos exponential over dt in accepted substeps, one basis each. A
+    substep takes the largest step its basis allows (`_first_crossing`), up
+    to what is left of dt."""
     remaining = float(dt)
-    h = remaining
     while remaining > 1e-15 * abs(dt):
-        v, h, err = _krylov_substep(H.mat, v, min(h, remaining))
+        v, h = _krylov_substep(H.mat, v, remaining, stats)
         remaining -= h
-        if err < 0.1 * KRYLOV_TOL:
-            h *= 1.5
     return v
 
 
-def _krylov_substep(mat, v, h):
-    """One accepted substep from v on one Krylov basis: a step size whose
-    error estimate exceeds KRYLOV_TOL is halved and exponentiated on the same
-    basis, which does not depend on it; a 61st halving of one substep raises.
-    Returns (state, accepted h, error estimate)."""
+def _krylov_substep(mat, v, remaining, stats):
+    """One accepted substep from v on a basis built here, so that it is
+    freed before the next substep builds its own. Returns (state, h)."""
     basis = _krylov_basis(mat, v, KRYLOV_DIM)
-    for _ in range(61):
-        u, err = _krylov_step(basis, h)
-        if not err > KRYLOV_TOL:
-            return u @ basis[0], h, err
-        h *= 0.5
-    raise NumericContractError("Krylov substepping failed to reach the local error target")
+    h, err = _first_crossing(basis, remaining)
+    stats.bases += 1
+    stats.steps.append(h)
+    stats.max_estimate = max(stats.max_estimate, err)
+    u, _ = _krylov_step(basis, h)
+    return u @ basis[0], h
 
 
 def _krylov_basis(mat, v, m):
@@ -139,7 +153,9 @@ def _krylov_basis(mat, v, m):
     of the tridiagonal projection T and the residual norm res, 0 on a happy
     breakdown. No reorthogonalization: the approximation of exp(-i mat h) v
     stays accurate as the rows lose orthogonality (Druskin, Greenbaum &
-    Knizhnerman, SISC 19, 1998); a drift would fail evolve's norm check."""
+    Knizhnerman, SISC 19, 1998); a drift would fail evolve's norm check.
+    The recurrence updates w in place through BLAS and writes w / beta
+    straight into the next row."""
     n = v.shape[0]
     m = min(m, n)
     V = np.empty((m, n), dtype=complex)
@@ -148,11 +164,11 @@ def _krylov_basis(mat, v, m):
     V[0] = v
     for k in range(m):
         w = mat @ V[k]
-        alpha[k] = np.real(np.vdot(V[k], w))
-        w = w - alpha[k] * V[k]
+        alpha[k] = zdotc(V[k], w).real
+        w = zaxpy(V[k], w, a=-alpha[k])
         if k > 0:
-            w = w - beta[k] * V[k - 1]
-        nb = np.linalg.norm(w)
+            w = zaxpy(V[k - 1], w, a=-beta[k])
+        nb = dznrm2(w)
         if k + 1 == m:
             res = nb  # w is the residual direction of the error estimate
             break
@@ -160,7 +176,7 @@ def _krylov_basis(mat, v, m):
             m, res = k + 1, 0.0
             break
         beta[k + 1] = nb
-        V[k + 1] = w / nb
+        np.divide(w.view(float), nb, out=V[k + 1].view(float))  # componentwise, not a complex division
     T = np.diag(alpha[:m]) + np.diag(beta[1:m], 1) + np.diag(beta[1:m], -1)
     evals, evecs = np.linalg.eigh(T)
     return V[:m], evals, evecs, res
@@ -172,6 +188,34 @@ def _krylov_step(basis, h):
     _, evals, evecs, res = basis
     u = evecs @ (np.exp(-1j * evals * h) * evecs[0].conj())
     return u, abs(res * u[-1]) * abs(h)
+
+
+def _first_crossing(basis, remaining):
+    """The step size of one substep and its error estimate: the largest h <=
+    remaining such that the estimate |res u_m(s)| s of `_krylov_step` is at
+    most KRYLOV_TOL at every point s <= h of a geometric grid of ratio at
+    most STEP_GRID_RATIO, from 1e-3 / max|evals| (where it is far below the
+    tolerance) up to remaining.
+
+    The estimate is meaningful only while the expansion converges (Hochbruck
+    & Lubich, SINUM 34, 1997): beyond that |u_m(s)| swings and dips, and on a
+    near-commensurate spectrum (a revival) it can dip below the tolerance
+    far from the convergent range, where the step is wrong by O(1). The first
+    crossing never leaves the convergent range. A first grid point above the
+    tolerance raises."""
+    _, evals, evecs, res = basis
+    if res == 0.0:
+        return remaining, 0.0  # happy breakdown: the projection is exact
+    low = min(remaining, 1e-3 / np.max(np.abs(evals)))
+    points = int(np.ceil(np.log(remaining / low) / np.log(STEP_GRID_RATIO))) + 1
+    grid = np.geomspace(low, remaining, points)
+    last = np.exp(-1j * np.outer(grid, evals)) @ (evecs[-1] * evecs[0].conj())
+    est = res * np.abs(last) * grid
+    bad = ~(est <= KRYLOV_TOL)
+    first = int(np.argmax(bad)) if bad.any() else points
+    if first == 0:
+        raise NumericContractError("Krylov substepping failed to reach the local error target")
+    return float(grid[first - 1]), float(est[first - 1])
 
 
 def expectation_series(result: EvolutionResult, op: SparseOperator):

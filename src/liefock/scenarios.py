@@ -22,7 +22,7 @@ from .algebra import build_algebra, lie_closure, lmg_seed, rabi_seed
 from .coherent import SPACES, CoherentParams, closed_form_state, husimi_chart
 from .dynamics import evolve, expectation_series, fidelity_series
 from .errors import ConfigError
-from .fock import BOSON, FockBasis, ModeSpec
+from .fock import BOSON, SPIN, FockBasis, ModeSpec
 from .lattice import (
     check_exact,
     graph_to_adjacency_csv,
@@ -414,6 +414,10 @@ def system_weights(system, basis, model):
     return weight_coordinates(basis.occ @ coeffs.T, den)
 
 
+# the mode kind of the one-mode register each closed-form coherent state lives on
+_SINGLE_MODE_KINDS = {"spin": SPIN, "glauber": BOSON, "squeezed": BOSON, "euclidean": BOSON}
+
+
 def build_initial_state(state_spec, basis, path="initial_state"):
     """The state of a fock/amplitudes/coherent spec; errors name fields under `path`."""
     if "fock" in state_spec:
@@ -440,14 +444,23 @@ def build_initial_state(state_spec, basis, path="initial_state"):
         params = {
             key: _coherent_field(key, value, f"{path}.coherent.{key}") for key, value in spec.items() if key != "kind"
         }
-        if spec["kind"] == "su3":
+        kind, modes = spec["kind"], basis.modes
+        if kind == "su3":
             # the state covers the whole fixed-N sector of three boson modes
-            N, modes = params.get("N"), basis.modes
+            N = params.get("N")
             if N is None or basis.constraint != N or len(modes) != 3 or any(
                 m.kind != BOSON or m.capacity < N for m in modes
             ):
                 raise ConfigError(
                     f"an su3 coherent state needs three boson modes of capacity at least N with constraint N = {N}",
+                    field=f"{path}.coherent",
+                )
+        elif kind in _SINGLE_MODE_KINDS:
+            # the state covers every level of one mode of its kind
+            want = _SINGLE_MODE_KINDS[kind]
+            if len(modes) != 1 or modes[0].kind != want or basis.dim != modes[0].levels:
+                raise ConfigError(
+                    f"a {kind} coherent state needs one {want} mode and no constraint that cuts it",
                     field=f"{path}.coherent",
                 )
         vec = closed_form_state(CoherentParams(spec["kind"], params), basis)

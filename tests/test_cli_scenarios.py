@@ -378,6 +378,14 @@ def three_bosons(**extra):
     return {"modes": [{"kind": "boson", "capacity": 3}] * 3, **extra}
 
 
+SPIN_4_COHERENT = {"kind": "spin", "S": 4, "theta": 0.9, "phi": 0.2}
+SPIN_4_SYSTEM = {"algebra": {"name": "su2_spin", "params": {"S": 4}}, "terms": [{"label": "Sz", "coeff": 1.0}]}
+ONE_BOSON_SYSTEM = {
+    "basis": {"modes": [{"kind": "boson", "capacity": 8}]},
+    "bilinears": [{"create": 0, "annihilate": 0, "coeff": 1.0}],
+}
+
+
 BOSON_PAIR = {
     "version": 1,
     "name": "boson_pair",
@@ -431,6 +439,11 @@ BOSON_PAIR = {
          "initial_state.coherent"),
         (None, {"system": dict(BOSON_PAIR["system"], basis=three_bosons()), "initial_state": SU3_COHERENT},
          "initial_state.coherent"),
+        # a one-mode coherent state needs its one mode, not only its dimension (9 here)
+        ("initial_state", {"coherent": {"kind": "glauber", "alpha": 0.5, "cutoff": 8}}, "initial_state.coherent"),
+        (None, {"system": SPIN_4_SYSTEM, "initial_state": {"coherent": {"kind": "squeezed", "xi": 0.3, "cutoff": 8}}},
+         "initial_state.coherent"),
+        (None, {"system": ONE_BOSON_SYSTEM, "initial_state": {"coherent": SPIN_4_COHERENT}}, "initial_state.coherent"),
     ],
 )
 def test_cli_evolve_rejects_malformed_config(tmp_path, capsys, key, value, field):
@@ -556,6 +569,11 @@ SPIN_STATE_FILE = {
         ("state", SU3_COHERENT, "state.coherent"),
         (None, {"basis": three_bosons(constraint=3), "state": SU3_COHERENT}, "state.coherent"),
         (None, {"basis": three_bosons(), "state": SU3_COHERENT}, "state.coherent"),
+        # a one-mode coherent state needs its one mode, not only its dimension (9 here)
+        ("state", {"coherent": {"kind": "glauber", "alpha": 0.5, "cutoff": 8}}, "state.coherent"),
+        ("state", {"coherent": {"kind": "squeezed", "xi": 0.3, "cutoff": 8}}, "state.coherent"),
+        ("state", {"coherent": {"kind": "euclidean", "beta": 0.3, "L": 9}}, "state.coherent"),
+        ("basis", ONE_BOSON_SYSTEM["basis"], "state.coherent"),
     ],
 )
 def test_cli_husimi_rejects_malformed_state_file(tmp_path, capsys, key, value, field):

@@ -4,8 +4,8 @@ The lattice cases avoid BLAS-dependent numbers: lattice exports hold
 generator matrix elements, onsite energies and weight coordinates only, and
 of the quench CSV only the header line (the site keys) is pinned. Four kinds
 of pin are exceptions and hold for the BLAS kernels they were recorded with
-(OpenBLAS, x86-64): the Krylov scenario CSV pins every float of an adaptive
-Lanczos run that rejects step sizes, `closure_gallery.json` and the
+(OpenBLAS, x86-64): the Krylov scenario CSV pins every float of a Lanczos
+run whose step sizes the first-crossing rule picks, `closure_gallery.json` and the
 `algebra jc_super --verify` report pin closure residuals at round-off, and
 the `husimi` CSVs and heatmap pin Husimi values that come out of a matrix
 product.
@@ -45,8 +45,8 @@ GOLDEN_FLUXES = {
     "so5": "495893558af29acb8bb06e1ee392043c74a43b29a230b6490a5a1e75df5e75f4",
 }
 SO5_QUENCH_HEADER = "a3a923e3dcd1c83d9185c89ef9f17205f62ac6340c1e2eec21e9c817bcc3ab91"
-# a spin-20 chain from the top state over t = 0, 1, 2, 3: 21 Lanczos step
-# sizes tried, 9 of them rejected
+# a spin-20 chain from the top state over t = 0, 1, 2, 3: six Lanczos bases,
+# two per unit interval
 SU2_KRYLOV = {
     "version": 1,
     "name": "su2_krylov",
@@ -60,7 +60,7 @@ SU2_KRYLOV = {
     "observables": [{"name": "Sz", "generator": "Sz"}],
     "outputs": {"csv": "su2_krylov.csv", "site_populations": True},
 }
-SU2_KRYLOV_CSV = "03cb3228bcdd91260804c3d6218f16da1ce58d9c24fc9006877de72cede3b040"
+SU2_KRYLOV_CSV = "e6c2ec751d1206e7d26d28c0de3b11bec690cf5cfb7a1db8a96b48e8b40131f2"
 CLOSURE_GALLERY_JSON = "895437809e03c43931ffe6cc1d07fcfabefc6306f362bc9a222fda4e2d791abe"
 JC_SUPER_VERIFY = "b389ba4239a4606dffc3d4bccb68f7e3d4d109b9aa5085cf49dcc1c0ebc5dc73"
 

@@ -23,12 +23,16 @@ classes are gauge-invariant, also on long rings whose flux of pi lands on
 either side of the cut at +-pi before it is reported as pi.
 
 The Krylov basis (`_krylov_basis`, the plain three-term Lanczos recurrence,
-built once per accepted substep) and Krylov evolution are checked against
-dense `eigh` on random sparse Hermitian matrices, including spectra that
-stress the recurrence, within stated bounds. The modified Gram-Schmidt
-Lanczos steps and the propagator they replaced are kept as oracles and meet
-the same bounds on the same draws. `displace` is checked against the dense
-displacement unitary it replaced.
+built once per substep) and Krylov evolution are checked against dense
+`eigh` on random sparse Hermitian matrices, including spectra that stress
+the recurrence, within stated bounds. The modified Gram-Schmidt Lanczos
+steps and the halving propagator they replaced are kept as oracles and meet
+the same bounds on the same draws. Each substep's step size is checked to be
+the first crossing of the error estimate, and the evolutions on which the
+halving rule accepted a step in a dip of the estimate (spin rotations
+through a revival, su2_transport, the so5 quench at N = 60) are checked
+against dense `eigh` or a closed form. `displace` is checked against the
+dense displacement unitary it replaced.
 
 The array-expression SU(3) coherent state is checked against its per-state
 loop to within 1e-15 * max|ref|: the two multiply the factors in a
@@ -52,7 +56,7 @@ from scipy.special import gammaln, jv
 
 from liefock import FockBasis, boson, dynamics, fermion, spin
 from liefock.fock import BOSON, FERMION
-from liefock.dynamics import KRYLOV_DIM, KRYLOV_TOL, _krylov_basis, _krylov_step, evolve
+from liefock.dynamics import KRYLOV_DIM, KRYLOV_TOL, STEP_GRID_RATIO, _krylov_basis, _krylov_step, evolve
 from liefock.algebra import build_algebra
 from liefock.coherent import (
     HusimiGrid,
@@ -78,11 +82,19 @@ from liefock.operators import (
     ODD,
     SparseOperator,
     ladder_ops,
+    linear_combination,
     transfer_op,
     within_hermitian_bound,
 )
 from liefock.output import float_rows, grid_csv_bytes
-from liefock.scenarios import system_weights
+from liefock.scenarios import (
+    build_initial_state,
+    build_system,
+    builtin_scenario,
+    parse_config,
+    run_scenario,
+    system_weights,
+)
 
 # ---------------------------------------------------------------------------
 # oracles: the per-state loop implementations
@@ -1224,9 +1236,10 @@ STEP_ROUNDOFF = 1e-12
 )
 def test_lanczos_step_matches_oracle(H, seed, m, dt, localized):
     """One accepted step on one basis against dense `eigh`: dt is halved
-    until the error estimate is at most KRYLOV_TOL, as `_krylov_substep`
-    does, and the step's error is then at most `lanczos_error_bound` plus
-    round-off. The MGS oracles, which rebuilt a reorthogonalized basis for
+    until the error estimate is at most KRYLOV_TOL, which may land in a dip
+    of the estimate outside the convergent range, and the step's error is
+    then at most `lanczos_error_bound` plus round-off, a true bound at any
+    step size. The MGS oracles, which rebuilt a reorthogonalized basis for
     the step, meet the same bound at the same step size. A start on one
     vertex of a graph with several components stops at a happy breakdown."""
     v = random_start(np.random.default_rng(seed), H.dim, localized)
@@ -1285,31 +1298,109 @@ def test_krylov_evolution_matches_rebuilding_oracle(case):
     assert np.max(np.linalg.norm(oracle_krylov_evolve(H, psi0, times) - want, axis=1)) <= bound
 
 
-def test_one_krylov_basis_per_accepted_substep(monkeypatch):
-    """A spin-20 chain over t = 1, 2, 3 rejects several step sizes; the
-    basis is still built once per accepted substep."""
-    from liefock.operators import linear_combination
+def spin_chain(S, J):
+    """J (S+ + S-) on su2_spin S: the rotation 2 J Sx, an equidistant spectrum."""
+    model = build_algebra("su2_spin", S=S)
+    return model, linear_combination([model.generator("S+"), model.generator("S-")], [J, J])
 
-    model = build_algebra("su2_spin", S=20)
-    H = linear_combination([model.generator("S+"), model.generator("S-")], [1.0, 1.0])
+
+def test_krylov_substeps_stop_at_the_first_crossing(monkeypatch):
+    """A spin-20 chain over t = 1, 2, 3, one basis per substep. Every
+    accepted step size h keeps the error estimate at most KRYLOV_TOL on a
+    geometric grid of ratio below 1.05 up to h, and h is the largest such
+    step: unless h ends an interval, the estimate at h * STEP_GRID_RATIO is
+    above the tolerance. The stats count the bases `_krylov_basis` built."""
+    model, H = spin_chain(20, 1.0)
     psi0 = model.basis.vector((40,))
     times = np.array([1.0, 2.0, 3.0])
+    bases = []
+    build = dynamics._krylov_basis
 
-    rejected = []
-    step = dynamics._krylov_step
+    def keeping(mat, v, m):
+        bases.append(build(mat, v, m))
+        return bases[-1]
 
-    def counting_step(basis, h):
-        u, err = step(basis, h)
-        rejected.append(err > KRYLOV_TOL)
-        return u, err
+    monkeypatch.setattr(dynamics, "_krylov_basis", keeping)
+    result = evolve(H, psi0, times, method="krylov")
+    stats = result.stats
+    assert stats.bases == len(bases) == len(stats.steps) > len(times)
+    ends = np.cumsum(stats.steps)
+    assert np.allclose(ends[-1], times[-1], rtol=0, atol=1e-12)
+    for basis, h, end in zip(bases, stats.steps, ends):
+        assert max(_krylov_step(basis, s)[1] for s in np.geomspace(h * 1e-6, h, 300)) <= KRYLOV_TOL
+        if np.min(np.abs(end - times)) > 1e-12:
+            assert _krylov_step(basis, h * STEP_GRID_RATIO)[1] > KRYLOV_TOL
+    assert 0 < stats.max_estimate <= KRYLOV_TOL
+    assert stats.norm_drift == np.max(np.abs(result.norms - 1.0))
+    assert np.max(np.linalg.norm(result.snapshots - dense_propagate(H, psi0, times), axis=1)) <= stats.bases * KRYLOV_TOL
+    dense = evolve(H, psi0, times).stats
+    assert (dense.bases, dense.steps, dense.max_estimate) == (0, [], 0.0)
 
-    builds = []
-    monkeypatch.setattr(dynamics, "_krylov_step", counting_step)
-    monkeypatch.setattr(dynamics, "_krylov_basis", counting_basis_builds(builds))
-    got = evolve(H, psi0, times, method="krylov").snapshots
-    assert sum(rejected) > 0
-    assert len(builds) == len(rejected) - sum(rejected)
-    assert np.max(np.linalg.norm(got - dense_propagate(H, psi0, times), axis=1)) <= len(builds) * KRYLOV_TOL
+
+def test_first_crossing_ends_and_raises():
+    """A happy breakdown takes what is left of the interval in one step;
+    an estimate above the tolerance already at the smallest grid step
+    raises, as the 61st halving did."""
+    rotation = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+    evals = np.array([1.0, 2.0])
+    assert dynamics._first_crossing((None, evals, rotation, 0.0), 2.5) == (2.5, 0.0)
+    with pytest.raises(NumericContractError, match="local error target"):
+        dynamics._first_crossing((None, evals, rotation, 1.0), 2.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(20, 120), st.floats(0.1, 4 * np.pi))
+@example(60, np.pi)
+@example(60, 3.0)
+def test_krylov_spin_rotation_matches_dense(two_s, t):
+    """(S+ + S-)/2 = Sx turns m = -S into m = +S at t = pi. On this
+    equidistant spectrum the end-point estimate of a long step swings and
+    dips below the tolerance: a rule that halved a rejected step from the
+    whole interval accepted one step of pi at S = 30 and returned P(m = +S)
+    = 0 against 1 (an error of 0.86 at t = 3). Against dense `eigh`, within
+    the evolution's bound of KRYLOV_TOL per basis built."""
+    model, H = spin_chain(Fraction(two_s, 2), 0.5)
+    psi0 = model.basis.vector((0,))
+    result = evolve(H, psi0, [t], method="krylov")
+    assert np.linalg.norm(result.snapshots[0] - dense_propagate(H, psi0, [t])[0]) <= result.stats.bases * KRYLOV_TOL
+
+
+def test_su2_transport_scenario_under_krylov(tmp_path):
+    """su2_transport at S = 30 on three times up to 1.1 pi, run with krylov
+    and with dense_eig: every CSV column agrees within 2 S times the state
+    bound, since a state error d moves <Sz> by at most 2 S d and a
+    population or the fidelity by at most 2 d. The halving rule was off by
+    0.58 here."""
+    payload = builtin_scenario("su2_transport", S=30, num=3).to_dict()
+    builds, tables = [], {}
+    for method in ("krylov", "dense_eig"):
+        payload["evolve"] = {"method": method}
+        with mock.patch.object(dynamics, "_krylov_basis", counting_basis_builds(builds)):
+            run_scenario(parse_config(payload), out_dir=tmp_path / method)
+        tables[method] = np.loadtxt(tmp_path / method / "su2_transport.csv", delimiter=",", skiprows=1)
+    assert builds
+    assert np.max(np.abs(tables["krylov"] - tables["dense_eig"])) <= 2 * 30 * len(builds) * KRYLOV_TOL
+
+
+def test_so5_six_bond_krylov_matches_free_bosons():
+    """so5_quench in its six-bond form at N = 60 and phi = 2 (dim 39,711),
+    from (N, 0, 0, 0) to t = 1 under krylov. Every Fock population against
+    the free-boson multinomial N! / prod n_j! prod |U_j0|^(2 n_j), U =
+    exp(-i h t) with h the 4 x 4 hopping matrix, at 1e-12. At m = 40 the
+    halving rule accepted one step of 1 here, a population error of 0.89."""
+    N, phi = 60, 2.0
+    config = builtin_scenario("so5_quench", N=N, phi=phi, form="six_bond", method="krylov")
+    basis, H, _, _ = build_system(config.system)
+    result = evolve(H, build_initial_state(config.initial_state, basis), [1.0], method="krylov", store="populations")
+    h = np.zeros((4, 4), dtype=complex)
+    for bond in config.system["bilinears"]:
+        c = bond["coeff"] * np.exp(1j * bond.get("phase", 0.0))
+        h[bond["create"], bond["annihilate"]] += c
+        h[bond["annihilate"], bond["create"]] += np.conj(c)
+    p = np.abs(scipy.linalg.expm(-1j * h)[:, 0]) ** 2
+    occ = basis.occ
+    want = np.exp(gammaln(N + 1) - gammaln(occ + 1).sum(axis=1) + occ @ np.log(p))
+    assert np.max(np.abs(result.populations[0] - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1366,6 +1457,20 @@ def test_displace_matches_dense_oracle(which, pair, radius, angle, seed):
         warnings.simplefilter("ignore", TruncationLeakageWarning)  # states reach the cutoff
         got = displace(model, model.labels[rp.raising], beta, psi)
     U = oracle_displacement_unitary(model.generators[rp.raising], model.generators[rp.lowering], beta)
+    assert np.max(np.abs(got - U @ psi)) <= len(builds) * KRYLOV_TOL
+
+
+def test_displace_spin_half_turn_matches_dense_oracle():
+    """exp(pi/2 (S+ - S-)) turns m = -S into m = +S. At S = 30 the rule that
+    halved a rejected step from the whole unit interval returned a state off
+    by 1.0; against the dense unitary, within KRYLOV_TOL per basis built."""
+    model = build_algebra("su2_spin", S=30)
+    rp = next(rp for rp in model.root_pairs if model.labels[rp.raising] == "S+")
+    psi = model.basis.vector((0,))
+    builds = []
+    with mock.patch.object(dynamics, "_krylov_basis", counting_basis_builds(builds)):
+        got = displace(model, "S+", np.pi / 2, psi)
+    U = oracle_displacement_unitary(model.generators[rp.raising], model.generators[rp.lowering], np.pi / 2)
     assert np.max(np.abs(got - U @ psi)) <= len(builds) * KRYLOV_TOL
 
 
