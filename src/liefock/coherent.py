@@ -231,17 +231,23 @@ def closed_form_state(params: CoherentParams, basis: FockBasis = None) -> np.nda
     if params.kind == "displaced":
         from .algebra import build_algebra
 
-        model = build_algebra(f["algebra"], **f.get("params", {}))
-        refs = f.get("reference")
-        if refs is None:
-            from .algebra import find_reference_states
-
-            candidates = find_reference_states(model)
-            if not candidates:
-                raise ValueError(f"{model.name} has no reference state to displace")
-            refs = candidates[0]
-        return displace(model, f["root"], f["beta"], refs)
+        return displaced_state(build_algebra(f["algebra"], **f.get("params", {})), f)
     raise ValueError(f"unknown coherent kind {params.kind!r}")
+
+
+def displaced_state(model, fields) -> np.ndarray:
+    """The `displaced` coherent state of `fields` (root, beta and an optional
+    reference) on the basis of `model`: without a reference, the first
+    reference state `find_reference_states` gives is displaced."""
+    refs = fields.get("reference")
+    if refs is None:
+        from .algebra import find_reference_states
+
+        candidates = find_reference_states(model)
+        if not candidates:
+            raise ValueError(f"{model.name} has no reference state to displace")
+        refs = candidates[0]
+    return displace(model, fields["root"], fields["beta"], refs)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from math import lcm
 import numpy as np
 
 from .algebra import build_algebra, lie_closure, lmg_seed, rabi_seed
-from .coherent import SPACES, CoherentParams, closed_form_state, husimi_chart
+from .coherent import SPACES, CoherentParams, closed_form_state, displaced_state, husimi_chart
 from .dynamics import evolve, expectation_series, fidelity_series
 from .errors import ConfigError
 from .fock import BOSON, SPIN, FockBasis, ModeSpec
@@ -463,6 +463,15 @@ def build_initial_state(state_spec, basis, path="initial_state"):
                     f"a {kind} coherent state needs one {want} mode and no constraint that cuts it",
                     field=f"{path}.coherent",
                 )
+        elif kind == "displaced":
+            # the state lives on the algebra's own basis, which must be the register
+            model = build_algebra(params["algebra"], **params.get("params", {}))
+            if model.basis.to_json() != basis.to_json():
+                raise ConfigError(
+                    f"a displaced {model.name} state needs the algebra's own basis: {model.basis.to_json()}",
+                    field=f"{path}.coherent",
+                )
+            return displaced_state(model, params)
         vec = closed_form_state(CoherentParams(spec["kind"], params), basis)
         if vec.shape[0] != basis.dim:
             raise ConfigError(
@@ -584,8 +593,11 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
 
 def _site_populations(populations, wl):
     """Populations summed over the members of each site, one column per site,
-    with the site keys written like (1/2,-1/2)."""
-    keys = ["(" + ",".join(str(c) for c in coord) + ")" for coord in wl.site_keys()]
+    with the site keys written like (1/2,-1/2): each coordinate as str() of
+    its Fraction, reduced from the integers without building one."""
+    g = np.gcd(wl.site_numerators, wl.denominator)
+    rows = zip((wl.site_numerators // g).tolist(), (wl.denominator // g).tolist())
+    keys = ["(" + ",".join(str(n) if d == 1 else f"{n}/{d}" for n, d in zip(*row)) + ")" for row in rows]
     out = np.zeros((populations.shape[0], len(keys)))
     # one sum per site over its ascending members keeps numpy's summation
     # order, so the written floats do not depend on how sites are grouped

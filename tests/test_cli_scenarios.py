@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from liefock.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCE, main
+from liefock.coherent import CoherentParams, closed_form_state
 from liefock.errors import ConfigError, ResourceGuardError
 from liefock.output import heatmap_bytes, read_heatmap
 from test_golden_bytes import SO5_BILINEAR
 from liefock.scenarios import (
     BUILTIN_SCENARIOS,
     builtin_scenario,
+    load_state_file,
     parse_config,
     run_scenario,
 )
@@ -379,6 +381,8 @@ def three_bosons(**extra):
 
 
 SPIN_4_COHERENT = {"kind": "spin", "S": 4, "theta": 0.9, "phi": 0.2}
+# nine levels, like one boson mode of capacity 8, but on a spin mode
+SPIN_4_DISPLACED = {"kind": "displaced", "algebra": "su2_spin", "params": {"S": 4}, "root": "S+", "beta": 0.3}
 SPIN_4_SYSTEM = {"algebra": {"name": "su2_spin", "params": {"S": 4}}, "terms": [{"label": "Sz", "coeff": 1.0}]}
 ONE_BOSON_SYSTEM = {
     "basis": {"modes": [{"kind": "boson", "capacity": 8}]},
@@ -444,6 +448,8 @@ BOSON_PAIR = {
         (None, {"system": SPIN_4_SYSTEM, "initial_state": {"coherent": {"kind": "squeezed", "xi": 0.3, "cutoff": 8}}},
          "initial_state.coherent"),
         (None, {"system": ONE_BOSON_SYSTEM, "initial_state": {"coherent": SPIN_4_COHERENT}}, "initial_state.coherent"),
+        # a displaced state needs its algebra's own basis, not only its dimension
+        (None, {"system": ONE_BOSON_SYSTEM, "initial_state": {"coherent": SPIN_4_DISPLACED}}, "initial_state.coherent"),
     ],
 )
 def test_cli_evolve_rejects_malformed_config(tmp_path, capsys, key, value, field):
@@ -574,6 +580,10 @@ SPIN_STATE_FILE = {
         ("state", {"coherent": {"kind": "squeezed", "xi": 0.3, "cutoff": 8}}, "state.coherent"),
         ("state", {"coherent": {"kind": "euclidean", "beta": 0.3, "L": 9}}, "state.coherent"),
         ("basis", ONE_BOSON_SYSTEM["basis"], "state.coherent"),
+        # a displaced state needs its algebra's own basis: same modes, capacities and constraint
+        (None, {"basis": ONE_BOSON_SYSTEM["basis"], "state": {"coherent": SPIN_4_DISPLACED}}, "state.coherent"),
+        (None, {"basis": {"modes": [{"kind": "spin", "capacity": 8}], "constraint": 4},
+                "state": {"coherent": SPIN_4_DISPLACED}}, "state.coherent"),
     ],
 )
 def test_cli_husimi_rejects_malformed_state_file(tmp_path, capsys, key, value, field):
@@ -589,6 +599,19 @@ def test_cli_husimi_rejects_malformed_state_file(tmp_path, capsys, key, value, f
     assert err.startswith("error: ") and f"(field: {field})" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_displaced_state_on_its_algebras_basis(tmp_path, capsys):
+    """On the register of its algebra a displaced state is the one
+    closed_form_state builds, and the CLI charts it."""
+    spec = dict(SPIN_STATE_FILE, state={"coherent": SPIN_4_DISPLACED})
+    state, _ = load_state_file(spec)
+    want = closed_form_state(CoherentParams("displaced", {k: v for k, v in SPIN_4_DISPLACED.items() if k != "kind"}))
+    assert np.array_equal(state, want)
+    spath, out = tmp_path / "state.json", tmp_path / "q.csv"
+    spath.write_text(json.dumps(spec))
+    assert main(["husimi", "--state", str(spath), "--space", "sphere", "--out", str(out), "--nodes", "5", "5"]) == EXIT_OK
+    assert out.exists()
 
 
 def test_coherent_fields_read_rational_strings(tmp_path, capsys):

@@ -20,7 +20,10 @@ replaced (adjacency dicts, union-find components, dict BFS trees and one
 Python product per cycle) on random Hermitian sparse matrices: edges,
 components and cycle counts equal, every flux equal bit for bit. Flux
 classes are gauge-invariant, also on long rings whose flux of pi lands on
-either side of the cut at +-pi before it is reported as pi.
+either side of the cut at +-pi before it is reported as pi. The elementary
+cycles, triangles from one sparse product, are checked against the per-edge
+breadth-first searches they replaced (`oracle_elementary_cycles`), and row
+grouping by one lexsort against `np.unique(axis=0)`.
 
 The Krylov basis (`_krylov_basis`, the plain three-term Lanczos recurrence,
 built once per substep) and Krylov evolution are checked against dense
@@ -37,13 +40,19 @@ dense displacement unitary it replaced.
 The array-expression SU(3) coherent state is checked against its per-state
 loop to within 1e-15 * max|ref|: the two multiply the factors in a
 different order.
+
+The level-at-a-time JSON writer `json_text` is checked against
+`json.dumps(payload, indent=1, sort_keys=True) + "\n"` on generated
+payloads: equal text, or the same exception type.
 """
 
 import functools
+import json
 import warnings
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -67,13 +76,17 @@ from liefock.coherent import (
     husimi_sphere,
     su3_coherent_state,
 )
+from liefock import lattice
 from liefock.lattice import (
+    EXACT_LIMIT,
     FLUX_DEDUP_TOL,
     FSLGraph,
     _flux_classes,
     build_fsl,
     connected_components,
+    group_rows,
     plaquette_fluxes,
+    system_graph,
     weight_coordinates,
 )
 from liefock.errors import NumericContractError, TruncationLeakageWarning
@@ -86,8 +99,9 @@ from liefock.operators import (
     transfer_op,
     within_hermitian_bound,
 )
-from liefock.output import float_rows, grid_csv_bytes
+from liefock.output import float_rows, grid_csv_bytes, json_text
 from liefock.scenarios import (
+    _site_populations,
     build_initial_state,
     build_system,
     builtin_scenario,
@@ -553,6 +567,42 @@ def test_weight_coordinates_orders_sites_like_fractions():
     assert wl.multiplicities == [1, 1, 1, 2]
 
 
+@st.composite
+def repeating_rows(draw):
+    """Rows of rank 1 to 3 drawn from a few values, so that rows repeat:
+    signed integers up to 2^53 in magnitude, or bools."""
+    rank, n = draw(st.integers(1, 3)), draw(st.integers(0, 30))
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.booleans(), min_size=n * rank, max_size=n * rank)), dtype=bool).reshape(n, rank)
+    pool = draw(st.lists(st.integers(-3, 3) | st.integers(-EXACT_LIMIT, EXACT_LIMIT), min_size=1, max_size=5))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=n * rank, max_size=n * rank))
+    return np.array(cells, dtype=np.int64).reshape(n, rank)
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeating_rows())
+def test_group_rows_matches_unique(rows):
+    sites, index = group_rows(rows)
+    want_sites, want_index = np.unique(rows, axis=0, return_inverse=True)
+    assert sites.dtype == rows.dtype and np.array_equal(sites, want_sites)
+    assert index.dtype == np.int64 and np.array_equal(index, want_index.ravel())
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeating_rows().filter(len), st.integers(1, 12))
+def test_site_columns_match_fraction_keys_and_split_members(rows, den):
+    """The scenario CSV's site keys are str() of each reduced Fraction, and
+    each site's members are the pieces np.split made of the stable argsort."""
+    wl = weight_coordinates(rows.astype(np.int64), den)
+    populations = np.random.default_rng(den).random((2, len(rows)))
+    sums, keys = _site_populations(populations, wl)
+    assert keys == ["(" + ",".join(str(c) for c in coord) + ")" for coord in wl.site_keys()]
+    members = np.split(np.argsort(wl.site_index, kind="stable"), np.cumsum(wl.multiplicity_array())[:-1])
+    assert len(wl.site_members()) == len(members)
+    assert all(np.array_equal(got, want) for got, want in zip(wl.site_members(), members))
+    assert same_bits(sums, np.stack([populations[:, m].sum(axis=1) for m in members], axis=1))
+
+
 # ---------------------------------------------------------------------------
 # Husimi charts
 # ---------------------------------------------------------------------------
@@ -879,6 +929,35 @@ def oracle_flux_classes(elementary):
     return class_values, len(unsigned)
 
 
+def oracle_elementary_cycles(adj, non_tree):
+    """The per-edge breadth-first searches `plaquette_fluxes` ran for every
+    non-tree edge before triangles came from one sparse product, returned
+    as `lattice._elementary_cycles` returns its cycles: (flat, lengths)."""
+    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
+
+    def shortest_path_avoiding(src, dst):
+        prev = {src: None}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for w in indices[indptr[u]:indptr[u + 1]]:
+                if u == src and w == dst:
+                    continue
+                if w not in prev:
+                    prev[w] = u
+                    if w == dst:
+                        path = [dst]
+                        while path[-1] != src:
+                            path.append(prev[path[-1]])
+                        return path[::-1]
+                    queue.append(w)
+        raise AssertionError("a non-tree edge always closes a cycle")
+
+    paths = [shortest_path_avoiding(i, j) for i, j in non_tree.tolist()]
+    lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    return np.fromiter(chain.from_iterable(paths), dtype=np.int64), lengths
+
+
 PHASES = (0.0, np.pi / 2, np.pi, -np.pi / 2, np.pi / 3)
 
 
@@ -1027,6 +1106,89 @@ def test_graph_of_hand_built_arrays_matches_oracle():
     assert rep.cycle_count == want[0] == 3
     assert same_bits(rep.elementary_fluxes, want[2])
     assert (rep.class_values, rep.independent_classes) == (want[3], want[4])
+
+
+@st.composite
+def cycle_graphs(draw):
+    """Disjoint components with shuffled vertex numbers and bonds of random
+    phase: square grids (triangle-free, so every cycle is searched edge by
+    edge), complete and dense random graphs (several common neighbours per
+    edge), and rings of three to nine bonds. Weights are 2D or absent."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs, n = [], 0
+    for kind in draw(st.lists(st.sampled_from(["grid", "complete", "random", "ring"]), min_size=1, max_size=3)):
+        if kind == "grid":
+            rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+            grid = n + np.arange(rows * cols).reshape(rows, cols)
+            pairs += zip(grid[:, :-1].ravel(), grid[:, 1:].ravel())
+            pairs += zip(grid[:-1].ravel(), grid[1:].ravel())
+            size = rows * cols
+        elif kind == "complete":
+            size = draw(st.integers(1, 7))
+            pairs += [(n + p, n + q) for p in range(size) for q in range(p + 1, size)]
+        elif kind == "ring":
+            size = draw(st.integers(3, 9))
+            pairs += [(n + p, n + (p + 1) % size) for p in range(size)]
+        else:
+            size = draw(st.integers(2, 10))
+            p, q = np.nonzero(np.triu(rng.random((size, size)) < draw(st.floats(0.3, 1.0)), k=1))
+            pairs += zip(n + p, n + q)
+        n += size
+    perm = rng.permutation(n)
+    i, j = perm[np.array(pairs, dtype=np.int64).reshape(-1, 2)].T
+    amp = rng.uniform(0.5, 2.0, len(i)) * np.exp(1j * rng.uniform(-np.pi, np.pi, len(i)))
+    H = sparse.csr_matrix((np.concatenate([amp, amp.conj()]), (np.r_[j, i], np.r_[i, j])), shape=(n, n))
+    weights = rng.normal(size=(n, 2)) if draw(st.booleans()) else None
+    return SparseOperator(H), weights
+
+
+def assert_cycles_match_per_edge_search(graph, weights):
+    """The cycles `plaquette_fluxes` finds, and its report, against the
+    same report with `oracle_elementary_cycles` in their place."""
+    found = []
+    elementary_cycles = lattice._elementary_cycles
+
+    def spy(adj, non_tree):
+        found.append((adj, non_tree, elementary_cycles(adj, non_tree)))
+        return found[-1][2]
+
+    with mock.patch.object(lattice, "_elementary_cycles", spy):
+        rep = plaquette_fluxes(graph, weights)
+    with mock.patch.object(lattice, "_elementary_cycles", oracle_elementary_cycles):
+        want = plaquette_fluxes(graph, weights)
+    [(adj, non_tree, (flat, lengths))] = found
+    want_flat, want_lengths = oracle_elementary_cycles(adj, non_tree)
+    assert flat.dtype == lengths.dtype == np.int64
+    assert np.array_equal(lengths, want_lengths) and np.array_equal(flat, want_flat)
+    assert rep.cycle_count == want.cycle_count
+    assert same_bits(rep.elementary_fluxes, want.elementary_fluxes)
+    assert (rep.class_values, rep.independent_classes) == (want.class_values, want.independent_classes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(cycle_graphs(), hermitian_graphs()))
+def test_elementary_cycles_match_per_edge_search(case):
+    H, weights = case
+    assert_cycles_match_per_edge_search(build_fsl(H), weights)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        {
+            "algebra": {"name": "su3_schwinger", "params": {"N": 9}},
+            "terms": [{"label": lab, "coeff": 1.0} for lab in ("I+", "I-", "U+", "U-")]
+            + [{"label": "V+", "coeff": 1.0, "phase": 0.7}, {"label": "V-", "coeff": 1.0, "phase": -0.7}],
+        },
+        builtin_scenario("so5_quench", N=8, form="six_bond").system,
+        builtin_scenario("so5_quench", N=6, form="roots", phi=float(np.pi)).system,
+    ],
+    ids=["su3_N9_phased", "so5_six_bond_N8", "so5_roots_N6"],
+)
+def test_catalog_lattice_cycles_match_per_edge_search(system):
+    basis, H, model, terms = build_system(system)
+    wl = system_weights(system, basis, model)
+    assert_cycles_match_per_edge_search(system_graph(H, model, terms), wl.coordinates_float)
 
 
 # ---------------------------------------------------------------------------
@@ -1511,3 +1673,105 @@ def test_su3_coherent_state_matches_per_state_loop(N, zeta):
     want = oracle_su3_coherent_state(N, zeta, basis)
     got = su3_coherent_state(N, zeta, basis)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps
+# ---------------------------------------------------------------------------
+
+
+def oracle_json_text(payload):
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+def written(write, payload):
+    """The text a writer gives, or the type of the exception it raises."""
+    try:
+        return write(payload)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+json_strings = st.text(st.sampled_from(list('ab%"\\\n\t\x00\x7fé€😀 {}[]:,')) | st.characters(), max_size=6)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.floats().map(np.float64),  # a float subclass, written as a float
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e308, 5e-324, 2**64 + 1, -(2**65), True, 1, False, 0]),
+    json_strings,
+)
+
+
+@st.composite
+def json_records(draw, children):
+    """Dicts that share keys, each in its own insertion order; some drop a
+    key, so the records are ragged."""
+    keys = draw(st.lists(json_strings, max_size=4, unique=True))
+    records = []
+    for _ in range(draw(st.integers(0, 4))):
+        own = draw(st.permutations(keys))
+        if own and draw(st.booleans()):
+            own = own[1:]
+        records.append({key: draw(children) for key in own})
+    return records
+
+
+json_payloads = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_strings, children, max_size=4),
+        # keys that are not str: sortable ones, and mixed types that are not
+        st.dictionaries(st.integers(-3, 3) | st.booleans() | st.floats(), children, max_size=3),
+        st.dictionaries(st.none() | st.sampled_from([-0.0, 0.0, float("nan"), float("inf")]), children, max_size=2),
+        st.dictionaries(json_strings | st.integers(-2, 2) | st.none(), children, max_size=3),
+        json_records(children),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_payloads)
+@example([{1: "a"}, {True: "a"}, {1.0: "a"}, {0.0: "b"}, {-0.0: "b"}, {False: "b"}])
+@example({"%s": "%d", "%": ["%%", "%(x)s"], "a\nb": {"\x00": "\n"}})
+@example([[1, 2], [3], [], [[]], {}, ([],), [[{}]]])
+@example({"v": [True, 1, 1.0, -0.0, 0.0, 2**64 + 1, float("nan"), float("inf"), -float("inf"), 1e308]})
+def test_json_text_matches_json_dumps(payload):
+    assert written(json_text, payload) == written(oracle_json_text, payload)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    json_payloads,
+    st.sampled_from([Fraction(1, 3), np.int64(3), np.float32(0.5), np.bool_(True), {1, 2}, frozenset(), object()]),
+    st.integers(0, 3),
+)
+def test_json_text_raises_like_json_dumps(payload, bad, where):
+    """An unserialisable leaf or a dict key that is neither str, int, float,
+    bool nor None raises the exception type json.dumps raises."""
+    wrapped = [
+        [payload, bad],
+        {"a": payload, "b": [{"c": bad}]},
+        [{"k": payload}, {"k": bad}],
+        {(1, 2): payload, "a": bad} if where == 3 else {1: payload, "a": bad},
+    ][where]
+    got = written(json_text, wrapped)
+    assert isinstance(got, type) and got is written(oracle_json_text, wrapped)
+
+
+def test_json_text_writes_shared_containers_and_refuses_cycles():
+    shared = [1, {"a": [2]}]
+    payload = {"x": shared, "y": [shared, {"z": shared}]}
+    assert json_text(payload) == oracle_json_text(payload)
+    loop = []
+    loop.append(loop)
+    loop.append([loop])
+    record = {"a": [{"b": None}]}
+    record["a"][0]["b"] = record
+    for cyclic in (loop, record, [[1], record]):
+        assert written(json_text, cyclic) is written(oracle_json_text, cyclic) is ValueError
