@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import CATALOG, build_algebra, lie_closure, lmg_seed, rabi_seed, verify_model
-from .coherent import SPACES, husimi_chart
+from .coherent import SPACES, chart_param, husimi_chart
 from .errors import (
     ConfigError,
     InfeasibleSectorError,
@@ -157,6 +157,7 @@ def _cmd_husimi(args):
     with open(args.state) as fh:
         spec = json.load(fh)
     state, space_params = load_state_file(spec)
+    chart_param(args.space, space_params, len(state), "space_params")
     grid = husimi_chart(state, args.space, args.nodes, space_params)
     with open(args.out, "wb") as fh:
         fh.write(grid_csv_bytes(grid))

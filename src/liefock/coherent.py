@@ -5,10 +5,20 @@ A displacement exp(beta*E_raise - conj(beta)*E_lower) is the Lanczos
 `dynamics.evolve` of one state for unit time, with a leakage monitor for
 truncated bases. Closed-form expansions use log-space binomials so they stay
 stable at large spin / large cutoff.
+
+A Husimi chart is evaluated over its whole grid at once. On the sphere, the
+cylinder and the disk the coherent state at node (i, j) factorises as
+radial[i, n] e^{i order_n angle_j}, so its overlaps with one vector are one
+matrix product over the grid. On the plane they are Horner's rule in
+conj(alpha), with the Gaussian e^{-|alpha|^2/2} spread over the steps so that
+no partial sum overflows. A density matrix adds one eigenvector's chart at a
+time.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +27,7 @@ import numpy as np
 from scipy.special import gammaln, jv, xlogy
 
 from .dynamics import evolve
-from .errors import TruncationLeakageWarning
+from .errors import ConfigError, NumericContractError, TruncationLeakageWarning
 from .fock import FockBasis, boson
 from .operators import SparseOperator
 
@@ -107,9 +117,8 @@ def _pcs_radial(k, r, chain_len):
 
 
 def _coherent(radial, orders, angle):
-    """radial_n * exp(i orders_n angle): one state for a scalar angle, one
-    state per entry (stacked on the last axis) for an array of angles."""
-    return radial * np.exp(1j * np.multiply.outer(angle, orders))
+    """The state radial_n * exp(i orders_n angle) at one angle."""
+    return radial * np.exp(1j * (angle * orders))
 
 
 def glauber_state(alpha, cutoff) -> np.ndarray:
@@ -155,12 +164,6 @@ def squeezed_vacuum_state(xi, cutoff, k=Fraction(1, 4)) -> np.ndarray:
     raise ValueError("k must be 1/4 or 3/4")
 
 
-def displacement_to_squeeze(beta) -> complex:
-    """Squeeze parameter xi of the state exp(beta K+ - beta* K-)|0> with
-    K+ = (a^dag)^2/2, in the convention of squeezed_vacuum_state."""
-    return -complex(beta)
-
-
 def squeeze_to_displacement(xi) -> complex:
     return -complex(xi)
 
@@ -200,15 +203,6 @@ def su3_angles_to_zeta(theta1, theta2, phi1, phi2):
             np.exp(1j * phi2) * np.sin(theta1) * np.sin(theta2),
         ]
     )
-
-
-def su11_pcs(k, zeta, chain_len) -> np.ndarray:
-    """Chain-space PCS (1-|z|^2)^k sum_m sqrt(Gamma(m+2k)/(m! Gamma(2k))) z^m,
-    over ladder index m = 0..chain_len-1."""
-    z = complex(zeta)
-    if abs(z) >= 1:
-        raise ValueError("disk coordinate must satisfy |zeta| < 1")
-    return _coherent(*_pcs_radial(float(k), abs(z), chain_len), np.angle(z))
 
 
 def closed_form_state(params: CoherentParams, basis: FockBasis = None) -> np.ndarray:
@@ -260,32 +254,66 @@ class HusimiGrid:
     parametrization: str
     axes: tuple          # coordinate arrays; axes[i] runs along values axis i
     weights: np.ndarray  # quadrature weights including the invariant measure
-    values: np.ndarray   # w * <coherent| rho |coherent>, clipped at -1e-12
+    values: np.ndarray   # w * <coherent| rho |coherent>, clipped at 0 (raises below -1e-12)
     normalization: float  # the constant w
 
     def integral(self) -> float:
         return float(np.sum(self.weights * self.values))
 
 
-def _chart_values(psi_or_rho, rows, w):
-    """w * <c|rho|c> over a grid, one row of coherent states c at a time.
+def _chart_values(psi_or_rho, overlaps, w):
+    """w * <c|rho|c> over a grid, where `overlaps(v)` gives <c|v> at every
+    node as one array.
 
-    `rows` yields the states of each grid row as one (n_b, dim) array, so no
-    array over all nodes is ever built. A pure state is the one-term case of
-    rho = sum_k lam_k |v_k><v_k| (the eigenvectors of rho's Hermitian part),
-    so both take the same path: <c|rho|c> = sum_k lam_k |<c|v_k>|^2.
+    A pure state is the one-term case of rho = sum_k lam_k |v_k><v_k| (the
+    eigenvectors of rho's Hermitian part), so both take the same path:
+    <c|rho|c> = sum_k lam_k |<c|v_k>|^2, accumulated one term at a time so
+    that no array over terms and nodes is built. A non-finite value raises
+    NumericContractError; a value below -1e-12 raises ValueError.
     """
     arr = np.asarray(psi_or_rho)
     if arr.ndim == 1:
-        lam, vecs = np.ones(1), arr[:, None]
+        terms = [(1.0, arr)]
     elif arr.ndim == 2:
         lam, vecs = np.linalg.eigh((arr + arr.conj().T) / 2)
+        terms = zip(lam, vecs.T)
     else:
         raise ValueError("expected a state vector or a density matrix")
-    values = w * np.array([np.abs(states.conj() @ vecs) ** 2 @ lam for states in rows])
+    values = 0.0
+    for lam_k, v in terms:
+        values = values + lam_k * np.abs(overlaps(v)) ** 2
+    values = w * values
+    if not np.all(np.isfinite(values)):
+        raise NumericContractError("Husimi chart has non-finite values")
     if np.min(values, initial=0.0) < -1e-12:
         raise ValueError("Husimi values fell below the -1e-12 clip floor")
     return np.maximum(values, 0.0)
+
+
+def _factorised_overlaps(radial, orders, angles):
+    """<c|v> for the states c(i, j)_n = radial[i, n] e^{i orders_n angles_j}:
+    one matrix product (radial * v) @ e^{-i orders angles} per vector v."""
+    phases = np.exp(-1j * np.multiply.outer(orders, angles))
+    return lambda v: (radial * v) @ phases
+
+
+def _glauber_overlaps(alphas, v):
+    """<alpha|v> = e^{-|alpha|^2/2} sum_n v_n conj(alpha)^n / sqrt(n!) at
+    every alpha, by Horner's rule with the Gaussian folded into each step:
+    with g = e^{-|alpha|^2/(2N)}, each step multiplies by g conj(alpha)/sqrt(n)
+    and adds g^(N-n+1) v_(n-1), so no partial sum overflows at large |alpha|
+    and large cutoff N."""
+    top = len(v) - 1
+    g = np.exp(-np.abs(alphas) ** 2 / (2 * max(top, 1)))
+    step = g * alphas.conj()
+    power = g ** (max(top, 1) - top)  # the whole Gaussian sits on v_0 when N = 0
+    acc = power * complex(v[top])
+    for n in range(top, 0, -1):
+        acc *= step
+        acc *= 1 / np.sqrt(n)
+        power *= g
+        acc += power * v[n - 1]
+    return acc
 
 
 def husimi_plane(psi_or_rho, cutoff, x, p) -> HusimiGrid:
@@ -293,12 +321,12 @@ def husimi_plane(psi_or_rho, cutoff, x, p) -> HusimiGrid:
 
     Weights carry the d^2 alpha measure (= dx dp / 2), so integral() -> 1
     for normalized states."""
+    if np.shape(psi_or_rho)[0] != cutoff + 1:
+        raise ValueError(f"a cutoff-{cutoff} chart needs a state of length {cutoff + 1}")
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     alphas = (x[:, None] + 1j * p) / np.sqrt(2.0)
-    # the radial profile differs per node here, not per row
-    rows = (_coherent(*_glauber_radial(np.abs(row), cutoff), np.angle(row)) for row in alphas)
-    values = _chart_values(psi_or_rho, rows, 1.0 / np.pi)
+    values = _chart_values(psi_or_rho, functools.partial(_glauber_overlaps, alphas), 1.0 / np.pi)
     dx = x[1] - x[0] if x.size > 1 else 1.0
     dp = p[1] - p[0] if p.size > 1 else 1.0
     weights = np.full(values.shape, dx * dp / 2.0)
@@ -315,9 +343,7 @@ def husimi_sphere(psi_or_rho, S, n_theta=200, n_phi=200) -> HusimiGrid:
     theta = np.arccos(nodes)
     phi = np.linspace(0, 2 * np.pi, n_phi, endpoint=False)
     dphi = 2 * np.pi / n_phi
-    radial, orders = _spin_radial(two_s, theta)
-    phases = _coherent(1.0, orders, phi)
-    values = _chart_values(psi_or_rho, (r * phases for r in radial), norm)
+    values = _chart_values(psi_or_rho, _factorised_overlaps(*_spin_radial(two_s, theta), phi), norm)
     weights = np.outer(gl_w, np.full(n_phi, dphi))
     return HusimiGrid("sphere", (theta, phi), weights, values, norm)
 
@@ -330,9 +356,8 @@ def husimi_cylinder(psi_or_rho, L, n_arc=201, n_rad=201, rad_max=None) -> Husimi
         rad_max = L / 4.0
     arc = np.linspace(-np.pi, np.pi, n_arc, endpoint=False)
     rad = np.linspace(0, rad_max, n_rad)
-    radial, orders = _bessel_radial(rad, L, (L - 1) // 2)
-    phases = _coherent(1.0, orders, arc)
-    values = _chart_values(psi_or_rho, (r * phases for r in radial), 1.0 / np.pi)
+    overlaps = _factorised_overlaps(*_bessel_radial(rad, L, (L - 1) // 2), arc)
+    values = _chart_values(psi_or_rho, overlaps, 1.0 / np.pi)
     dr = rad[1] - rad[0] if n_rad > 1 else 1.0
     darc = 2 * np.pi / n_arc
     weights = np.outer(rad * dr, np.full(n_arc, darc))
@@ -347,8 +372,8 @@ def husimi_disk(psi_or_rho_chain, k, n_rad=160, n_arg=160) -> HusimiGrid:
     states onto the relevant parity chain first. Weight w = (2k-1)/pi with
     the invariant measure (1-|zeta|^2)^{-2} d^2 zeta folded into the
     quadrature weights. The normalization integral converges for k > 1/2
-    only. For k <= 1/2, where (2k-1)/pi would be zero or negative, the grid
-    uses w = 1/pi instead (reported in `normalization`): its values are
+    only. For 0 < k <= 1/2, where (2k-1)/pi would be zero or negative, the
+    grid uses w = 1/pi instead (reported in `normalization`): its values are
     non-negative and usable for plotting, but its integral is not 1.
     """
     k = float(k)
@@ -363,9 +388,8 @@ def husimi_disk(psi_or_rho_chain, k, n_rad=160, n_arg=160) -> HusimiGrid:
     theta = np.linspace(-np.pi, np.pi, n_arg, endpoint=False)
     dth = 2 * np.pi / n_arg
     w_const = (2 * k - 1) / np.pi if k > 0.5 else 1 / np.pi
-    radial, orders = _pcs_radial(k, zmag, np.shape(psi_or_rho_chain)[0])
-    phases = _coherent(1.0, orders, theta)
-    values = _chart_values(psi_or_rho_chain, (r * phases for r in radial), w_const)
+    overlaps = _factorised_overlaps(*_pcs_radial(k, zmag, np.shape(psi_or_rho_chain)[0]), theta)
+    values = _chart_values(psi_or_rho_chain, overlaps, w_const)
     # d^2 zeta = (1/2) ds dtheta ; invariant measure divides by (1-s)^2
     radial_w = 0.5 * ds / (1 - s) ** 2
     weights = np.outer(radial_w, np.full(n_arg, dth))
@@ -375,30 +399,58 @@ def husimi_disk(psi_or_rho_chain, k, n_rad=160, n_arg=160) -> HusimiGrid:
 SPACES = ("plane", "sphere", "cylinder", "disk")
 
 
+def _exact_param(params, key, default, path):
+    """params[key] (or `default`) as an exact rational; a float is read
+    through its repr and a string such as "3/4" exactly."""
+    try:
+        return Fraction(str(params.get(key, default)))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError("expected a finite number or a rational string", field=f"{path}.{key}") from None
+
+
+def chart_param(space, params, dim, path="params"):
+    """The one parameter `husimi_chart` reads for `space` from `params`, for
+    a state of length `dim`: the sphere's S (default (dim-1)/2; 2S+1 must
+    equal dim), the plane's half_width (default 6; positive and finite) or
+    the disk's k (default 1/4; positive), and None for the cylinder. A value
+    that does not fit raises ConfigError naming `path`.key."""
+    if space == "sphere":
+        S = _exact_param(params, "S", Fraction(dim - 1, 2), path)
+        if 2 * S + 1 != dim:
+            raise ConfigError(f"2S+1 must equal the state's length {dim}, got S = {S}", field=f"{path}.S")
+        return S
+    if space == "plane":
+        half = _exact_param(params, "half_width", 6.0, path)
+        if not 0 < half <= sys.float_info.max:
+            raise ConfigError(f"half_width must be a positive finite number, got {half}", field=f"{path}.half_width")
+        return float(half)
+    if space == "disk":
+        k = _exact_param(params, "k", "1/4", path)
+        if k <= 0:
+            raise ConfigError(f"k must be positive, got {k}", field=f"{path}.k")
+        return k
+    if space == "cylinder":
+        return None
+    raise ValueError(f"unknown phase space {space!r}")
+
+
 def husimi_chart(psi_or_rho, space, nodes, params) -> HusimiGrid:
     """The Husimi chart of a state or density matrix on `space` (one of
     SPACES), with nodes[0] rows (axes[0]) and nodes[1] columns (axes[1]).
-    The chart's dimension is the state's length; `params` and their
-    defaults: sphere S = (dim-1)/2, plane half_width = 6, disk k = 1/4 (a
-    string such as "3/4" is read as an exact rational). The cylinder's
-    radius runs to dim/4."""
+    The chart's dimension is the state's length; `params` are read and
+    checked by `chart_param`. The cylinder's radius runs to dim/4."""
     n_a, n_b = (int(n) for n in nodes)
     if n_a < 1 or n_b < 1:
         raise ValueError(f"node counts must be positive, got {n_a} and {n_b}")
     dim = np.shape(psi_or_rho)[0]
+    value = chart_param(space, params, dim)
     if space == "sphere":
-        return husimi_sphere(psi_or_rho, params.get("S", Fraction(dim - 1, 2)), n_theta=n_a, n_phi=n_b)
+        return husimi_sphere(psi_or_rho, value, n_theta=n_a, n_phi=n_b)
     if space == "plane":
-        half = float(params.get("half_width", 6.0))
-        xs = np.linspace(-half, half, n_a)
-        ps = np.linspace(-half, half, n_b)
-        return husimi_plane(psi_or_rho, dim - 1, xs, ps)
+        return husimi_plane(psi_or_rho, dim - 1, np.linspace(-value, value, n_a), np.linspace(-value, value, n_b))
     if space == "cylinder":
         return husimi_cylinder(psi_or_rho, dim, n_arc=n_b, n_rad=n_a)
-    if space == "disk":
-        k = Fraction(str(params.get("k", "1/4")))
-        return husimi_disk(psi_or_rho, k, n_rad=n_a, n_arg=n_b)
-    raise ValueError(f"unknown phase space {space!r}")
+    return husimi_disk(psi_or_rho, value, n_rad=n_a, n_arg=n_b)
 
 
 PHASE_SPACES = {
@@ -446,9 +498,3 @@ def uncertainty(state, A: SparseOperator, B: SparseOperator):
     var_b = max(eb2 - eb**2, 0.0)
     comm = np.vdot(state, A.apply(B.apply(state))) - np.vdot(state, B.apply(A.apply(state)))
     return float(np.sqrt(var_a * var_b)), float(abs(comm) / 2.0)
-
-
-def occupation_shell(x, p) -> float:
-    """Paraboloid n(x, p) = p^2/2 + x^2/2 + 1/2 relating the plane to the
-    number axis; illustrative helper with no accuracy contract."""
-    return 0.5 * (np.asarray(p) ** 2 + np.asarray(x) ** 2 + 1.0)

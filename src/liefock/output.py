@@ -263,24 +263,5 @@ def export_heatmap(table, path, fourth_root=False):
     return data
 
 
-def read_heatmap(path):
-    """Inverse of export_heatmap, for tests: (array scaled to u16, peak, transform)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    lines = []
-    pos = 0
-    while len(lines) < 5:
-        nl = blob.index(b"\n", pos)
-        lines.append(blob[pos:nl].decode("ascii"))
-        pos = nl + 1
-    assert lines[0] == "P5"
-    peak = float(lines[1].split()[-1])
-    transform = lines[2].split()[-1]
-    w, h = (int(v) for v in lines[3].split())
-    assert lines[4] == "65535"
-    arr = np.frombuffer(blob[pos:], dtype=">u2").reshape(h, w)
-    return arr, peak, transform
-
-
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()

@@ -19,7 +19,7 @@ from math import lcm
 import numpy as np
 
 from .algebra import build_algebra, lie_closure, lmg_seed, rabi_seed
-from .coherent import SPACES, CoherentParams, closed_form_state, displaced_state, husimi_chart
+from .coherent import SPACES, CoherentParams, chart_param, closed_form_state, displaced_state, husimi_chart
 from .dynamics import evolve, expectation_series, fidelity_series
 from .errors import ConfigError
 from .fock import BOSON, SPIN, FockBasis, ModeSpec
@@ -532,6 +532,11 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
         else:
             op = number_op(basis, _check_index(obs["number_mode"], len(basis.modes), f"observables[{k}].number_mode"))
         observables.append((obs["name"], op))
+    hu = config.outputs.get("husimi")
+    if hu is not None:
+        if config.store != "snapshots":
+            raise ConfigError("husimi output requires snapshots", field="outputs.husimi")
+        chart_param(hu["space"], hu.get("params", {}), basis.dim, "outputs.husimi.params")
     times = np.linspace(config.times["start"], config.times["stop"], config.times["num"])
     if config.times["num"] == 1:
         times = np.array([config.times["start"]], dtype=float)
@@ -580,10 +585,7 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
             (hm["path"], heatmap_bytes(table, bool(hm.get("fourth_root", False))))
         )
 
-    if "husimi" in config.outputs:
-        hu = config.outputs["husimi"]
-        if config.store != "snapshots":
-            raise ConfigError("husimi output requires snapshots", field="outputs.husimi")
+    if hu is not None:
         state = result.snapshots[int(hu.get("time_index", len(times) - 1))]
         grid = husimi_chart(state, hu["space"], hu.get("nodes", [101, 101]), hu.get("params", {}))
         pending.append((hu["path"], grid_csv_bytes(grid)))

@@ -7,8 +7,9 @@ import pytest
 from liefock.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCE, main
 from liefock.coherent import CoherentParams, closed_form_state
 from liefock.errors import ConfigError, ResourceGuardError
-from liefock.output import heatmap_bytes, read_heatmap
+from liefock.output import heatmap_bytes
 from test_golden_bytes import SO5_BILINEAR
+from test_seed_oracles import read_heatmap
 from liefock.scenarios import (
     BUILTIN_SCENARIOS,
     builtin_scenario,
@@ -584,6 +585,11 @@ SPIN_STATE_FILE = {
         (None, {"basis": ONE_BOSON_SYSTEM["basis"], "state": {"coherent": SPIN_4_DISPLACED}}, "state.coherent"),
         (None, {"basis": {"modes": [{"kind": "spin", "capacity": 8}], "constraint": 4},
                 "state": {"coherent": SPIN_4_DISPLACED}}, "state.coherent"),
+        # the sphere's 2S+1 levels must be the state's 9
+        ("space_params", {"S": 3}, "space_params.S"),
+        ("space_params", {"S": "-1/2"}, "space_params.S"),
+        ("space_params", {"S": "9/2"}, "space_params.S"),
+        ("space_params", {"S": "x"}, "space_params.S"),
     ],
 )
 def test_cli_husimi_rejects_malformed_state_file(tmp_path, capsys, key, value, field):
@@ -636,6 +642,42 @@ def test_cli_names_a_top_level_that_is_not_an_object(tmp_path, capsys, command):
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == "error: expected an object (field: top level)\n"
+
+
+CHART_PARAMS_THAT_DO_NOT_FIT = [
+    ("disk", {"k": "0"}, "k"),
+    ("disk", {"k": -1}, "k"),
+    ("disk", {"k": "1/0"}, "k"),
+    ("plane", {"half_width": 0}, "half_width"),
+    ("plane", {"half_width": -2.5}, "half_width"),
+    ("plane", {"half_width": "x"}, "half_width"),
+    ("sphere", {"S": 3}, "S"),
+]
+
+
+@pytest.mark.parametrize("space,params,key", CHART_PARAMS_THAT_DO_NOT_FIT)
+def test_cli_husimi_refuses_chart_params_that_do_not_fit(tmp_path, capsys, space, params, key):
+    # a disk at k <= 0 charted NaN, a plane at half width 0 charted zeros and
+    # a negative one reversed its axes, all with exit 0
+    spec = {"basis": {"modes": [{"kind": "boson", "capacity": 8}]}, "state": {"fock": [2]}, "space_params": params}
+    spath, out = tmp_path / "state.json", tmp_path / "q.csv"
+    spath.write_text(json.dumps(spec))
+    assert main(["husimi", "--state", str(spath), "--space", space, "--out", str(out), "--nodes", "5", "4"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(field: space_params.{key})" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("space,params,key", CHART_PARAMS_THAT_DO_NOT_FIT)
+def test_cli_evolve_refuses_husimi_params_that_do_not_fit(tmp_path, capsys, space, params, key):
+    payload = builtin_scenario("su2_transport", S=4, num=3).to_dict()
+    payload["outputs"] = {"csv": "t.csv", "husimi": {"space": space, "path": "q.csv", "nodes": [5, 4], "params": params}}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(payload))
+    assert main(["--out-dir", str(tmp_path), "evolve", "--scenario", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(field: outputs.husimi.params.{key})" in err
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "q.csv").exists()
 
 
 def test_cli_husimi_rejects_empty_node_counts(tmp_path, capsys):

@@ -11,24 +11,21 @@ from liefock.coherent import (
     CoherentParams,
     closed_form_state,
     displace,
-    displacement_to_squeeze,
     euclidean_coherent_state,
     glauber_state,
     husimi,
     husimi_disk,
     husimi_plane,
     husimi_sphere,
-    occupation_shell,
     spin_coherent_state,
     squeeze_to_displacement,
     squeezed_vacuum_state,
-    su11_pcs,
     su3_coherent_state,
     uncertainty,
 )
 from liefock.errors import NumericContractError, TruncationLeakageWarning
 from liefock.operators import SparseOperator
-from test_seed_oracles import oracle_displacement_unitary
+from test_seed_oracles import oracle_displacement_unitary, oracle_su11_pcs
 
 
 def phase_aligned_distance(u, v):
@@ -103,9 +100,9 @@ def test_displace_matches_squeezed_closed_form():
     cutoff = 120
     model = build_algebra("su11_single", cutoff=cutoff)
     vac = model.basis.vector((0,))
-    for beta in (0.4, -0.3 + 0.5j, 0.9j):
-        out = displace(model, "K+", beta, vac)
-        closed = squeezed_vacuum_state(displacement_to_squeeze(beta), cutoff)
+    for xi in (-0.4, 0.3 - 0.5j, -0.9j):
+        out = displace(model, "K+", squeeze_to_displacement(xi), vac)
+        closed = squeezed_vacuum_state(xi, cutoff)
         assert phase_aligned_distance(out, closed) < 1e-8
         assert np.linalg.norm(out - closed) < 1e-8  # exact convention match
 
@@ -253,7 +250,7 @@ def test_husimi_disk_normalization_k1():
             chain = np.zeros(60, dtype=complex)
             chain[3] = 1.0
         else:
-            chain = su11_pcs(k, 0.45 * np.exp(0.7j), 60)
+            chain = oracle_su11_pcs(k, 0.45 * np.exp(0.7j), 60)
         grid = husimi_disk(chain, k, n_rad=220, n_arg=64)
         assert grid.integral() == pytest.approx(1.0, abs=1e-6)
 
@@ -267,7 +264,7 @@ def test_husimi_disk_normalization_k_three_quarters():
 
 def test_husimi_disk_weight_below_half_is_positive():
     # (2k-1)/pi is <= 0 for k <= 1/2; the chart uses 1/pi there instead
-    chain = su11_pcs(0.25, 0.3 * np.exp(0.4j), 40)
+    chain = oracle_su11_pcs(0.25, 0.3 * np.exp(0.4j), 40)
     grid = husimi_disk(chain, Fraction(1, 4), n_rad=40, n_arg=24)
     assert grid.normalization == pytest.approx(1 / np.pi)
     assert np.all(np.isfinite(grid.values)) and np.all(grid.values >= 0)
@@ -355,6 +352,12 @@ def test_closed_form_dispatcher():
     assert np.linalg.norm(v3) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError, match="unknown coherent kind"):
         closed_form_state(CoherentParams("nope", {}))
+
+
+def occupation_shell(x, p):
+    """Paraboloid n(x, p) = p^2/2 + x^2/2 + 1/2 relating the plane to the
+    number axis."""
+    return 0.5 * (np.asarray(p) ** 2 + np.asarray(x) ** 2 + 1.0)
 
 
 def test_occupation_shell():

@@ -8,7 +8,7 @@ of pin are exceptions and hold for the BLAS kernels they were recorded with
 run whose step sizes the first-crossing rule picks, `closure_gallery.json` and the
 `algebra jc_super --verify` report pin closure residuals at round-off, and
 the `husimi` CSVs and heatmap pin Husimi values that come out of a matrix
-product.
+product (sphere, cylinder, disk) or of Horner's rule (plane).
 """
 
 import hashlib
@@ -88,12 +88,12 @@ HUSIMI_STATES = {
     },
 }
 HUSIMI_CSV = {
-    "sphere": "c1e27acd62b8f65878f900a40057d50a1e67e994f78b09726e549ae995406853",
-    "plane": "2ccd8074e00dc3b120baa88a31319e1f390023f5582defe24cdf014c5a872d48",
-    "cylinder": "f227bd237775ea97ccb5561e7962c6edf108fa8e9305ddc943151c60e5c23c9f",
-    "disk": "3e891ec64233937055379060ecb0819b6eeed1333c8b3bccebf47e31354f7789",
+    "sphere": "20a41088244bf3e1872c9de633f7dca63b09b24d6006bb93e287bf6885f62860",
+    "plane": "f603eb82a2ab6b8e958521b37b67bbeb6a3ae3e9f5145a27a91b68346056063e",
+    "cylinder": "b7331404221fdac9e8a3e9d80b78f8ca9a4211b17ead68d029541fc342c1633a",
+    "disk": "1f4c64033446005e568bc6ae2fbe9ea4ed978e4b23b52c48a586883e63939008",
 }
-HUSIMI_SPHERE_PGM = "9486d24fdd5b3691ed3fc49c2833ea878bf609e98e20c2634a7daaa2d43c1efd"
+HUSIMI_SPHERE_PGM = "bf9c293e58b260e5ca733a479e3ccabd373ce007416df0ca6fe589beaba62ec4"
 
 
 def sha256(data):

@@ -48,6 +48,7 @@ payloads: equal text, or the same exception type.
 
 import functools
 import json
+import tracemalloc
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -298,6 +299,25 @@ def oracle_su11_pcs(k, zeta, chain_len):
     log_mag = 0.5 * (gammaln(m + 2 * k) - gammaln(m + 1) - gammaln(2 * k))
     amp = np.exp(log_mag) * z**m
     return (1 - abs(z) ** 2) ** k * amp
+
+
+def read_heatmap(path):
+    """Inverse of `output.export_heatmap`: (array scaled to u16, peak, transform)."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    lines = []
+    pos = 0
+    while len(lines) < 5:
+        nl = blob.index(b"\n", pos)
+        lines.append(blob[pos:nl].decode("ascii"))
+        pos = nl + 1
+    assert lines[0] == "P5"
+    peak = float(lines[1].split()[-1])
+    transform = lines[2].split()[-1]
+    w, h = (int(v) for v in lines[3].split())
+    assert lines[4] == "65535"
+    arr = np.frombuffer(blob[pos:], dtype=">u2").reshape(h, w)
+    return arr, peak, transform
 
 
 def oracle_overlap_sq(states, psi_or_rho):
@@ -617,8 +637,12 @@ def husimi_cases(draw):
     chart = draw(st.sampled_from(["plane", "sphere", "cylinder", "disk"]))
     n_a, n_b = draw(node_counts), draw(node_counts)
     if chart == "plane":
-        cutoff = draw(st.integers(0, 14))
-        half = draw(st.floats(0.5, 6.0))
+        # far nodes at a large cutoff: a Horner sum whose Gaussian factor is
+        # applied only at the end overflows there (at cutoff 400 from a half
+        # width of about 80)
+        far = draw(st.booleans())
+        cutoff = draw(st.integers(15, 400) if far else st.integers(0, 14))
+        half = draw(st.floats(6.0, 100.0) if far else st.floats(0.5, 6.0))
         x, p = np.linspace(-half, half, n_a), np.linspace(-half, half, n_b)
         return chart, cutoff + 1, (lambda s: husimi_plane(s, cutoff, x, p)), (
             lambda s: oracle_husimi_plane(s, cutoff, x, p))
@@ -659,6 +683,7 @@ def test_husimi_kernel_matches_per_node_loops(case, seed, mixed):
     assert got.parametrization == want.parametrization == chart
     assert got.values.shape == want.values.shape
     tol = 1e-12 * max(1.0, np.max(np.abs(want.values)))
+    assert np.all(np.isfinite(got.values))
     assert np.max(np.abs(got.values - want.values)) <= tol
     assert np.array_equal(got.weights, want.weights)
     assert got.normalization == want.normalization
@@ -667,6 +692,48 @@ def test_husimi_kernel_matches_per_node_loops(case, seed, mixed):
     for g, w in zip(got.axes, want_axes):
         assert np.array_equal(g, w)
     assert [len(a) for a in got.axes] == list(got.values.shape)
+
+
+@pytest.mark.parametrize(
+    "cutoff,half,mixed",
+    [(60, 6.0, False), (60, 6.0, True), (400, 40.0, False), (400, 40.0, True), (400, 100.0, False),
+     (1000, 300.0, False)],
+)
+def test_plane_chart_is_finite_at_large_cutoff_and_radius(cutoff, half, mixed):
+    # the Gaussian is folded into every Horner step; a sum multiplied by it
+    # only at the end overflows to NaN at cutoff 400 from a half width of
+    # about 80. A density matrix takes one Horner pass per eigenvector, about
+    # 9 s at cutoff 1000.
+    state = random_state(cutoff, cutoff + 1, mixed)
+    x, p = np.linspace(-half, half, 7), np.linspace(-half, half, 6)
+    got, want = husimi_plane(state, cutoff, x, p), oracle_husimi_plane(state, cutoff, x, p)
+    assert np.all(np.isfinite(got.values))
+    assert np.max(np.abs(got.values - want.values)) <= 1e-12 * max(1.0, np.max(np.abs(want.values)))
+
+
+@pytest.mark.parametrize("k", [0, -1, Fraction(-1, 2)])
+def test_husimi_kernel_raises_on_non_finite_values(k):
+    # the PCS normalisation Gamma(m+2k)/Gamma(2k) is undefined at k <= 0; the
+    # kernel refuses the NaN it gives instead of clipping it
+    with np.errstate(invalid="ignore"), pytest.raises(NumericContractError, match="non-finite"):
+        husimi_disk(random_state(0, 8, False), k, 5, 4)
+
+
+def test_husimi_density_matrix_chart_memory():
+    # lam_k |<c|v_k>|^2 is accumulated one eigenvector at a time: stacking
+    # the 61 terms over 160 x 160 nodes would take 25 MB of complex128
+    rng = np.random.default_rng(61)
+    g = rng.normal(size=(61, 61)) + 1j * rng.normal(size=(61, 61))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    tracemalloc.start()
+    try:
+        grid = husimi_disk(rho, Fraction(3, 4), 160, 160)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.values.shape == (160, 160)
+    assert peak < 4 * 2**20
 
 
 @settings(max_examples=100, deadline=None)
