@@ -4,16 +4,19 @@ Casimir verification, and reference-state search.
 
 Every catalog entry realizes its generators over an explicit FockBasis and
 classifies them into mutually commuting diagonal (Cartan) generators and
-raising/lowering pairs carrying a root vector. Root vectors and the Cartan
-weights of the basis states (`cartan_weights`, integer numerators over one
-denominator) are stored exactly in per-Cartan eigenvalue units
-(`cartan_units` holds the possibly irrational unit, e.g. 1/sqrt(3)); the
-builder that picks the Cartan generators supplies both, and the operators
-carry no exact values.
+raising/lowering pairs carrying a root vector. A builder states only the
+exact Cartan weights of the basis states (`cartan_weights`, integer
+numerators over one denominator, in per-Cartan eigenvalue units;
+`cartan_units` holds the possibly irrational unit, e.g. 1/sqrt(3)) and its
+off-diagonal generators. Everything else is read off the weights (`_model`):
+each Cartan generator is its column of weights as a diagonal, and each root
+is the exact weight step along the stored entries of its raising generator,
+so a raising generator with no entries on the basis is refused. The
+operators carry no exact values.
 
 Representations on truncated bases break the algebraic identities in the
 outermost cutoff levels; identity checks therefore run on an interior block
-that excludes a configurable window (default 2) of boundary states. The
+that excludes DEFAULT_BOUNDARY_WINDOW (2) boundary states. The
 blocks P A P stay sparse: norms are taken over their stored entries, and the
 closure span and structure-constant fit hold blocks as rows of one array over
 their stored flat positions, so the checks scale with the operators' non-zeros
@@ -24,13 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
 from .errors import DegenerateGeneratorsError
-from .fock import FockBasis, boson, fermion, spin
+from .fock import FERMION, FockBasis, boson, fermion, spin
 from .lattice import WeightLattice, weight_coordinates
 from .operators import (
     ODD,
@@ -79,10 +83,10 @@ class AlgebraModel:
     def generator(self, label) -> SparseOperator:
         return self.generators[self.labels.index(label)]
 
-    def interior(self, window=DEFAULT_BOUNDARY_WINDOW) -> np.ndarray:
-        """Mask of basis states unaffected by basis truncation."""
+    def interior(self) -> np.ndarray:
+        """Mask of basis states DEFAULT_BOUNDARY_WINDOW or more from a truncation boundary."""
         return self.basis.interior_mask(
-            window=window,
+            window=DEFAULT_BOUNDARY_WINDOW,
             truncated_modes=self.truncated_modes,
             two_sided_modes=self.two_sided_modes,
         )
@@ -95,12 +99,6 @@ class AlgebraModel:
         are the Cartan generators' diagonals."""
         floats = np.stack([op.diagonal().real for op in self.cartan_ops()], axis=-1)
         return weight_coordinates(*self.cartan_weights, floats)
-
-    def root_float(self, pair: RootPair) -> np.ndarray:
-        """Root vector in physical (float) Cartan eigenvalues."""
-        return np.array(
-            [u * float(r) for u, r in zip(self.cartan_units, pair.root)]
-        )
 
 
 @dataclass
@@ -333,9 +331,9 @@ def extract_structure_constants(gens, interior=None, labels=None) -> StructureCo
     )
 
 
-def verify_casimir(op: SparseOperator, model: AlgebraModel, window=DEFAULT_BOUNDARY_WINDOW) -> float:
+def verify_casimir(op: SparseOperator, model: AlgebraModel) -> float:
     """max over generators of ||[op, X]|| / (||op|| ||X||) on the interior block."""
-    idx = np.where(model.interior(window))[0]
+    idx = np.where(model.interior())[0]
     op_norm = _norm(op.block(idx))
     worst = 0.0
     for g in model.generators:
@@ -347,14 +345,13 @@ def verify_casimir(op: SparseOperator, model: AlgebraModel, window=DEFAULT_BOUND
     return float(worst)
 
 
-def find_reference_states(
-    model: AlgebraModel, window=DEFAULT_BOUNDARY_WINDOW, boundary_tol=1e-8
-) -> list:
+def find_reference_states(model: AlgebraModel) -> list:
     """Orthonormal basis of the joint kernel of the model's annihilator set.
 
-    Kernel vectors supported on the truncation boundary are artifacts of the
-    cutoff and are discarded; an empty list is a legitimate result (the
-    translationally invariant chain has no reference state).
+    Kernel vectors with more than 1e-8 of their weight on the truncation
+    boundary are artifacts of the cutoff and are discarded; an empty list
+    is a legitimate result (the translationally invariant chain has no
+    reference state).
     """
     if not model.annihilators:
         return []
@@ -362,58 +359,48 @@ def find_reference_states(
     null = scipy.linalg.null_space(stacked, rcond=1e-10)
     if null.size == 0:
         return []
-    outside = ~model.interior(window)
-    kept = []
-    for k in range(null.shape[1]):
-        v = null[:, k]
-        if np.sum(np.abs(v[outside]) ** 2) < boundary_tol:
-            kept.append(v)
+    outside = ~model.interior()
+    kept = [v for v in null.T if np.sum(np.abs(v[outside]) ** 2) < 1e-8]
     if not kept:
         return []
     q, _ = np.linalg.qr(np.stack(kept, axis=1))
     return [q[:, k] for k in range(q.shape[1])]
 
 
-def verify_model(model: AlgebraModel, window=DEFAULT_BOUNDARY_WINDOW, closure_cap=None) -> dict:
+def verify_model(model: AlgebraModel) -> dict:
     """Self-check report: Cartan diagonality/commutativity, root eigen-relations,
-    closure of the generator set, and Casimir residuals."""
-    idx = np.where(model.interior(window))[0]
+    closure of the generator set (capped at 4 * dim + 8), and Casimir residuals."""
+    interior = model.interior()
+    idx = np.where(interior)[0]
     scale = max((_norm(g.block(idx)) for g in model.generators), default=1.0)
 
-    cartan_ok = True
-    for ci in model.cartan:
-        if not model.generators[ci].is_diagonal():
-            cartan_ok = False
-    for i, ci in enumerate(model.cartan):
-        for cj in model.cartan[i + 1 :]:
-            comm = graded_commutator(model.generators[ci], model.generators[cj])
-            if _norm(comm.block(idx)) > 1e-12 * scale**2:
+    cartan = model.cartan_ops()
+    cartan_ok = all(h.is_diagonal() for h in cartan)
+    for i, hi in enumerate(cartan):
+        for hj in cartan[i + 1 :]:
+            if _norm(graded_commutator(hi, hj).block(idx)) > 1e-12 * scale**2:
                 cartan_ok = False
 
     root_ok = True
     root_worst = 0.0
     for pair in model.root_pairs:
         e = model.generators[pair.raising]
-        alpha = model.root_float(pair)
         enorm = _norm(e.block(idx))
-        for a, ci in enumerate(model.cartan):
-            comm = graded_commutator(model.generators[ci], e)
-            diff = SparseOperator(comm.mat - alpha[a] * e.mat)
+        # the root in physical (float) Cartan eigenvalues is unit * root
+        for h, unit, r in zip(cartan, model.cartan_units, pair.root):
+            diff = SparseOperator(graded_commutator(h, e).mat - unit * float(r) * e.mat)
             rel = _norm(diff.block(idx)) / max(enorm, 1e-300)
             root_worst = max(root_worst, rel)
-            if rel > 1e-10 * max(1.0, _norm(model.generators[ci].block(idx))):
+            if rel > 1e-10 * max(1.0, _norm(h.block(idx))):
                 root_ok = False
 
-    cap = closure_cap if closure_cap is not None else 4 * model.dim + 8
     report = lie_closure(
         model.generators,
-        cap=cap,
-        interior=model.interior(window),
+        cap=4 * model.dim + 8,
+        interior=interior,
         labels=list(model.labels),
     )
-    casimirs = {
-        label: verify_casimir(op, model, window) for label, op in model.casimirs.items()
-    }
+    casimirs = {label: verify_casimir(op, model) for label, op in model.casimirs.items()}
     return {
         "cartan_ok": bool(cartan_ok),
         "root_eigen_ok": bool(root_ok),
@@ -432,19 +419,73 @@ def verify_model(model: AlgebraModel, window=DEFAULT_BOUNDARY_WINDOW, closure_ca
 # ---------------------------------------------------------------------------
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _whole(value, name) -> int:
+    """A whole-number catalog parameter (`_WHOLE_PARAMS`): an int, or a float,
+    Fraction or string such as "30" or "30.0" with a whole value. Bools and
+    fractions are refused, naming the parameter."""
+    try:
+        number = None if isinstance(value, bool) else Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        number = None
+    if number is None or number.denominator != 1:
+        raise ValueError(f"algebra parameter {name} must be a whole number, got {value!r}")
+    return int(number)
 
 
-def _root_of(modes, create, destroy):
-    """Root of a quadratic mode operator: +1 per created mode, -1 per
-    destroyed mode."""
-    r = [Fraction(0)] * modes
-    for c in create:
-        r[c] += 1
-    for d in destroy:
-        r[d] -= 1
-    return tuple(r)
+def _root(op, num, den, label) -> tuple:
+    """Root of a raising generator: the exact weight step along its stored
+    entries, which must all make the same step."""
+    coo = op.mat.tocoo()
+    steps = num[coo.row] - num[coo.col]
+    if not len(steps):
+        raise ValueError(f"raising generator {label} has no entries on this basis, so it has no root")
+    if np.any(steps != steps[0]):
+        raise ValueError(f"raising generator {label} does not move every state by one root")
+    return tuple(Fraction(int(d), den) for d in steps[0])
+
+
+def _model(name, params, basis, weights, generators, pairs, annihilators, scale=None, **fields) -> AlgebraModel:
+    """The model of a catalog builder, from what the builder states itself.
+
+    `generators` maps each label, in generator order, to its operator, or to
+    None for a Cartan generator: the k-th None becomes the diagonal
+    num[:, k] / den / scale[k] of the exact weights `weights` = (num, den),
+    with the unit 1 / scale[k] (scale defaults to all ones). Each
+    (raising, lowering) label pair of `pairs` gets its root from the
+    raising generator's entries. `annihilators` are labels; `fields` are the
+    remaining AlgebraModel fields (casimirs, truncated_modes, two_sided_modes).
+    """
+    num, den = weights
+    scale = scale or (1.0,) * num.shape[1]
+    labels = list(generators)
+    gens = list(generators.values())
+    cartan = [i for i, op in enumerate(gens) if op is None]
+    for k, i in enumerate(cartan):
+        gens[i] = diagonal_op(num[:, k] / den / scale[k])
+    return AlgebraModel(
+        name=name,
+        params=params,
+        basis=basis,
+        labels=labels,
+        generators=gens,
+        cartan=cartan,
+        root_pairs=[
+            RootPair(labels.index(up), labels.index(down), _root(generators[up], num, den, up))
+            for up, down in pairs
+        ],
+        cartan_units=tuple(1.0 / s for s in scale),
+        cartan_weights=weights,
+        annihilators=[labels.index(label) for label in annihilators],
+        **fields,
+    )
+
+
+def _quadratic_casimir(model) -> SparseOperator:
+    """sum_k H_k^2 + sum over root pairs of (E F + F E) / 2."""
+    squares = sum(h.mat @ h.mat for h in model.cartan_ops())
+    gens = model.generators
+    pairs = ((gens[rp.raising].mat, gens[rp.lowering].mat) for rp in model.root_pairs)
+    return SparseOperator(squares + sum(0.5 * (e @ f + f @ e) for e, f in pairs))
 
 
 def _e2(L=21):
@@ -453,54 +494,39 @@ def _e2(L=21):
     The chain truncates an infinite lattice at both ends, so identity checks
     exclude a window at both boundaries.
     """
-    L = int(L)
     if L < 5:
         raise ValueError("chain length must be at least 5")
     basis = FockBasis([boson(L - 1)])
     offset = (L - 1) // 2
     sites = np.arange(L) - offset
-    e0 = diagonal_op(sites.astype(float))
-    rows = np.arange(1, L)
-    cols = np.arange(0, L - 1)
-    ep = SparseOperator(
-        sparse.csr_matrix((np.ones(L - 1, dtype=complex), (rows, cols)), shape=(L, L))
-    )
+    ep = SparseOperator(sparse.eye(L, k=-1, dtype=complex, format="csr"))
     em = ep.dagger()
-    casimir = SparseOperator(ep.mat @ em.mat)
-    return AlgebraModel(
-        name="e2",
-        params={"L": L},
-        basis=basis,
-        labels=["E0", "E+", "E-"],
-        generators=[e0, ep, em],
-        cartan=[0],
-        root_pairs=[RootPair(1, 2, (_frac(1),))],
-        cartan_units=(1.0,),
-        cartan_weights=(sites[:, None], 1),
-        annihilators=[1],
-        casimirs={"shift_product": casimir},
-        truncated_modes=(),
+    return _model(
+        "e2",
+        {"L": L},
+        basis,
+        (sites[:, None], 1),
+        {"E0": None, "E+": ep, "E-": em},
+        pairs=[("E+", "E-")],
+        annihilators=["E+"],
+        casimirs={"shift_product": SparseOperator(ep.mat @ em.mat)},
         two_sided_modes=(0,),
     )
 
 
 def _hw(cutoff=20):
     """Single bosonic mode: ladder pair, number operator, identity."""
-    basis = FockBasis([boson(int(cutoff))])
+    basis = FockBasis([boson(cutoff)])
     a, adag = ladder_ops(basis, 0)
-    n = number_op(basis, 0)
     one = identity(basis)
-    return AlgebraModel(
-        name="hw",
-        params={"cutoff": int(cutoff)},
-        basis=basis,
-        labels=["a", "adag", "n", "I"],
-        generators=[a, adag, n, one],
-        cartan=[2],
-        root_pairs=[RootPair(1, 0, (_frac(1),))],
-        cartan_units=(1.0,),
-        cartan_weights=(basis.occ, 1),
-        annihilators=[0],
+    return _model(
+        "hw",
+        {"cutoff": cutoff},
+        basis,
+        (basis.occ, 1),
+        {"a": a, "adag": adag, "n": None, "I": one},
+        pairs=[("adag", "a")],
+        annihilators=["a"],
         casimirs={"identity": one},
         truncated_modes=(0,),
     )
@@ -511,91 +537,62 @@ def _su2_spin(S=1):
     spec = spin(S)
     basis = FockBasis([spec])
     sm, sp_ = ladder_ops(basis, 0)
-    s = spec.spin_s
     two_m = 2 * np.arange(spec.levels) - spec.capacity
-    sz = diagonal_op(two_m / 2)
-    s2 = SparseOperator(sz.mat @ sz.mat + 0.5 * (sp_.mat @ sm.mat + sm.mat @ sp_.mat))
-    return AlgebraModel(
-        name="su2_spin",
-        params={"S": s},
-        basis=basis,
-        labels=["Sz", "S+", "S-"],
-        generators=[sz, sp_, sm],
-        cartan=[0],
-        root_pairs=[RootPair(1, 2, (_frac(1),))],
-        cartan_units=(1.0,),
-        cartan_weights=(two_m[:, None], 2),
-        annihilators=[1],
-        casimirs={"S2": s2},
+    model = _model(
+        "su2_spin",
+        {"S": spec.spin_s},
+        basis,
+        (two_m[:, None], 2),
+        {"Sz": None, "S+": sp_, "S-": sm},
+        pairs=[("S+", "S-")],
+        annihilators=["S+"],
     )
+    model.casimirs["S2"] = _quadratic_casimir(model)
+    return model
 
 
 def _su2_schwinger(N=4):
     """Two-boson realization of the spin algebra on the fixed-N sector."""
-    N = int(N)
     basis = FockBasis([boson(N), boson(N)], constraint=N)
-    na = basis.occupations_of_mode(0)
-    nb = basis.occupations_of_mode(1)
-    two_sz = na - nb
-    sz = diagonal_op(two_sz / 2)
+    na, nb = basis.occ.T
     sp_ = transfer_op(basis, 0, 1)
-    sm = sp_.dagger()
-    ntot = diagonal_op((na + nb).astype(float))
-    s2 = SparseOperator(sz.mat @ sz.mat + 0.5 * (sp_.mat @ sm.mat + sm.mat @ sp_.mat))
-    return AlgebraModel(
-        name="su2_schwinger",
-        params={"N": N},
-        basis=basis,
-        labels=["Sz", "S+", "S-"],
-        generators=[sz, sp_, sm],
-        cartan=[0],
-        root_pairs=[RootPair(1, 2, (_frac(1),))],
-        cartan_units=(1.0,),
-        cartan_weights=(two_sz[:, None], 2),
-        annihilators=[1],
-        casimirs={"total_number": ntot, "S2": s2},
+    model = _model(
+        "su2_schwinger",
+        {"N": N},
+        basis,
+        ((na - nb)[:, None], 2),
+        {"Sz": None, "S+": sp_, "S-": sp_.dagger()},
+        pairs=[("S+", "S-")],
+        annihilators=["S+"],
+        casimirs={"total_number": diagonal_op((na + nb).astype(float))},
     )
+    model.casimirs["S2"] = _quadratic_casimir(model)
+    return model
 
 
 def _su3_schwinger(N=3):
     """Three-boson realization with two diagonal generators and three
-    raising/lowering pairs; the fixed-N sector is a triangular lattice."""
-    N = int(N)
+    raising/lowering pairs; the fixed-N sector is a triangular lattice.
+    H2 is (na + nb - 2 nc) / (2 sqrt(3)), so its unit is 1/sqrt(3)."""
     basis = FockBasis([boson(N)] * 3, constraint=N)
-    na = basis.occupations_of_mode(0)
-    nb = basis.occupations_of_mode(1)
-    nc = basis.occupations_of_mode(2)
-    two_h1 = na - nb
-    two_h2 = na + nb - 2 * nc
-    h1 = diagonal_op(two_h1 / 2)
-    h2 = diagonal_op(two_h2 / 2 / np.sqrt(3.0))
+    na, nb, nc = basis.occ.T
     ip = transfer_op(basis, 0, 1)
     up = transfer_op(basis, 1, 2)
     vp = transfer_op(basis, 0, 2)
-    gens = [h1, h2, ip, ip.dagger(), up, up.dagger(), vp, vp.dagger()]
-    labels = ["H1", "H2", "I+", "I-", "U+", "U-", "V+", "V-"]
-    ntot = diagonal_op((na + nb + nc).astype(float))
-    pairs = ((ip, ip.dagger()), (up, up.dagger()), (vp, vp.dagger()))
-    acc = sum(0.5 * (raising.mat @ lowering.mat + lowering.mat @ raising.mat) for raising, lowering in pairs)
-    h2s = h2.mat @ h2.mat
-    quad = SparseOperator(h1.mat @ h1.mat + h2s + acc)
-    return AlgebraModel(
-        name="su3_schwinger",
-        params={"N": N},
-        basis=basis,
-        labels=labels,
-        generators=gens,
-        cartan=[0, 1],
-        root_pairs=[
-            RootPair(2, 3, (_frac(1), _frac(0))),
-            RootPair(4, 5, (Fraction(-1, 2), Fraction(3, 2))),
-            RootPair(6, 7, (Fraction(1, 2), Fraction(3, 2))),
-        ],
-        cartan_units=(1.0, 1.0 / np.sqrt(3.0)),
-        cartan_weights=(np.stack([two_h1, two_h2], axis=1), 2),
-        annihilators=[2, 4, 6],
-        casimirs={"total_number": ntot, "quadratic": quad},
+    model = _model(
+        "su3_schwinger",
+        {"N": N},
+        basis,
+        (np.stack([na - nb, na + nb - 2 * nc], axis=1), 2),
+        {"H1": None, "H2": None, "I+": ip, "I-": ip.dagger(),
+         "U+": up, "U-": up.dagger(), "V+": vp, "V-": vp.dagger()},
+        pairs=[("I+", "I-"), ("U+", "U-"), ("V+", "V-")],
+        annihilators=["I+", "U+", "V+"],
+        scale=(1.0, np.sqrt(3.0)),
+        casimirs={"total_number": diagonal_op((na + nb + nc).astype(float))},
     )
+    model.casimirs["quadratic"] = _quadratic_casimir(model)
+    return model
 
 
 def _so5_quoted(N=2):
@@ -603,62 +600,44 @@ def _so5_quoted(N=2):
     generator list (two diagonal, four raising/lowering pairs). The quoted
     set is not closed under commutation; closure and site-count diagnostics
     report whatever they find."""
-    N = int(N)
     basis = FockBasis([boson(N)] * 4, constraint=N)
-    n_au = basis.occupations_of_mode(0)
-    n_ad = basis.occupations_of_mode(1)
-    n_bu = basis.occupations_of_mode(2)
-    n_bd = basis.occupations_of_mode(3)
-    two_h1 = n_au - n_ad
-    two_h2 = n_bu - n_bd
-    h1 = diagonal_op(two_h1 / 2)
-    h2 = diagonal_op(two_h2 / 2)
+    n_au, n_ad, n_bu, n_bd = basis.occ.T
     sa = transfer_op(basis, 0, 1)   # a-spin flip up
     sb = transfer_op(basis, 2, 3)   # b-spin flip up
     sab = transfer_op(basis, 0, 3)  # cross flip along (1/2, 1/2)
     sba = transfer_op(basis, 1, 2)  # cross flip along (-1/2, -1/2)
-    gens = [h1, h2, sa, sa.dagger(), sb, sb.dagger(), sab, sab.dagger(), sba, sba.dagger()]
-    labels = ["H1", "H2", "Sa+", "Sa-", "Sb+", "Sb-", "Sab+", "Sab-", "Sba+", "Sba-"]
-    ntot = diagonal_op((n_au + n_ad + n_bu + n_bd).astype(float))
-    return AlgebraModel(
-        name="so5_quoted",
-        params={"N": N},
-        basis=basis,
-        labels=labels,
-        generators=gens,
-        cartan=[0, 1],
-        root_pairs=[
-            RootPair(2, 3, (_frac(1), _frac(0))),
-            RootPair(4, 5, (_frac(0), _frac(1))),
-            RootPair(6, 7, (Fraction(1, 2), Fraction(1, 2))),
-            RootPair(8, 9, (Fraction(-1, 2), Fraction(-1, 2))),
-        ],
-        cartan_units=(1.0, 1.0),
-        cartan_weights=(np.stack([two_h1, two_h2], axis=1), 2),
-        annihilators=[2, 4, 6, 8],
-        casimirs={"total_number": ntot},
+    return _model(
+        "so5_quoted",
+        {"N": N},
+        basis,
+        (np.stack([n_au - n_ad, n_bu - n_bd], axis=1), 2),
+        {"H1": None, "H2": None, "Sa+": sa, "Sa-": sa.dagger(), "Sb+": sb, "Sb-": sb.dagger(),
+         "Sab+": sab, "Sab-": sab.dagger(), "Sba+": sba, "Sba-": sba.dagger()},
+        pairs=[("Sa+", "Sa-"), ("Sb+", "Sb-"), ("Sab+", "Sab-"), ("Sba+", "Sba-")],
+        annihilators=["Sa+", "Sb+", "Sab+", "Sba+"],
+        casimirs={"total_number": diagonal_op((n_au + n_ad + n_bu + n_bd).astype(float))},
     )
 
 
-def _su11_chain(k0_diag, k0_weights, kp: SparseOperator, name, params, basis, truncated):
+def _su11_chain(name, params, basis, weights, kp: SparseOperator):
+    """su(1,1) from its raising generator K+ and the exact weights of K0;
+    every mode is truncated."""
     km = kp.dagger()
     k1 = SparseOperator(0.5 * (kp.mat + km.mat))
     k2 = SparseOperator((kp.mat - km.mat) / 2j)
-    casimir = SparseOperator(k0_diag.mat @ k0_diag.mat - k1.mat @ k1.mat - k2.mat @ k2.mat)
-    return AlgebraModel(
-        name=name,
-        params=params,
-        basis=basis,
-        labels=["K0", "K+", "K-"],
-        generators=[k0_diag, kp, km],
-        cartan=[0],
-        root_pairs=[RootPair(1, 2, (_frac(1),))],
-        cartan_units=(1.0,),
-        cartan_weights=k0_weights,
-        annihilators=[2],
-        casimirs={"hyperbolic": casimir},
-        truncated_modes=truncated,
+    model = _model(
+        name,
+        params,
+        basis,
+        weights,
+        {"K0": None, "K+": kp, "K-": km},
+        pairs=[("K+", "K-")],
+        annihilators=["K-"],
+        truncated_modes=tuple(range(len(basis.modes))),
     )
+    k0 = model.generators[0]
+    model.casimirs["hyperbolic"] = SparseOperator(k0.mat @ k0.mat - k1.mat @ k1.mat - k2.mat @ k2.mat)
+    return model
 
 
 def _su11_single(k=Fraction(1, 4), cutoff=40):
@@ -667,186 +646,110 @@ def _su11_single(k=Fraction(1, 4), cutoff=40):
     k = 1/4 works on the even chain (reference |0>), k = 3/4 on the odd
     chain (reference |1>); the operators themselves live on the full basis.
     """
-    k = _frac(k)
+    k = Fraction(k)
     if k not in (Fraction(1, 4), Fraction(3, 4)):
         raise ValueError("k must be 1/4 or 3/4 for the single-mode representation")
-    basis = FockBasis([boson(int(cutoff))])
-    a, adag = ladder_ops(basis, 0)
-    n = np.arange(basis.dim)
-    four_k0 = 2 * n + 1
-    k0 = diagonal_op(four_k0 / 4)
+    basis = FockBasis([boson(cutoff)])
+    adag = ladder_ops(basis, 0)[1]
+    four_k0 = 2 * np.arange(basis.dim) + 1
     kp = SparseOperator(adag.mat @ adag.mat * 0.5)
-    return _su11_chain(
-        k0, (four_k0[:, None], 4), kp, "su11_single", {"k": k, "cutoff": int(cutoff)}, basis, (0,)
-    )
+    return _su11_chain("su11_single", {"k": k, "cutoff": cutoff}, basis, (four_k0[:, None], 4), kp)
 
 
 def _su11_intensity(cutoff=40):
     """Intensity-dependent representation: K+ |n> = (n+1) |n+1>, k = 1/2."""
-    basis = FockBasis([boson(int(cutoff))])
+    basis = FockBasis([boson(cutoff)])
     n = np.arange(basis.dim)
-    vals = (n[:-1] + 1).astype(complex)
-    kp = SparseOperator(
-        sparse.csr_matrix((vals, (n[1:], n[:-1])), shape=(basis.dim, basis.dim))
-    )
-    two_k0 = 2 * n + 1
-    k0 = diagonal_op(two_k0 / 2)
-    return _su11_chain(
-        k0, (two_k0[:, None], 2), kp, "su11_intensity", {"k": Fraction(1, 2), "cutoff": int(cutoff)}, basis, (0,)
-    )
+    kp = SparseOperator(sparse.diags(n[1:].astype(complex), -1, format="csr"))
+    params = {"k": Fraction(1, 2), "cutoff": cutoff}
+    return _su11_chain("su11_intensity", params, basis, ((2 * n + 1)[:, None], 2), kp)
 
 
 def _su11_twomode(cutoff=20):
     """Two-mode squeezing representation: K+ = a^dag b^dag."""
-    basis = FockBasis([boson(int(cutoff))] * 2)
-    a, adag = ladder_ops(basis, 0)
-    b, bdag = ladder_ops(basis, 1)
+    basis = FockBasis([boson(cutoff)] * 2)
+    adag = ladder_ops(basis, 0)[1]
+    bdag = ladder_ops(basis, 1)[1]
     kp = SparseOperator(adag.mat @ bdag.mat)
-    na = basis.occupations_of_mode(0)
-    nb = basis.occupations_of_mode(1)
-    two_k0 = na + nb + 1
-    k0 = diagonal_op(two_k0 / 2)
-    model = _su11_chain(
-        k0, (two_k0[:, None], 2), kp, "su11_twomode", {"cutoff": int(cutoff)}, basis, (0, 1)
-    )
-    imbalance = diagonal_op((na - nb).astype(float))
-    model.casimirs["imbalance"] = imbalance
+    na, nb = basis.occ.T
+    model = _su11_chain("su11_twomode", {"cutoff": cutoff}, basis, ((na + nb + 1)[:, None], 2), kp)
+    model.casimirs["imbalance"] = diagonal_op((na - nb).astype(float))
     return model
+
+
+def _quadratic_modes(name, params, basis, **fields):
+    """Quadratic algebra of the modes of `basis`: half-shifted number
+    operators D_i (Cartan), hoppings h_ij = c_i^dag c_j (i != j), pair
+    raisers p_ij+ = c_i^dag c_j^dag and lowerers p_ij-, for i <= j on boson
+    modes and i < j on fermion modes. Bosons list the hopping pairs before
+    the pair pairs; fermions list each (i, j) hopping pair beside its pair
+    pair."""
+    m = len(basis.modes)
+    fermion_modes = any(spec.kind == FERMION for spec in basis.modes)
+    low = [ladder_ops(basis, i)[0] for i in range(m)]
+    raise_ = [op.dagger() for op in low]
+    gens = {f"D{i}": None for i in range(m)}
+    for i, j in permutations(range(m), 2):
+        gens[f"h{i}{j}"] = SparseOperator(raise_[i].mat @ low[j].mat)
+    ij = [(i, j) for i in range(m) for j in range(i + fermion_modes, m)]
+    for i, j in ij:
+        gens[f"p{i}{j}+"] = SparseOperator(raise_[i].mat @ raise_[j].mat)
+    for i, j in ij:
+        if fermion_modes:
+            gens[f"p{i}{j}-"] = gens[f"p{i}{j}+"].dagger()  # = c_j c_i, sign included
+        else:
+            gens[f"p{i}{j}-"] = SparseOperator(low[i].mat @ low[j].mat)
+    hops = [(f"h{i}{j}", f"h{j}{i}") for i in range(m) for j in range(i + 1, m)]
+    pairs = [(f"p{i}{j}+", f"p{i}{j}-") for i, j in ij]
+    return _model(
+        name,
+        params,
+        basis,
+        (2 * basis.occ + (-1 if fermion_modes else 1), 2),
+        gens,
+        pairs=[p for two in zip(hops, pairs) for p in two] if fermion_modes else hops + pairs,
+        annihilators=[label for label in gens if label[0] == "h"] + [label for label in gens if label[-1] == "-"],
+        **fields,
+    )
 
 
 def _sp2n_boson(modes=2, cutoff=6):
     """Quadratic bosonic algebra: hoppings, pair creators/annihilators, and
     half-shifted number operators, N(2N+1) generators in total."""
-    m = int(modes)
-    basis = FockBasis([boson(int(cutoff))] * m)
-    low = [ladder_ops(basis, i)[0] for i in range(m)]
-    raise_ = [op.dagger() for op in low]
-    two_d = 2 * basis.occ + 1
-    gens = [diagonal_op(col / 2) for col in two_d.T]
-    labels = [f"D{i}" for i in range(m)]
-    root_pairs = []
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            gens.append(SparseOperator(raise_[i].mat @ low[j].mat))
-            labels.append(f"h{i}{j}")
-    for i in range(m):
-        for j in range(i, m):
-            gens.append(SparseOperator(raise_[i].mat @ raise_[j].mat))
-            labels.append(f"p{i}{j}+")
-    for i in range(m):
-        for j in range(i, m):
-            gens.append(SparseOperator(low[i].mat @ low[j].mat))
-            labels.append(f"p{i}{j}-")
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            root_pairs.append(
-                RootPair(labels.index(f"h{i}{j}"), labels.index(f"h{j}{i}"), _root_of(m, [i], [j]))
-            )
-    for i in range(m):
-        for j in range(i, m):
-            root_pairs.append(
-                RootPair(labels.index(f"p{i}{j}+"), labels.index(f"p{i}{j}-"), _root_of(m, [i, j], []))
-            )
-    annihilators = [labels.index(l) for l in labels if l.startswith("h")]
-    annihilators += [labels.index(l) for l in labels if l.endswith("-") and l.startswith("p")]
-    return AlgebraModel(
-        name="sp2n_boson",
-        params={"modes": m, "cutoff": int(cutoff)},
-        basis=basis,
-        labels=labels,
-        generators=gens,
-        cartan=list(range(m)),
-        root_pairs=root_pairs,
-        cartan_units=(1.0,) * m,
-        cartan_weights=(two_d, 2),
-        annihilators=annihilators,
-        casimirs={},
-        truncated_modes=tuple(range(m)),
-    )
+    basis = FockBasis([boson(cutoff)] * modes)
+    params = {"modes": modes, "cutoff": cutoff}
+    return _quadratic_modes("sp2n_boson", params, basis, truncated_modes=tuple(range(modes)))
 
 
 def _so2n_fermion(modes=2):
     """Quadratic fermionic algebra on 2^N states: hoppings, pairings, and
     half-shifted number operators, N(2N-1) generators; all grades even."""
-    m = int(modes)
-    basis = FockBasis([fermion()] * m)
-    low = [ladder_ops(basis, i)[0] for i in range(m)]
-    raise_ = [op.dagger() for op in low]
-    two_d = 2 * basis.occ - 1
-    gens = [diagonal_op(col / 2) for col in two_d.T]
-    labels = [f"D{i}" for i in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                gens.append(SparseOperator(raise_[i].mat @ low[j].mat))
-                labels.append(f"h{i}{j}")
-    pair_raisers = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            op = SparseOperator(raise_[i].mat @ raise_[j].mat)
-            pair_raisers[(i, j)] = op
-            gens.append(op)
-            labels.append(f"p{i}{j}+")
-    for i in range(m):
-        for j in range(i + 1, m):
-            gens.append(pair_raisers[(i, j)].dagger())  # = c_j c_i, sign included
-            labels.append(f"p{i}{j}-")
-
-    root_pairs = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            root_pairs.append(
-                RootPair(labels.index(f"h{i}{j}"), labels.index(f"h{j}{i}"), _root_of(m, [i], [j]))
-            )
-            root_pairs.append(
-                RootPair(labels.index(f"p{i}{j}+"), labels.index(f"p{i}{j}-"), _root_of(m, [i, j], []))
-            )
-    annihilators = [labels.index(l) for l in labels if l.startswith("h")]
-    annihilators += [labels.index(l) for l in labels if l.endswith("-") and l.startswith("p")]
-    return AlgebraModel(
-        name="so2n_fermion",
-        params={"modes": m},
-        basis=basis,
-        labels=labels,
-        generators=gens,
-        cartan=list(range(m)),
-        root_pairs=root_pairs,
-        cartan_units=(1.0,) * m,
-        cartan_weights=(two_d, 2),
-        annihilators=annihilators,
-        casimirs={},
-    )
+    return _quadratic_modes("so2n_fermion", {"modes": modes}, FockBasis([fermion()] * modes))
 
 
 def _jc_super(cutoff=10):
     """Excitation-conserving boson-fermion superalgebra: two even number
     operators and an odd raising/lowering pair."""
-    basis = FockBasis([boson(int(cutoff)), fermion()])
-    a, adag = ladder_ops(basis, 0)
-    c, cdag = ladder_ops(basis, 1)
-    nb = number_op(basis, 0)
-    nf = number_op(basis, 1)
+    basis = FockBasis([boson(cutoff), fermion()])
+    adag = ladder_ops(basis, 0)[1]
+    c = ladder_ops(basis, 1)[0]
     r = SparseOperator(adag.mat @ c.mat, grade=ODD)
-    rd = r.dagger()
-    ntot = diagonal_op((basis.occupations_of_mode(0) + basis.occupations_of_mode(1)).astype(float))
-    return AlgebraModel(
-        name="jc_super",
-        params={"cutoff": int(cutoff)},
-        basis=basis,
-        labels=["n_b", "n_f", "bf+", "bf-"],
-        generators=[nb, nf, r, rd],
-        cartan=[0, 1],
-        root_pairs=[RootPair(2, 3, (_frac(1), _frac(-1)))],
-        cartan_units=(1.0, 1.0),
-        cartan_weights=(basis.occ, 1),
-        annihilators=[2],
+    ntot = diagonal_op(basis.occ.sum(axis=1).astype(float))
+    return _model(
+        "jc_super",
+        {"cutoff": cutoff},
+        basis,
+        (basis.occ, 1),
+        {"n_b": None, "n_f": None, "bf+": r, "bf-": r.dagger()},
+        pairs=[("bf+", "bf-")],
+        annihilators=["bf+"],
         casimirs={"excitations": ntot},
         truncated_modes=(0,),
     )
 
+
+# the catalog parameters read by `_whole`; k and S may be fractions
+_WHOLE_PARAMS = ("N", "L", "cutoff", "modes")
 
 CATALOG = {
     "e2": _e2,
@@ -872,6 +775,7 @@ def build_algebra(name, **params) -> AlgebraModel:
         raise ValueError(
             f"unknown algebra {name!r}; available: {', '.join(sorted(CATALOG))}"
         ) from None
+    params = {key: _whole(value, key) if key in _WHOLE_PARAMS else value for key, value in params.items()}
     return builder(**params)
 
 

@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln, jv, xlogy
 
+from .algebra import DEFAULT_BOUNDARY_WINDOW, build_algebra, find_reference_states
 from .dynamics import evolve
 from .errors import ConfigError, NumericContractError, TruncationLeakageWarning
 from .fock import FockBasis, boson
@@ -51,12 +52,13 @@ class CoherentParams:
 # ---------------------------------------------------------------------------
 
 
-def displace(model, root_label, beta, state, leak_tol=LEAK_TOL, window=2) -> np.ndarray:
+def displace(model, root_label, beta, state) -> np.ndarray:
     """Apply the displacement of one root pair to a normalized state.
 
     `root_label` is the label of either member of the pair. Emits a
-    TruncationLeakageWarning when the result puts more than `leak_tol`
-    population within `window` states of a truncated basis boundary. A pair
+    TruncationLeakageWarning when the result puts more than LEAK_TOL
+    population outside the model's interior, that is within
+    DEFAULT_BOUNDARY_WINDOW states of a truncated basis boundary. A pair
     that is not mutually adjoint fails evolve's Hermiticity check.
     """
     labels = model.labels
@@ -66,12 +68,12 @@ def displace(model, root_label, beta, state, leak_tol=LEAK_TOL, window=2) -> np.
     beta = complex(beta)
     gen = beta * model.generators[pair.raising].mat - np.conj(beta) * model.generators[pair.lowering].mat
     out = evolve(SparseOperator(1j * gen), state, [1.0], method="krylov").snapshots[0]
-    boundary = ~model.interior(window)
+    boundary = ~model.interior()
     leak = float(np.sum(np.abs(out[boundary]) ** 2)) if boundary.any() else 0.0
-    if leak > leak_tol:
+    if leak > LEAK_TOL:
         warnings.warn(
             f"displacement leaked {leak:.3e} population into the outermost "
-            f"{window} truncated levels",
+            f"{DEFAULT_BOUNDARY_WINDOW} truncated levels",
             TruncationLeakageWarning,
         )
     return out
@@ -155,8 +157,6 @@ def squeezed_vacuum_state(xi, cutoff, k=Fraction(1, 4)) -> np.ndarray:
         out[n_even] = amp / np.sqrt(np.cosh(r))
         return out
     if k == Fraction(3, 4):
-        from .algebra import build_algebra
-
         model = build_algebra("su11_single", k=k, cutoff=cutoff)
         one = np.zeros(cutoff + 1, dtype=complex)
         one[1] = 1.0
@@ -223,8 +223,6 @@ def closed_form_state(params: CoherentParams, basis: FockBasis = None) -> np.nda
     if params.kind == "glauber":
         return glauber_state(f["alpha"], f["cutoff"])
     if params.kind == "displaced":
-        from .algebra import build_algebra
-
         return displaced_state(build_algebra(f["algebra"], **f.get("params", {})), f)
     raise ValueError(f"unknown coherent kind {params.kind!r}")
 
@@ -235,8 +233,6 @@ def displaced_state(model, fields) -> np.ndarray:
     reference state `find_reference_states` gives is displaced."""
     refs = fields.get("reference")
     if refs is None:
-        from .algebra import find_reference_states
-
         candidates = find_reference_states(model)
         if not candidates:
             raise ValueError(f"{model.name} has no reference state to displace")

@@ -193,11 +193,6 @@ def identity(dim_or_basis) -> SparseOperator:
     return SparseOperator(sparse.identity(dim, dtype=complex, format="csr"))
 
 
-def zero(dim_or_basis) -> SparseOperator:
-    dim = dim_or_basis.dim if isinstance(dim_or_basis, FockBasis) else int(dim_or_basis)
-    return SparseOperator(sparse.csr_matrix((dim, dim), dtype=complex))
-
-
 def diagonal_op(values) -> SparseOperator:
     values = np.asarray(values, dtype=complex)
     return SparseOperator(sparse.diags(values, format="csr"))

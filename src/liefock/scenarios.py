@@ -646,14 +646,15 @@ def _finalize(config, out_dir, pending, started):
 # ---------------------------------------------------------------------------
 
 
-def closure_gallery_report(cap=64):
+def closure_gallery_report():
     """The standard closure survey: ladder triple, spin, three-mode, quadratic
     bosonic/fermionic and boson-fermion algebras close; the driven-two-level
-    and squared-spin seeds exceed the cap."""
+    and squared-spin seeds exceed the cap of 64."""
+    cap = 64
     rows = []
 
-    def run(name, seed, labels, interior, cap_=cap):
-        rep = lie_closure(seed, cap=cap_, interior=interior, labels=labels)
+    def run(name, seed, labels, interior):
+        rep = lie_closure(seed, cap=cap, interior=interior, labels=labels)
         rows.append(
             {
                 "name": name,

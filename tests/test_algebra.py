@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from liefock import (
     verify_casimir,
     verify_model,
 )
-from liefock.algebra import CATALOG, CLOSURE_TOL
+from liefock.algebra import CATALOG, CLOSURE_TOL, _root
 from liefock.errors import DegenerateGeneratorsError
 from liefock.operators import EVEN, ODD, linear_combination
 
@@ -167,9 +168,59 @@ CATALOG_CASES = [(name, {}) for name in CATALOG] + [
 ]
 
 
+# (raising, lowering, root) of every root pair, in root-pair order, written
+# out by hand; sp2n_boson and so2n_fermion at 2 and at 3 modes
+CATALOG_ROOTS = {
+    "e2": [("E+", "E-", ("1",))],
+    "hw": [("adag", "a", ("1",))],
+    "su2_spin": [("S+", "S-", ("1",))],
+    "su2_schwinger": [("S+", "S-", ("1",))],
+    "su3_schwinger": [("I+", "I-", ("1", "0")), ("U+", "U-", ("-1/2", "3/2")), ("V+", "V-", ("1/2", "3/2"))],
+    "so5_quoted": [
+        ("Sa+", "Sa-", ("1", "0")),
+        ("Sb+", "Sb-", ("0", "1")),
+        ("Sab+", "Sab-", ("1/2", "1/2")),
+        ("Sba+", "Sba-", ("-1/2", "-1/2")),
+    ],
+    "su11_single": [("K+", "K-", ("1",))],
+    "su11_intensity": [("K+", "K-", ("1",))],
+    "su11_twomode": [("K+", "K-", ("1",))],
+    ("sp2n_boson", 2): [
+        ("h01", "h10", ("1", "-1")),
+        ("p00+", "p00-", ("2", "0")),
+        ("p01+", "p01-", ("1", "1")),
+        ("p11+", "p11-", ("0", "2")),
+    ],
+    ("sp2n_boson", 3): [
+        ("h01", "h10", ("1", "-1", "0")),
+        ("h02", "h20", ("1", "0", "-1")),
+        ("h12", "h21", ("0", "1", "-1")),
+        ("p00+", "p00-", ("2", "0", "0")),
+        ("p01+", "p01-", ("1", "1", "0")),
+        ("p02+", "p02-", ("1", "0", "1")),
+        ("p11+", "p11-", ("0", "2", "0")),
+        ("p12+", "p12-", ("0", "1", "1")),
+        ("p22+", "p22-", ("0", "0", "2")),
+    ],
+    ("so2n_fermion", 2): [("h01", "h10", ("1", "-1")), ("p01+", "p01-", ("1", "1"))],
+    ("so2n_fermion", 3): [
+        ("h01", "h10", ("1", "-1", "0")),
+        ("p01+", "p01-", ("1", "1", "0")),
+        ("h02", "h20", ("1", "0", "-1")),
+        ("p02+", "p02-", ("1", "0", "1")),
+        ("h12", "h21", ("0", "1", "-1")),
+        ("p12+", "p12-", ("0", "1", "1")),
+    ],
+    "jc_super": [("bf+", "bf-", ("1", "-1"))],
+}
+
+
 @pytest.mark.parametrize("name,params", CATALOG_CASES)
 def test_cartan_weights_agree_with_generators_and_roots(name, params):
     model = build_algebra(name, **params)
+    key = (name, params.get("modes", 2)) if name in ("sp2n_boson", "so2n_fermion") else name
+    roots = [(model.labels[rp.raising], model.labels[rp.lowering], rp.root) for rp in model.root_pairs]
+    assert roots == [(up, down, tuple(map(Fraction, root))) for up, down, root in CATALOG_ROOTS[key]]
     num, den = model.cartan_weights
     assert num.shape == (model.basis.dim, len(model.cartan)) and num.dtype == np.int64
     # the exact weights times the unit are the Cartan generators' diagonals
@@ -401,6 +452,49 @@ def test_unknown_algebra_and_bad_k():
         build_algebra("so7")
     with pytest.raises(ValueError, match="k must be"):
         build_algebra("su11_single", k=Fraction(1, 2), cutoff=10)
+
+
+@pytest.mark.parametrize("name,params,label", [("su11_single", {"cutoff": 1}, "K+"), ("sp2n_boson", {"cutoff": 1}, "p00+")])
+def test_raising_generator_without_entries_is_refused(name, params, label):
+    # K+ = (a^dag)^2 / 2 and p00+ vanish on a mode of capacity 1: no root there
+    with pytest.raises(ValueError, match=re.escape(f"raising generator {label} has no entries")):
+        build_algebra(name, **params)
+
+
+def test_root_is_refused_when_entries_make_different_steps():
+    # |0> -> |1> moves the weight by 1, |1> -> |3> by 2: no single root
+    num = np.array([[0], [1], [2], [3]])
+    op = SparseOperator(np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]]))
+    with pytest.raises(ValueError, match="X does not move every state by one root"):
+        _root(op, num, 2, "X")
+    assert _root(SparseOperator(np.eye(4, k=-1)), num, 2, "X") == (Fraction(1, 2),)
+
+
+@pytest.mark.parametrize("value", [30, 30.0, "30", Fraction(30), np.int64(30)])
+def test_whole_number_parameters_read_whole_values(value):
+    model = build_algebra("hw", cutoff=value)
+    assert model.params == {"cutoff": 30} and type(model.params["cutoff"]) is int
+    assert model.basis.dim == 31
+
+
+@pytest.mark.parametrize(
+    "name,key,value",
+    [
+        ("su3_schwinger", "N", 2.5),
+        ("su3_schwinger", "N", Fraction(7, 2)),
+        ("su3_schwinger", "N", "7/2"),
+        ("su3_schwinger", "N", True),
+        ("hw", "cutoff", 6.9),
+        ("e2", "L", "21.5"),
+        ("so2n_fermion", "modes", False),
+        ("sp2n_boson", "modes", "two"),
+        ("jc_super", "cutoff", float("nan")),
+        ("su11_twomode", "cutoff", None),
+    ],
+)
+def test_whole_number_parameters_refuse_fractions_and_bools(name, key, value):
+    with pytest.raises(ValueError, match=f"algebra parameter {key} must be a whole number"):
+        build_algebra(name, **{key: value})
 
 
 VERIFY_CASES = [

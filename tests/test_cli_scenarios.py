@@ -207,6 +207,50 @@ def test_cli_algebra_bad_params_exit_code(capsys):
     assert main(["algebra", "su11_single", "--params", '{"k": "1/2"}']) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "name,params,key",
+    [
+        ("su3_schwinger", '{"N": 2.5}', "N"),
+        ("su3_schwinger", '{"N": "7/2"}', "N"),
+        ("su3_schwinger", '{"N": true}', "N"),
+        ("hw", '{"cutoff": 6.9}', "cutoff"),
+        ("sp2n_boson", '{"modes": "3/2"}', "modes"),
+        ("e2", '{"L": "x"}', "L"),
+    ],
+)
+def test_cli_algebra_refuses_whole_number_parameters_that_are_not_whole(capsys, name, params, key):
+    assert main(["algebra", name, "--params", params]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert not captured.out and f"algebra parameter {key} must be a whole number" in captured.err
+
+
+@pytest.mark.parametrize("name,params", [("su11_single", '{"cutoff": 1}'), ("sp2n_boson", '{"cutoff": 1}')])
+def test_cli_algebra_refuses_a_raising_generator_without_entries(capsys, name, params):
+    assert main(["algebra", name, "--params", params]) == EXIT_CONFIG
+    assert "has no entries on this basis" in capsys.readouterr().err
+
+
+def test_cli_algebra_reads_whole_numbers_written_as_float_or_string(capsys):
+    outputs = []
+    for value in ("30", "30.0", '"30"'):
+        assert main(["algebra", "su3_schwinger", "--params", '{"N": %s}' % value]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2] and json.loads(outputs[0])["basis_dim"] == 496
+
+
+@pytest.mark.parametrize("value,code", [(2.5, EXIT_CONFIG), ("7/2", EXIT_CONFIG), (4.0, EXIT_OK), ("4", EXIT_OK)])
+def test_cli_lattice_reads_algebra_parameters_as_whole_numbers(tmp_path, capsys, value, code):
+    spec = {"algebra": {"name": "su3_schwinger", "params": {"N": value}}, "terms": [{"label": "I+", "coeff": 1.0}, {"label": "I-", "coeff": 1.0}]}
+    ham = tmp_path / "sys.json"
+    ham.write_text(json.dumps(spec))
+    assert main(["lattice", "--ham", str(ham)]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_CONFIG:
+        assert "algebra parameter N must be a whole number" in captured.err
+    else:
+        assert len(json.loads(captured.out)["vertices"]) == 15
+
+
 def test_cli_closure_gallery_members(capsys):
     assert main(["closure", "lmg", "--cap", "32"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)

@@ -44,6 +44,11 @@ different order.
 The level-at-a-time JSON writer `json_text` is checked against
 `json.dumps(payload, indent=1, sort_keys=True) + "\n"` on generated
 payloads: equal text, or the same exception type.
+
+The catalog builders, which now state only their exact weights and
+off-diagonal generators and derive the Cartan diagonals and the roots, are
+checked against the builders that stated both by hand (`oracle_catalog`):
+every model field equal bit for bit, signed zeros included.
 """
 
 import functools
@@ -67,7 +72,7 @@ from scipy.special import gammaln, jv
 from liefock import FockBasis, boson, dynamics, fermion, spin
 from liefock.fock import BOSON, FERMION
 from liefock.dynamics import KRYLOV_DIM, KRYLOV_TOL, STEP_GRID_RATIO, _krylov_basis, _krylov_step, evolve
-from liefock.algebra import build_algebra
+from liefock.algebra import AlgebraModel, RootPair, build_algebra
 from liefock.coherent import (
     HusimiGrid,
     displace,
@@ -95,11 +100,15 @@ from liefock.operators import (
     EVEN,
     ODD,
     SparseOperator,
+    diagonal_op,
+    identity,
     ladder_ops,
     linear_combination,
+    number_op,
     transfer_op,
     within_hermitian_bound,
 )
+from test_algebra import CATALOG_CASES
 from liefock.output import float_rows, grid_csv_bytes, json_text
 from liefock.scenarios import (
     _site_populations,
@@ -1842,3 +1851,502 @@ def test_json_text_writes_shared_containers_and_refuses_cycles():
     record["a"][0]["b"] = record
     for cyclic in (loop, record, [[1], record]):
         assert written(json_text, cyclic) is written(oracle_json_text, cyclic) is ValueError
+
+
+# ---------------------------------------------------------------------------
+# the hand-stated catalog builders
+# ---------------------------------------------------------------------------
+#
+# The catalog builders as they were before the Cartan generators and the
+# roots were derived from the exact weights: each states its Cartan
+# diagonals, its Fraction roots and every model field by hand.
+
+
+def oracle_frac(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def oracle_root_of(modes, create, destroy):
+    """Root of a quadratic mode operator: +1 per created mode, -1 per
+    destroyed mode."""
+    r = [Fraction(0)] * modes
+    for c in create:
+        r[c] += 1
+    for d in destroy:
+        r[d] -= 1
+    return tuple(r)
+
+
+def oracle_e2(L=21):
+    """Shift algebra of a finite chain: position operator plus unit shifts.
+
+    The chain truncates an infinite lattice at both ends, so identity checks
+    exclude a window at both boundaries.
+    """
+    L = int(L)
+    if L < 5:
+        raise ValueError("chain length must be at least 5")
+    basis = FockBasis([boson(L - 1)])
+    offset = (L - 1) // 2
+    sites = np.arange(L) - offset
+    e0 = diagonal_op(sites.astype(float))
+    rows = np.arange(1, L)
+    cols = np.arange(0, L - 1)
+    ep = SparseOperator(
+        sparse.csr_matrix((np.ones(L - 1, dtype=complex), (rows, cols)), shape=(L, L))
+    )
+    em = ep.dagger()
+    casimir = SparseOperator(ep.mat @ em.mat)
+    return AlgebraModel(
+        name="e2",
+        params={"L": L},
+        basis=basis,
+        labels=["E0", "E+", "E-"],
+        generators=[e0, ep, em],
+        cartan=[0],
+        root_pairs=[RootPair(1, 2, (oracle_frac(1),))],
+        cartan_units=(1.0,),
+        cartan_weights=(sites[:, None], 1),
+        annihilators=[1],
+        casimirs={"shift_product": casimir},
+        truncated_modes=(),
+        two_sided_modes=(0,),
+    )
+
+
+def oracle_hw(cutoff=20):
+    """Single bosonic mode: ladder pair, number operator, identity."""
+    basis = FockBasis([boson(int(cutoff))])
+    a, adag = ladder_ops(basis, 0)
+    n = number_op(basis, 0)
+    one = identity(basis)
+    return AlgebraModel(
+        name="hw",
+        params={"cutoff": int(cutoff)},
+        basis=basis,
+        labels=["a", "adag", "n", "I"],
+        generators=[a, adag, n, one],
+        cartan=[2],
+        root_pairs=[RootPair(1, 0, (oracle_frac(1),))],
+        cartan_units=(1.0,),
+        cartan_weights=(basis.occ, 1),
+        annihilators=[0],
+        casimirs={"identity": one},
+        truncated_modes=(0,),
+    )
+
+
+def oracle_su2_spin(S=1):
+    """Spin-S angular momentum triple on a single spin mode."""
+    spec = spin(S)
+    basis = FockBasis([spec])
+    sm, sp_ = ladder_ops(basis, 0)
+    s = spec.spin_s
+    two_m = 2 * np.arange(spec.levels) - spec.capacity
+    sz = diagonal_op(two_m / 2)
+    s2 = SparseOperator(sz.mat @ sz.mat + 0.5 * (sp_.mat @ sm.mat + sm.mat @ sp_.mat))
+    return AlgebraModel(
+        name="su2_spin",
+        params={"S": s},
+        basis=basis,
+        labels=["Sz", "S+", "S-"],
+        generators=[sz, sp_, sm],
+        cartan=[0],
+        root_pairs=[RootPair(1, 2, (oracle_frac(1),))],
+        cartan_units=(1.0,),
+        cartan_weights=(two_m[:, None], 2),
+        annihilators=[1],
+        casimirs={"S2": s2},
+    )
+
+
+def oracle_su2_schwinger(N=4):
+    """Two-boson realization of the spin algebra on the fixed-N sector."""
+    N = int(N)
+    basis = FockBasis([boson(N), boson(N)], constraint=N)
+    na = basis.occupations_of_mode(0)
+    nb = basis.occupations_of_mode(1)
+    two_sz = na - nb
+    sz = diagonal_op(two_sz / 2)
+    sp_ = transfer_op(basis, 0, 1)
+    sm = sp_.dagger()
+    ntot = diagonal_op((na + nb).astype(float))
+    s2 = SparseOperator(sz.mat @ sz.mat + 0.5 * (sp_.mat @ sm.mat + sm.mat @ sp_.mat))
+    return AlgebraModel(
+        name="su2_schwinger",
+        params={"N": N},
+        basis=basis,
+        labels=["Sz", "S+", "S-"],
+        generators=[sz, sp_, sm],
+        cartan=[0],
+        root_pairs=[RootPair(1, 2, (oracle_frac(1),))],
+        cartan_units=(1.0,),
+        cartan_weights=(two_sz[:, None], 2),
+        annihilators=[1],
+        casimirs={"total_number": ntot, "S2": s2},
+    )
+
+
+def oracle_su3_schwinger(N=3):
+    """Three-boson realization with two diagonal generators and three
+    raising/lowering pairs; the fixed-N sector is a triangular lattice."""
+    N = int(N)
+    basis = FockBasis([boson(N)] * 3, constraint=N)
+    na = basis.occupations_of_mode(0)
+    nb = basis.occupations_of_mode(1)
+    nc = basis.occupations_of_mode(2)
+    two_h1 = na - nb
+    two_h2 = na + nb - 2 * nc
+    h1 = diagonal_op(two_h1 / 2)
+    h2 = diagonal_op(two_h2 / 2 / np.sqrt(3.0))
+    ip = transfer_op(basis, 0, 1)
+    up = transfer_op(basis, 1, 2)
+    vp = transfer_op(basis, 0, 2)
+    gens = [h1, h2, ip, ip.dagger(), up, up.dagger(), vp, vp.dagger()]
+    labels = ["H1", "H2", "I+", "I-", "U+", "U-", "V+", "V-"]
+    ntot = diagonal_op((na + nb + nc).astype(float))
+    pairs = ((ip, ip.dagger()), (up, up.dagger()), (vp, vp.dagger()))
+    acc = sum(0.5 * (raising.mat @ lowering.mat + lowering.mat @ raising.mat) for raising, lowering in pairs)
+    h2s = h2.mat @ h2.mat
+    quad = SparseOperator(h1.mat @ h1.mat + h2s + acc)
+    return AlgebraModel(
+        name="su3_schwinger",
+        params={"N": N},
+        basis=basis,
+        labels=labels,
+        generators=gens,
+        cartan=[0, 1],
+        root_pairs=[
+            RootPair(2, 3, (oracle_frac(1), oracle_frac(0))),
+            RootPair(4, 5, (Fraction(-1, 2), Fraction(3, 2))),
+            RootPair(6, 7, (Fraction(1, 2), Fraction(3, 2))),
+        ],
+        cartan_units=(1.0, 1.0 / np.sqrt(3.0)),
+        cartan_weights=(np.stack([two_h1, two_h2], axis=1), 2),
+        annihilators=[2, 4, 6],
+        casimirs={"total_number": ntot, "quadratic": quad},
+    )
+
+
+def oracle_so5_quoted(N=2):
+    """Four-boson, fixed-N representation with the commonly quoted ten-element
+    generator list (two diagonal, four raising/lowering pairs). The quoted
+    set is not closed under commutation; closure and site-count diagnostics
+    report whatever they find."""
+    N = int(N)
+    basis = FockBasis([boson(N)] * 4, constraint=N)
+    n_au = basis.occupations_of_mode(0)
+    n_ad = basis.occupations_of_mode(1)
+    n_bu = basis.occupations_of_mode(2)
+    n_bd = basis.occupations_of_mode(3)
+    two_h1 = n_au - n_ad
+    two_h2 = n_bu - n_bd
+    h1 = diagonal_op(two_h1 / 2)
+    h2 = diagonal_op(two_h2 / 2)
+    sa = transfer_op(basis, 0, 1)   # a-spin flip up
+    sb = transfer_op(basis, 2, 3)   # b-spin flip up
+    sab = transfer_op(basis, 0, 3)  # cross flip along (1/2, 1/2)
+    sba = transfer_op(basis, 1, 2)  # cross flip along (-1/2, -1/2)
+    gens = [h1, h2, sa, sa.dagger(), sb, sb.dagger(), sab, sab.dagger(), sba, sba.dagger()]
+    labels = ["H1", "H2", "Sa+", "Sa-", "Sb+", "Sb-", "Sab+", "Sab-", "Sba+", "Sba-"]
+    ntot = diagonal_op((n_au + n_ad + n_bu + n_bd).astype(float))
+    return AlgebraModel(
+        name="so5_quoted",
+        params={"N": N},
+        basis=basis,
+        labels=labels,
+        generators=gens,
+        cartan=[0, 1],
+        root_pairs=[
+            RootPair(2, 3, (oracle_frac(1), oracle_frac(0))),
+            RootPair(4, 5, (oracle_frac(0), oracle_frac(1))),
+            RootPair(6, 7, (Fraction(1, 2), Fraction(1, 2))),
+            RootPair(8, 9, (Fraction(-1, 2), Fraction(-1, 2))),
+        ],
+        cartan_units=(1.0, 1.0),
+        cartan_weights=(np.stack([two_h1, two_h2], axis=1), 2),
+        annihilators=[2, 4, 6, 8],
+        casimirs={"total_number": ntot},
+    )
+
+
+def oracle_su11_chain(k0_diag, k0_weights, kp: SparseOperator, name, params, basis, truncated):
+    km = kp.dagger()
+    k1 = SparseOperator(0.5 * (kp.mat + km.mat))
+    k2 = SparseOperator((kp.mat - km.mat) / 2j)
+    casimir = SparseOperator(k0_diag.mat @ k0_diag.mat - k1.mat @ k1.mat - k2.mat @ k2.mat)
+    return AlgebraModel(
+        name=name,
+        params=params,
+        basis=basis,
+        labels=["K0", "K+", "K-"],
+        generators=[k0_diag, kp, km],
+        cartan=[0],
+        root_pairs=[RootPair(1, 2, (oracle_frac(1),))],
+        cartan_units=(1.0,),
+        cartan_weights=k0_weights,
+        annihilators=[2],
+        casimirs={"hyperbolic": casimir},
+        truncated_modes=truncated,
+    )
+
+
+def oracle_su11_single(k=Fraction(1, 4), cutoff=40):
+    """Squeezing representation on a single mode: K+ = (a^dag)^2 / 2.
+
+    k = 1/4 works on the even chain (reference |0>), k = 3/4 on the odd
+    chain (reference |1>); the operators themselves live on the full basis.
+    """
+    k = oracle_frac(k)
+    if k not in (Fraction(1, 4), Fraction(3, 4)):
+        raise ValueError("k must be 1/4 or 3/4 for the single-mode representation")
+    basis = FockBasis([boson(int(cutoff))])
+    a, adag = ladder_ops(basis, 0)
+    n = np.arange(basis.dim)
+    four_k0 = 2 * n + 1
+    k0 = diagonal_op(four_k0 / 4)
+    kp = SparseOperator(adag.mat @ adag.mat * 0.5)
+    return oracle_su11_chain(
+        k0, (four_k0[:, None], 4), kp, "su11_single", {"k": k, "cutoff": int(cutoff)}, basis, (0,)
+    )
+
+
+def oracle_su11_intensity(cutoff=40):
+    """Intensity-dependent representation: K+ |n> = (n+1) |n+1>, k = 1/2."""
+    basis = FockBasis([boson(int(cutoff))])
+    n = np.arange(basis.dim)
+    vals = (n[:-1] + 1).astype(complex)
+    kp = SparseOperator(
+        sparse.csr_matrix((vals, (n[1:], n[:-1])), shape=(basis.dim, basis.dim))
+    )
+    two_k0 = 2 * n + 1
+    k0 = diagonal_op(two_k0 / 2)
+    return oracle_su11_chain(
+        k0, (two_k0[:, None], 2), kp, "su11_intensity", {"k": Fraction(1, 2), "cutoff": int(cutoff)}, basis, (0,)
+    )
+
+
+def oracle_su11_twomode(cutoff=20):
+    """Two-mode squeezing representation: K+ = a^dag b^dag."""
+    basis = FockBasis([boson(int(cutoff))] * 2)
+    a, adag = ladder_ops(basis, 0)
+    b, bdag = ladder_ops(basis, 1)
+    kp = SparseOperator(adag.mat @ bdag.mat)
+    na = basis.occupations_of_mode(0)
+    nb = basis.occupations_of_mode(1)
+    two_k0 = na + nb + 1
+    k0 = diagonal_op(two_k0 / 2)
+    model = oracle_su11_chain(
+        k0, (two_k0[:, None], 2), kp, "su11_twomode", {"cutoff": int(cutoff)}, basis, (0, 1)
+    )
+    imbalance = diagonal_op((na - nb).astype(float))
+    model.casimirs["imbalance"] = imbalance
+    return model
+
+
+def oracle_sp2n_boson(modes=2, cutoff=6):
+    """Quadratic bosonic algebra: hoppings, pair creators/annihilators, and
+    half-shifted number operators, N(2N+1) generators in total."""
+    m = int(modes)
+    basis = FockBasis([boson(int(cutoff))] * m)
+    low = [ladder_ops(basis, i)[0] for i in range(m)]
+    raise_ = [op.dagger() for op in low]
+    two_d = 2 * basis.occ + 1
+    gens = [diagonal_op(col / 2) for col in two_d.T]
+    labels = [f"D{i}" for i in range(m)]
+    root_pairs = []
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            gens.append(SparseOperator(raise_[i].mat @ low[j].mat))
+            labels.append(f"h{i}{j}")
+    for i in range(m):
+        for j in range(i, m):
+            gens.append(SparseOperator(raise_[i].mat @ raise_[j].mat))
+            labels.append(f"p{i}{j}+")
+    for i in range(m):
+        for j in range(i, m):
+            gens.append(SparseOperator(low[i].mat @ low[j].mat))
+            labels.append(f"p{i}{j}-")
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            root_pairs.append(
+                RootPair(labels.index(f"h{i}{j}"), labels.index(f"h{j}{i}"), oracle_root_of(m, [i], [j]))
+            )
+    for i in range(m):
+        for j in range(i, m):
+            root_pairs.append(
+                RootPair(labels.index(f"p{i}{j}+"), labels.index(f"p{i}{j}-"), oracle_root_of(m, [i, j], []))
+            )
+    annihilators = [labels.index(l) for l in labels if l.startswith("h")]
+    annihilators += [labels.index(l) for l in labels if l.endswith("-") and l.startswith("p")]
+    return AlgebraModel(
+        name="sp2n_boson",
+        params={"modes": m, "cutoff": int(cutoff)},
+        basis=basis,
+        labels=labels,
+        generators=gens,
+        cartan=list(range(m)),
+        root_pairs=root_pairs,
+        cartan_units=(1.0,) * m,
+        cartan_weights=(two_d, 2),
+        annihilators=annihilators,
+        casimirs={},
+        truncated_modes=tuple(range(m)),
+    )
+
+
+def oracle_so2n_fermion(modes=2):
+    """Quadratic fermionic algebra on 2^N states: hoppings, pairings, and
+    half-shifted number operators, N(2N-1) generators; all grades even."""
+    m = int(modes)
+    basis = FockBasis([fermion()] * m)
+    low = [ladder_ops(basis, i)[0] for i in range(m)]
+    raise_ = [op.dagger() for op in low]
+    two_d = 2 * basis.occ - 1
+    gens = [diagonal_op(col / 2) for col in two_d.T]
+    labels = [f"D{i}" for i in range(m)]
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                gens.append(SparseOperator(raise_[i].mat @ low[j].mat))
+                labels.append(f"h{i}{j}")
+    pair_raisers = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            op = SparseOperator(raise_[i].mat @ raise_[j].mat)
+            pair_raisers[(i, j)] = op
+            gens.append(op)
+            labels.append(f"p{i}{j}+")
+    for i in range(m):
+        for j in range(i + 1, m):
+            gens.append(pair_raisers[(i, j)].dagger())  # = c_j c_i, sign included
+            labels.append(f"p{i}{j}-")
+
+    root_pairs = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            root_pairs.append(
+                RootPair(labels.index(f"h{i}{j}"), labels.index(f"h{j}{i}"), oracle_root_of(m, [i], [j]))
+            )
+            root_pairs.append(
+                RootPair(labels.index(f"p{i}{j}+"), labels.index(f"p{i}{j}-"), oracle_root_of(m, [i, j], []))
+            )
+    annihilators = [labels.index(l) for l in labels if l.startswith("h")]
+    annihilators += [labels.index(l) for l in labels if l.endswith("-") and l.startswith("p")]
+    return AlgebraModel(
+        name="so2n_fermion",
+        params={"modes": m},
+        basis=basis,
+        labels=labels,
+        generators=gens,
+        cartan=list(range(m)),
+        root_pairs=root_pairs,
+        cartan_units=(1.0,) * m,
+        cartan_weights=(two_d, 2),
+        annihilators=annihilators,
+        casimirs={},
+    )
+
+
+def oracle_jc_super(cutoff=10):
+    """Excitation-conserving boson-fermion superalgebra: two even number
+    operators and an odd raising/lowering pair."""
+    basis = FockBasis([boson(int(cutoff)), fermion()])
+    a, adag = ladder_ops(basis, 0)
+    c, cdag = ladder_ops(basis, 1)
+    nb = number_op(basis, 0)
+    nf = number_op(basis, 1)
+    r = SparseOperator(adag.mat @ c.mat, grade=ODD)
+    rd = r.dagger()
+    ntot = diagonal_op((basis.occupations_of_mode(0) + basis.occupations_of_mode(1)).astype(float))
+    return AlgebraModel(
+        name="jc_super",
+        params={"cutoff": int(cutoff)},
+        basis=basis,
+        labels=["n_b", "n_f", "bf+", "bf-"],
+        generators=[nb, nf, r, rd],
+        cartan=[0, 1],
+        root_pairs=[RootPair(2, 3, (oracle_frac(1), oracle_frac(-1)))],
+        cartan_units=(1.0, 1.0),
+        cartan_weights=(basis.occ, 1),
+        annihilators=[2],
+        casimirs={"excitations": ntot},
+        truncated_modes=(0,),
+    )
+
+
+oracle_catalog = {
+    "e2": oracle_e2,
+    "hw": oracle_hw,
+    "su2_spin": oracle_su2_spin,
+    "su2_schwinger": oracle_su2_schwinger,
+    "su3_schwinger": oracle_su3_schwinger,
+    "so5_quoted": oracle_so5_quoted,
+    "su11_single": oracle_su11_single,
+    "su11_intensity": oracle_su11_intensity,
+    "su11_twomode": oracle_su11_twomode,
+    "sp2n_boson": oracle_sp2n_boson,
+    "so2n_fermion": oracle_so2n_fermion,
+    "jc_super": oracle_jc_super,
+}
+
+
+def assert_same_operator_bytes(got, want, what):
+    assert got.grade == want.grade and got.mat.shape == want.mat.shape, what
+    for attr in ("data", "indices", "indptr"):
+        g, w = getattr(got.mat, attr), getattr(want.mat, attr)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (what, attr)
+
+
+def assert_same_model(got, want):
+    """Every field of two algebra models equal bit for bit: operator bytes
+    (signed zeros included), grades, roots as Fractions, unit bits."""
+    assert (got.name, got.params, got.labels) == (want.name, want.params, want.labels)
+    assert [type(v) for v in got.params.values()] == [type(v) for v in want.params.values()]
+    assert got.basis.to_json() == want.basis.to_json()
+    assert np.array_equal(got.basis.occ, want.basis.occ)
+    assert len(got.generators) == len(want.generators)
+    for label, g, w in zip(got.labels, got.generators, want.generators):
+        assert_same_operator_bytes(g, w, label)
+    assert got.cartan == want.cartan
+    assert got.root_pairs == want.root_pairs
+    for rp in got.root_pairs:
+        assert all(type(r) is Fraction for r in rp.root)
+    assert [float(u).hex() for u in got.cartan_units] == [float(u).hex() for u in want.cartan_units]
+    assert [type(u) for u in got.cartan_units] == [type(u) for u in want.cartan_units]
+    (num, den), (want_num, want_den) = got.cartan_weights, want.cartan_weights
+    assert num.dtype == want_num.dtype and np.array_equal(num, want_num) and den == want_den
+    assert got.annihilators == want.annihilators
+    assert list(got.casimirs) == list(want.casimirs)
+    for label in got.casimirs:
+        assert_same_operator_bytes(got.casimirs[label], want.casimirs[label], label)
+    assert (got.truncated_modes, got.two_sided_modes) == (want.truncated_modes, want.two_sided_modes)
+
+
+ORACLE_CATALOG_CASES = CATALOG_CASES + [
+    ("e2", {"L": 5}),
+    ("hw", {"cutoff": 2}),
+    ("su2_spin", {"S": Fraction(1, 2)}),
+    ("su2_schwinger", {"N": 1}),
+    ("su3_schwinger", {"N": 1}),
+    ("su3_schwinger", {"N": 45}),
+    ("so5_quoted", {"N": 1}),
+    ("su11_single", {"cutoff": 2}),
+    ("su11_single", {"k": Fraction(3, 4), "cutoff": 2}),
+    ("su11_intensity", {"cutoff": 1}),
+    ("su11_twomode", {"cutoff": 1}),
+    ("sp2n_boson", {"modes": 1, "cutoff": 2}),
+    ("sp2n_boson", {"modes": 3, "cutoff": 2}),
+    ("so2n_fermion", {"modes": 1}),
+    ("so2n_fermion", {"modes": 4}),
+    ("jc_super", {"cutoff": 1}),
+]
+
+
+@pytest.mark.parametrize("name,params", ORACLE_CATALOG_CASES)
+def test_catalog_matches_hand_stated_builders(name, params):
+    assert_same_model(build_algebra(name, **params), oracle_catalog[name](**params))
+
