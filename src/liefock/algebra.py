@@ -33,8 +33,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from .errors import DegenerateGeneratorsError
-from .fock import FERMION, FockBasis, boson, fermion, spin
+from .errors import DegenerateGeneratorsError, configure
+from .fock import DEFAULT_BOUNDARY_WINDOW, FERMION, FockBasis, boson, fermion, spin
 from .lattice import WeightLattice, weight_coordinates
 from .operators import (
     ODD,
@@ -46,9 +46,6 @@ from .operators import (
     number_op,
     transfer_op,
 )
-
-DEFAULT_BOUNDARY_WINDOW = 2
-
 
 @dataclass(frozen=True)
 class RootPair:
@@ -85,11 +82,7 @@ class AlgebraModel:
 
     def interior(self) -> np.ndarray:
         """Mask of basis states DEFAULT_BOUNDARY_WINDOW or more from a truncation boundary."""
-        return self.basis.interior_mask(
-            window=DEFAULT_BOUNDARY_WINDOW,
-            truncated_modes=self.truncated_modes,
-            two_sided_modes=self.two_sided_modes,
-        )
+        return self.basis.interior_mask(self.truncated_modes, self.two_sided_modes)
 
     def cartan_ops(self):
         return [self.generators[i] for i in self.cartan]
@@ -419,19 +412,6 @@ def verify_model(model: AlgebraModel) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _whole(value, name) -> int:
-    """A whole-number catalog parameter (`_WHOLE_PARAMS`): an int, or a float,
-    Fraction or string such as "30" or "30.0" with a whole value. Bools and
-    fractions are refused, naming the parameter."""
-    try:
-        number = None if isinstance(value, bool) else Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        number = None
-    if number is None or number.denominator != 1:
-        raise ValueError(f"algebra parameter {name} must be a whole number, got {value!r}")
-    return int(number)
-
-
 def _root(op, num, den, label) -> tuple:
     """Root of a raising generator: the exact weight step along its stored
     entries, which must all make the same step."""
@@ -748,9 +728,6 @@ def _jc_super(cutoff=10):
     )
 
 
-# the catalog parameters read by `_whole`; k and S may be fractions
-_WHOLE_PARAMS = ("N", "L", "cutoff", "modes")
-
 CATALOG = {
     "e2": _e2,
     "hw": _hw,
@@ -768,15 +745,15 @@ CATALOG = {
 
 
 def build_algebra(name, **params) -> AlgebraModel:
-    """Instantiate a catalog algebra over its matching Fock basis."""
+    """Instantiate a catalog algebra over its matching Fock basis; `params`
+    are passed to its builder by `errors.configure`."""
     try:
         builder = CATALOG[name]
     except KeyError:
         raise ValueError(
             f"unknown algebra {name!r}; available: {', '.join(sorted(CATALOG))}"
         ) from None
-    params = {key: _whole(value, key) if key in _WHOLE_PARAMS else value for key, value in params.items()}
-    return builder(**params)
+    return configure(builder, params, "algebra")
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +772,7 @@ def rabi_seed(cutoff=12):
     rot = SparseOperator(a.mat @ sp_.mat + adag.mat @ sm.mat)
     counter = SparseOperator(a.mat @ sm.mat + adag.mat @ sp_.mat)
     n = number_op(basis, 0)
-    mask = basis.interior_mask(window=2, truncated_modes=(0,))
+    mask = basis.interior_mask(truncated_modes=(0,))
     return [n, sz, rot, counter], ["n", "sz", "g+", "g-"], mask
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,6 +20,9 @@ from .errors import (
     InfeasibleSectorError,
     NumericContractError,
     ResourceGuardError,
+    configure,
+    exact_number,
+    whole_number,
 )
 from .lattice import (
     connected_components,
@@ -60,7 +62,7 @@ def _load_params(text):
     # algebra parameters named k or S may be rationals written as strings
     for key, val in params.items():
         if isinstance(val, str) and "/" in val:
-            params[key] = Fraction(val)
+            params[key] = exact_number(val, f"--params {key}")
     return params
 
 
@@ -170,9 +172,10 @@ def _cmd_husimi(args):
 
 def _cmd_oracle(args):
     params = _load_params(args.params)
+    if "t" in params:
+        params["t"] = np.atleast_1d(np.asarray(params["t"]))
     if args.kind == "bloch":
-        t = np.atleast_1d(np.asarray(params.pop("t")))
-        sample = bloch(t=t, **params)
+        sample = configure(bloch, params, "oracle")
         payload = {
             "Omega": sample.omega,
             "t": list(sample.t),
@@ -185,8 +188,7 @@ def _cmd_oracle(args):
             "b_im": list(sample.b.imag),
         }
     elif args.kind == "squeezing":
-        t = np.atleast_1d(np.asarray(params.pop("t")))
-        sample = squeezing(t=t, **params)
+        sample = configure(squeezing, params, "oracle")
         payload = {
             "stable": sample.stable,
             "t": list(sample.t),
@@ -198,7 +200,7 @@ def _cmd_oracle(args):
         }
     elif args.kind == "so5":
         N = params.pop("N", None)
-        singles = so5_singles(**params)
+        singles = configure(so5_singles, params, "oracle")
         payload = {
             "closed_form": None if singles.closed_form is None else list(singles.closed_form),
             "quoted_matrix": list(singles.quoted_matrix),
@@ -213,9 +215,9 @@ def _cmd_oracle(args):
             else None,
         }
         if N is not None:
-            payload["manybody_generator_form"] = list(so5_manybody(singles.generator_form, int(N)))
-        revival = so5_revival(params["phi"], params.get("J1", 1.0))
-        payload["revival_time"] = revival
+            N = whole_number(N, "oracle parameter N")
+            payload["manybody_generator_form"] = list(so5_manybody(singles.generator_form, N))
+        payload["revival_time"] = so5_revival(params["phi"], params.get("J1", 1.0))
     elif args.kind in LADDER_KINDS:
         values = ladder_oracles(args.kind, **params)
         payload = {"kind": args.kind, "values": np.atleast_1d(values).tolist()}

@@ -4,7 +4,9 @@ uncertainty checks.
 A displacement exp(beta*E_raise - conj(beta)*E_lower) is the Lanczos
 `dynamics.evolve` of one state for unit time, with a leakage monitor for
 truncated bases. Closed-form expansions use log-space binomials so they stay
-stable at large spin / large cutoff.
+stable at large spin / large cutoff. The constructors take plain arguments;
+the `coherent` specs of scenarios and state files are read and dispatched by
+`scenarios.COHERENT_KINDS`.
 
 A Husimi chart is evaluated over its whole grid at once. On the sphere, the
 cylinder and the disk the coherent state at node (i, j) factorises as
@@ -18,7 +20,6 @@ time.
 from __future__ import annotations
 
 import functools
-import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,25 +27,13 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln, jv, xlogy
 
-from .algebra import DEFAULT_BOUNDARY_WINDOW, build_algebra, find_reference_states
+from .algebra import build_algebra, find_reference_states
 from .dynamics import evolve
-from .errors import ConfigError, NumericContractError, TruncationLeakageWarning
-from .fock import FockBasis, boson
+from .errors import ConfigError, NumericContractError, TruncationLeakageWarning, exact_number
+from .fock import DEFAULT_BOUNDARY_WINDOW, FockBasis
 from .operators import SparseOperator
 
 LEAK_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class CoherentParams:
-    """Tagged parameter bundle for closed-form coherent states.
-
-    kind: one of 'displaced', 'spin', 'squeezed', 'su3', 'euclidean',
-    'glauber'; `fields` carries the kind-specific entries.
-    """
-
-    kind: str
-    fields: dict
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +166,10 @@ def euclidean_coherent_state(beta, L, start=None) -> np.ndarray:
     return _coherent(*_bessel_radial(abs(beta), L, start), np.angle(beta))
 
 
-def su3_coherent_state(N, zeta, basis: FockBasis = None) -> np.ndarray:
-    """(zeta . adag)^N / sqrt(N!) |000> as multinomial amplitudes over the
-    fixed-N three-mode sector. `zeta` is normalized if it is not already."""
+def su3_coherent_state(N, zeta, basis: FockBasis) -> np.ndarray:
+    """(zeta . adag)^N / sqrt(N!) |000> as multinomial amplitudes over
+    `basis`, the fixed-N sector of three boson modes. `zeta` is normalized if
+    it is not already."""
     zeta = np.asarray(zeta, dtype=complex)
     if zeta.shape != (3,):
         raise ValueError("zeta must have three components")
@@ -187,8 +177,6 @@ def su3_coherent_state(N, zeta, basis: FockBasis = None) -> np.ndarray:
     if norm == 0:
         raise ValueError("zeta must be nonzero")
     zeta = zeta / norm
-    if basis is None:
-        basis = FockBasis([boson(N)] * 3, constraint=N)
     log_fact = gammaln(basis.occ + 1)
     log_mult = 0.5 * (gammaln(N + 1) - log_fact[:, 0] - log_fact[:, 1] - log_fact[:, 2])
     out = np.exp(log_mult) * np.prod(zeta**basis.occ, axis=1)
@@ -203,28 +191,6 @@ def su3_angles_to_zeta(theta1, theta2, phi1, phi2):
             np.exp(1j * phi2) * np.sin(theta1) * np.sin(theta2),
         ]
     )
-
-
-def closed_form_state(params: CoherentParams, basis: FockBasis = None) -> np.ndarray:
-    """Dispatch on params.kind; see the individual constructors."""
-    f = params.fields
-    if params.kind == "spin":
-        return spin_coherent_state(f["S"], f["theta"], f["phi"])
-    if params.kind == "squeezed":
-        return squeezed_vacuum_state(f["xi"], f["cutoff"], f.get("k", Fraction(1, 4)))
-    if params.kind == "su3":
-        if "zeta" in f:
-            zeta = f["zeta"]
-        else:
-            zeta = su3_angles_to_zeta(f["theta1"], f["theta2"], f["phi1"], f["phi2"])
-        return su3_coherent_state(f["N"], zeta, basis)
-    if params.kind == "euclidean":
-        return euclidean_coherent_state(f["beta"], f["L"], f.get("start"))
-    if params.kind == "glauber":
-        return glauber_state(f["alpha"], f["cutoff"])
-    if params.kind == "displaced":
-        return displaced_state(build_algebra(f["algebra"], **f.get("params", {})), f)
-    raise ValueError(f"unknown coherent kind {params.kind!r}")
 
 
 def displaced_state(model, fields) -> np.ndarray:
@@ -395,15 +361,6 @@ def husimi_disk(psi_or_rho_chain, k, n_rad=160, n_arg=160) -> HusimiGrid:
 SPACES = ("plane", "sphere", "cylinder", "disk")
 
 
-def _exact_param(params, key, default, path):
-    """params[key] (or `default`) as an exact rational; a float is read
-    through its repr and a string such as "3/4" exactly."""
-    try:
-        return Fraction(str(params.get(key, default)))
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError("expected a finite number or a rational string", field=f"{path}.{key}") from None
-
-
 def chart_param(space, params, dim, path="params"):
     """The one parameter `husimi_chart` reads for `space` from `params`, for
     a state of length `dim`: the sphere's S (default (dim-1)/2; 2S+1 must
@@ -411,17 +368,17 @@ def chart_param(space, params, dim, path="params"):
     the disk's k (default 1/4; positive), and None for the cylinder. A value
     that does not fit raises ConfigError naming `path`.key."""
     if space == "sphere":
-        S = _exact_param(params, "S", Fraction(dim - 1, 2), path)
+        S = exact_number(params.get("S", Fraction(dim - 1, 2)), f"{path}.S")
         if 2 * S + 1 != dim:
             raise ConfigError(f"2S+1 must equal the state's length {dim}, got S = {S}", field=f"{path}.S")
         return S
     if space == "plane":
-        half = _exact_param(params, "half_width", 6.0, path)
-        if not 0 < half <= sys.float_info.max:
+        half = exact_number(params.get("half_width", 6), f"{path}.half_width")
+        if half <= 0:
             raise ConfigError(f"half_width must be a positive finite number, got {half}", field=f"{path}.half_width")
         return float(half)
     if space == "disk":
-        k = _exact_param(params, "k", "1/4", path)
+        k = exact_number(params.get("k", Fraction(1, 4)), f"{path}.k")
         if k <= 0:
             raise ConfigError(f"k must be positive, got {k}", field=f"{path}.k")
         return k

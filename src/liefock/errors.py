@@ -1,8 +1,16 @@
-"""Exception types shared across the package.
-
-The CLI maps these onto process exit codes: config problems exit 2,
-numeric contract violations exit 3, resource guards exit 4.
+"""Exception types shared across the package, and the readers of outside
+values: `exact_number` for a number from a config, a state file or
+`--params`, `whole_number` for a count or index, and `configure` for a
+parameter object, so that a malformed value raises ConfigError naming its
+field. The CLI maps config problems to exit 2, numeric contract violations
+to 3 and resource guards to 4.
 """
+
+import inspect
+import sys
+from fractions import Fraction
+
+WHOLE_PARAMS = frozenset({"N", "L", "cutoff", "modes", "num"})  # read by whole_number in `configure`
 
 
 class ConfigError(ValueError):
@@ -13,6 +21,48 @@ class ConfigError(ValueError):
         if field is not None:
             message = f"{message} (field: {field})"
         super().__init__(message)
+
+
+def exact_number(value, field) -> Fraction:
+    """An outside number read exactly: an int, a float through its repr (0.9
+    is 9/10), a Fraction, or a rational string such as "7/2", within the
+    float range. Anything else (a bool, NaN, null, a list) raises
+    ConfigError naming `field`."""
+    try:
+        number = None if isinstance(value, bool) else Fraction(str(value) if isinstance(value, float) else value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        number = None
+    if number is None or abs(number) > sys.float_info.max:
+        raise ConfigError(f"{field} must be a finite number or a rational string, got {value!r}", field=field)
+    return number
+
+
+def whole_number(value, field) -> int:
+    """An outside count or index: an exact number whose denominator is 1, so
+    6, 6.0, "6" and "6.0" read as 6, and 2.5, "7/2" and true raise
+    ConfigError naming `field`."""
+    try:
+        number = exact_number(value, field)
+    except ConfigError:
+        number = None
+    if number is None or number.denominator != 1:
+        raise ConfigError(f"{field} must be a whole number, got {value!r}", field=field)
+    return int(number)
+
+
+def configure(fn, params, what):
+    """fn(**params) for a parameter object from outside. A name fn does not
+    take, or a required one that is missing, raises ConfigError naming it
+    (as "`what` parameter name"); each name in WHOLE_PARAMS is read by
+    whole_number."""
+    taken = inspect.signature(fn).parameters
+    for key in params:
+        if key not in taken:
+            raise ConfigError(f"unknown {what} parameter {key!r}; known: {', '.join(taken)}", f"{what} parameter {key}")
+    for key, p in taken.items():
+        if p.default is p.empty and key not in params:
+            raise ConfigError(f"missing {what} parameter {key!r}", f"{what} parameter {key}")
+    return fn(**{k: whole_number(v, f"{what} parameter {k}") if k in WHOLE_PARAMS else v for k, v in params.items()})
 
 
 class InfeasibleSectorError(ValueError):

@@ -31,6 +31,7 @@ FERMION = "fermion"
 SPIN = "spin"
 
 _SERIAL_VERSION = 1
+DEFAULT_BOUNDARY_WINDOW = 2  # levels next to a truncation boundary left out of identity checks
 _KEY_LIMIT = 2**63 - 1  # largest int64
 
 
@@ -123,7 +124,9 @@ class FockBasis:
         if not all(isinstance(m, ModeSpec) for m in modes):
             raise TypeError("modes must be ModeSpec instances")
         self.modes = tuple(modes)
-        self.constraint = None if constraint is None else int(constraint)
+        if constraint is not None and not isinstance(constraint, int):
+            raise TypeError("the constraint must be an int or None")
+        self.constraint = constraint
 
         capacities = [m.capacity for m in self.modes]
         if self.constraint is not None:
@@ -231,17 +234,16 @@ class FockBasis:
         """Occupation of one mode across all basis states, as an int array."""
         return self.occ[:, mode].copy()
 
-    def interior_mask(self, window=2, truncated_modes=(), two_sided_modes=()) -> np.ndarray:
-        """Boolean mask of states at least `window` away from the listed
-        truncation boundaries. `truncated_modes` excludes the top `window`
-        levels of each listed mode; `two_sided_modes` excludes both ends."""
+    def interior_mask(self, truncated_modes=(), two_sided_modes=()) -> np.ndarray:
+        """Boolean mask of states at least DEFAULT_BOUNDARY_WINDOW levels from the
+        listed truncation boundaries: the top ones of each `truncated_modes`
+        mode, both ends of each `two_sided_modes` mode."""
         mask = np.ones(len(self), dtype=bool)
         for m in truncated_modes:
-            occ = self.occupations_of_mode(m)
-            mask &= occ <= self.modes[m].capacity - window
+            mask &= self.occ[:, m] <= self.modes[m].capacity - DEFAULT_BOUNDARY_WINDOW
         for m in two_sided_modes:
-            occ = self.occupations_of_mode(m)
-            mask &= (occ <= self.modes[m].capacity - window) & (occ >= window)
+            occ = self.occ[:, m]
+            mask &= (occ <= self.modes[m].capacity - DEFAULT_BOUNDARY_WINDOW) & (occ >= DEFAULT_BOUNDARY_WINDOW)
         return mask
 
     def to_json(self) -> str:

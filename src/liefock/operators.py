@@ -111,11 +111,12 @@ class SparseOperator:
                 f"exceeds 1e-12 * {max(self.max_norm(), 1.0):.3e}"
             )
 
-    def is_diagonal(self, rel_tol=1e-12) -> bool:
+    def is_diagonal(self) -> bool:
+        """No off-diagonal entry above 1e-12 * max(max|A|, 1)."""
         off = self.mat - sparse.diags(self.mat.diagonal())
         if off.nnz == 0:
             return True
-        return float(np.max(np.abs(off.data))) <= rel_tol * max(self.max_norm(), 1.0)
+        return float(np.max(np.abs(off.data))) <= 1e-12 * max(self.max_norm(), 1.0)
 
     # -- algebra ----------------------------------------------------------
 

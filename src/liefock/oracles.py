@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import configure
+
 
 # ---------------------------------------------------------------------------
 # two-mode / spin precession
@@ -308,11 +310,11 @@ LADDER_KINDS = {
 
 
 def ladder_oracles(kind, **params):
-    """Dispatcher used by the CLI; see LADDER_KINDS for the signatures."""
+    """Dispatcher used by the CLI (through `errors.configure`); see LADDER_KINDS."""
     try:
         fn = LADDER_KINDS[kind]
     except KeyError:
         raise ValueError(
             f"unknown oracle kind {kind!r}; available: {', '.join(sorted(LADDER_KINDS))}"
         ) from None
-    return fn(**params)
+    return configure(fn, params, "oracle")

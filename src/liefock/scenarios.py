@@ -3,7 +3,11 @@ built-in scenarios, and the runner that assembles the system, evolves it,
 and persists outputs with a reproducibility manifest.
 
 Unknown configuration fields are rejected with their path so golden files
-cannot drift silently.
+cannot drift silently. Counts and indices are read by `errors.whole_number`,
+and weights, parameters and coherent-state fields by `errors.exact_number`,
+where they are checked and again where they are used: the config is never
+rewritten, so its hash is the file's. A `coherent` state is read by its
+kind's row of COHERENT_KINDS.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ from math import lcm
 import numpy as np
 
 from .algebra import build_algebra, lie_closure, lmg_seed, rabi_seed
-from .coherent import SPACES, CoherentParams, chart_param, closed_form_state, displaced_state, husimi_chart
+from . import coherent
+from .coherent import SPACES, chart_param, husimi_chart
 from .dynamics import evolve, expectation_series, fidelity_series
-from .errors import ConfigError
-from .fock import BOSON, SPIN, FockBasis, ModeSpec
+from .errors import ConfigError, configure, exact_number, whole_number
+from .fock import FockBasis, ModeSpec, boson, spin
 from .lattice import (
     check_exact,
     graph_to_adjacency_csv,
@@ -125,11 +130,8 @@ def parse_config(payload) -> ScenarioConfig:
             raise ConfigError(f"unknown phase space {outputs['husimi']['space']!r}", field="outputs.husimi.space")
         if "nodes" in outputs["husimi"]:
             nodes = _require_list(outputs["husimi"]["nodes"], "outputs.husimi.nodes")
-            if len(nodes) != 2:
-                raise ConfigError("expected two node counts", field="outputs.husimi.nodes")
-            for n in nodes:
-                if _check_int(n, "outputs.husimi.nodes") < 1:
-                    raise ConfigError("node counts must be positive", field="outputs.husimi.nodes")
+            if len(nodes) != 2 or min(whole_number(n, "outputs.husimi.nodes") for n in nodes) < 1:
+                raise ConfigError("expected two positive node counts", field="outputs.husimi.nodes")
         _check_params(outputs["husimi"].get("params", {}), "outputs.husimi.params")
     if kind == "closure_gallery":
         return ScenarioConfig(
@@ -143,9 +145,7 @@ def parse_config(payload) -> ScenarioConfig:
         )
     if kind != "evolution":
         raise ConfigError(f"unknown scenario kind {kind!r}", field="kind")
-    for key in ("system", "initial_state", "times"):
-        if key not in payload:
-            raise ConfigError(f"missing required field {key!r}", field=key)
+    _require_keys(payload, payload, ("system", "initial_state", "times"), "")
 
     system = payload["system"]
     _check_system(system)
@@ -157,11 +157,11 @@ def parse_config(payload) -> ScenarioConfig:
     _require_keys(times, {"start", "stop", "num"}, {"start", "stop", "num"}, "times")
     for key in ("start", "stop"):
         _check_real(times[key], f"times.{key}")
-    if not isinstance(times["num"], int) or times["num"] < 1:
+    num = whole_number(times["num"], "times.num")
+    if num < 1:
         raise ConfigError("times.num must be a positive integer", field="times.num")
-    if not times["stop"] > times["start"]:
-        if times["num"] > 1:
-            raise ConfigError("times.stop must exceed times.start", field="times")
+    if not times["stop"] > times["start"] and num > 1:
+        raise ConfigError("times.stop must exceed times.start", field="times")
 
     ev = payload.get("evolve", {})
     _require_keys(ev, {"method", "store"}, set(), "evolve")
@@ -183,7 +183,7 @@ def parse_config(payload) -> ScenarioConfig:
 
     for key in ("heatmap", "husimi"):
         if "time_index" in outputs.get(key, {}):
-            _check_index(outputs[key]["time_index"], times["num"], f"outputs.{key}.time_index")
+            _check_index(outputs[key]["time_index"], num, f"outputs.{key}.time_index")
 
     return ScenarioConfig(
         name=payload["name"],
@@ -205,16 +205,17 @@ def _check_system(system):
     if isinstance(system, dict) and "algebra" in system:
         _require_keys(system, {"algebra", "terms"}, {"algebra", "terms"}, "system")
         _require_keys(system["algebra"], {"name", "params"}, {"name"}, "system.algebra")
-        if not isinstance(system["algebra"]["name"], str):
-            raise ConfigError("expected a string", field="system.algebra.name")
+        _name(system["algebra"]["name"], "system.algebra.name")
         _check_params(system["algebra"].get("params", {}), "system.algebra.params")
         terms, path, fields = system["terms"], "system.terms", {"label", "coeff", "phase"}
     elif isinstance(system, dict) and "basis" in system:
         _require_keys(system, {"basis", "bilinears", "weights"}, {"basis", "bilinears"}, "system")
-        modes = _check_basis(system["basis"], "system.basis")
+        modes, _ = _check_basis(system["basis"], "system.basis")
         for k, row in enumerate(_require_list(system.get("weights", []), "system.weights")):
             if len(_require_list(row, f"system.weights[{k}]")) != len(modes):
                 raise ConfigError("each weight row needs one rational entry per mode", field=f"system.weights[{k}]")
+            for i, c in enumerate(row):
+                exact_number(c, f"system.weights[{k}][{i}]")
         terms, path, fields = system["bilinears"], "system.bilinears", {"create", "annihilate", "coeff", "phase"}
     else:
         raise ConfigError("system must contain either 'algebra'+'terms' or 'basis'+'bilinears'", field="system")
@@ -224,24 +225,22 @@ def _check_system(system):
         _require_keys(term, fields, fields - {"phase"}, f"{path}[{k}]")
         for key in ("coeff", "phase"):
             _check_real(term.get(key, 0.0), f"{path}[{k}].{key}")
-        if not isinstance(term.get("label", ""), str):
-            raise ConfigError("expected a string", field=f"{path}[{k}].label")
+        _name(term.get("label", ""), f"{path}[{k}].label")
         if "basis" in system:
             for key in ("create", "annihilate"):
                 _check_index(term[key], len(modes), f"{path}[{k}].{key}")
 
 
 def _check_basis(basis, path):
-    """Validate a `{"modes": [{"kind", "capacity"}, ...], "constraint"}`
-    spec; returns its modes."""
+    """The modes and constraint of a `{"modes": [{"kind", "capacity"}, ...],
+    "constraint"}` spec, the arguments of its FockBasis."""
     _require_keys(basis, {"modes", "constraint"}, {"modes"}, path)
-    modes = _require_list(basis["modes"], f"{path}.modes")
-    for k, spec in enumerate(modes):
+    modes = []
+    for k, spec in enumerate(_require_list(basis["modes"], f"{path}.modes")):
         _require_keys(spec, {"kind", "capacity"}, {"kind", "capacity"}, f"{path}.modes[{k}]")
-        _check_int(spec["capacity"], f"{path}.modes[{k}].capacity")
-    if basis.get("constraint") is not None:
-        _check_int(basis["constraint"], f"{path}.constraint")
-    return modes
+        modes.append(ModeSpec(spec["kind"], whole_number(spec["capacity"], f"{path}.modes[{k}].capacity")))
+    constraint = basis.get("constraint")
+    return modes, None if constraint is None else whole_number(constraint, f"{path}.constraint")
 
 
 def _check_initial_state(state, path):
@@ -251,12 +250,18 @@ def _check_initial_state(state, path):
 
 
 def _check_params(params, path):
-    """An object of parameters, each a number or a rational string such as "3/4"."""
+    """An object of parameters, each read by exact_number."""
     if not isinstance(params, dict):
         raise ConfigError("expected an object", field=path)
     for key, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float, Fraction, str)):
-            raise ConfigError("expected a number or a rational string", field=f"{path}.{key}")
+        exact_number(value, f"{path}.{key}")
+    return params
+
+
+def _name(value, path):
+    if not isinstance(value, str):
+        raise ConfigError("expected a string", field=path)
+    return value
 
 
 def _check_file_name(value, path):
@@ -276,82 +281,110 @@ def _check_real(value, path):
         raise ConfigError("expected a finite real number", field=path)
 
 
-def _check_int(value, path):
-    """The integer `int()` reads from value."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("expected an integer", field=path) from None
-
-
 def _check_index(value, size, path):
-    """An index k that `int()` reads, with 0 <= k < size: a mode of the
+    """An index k read by whole_number, with 0 <= k < size: a mode of the
     basis or a point of the time grid."""
-    k = _check_int(value, path)
+    k = whole_number(value, path)
     if not 0 <= k < size:
         raise ConfigError(f"index {k} is outside 0..{size - 1}", field=path)
     return k
 
 
-# the coherent-state fields that are not one number: a displaced state's
-# algebra and root names and its algebra's parameters, and the entries of
-# su3's zeta and a displaced state's reference; amplitudes that are complex
-# also read a string complex() reads, such as "1+0.5j"
-_COHERENT_NAMES = {"algebra", "root"}
-_COHERENT_LISTS = {"zeta", "reference"}
-_COHERENT_COMPLEX = {"alpha", "beta", "xi", "zeta", "reference"}
-_COHERENT_INTEGERS = {"cutoff", "L", "N", "start"}
+def _real(value, path):
+    """A real field, a number or a rational string, as a float."""
+    return float(exact_number(value, path))
 
 
-def _coherent_field(key, value, path):
-    """A coherent-state field as closed_form_state takes it. Each number is
-    a finite real or a rational string such as "7/2", read as an int when
-    it is whole and as a float otherwise."""
-    if key in _COHERENT_NAMES:
-        if not isinstance(value, str):
-            raise ConfigError("expected a name", field=path)
-        return value
-    if key == "params":
-        _check_params(value, path)
-        return value
-    if key in _COHERENT_LISTS:
-        return [_coherent_number(v, key in _COHERENT_COMPLEX, path) for v in _require_list(value, path)]
-    number = _coherent_number(value, key in _COHERENT_COMPLEX, path)
-    if key in _COHERENT_INTEGERS:
-        if number != int(number):
-            raise ConfigError("expected an integer", field=path)
-        return int(number)
-    return number
-
-
-def _coherent_number(value, complex_ok, path):
-    if not isinstance(value, str):
-        _check_real(value, path)
-        return value
+def _complex(value, path):
+    """A complex amplitude: a real (`_real`) or a string such as "1+0.5j"."""
     try:
-        q = Fraction(value)
-        if abs(q) <= sys.float_info.max:
-            return int(q) if q.denominator == 1 else float(q)
-    except (ValueError, ZeroDivisionError):
-        pass
-    if complex_ok:
-        try:
-            z = complex(value)
-            if np.isfinite(z):
-                return z
-        except ValueError:
-            pass
-    raise ConfigError("expected a finite real number or a rational string", field=path)
+        z = complex(value) if isinstance(value, str) else None
+    except ValueError:
+        z = None
+    return z if z is not None and np.isfinite(z) else _real(value, path)
+
+
+def _complex_list(value, path):
+    return [_complex(v, path) for v in _require_list(value, path)]
+
+
+_SU3_ANGLES = ("theta1", "theta2", "phi1", "phi2")
+
+
+def _su3(f):
+    zeta = f["zeta"] if "zeta" in f else coherent.su3_angles_to_zeta(*(f[key] for key in _SU3_ANGLES))
+    return ([boson(f["N"])] * 3, f["N"]), lambda basis: coherent.su3_coherent_state(f["N"], zeta, basis)
+
+
+def _displaced(f):
+    model = build_algebra(f["algebra"], **f.get("params", {}))
+    return (model.basis.modes, model.basis.constraint), lambda basis: coherent.displaced_state(model, f)
+
+
+# Each coherent-state kind: its fields with their readers (a field in no form
+# is optional); the field lists that complete a spec (the last is asked for
+# when none does); and its constructor, from the read fields to the modes and
+# constraint of its register and a function from a basis with the register's
+# states to the state on that basis.
+COHERENT_KINDS = {
+    "spin": (
+        {"S": exact_number, "theta": _real, "phi": _real},
+        (("S", "theta", "phi"),),
+        lambda f: (([spin(f["S"])], None), lambda _: coherent.spin_coherent_state(**f)),
+    ),
+    "glauber": (
+        {"alpha": _complex, "cutoff": whole_number},
+        (("alpha", "cutoff"),),
+        lambda f: (([boson(f["cutoff"])], None), lambda _: coherent.glauber_state(**f)),
+    ),
+    "squeezed": (
+        {"xi": _complex, "cutoff": whole_number, "k": exact_number},
+        (("xi", "cutoff"),),
+        lambda f: (([boson(f["cutoff"])], None), lambda _: coherent.squeezed_vacuum_state(**f)),
+    ),
+    "euclidean": (
+        {"beta": _complex, "L": whole_number, "start": whole_number},
+        (("beta", "L"),),
+        lambda f: (([boson(f["L"] - 1)], None), lambda _: coherent.euclidean_coherent_state(**f)),
+    ),
+    "su3": (
+        {"N": whole_number, "zeta": _complex_list, **dict.fromkeys(_SU3_ANGLES, _real)},
+        (("N", "zeta"), ("N", *_SU3_ANGLES)),
+        _su3,
+    ),
+    "displaced": (
+        {"algebra": _name, "params": _check_params, "root": _name, "beta": _complex, "reference": _complex_list},
+        (("algebra", "root", "beta"),),
+        _displaced,
+    ),
+}
+
+
+def _states(modes, constraint):
+    """The constraint, and each mode's kind and the capacity the constraint
+    leaves it: two bases with equal ones have the same occupation rows."""
+    return constraint, [(m.kind, m.capacity if constraint is None else min(m.capacity, constraint)) for m in modes]
+
+
+def _coherent_state(spec, basis, path):
+    """The state of a `coherent` spec on `basis`. An unknown or missing field
+    raises ConfigError naming it, and so does a basis whose states are not
+    those of the state's register, whatever its dimension; the state is
+    built only on its register."""
+    name = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(name, str) or name not in COHERENT_KINDS:
+        raise ConfigError(f"expected an object whose 'kind' is one of {', '.join(COHERENT_KINDS)}", field=path)
+    fields, forms, build = COHERENT_KINDS[name]
+    _require_keys(spec, {"kind", *fields}, next((form for form in forms if spec.keys() >= set(form)), forms[-1]), path)
+    (modes, constraint), state = build({k: fields[k](v, f"{path}.{k}") for k, v in spec.items() if k != "kind"})
+    if _states(modes, constraint) != _states(basis.modes, basis.constraint):
+        raise ConfigError(f"the {name} coherent state needs the modes {modes} with constraint {constraint}", field=path)
+    return state(basis)
 
 
 # ---------------------------------------------------------------------------
 # system assembly
 # ---------------------------------------------------------------------------
-
-
-def build_basis(spec):
-    """The basis of a `{"modes": [{"kind", "capacity"}, ...], "constraint"}` spec."""
-    return FockBasis([ModeSpec(m["kind"], int(m["capacity"])) for m in spec["modes"]], spec.get("constraint"))
 
 
 def build_system(system):
@@ -376,10 +409,10 @@ def build_system(system):
                 "the requested generator combination is not Hermitian", field="system.terms"
             )
         return model.basis, H, model, terms
-    basis = build_basis(system["basis"])
+    basis = FockBasis(*_check_basis(system["basis"], "system.basis"))
     acc = None
-    for term in system["bilinears"]:
-        i, j = int(term["create"]), int(term["annihilate"])
+    for k, term in enumerate(system["bilinears"]):
+        i, j = (whole_number(term[key], f"system.bilinears[{k}].{key}") for key in ("create", "annihilate"))
         coeff = term["coeff"] * np.exp(1j * term.get("phase", 0.0))
         op = transfer_op(basis, i, j) if i != j else number_op(basis, i)
         piece = op.mat * coeff
@@ -398,14 +431,15 @@ def system_weights(system, basis, model):
     """The exact coordinates that label a system's lattice sites, or None:
     the Cartan weights of a named algebra (`AlgebraModel.weight_lattice`),
     else the spec's `weights` rows, exact rational linear forms of the
-    occupations (one Fraction-parseable coefficient per mode), scaled to
-    integers over their common denominator. Both go through
+    occupations (one coefficient per mode, read by `exact_number`), scaled
+    to integers over their common denominator. Both go through
     `lattice.weight_coordinates`."""
     if model is not None and model.cartan:
         return model.weight_lattice()
     if "weights" not in system:
         return None
-    forms = [[Fraction(str(c)) for c in row] for row in system["weights"]]
+    rows = enumerate(system["weights"])
+    forms = [[exact_number(c, f"system.weights[{k}][{i}]") for i, c in enumerate(row)] for k, row in rows]
     den = lcm(*(f.denominator for row in forms for f in row))
     coeffs = [[int(f * den) for f in row] for row in forms]
     caps = [m.capacity for m in basis.modes]
@@ -414,15 +448,11 @@ def system_weights(system, basis, model):
     return weight_coordinates(basis.occ @ coeffs.T, den)
 
 
-# the mode kind of the one-mode register each closed-form coherent state lives on
-_SINGLE_MODE_KINDS = {"spin": SPIN, "glauber": BOSON, "squeezed": BOSON, "euclidean": BOSON}
-
-
 def build_initial_state(state_spec, basis, path="initial_state"):
     """The state of a fock/amplitudes/coherent spec; errors name fields under `path`."""
     if "fock" in state_spec:
         occ = _require_list(state_spec["fock"], f"{path}.fock")
-        return basis.vector(tuple(_check_int(v, f"{path}.fock") for v in occ))
+        return basis.vector(tuple(whole_number(v, f"{path}.fock") for v in occ))
     if "amplitudes" in state_spec:
         try:
             amp = np.array([complex(re, im) for re, im in state_spec["amplitudes"]])
@@ -438,47 +468,7 @@ def build_initial_state(state_spec, basis, path="initial_state"):
             raise ConfigError("amplitude vector is zero", field=f"{path}.amplitudes")
         return amp / nrm
     if "coherent" in state_spec:
-        spec = state_spec["coherent"]
-        if not isinstance(spec, dict) or spec.get("kind") is None:
-            raise ConfigError("expected an object with a 'kind'", field=f"{path}.coherent")
-        params = {
-            key: _coherent_field(key, value, f"{path}.coherent.{key}") for key, value in spec.items() if key != "kind"
-        }
-        kind, modes = spec["kind"], basis.modes
-        if kind == "su3":
-            # the state covers the whole fixed-N sector of three boson modes
-            N = params.get("N")
-            if N is None or basis.constraint != N or len(modes) != 3 or any(
-                m.kind != BOSON or m.capacity < N for m in modes
-            ):
-                raise ConfigError(
-                    f"an su3 coherent state needs three boson modes of capacity at least N with constraint N = {N}",
-                    field=f"{path}.coherent",
-                )
-        elif kind in _SINGLE_MODE_KINDS:
-            # the state covers every level of one mode of its kind
-            want = _SINGLE_MODE_KINDS[kind]
-            if len(modes) != 1 or modes[0].kind != want or basis.dim != modes[0].levels:
-                raise ConfigError(
-                    f"a {kind} coherent state needs one {want} mode and no constraint that cuts it",
-                    field=f"{path}.coherent",
-                )
-        elif kind == "displaced":
-            # the state lives on the algebra's own basis, which must be the register
-            model = build_algebra(params["algebra"], **params.get("params", {}))
-            if model.basis.to_json() != basis.to_json():
-                raise ConfigError(
-                    f"a displaced {model.name} state needs the algebra's own basis: {model.basis.to_json()}",
-                    field=f"{path}.coherent",
-                )
-            return displaced_state(model, params)
-        vec = closed_form_state(CoherentParams(spec["kind"], params), basis)
-        if vec.shape[0] != basis.dim:
-            raise ConfigError(
-                "coherent state dimension does not match the system basis",
-                field=f"{path}.coherent",
-            )
-        return vec
+        return _coherent_state(state_spec["coherent"], basis, f"{path}.coherent")
     raise ConfigError(f"empty {path}", field=path)
 
 
@@ -487,11 +477,10 @@ def load_state_file(spec):
     file, {"basis", "state", "space_params"}; a malformed one raises
     ConfigError naming the field."""
     _require_keys(spec, {"basis", "state", "space_params"}, {"basis", "state"}, "")
-    _check_basis(spec["basis"], "basis")
+    modes, constraint = _check_basis(spec["basis"], "basis")
     _check_initial_state(spec["state"], "state")
-    params = spec.get("space_params", {})
-    _check_params(params, "space_params")
-    return build_initial_state(spec["state"], build_basis(spec["basis"]), "state"), params
+    params = _check_params(spec.get("space_params", {}), "space_params")
+    return build_initial_state(spec["state"], FockBasis(modes, constraint), "state"), params
 
 
 @dataclass
@@ -537,8 +526,9 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
         if config.store != "snapshots":
             raise ConfigError("husimi output requires snapshots", field="outputs.husimi")
         chart_param(hu["space"], hu.get("params", {}), basis.dim, "outputs.husimi.params")
-    times = np.linspace(config.times["start"], config.times["stop"], config.times["num"])
-    if config.times["num"] == 1:
+    num = whole_number(config.times["num"], "times.num")
+    times = np.linspace(config.times["start"], config.times["stop"], num)
+    if num == 1:
         times = np.array([config.times["start"]], dtype=float)
     result = evolve(H, psi0, times, method=config.method, store=config.store)
 
@@ -580,14 +570,15 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
 
     if "heatmap" in config.outputs:
         hm = config.outputs["heatmap"]
-        table = _weight_grid(result.populations[int(hm["time_index"])], wl)
+        table = _weight_grid(result.populations[whole_number(hm["time_index"], "outputs.heatmap.time_index")], wl)
         pending.append(
             (hm["path"], heatmap_bytes(table, bool(hm.get("fourth_root", False))))
         )
 
     if hu is not None:
-        state = result.snapshots[int(hu.get("time_index", len(times) - 1))]
-        grid = husimi_chart(state, hu["space"], hu.get("nodes", [101, 101]), hu.get("params", {}))
+        state = result.snapshots[whole_number(hu.get("time_index", num - 1), "outputs.husimi.time_index")]
+        nodes = [whole_number(n, "outputs.husimi.nodes") for n in hu.get("nodes", [101, 101])]
+        grid = husimi_chart(state, hu["space"], nodes, hu.get("params", {}))
         pending.append((hu["path"], grid_csv_bytes(grid)))
 
     return _finalize(config, out_dir, pending, started)
@@ -705,7 +696,7 @@ def su2_transport(S=50, J0=1.0, num=241):
                 ],
             },
             "initial_state": {"fock": [two_s]},
-            "times": {"start": 0.0, "stop": float(stop), "num": int(num)},
+            "times": {"start": 0.0, "stop": float(stop), "num": num},
             "observables": [{"name": "Sz", "generator": "Sz"}],
             "outputs": {"csv": "su2_transport.csv", "site_populations": True},
         }
@@ -722,7 +713,7 @@ def su3_center_release(N=90, phi=0.0, J=1.0, t_snap=0.3, method="krylov"):
             "version": 1,
             "name": "su3_center_release",
             "system": {
-                "algebra": {"name": "su3_schwinger", "params": {"N": int(N)}},
+                "algebra": {"name": "su3_schwinger", "params": {"N": N}},
                 "terms": [
                     {"label": "I+", "coeff": float(J)},
                     {"label": "I-", "coeff": float(J)},
@@ -754,7 +745,7 @@ def so5_quench(N=20, phi=0.0, J1=1.0, J2=1.0, start="corner", t_snap=1.0, form="
     if N % 4 and start == "center":
         raise ConfigError("so5_quench center start needs N divisible by 4")
     starts = {
-        "corner": [int(N), 0, 0, 0],
+        "corner": [N, 0, 0, 0],
         "center": [N // 4, N // 4, N // 4, N // 4],
     }
     if start not in starts:
@@ -762,8 +753,8 @@ def so5_quench(N=20, phi=0.0, J1=1.0, J2=1.0, start="corner", t_snap=1.0, form="
     if form == "six_bond":
         system = {
             "basis": {
-                "modes": [{"kind": "boson", "capacity": int(N)}] * 4,
-                "constraint": int(N),
+                "modes": [{"kind": "boson", "capacity": N}] * 4,
+                "constraint": N,
             },
             "bilinears": [
                 {"create": 0, "annihilate": 1, "coeff": float(J1)},
@@ -780,7 +771,7 @@ def so5_quench(N=20, phi=0.0, J1=1.0, J2=1.0, start="corner", t_snap=1.0, form="
         }
     elif form == "roots":
         system = {
-            "algebra": {"name": "so5_quoted", "params": {"N": int(N)}},
+            "algebra": {"name": "so5_quoted", "params": {"N": N}},
             "terms": [
                 {"label": "Sa+", "coeff": float(J1)},
                 {"label": "Sa-", "coeff": float(J1)},
@@ -819,15 +810,15 @@ def ws_breathing(L=81, omega=1.0, J=0.3, num=301):
             "version": 1,
             "name": "ws_breathing",
             "system": {
-                "algebra": {"name": "e2", "params": {"L": int(L)}},
+                "algebra": {"name": "e2", "params": {"L": L}},
                 "terms": [
                     {"label": "E0", "coeff": float(omega)},
                     {"label": "E+", "coeff": float(-J)},
                     {"label": "E-", "coeff": float(-J)},
                 ],
             },
-            "initial_state": {"fock": [(int(L) - 1) // 2]},
-            "times": {"start": 0.0, "stop": float(2.2 * 2 * np.pi / omega), "num": int(num)},
+            "initial_state": {"fock": [(L - 1) // 2]},
+            "times": {"start": 0.0, "stop": float(2.2 * 2 * np.pi / omega), "num": num},
             "observables": [{"name": "position", "generator": "E0"}],
             "outputs": {"csv": "ws_breathing.csv"},
         }
@@ -837,7 +828,6 @@ def ws_breathing(L=81, omega=1.0, J=0.3, num=301):
 def ws_bloch(L=81, omega=1.0, J=0.3, k0=np.pi / 2, width=10.0, num=301):
     """Quasi-momentum wave packet on the tilted chain: center-of-mass
     oscillation with period 2 pi/omega."""
-    L = int(L)
     j = np.arange(L) - (L - 1) // 2
     amp = np.exp(1j * k0 * j) * np.exp(-(j / (2 * width)) ** 2)
     amp = amp / np.linalg.norm(amp)
@@ -856,7 +846,7 @@ def ws_bloch(L=81, omega=1.0, J=0.3, k0=np.pi / 2, width=10.0, num=301):
             "initial_state": {
                 "amplitudes": [[float(a.real), float(a.imag)] for a in amp]
             },
-            "times": {"start": 0.0, "stop": float(2.2 * 2 * np.pi / omega), "num": int(num)},
+            "times": {"start": 0.0, "stop": float(2.2 * 2 * np.pi / omega), "num": num},
             "observables": [{"name": "position", "generator": "E0"}],
             "outputs": {"csv": "ws_bloch.csv"},
         }
@@ -872,7 +862,7 @@ def squeeze_vac(cutoff=400, omega=2.0, xi=1.0, num=181):
             "version": 1,
             "name": "squeeze_vac",
             "system": {
-                "algebra": {"name": "su11_single", "params": {"cutoff": int(cutoff)}},
+                "algebra": {"name": "su11_single", "params": {"cutoff": cutoff}},
                 "terms": [
                     {"label": "K0", "coeff": float(2 * omega)},
                     {"label": "K+", "coeff": float(xi)},
@@ -880,7 +870,7 @@ def squeeze_vac(cutoff=400, omega=2.0, xi=1.0, num=181):
                 ],
             },
             "initial_state": {"fock": [0]},
-            "times": {"start": 0.0, "stop": float(3 * np.pi / gap), "num": int(num)},
+            "times": {"start": 0.0, "stop": float(3 * np.pi / gap), "num": num},
             "observables": [{"name": "K0", "generator": "K0"}],
             "outputs": {"csv": "squeeze_vac.csv"},
         }
@@ -895,7 +885,7 @@ def jc_sectors(cutoff=6, omega=1.0, splitting=1.0, g=0.2, num=121):
             "version": 1,
             "name": "jc_sectors",
             "system": {
-                "algebra": {"name": "jc_super", "params": {"cutoff": int(cutoff)}},
+                "algebra": {"name": "jc_super", "params": {"cutoff": cutoff}},
                 "terms": [
                     {"label": "n_b", "coeff": float(omega)},
                     {"label": "n_f", "coeff": float(splitting)},
@@ -904,7 +894,7 @@ def jc_sectors(cutoff=6, omega=1.0, splitting=1.0, g=0.2, num=121):
                 ],
             },
             "initial_state": {"fock": [0, 1]},
-            "times": {"start": 0.0, "stop": float(4 * np.pi / max(g, 1e-6)), "num": int(num)},
+            "times": {"start": 0.0, "stop": float(4 * np.pi / max(g, 1e-6)), "num": num},
             "outputs": {"csv": "jc_sectors.csv", "graph_json": "jc_sectors_graph.json"},
         }
     )
@@ -934,10 +924,12 @@ BUILTIN_SCENARIOS = {
 
 
 def builtin_scenario(name, **overrides) -> ScenarioConfig:
+    """The config of a built-in scenario; `overrides` are passed to its
+    factory by `errors.configure`."""
     try:
         factory = BUILTIN_SCENARIOS[name]
     except KeyError:
         raise ConfigError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(BUILTIN_SCENARIOS))}"
         ) from None
-    return factory(**overrides)
+    return configure(factory, overrides, "scenario")

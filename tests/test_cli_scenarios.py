@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from liefock.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCE, main
-from liefock.coherent import CoherentParams, closed_form_state
+from liefock.algebra import build_algebra
+from liefock.coherent import displaced_state
 from liefock.errors import ConfigError, ResourceGuardError
 from liefock.output import heatmap_bytes
 from test_golden_bytes import SO5_BILINEAR
 from test_seed_oracles import read_heatmap
 from liefock.scenarios import (
     BUILTIN_SCENARIOS,
+    COHERENT_KINDS,
     builtin_scenario,
     load_state_file,
     parse_config,
@@ -652,12 +654,17 @@ def test_cli_husimi_rejects_malformed_state_file(tmp_path, capsys, key, value, f
 
 
 def test_displaced_state_on_its_algebras_basis(tmp_path, capsys):
-    """On the register of its algebra a displaced state is the one
-    closed_form_state builds, and the CLI charts it."""
+    """On the register of its algebra a displaced state is the one its row of
+    COHERENT_KINDS builds, the algebra's displaced_state, and the CLI charts
+    it."""
     spec = dict(SPIN_STATE_FILE, state={"coherent": SPIN_4_DISPLACED})
     state, _ = load_state_file(spec)
-    want = closed_form_state(CoherentParams("displaced", {k: v for k, v in SPIN_4_DISPLACED.items() if k != "kind"}))
-    assert np.array_equal(state, want)
+    fields = {k: v for k, v in SPIN_4_DISPLACED.items() if k != "kind"}
+    (modes, constraint), make = COHERENT_KINDS["displaced"][2](fields)
+    model = build_algebra("su2_spin", S=4)
+    assert (modes, constraint) == (model.basis.modes, model.basis.constraint)
+    assert np.array_equal(state, make(model.basis))
+    assert np.array_equal(state, displaced_state(model, fields))
     spath, out = tmp_path / "state.json", tmp_path / "q.csv"
     spath.write_text(json.dumps(spec))
     assert main(["husimi", "--state", str(spath), "--space", "sphere", "--out", str(out), "--nodes", "5", "5"]) == EXIT_OK

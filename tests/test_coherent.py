@@ -5,11 +5,9 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.special import jv
 
-from liefock import boson, build_algebra, enumerate_basis, evolve, ladder_ops, number_op
+from liefock import FockBasis, boson, build_algebra, enumerate_basis, evolve, ladder_ops, number_op, spin
 from liefock.algebra import AlgebraModel, RootPair
 from liefock.coherent import (
-    CoherentParams,
-    closed_form_state,
     displace,
     euclidean_coherent_state,
     glauber_state,
@@ -23,8 +21,9 @@ from liefock.coherent import (
     su3_coherent_state,
     uncertainty,
 )
-from liefock.errors import NumericContractError, TruncationLeakageWarning
+from liefock.errors import ConfigError, NumericContractError, TruncationLeakageWarning
 from liefock.operators import SparseOperator
+from liefock.scenarios import COHERENT_KINDS, build_initial_state
 from test_seed_oracles import oracle_displacement_unitary, oracle_su11_pcs
 
 
@@ -339,19 +338,26 @@ def test_truncation_leakage_warning():
 
 
 def test_closed_form_dispatcher():
+    # each kind's row of the table gives the register its state is defined on
+    # (modes and constraint) and the state on a basis with the register's states
     basis = enumerate_basis([boson(3)] * 3, constraint=3)
-    v1 = closed_form_state(CoherentParams("su3", {"N": 3, "zeta": (0, 1.0, 0)}), basis)
+    register, state = COHERENT_KINDS["su3"][2]({"N": 3, "zeta": (0, 1.0, 0)})
+    assert register == ([boson(3)] * 3, 3)
+    v1 = state(basis)
     assert abs(v1[basis.index_of((0, 3, 0))]) == pytest.approx(1.0)
-    v2 = closed_form_state(CoherentParams("spin", {"S": 2, "theta": 0.0, "phi": 0.0}))
+    assert np.array_equal(build_initial_state({"coherent": {"kind": "su3", "N": 3, "zeta": [0, 1.0, 0]}}, basis), v1)
+    register, state = COHERENT_KINDS["spin"][2]({"S": 2, "theta": 0.0, "phi": 0.0})
+    assert register == ([spin(2)], None)
+    v2 = state(FockBasis([spin(2)]))
     assert v2[-1] == pytest.approx(1.0)
-    v3 = closed_form_state(
-        CoherentParams("squeezed", {"xi": 0.3, "cutoff": 40, "k": Fraction(3, 4)})
-    )
+    register, state = COHERENT_KINDS["squeezed"][2]({"xi": 0.3, "cutoff": 40, "k": Fraction(3, 4)})
+    assert register == ([boson(40)], None)
+    v3 = state(FockBasis([boson(40)]))
     assert np.max(np.abs(v3[0::2])) == 0.0  # odd chain only, parity exact
     assert abs(v3[1]) > 0.9  # dominated by the reference level
     assert np.linalg.norm(v3) == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(ValueError, match="unknown coherent kind"):
-        closed_form_state(CoherentParams("nope", {}))
+    with pytest.raises(ConfigError, match="'kind' is one of spin, glauber, squeezed, euclidean, su3, displaced"):
+        build_initial_state({"coherent": {"kind": "nope"}}, basis)
 
 
 def occupation_shell(x, p):

@@ -112,9 +112,9 @@ def test_vector_unit():
 
 def test_interior_mask():
     basis = enumerate_basis([boson(5)])
-    inner = basis.interior_mask(window=2, truncated_modes=(0,))
+    inner = basis.interior_mask(truncated_modes=(0,))
     assert list(inner) == [True, True, True, True, False, False]
-    both = basis.interior_mask(window=2, two_sided_modes=(0,))
+    both = basis.interior_mask(two_sided_modes=(0,))
     assert list(both) == [False, False, True, True, False, False]
 
 

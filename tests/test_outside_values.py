@@ -1,0 +1,412 @@
+"""How outside values are read: the number readers and `configure` of
+`liefock.errors`, every whole-number leaf of the built-in configs and the
+`husimi` state files, the fields of each coherent-state kind, and unknown
+parameter names, down to the CLI's exit code 2."""
+
+import json
+import re
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liefock.cli import EXIT_CONFIG, main
+from liefock.errors import ConfigError, configure, exact_number, whole_number
+from liefock.scenarios import (
+    BUILTIN_SCENARIOS,
+    build_initial_state,
+    build_system,
+    builtin_scenario,
+    load_state_file,
+    parse_config,
+    run_scenario,
+)
+
+
+@pytest.mark.parametrize(
+    "value,want",
+    [
+        (3, Fraction(3)),
+        (0.9, Fraction(9, 10)),  # a float is read through its repr
+        (np.float64(0.1), Fraction(1, 10)),
+        (np.int64(7), Fraction(7)),
+        (Fraction(7, 2), Fraction(7, 2)),
+        ("7/2", Fraction(7, 2)),
+        ("-0.25", Fraction(-1, 4)),
+        ("1e3", Fraction(1000)),
+        (10**300, Fraction(10**300)),
+    ],
+)
+def test_exact_number_reads_numbers_and_rational_strings(value, want):
+    got = exact_number(value, "f")
+    assert got == want and type(got) is Fraction
+
+
+@pytest.mark.parametrize(
+    "value", [True, False, None, float("nan"), float("inf"), "-inf", "nan", "x", "1/0", [1], {"a": 1}, 1j, 10**400, "1e400"]
+)
+def test_exact_number_refuses_everything_else(value):
+    with pytest.raises(ConfigError, match=re.escape("a.b must be a finite number or a rational string")) as info:
+        exact_number(value, "a.b")
+    assert info.value.field == "a.b"
+
+
+@pytest.mark.parametrize("value", [6, 6.0, "6", "6.0", "12/2", Fraction(6), np.int64(6), np.float64(6.0)])
+def test_whole_number_reads_every_spelling_of_a_whole_value(value):
+    got = whole_number(value, "f")
+    assert got == 6 and type(got) is int
+
+
+@pytest.mark.parametrize("value", [2.5, -0.5, "7/2", Fraction(1, 3), True, False, None, "x", float("nan"), [6], "1/0"])
+def test_whole_number_refuses_fractions_bools_and_non_numbers(value):
+    with pytest.raises(ConfigError, match=re.escape("times.num must be a whole number")) as info:
+        whole_number(value, "times.num")
+    assert info.value.field == "times.num"
+
+
+def _factory(N=4, phi=0.0, label="x"):
+    return N, phi, label
+
+
+def _needs(a, b=1):
+    return a, b
+
+
+def test_configure_reads_whole_parameters_and_passes_the_rest_as_given():
+    assert configure(_factory, {"N": "6.0", "phi": "1/2"}, "scenario") == (6, "1/2", "x")
+    assert type(configure(_factory, {"N": 6.0}, "scenario")[0]) is int
+    assert configure(_factory, {}, "scenario") == (4, 0.0, "x")
+
+
+@pytest.mark.parametrize(
+    "fn,params,message,field",
+    [
+        (_factory, {"x": 1}, "unknown scenario parameter 'x'; known: N, phi, label", "scenario parameter x"),
+        (_factory, {"N": 2.5}, "scenario parameter N must be a whole number, got 2.5", "scenario parameter N"),
+        (_factory, {"N": True}, "scenario parameter N must be a whole number, got True", "scenario parameter N"),
+        (_needs, {"b": 2}, "missing scenario parameter 'a'", "scenario parameter a"),
+    ],
+)
+def test_configure_refuses_unknown_missing_and_fractional_parameters(fn, params, message, field):
+    with pytest.raises(ConfigError, match=re.escape(message)) as info:
+        configure(fn, params, "scenario")
+    assert info.value.field == field
+
+
+# ---------------------------------------------------------------------------
+# every whole-number leaf of the built-in evolution configs and state files
+# ---------------------------------------------------------------------------
+
+SMALL_CONFIGS = {
+    "su2_transport": builtin_scenario("su2_transport", S=2, num=5).to_dict(),
+    "su3_center_release": builtin_scenario("su3_center_release", N=6).to_dict(),
+    "so5_quench": builtin_scenario("so5_quench", N=4).to_dict(),
+    "so5_quench_roots": builtin_scenario("so5_quench", N=4, form="roots").to_dict(),
+    "ws_breathing": builtin_scenario("ws_breathing", L=9, num=5).to_dict(),
+    "ws_bloch": builtin_scenario("ws_bloch", L=9, num=5).to_dict(),
+    "squeeze_vac": builtin_scenario("squeeze_vac", cutoff=8, num=5).to_dict(),
+    "jc_sectors": builtin_scenario("jc_sectors", cutoff=4, num=5).to_dict(),
+}
+
+STATE_FILES = {
+    "spin": {
+        "basis": {"modes": [{"kind": "spin", "capacity": 8}]},
+        "state": {"coherent": {"kind": "spin", "S": 4, "theta": 0.9, "phi": 0.2}},
+    },
+    "glauber": {
+        "basis": {"modes": [{"kind": "boson", "capacity": 6}]},
+        "state": {"coherent": {"kind": "glauber", "alpha": "0.5+0.5j", "cutoff": 6}},
+    },
+    "euclidean": {
+        "basis": {"modes": [{"kind": "boson", "capacity": 8}]},
+        "state": {"coherent": {"kind": "euclidean", "beta": 0.4, "L": 9, "start": 3}},
+    },
+    "su3": {
+        "basis": {"modes": [{"kind": "boson", "capacity": 3}] * 3, "constraint": 3},
+        "state": {"coherent": {"kind": "su3", "N": 3, "zeta": [1.0, "0.5j", 0.2]}},
+    },
+    "fock": {"basis": {"modes": [{"kind": "boson", "capacity": 4}] * 2}, "state": {"fock": [2, 1]}},
+}
+
+
+def whole_leaves(obj, path=()):
+    """Paths of the int leaves that count or index: every int but the
+    version, the spin S (a half-integer) and bools."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        if type(obj) is int and path[-1] not in ("version", "S"):
+            yield path
+        return
+    for key, value in items:
+        yield from whole_leaves(value, path + (key,))
+
+
+def field_names(path):
+    """The fields a ConfigError may name for the leaf at `path`: its dotted
+    path (an entry of a list of numbers, such as an occupation, is named by
+    its list), and for an algebra parameter also "algebra parameter N"."""
+    keys = path[:-1] if isinstance(path[-1], int) else path
+    name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+    if path[-3:-1] == ("algebra", "params"):
+        return {name, f"algebra parameter {path[-1]}"}
+    return {name}
+
+
+def replaced(obj, path, value):
+    obj = json.loads(json.dumps(obj))  # unlike deepcopy, unshares the so5 modes
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+def build_config(payload):
+    """Everything a run does before it evolves: the basis, H and the state."""
+    config = parse_config(payload)
+    basis, H, _, _ = build_system(config.system)
+    return basis, H, build_initial_state(config.initial_state, basis)
+
+
+def build_state_file(spec):
+    return load_state_file(spec)[0]
+
+
+LEAVES = [(name, path) for name, cfg in SMALL_CONFIGS.items() for path in whole_leaves(cfg)]
+LEAVES += [(name, path) for name, spec in STATE_FILES.items() for path in whole_leaves(spec)]
+
+
+def source(name):
+    if name in SMALL_CONFIGS:
+        return SMALL_CONFIGS[name], build_config
+    return STATE_FILES[name], build_state_file
+
+
+def test_every_source_has_whole_leaves_of_each_kind():
+    fields = {".".join(str(k) for k in path if not isinstance(k, int)) for _, path in LEAVES}
+    assert {
+        "times.num",
+        "initial_state.fock",
+        "outputs.heatmap.time_index",
+        "system.basis.modes.capacity",
+        "system.basis.constraint",
+        "system.bilinears.create",
+        "system.bilinears.annihilate",
+        "system.algebra.params.N",
+        "system.algebra.params.L",
+        "system.algebra.params.cutoff",
+        "basis.modes.capacity",
+        "basis.constraint",
+        "state.coherent.cutoff",
+        "state.coherent.L",
+        "state.coherent.start",
+        "state.coherent.N",
+        "state.fock",
+    } <= fields
+    assert set(SMALL_CONFIGS) >= set(BUILTIN_SCENARIOS) - {"closure_gallery"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LEAVES), st.sampled_from([2.5, -0.5, "7/2", True, None, "x"]))
+def test_a_non_whole_count_or_index_is_refused_naming_its_leaf(leaf, bad):
+    name, path = leaf
+    if path[-1] == "constraint" and bad is None:
+        return  # a null constraint is valid: no constraint
+    spec, build = source(name)
+    with pytest.raises(ConfigError) as info:
+        build(replaced(spec, path, bad))
+    assert info.value.field in field_names(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(LEAVES), st.sampled_from([float, str, lambda v: f"{v}.0"]))
+def test_every_spelling_of_a_whole_number_builds_the_same_system(leaf, spell):
+    name, path = leaf
+    spec, build = source(name)
+    target = spec
+    for key in path:
+        target = target[key]
+    want, got = build(spec), build(replaced(spec, path, spell(target)))
+    if isinstance(want, tuple):  # a config: its basis, H and initial state
+        assert got[0].to_json() == want[0].to_json()
+        assert (got[1].mat != want[1].mat).nnz == 0
+        want, got = want[2], got[2]
+    assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the fields of each coherent-state kind, through `liefock husimi`
+# ---------------------------------------------------------------------------
+
+SPIN_8 = {"modes": [{"kind": "spin", "capacity": 8}]}
+BOSON_8 = {"modes": [{"kind": "boson", "capacity": 8}]}
+COHERENT_CASES = {
+    "spin": (SPIN_8, {"kind": "spin", "S": 4, "theta": 0.9, "phi": 0.2}),
+    "glauber": (BOSON_8, {"kind": "glauber", "alpha": "0.5+0.5j", "cutoff": 8}),
+    "squeezed": (BOSON_8, {"kind": "squeezed", "xi": 0.3, "cutoff": 8, "k": "1/4"}),
+    "euclidean": (BOSON_8, {"kind": "euclidean", "beta": 0.4, "L": 9, "start": 4}),
+    "su3_zeta": (
+        {"modes": [{"kind": "boson", "capacity": 2}] * 3, "constraint": 2},
+        {"kind": "su3", "N": 2, "zeta": [1.0, 0.5, 0.0]},
+    ),
+    "su3_angles": (
+        {"modes": [{"kind": "boson", "capacity": 2}] * 3, "constraint": 2},
+        {"kind": "su3", "N": 2, "theta1": 0.7, "theta2": 0.4, "phi1": 1.1, "phi2": 2.2},
+    ),
+    "displaced": (SPIN_8, {"kind": "displaced", "algebra": "su2_spin", "params": {"S": 4}, "root": "S+", "beta": 0.3}),
+}
+OPTIONAL_FIELDS = {"k", "start"}
+
+
+def run_husimi(tmp_path, basis, coherent):
+    spath, out = tmp_path / "state.json", tmp_path / "q.csv"
+    spath.write_text(json.dumps({"basis": basis, "state": {"coherent": coherent}}))
+    code = main(["husimi", "--state", str(spath), "--space", "cylinder", "--out", str(out), "--nodes", "5", "5"])
+    return code, out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(COHERENT_CASES))
+def test_each_coherent_kind_is_charted_from_its_fields(tmp_path, capsys, case):
+    assert run_husimi(tmp_path, *COHERENT_CASES[case]) == (0, True)
+
+
+@pytest.mark.parametrize("case", sorted(COHERENT_CASES))
+def test_an_unknown_coherent_field_exits_2_naming_it(tmp_path, capsys, case):
+    basis, coherent = COHERENT_CASES[case]
+    assert run_husimi(tmp_path, basis, dict(coherent, bogus=7)) == (EXIT_CONFIG, False)
+    err = capsys.readouterr().err
+    assert "unknown field 'bogus' (field: state.coherent.bogus)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "case,key",
+    [(case, key) for case, (_, coherent) in sorted(COHERENT_CASES.items()) for key in coherent
+     if key not in OPTIONAL_FIELDS | {"kind", "params"}],
+)
+def test_a_missing_coherent_field_exits_2_naming_it(tmp_path, capsys, case, key):
+    basis, coherent = COHERENT_CASES[case]
+    assert run_husimi(tmp_path, basis, {k: v for k, v in coherent.items() if k != key}) == (EXIT_CONFIG, False)
+    err = capsys.readouterr().err
+    # su3 without zeta asks for the angles, the other way to give it
+    named = "theta1" if key == "zeta" else key
+    assert f"missing required field {named!r} (field: state.coherent)" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# parameter objects: unknown names, and counts that are not whole
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["algebra", "hw", "--params", '{"x": 1}'], "algebra parameter x"),
+        (["algebra", "su2_spin", "--verify", "--params", '{"s": 2}'], "algebra parameter s"),
+        (["closure", "su2_spin", "--params", '{"x": 1}'], "algebra parameter x"),
+        (["scenario", "run", "--name", "jc_sectors", "--params", '{"x": 1}'], "scenario parameter x"),
+        (["oracle", "bloch", "--params", '{"delta": 1.0, "J": 0.5, "S": 2, "t": [0.1], "x": 1}'], "oracle parameter x"),
+        (["oracle", "so5", "--params", '{"J1": 1.0, "J2": 1.0, "phi": 1.0, "x": 1}'], "oracle parameter x"),
+        (["oracle", "band", "--params", '{"J": 1.0, "k": 0.5, "x": 1}'], "oracle parameter x"),
+    ],
+)
+def test_an_unknown_parameter_name_exits_2_naming_it(tmp_path, capsys, argv, name):
+    assert main(["--out-dir", str(tmp_path), *argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"(field: {name})" in captured.err and "Traceback" not in captured.err
+    assert not captured.out and not list(tmp_path.iterdir())
+
+
+def test_a_missing_oracle_parameter_exits_2_naming_it(capsys):
+    assert main(["oracle", "bloch", "--params", '{"delta": 1.0, "J": 0.5, "t": [0.1]}']) == EXIT_CONFIG
+    assert "missing oracle parameter 'S' (field: oracle parameter S)" in capsys.readouterr().err
+
+
+SU2_SMALL = builtin_scenario("su2_transport", S=2, num=3).to_dict()
+BOSON_PAIR_SYSTEM = {
+    "basis": {"modes": [{"kind": "boson", "capacity": 3}] * 2, "constraint": 3},
+    "bilinears": [{"create": 0, "annihilate": 1, "coeff": 1.0}],
+}
+
+
+def with_system(**system):
+    return dict(SU2_SMALL, system=dict(BOSON_PAIR_SYSTEM, **system), initial_state={"fock": [3, 0]}, observables=[])
+
+
+@pytest.mark.parametrize(
+    "command,payload,field",
+    [
+        ("scenario", ("so5_quench", '{"N": 4.5}'), "scenario parameter N"),
+        ("scenario", ("su2_transport", '{"S": 2, "num": 2.5}'), "scenario parameter num"),
+        ("scenario", ("su2_transport", '{"S": 2, "num": true}'), "scenario parameter num"),
+        ("scenario", ("ws_breathing", '{"L": "21/2"}'), "scenario parameter L"),
+        ("lattice", dict(BOSON_PAIR_SYSTEM, basis={"modes": [{"kind": "boson", "capacity": 2.5}] * 2}),
+         "system.basis.modes[0].capacity"),
+        ("lattice", dict(BOSON_PAIR_SYSTEM, basis=dict(BOSON_PAIR_SYSTEM["basis"], constraint=2.9)), "system.basis.constraint"),
+        ("lattice", dict(BOSON_PAIR_SYSTEM, bilinears=[{"create": 0.9, "annihilate": 1, "coeff": 1.0}]),
+         "system.bilinears[0].create"),
+        ("lattice", dict(BOSON_PAIR_SYSTEM, weights=[["x", 0]]), "system.weights[0][0]"),
+        ("evolve", dict(SU2_SMALL, initial_state={"fock": [1.7]}), "initial_state.fock"),
+        ("evolve", dict(SU2_SMALL, outputs={"heatmap": {"path": "h.pgm", "time_index": 1.5}}), "outputs.heatmap.time_index"),
+        ("evolve", dict(SU2_SMALL, outputs={"husimi": {"space": "sphere", "path": "q.csv", "nodes": [4.5, 3]}}),
+         "outputs.husimi.nodes"),
+        ("evolve", dict(SU2_SMALL, times=dict(SU2_SMALL["times"], num=True)), "times.num"),
+        # a weight row is read before anything is built, not after the evolution
+        ("evolve", with_system(weights=[["1/2", True]]), "system.weights[0][1]"),
+        ("evolve", with_system(weights=[["x", 0]]), "system.weights[0][0]"),
+    ],
+)
+def test_a_count_index_or_weight_that_is_not_a_number_of_its_kind_exits_2(tmp_path, capsys, command, payload, field):
+    if command == "scenario":
+        argv = ["scenario", "run", "--name", payload[0], "--params", payload[1]]
+    else:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(payload))
+        argv = ["lattice", "--ham", str(spec)] if command == "lattice" else ["evolve", "--scenario", str(spec)]
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), *argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"(field: {field})" in captured.err and "Traceback" not in captured.err
+    assert not captured.out and not (out_dir.exists() and any(out_dir.iterdir()))
+
+
+def test_a_whole_number_written_as_a_float_is_read_as_it(tmp_path):
+    # 3.0 or "3" time points write the rows of 3; the config keeps its spelling
+    payload = dict(SU2_SMALL, outputs={"csv": "t.csv"})
+    outputs = []
+    for num in (3, 3.0, "3"):
+        config = parse_config(dict(payload, times=dict(payload["times"], num=num)))
+        assert config.times["num"] == num and type(config.times["num"]) is type(num)
+        outputs.append(run_scenario(config, out_dir=tmp_path / str(num)).outputs)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("entry", ["x", True, None, "1/0", float("nan"), [1]])
+def test_weight_rows_are_read_before_anything_is_built(entry):
+    with pytest.raises(ConfigError) as info:
+        parse_config(with_system(weights=[["1/2", entry]]))
+    assert info.value.field == "system.weights[0][1]"
+
+
+@pytest.mark.parametrize(
+    "basis,coherent",
+    [
+        ({"modes": [{"kind": "boson", "capacity": 2}] * 3, "constraint": 2}, {"kind": "su3", "N": 3000, "zeta": [1.0, 0.5, 0.0]}),
+        (BOSON_8, {"kind": "glauber", "alpha": 0.5, "cutoff": 10**6}),
+        (BOSON_8, {"kind": "euclidean", "beta": 0.5, "L": 10**6}),
+    ],
+)
+def test_a_coherent_state_off_its_register_is_refused_before_it_is_built(basis, coherent):
+    # the register is compared by its modes and constraint: neither the
+    # 4.5 million su3 states nor a million-level vector is allocated
+    tracemalloc.start()
+    with pytest.raises(ConfigError, match="coherent state needs the modes") as info:
+        load_state_file({"basis": basis, "state": {"coherent": coherent}})
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert info.value.field == "state.coherent" and peak < 1_000_000
