@@ -4,14 +4,19 @@ Two propagators: a dense eigendecomposition, computed afresh by every call
 (exact up to machine precision, dimension-capped at DENSE_LIMIT), and a
 short-iterate Lanczos exponential for larger problems and for
 `coherent.displace`. The Lanczos propagator builds one plain Lanczos basis
-per substep and takes the largest step whose error estimate stays within
-KRYLOV_TOL on a fine geometric grid of smaller steps (the first crossing),
-so an estimate that dips back below the tolerance far out, as it does on
-near-commensurate spectra, is never reached. The caller picks the method;
-DENSE_LIMIT is read here alone. Both honor the unitarity contract
-| ||psi(t)|| - 1 | < 1e-10; a breach raises NumericContractError instead of
-silently renormalizing. Every result carries `EvolutionStats`, which no
-output writer reads.
+per substep, of at most KRYLOV_DIM rows: it stops growing once it covers
+what is left of the interval, so a start whose Krylov space is small (an
+su(2) multiplet of N + 1 states under a two-level hopping matrix) takes one
+basis of about that size. Each substep takes the largest step whose error
+estimate stays within KRYLOV_TOL on a fine geometric grid of smaller steps
+(the first crossing), so an estimate that dips back below the tolerance far
+out, as it does on near-commensurate spectra, is never reached. Adapting
+both the basis size and the step follows Niesen & Wright (ACM TOMS 38,
+2012). The caller picks the method; DENSE_LIMIT is read here alone. Both
+honor the unitarity contract | ||psi(t)|| - 1 | < 1e-10; a breach raises
+NumericContractError instead of silently renormalizing. Every result
+carries `EvolutionStats` (bases and matrix-vector products among them),
+which no output writer reads.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ from .operators import SparseOperator
 
 DENSE_LIMIT = 4096
 UNITARITY_TOL = 1e-10
-KRYLOV_DIM = 40
+KRYLOV_DIM = 100  # the most rows one Lanczos basis holds
 KRYLOV_TOL = 1e-10
 STEP_GRID_RATIO = 1.05
+_COVER_CHECK = 8  # rows between two checks whether a growing basis covers the interval
 
 
 @dataclass
@@ -37,6 +43,7 @@ class EvolutionStats:
     """What one evolution did. Kept out of every written output, so the
     bytes of a run do not depend on it."""
     bases: int = 0                 # Krylov bases built, one per substep
+    matvecs: int = 0               # products with H, one per basis row
     steps: list = field(default_factory=list)  # accepted Krylov step sizes
     max_estimate: float = 0.0      # largest accepted local error estimate
     norm_drift: float = 0.0        # max | ||psi(t)|| - 1 | over the grid
@@ -138,48 +145,66 @@ def _krylov_propagate(H: SparseOperator, v, dt, stats):
 def _krylov_substep(mat, v, remaining, stats):
     """One accepted substep from v on a basis built here, so that it is
     freed before the next substep builds its own. Returns (state, h)."""
-    basis = _krylov_basis(mat, v, KRYLOV_DIM)
+    basis = _krylov_basis(mat, v, KRYLOV_DIM, remaining)
     h, err = _first_crossing(basis, remaining)
     stats.bases += 1
+    stats.matvecs += len(basis[0])
     stats.steps.append(h)
     stats.max_estimate = max(stats.max_estimate, err)
     u, _ = _krylov_step(basis, h)
-    return u @ basis[0], h
+    rows = basis[0]
+    out = rows[0] * u[0]
+    for row, c in zip(rows[1:], u[1:]):
+        out = zaxpy(row, out, a=c)
+    return out, h
 
 
-def _krylov_basis(mat, v, m):
+def _krylov_basis(mat, v, m, remaining=None):
     """The Krylov basis of v in at most m dimensions: (V, evals, evecs, res),
-    the rows V of the three-term Lanczos recurrence, the eigendecomposition
-    of the tridiagonal projection T and the residual norm res, 0 on a happy
-    breakdown. No reorthogonalization: the approximation of exp(-i mat h) v
-    stays accurate as the rows lose orthogonality (Druskin, Greenbaum &
-    Knizhnerman, SISC 19, 1998); a drift would fail evolve's norm check.
-    The recurrence updates w in place through BLAS and writes w / beta
-    straight into the next row."""
-    n = v.shape[0]
-    m = min(m, n)
-    V = np.empty((m, n), dtype=complex)
-    alpha = np.zeros(m)
-    beta = np.zeros(m)  # beta[k] couples V[k-1], V[k]
-    V[0] = v
+    the list of rows V of the three-term Lanczos recurrence, the
+    eigendecomposition of the tridiagonal projection T and the residual norm
+    res, 0 on a happy breakdown. Without `remaining` it holds min(m, dim)
+    rows unless it breaks down. Given `remaining`, it is checked every
+    _COVER_CHECK rows and stops growing at the first check where it covers
+    the interval: its error estimate stays within KRYLOV_TOL on the whole
+    step grid of `_first_crossing` up to `remaining`, which then takes all
+    of it in one step. The end-point estimate alone would stop on one of its
+    dips (see `_first_crossing`). No reorthogonalization: the approximation of
+    exp(-i mat h) v stays accurate as the rows lose orthogonality (Druskin,
+    Greenbaum & Knizhnerman, SISC 19, 1998); a drift would fail evolve's
+    norm check. Each row is its own array, the matvec output updated in
+    place through BLAS and divided in place, so memory grows with the rows
+    built, not with m."""
+    m = min(m, v.shape[0])
+    V, alpha, beta = [v], [], [0.0]  # beta[k] couples V[k-1], V[k]
     for k in range(m):
         w = mat @ V[k]
-        alpha[k] = zdotc(V[k], w).real
+        alpha.append(zdotc(V[k], w).real)
         w = zaxpy(V[k], w, a=-alpha[k])
         if k > 0:
             w = zaxpy(V[k - 1], w, a=-beta[k])
-        nb = dznrm2(w)
+        res = dznrm2(w)  # w is the residual direction of the error estimate
         if k + 1 == m:
-            res = nb  # w is the residual direction of the error estimate
             break
-        if nb < 1e-14:
-            m, res = k + 1, 0.0
+        if res < 1e-14:
+            res = 0.0
             break
-        beta[k + 1] = nb
-        np.divide(w.view(float), nb, out=V[k + 1].view(float))  # componentwise, not a complex division
-    T = np.diag(alpha[:m]) + np.diag(beta[1:m], 1) + np.diag(beta[1:m], -1)
+        if remaining is not None and (k + 1) % _COVER_CHECK == 0:
+            basis = _projection(V, alpha, beta, res)
+            if np.all(_estimates(basis, remaining)[1] <= KRYLOV_TOL):
+                return basis
+        beta.append(res)
+        np.divide(w.view(float), res, out=w.view(float))  # componentwise, not a complex division
+        V.append(w)
+    return _projection(V, alpha, beta, res)
+
+
+def _projection(V, alpha, beta, res):
+    """(V, evals, evecs, res) with the eigendecomposition of the tridiagonal
+    matrix of the Lanczos coefficients alpha and beta[1:]."""
+    T = np.diag(alpha) + np.diag(beta[1:], 1) + np.diag(beta[1:], -1)
     evals, evecs = np.linalg.eigh(T)
-    return V[:m], evals, evecs, res
+    return V, evals, evecs, res
 
 
 def _krylov_step(basis, h):
@@ -190,12 +215,23 @@ def _krylov_step(basis, h):
     return u, abs(res * u[-1]) * abs(h)
 
 
+def _estimates(basis, remaining):
+    """The step grid of `_first_crossing` up to remaining, and the error
+    estimate |res u_m(s)| s of `_krylov_step` at each of its points s."""
+    _, evals, evecs, res = basis
+    low = min(remaining, 1e-3 / np.max(np.abs(evals)))
+    points = int(np.ceil(np.log(remaining / low) / np.log(STEP_GRID_RATIO))) + 1
+    grid = np.geomspace(low, remaining, points)
+    last = np.exp(-1j * np.outer(grid, evals)) @ (evecs[-1] * evecs[0].conj())
+    return grid, res * np.abs(last) * grid
+
+
 def _first_crossing(basis, remaining):
     """The step size of one substep and its error estimate: the largest h <=
     remaining such that the estimate |res u_m(s)| s of `_krylov_step` is at
     most KRYLOV_TOL at every point s <= h of a geometric grid of ratio at
     most STEP_GRID_RATIO, from 1e-3 / max|evals| (where it is far below the
-    tolerance) up to remaining.
+    tolerance) up to remaining (`_estimates`).
 
     The estimate is meaningful only while the expansion converges (Hochbruck
     & Lubich, SINUM 34, 1997): beyond that |u_m(s)| swings and dips, and on a
@@ -203,16 +239,11 @@ def _first_crossing(basis, remaining):
     far from the convergent range, where the step is wrong by O(1). The first
     crossing never leaves the convergent range. A first grid point above the
     tolerance raises."""
-    _, evals, evecs, res = basis
-    if res == 0.0:
+    if basis[3] == 0.0:
         return remaining, 0.0  # happy breakdown: the projection is exact
-    low = min(remaining, 1e-3 / np.max(np.abs(evals)))
-    points = int(np.ceil(np.log(remaining / low) / np.log(STEP_GRID_RATIO))) + 1
-    grid = np.geomspace(low, remaining, points)
-    last = np.exp(-1j * np.outer(grid, evals)) @ (evecs[-1] * evecs[0].conj())
-    est = res * np.abs(last) * grid
+    grid, est = _estimates(basis, remaining)
     bad = ~(est <= KRYLOV_TOL)
-    first = int(np.argmax(bad)) if bad.any() else points
+    first = int(np.argmax(bad)) if bad.any() else grid.size
     if first == 0:
         raise NumericContractError("Krylov substepping failed to reach the local error target")
     return float(grid[first - 1]), float(est[first - 1])

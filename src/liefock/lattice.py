@@ -53,9 +53,6 @@ class FSLGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.n_vertices)
-
     def csr(self) -> sparse.csr_matrix:
         """Symmetric adjacency with sorted column indices."""
         i, j = self.edges.T
@@ -114,10 +111,6 @@ class WeightLattice:
             (key, members.tolist())
             for key, members in zip(self.site_keys(), self.site_members())
         ]
-
-    @property
-    def multiplicities(self):
-        return self.multiplicity_array().tolist()
 
 
 @dataclass

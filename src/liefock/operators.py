@@ -84,20 +84,21 @@ class SparseOperator:
         indices = np.asarray(indices)
         return self.mat[indices][:, indices]
 
-    def restricted(self, indices) -> np.ndarray:
-        """Dense sub-block over the given basis indices (rows and columns)."""
-        return self.block(indices).toarray()
-
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.mat.data))) if self.mat.nnz else 0.0
 
-    def fro_norm(self) -> float:
-        return float(np.linalg.norm(self.mat.data)) if self.mat.nnz else 0.0
-
     def hermiticity_defect(self) -> float:
-        """max-norm of A - A^dagger."""
-        d = self.mat - self.mat.conj().T
-        return float(np.max(np.abs(d.data))) if d.nnz else 0.0
+        """max-norm of A - A^dagger. When A^T has A's sparsity pattern, the
+        stored entries are compared in place, with no sparse difference."""
+        mat = self.mat
+        t = mat.T.tocsr()
+        t.sort_indices()
+        if np.array_equal(t.indptr, mat.indptr) and np.array_equal(t.indices, mat.indices):
+            d = np.conjugate(t.data, out=t.data)
+            d = np.subtract(mat.data, d, out=d)
+        else:
+            d = (mat - t.conj()).data
+        return float(np.max(np.abs(d))) if d.size else 0.0
 
     def is_hermitian(self) -> bool:
         """`within_hermitian_bound` of max|A - A^dagger| and max|A|."""

@@ -295,6 +295,13 @@ def _real(value, path):
     return float(exact_number(value, path))
 
 
+def _amplitude(pair, path):
+    """One [re, im] pair of an amplitude list, each part read by `_real`."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ConfigError(f"expected a list of [re, im] pairs, got {pair!r}", field=path)
+    return complex(_real(pair[0], path), _real(pair[1], path))
+
+
 def _complex(value, path):
     """A complex amplitude: a real (`_real`) or a string such as "1+0.5j"."""
     try:
@@ -454,18 +461,16 @@ def build_initial_state(state_spec, basis, path="initial_state"):
         occ = _require_list(state_spec["fock"], f"{path}.fock")
         return basis.vector(tuple(whole_number(v, f"{path}.fock") for v in occ))
     if "amplitudes" in state_spec:
-        try:
-            amp = np.array([complex(re, im) for re, im in state_spec["amplitudes"]])
-        except (TypeError, ValueError):
-            raise ConfigError("expected a list of [re, im] pairs", field=f"{path}.amplitudes") from None
+        field = f"{path}.amplitudes"
+        amp = np.array([_amplitude(pair, field) for pair in _require_list(state_spec["amplitudes"], field)], dtype=complex)
         if amp.shape[0] != basis.dim:
             raise ConfigError(
                 f"amplitude vector length {amp.shape[0]} does not match dim {basis.dim}",
-                field=f"{path}.amplitudes",
+                field=field,
             )
         nrm = np.linalg.norm(amp)
         if nrm == 0:
-            raise ConfigError("amplitude vector is zero", field=f"{path}.amplitudes")
+            raise ConfigError("amplitude vector is zero", field=field)
         return amp / nrm
     if "coherent" in state_spec:
         return _coherent_state(state_spec["coherent"], basis, f"{path}.coherent")

@@ -31,7 +31,7 @@ from liefock.coherent import (
 from liefock.lattice import system_graph
 from liefock.operators import linear_combination
 from liefock.oracles import so5_generator_matrix, so5_manybody, so5_singles
-from test_seed_oracles import oracle_displacement_unitary
+from test_seed_oracles import degrees, oracle_displacement_unitary
 
 
 def labeled_graph(model, terms):
@@ -140,9 +140,9 @@ def test_criterion_06_su3_lattice_flux_and_mirror():
     # lattice shape
     terms0 = [("I+", J), ("I-", J), ("U+", J), ("U-", J), ("V+", J), ("V-", J)]
     graph = labeled_graph(model, terms0)
-    degrees = graph.degrees()
+    degree = degrees(graph)
     interior = [v for v, s in enumerate(model.basis.states) if all(o > 0 for o in s)]
-    shape_ok = graph.n_vertices == 496 and all(degrees[v] == 6 for v in interior)
+    shape_ok = graph.n_vertices == 496 and all(degree[v] == 6 for v in interior)
 
     # staggered flux classes at phi = pi/3
     phi = np.pi / 3

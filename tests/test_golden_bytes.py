@@ -45,8 +45,8 @@ GOLDEN_FLUXES = {
     "so5": "495893558af29acb8bb06e1ee392043c74a43b29a230b6490a5a1e75df5e75f4",
 }
 SO5_QUENCH_HEADER = "a3a923e3dcd1c83d9185c89ef9f17205f62ac6340c1e2eec21e9c817bcc3ab91"
-# a spin-20 chain from the top state over t = 0, 1, 2, 3: six Lanczos bases,
-# two per unit interval
+# a spin-20 chain (dim 41) from the top state over t = 0, 1, 2, 3: three
+# Lanczos bases of 41 rows, one per unit interval
 SU2_KRYLOV = {
     "version": 1,
     "name": "su2_krylov",
@@ -60,7 +60,7 @@ SU2_KRYLOV = {
     "observables": [{"name": "Sz", "generator": "Sz"}],
     "outputs": {"csv": "su2_krylov.csv", "site_populations": True},
 }
-SU2_KRYLOV_CSV = "e6c2ec751d1206e7d26d28c0de3b11bec690cf5cfb7a1db8a96b48e8b40131f2"
+SU2_KRYLOV_CSV = "514b1424a6506ad84787b460d3b214b15ac3333512a065849826d3bd6fff5c11"
 CLOSURE_GALLERY_JSON = "895437809e03c43931ffe6cc1d07fcfabefc6306f362bc9a222fda4e2d791abe"
 JC_SUPER_VERIFY = "b389ba4239a4606dffc3d4bccb68f7e3d4d109b9aa5085cf49dcc1c0ebc5dc73"
 

@@ -1,7 +1,8 @@
 """How outside values are read: the number readers and `configure` of
 `liefock.errors`, every whole-number leaf of the built-in configs and the
-`husimi` state files, the fields of each coherent-state kind, and unknown
-parameter names, down to the CLI's exit code 2."""
+`husimi` state files, the fields of each coherent-state kind, the
+amplitude pairs of a state, and unknown parameter names, down to the CLI's
+exit code 2."""
 
 import json
 import re
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liefock import FockBasis, boson
 from liefock.cli import EXIT_CONFIG, main
 from liefock.errors import ConfigError, configure, exact_number, whole_number
 from liefock.scenarios import (
@@ -332,6 +334,48 @@ BOSON_PAIR_SYSTEM = {
     "basis": {"modes": [{"kind": "boson", "capacity": 3}] * 2, "constraint": 3},
     "bilinears": [{"create": 0, "annihilate": 1, "coeff": 1.0}],
 }
+
+
+# a four-level state, then each amplitude entry that is not a pair of finite numbers
+AMPLITUDES = [[0.6, 0.0], [0.0, 0.5], [0.3, -0.2], [0.1, 0.4]]
+BOSON_3 = {"modes": [{"kind": "boson", "capacity": 3}]}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        [float("nan"), 0.0],
+        [0.0, float("nan")],
+        [float("inf"), 0.0],
+        [0.0, float("-inf")],
+        [True, 0],
+        [0, False],
+        ["x", 0],
+        [0.5, "1+2j"],
+        [None, 0],
+        [0.5],
+        [0.5, 0.0, 0.0],
+        0.5,
+        "0.5",
+    ],
+)
+def test_an_amplitude_that_is_not_a_pair_of_finite_numbers_exits_2(tmp_path, capsys, entry):
+    spath, out = tmp_path / "state.json", tmp_path / "q.csv"
+    spath.write_text(json.dumps({"basis": BOSON_3, "state": {"amplitudes": AMPLITUDES[:3] + [entry]}}))
+    code = main(["husimi", "--state", str(spath), "--space", "plane", "--out", str(out), "--nodes", "5", "5"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and not out.exists()
+    assert "(field: state.amplitudes)" in err and "Traceback" not in err
+
+
+def test_amplitude_parts_are_read_as_numbers():
+    pairs = [[3, 0], [0.1, "1/2"], ["0.25", -7]]
+    got = build_initial_state({"amplitudes": pairs}, FockBasis([boson(2)]))
+    want = np.array([3, 0.1 + 0.5j, 0.25 - 7j])
+    assert np.array_equal(got, want / np.linalg.norm(want))
+    with pytest.raises(ConfigError) as info:
+        build_initial_state({"amplitudes": {"0": [1, 0]}}, FockBasis([boson(1)]))
+    assert info.value.field == "initial_state.amplitudes"
 
 
 def with_system(**system):

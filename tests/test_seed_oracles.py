@@ -26,10 +26,11 @@ breadth-first searches they replaced (`oracle_elementary_cycles`), and row
 grouping by one lexsort against `np.unique(axis=0)`.
 
 The Krylov basis (`_krylov_basis`, the plain three-term Lanczos recurrence,
-built once per substep) and Krylov evolution are checked against dense
-`eigh` on random sparse Hermitian matrices, including spectra that stress
-the recurrence, within stated bounds. The modified Gram-Schmidt Lanczos
-steps and the halving propagator they replaced are kept as oracles and meet
+built once per substep and grown until it covers the interval) and Krylov
+evolution are checked against dense `eigh` on random sparse Hermitian
+matrices, including spectra that stress the recurrence, within stated
+bounds. The modified Gram-Schmidt Lanczos steps, the halving propagator and
+the fixed-size basis of 40 rows they replaced are kept as oracles and meet
 the same bounds on the same draws. Each substep's step size is checked to be
 the first crossing of the error estimate, and the evolutions on which the
 halving rule accepted a step in a dip of the estimate (spin rotations
@@ -53,6 +54,7 @@ every model field equal bit for bit, signed zeros included.
 
 import functools
 import json
+import math
 import tracemalloc
 import warnings
 from collections import deque
@@ -67,12 +69,22 @@ import scipy.linalg
 import scipy.sparse as sparse
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import trapezoid
+from scipy.linalg.blas import dznrm2, zaxpy, zdotc
 from scipy.special import gammaln, jv
 
 from liefock import FockBasis, boson, dynamics, fermion, spin
 from liefock.fock import BOSON, FERMION
-from liefock.dynamics import KRYLOV_DIM, KRYLOV_TOL, STEP_GRID_RATIO, _krylov_basis, _krylov_step, evolve
-from liefock.algebra import AlgebraModel, RootPair, build_algebra
+from liefock.dynamics import (
+    _COVER_CHECK,
+    KRYLOV_DIM,
+    KRYLOV_TOL,
+    STEP_GRID_RATIO,
+    _first_crossing,
+    _krylov_basis,
+    _krylov_step,
+    evolve,
+)
+from liefock.algebra import CATALOG, AlgebraModel, RootPair, build_algebra
 from liefock.coherent import (
     HusimiGrid,
     displace,
@@ -108,7 +120,6 @@ from liefock.operators import (
     transfer_op,
     within_hermitian_bound,
 )
-from test_algebra import CATALOG_CASES
 from liefock.output import float_rows, grid_csv_bytes, json_text
 from liefock.scenarios import (
     _site_populations,
@@ -119,6 +130,47 @@ from liefock.scenarios import (
     run_scenario,
     system_weights,
 )
+
+# every catalog entry at its defaults, then once with a parameter changed
+CATALOG_CASES = [(name, {}) for name in CATALOG] + [
+    ("e2", {"L": 8}),
+    ("hw", {"cutoff": 7}),
+    ("su2_spin", {"S": Fraction(7, 2)}),
+    ("su2_schwinger", {"N": 5}),
+    ("su3_schwinger", {"N": 4}),
+    ("so5_quoted", {"N": 3}),
+    ("su11_single", {"k": Fraction(3, 4)}),
+    ("su11_intensity", {"cutoff": 9}),
+    ("su11_twomode", {"cutoff": 5}),
+    ("sp2n_boson", {"modes": 3, "cutoff": 3}),
+    ("so2n_fermion", {"modes": 3}),
+    ("jc_super", {"cutoff": 4}),
+]
+
+
+# ---------------------------------------------------------------------------
+# helpers over operators, graphs and weight lattices that only tests use
+# ---------------------------------------------------------------------------
+
+
+def restricted(op, indices) -> np.ndarray:
+    """Dense sub-block of op over the given basis indices (rows and columns)."""
+    return op.block(indices).toarray()
+
+
+def fro_norm(op) -> float:
+    return float(np.linalg.norm(op.mat.data)) if op.nnz else 0.0
+
+
+def degrees(graph) -> np.ndarray:
+    """The number of bonds at each vertex of an `FSLGraph`."""
+    return np.bincount(graph.edges.ravel(), minlength=graph.n_vertices)
+
+
+def multiplicities(wl) -> list:
+    """The number of basis states at each site of a `WeightLattice`."""
+    return wl.multiplicity_array().tolist()
+
 
 # ---------------------------------------------------------------------------
 # oracles: the per-state loop implementations
@@ -556,7 +608,7 @@ def test_linear_form_weights_match_oracle(case, data):
     floats, sites = oracle_group(coords)
     assert wl.coordinates == coords
     assert wl.sites == sites
-    assert wl.multiplicities == [len(members) for _, members in sites]
+    assert multiplicities(wl) == [len(members) for _, members in sites]
     assert np.array_equal(wl.coordinates_float, floats)
 
 
@@ -593,7 +645,7 @@ def test_weight_coordinates_orders_sites_like_fractions():
     wl = weight_coordinates(nums, 2)
     keys = [tuple(Fraction(int(n), 2) for n in row) for row in nums]
     assert wl.site_keys() == sorted(set(keys))
-    assert wl.multiplicities == [1, 1, 1, 2]
+    assert multiplicities(wl) == [1, 1, 1, 2]
 
 
 @st.composite
@@ -817,6 +869,70 @@ def writer_grids(draw):
 @given(writer_grids())
 def test_grid_writer_matches_oracle(grid):
     assert grid_csv_bytes(grid) == oracle_grid_csv_bytes(grid)
+
+
+# ---------------------------------------------------------------------------
+# the Hermiticity defect through the sparse difference A - A^dagger
+# ---------------------------------------------------------------------------
+
+
+def oracle_hermiticity_defect(mat) -> float:
+    """max-norm of A - A^dagger through the sparse difference."""
+    d = mat - mat.conj().T
+    return float(np.max(np.abs(d.data))) if d.nnz else 0.0
+
+
+@st.composite
+def defect_operators(draw):
+    """A random sparse operator of one of four kinds. 'hermitian': B + B^H,
+    a symmetric pattern and a defect of 0. 'perturbed': the same pattern
+    with entries moved off Hermiticity. 'nan': a Hermitian matrix with one
+    entry NaN. 'general': a random pattern, symmetric only by chance."""
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["hermitian", "perturbed", "nan", "general"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.0, 0.6))
+
+    def random_sparse():
+        b = sparse.random(n, n, density=density, random_state=rng, format="csr")
+        return b.astype(complex) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+
+    if kind == "general":
+        mat = random_sparse()
+    else:
+        b = random_sparse()
+        mat = (b + b.conj().T).tocsr()
+        if kind == "perturbed" and mat.nnz:
+            mat.data *= 1.0 + 10.0 ** rng.uniform(-16, -1, mat.nnz) * rng.choice([-1, 1, 1j], mat.nnz)
+        if kind == "nan" and mat.nnz:
+            mat.data[rng.integers(mat.nnz)] = np.nan
+    return SparseOperator(mat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(defect_operators())
+def test_hermiticity_defect_matches_sparse_difference(op):
+    """The defect, compared in place on a symmetric pattern and through the
+    sparse difference otherwise, equals the sparse difference's bit for bit,
+    NaN included."""
+    got, want = op.hermiticity_defect(), oracle_hermiticity_defect(op.mat)
+    assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+def test_hermiticity_defect_allocates_less_than_two_matrices():
+    """On the so5 N = 60 six-bond Hamiltonian (6.9 MiB of entries) the sparse
+    difference peaked at 35 MiB traced; the in-place comparison holds one
+    transposed copy and one real array of the entries."""
+    config = builtin_scenario("so5_quench", N=60, phi=2.0, form="six_bond")
+    _, H, _, _ = build_system(config.system)
+    tracemalloc.start()
+    try:
+        defect = H.hermiticity_defect()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert defect == oracle_hermiticity_defect(H.mat)
+    assert peak < 2 * H.mat.data.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -1099,7 +1215,7 @@ def test_edge_array_graph_matches_edge_list_oracle(case):
     assert graph.edges.tolist() == [[e.i, e.j] for e in edges]
     want_amplitudes = np.array([e.amplitude for e in edges], dtype=complex)
     assert same_bits(graph.amplitudes.view(float), want_amplitudes.view(float))
-    assert graph.degrees().tolist() == [oracle_degree(edges, v) for v in range(H.dim)]
+    assert degrees(graph).tolist() == [oracle_degree(edges, v) for v in range(H.dim)]
     assert connected_components(graph) == oracle_connected_components(H.dim, edges)
 
     rep = plaquette_fluxes(graph, weights)
@@ -1393,6 +1509,60 @@ def oracle_krylov_evolve(H, psi0, times):
     return snaps
 
 
+# the basis size of every substep before bases grew until they covered the interval
+FIXED_KRYLOV_DIM = 40
+
+
+def oracle_fixed_krylov_basis(mat, v, m):
+    """The Lanczos basis of v in exactly min(m, dim) dimensions unless the
+    recurrence breaks down, its rows in one preallocated (m, dim) block: the
+    basis every substep built before `_krylov_basis` grew its rows on demand."""
+    n = v.shape[0]
+    m = min(m, n)
+    V = np.empty((m, n), dtype=complex)
+    alpha = np.zeros(m)
+    beta = np.zeros(m)  # beta[k] couples V[k-1], V[k]
+    V[0] = v
+    for k in range(m):
+        w = mat @ V[k]
+        alpha[k] = zdotc(V[k], w).real
+        w = zaxpy(V[k], w, a=-alpha[k])
+        if k > 0:
+            w = zaxpy(V[k - 1], w, a=-beta[k])
+        nb = dznrm2(w)
+        if k + 1 == m:
+            res = nb
+            break
+        if nb < 1e-14:
+            m, res = k + 1, 0.0
+            break
+        beta[k + 1] = nb
+        np.divide(w.view(float), nb, out=V[k + 1].view(float))
+    T = np.diag(alpha[:m]) + np.diag(beta[1:m], 1) + np.diag(beta[1:m], -1)
+    evals, evecs = np.linalg.eigh(T)
+    return V[:m], evals, evecs, res
+
+
+def oracle_fixed_krylov_evolve(H, psi0, times):
+    """Krylov evolution with one fixed basis of FIXED_KRYLOV_DIM rows per
+    substep and the first-crossing step rule. Returns the snapshots and the
+    number of bases built."""
+    snaps = np.empty((len(times), H.dim), dtype=complex)
+    current = np.asarray(psi0, dtype=complex)
+    t_prev, bases = 0.0, 0
+    for k, t in enumerate(times):
+        remaining = t - t_prev
+        while remaining > 1e-15 * (t - t_prev):
+            basis = oracle_fixed_krylov_basis(H.mat, current, FIXED_KRYLOV_DIM)
+            h, _ = _first_crossing(basis, remaining)
+            current = _krylov_step(basis, h)[0] @ basis[0]
+            remaining -= h
+            bases += 1
+        snaps[k] = current
+        t_prev = t
+    return snaps, bases
+
+
 def random_start(rng, dim, localized):
     if localized:
         v = np.zeros(dim, dtype=complex)
@@ -1477,11 +1647,15 @@ def test_lanczos_step_matches_oracle(H, seed, m, dt, localized):
     until the error estimate is at most KRYLOV_TOL, which may land in a dip
     of the estimate outside the convergent range, and the step's error is
     then at most `lanczos_error_bound` plus round-off, a true bound at any
-    step size. The MGS oracles, which rebuilt a reorthogonalized basis for
+    step size. Without an interval to cover, `_krylov_basis` builds the
+    fixed-size basis of `oracle_fixed_krylov_basis` bit for bit. The MGS oracles, which rebuilt a reorthogonalized basis for
     the step, meet the same bound at the same step size. A start on one
     vertex of a graph with several components stops at a happy breakdown."""
     v = random_start(np.random.default_rng(seed), H.dim, localized)
     basis = _krylov_basis(H.mat, v, m)
+    fixed = oracle_fixed_krylov_basis(H.mat, v, m)
+    assert np.array_equal(np.array(basis[0]), fixed[0]) and basis[3] == fixed[3]
+    assert np.array_equal(basis[1], fixed[1]) and np.array_equal(basis[2], fixed[2])
     for _ in range(61):
         u, err = _krylov_step(basis, dt)
         if not err > KRYLOV_TOL:
@@ -1496,10 +1670,10 @@ def test_lanczos_step_matches_oracle(H, seed, m, dt, localized):
 
 @st.composite
 def krylov_problems(draw):
-    """A stressed Hermitian matrix larger than the Krylov dimension, a start
+    """A stressed Hermitian matrix larger than the fixed-size basis, a start
     vector, and a time grid whose spacings are long enough for the first
     step sizes to be rejected."""
-    H = draw(stressed_hermitian(min_dim=KRYLOV_DIM + 1))
+    H = draw(stressed_hermitian(min_dim=FIXED_KRYLOV_DIM + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     psi0 = random_start(rng, H.dim, draw(st.booleans()))
     steps = draw(st.lists(st.floats(0.5, 6.0), min_size=1, max_size=4))
@@ -1508,12 +1682,14 @@ def krylov_problems(draw):
 
 
 def counting_basis_builds(builds):
-    """`_krylov_basis` that appends m to `builds` for every basis it builds."""
+    """`_krylov_basis` that appends its row count to `builds` for every basis
+    it builds."""
     build = dynamics._krylov_basis
 
-    def counting(mat, v, m):
-        builds.append(m)
-        return build(mat, v, m)
+    def counting(mat, v, m, remaining=None):
+        basis = build(mat, v, m, remaining)
+        builds.append(len(basis[0]))
+        return basis
 
     return counting
 
@@ -1525,15 +1701,20 @@ def test_krylov_evolution_matches_rebuilding_oracle(case):
     basis build) keeps its error estimate at most KRYLOV_TOL, and the
     propagator is unitary, so local errors add without growing: after s
     substeps the error is at most s * KRYLOV_TOL. The MGS propagator that
-    rebuilt the basis for every step size meets the same bound."""
+    rebuilt the basis for every step size meets the same bound, and the
+    fixed-size bases meet the bound of their own count. The stats count the
+    rows built."""
     H, psi0, times = case
     builds = []
     with mock.patch.object(dynamics, "_krylov_basis", counting_basis_builds(builds)):
-        got = evolve(H, psi0, times, method="krylov").snapshots
+        result = evolve(H, psi0, times, method="krylov")
     want = dense_propagate(H, psi0, times)
     bound = len(builds) * KRYLOV_TOL
-    assert np.max(np.linalg.norm(got - want, axis=1)) <= bound
+    assert np.max(np.linalg.norm(result.snapshots - want, axis=1)) <= bound
+    assert (result.stats.bases, result.stats.matvecs) == (len(builds), sum(builds))
     assert np.max(np.linalg.norm(oracle_krylov_evolve(H, psi0, times) - want, axis=1)) <= bound
+    fixed, fixed_bases = oracle_fixed_krylov_evolve(H, psi0, times)
+    assert np.max(np.linalg.norm(fixed - want, axis=1)) <= fixed_bases * KRYLOV_TOL
 
 
 def spin_chain(S, J):
@@ -1543,31 +1724,37 @@ def spin_chain(S, J):
 
 
 def test_krylov_substeps_stop_at_the_first_crossing(monkeypatch):
-    """A spin-20 chain over t = 1, 2, 3, one basis per substep. Every
-    accepted step size h keeps the error estimate at most KRYLOV_TOL on a
-    geometric grid of ratio below 1.05 up to h, and h is the largest such
-    step: unless h ends an interval, the estimate at h * STEP_GRID_RATIO is
-    above the tolerance. The stats count the bases `_krylov_basis` built."""
-    model, H = spin_chain(20, 1.0)
-    psi0 = model.basis.vector((40,))
+    """A spin-60 chain (dim 121) over t = 1, 2, 3, one basis per substep.
+    Every accepted step size h keeps the error estimate at most KRYLOV_TOL
+    on a geometric grid of ratio below 1.05 up to h, and h is the largest
+    such step: unless h ends an interval, the basis holds KRYLOV_DIM rows
+    and the estimate at h * STEP_GRID_RATIO is above the tolerance. A basis
+    that ends an interval stopped growing at a multiple of _COVER_CHECK
+    rows. The stats count the bases `_krylov_basis` built and their rows."""
+    model, H = spin_chain(60, 1.0)
+    psi0 = model.basis.vector((120,))
     times = np.array([1.0, 2.0, 3.0])
     bases = []
     build = dynamics._krylov_basis
 
-    def keeping(mat, v, m):
-        bases.append(build(mat, v, m))
+    def keeping(mat, v, m, remaining=None):
+        bases.append(build(mat, v, m, remaining))
         return bases[-1]
 
     monkeypatch.setattr(dynamics, "_krylov_basis", keeping)
     result = evolve(H, psi0, times, method="krylov")
     stats = result.stats
     assert stats.bases == len(bases) == len(stats.steps) > len(times)
+    assert stats.matvecs == sum(len(basis[0]) for basis in bases)
     ends = np.cumsum(stats.steps)
     assert np.allclose(ends[-1], times[-1], rtol=0, atol=1e-12)
     for basis, h, end in zip(bases, stats.steps, ends):
         assert max(_krylov_step(basis, s)[1] for s in np.geomspace(h * 1e-6, h, 300)) <= KRYLOV_TOL
         if np.min(np.abs(end - times)) > 1e-12:
+            assert len(basis[0]) == KRYLOV_DIM
             assert _krylov_step(basis, h * STEP_GRID_RATIO)[1] > KRYLOV_TOL
+        else:
+            assert len(basis[0]) % _COVER_CHECK == 0
     assert 0 < stats.max_estimate <= KRYLOV_TOL
     assert stats.norm_drift == np.max(np.abs(result.norms - 1.0))
     assert np.max(np.linalg.norm(result.snapshots - dense_propagate(H, psi0, times), axis=1)) <= stats.bases * KRYLOV_TOL
@@ -1620,13 +1807,11 @@ def test_su2_transport_scenario_under_krylov(tmp_path):
     assert np.max(np.abs(tables["krylov"] - tables["dense_eig"])) <= 2 * 30 * len(builds) * KRYLOV_TOL
 
 
-def test_so5_six_bond_krylov_matches_free_bosons():
-    """so5_quench in its six-bond form at N = 60 and phi = 2 (dim 39,711),
-    from (N, 0, 0, 0) to t = 1 under krylov. Every Fock population against
-    the free-boson multinomial N! / prod n_j! prod |U_j0|^(2 n_j), U =
-    exp(-i h t) with h the 4 x 4 hopping matrix, at 1e-12. At m = 40 the
-    halving rule accepted one step of 1 here, a population error of 0.89."""
-    N, phi = 60, 2.0
+def so5_corner_quench(N, phi):
+    """so5_quench in its six-bond form from (N, 0, 0, 0) to t = 1 under
+    krylov: the evolution, and the free-boson multinomial N! / prod n_j!
+    prod |U_j0|^(2 n_j) of every Fock population, U = exp(-i h t) with h
+    the 4 x 4 hopping matrix."""
     config = builtin_scenario("so5_quench", N=N, phi=phi, form="six_bond", method="krylov")
     basis, H, _, _ = build_system(config.system)
     result = evolve(H, build_initial_state(config.initial_state, basis), [1.0], method="krylov", store="populations")
@@ -1637,8 +1822,39 @@ def test_so5_six_bond_krylov_matches_free_bosons():
         h[bond["annihilate"], bond["create"]] += np.conj(c)
     p = np.abs(scipy.linalg.expm(-1j * h)[:, 0]) ** 2
     occ = basis.occ
-    want = np.exp(gammaln(N + 1) - gammaln(occ + 1).sum(axis=1) + occ @ np.log(p))
+    return result, np.exp(gammaln(N + 1) - gammaln(occ + 1).sum(axis=1) + occ @ np.log(p))
+
+
+def test_so5_six_bond_krylov_matches_free_bosons():
+    """The so5 corner quench at N = 60 and phi = 2 (dim 39,711): every Fock
+    population against the free-boson multinomial at 1e-12. At m = 40 the
+    halving rule accepted one step of 1 here, a population error of 0.89.
+    Only the last basis stops growing before KRYLOV_DIM rows, where it
+    covers the rest of the interval: a basis that stopped once the end-point
+    estimate alone was within the tolerance stopped at 40 rows here, on a
+    dip of the estimate, and its first crossing was a step of 0.17."""
+    builds = []
+    with mock.patch.object(dynamics, "_krylov_basis", counting_basis_builds(builds)):
+        result, want = so5_corner_quench(60, 2.0)
     assert np.max(np.abs(result.populations[0] - want)) <= 1e-12
+    assert builds[:-1] == [KRYLOV_DIM] * (len(builds) - 1)
+
+
+def test_so5_six_bond_quench_at_phi_0_builds_one_basis():
+    """At phi = 0 the hopping matrix has two eigenvalues, so the corner state
+    evolves in an su(2) multiplet of N + 1 = 61 states and one basis covers
+    t = 1. Without reorthogonalization the residual stays O(1) at row 61
+    (17.6 here) and the error estimate falls below KRYLOV_TOL at row 67,
+    so the basis stops at the first check from there, within one check
+    interval of the first check past N + 1: at most 72 rows, where the
+    fixed-size bases took 6 substeps and 240 products. Populations against
+    the free-boson multinomial at 1e-12."""
+    N = 60
+    result, want = so5_corner_quench(N, 0.0)
+    assert np.max(np.abs(result.populations[0] - want)) <= 1e-12
+    assert result.stats.bases == 1
+    first_check = _COVER_CHECK * math.ceil((N + 1) / _COVER_CHECK)
+    assert result.stats.matvecs <= first_check + _COVER_CHECK
 
 
 # ---------------------------------------------------------------------------
