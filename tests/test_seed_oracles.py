@@ -38,6 +38,10 @@ through a revival, su2_transport, the so5 quench at N = 60) are checked
 against dense `eigh` or a closed form. `displace` is checked against the
 dense displacement unitary it replaced.
 
+The Hermiticity defect, which compares the entries of A and its transpose
+in place when their sparsity patterns agree, is checked bit for bit against
+the sparse difference A - A^dagger it replaced, NaN included.
+
 The array-expression SU(3) coherent state is checked against its per-state
 loop to within 1e-15 * max|ref|: the two multiply the factors in a
 different order.
@@ -159,6 +163,7 @@ def restricted(op, indices) -> np.ndarray:
 
 
 def fro_norm(op) -> float:
+    """The Frobenius norm of op's stored entries."""
     return float(np.linalg.norm(op.mat.data)) if op.nnz else 0.0
 
 
