@@ -4,8 +4,9 @@ Two propagators: a dense eigendecomposition, computed afresh by every call
 (exact up to machine precision, dimension-capped at DENSE_LIMIT), and a
 short-iterate Lanczos exponential for larger problems and for
 `coherent.displace`. The Lanczos propagator builds one plain Lanczos basis
-per substep, of at most KRYLOV_DIM rows: it stops growing once it covers
-what is left of the interval, so a start whose Krylov space is small (an
+per substep, of at most KRYLOV_DIM rows, or of fewer but at least 40 where
+those would not fit in KRYLOV_BYTES: it stops growing once it covers what
+is left of the interval, so a start whose Krylov space is small (an
 su(2) multiplet of N + 1 states under a two-level hopping matrix) takes one
 basis of about that size. Each substep takes the largest step whose error
 estimate stays within KRYLOV_TOL on a fine geometric grid of smaller steps
@@ -33,6 +34,7 @@ from .operators import SparseOperator
 DENSE_LIMIT = 4096
 UNITARITY_TOL = 1e-10
 KRYLOV_DIM = 100  # the most rows one Lanczos basis holds
+KRYLOV_BYTES = 2**26  # past its 40th row, a basis grows only while its rows fit in this
 KRYLOV_TOL = 1e-10
 STEP_GRID_RATIO = 1.05
 _COVER_CHECK = 8  # rows between two checks whether a growing basis covers the interval
@@ -135,17 +137,26 @@ def _krylov_propagate(H: SparseOperator, v, dt, stats):
     """Lanczos exponential over dt in accepted substeps, one basis each. A
     substep takes the largest step its basis allows (`_first_crossing`), up
     to what is left of dt."""
+    m = _basis_rows(H.dim)
     remaining = float(dt)
     while remaining > 1e-15 * abs(dt):
-        v, h = _krylov_substep(H.mat, v, remaining, stats)
+        v, h = _krylov_substep(H.mat, v, m, remaining, stats)
         remaining -= h
     return v
 
 
-def _krylov_substep(mat, v, remaining, stats):
-    """One accepted substep from v on a basis built here, so that it is
-    freed before the next substep builds its own. Returns (state, h)."""
-    basis = _krylov_basis(mat, v, KRYLOV_DIM, remaining)
+def _basis_rows(dim):
+    """The most rows a basis of vectors of size dim holds: KRYLOV_DIM where
+    they fit in KRYLOV_BYTES, else as many as fit, but never fewer than 40,
+    so a large sector keeps the footprint of 40-row bases."""
+    return min(KRYLOV_DIM, max(40, KRYLOV_BYTES // (16 * dim)))
+
+
+def _krylov_substep(mat, v, m, remaining, stats):
+    """One accepted substep from v on a basis of at most m rows built here,
+    so that it is freed before the next substep builds its own. Returns
+    (state, h)."""
+    basis = _krylov_basis(mat, v, m, remaining)
     h, err = _first_crossing(basis, remaining)
     stats.bases += 1
     stats.matvecs += len(basis[0])
@@ -159,22 +170,23 @@ def _krylov_substep(mat, v, remaining, stats):
     return out, h
 
 
-def _krylov_basis(mat, v, m, remaining=None):
+def _krylov_basis(mat, v, m, remaining):
     """The Krylov basis of v in at most m dimensions: (V, evals, evecs, res),
     the list of rows V of the three-term Lanczos recurrence, the
     eigendecomposition of the tridiagonal projection T and the residual norm
-    res, 0 on a happy breakdown. Without `remaining` it holds min(m, dim)
-    rows unless it breaks down. Given `remaining`, it is checked every
-    _COVER_CHECK rows and stops growing at the first check where it covers
-    the interval: its error estimate stays within KRYLOV_TOL on the whole
-    step grid of `_first_crossing` up to `remaining`, which then takes all
-    of it in one step. The end-point estimate alone would stop on one of its
-    dips (see `_first_crossing`). No reorthogonalization: the approximation of
-    exp(-i mat h) v stays accurate as the rows lose orthogonality (Druskin,
-    Greenbaum & Knizhnerman, SISC 19, 1998); a drift would fail evolve's
-    norm check. Each row is its own array, the matvec output updated in
-    place through BLAS and divided in place, so memory grows with the rows
-    built, not with m."""
+    res, 0 on a happy breakdown. It is checked every _COVER_CHECK rows and
+    stops growing at the first check where it covers the interval: its
+    error estimate stays within KRYLOV_TOL on the whole step grid of
+    `_first_crossing` up to `remaining`, which then takes all of it in one
+    step. Otherwise it holds min(m, dim) rows unless it breaks down. The
+    end-point estimate alone would stop on one of its dips (see
+    `_first_crossing`); it is only checked first, as it is cheap. No
+    reorthogonalization: the approximation of exp(-i mat h) v stays
+    accurate as the rows lose orthogonality (Druskin, Greenbaum &
+    Knizhnerman, SISC 19, 1998); a drift would fail evolve's norm check.
+    Each row is its own array, the matvec output updated in place through
+    BLAS and divided in place, so memory grows with the rows built, not
+    with m."""
     m = min(m, v.shape[0])
     V, alpha, beta = [v], [], [0.0]  # beta[k] couples V[k-1], V[k]
     for k in range(m):
@@ -189,10 +201,12 @@ def _krylov_basis(mat, v, m, remaining=None):
         if res < 1e-14:
             res = 0.0
             break
-        if remaining is not None and (k + 1) % _COVER_CHECK == 0:
+        if (k + 1) % _COVER_CHECK == 0:
             basis = _projection(V, alpha, beta, res)
-            if np.all(_estimates(basis, remaining)[1] <= KRYLOV_TOL):
-                return basis
+            # the end point, the last point of the grid, is cheap to check first
+            if _krylov_step(basis, remaining)[1] <= KRYLOV_TOL:
+                if np.all(_estimates(basis, remaining)[1] <= KRYLOV_TOL):
+                    return basis
         beta.append(res)
         np.divide(w.view(float), res, out=w.view(float))  # componentwise, not a complex division
         V.append(w)

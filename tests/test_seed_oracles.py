@@ -1500,22 +1500,23 @@ def oracle_krylov_propagate(H, v, dt, m, tol):
     return v
 
 
+# the basis size of every substep before bases grew until they covered the interval
+FIXED_KRYLOV_DIM = 40
+
+
 def oracle_krylov_evolve(H, psi0, times):
-    """The snapshots of `evolve(..., method="krylov")` through the oracle."""
+    """The snapshots of `evolve(..., method="krylov")` through the oracle,
+    on bases of FIXED_KRYLOV_DIM rows as when it was the propagator."""
     snaps = np.empty((len(times), H.dim), dtype=complex)
     current = np.asarray(psi0, dtype=complex)
     t_prev = 0.0
     for k, t in enumerate(times):
         dt = t - t_prev
         if dt > 0:
-            current = oracle_krylov_propagate(H, current, dt, KRYLOV_DIM, KRYLOV_TOL)
+            current = oracle_krylov_propagate(H, current, dt, FIXED_KRYLOV_DIM, KRYLOV_TOL)
         snaps[k] = current
         t_prev = t
     return snaps
-
-
-# the basis size of every substep before bases grew until they covered the interval
-FIXED_KRYLOV_DIM = 40
 
 
 def oracle_fixed_krylov_basis(mat, v, m):
@@ -1652,15 +1653,22 @@ def test_lanczos_step_matches_oracle(H, seed, m, dt, localized):
     until the error estimate is at most KRYLOV_TOL, which may land in a dip
     of the estimate outside the convergent range, and the step's error is
     then at most `lanczos_error_bound` plus round-off, a true bound at any
-    step size. Without an interval to cover, `_krylov_basis` builds the
-    fixed-size basis of `oracle_fixed_krylov_basis` bit for bit. The MGS oracles, which rebuilt a reorthogonalized basis for
-    the step, meet the same bound at the same step size. A start on one
-    vertex of a graph with several components stops at a happy breakdown."""
+    step size. The rows of `_krylov_basis`, which may stop growing once it
+    covers dt, are the first rows of `oracle_fixed_krylov_basis` bit for
+    bit, and a basis that did not stop early is that basis. The MGS oracles,
+    which rebuilt a reorthogonalized basis of as many rows for the step,
+    meet the same bound at the same step size. A start on one vertex of a
+    graph with several components stops at a happy breakdown."""
     v = random_start(np.random.default_rng(seed), H.dim, localized)
-    basis = _krylov_basis(H.mat, v, m)
+    basis = _krylov_basis(H.mat, v, m, dt)
     fixed = oracle_fixed_krylov_basis(H.mat, v, m)
-    assert np.array_equal(np.array(basis[0]), fixed[0]) and basis[3] == fixed[3]
-    assert np.array_equal(basis[1], fixed[1]) and np.array_equal(basis[2], fixed[2])
+    rows = len(basis[0])
+    assert np.array_equal(np.array(basis[0]), fixed[0][:rows])
+    if rows == len(fixed[0]):
+        assert basis[3] == fixed[3]
+        assert np.array_equal(basis[1], fixed[1]) and np.array_equal(basis[2], fixed[2])
+    else:
+        assert rows % _COVER_CHECK == 0 and _krylov_step(basis, dt)[1] <= KRYLOV_TOL
     for _ in range(61):
         u, err = _krylov_step(basis, dt)
         if not err > KRYLOV_TOL:
@@ -1670,7 +1678,7 @@ def test_lanczos_step_matches_oracle(H, seed, m, dt, localized):
     bound = lanczos_error_bound(basis, dt) + STEP_ROUNDOFF
     assert np.linalg.norm(u @ basis[0] - want) <= bound
     for oracle in (oracle_lanczos_attempt, oracle_lanczos_step):
-        assert np.linalg.norm(oracle(H.mat, v, dt, m)[0] - want) <= bound
+        assert np.linalg.norm(oracle(H.mat, v, dt, rows)[0] - want) <= bound
 
 
 @st.composite
@@ -1691,7 +1699,7 @@ def counting_basis_builds(builds):
     it builds."""
     build = dynamics._krylov_basis
 
-    def counting(mat, v, m, remaining=None):
+    def counting(mat, v, m, remaining):
         basis = build(mat, v, m, remaining)
         builds.append(len(basis[0]))
         return basis
@@ -1705,10 +1713,10 @@ def test_krylov_evolution_matches_rebuilding_oracle(case):
     """Krylov evolution against dense `eigh`. Each accepted substep (one
     basis build) keeps its error estimate at most KRYLOV_TOL, and the
     propagator is unitary, so local errors add without growing: after s
-    substeps the error is at most s * KRYLOV_TOL. The MGS propagator that
-    rebuilt the basis for every step size meets the same bound, and the
-    fixed-size bases meet the bound of their own count. The stats count the
-    rows built."""
+    substeps the error is at most s * KRYLOV_TOL. The fixed-size bases meet
+    the bound of their own count, and so does the MGS propagator that
+    rebuilt a basis of as many rows for every step size. The stats count
+    the rows built."""
     H, psi0, times = case
     builds = []
     with mock.patch.object(dynamics, "_krylov_basis", counting_basis_builds(builds)):
@@ -1717,9 +1725,10 @@ def test_krylov_evolution_matches_rebuilding_oracle(case):
     bound = len(builds) * KRYLOV_TOL
     assert np.max(np.linalg.norm(result.snapshots - want, axis=1)) <= bound
     assert (result.stats.bases, result.stats.matvecs) == (len(builds), sum(builds))
-    assert np.max(np.linalg.norm(oracle_krylov_evolve(H, psi0, times) - want, axis=1)) <= bound
     fixed, fixed_bases = oracle_fixed_krylov_evolve(H, psi0, times)
-    assert np.max(np.linalg.norm(fixed - want, axis=1)) <= fixed_bases * KRYLOV_TOL
+    fixed_bound = fixed_bases * KRYLOV_TOL
+    assert np.max(np.linalg.norm(fixed - want, axis=1)) <= fixed_bound
+    assert np.max(np.linalg.norm(oracle_krylov_evolve(H, psi0, times) - want, axis=1)) <= fixed_bound
 
 
 def spin_chain(S, J):
@@ -1742,7 +1751,7 @@ def test_krylov_substeps_stop_at_the_first_crossing(monkeypatch):
     bases = []
     build = dynamics._krylov_basis
 
-    def keeping(mat, v, m, remaining=None):
+    def keeping(mat, v, m, remaining):
         bases.append(build(mat, v, m, remaining))
         return bases[-1]
 
@@ -1765,6 +1774,27 @@ def test_krylov_substeps_stop_at_the_first_crossing(monkeypatch):
     assert np.max(np.linalg.norm(result.snapshots - dense_propagate(H, psi0, times), axis=1)) <= stats.bases * KRYLOV_TOL
     dense = evolve(H, psi0, times).stats
     assert (dense.bases, dense.steps, dense.max_estimate) == (0, [], 0.0)
+
+
+def test_large_bases_keep_the_fixed_size_footprint(monkeypatch):
+    """A basis holds KRYLOV_DIM rows where they fit in KRYLOV_BYTES (the so5
+    N = 60 sector, dim 39,711), as many as fit above FIXED_KRYLOV_DIM, and
+    FIXED_KRYLOV_DIM on the so5 N = 132 sector (dim 400,995), where
+    KRYLOV_DIM rows would take 640 MB. With no room at all, a spin-60 chain
+    (dim 121) builds bases of FIXED_KRYLOV_DIM rows, all but the last full,
+    and keeps the evolution's bound against dense `eigh`."""
+    assert dynamics._basis_rows(39_711) == KRYLOV_DIM
+    assert dynamics._basis_rows(dynamics.KRYLOV_BYTES // (16 * 60)) == 60
+    assert dynamics._basis_rows(400_995) == FIXED_KRYLOV_DIM
+    model, H = spin_chain(60, 1.0)
+    psi0 = model.basis.vector((120,))
+    builds = []
+    monkeypatch.setattr(dynamics, "KRYLOV_BYTES", 0)
+    monkeypatch.setattr(dynamics, "_krylov_basis", counting_basis_builds(builds))
+    result = evolve(H, psi0, [3.0], method="krylov")
+    assert len(builds) > 1 and builds[:-1] == [FIXED_KRYLOV_DIM] * (len(builds) - 1)
+    assert builds[-1] <= FIXED_KRYLOV_DIM
+    assert np.linalg.norm(result.snapshots[0] - dense_propagate(H, psi0, [3.0])[0]) <= len(builds) * KRYLOV_TOL
 
 
 def test_first_crossing_ends_and_raises():
