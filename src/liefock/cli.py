@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric contract violation,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -92,9 +93,9 @@ def _cmd_algebra(args):
 
 def _cmd_closure(args):
     if args.seed == "rabi":
-        ops, labels, mask = rabi_seed(cutoff=args.cutoff or 12)
+        ops, labels, mask = rabi_seed(cutoff=12 if args.cutoff is None else args.cutoff)
     elif args.seed == "lmg":
-        ops, labels, mask = lmg_seed(S=args.cutoff or 8)
+        ops, labels, mask = lmg_seed(S=8 if args.cutoff is None else args.cutoff)
     else:
         model = build_algebra(args.seed, **_load_params(args.params))
         ops, labels, mask = model.generators, list(model.labels), model.interior()
@@ -170,10 +171,31 @@ def _cmd_husimi(args):
     return EXIT_OK
 
 
+ORACLE_ARRAYS = frozenset({"t", "js", "k", "ns", "j", "theta"})  # oracle parameters that may be lists
+
+
+def _oracle_number(kind, key, value):
+    """A formula parameter read by exact_number as a float, a list in
+    ORACLE_ARRAYS entry by entry; squeezing's xi may also be a complex string
+    such as "1+0.5j"."""
+    field = f"oracle parameter {key}"
+    if key in ORACLE_ARRAYS and isinstance(value, list):
+        return np.array([float(exact_number(v, field)) for v in value])
+    if kind == "squeezing" and key == "xi" and isinstance(value, str):
+        try:
+            number = complex(value)
+        except ValueError:
+            number = None
+        if number is None or not cmath.isfinite(number):
+            raise ConfigError(f"{field} must be a finite complex number, got {value!r}", field=field)
+        return number
+    return float(exact_number(value, field))
+
+
 def _cmd_oracle(args):
-    params = _load_params(args.params)
+    params = {key: _oracle_number(args.kind, key, value) for key, value in _load_params(args.params).items()}
     if "t" in params:
-        params["t"] = np.atleast_1d(np.asarray(params["t"]))
+        params["t"] = np.atleast_1d(params["t"])
     if args.kind == "bloch":
         sample = configure(bloch, params, "oracle")
         payload = {

@@ -310,14 +310,12 @@ def husimi_sphere(psi_or_rho, S, n_theta=200, n_phi=200) -> HusimiGrid:
     return HusimiGrid("sphere", (theta, phi), weights, values, norm)
 
 
-def husimi_cylinder(psi_or_rho, L, n_arc=201, n_rad=201, rad_max=None) -> HusimiGrid:
+def husimi_cylinder(psi_or_rho, L, n_arc=201, n_rad=201) -> HusimiGrid:
     """Shift-algebra Husimi over beta = r e^{i arc}: the arc coordinate winds
-    around the cylinder, |beta| runs along it; w = 1/pi with measure r dr darc.
-    Axes (rad, arc): rows run over |beta|."""
-    if rad_max is None:
-        rad_max = L / 4.0
+    around the cylinder, |beta| runs along it from 0 to L/4; w = 1/pi with
+    measure r dr darc. Axes (rad, arc): rows run over |beta|."""
     arc = np.linspace(-np.pi, np.pi, n_arc, endpoint=False)
-    rad = np.linspace(0, rad_max, n_rad)
+    rad = np.linspace(0, L / 4.0, n_rad)
     overlaps = _factorised_overlaps(*_bessel_radial(rad, L, (L - 1) // 2), arc)
     values = _chart_values(psi_or_rho, overlaps, 1.0 / np.pi)
     dr = rad[1] - rad[0] if n_rad > 1 else 1.0

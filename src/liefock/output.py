@@ -10,18 +10,16 @@ formatted per node.
 
 `json_text` writes the JSON files and the JSON reports of `liefock algebra`,
 `lattice`, `evolve` and `scenario run`; the `closure` and `oracle` reports
-still print through `json.dumps` in the CLI. On the 1.7 MB su3 N=90 flux
-export about 40% of its time is the leaves (float `repr` in the C encoder,
-and the split of its text into one string per leaf), the rest grouping the
-16,000 records by key tuple, filling their templates and splitting the
-fills; `json.dumps` takes about three times as long."""
+still print through `json.dumps` in the CLI. Its text is json.dumps's, but
+each list of records in a top-level dict (the vertices and edges of a graph
+export) is written through one `%` template: about three times as fast as
+json.dumps on the 1.7 MB su3 N=90 flux export."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from itertools import chain, compress, count, groupby, repeat
-from operator import itemgetter
+from itertools import chain
 
 import numpy as np
 
@@ -74,153 +72,69 @@ def grid_csv_bytes(grid) -> bytes:
 
 
 def json_text(payload) -> str:
-    """The JSON spelling of every JSON file and of the CLI's JSON reports
-    but `closure` and `oracle`: `json.dumps(payload, indent=1,
-    sort_keys=True) + "\\n"`, the same text and the same exception types.
+    """`json.dumps(payload, indent=1, sort_keys=True) + "\\n"`: the same text
+    and the same exception types.
 
     The stdlib writes indented JSON with its pure-Python encoder, one
-    generator step per token. This writer goes one nesting level at a time
-    instead: the leaves of a level through one call of the C encoder, the
-    dicts of one key tuple and the lists of one length through one `%`
-    template each, and their items as the next level. That is about three
-    times as fast on the su3 N=90 flux export, where the leaves (the
-    encoder's float `repr`, and splitting its text into one string per
-    leaf) take about 40% of the time."""
-    return _level_texts([[payload]], [()], 0, set())[0][0] + "\n"
+    generator step per token. When `payload` is a dict with str keys, each
+    value that is a record list goes through `_records_text` instead, and
+    every other value is json.dumps's text with one space added after each
+    newline (a JSON text holds no raw newline, so that indents it one level).
+
+    A record list is a non-empty list of dicts that all have the same
+    non-empty set of str keys. Under each key the values are either all
+    leaves of exact type str, int, float, bool or None, or all lists of such
+    leaves of one non-zero length. Anything else (a numpy scalar, ragged keys
+    or lengths, an empty nested list, a tuple) goes to json.dumps; a record
+    list holds nothing json.dumps refuses and no cycle."""
+    if type(payload) is not dict or not payload or not all(type(key) is str for key in payload):
+        return _dumps(payload) + "\n"
+    items = []
+    for key in sorted(payload):
+        text = _records_text(payload[key])
+        items.append(_dumps(key) + ": " + (_dumps(payload[key]).replace("\n", "\n ") if text is None else text))
+    return "{\n " + ",\n ".join(items) + "\n}\n"
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=1, sort_keys=True)
 
 
 # With "\n" between items, the text of a list of leaves splits back into one
 # text per leaf: the encoder escapes every control character in a string.
 _LEAVES = json.JSONEncoder(separators=("\n", ": "))
-_LEAF, _DICT, _LIST = 0, 1, 2
+_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
 
 
-def _leaf_texts(values: list) -> list:
-    return _LEAVES.encode(values)[1:-1].split("\n") if values else []
-
-
-def _kind(cls) -> int:
-    """json.dumps's order of checks: lists and tuples, then dicts; the
-    encoder writes or refuses everything else."""
-    if issubclass(cls, (list, tuple)):
-        return _LIST
-    return _DICT if issubclass(cls, dict) else _LEAF
-
-
-def _key_texts(keys) -> list:
-    """Dict keys as json.dumps writes them: a key that is not a str is
-    written as its JSON text, in quotes."""
-    others = [key for key in keys if not isinstance(key, str)]
-    for key in others:
-        if key is not None and not isinstance(key, (int, float)):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    others = iter(_leaf_texts(others))
-    return _leaf_texts([key if isinstance(key, str) else next(others) for key in keys])
-
-
-def _template(heads, depth, brackets) -> str:
-    """A container at nesting `depth` with one `%s` item after each head."""
-    if not heads:
-        return brackets
-    inner = "\n" + " " * (depth + 1)
-    return brackets[0] + inner + ("," + inner).join(h + "%s" for h in heads) + "\n" + " " * depth + brackets[1]
-
-
-def _check_acyclic(node, path=()):
-    """json.dumps's ValueError if `node` contains itself."""
-    kind = _kind(type(node))
-    if kind == _LEAF:
-        return
-    if id(node) in path:
-        raise ValueError("Circular reference detected")
-    for child in node.values() if kind == _DICT else node:
-        _check_acyclic(child, path + (id(node),))
-
-
-def _level_texts(columns, parents, depth, above) -> list:
-    """The JSON texts of the items of each column (a list of values), all at
-    nesting `depth`.
-
-    The leaves of every column go through one encoder call. The containers
-    of the level are grouped by shape (a dict's key tuple, a list's length),
-    one template per group, and their items become the next level's
-    columns: one per key of a dict group, one for all items of a list group.
-    `parents[i]` are the containers that hold column i, and `above` the ids
-    of the containers on the levels above that hold a container: a
-    container met again lower down is checked for a cycle, which would
-    otherwise add levels without end."""
-    leaves, dicts, lists, layout = [], [], [], []
-    for column, holders in zip(columns, parents):
-        kind_of = {cls: _kind(cls) for cls in set(map(type, column))}
-        if len(set(kind_of.values())) == 1:
-            kinds = kind_of[type(column[0])]
-            parts = [column if kind == kinds else [] for kind in (_LEAF, _DICT, _LIST)]
+def _records_text(records):
+    """The text of a record list (see `json_text`) as a value of the
+    top-level dict, or None if `records` is not one. One `%` template writes
+    every record; the leaves under a key come from one encoder call, and
+    slot s of a nested list of length n takes texts[s::n] of them."""
+    if type(records) is not list or not records or type(records[0]) is not dict or not records[0]:
+        return None
+    keys = records[0].keys()
+    if not all(type(key) is str for key in keys) or not all(type(r) is dict and r.keys() == keys for r in records):
+        return None
+    slots, columns = [], []
+    for key in sorted(keys):
+        column = [record[key] for record in records]
+        n = len(column[0]) if type(column[0]) is list else 0
+        nested = n and all(type(value) is list and len(value) == n for value in column)
+        if nested:
+            column = list(chain.from_iterable(column))
+        if not set(map(type, column)) <= _LEAF_TYPES:
+            return None
+        texts = _LEAVES.encode(column)[1:-1].split("\n")
+        head = _dumps(key).replace("%", "%%") + ": "
+        if nested:
+            slots.append(head + "[\n    " + ",\n    ".join(["%s"] * n) + "\n   ]")
+            columns.extend(texts[s::n] for s in range(n))
         else:
-            kinds = list(map(kind_of.__getitem__, map(type, column)))
-            parts = [list(compress(column, map(kind.__eq__, kinds))) for kind in (_LEAF, _DICT, _LIST)]
-        if kinds != _LEAF:  # the column holds containers
-            above.update(map(id, holders))
-        layout.append((kinds, [(len(into), len(part)) for into, part in zip((leaves, dicts, lists), parts)]))
-        for into, part in zip((leaves, dicts, lists), parts):
-            into.extend(part)
-
-    containers = dicts + lists
-    if not above.isdisjoint(map(id, containers)):
-        for node in containers:
-            if id(node) in above:
-                _check_acyclic(node)
-
-    # a group is numbered by its first member; dicts come first, so a number
-    # below len(dicts) is a dict group
-    shapes = {}
-    group = list(map(shapes.setdefault, chain(map(tuple, dicts), map(len, lists)), count()))
-    batches = []  # (group, template, members, first child column, child columns, items per member)
-    next_columns, next_parents = [], []
-    for gid, members in groupby(sorted(range(len(group)), key=group.__getitem__), key=group.__getitem__):
-        members = list(map(containers.__getitem__, members))
-        if gid >= len(dicts):
-            n = len(members[0])
-            batches.append((gid, _template([""] * n, depth, "[]"), len(members), len(next_columns), min(n, 1), n))
-            if n:
-                next_columns.append(list(chain.from_iterable(members)))
-                next_parents.append(members)
-            continue
-        # keys such as 1, 1.0 and True are equal but written differently:
-        # a dict with a key that is not a str is a batch of its own
-        regular = all(isinstance(key, str) for key in members[0])
-        for batch in [members] if regular else [[m] for m in members]:
-            keys = sorted(batch[0])
-            heads = [text.replace("%", "%%") + ": " for text in _key_texts(keys)]
-            batches.append((gid, _template(heads, depth, "{}"), len(batch), len(next_columns), len(keys), len(keys)))
-            next_columns.extend(list(map(itemgetter(key), batch)) for key in keys)
-            next_parents.extend([batch] * len(keys))
-
-    child_texts = _level_texts(next_columns, next_parents, depth + 1, above) if next_columns else []
-    group_texts = {}
-    for gid, template, m, first, width, n in batches:
-        columns = child_texts[first:first + width]
-        child_texts[first:first + width] = [None] * width  # frees the texts once filled in
-        # a dict group has one column per key; a list group has all its
-        # items in one column, n to a list
-        rows = zip(*columns) if width > 1 else zip(*[iter(columns[0])] * n) if n else repeat((), m)
-        group_texts.setdefault(gid, []).extend(map(template.__mod__, rows))
-    readers = {gid: iter(texts) for gid, texts in group_texts.items()}
-    container_readers = list(map(readers.__getitem__, group))
-    leaf_texts = _leaf_texts(leaves)
-
-    out = []
-    for kinds, ((leaf_at, n_leaves), (dict_at, n_dicts), (list_at, n_lists)) in layout:
-        texts = (
-            leaf_texts[leaf_at:leaf_at + n_leaves],
-            list(map(next, container_readers[dict_at:dict_at + n_dicts])),
-            list(map(next, container_readers[len(dicts) + list_at:len(dicts) + list_at + n_lists])),
-        )
-        if isinstance(kinds, int):
-            out.append(texts[kinds])
-        else:
-            parts = list(map(iter, texts))
-            out.append(list(map(next, map(parts.__getitem__, kinds))))
-    return out
+            slots.append(head + "%s")
+            columns.append(texts)
+    template = "{\n   " + ",\n   ".join(slots) + "\n  }"
+    return "[\n  " + ",\n  ".join(map(template.__mod__, zip(*columns))) + "\n ]"
 
 
 def write_json(path, payload):

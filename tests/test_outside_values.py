@@ -1,8 +1,8 @@
 """How outside values are read: the number readers and `configure` of
 `liefock.errors`, every whole-number leaf of the built-in configs and the
 `husimi` state files, the fields of each coherent-state kind, the
-amplitude pairs of a state, and unknown parameter names, down to the CLI's
-exit code 2."""
+amplitude pairs of a state, the oracle's formula parameters, and unknown
+parameter names, down to the CLI's exit code 2."""
 
 import json
 import re
@@ -327,6 +327,62 @@ def test_an_unknown_parameter_name_exits_2_naming_it(tmp_path, capsys, argv, nam
 def test_a_missing_oracle_parameter_exits_2_naming_it(capsys):
     assert main(["oracle", "bloch", "--params", '{"delta": 1.0, "J": 0.5, "t": [0.1]}']) == EXIT_CONFIG
     assert "missing oracle parameter 'S' (field: oracle parameter S)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "seed,message", [("rabi", "mode capacity must be a positive integer"), ("lmg", "spin quantum number")]
+)
+def test_a_closure_cutoff_of_zero_exits_2(capsys, seed, message):
+    """--cutoff 0 is read as 0, not as the default cutoff."""
+    assert main(["closure", seed, "--cutoff", "0"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert not captured.out and message in captured.err and "Traceback" not in captured.err
+
+
+BLOCH = {"delta": 1.0, "J": 0.5, "S": 2, "t": [0.1, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "kind,params,name",
+    [
+        ("bloch", dict(BLOCH, delta=[1]), "delta"),
+        ("bloch", dict(BLOCH, delta=float("nan")), "delta"),
+        ("bloch", dict(BLOCH, S=None), "S"),
+        ("bloch", dict(BLOCH, t=[0.1, "a"]), "t"),
+        ("bloch", dict(BLOCH, t=[[0.1]]), "t"),
+        ("band", {"J": "x", "k": 1}, "J"),
+        ("band", {"J": True, "k": [0.5, 1]}, "J"),
+        ("so5", {"J1": 1.0, "J2": 1.0, "phi": "x"}, "phi"),
+        ("so5", {"J1": 1.0, "J2": 1.0, "phi": [1.0]}, "phi"),
+        ("squeezing", {"omega": 1.0, "xi": "1+zj", "t": [0.1]}, "xi"),
+        ("squeezing", {"omega": 1.0, "xi": "nanj", "t": [0.1]}, "xi"),
+        ("squeezing", {"omega": 1.0, "xi": [1.0], "t": [0.1]}, "xi"),
+        ("su2_hopping", {"J0": 1.0, "N": 4, "j": ["x"]}, "j"),
+        ("wannier_stark", {"omega": {}, "js": [1, 2]}, "omega"),
+    ],
+)
+def test_an_oracle_parameter_that_is_not_a_number_exits_2_naming_it(capsys, kind, params, name):
+    assert main(["oracle", kind, "--params", json.dumps(params)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"(field: oracle parameter {name})" in captured.err and "Traceback" not in captured.err
+    assert not captured.out
+
+
+@pytest.mark.parametrize(
+    "kind,params,same",
+    [
+        ("bloch", dict(BLOCH, delta="1/2"), dict(BLOCH, delta=0.5)),
+        ("bloch", dict(BLOCH, delta="0.5"), dict(BLOCH, delta=0.5)),
+        ("band", {"J": "2", "k": ["1/4", 1]}, {"J": 2, "k": [0.25, 1.0]}),
+        ("squeezing", {"omega": 2.0, "xi": "0.5+0.25j", "t": [0.5]}, {"omega": 2.0, "xi": "0.5+0.25j", "t": [0.5]}),
+        ("squeezing", {"omega": 2.0, "xi": "3/4", "t": 1}, {"omega": 2.0, "xi": 0.75, "t": [1.0]}),
+    ],
+)
+def test_an_oracle_parameter_given_as_a_string_reads_as_its_number(capsys, kind, params, same):
+    assert main(["oracle", kind, "--params", json.dumps(params)]) == 0
+    got = capsys.readouterr().out
+    assert main(["oracle", kind, "--params", json.dumps(same)]) == 0
+    assert got == capsys.readouterr().out and json.loads(got)
 
 
 SU2_SMALL = builtin_scenario("su2_transport", S=2, num=3).to_dict()

@@ -46,7 +46,8 @@ The array-expression SU(3) coherent state is checked against its per-state
 loop to within 1e-15 * max|ref|: the two multiply the factors in a
 different order.
 
-The level-at-a-time JSON writer `json_text` is checked against
+The JSON writer `json_text`, which writes each list of records in a
+top-level dict through one template, is checked against
 `json.dumps(payload, indent=1, sort_keys=True) + "\n"` on generated
 payloads: equal text, or the same exception type.
 
@@ -106,6 +107,7 @@ from liefock.lattice import (
     _flux_classes,
     build_fsl,
     connected_components,
+    graph_to_json_dict,
     group_rows,
     plaquette_fluxes,
     system_graph,
@@ -124,6 +126,7 @@ from liefock.operators import (
     transfer_op,
     within_hermitian_bound,
 )
+from liefock import output
 from liefock.output import float_rows, grid_csv_bytes, json_text
 from liefock.scenarios import (
     _site_populations,
@@ -719,9 +722,8 @@ def husimi_cases(draw):
             lambda s: oracle_husimi_sphere(s, S, n_a, n_b))
     if chart == "cylinder":
         L = draw(st.integers(1, 15))
-        rad_max = draw(st.one_of(st.none(), st.floats(0.1, 4.0)))
-        return chart, L, (lambda s: husimi_cylinder(s, L, n_b, n_a, rad_max)), (
-            lambda s: oracle_husimi_cylinder(s, L, n_b, n_a, rad_max))
+        return chart, L, (lambda s: husimi_cylinder(s, L, n_b, n_a)), (
+            lambda s: oracle_husimi_cylinder(s, L, n_b, n_a))
     chain_len = draw(st.integers(1, 15))
     k = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 2)]))
     return chart, chain_len, (lambda s: husimi_disk(s, k, n_a, n_b)), (
@@ -2062,8 +2064,30 @@ json_payloads = st.recursive(
 )
 
 
+def holds_itself(payload):
+    payload["self"] = payload
+    return payload
+
+
 @settings(max_examples=300, deadline=None)
 @given(json_payloads)
+# record lists written through the template: vertex-like records with a
+# nested weight, edge-like records with a label and a "%" in a key
+@example({"n": 2, "vertices": [
+    {"id": 0, "onsite": -0.0, "weight": [0.5, -1.5], "multiplicity": 1},
+    {"id": 1, "onsite": 1e308, "weight": [float("nan"), 2.0], "multiplicity": 2},
+]})
+@example({"edges": [
+    {"i": 0, "j": 1, "re": 1.0, "im": 0.0, "label": None, "%s": "%d"},
+    {"i": 1, "j": 2, "re": 0.5, "im": -5e-324, "label": "V+\n\"é", "%s": ""},
+]})
+# not record lists: a float subclass leaf, ragged nested lengths, an empty nested list
+@example({
+    "a": [{"x": 1.0}, {"x": np.float64(2.0)}],
+    "b": [{"w": [1, 2]}, {"w": [3]}],
+    "c": [{"w": []}, {"w": []}],
+})
+@example(holds_itself({"edges": [{"i": 0, "j": 1}]}))
 @example([{1: "a"}, {True: "a"}, {1.0: "a"}, {0.0: "b"}, {-0.0: "b"}, {False: "b"}])
 @example({"%s": "%d", "%": ["%%", "%(x)s"], "a\nb": {"\x00": "\n"}})
 @example([[1, 2], [3], [], [[]], {}, ([],), [[{}]]])
@@ -2089,6 +2113,63 @@ def test_json_text_raises_like_json_dumps(payload, bad, where):
     ][where]
     got = written(json_text, wrapped)
     assert isinstance(got, type) and got is written(oracle_json_text, wrapped)
+
+
+record_leaves = st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), json_strings)
+
+
+@st.composite
+def record_dicts(draw):
+    """Top-level dicts of record lists: mostly regular ones, with columns of
+    leaves and of nested lists, and some that are ragged in keys, types or
+    nested lengths, so that they fall back to json.dumps."""
+    payload = {}
+    for name in draw(st.lists(json_strings, max_size=3, unique=True)):
+        keys = draw(st.lists(json_strings, min_size=draw(st.sampled_from([0, 1, 1])), max_size=4, unique=True))
+        lengths = {key: draw(st.sampled_from([None, None, 1, 2, 3])) for key in keys}
+        records = []
+        for _ in range(draw(st.integers(0, 5))):
+            record, own = {}, draw(st.permutations(keys))
+            if own and draw(st.integers(0, 20)) == 0:  # a record that lacks a key
+                own = own[1:]
+            for key in own:
+                n = lengths[key]
+                leaves = record_leaves
+                if draw(st.integers(0, 40)) == 0:  # a field that breaks the pattern
+                    n = draw(st.sampled_from([None, 0, 1, 4]))
+                    leaves = st.floats().map(np.float64) | record_leaves
+                record[key] = draw(leaves) if n is None else draw(st.lists(leaves, min_size=n, max_size=n))
+            records.append(record)
+        payload[name] = records
+    if draw(st.booleans()):
+        payload[draw(json_strings)] = draw(json_payloads)
+    return payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_dicts())
+def test_json_text_writes_record_lists_like_json_dumps(payload):
+    assert written(json_text, payload) == written(oracle_json_text, payload)
+
+
+def test_json_text_writes_the_su3_export_records_through_the_template(monkeypatch):
+    """The vertices and edges of an su3 N=30 flux export never reach
+    json.dumps: the fallback is never handed a list of records."""
+    terms = [{"label": lab, "coeff": 1.0} for lab in ("I+", "I-", "U+", "U-")]
+    terms += [{"label": "V+", "coeff": 1.0, "phase": 1.3}, {"label": "V-", "coeff": 1.0, "phase": -1.3}]
+    system = {"algebra": {"name": "su3_schwinger", "params": {"N": 30}}, "terms": terms}
+    basis, H, model, parsed = build_system(system)
+    graph = system_graph(H, model, parsed)
+    wl = system_weights(system, basis, model)
+    payload = graph_to_json_dict(graph, wl)
+    payload["fluxes"] = {"cycle_count": plaquette_fluxes(graph, wl.coordinates_float).cycle_count}
+    assert len(payload["vertices"]) == 496 and len(payload["edges"]) > 1000
+    handed = []
+    dumps = output._dumps
+    monkeypatch.setattr(output, "_dumps", lambda value: handed.append(value) or dumps(value))
+    assert json_text(payload) == oracle_json_text(payload)
+    assert not any(type(value) is list and value and type(value[0]) is dict for value in handed)
+    assert handed
 
 
 def test_json_text_writes_shared_containers_and_refuses_cycles():
