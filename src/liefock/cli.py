@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 configuration error, 3 numeric contract violation,
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import sys
 
@@ -21,8 +20,10 @@ from .errors import (
     InfeasibleSectorError,
     NumericContractError,
     ResourceGuardError,
+    complex_number,
     configure,
     exact_number,
+    real_number,
     whole_number,
 )
 from .lattice import (
@@ -36,11 +37,11 @@ from .oracles import LADDER_KINDS, bloch, ladder_oracles, so5_manybody, so5_revi
 from .output import export_heatmap, grid_csv_bytes, json_text, write_json
 from .scenarios import (
     BUILTIN_SCENARIOS,
-    _check_system,
     build_system,
     builtin_scenario,
     load_state_file,
     parse_config,
+    read_system,
     run_scenario,
     system_weights,
 )
@@ -92,10 +93,12 @@ def _cmd_algebra(args):
 
 
 def _cmd_closure(args):
-    if args.seed == "rabi":
-        ops, labels, mask = rabi_seed(cutoff=12 if args.cutoff is None else args.cutoff)
-    elif args.seed == "lmg":
-        ops, labels, mask = lmg_seed(S=8 if args.cutoff is None else args.cutoff)
+    if args.seed in ("rabi", "lmg"):
+        seed, default = (rabi_seed, 12) if args.seed == "rabi" else (lmg_seed, 8)
+        try:
+            ops, labels, mask = seed(default if args.cutoff is None else args.cutoff)
+        except ValueError as exc:
+            raise ConfigError(str(exc), field="--cutoff") from exc
     else:
         model = build_algebra(args.seed, **_load_params(args.params))
         ops, labels, mask = model.generators, list(model.labels), model.interior()
@@ -119,8 +122,7 @@ def _cmd_closure(args):
 
 def _cmd_lattice(args):
     with open(args.ham) as fh:
-        system = json.load(fh)
-    _check_system(system)
+        system = read_system(json.load(fh), "system")
     basis, H, model, terms = build_system(system)
     graph = system_graph(H, model, terms, tol=args.tol)
     wl = system_weights(system, basis, model)
@@ -147,10 +149,10 @@ def _cmd_lattice(args):
 
 def _cmd_evolve(args):
     with open(args.scenario) as fh:
-        config = parse_config(json.load(fh))
-    if args.out:
-        config.outputs = dict(config.outputs)
-        config.outputs["csv"] = args.out
+        payload = json.load(fh)
+    config = parse_config(payload)
+    if args.out:  # the CSV name, read as the config's own
+        config = parse_config(dict(payload, outputs=dict(payload.get("outputs", {}), csv=args.out)))
     archive = run_scenario(config, out_dir=args.out_dir, tol=args.tol)
     print(json_text(archive.to_dict()), end="")
     return EXIT_OK
@@ -175,21 +177,13 @@ ORACLE_ARRAYS = frozenset({"t", "js", "k", "ns", "j", "theta"})  # oracle parame
 
 
 def _oracle_number(kind, key, value):
-    """A formula parameter read by exact_number as a float, a list in
-    ORACLE_ARRAYS entry by entry; squeezing's xi may also be a complex string
-    such as "1+0.5j"."""
+    """A formula parameter read by real_number, a list in ORACLE_ARRAYS entry
+    by entry; squeezing's xi is read by complex_number, so it may also be a
+    complex string such as "1+0.5j"."""
     field = f"oracle parameter {key}"
     if key in ORACLE_ARRAYS and isinstance(value, list):
-        return np.array([float(exact_number(v, field)) for v in value])
-    if kind == "squeezing" and key == "xi" and isinstance(value, str):
-        try:
-            number = complex(value)
-        except ValueError:
-            number = None
-        if number is None or not cmath.isfinite(number):
-            raise ConfigError(f"{field} must be a finite complex number, got {value!r}", field=field)
-        return number
-    return float(exact_number(value, field))
+        return np.array([real_number(v, field) for v in value])
+    return (complex_number if kind == "squeezing" and key == "xi" else real_number)(value, field)
 
 
 def _cmd_oracle(args):

@@ -1,11 +1,13 @@
 """Exception types shared across the package, and the readers of outside
 values: `exact_number` for a number from a config, a state file or
-`--params`, `whole_number` for a count or index, and `configure` for a
+`--params`, `real_number` and `complex_number` for one read as a float or a
+complex, `whole_number` for a count or index, and `configure` for a
 parameter object, so that a malformed value raises ConfigError naming its
 field. The CLI maps config problems to exit 2, numeric contract violations
 to 3 and resource guards to 4.
 """
 
+import cmath
 import inspect
 import sys
 from fractions import Fraction
@@ -37,6 +39,23 @@ def exact_number(value, field) -> Fraction:
     return number
 
 
+def real_number(value, field) -> float:
+    """An outside real: an exact_number as a float. A float reads as itself
+    (its repr round-trips, and -0.0 keeps its sign), so "1/2" and 0.5 read
+    as the same float."""
+    number = exact_number(value, field)
+    return float(value) if isinstance(value, float) else float(number)
+
+
+def complex_number(value, field) -> complex:
+    """An outside complex: a finite complex string such as "1+0.5j", else a real_number."""
+    try:
+        z = complex(value) if isinstance(value, str) else None
+    except ValueError:
+        z = None
+    return z if z is not None and cmath.isfinite(z) else real_number(value, field)
+
+
 def whole_number(value, field) -> int:
     """An outside count or index: an exact number whose denominator is 1, so
     6, 6.0, "6" and "6.0" read as 6, and 2.5, "7/2" and true raise
@@ -54,7 +73,8 @@ def configure(fn, params, what):
     """fn(**params) for a parameter object from outside. A name fn does not
     take, or a required one that is missing, raises ConfigError naming it
     (as "`what` parameter name"); each name in WHOLE_PARAMS is read by
-    whole_number."""
+    whole_number. A value fn refuses (a ValueError without a field, such as
+    a cutoff of 0) raises ConfigError naming the parameters given."""
     taken = inspect.signature(fn).parameters
     for key in params:
         if key not in taken:
@@ -62,7 +82,13 @@ def configure(fn, params, what):
     for key, p in taken.items():
         if p.default is p.empty and key not in params:
             raise ConfigError(f"missing {what} parameter {key!r}", f"{what} parameter {key}")
-    return fn(**{k: whole_number(v, f"{what} parameter {k}") if k in WHOLE_PARAMS else v for k, v in params.items()})
+    read = {k: whole_number(v, f"{what} parameter {k}") if k in WHOLE_PARAMS else v for k, v in params.items()}
+    try:
+        return fn(**read)
+    except ValueError as exc:
+        if not params or getattr(exc, "field", None) is not None:
+            raise
+        raise ConfigError(str(exc), f"{what} parameter{'s' * (len(params) > 1)} {', '.join(params)}") from exc
 
 
 class InfeasibleSectorError(ValueError):

@@ -2,32 +2,36 @@
 built-in scenarios, and the runner that assembles the system, evolves it,
 and persists outputs with a reproducibility manifest.
 
-Unknown configuration fields are rejected with their path so golden files
-cannot drift silently. Counts and indices are read by `errors.whole_number`,
-and weights, parameters and coherent-state fields by `errors.exact_number`,
-where they are checked and again where they are used: the config is never
-rewritten, so its hash is the file's. A `coherent` state is read by its
-kind's row of COHERENT_KINDS.
+The schema is stated once, as data (CONFIG, BASIS, STATE, STATE_FILE, the
+forms of a system and the rows of COHERENT_KINDS): each field has its reader
+(`errors.whole_number` for counts and indices, `exact_number`, `real_number`
+or `complex_number` for numbers, or one for a string, a file name, a bool, a
+list or an object with its allowed and required keys). One walker reads a
+payload, refuses an unknown field, so golden files cannot drift silently,
+names the path of a value that does not fit and returns the read values; the
+rules between fields follow as plain code. A config is never rewritten, so
+its hash is that of what was given: "1/2" and 0.5 read alike but hash
+differently.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import build_algebra, lie_closure, lmg_seed, rabi_seed
+from .algebra import CATALOG, build_algebra, lie_closure, lmg_seed, rabi_seed
 from . import coherent
 from .coherent import SPACES, chart_param, husimi_chart
 from .dynamics import evolve, expectation_series, fidelity_series
-from .errors import ConfigError, configure, exact_number, whole_number
-from .fock import FockBasis, ModeSpec, boson, spin
+from .errors import ConfigError, complex_number, configure, exact_number, real_number, whole_number
+from .fock import BOSON, FERMION, SPIN, FockBasis, ModeSpec, boson, spin
 from .lattice import (
     check_exact,
     graph_to_adjacency_csv,
@@ -41,17 +45,6 @@ from .output import float_rows, grid_csv_bytes, heatmap_bytes, json_text, sha256
 CONFIG_VERSION = 1
 
 
-def _require_keys(obj, allowed, required, path):
-    if not isinstance(obj, dict):
-        raise ConfigError("expected an object", field=path or "top level")
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown field {key!r}", field=f"{path}.{key}" if path else key)
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"missing required field {key!r}", field=path or key)
-
-
 def _rational_str(obj):
     """Exact rationals, such as S = 7/2 given on the command line, as "7/2"."""
     if isinstance(obj, Fraction):
@@ -61,6 +54,9 @@ def _rational_str(obj):
 
 @dataclass
 class ScenarioConfig:
+    """A config as given, which its hash covers, and `values`, the values
+    `parse_config` read from it, which a run uses."""
+
     name: str
     system: dict
     initial_state: dict
@@ -71,6 +67,7 @@ class ScenarioConfig:
     outputs: dict = field(default_factory=dict)
     kind: str = "evolution"
     extra: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -95,224 +92,122 @@ class ScenarioConfig:
         return sha256_bytes(self.canonical_json().encode())
 
 
-def parse_config(payload) -> ScenarioConfig:
-    """Validate a configuration dict against the strict schema."""
-    _require_keys(
-        payload,
-        allowed={"version", "name", "kind", "system", "initial_state", "times", "evolve", "observables", "outputs", "extra"},
-        required={"version", "name"},
-        path="",
-    )
-    if payload["version"] != CONFIG_VERSION:
-        raise ConfigError(f"unsupported config version {payload['version']}", field="version")
-    kind = payload.get("kind", "evolution")
-    outputs = payload.get("outputs", {})
-    _require_keys(
-        outputs,
-        {"csv", "graph_json", "adjacency_csv", "site_populations", "heatmap", "husimi"},
-        set(),
-        "outputs",
-    )
-    for key in ("csv", "graph_json", "adjacency_csv"):
-        if key in outputs:
-            _check_file_name(outputs[key], f"outputs.{key}")
-    if "heatmap" in outputs:
-        _require_keys(
-            outputs["heatmap"], {"path", "time_index", "fourth_root"}, {"path", "time_index"}, "outputs.heatmap"
-        )
-        _check_file_name(outputs["heatmap"]["path"], "outputs.heatmap.path")
-    if "husimi" in outputs:
-        _require_keys(
-            outputs["husimi"], {"space", "path", "time_index", "nodes", "params"}, {"space", "path"}, "outputs.husimi"
-        )
-        _check_file_name(outputs["husimi"]["path"], "outputs.husimi.path")
-        if outputs["husimi"]["space"] not in SPACES:
-            raise ConfigError(f"unknown phase space {outputs['husimi']['space']!r}", field="outputs.husimi.space")
-        if "nodes" in outputs["husimi"]:
-            nodes = _require_list(outputs["husimi"]["nodes"], "outputs.husimi.nodes")
-            if len(nodes) != 2 or min(whole_number(n, "outputs.husimi.nodes") for n in nodes) < 1:
-                raise ConfigError("expected two positive node counts", field="outputs.husimi.nodes")
-        _check_params(outputs["husimi"].get("params", {}), "outputs.husimi.params")
-    if kind == "closure_gallery":
-        return ScenarioConfig(
-            name=payload["name"],
-            system={},
-            initial_state={},
-            times={},
-            outputs=outputs,
-            kind=kind,
-            extra=payload.get("extra", {}),
-        )
-    if kind != "evolution":
-        raise ConfigError(f"unknown scenario kind {kind!r}", field="kind")
-    _require_keys(payload, payload, ("system", "initial_state", "times"), "")
-
-    system = payload["system"]
-    _check_system(system)
-
-    state = payload["initial_state"]
-    _check_initial_state(state, "initial_state")
-
-    times = payload["times"]
-    _require_keys(times, {"start", "stop", "num"}, {"start", "stop", "num"}, "times")
-    for key in ("start", "stop"):
-        _check_real(times[key], f"times.{key}")
-    num = whole_number(times["num"], "times.num")
-    if num < 1:
-        raise ConfigError("times.num must be a positive integer", field="times.num")
-    if not times["stop"] > times["start"] and num > 1:
-        raise ConfigError("times.stop must exceed times.start", field="times")
-
-    ev = payload.get("evolve", {})
-    _require_keys(ev, {"method", "store"}, set(), "evolve")
-    method = ev.get("method", "dense_eig")
-    store = ev.get("store", "snapshots")
-    if method not in ("dense_eig", "krylov"):
-        raise ConfigError(f"unknown method {method!r}", field="evolve.method")
-    if store not in ("snapshots", "populations"):
-        raise ConfigError(f"unknown store {store!r}", field="evolve.store")
-
-    observables = _require_list(payload.get("observables", []), "observables")
-    for k, obs in enumerate(observables):
-        _require_keys(obs, {"name", "generator", "number_mode"}, {"name"}, f"observables[{k}]")
-        if ("generator" in obs) == ("number_mode" in obs):
-            raise ConfigError(
-                "observable needs exactly one of 'generator' or 'number_mode'",
-                field=f"observables[{k}]",
-            )
-
-    for key in ("heatmap", "husimi"):
-        if "time_index" in outputs.get(key, {}):
-            _check_index(outputs[key]["time_index"], num, f"outputs.{key}.time_index")
-
-    return ScenarioConfig(
-        name=payload["name"],
-        system=system,
-        initial_state=state,
-        times=times,
-        method=method,
-        store=store,
-        observables=observables,
-        outputs=outputs,
-        kind="evolution",
-        extra=payload.get("extra", {}),
-    )
+# ---------------------------------------------------------------------------
+# the config schema
+# ---------------------------------------------------------------------------
 
 
-def _check_system(system):
-    """Validate a system spec, algebra+terms or basis+bilinears: a malformed
-    one raises ConfigError naming the field."""
-    if isinstance(system, dict) and "algebra" in system:
-        _require_keys(system, {"algebra", "terms"}, {"algebra", "terms"}, "system")
-        _require_keys(system["algebra"], {"name", "params"}, {"name"}, "system.algebra")
-        _name(system["algebra"]["name"], "system.algebra.name")
-        _check_params(system["algebra"].get("params", {}), "system.algebra.params")
-        terms, path, fields = system["terms"], "system.terms", {"label", "coeff", "phase"}
-    elif isinstance(system, dict) and "basis" in system:
-        _require_keys(system, {"basis", "bilinears", "weights"}, {"basis", "bilinears"}, "system")
-        modes, _ = _check_basis(system["basis"], "system.basis")
-        for k, row in enumerate(_require_list(system.get("weights", []), "system.weights")):
-            if len(_require_list(row, f"system.weights[{k}]")) != len(modes):
-                raise ConfigError("each weight row needs one rational entry per mode", field=f"system.weights[{k}]")
-            for i, c in enumerate(row):
-                exact_number(c, f"system.weights[{k}][{i}]")
-        terms, path, fields = system["bilinears"], "system.bilinears", {"create", "annihilate", "coeff", "phase"}
-    else:
-        raise ConfigError("system must contain either 'algebra'+'terms' or 'basis'+'bilinears'", field="system")
-    if not _require_list(terms, path):
-        raise ConfigError("at least one term is needed", field=path)
-    for k, term in enumerate(terms):
-        _require_keys(term, fields, fields - {"phase"}, f"{path}[{k}]")
-        for key in ("coeff", "phase"):
-            _check_real(term.get(key, 0.0), f"{path}[{k}].{key}")
-        _name(term.get("label", ""), f"{path}[{k}].label")
-        if "basis" in system:
-            for key in ("create", "annihilate"):
-                _check_index(term[key], len(modes), f"{path}[{k}].{key}")
+class Obj(NamedTuple):
+    """The schema of an object: `fields` maps each allowed key to its schema
+    ("*" any other key) and `required` lists the keys it must have."""
+
+    fields: dict
+    required: tuple = ()
 
 
-def _check_basis(basis, path):
-    """The modes and constraint of a `{"modes": [{"kind", "capacity"}, ...],
-    "constraint"}` spec, the arguments of its FockBasis."""
-    _require_keys(basis, {"modes", "constraint"}, {"modes"}, path)
-    modes = []
-    for k, spec in enumerate(_require_list(basis["modes"], f"{path}.modes")):
-        _require_keys(spec, {"kind", "capacity"}, {"kind", "capacity"}, f"{path}.modes[{k}]")
-        modes.append(ModeSpec(spec["kind"], whole_number(spec["capacity"], f"{path}.modes[{k}].capacity")))
-    constraint = basis.get("constraint")
-    return modes, None if constraint is None else whole_number(constraint, f"{path}.constraint")
+def _read(value, schema, path):
+    """`value` read against `schema`: an Obj, a one-entry list (a list whose
+    entries that entry reads, each named by its index) or the reader
+    `(value, path) -> read value` of a leaf. Returns the read values; one
+    that does not fit raises ConfigError naming its path."""
+    if isinstance(schema, list):
+        return [_read(v, schema[0], f"{path}[{k}]") for k, v in enumerate(_LIST(value, path))]
+    if not isinstance(schema, Obj):
+        return schema(value, path)
+    if not isinstance(value, dict):
+        raise ConfigError("expected an object", field=path or "top level")
+    paths = {key: f"{path}.{key}" if path else key for key in value}
+    for key in value:
+        if key not in schema.fields and "*" not in schema.fields:
+            raise ConfigError(f"unknown field {key!r}", field=paths[key])
+    for key in schema.required:
+        if key not in value:
+            raise ConfigError(f"missing required field {key!r}", field=path or key)
+    return {key: _read(v, schema.fields.get(key, schema.fields.get("*")), paths[key]) for key, v in value.items()}
 
 
-def _check_initial_state(state, path):
-    _require_keys(state, {"fock", "coherent", "amplitudes"}, set(), path)
-    if len(state) != 1:
-        raise ConfigError(f"{path} must contain exactly one of fock/coherent/amplitudes", field=path)
+def _leaf(what, fits, read=lambda value, path: value):
+    """The reader of a leaf: `read` reads it and `fits` must accept the
+    read value, else ConfigError "expected `what`"."""
+
+    def reader(value, path):
+        value = read(value, path)
+        if not fits(value):
+            raise ConfigError(f"expected {what}", field=path)
+        return value
+
+    return reader
 
 
-def _check_params(params, path):
-    """An object of parameters, each read by exact_number."""
-    if not isinstance(params, dict):
-        raise ConfigError("expected an object", field=path)
-    for key, value in params.items():
-        exact_number(value, f"{path}.{key}")
-    return params
+def _one_of(names):
+    return _leaf(f"one of {', '.join(names)}", lambda value: isinstance(value, str) and value in names)
 
 
-def _name(value, path):
-    if not isinstance(value, str):
-        raise ConfigError("expected a string", field=path)
-    return value
+def _each(reader):
+    """The reader of a list whose entries `reader` reads, each named by the list."""
+    return lambda value, path: [reader(v, path) for v in _LIST(value, path)]
 
 
-def _check_file_name(value, path):
-    if not isinstance(value, str) or not value:
-        raise ConfigError("expected a file name", field=path)
+def _re_im(pair, path):
+    """One [re, im] pair of an amplitude list, each part a real_number."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ConfigError(f"expected a list of [re, im] pairs, got {pair!r}", field=path)
+    return complex(real_number(pair[0], path), real_number(pair[1], path))
 
 
-def _require_list(obj, path):
-    if not isinstance(obj, list):
-        raise ConfigError("expected a list", field=path)
-    return obj
-
-
-def _check_real(value, path):
-    # true for finite floats (NaN compares false) and for ints a float can hold: 10**400 fails
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not abs(value) <= sys.float_info.max:
-        raise ConfigError("expected a finite real number", field=path)
-
-
-def _check_index(value, size, path):
-    """An index k read by whole_number, with 0 <= k < size: a mode of the
-    basis or a point of the time grid."""
-    k = whole_number(value, path)
+def _in_range(k, size, path):
+    """A read index k with 0 <= k < size: a mode of the basis or a point of the time grid."""
     if not 0 <= k < size:
         raise ConfigError(f"index {k} is outside 0..{size - 1}", field=path)
     return k
 
 
-def _real(value, path):
-    """A real field, a number or a rational string, as a float."""
-    return float(exact_number(value, path))
+_AS_GIVEN = _leaf("anything", lambda value: True)
+_LIST = _leaf("a list", lambda value: isinstance(value, list))
+_STRING = _leaf("a string", lambda value: isinstance(value, str))
+_FILE_NAME = _leaf("a file name", lambda value: isinstance(value, str) and value != "")
+_BOOL = _leaf("true or false", lambda value: isinstance(value, bool))
+_COUNT = _leaf("a positive whole number", lambda n: n >= 1, whole_number)
+_NODES = _leaf("two positive node counts", lambda ns: len(ns) == 2 and min(ns) >= 1, _each(whole_number))
+_CONSTRAINT = _leaf("null or a whole number >= 0", lambda n: n is None or n >= 0,
+                    lambda value, path: None if value is None else whole_number(value, path))
+_PARAMS = Obj({"*": exact_number})
+_TERM = {"coeff": real_number, "phase": real_number}
+_MODE = Obj({"kind": _one_of((BOSON, FERMION, SPIN)), "capacity": _COUNT}, ("kind", "capacity"))
+_MODES = _leaf("at least one mode", len, lambda value, path: _read(value, [_MODE], path))
+BASIS = Obj({"modes": _MODES, "constraint": _CONSTRAINT}, ("modes",))
+_BILINEAR = Obj({"create": whole_number, "annihilate": whole_number, **_TERM}, ("create", "annihilate", "coeff"))
+_ALGEBRA = Obj({"name": _one_of(tuple(CATALOG)), "params": _PARAMS}, ("name",))
+_GENERATOR_TERM = Obj({"label": _STRING, **_TERM}, ("label", "coeff"))
+SYSTEM_FORMS = {
+    "algebra": Obj({"algebra": _ALGEBRA, "terms": [_GENERATOR_TERM]}, ("algebra", "terms")),
+    "basis": Obj({"basis": BASIS, "bilinears": [_BILINEAR], "weights": [[exact_number]]}, ("basis", "bilinears")),
+}
 
 
-def _amplitude(pair, path):
-    """One [re, im] pair of an amplitude list, each part read by `_real`."""
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise ConfigError(f"expected a list of [re, im] pairs, got {pair!r}", field=path)
-    return complex(_real(pair[0], path), _real(pair[1], path))
-
-
-def _complex(value, path):
-    """A complex amplitude: a real (`_real`) or a string such as "1+0.5j"."""
-    try:
-        z = complex(value) if isinstance(value, str) else None
-    except ValueError:
-        z = None
-    return z if z is not None and np.isfinite(z) else _real(value, path)
-
-
-def _complex_list(value, path):
-    return [_complex(v, path) for v in _require_list(value, path)]
+def read_system(spec, path):
+    """A system spec read by the schema of its form, algebra+terms or
+    basis+bilinears (with optional weights), then the rules between its
+    fields: at least one term, bilinear indices below the number of modes,
+    no phase on a diagonal bilinear, and one weight entry per mode."""
+    forms = [key for key in SYSTEM_FORMS if isinstance(spec, dict) and key in spec]
+    if len(forms) != 1:
+        raise ConfigError("system must contain either 'algebra'+'terms' or 'basis'+'bilinears'", field=path)
+    system = _read(spec, SYSTEM_FORMS[forms[0]], path)
+    terms = "terms" if "algebra" in system else "bilinears"
+    if not system[terms]:
+        raise ConfigError("at least one term is needed", field=f"{path}.{terms}")
+    if "basis" in system:
+        modes = len(system["basis"]["modes"])
+        for k, term in enumerate(system["bilinears"]):
+            for key in ("create", "annihilate"):
+                _in_range(term[key], modes, f"{path}.bilinears[{k}].{key}")
+            if term["create"] == term["annihilate"] and term.get("phase", 0.0) != 0.0:
+                raise ConfigError("diagonal bilinears cannot carry a phase", field=f"{path}.bilinears[{k}].phase")
+        for k, row in enumerate(system.get("weights", [])):
+            if len(row) != modes:
+                raise ConfigError("each weight row needs one rational entry per mode", field=f"{path}.weights[{k}]")
+    return system
 
 
 _SU3_ANGLES = ("theta1", "theta2", "phi1", "phi2")
@@ -328,43 +223,133 @@ def _displaced(f):
     return (model.basis.modes, model.basis.constraint), lambda basis: coherent.displaced_state(model, f)
 
 
-# Each coherent-state kind: its fields with their readers (a field in no form
-# is optional); the field lists that complete a spec (the last is asked for
+# Each coherent-state kind: the schema of its fields (a field in no form is
+# optional); the field lists that complete a spec (the last is asked for
 # when none does); and its constructor, from the read fields to the modes and
 # constraint of its register and a function from a basis with the register's
 # states to the state on that basis.
 COHERENT_KINDS = {
     "spin": (
-        {"S": exact_number, "theta": _real, "phi": _real},
+        {"S": exact_number, "theta": real_number, "phi": real_number},
         (("S", "theta", "phi"),),
         lambda f: (([spin(f["S"])], None), lambda _: coherent.spin_coherent_state(**f)),
     ),
     "glauber": (
-        {"alpha": _complex, "cutoff": whole_number},
+        {"alpha": complex_number, "cutoff": whole_number},
         (("alpha", "cutoff"),),
         lambda f: (([boson(f["cutoff"])], None), lambda _: coherent.glauber_state(**f)),
     ),
     "squeezed": (
-        {"xi": _complex, "cutoff": whole_number, "k": exact_number},
+        {"xi": complex_number, "cutoff": whole_number, "k": exact_number},
         (("xi", "cutoff"),),
         lambda f: (([boson(f["cutoff"])], None), lambda _: coherent.squeezed_vacuum_state(**f)),
     ),
     "euclidean": (
-        {"beta": _complex, "L": whole_number, "start": whole_number},
+        {"beta": complex_number, "L": whole_number, "start": whole_number},
         (("beta", "L"),),
         lambda f: (([boson(f["L"] - 1)], None), lambda _: coherent.euclidean_coherent_state(**f)),
     ),
     "su3": (
-        {"N": whole_number, "zeta": _complex_list, **dict.fromkeys(_SU3_ANGLES, _real)},
+        {"N": whole_number, "zeta": _each(complex_number), **dict.fromkeys(_SU3_ANGLES, real_number)},
         (("N", "zeta"), ("N", *_SU3_ANGLES)),
         _su3,
     ),
     "displaced": (
-        {"algebra": _name, "params": _check_params, "root": _name, "beta": _complex, "reference": _complex_list},
+        {"algebra": _one_of(tuple(CATALOG)), "params": _PARAMS, "root": _STRING, "beta": complex_number,
+         "reference": _each(complex_number)},
         (("algebra", "root", "beta"),),
         _displaced,
     ),
 }
+
+
+def _coherent(spec, path):
+    """A coherent-state spec read by its kind's row of COHERENT_KINDS."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in COHERENT_KINDS:
+        raise ConfigError(f"expected an object whose 'kind' is one of {', '.join(COHERENT_KINDS)}", field=path)
+    fields, forms, _ = COHERENT_KINDS[kind]
+    form = next((form for form in forms if spec.keys() >= set(form)), forms[-1])
+    return _read(spec, Obj({"kind": _STRING, **fields}, form), path)
+
+
+STATE = Obj({"fock": _each(whole_number), "coherent": _coherent, "amplitudes": _each(_re_im)})
+
+
+def read_state(spec, path):
+    """A state spec read against STATE, with exactly one of fock
+    (occupations), coherent or amplitudes ([re, im] pairs)."""
+    state = _read(spec, STATE, path)
+    if len(state) != 1:
+        raise ConfigError(f"{path} must contain exactly one of fock/coherent/amplitudes", field=path)
+    return state
+
+
+CONFIG = Obj(
+    {
+        "version": whole_number,
+        "name": _FILE_NAME,  # of the manifest, <name>_manifest.json
+        "kind": _one_of(("evolution", "closure_gallery")),
+        "system": read_system,
+        "initial_state": read_state,
+        "times": Obj({"start": real_number, "stop": real_number, "num": _COUNT}, ("start", "stop", "num")),
+        "evolve": Obj({"method": _one_of(("dense_eig", "krylov")), "store": _one_of(("snapshots", "populations"))}),
+        "observables": [Obj({"name": _STRING, "generator": _STRING, "number_mode": whole_number}, ("name",))],
+        "outputs": Obj({
+            **dict.fromkeys(("csv", "graph_json", "adjacency_csv"), _FILE_NAME),
+            "site_populations": _BOOL,
+            "heatmap": Obj({"path": _FILE_NAME, "time_index": whole_number, "fourth_root": _BOOL}, ("path", "time_index")),
+            "husimi": Obj({"space": _one_of(SPACES), "path": _FILE_NAME, "time_index": whole_number, "nodes": _NODES,
+                           "params": _PARAMS}, ("space", "path")),
+        }),
+        "extra": _leaf("an object", lambda value: isinstance(value, dict)),
+    },
+    ("version", "name"),
+)
+# a closure gallery reads none of the sections of an evolution, and keeps none
+_EVOLUTION = ("system", "initial_state", "times", "evolve", "observables")
+GALLERY = Obj({**CONFIG.fields, **dict.fromkeys(_EVOLUTION, _AS_GIVEN)}, CONFIG.required)
+STATE_FILE = Obj({"basis": BASIS, "state": read_state, "space_params": _PARAMS}, ("basis", "state"))
+
+
+def parse_config(payload) -> ScenarioConfig:
+    """Read a configuration dict against CONFIG (GALLERY for a closure
+    gallery), then the rules between its sections: the version, the
+    sections an evolution needs, a time grid that runs forward, time indices
+    on the grid and one source per observable."""
+    gallery = isinstance(payload, dict) and payload.get("kind") == "closure_gallery"
+    values = _read(payload, GALLERY if gallery else CONFIG, "")
+    if values["version"] != CONFIG_VERSION:
+        raise ConfigError(f"unsupported config version {payload['version']}", field="version")
+    if not gallery:
+        for key in ("system", "initial_state", "times"):
+            if key not in values:
+                raise ConfigError(f"missing required field {key!r}", field=key)
+        times = values["times"]
+        if not times["stop"] > times["start"] and times["num"] > 1:
+            raise ConfigError("times.stop must exceed times.start", field="times")
+        outputs = values.get("outputs", {})
+        for key in ("heatmap", "husimi"):
+            if "time_index" in outputs.get(key, {}):
+                _in_range(outputs[key]["time_index"], times["num"], f"outputs.{key}.time_index")
+        for k, obs in enumerate(values.get("observables", [])):
+            if ("generator" in obs) == ("number_mode" in obs):
+                raise ConfigError("observable needs exactly one of 'generator' or 'number_mode'", field=f"observables[{k}]")
+    given, ev = ({}, {}) if gallery else (payload, values.get("evolve", {}))
+    config = ScenarioConfig(
+        name=payload["name"],
+        system=given.get("system", {}),
+        initial_state=given.get("initial_state", {}),
+        times=given.get("times", {}),
+        method=ev.get("method", "dense_eig"),
+        store=ev.get("store", "snapshots"),
+        observables=given.get("observables", []),
+        outputs=payload.get("outputs", {}),
+        kind=values.get("kind", "evolution"),
+        extra=payload.get("extra", {}),
+    )
+    config.values = values
+    return config
 
 
 def _states(modes, constraint):
@@ -373,60 +358,44 @@ def _states(modes, constraint):
     return constraint, [(m.kind, m.capacity if constraint is None else min(m.capacity, constraint)) for m in modes]
 
 
-def _coherent_state(spec, basis, path):
-    """The state of a `coherent` spec on `basis`. An unknown or missing field
-    raises ConfigError naming it, and so does a basis whose states are not
-    those of the state's register, whatever its dimension; the state is
-    built only on its register."""
-    name = spec.get("kind") if isinstance(spec, dict) else None
-    if not isinstance(name, str) or name not in COHERENT_KINDS:
-        raise ConfigError(f"expected an object whose 'kind' is one of {', '.join(COHERENT_KINDS)}", field=path)
-    fields, forms, build = COHERENT_KINDS[name]
-    _require_keys(spec, {"kind", *fields}, next((form for form in forms if spec.keys() >= set(form)), forms[-1]), path)
-    (modes, constraint), state = build({k: fields[k](v, f"{path}.{k}") for k, v in spec.items() if k != "kind"})
-    if _states(modes, constraint) != _states(basis.modes, basis.constraint):
-        raise ConfigError(f"the {name} coherent state needs the modes {modes} with constraint {constraint}", field=path)
-    return state(basis)
-
-
 # ---------------------------------------------------------------------------
 # system assembly
 # ---------------------------------------------------------------------------
 
 
+def _basis(spec):
+    """The FockBasis of a read BASIS spec."""
+    return FockBasis([ModeSpec(**mode) for mode in spec["modes"]], spec.get("constraint"))
+
+
+def _label(model, label, path):
+    if label not in model.labels:
+        raise ConfigError(f"generator {label!r} does not exist in algebra {model.name!r}", field=path)
+    return label
+
+
 def build_system(system):
-    """Returns (basis, H, model, terms): model and the (label, coefficient)
-    terms are None unless the system names an algebra."""
+    """Returns (basis, H, model, terms) of a read system (`read_system`):
+    model and the (label, coefficient) terms are None unless the system
+    names an algebra."""
     if "algebra" in system:
         model = build_algebra(system["algebra"]["name"], **system["algebra"].get("params", {}))
-        known = set(model.labels)
-        terms = []
-        for term in system["terms"]:
-            if term["label"] not in known:
-                raise ConfigError(
-                    f"generator {term['label']!r} does not exist in algebra {model.name!r}",
-                    field="system.terms",
-                )
-            coeff = term["coeff"] * np.exp(1j * term.get("phase", 0.0))
-            terms.append((term["label"], coeff))
-        ops = [model.generator(lab) for lab, _ in terms]
-        H = linear_combination(ops, [c for _, c in terms])
+        terms = [
+            (_label(model, term["label"], f"system.terms[{k}].label"), term["coeff"] * np.exp(1j * term.get("phase", 0.0)))
+            for k, term in enumerate(system["terms"])
+        ]
+        H = linear_combination([model.generator(lab) for lab, _ in terms], [c for _, c in terms])
         if not H.is_hermitian():
-            raise ConfigError(
-                "the requested generator combination is not Hermitian", field="system.terms"
-            )
+            raise ConfigError("the requested generator combination is not Hermitian", field="system.terms")
         return model.basis, H, model, terms
-    basis = FockBasis(*_check_basis(system["basis"], "system.basis"))
+    basis = _basis(system["basis"])
     acc = None
-    for k, term in enumerate(system["bilinears"]):
-        i, j = (whole_number(term[key], f"system.bilinears[{k}].{key}") for key in ("create", "annihilate"))
-        coeff = term["coeff"] * np.exp(1j * term.get("phase", 0.0))
+    for term in system["bilinears"]:
+        i, j = term["create"], term["annihilate"]
         op = transfer_op(basis, i, j) if i != j else number_op(basis, i)
-        piece = op.mat * coeff
+        piece = op.mat * (term["coeff"] * np.exp(1j * term.get("phase", 0.0)))
         if i != j:
             piece = piece + piece.conj().T
-        elif term.get("phase", 0.0) != 0.0:
-            raise ConfigError("diagonal bilinears cannot carry a phase", field="system.bilinears")
         acc = piece if acc is None else acc + piece
     H = SparseOperator(acc)
     if not H.is_hermitian():
@@ -437,16 +406,14 @@ def build_system(system):
 def system_weights(system, basis, model):
     """The exact coordinates that label a system's lattice sites, or None:
     the Cartan weights of a named algebra (`AlgebraModel.weight_lattice`),
-    else the spec's `weights` rows, exact rational linear forms of the
-    occupations (one coefficient per mode, read by `exact_number`), scaled
-    to integers over their common denominator. Both go through
-    `lattice.weight_coordinates`."""
+    else the read system's `weights` rows, exact rational linear forms of
+    the occupations (one Fraction per mode), scaled to integers over their
+    common denominator. Both go through `lattice.weight_coordinates`."""
     if model is not None and model.cartan:
         return model.weight_lattice()
     if "weights" not in system:
         return None
-    rows = enumerate(system["weights"])
-    forms = [[exact_number(c, f"system.weights[{k}][{i}]") for i, c in enumerate(row)] for k, row in rows]
+    forms = system["weights"]
     den = lcm(*(f.denominator for row in forms for f in row))
     coeffs = [[int(f * den) for f in row] for row in forms]
     caps = [m.capacity for m in basis.modes]
@@ -455,37 +422,39 @@ def system_weights(system, basis, model):
     return weight_coordinates(basis.occ @ coeffs.T, den)
 
 
-def build_initial_state(state_spec, basis, path="initial_state"):
-    """The state of a fock/amplitudes/coherent spec; errors name fields under `path`."""
-    if "fock" in state_spec:
-        occ = _require_list(state_spec["fock"], f"{path}.fock")
-        return basis.vector(tuple(whole_number(v, f"{path}.fock") for v in occ))
-    if "amplitudes" in state_spec:
+def build_initial_state(state, basis, path="initial_state"):
+    """The state of a read fock/amplitudes/coherent spec (`read_state`) on
+    `basis`; errors name fields under `path`. A coherent state whose
+    register's states are not the basis's raises ConfigError, whatever its
+    dimension; it is built only on its register."""
+    if "fock" in state:
+        occ = tuple(state["fock"])
+        if not basis.contains(occ):
+            raise ConfigError(f"occupation {occ} is not a state of the basis", field=f"{path}.fock")
+        return basis.vector(occ)
+    if "amplitudes" in state:
+        amp = np.array(state["amplitudes"], dtype=complex)
         field = f"{path}.amplitudes"
-        amp = np.array([_amplitude(pair, field) for pair in _require_list(state_spec["amplitudes"], field)], dtype=complex)
         if amp.shape[0] != basis.dim:
-            raise ConfigError(
-                f"amplitude vector length {amp.shape[0]} does not match dim {basis.dim}",
-                field=field,
-            )
+            raise ConfigError(f"amplitude vector length {amp.shape[0]} does not match dim {basis.dim}", field=field)
         nrm = np.linalg.norm(amp)
         if nrm == 0:
             raise ConfigError("amplitude vector is zero", field=field)
         return amp / nrm
-    if "coherent" in state_spec:
-        return _coherent_state(state_spec["coherent"], basis, f"{path}.coherent")
-    raise ConfigError(f"empty {path}", field=path)
+    spec = state["coherent"]
+    (modes, constraint), make = COHERENT_KINDS[spec["kind"]][2]({k: v for k, v in spec.items() if k != "kind"})
+    if _states(modes, constraint) != _states(basis.modes, basis.constraint):
+        needs = f"the {spec['kind']} coherent state needs the modes {modes} with constraint {constraint}"
+        raise ConfigError(needs, field=f"{path}.coherent")
+    return make(basis)
 
 
 def load_state_file(spec):
     """The state vector and chart parameters of a `liefock husimi` state
-    file, {"basis", "state", "space_params"}; a malformed one raises
-    ConfigError naming the field."""
-    _require_keys(spec, {"basis", "state", "space_params"}, {"basis", "state"}, "")
-    modes, constraint = _check_basis(spec["basis"], "basis")
-    _check_initial_state(spec["state"], "state")
-    params = _check_params(spec.get("space_params", {}), "space_params")
-    return build_initial_state(spec["state"], FockBasis(modes, constraint), "state"), params
+    file, read against STATE_FILE; a malformed one raises ConfigError
+    naming the field."""
+    values = _read(spec, STATE_FILE, "")
+    return build_initial_state(values["state"], _basis(values["basis"]), "state"), values.get("space_params", {})
 
 
 @dataclass
@@ -499,51 +468,63 @@ class RunArchive:
         return asdict(self)
 
 
-def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
-    """Assemble, evolve, and persist. All files are written at the end."""
-    started = time.monotonic()
-    os.makedirs(out_dir, exist_ok=True)
-    pending = []  # (filename, bytes) written by a single writer at the end
-
-    if config.kind == "closure_gallery":
-        payload = closure_gallery_report()
-        name = config.outputs.get("csv") or f"{config.name}.json"
-        pending.append((name, json_text(payload).encode()))
-        return _finalize(config, out_dir, pending, started)
-
-    basis, H, model, terms = build_system(config.system)
-    psi0 = build_initial_state(config.initial_state, basis)
+def _observables(config, basis, model):
+    """The (name, operator) pairs of a run's observables, once its outputs
+    are checked against the system: observables and a Husimi chart need
+    snapshots, a generator an algebra that has it, a number mode a mode of
+    the basis, and the chart's parameters must fit the state's length."""
     observables = []
-    for k, obs in enumerate(config.observables):
+    for k, obs in enumerate(config.values.get("observables", [])):
         if config.store != "snapshots":
             raise ConfigError("observables require snapshot storage", field="observables")
         if "generator" in obs:
+            path = f"observables[{k}].generator"
             if model is None:
-                raise ConfigError(
-                    "generator observables need an algebra-based system", field="observables"
-                )
-            op = model.generator(obs["generator"])
+                raise ConfigError("generator observables need an algebra-based system", field=path)
+            op = model.generator(_label(model, obs["generator"], path))
         else:
-            op = number_op(basis, _check_index(obs["number_mode"], len(basis.modes), f"observables[{k}].number_mode"))
+            op = number_op(basis, _in_range(obs["number_mode"], len(basis.modes), f"observables[{k}].number_mode"))
         observables.append((obs["name"], op))
-    hu = config.outputs.get("husimi")
+    hu = config.values.get("outputs", {}).get("husimi")
     if hu is not None:
         if config.store != "snapshots":
             raise ConfigError("husimi output requires snapshots", field="outputs.husimi")
         chart_param(hu["space"], hu.get("params", {}), basis.dim, "outputs.husimi.params")
-    num = whole_number(config.times["num"], "times.num")
-    times = np.linspace(config.times["start"], config.times["stop"], num)
+    return observables
+
+
+def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
+    """Assemble, evolve, and persist the read values of a config
+    (`parse_config`). All files are written at the end."""
+    started = time.monotonic()
+    os.makedirs(out_dir, exist_ok=True)
+    pending = []  # (filename, bytes) written by a single writer at the end
+    outputs = config.values.get("outputs", {})
+
+    if config.kind == "closure_gallery":
+        payload = closure_gallery_report()
+        name = outputs.get("csv") or f"{config.name}.json"
+        pending.append((name, json_text(payload).encode()))
+        return _finalize(config, out_dir, pending, started)
+
+    system = config.values["system"]
+    basis, H, model, terms = build_system(system)
+    psi0 = build_initial_state(config.values["initial_state"], basis)
+    observables = _observables(config, basis, model)
+    span = config.values["times"]
+    num = span["num"]
+    times = np.linspace(span["start"], span["stop"], num)
     if num == 1:
-        times = np.array([config.times["start"]], dtype=float)
+        times = np.array([span["start"]], dtype=float)
     result = evolve(H, psi0, times, method=config.method, store=config.store)
 
     graph = None
     wl = None
-    needs_sites = config.outputs.get("site_populations") or "heatmap" in config.outputs
-    if "graph_json" in config.outputs or "adjacency_csv" in config.outputs:
+    needs_sites = outputs.get("site_populations") or "heatmap" in outputs
+    if "graph_json" in outputs or "adjacency_csv" in outputs:
         graph = system_graph(H, model, terms, tol=tol)
     if graph is not None or needs_sites:
-        wl = system_weights(config.system, basis, model)
+        wl = system_weights(system, basis, model)
     if wl is None and needs_sites:
         # site populations and heatmaps fall back to the occupations
         wl = weight_coordinates(basis.occ, 1)
@@ -557,34 +538,32 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
         columns.append((name, np.real(expectation_series(result, op))))
 
     site_columns = []
-    if config.outputs.get("site_populations"):
+    if outputs.get("site_populations"):
         site_pops, site_keys = _site_populations(result.populations, wl)
         site_columns = [(f"P{key}", site_pops[:, s]) for s, key in enumerate(site_keys)]
 
-    if "csv" in config.outputs:
+    if "csv" in outputs:
         header = ["t"] + [name for name, _ in columns + site_columns]
         table = np.column_stack([times] + [col for _, col in columns + site_columns])
         text = "\n".join([",".join(header), *float_rows(table)]) + "\n"
-        pending.append((config.outputs["csv"], text.encode()))
+        pending.append((outputs["csv"], text.encode()))
 
-    if "graph_json" in config.outputs:
+    if "graph_json" in outputs:
         payload = graph_to_json_dict(graph, wl)
-        pending.append((config.outputs["graph_json"], json_text(payload).encode()))
-    if "adjacency_csv" in config.outputs:
-        pending.append((config.outputs["adjacency_csv"], graph_to_adjacency_csv(graph).encode()))
+        pending.append((outputs["graph_json"], json_text(payload).encode()))
+    if "adjacency_csv" in outputs:
+        pending.append((outputs["adjacency_csv"], graph_to_adjacency_csv(graph).encode()))
 
-    if "heatmap" in config.outputs:
-        hm = config.outputs["heatmap"]
-        table = _weight_grid(result.populations[whole_number(hm["time_index"], "outputs.heatmap.time_index")], wl)
-        pending.append(
-            (hm["path"], heatmap_bytes(table, bool(hm.get("fourth_root", False))))
-        )
+    if "heatmap" in outputs:
+        hm = outputs["heatmap"]
+        table = _weight_grid(result.populations[hm["time_index"]], wl)
+        pending.append((hm["path"], heatmap_bytes(table, hm.get("fourth_root", False))))
 
+    hu = outputs.get("husimi")
     if hu is not None:
-        state = result.snapshots[whole_number(hu.get("time_index", num - 1), "outputs.husimi.time_index")]
-        nodes = [whole_number(n, "outputs.husimi.nodes") for n in hu.get("nodes", [101, 101])]
-        grid = husimi_chart(state, hu["space"], nodes, hu.get("params", {}))
-        pending.append((hu["path"], grid_csv_bytes(grid)))
+        state = result.snapshots[hu.get("time_index", num - 1)]
+        chart = husimi_chart(state, hu["space"], hu.get("nodes", [101, 101]), hu.get("params", {}))
+        pending.append((hu["path"], grid_csv_bytes(chart)))
 
     return _finalize(config, out_dir, pending, started)
 
@@ -712,7 +691,7 @@ def su3_center_release(N=90, phi=0.0, J=1.0, t_snap=0.3, method="krylov"):
     """Center-site release on the triangular lattice, with and without the
     staggered flux; exports the graph and a snapshot heatmap."""
     if N % 3:
-        raise ConfigError("su3_center_release needs N divisible by 3 for the center start")
+        raise ConfigError("su3_center_release needs N divisible by 3 for the center start", field="scenario parameter N")
     return parse_config(
         {
             "version": 1,
@@ -748,7 +727,7 @@ def so5_quench(N=20, phi=0.0, J1=1.0, J2=1.0, start="corner", t_snap=1.0, form="
     single-particle structure, the one with the commensurate revivals).
     """
     if N % 4 and start == "center":
-        raise ConfigError("so5_quench center start needs N divisible by 4")
+        raise ConfigError("so5_quench center start needs N divisible by 4", field="scenario parameter N")
     starts = {
         "corner": [N, 0, 0, 0],
         "center": [N // 4, N // 4, N // 4, N // 4],

@@ -111,8 +111,8 @@ def test_fig3_mirror_symmetry_small(tmp_path):
     from liefock.scenarios import build_initial_state, build_system
     from liefock.dynamics import evolve
 
-    basis, H, model, _ = build_system(config.system)
-    psi0 = build_initial_state(config.initial_state, basis)
+    basis, H, model, _ = build_system(config.values["system"])
+    psi0 = build_initial_state(config.values["initial_state"], basis)
     res = evolve(H, psi0, np.array([0.3]))
     P = res.populations[0]
     perm = np.array([basis.index_of((s[2], s[1], s[0])) for s in basis.states])
@@ -346,7 +346,7 @@ def test_cli_lattice_and_husimi(tmp_path, capsys):
         (
             {
                 "algebra": {"name": "su2_spin", "params": {"S": 1}},
-                "terms": [{"label": "S+", "coeff": "1.0"}, {"label": "S-", "coeff": 1.0}],
+                "terms": [{"label": "S+", "coeff": "one"}, {"label": "S-", "coeff": 1.0}],
             },
             "system.terms[0].coeff",
         ),
@@ -520,7 +520,7 @@ def test_integer_coefficient_beyond_int64_reads_as_its_float(tmp_path, capsys):
     assert csv[10**30] == csv[1e30]
 
 
-@pytest.mark.parametrize("key,value", [("start", "0"), ("stop", None), ("stop", True)])
+@pytest.mark.parametrize("key,value", [("start", "zero"), ("stop", None), ("stop", True)])
 def test_cli_evolve_rejects_non_numeric_times(tmp_path, capsys, key, value):
     payload = builtin_scenario("su2_transport", S=4, num=9).to_dict()
     payload["times"][key] = value

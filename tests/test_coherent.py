@@ -23,7 +23,7 @@ from liefock.coherent import (
 )
 from liefock.errors import ConfigError, NumericContractError, TruncationLeakageWarning
 from liefock.operators import SparseOperator
-from liefock.scenarios import COHERENT_KINDS, build_initial_state
+from liefock.scenarios import COHERENT_KINDS, build_initial_state, read_state
 from test_seed_oracles import oracle_displacement_unitary, oracle_su11_pcs
 
 
@@ -345,7 +345,8 @@ def test_closed_form_dispatcher():
     assert register == ([boson(3)] * 3, 3)
     v1 = state(basis)
     assert abs(v1[basis.index_of((0, 3, 0))]) == pytest.approx(1.0)
-    assert np.array_equal(build_initial_state({"coherent": {"kind": "su3", "N": 3, "zeta": [0, 1.0, 0]}}, basis), v1)
+    su3 = read_state({"coherent": {"kind": "su3", "N": 3, "zeta": [0, 1.0, 0]}}, "initial_state")
+    assert np.array_equal(build_initial_state(su3, basis), v1)
     register, state = COHERENT_KINDS["spin"][2]({"S": 2, "theta": 0.0, "phi": 0.0})
     assert register == ([spin(2)], None)
     v2 = state(FockBasis([spin(2)]))
@@ -357,7 +358,7 @@ def test_closed_form_dispatcher():
     assert abs(v3[1]) > 0.9  # dominated by the reference level
     assert np.linalg.norm(v3) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ConfigError, match="'kind' is one of spin, glauber, squeezed, euclidean, su3, displaced"):
-        build_initial_state({"coherent": {"kind": "nope"}}, basis)
+        read_state({"coherent": {"kind": "nope"}}, "initial_state")
 
 
 def occupation_shell(x, p):

@@ -15,6 +15,7 @@ import hashlib
 import json
 
 from liefock.cli import main
+from liefock.scenarios import BUILTIN_SCENARIOS, builtin_scenario
 
 SU3_FLUX = {
     "algebra": {"name": "su3_schwinger", "params": {"N": 12}},
@@ -94,6 +95,17 @@ HUSIMI_CSV = {
     "disk": "1f4c64033446005e568bc6ae2fbe9ea4ed978e4b23b52c48a586883e63939008",
 }
 HUSIMI_SPHERE_PGM = "bf9c293e58b260e5ca733a479e3ccabd373ce007416df0ca6fe589beaba62ec4"
+# config.hash() of each built-in scenario at its defaults: the hash of the config as given
+BUILTIN_CONFIG_HASHES = {
+    "closure_gallery": "67f4feadcf2385f88c11f784ab001f9df298e5db3f1b701997d7c2673cf1eabf",
+    "jc_sectors": "53b00145d6bab0b3750675f2d514cfe06a8fefb9f38e41c5d814e397616261be",
+    "so5_quench": "ec4cc8b3ec10a0c82372f8672904338aff12eafb85c4637d75f364b5c44d85e2",
+    "squeeze_vac": "24c13add81eb340f283c5da226bc10af50c8bff6dd1ce072ca28038ca592905a",
+    "su2_transport": "6e4fac3470b9de92849314922bdfe5c2d6631728669d089f8c7684ffa8921e82",
+    "su3_center_release": "76e09e33cd2ca5d5cbb44cdab2bd2b693d5521a983e740b16f60d6c9119980a4",
+    "ws_bloch": "f28950af8a25be794afe743e7b8b1e95863204d69adf480c6921f4aeb6cea755",
+    "ws_breathing": "93c8d03320175bbc12b4e9466c0ccb8b575f3971ba71d2912109f77688ab1650",
+}
 
 
 def sha256(data):
@@ -154,3 +166,7 @@ def test_husimi_csv_and_heatmap_bytes(tmp_path, capsys):
         assert main(argv + heatmap) == 0
         assert sha256(csv.read_bytes()) == HUSIMI_CSV[space], space
     assert sha256((tmp_path / "sphere.pgm").read_bytes()) == HUSIMI_SPHERE_PGM
+
+
+def test_builtin_config_hashes():
+    assert {name: builtin_scenario(name).hash() for name in BUILTIN_SCENARIOS} == BUILTIN_CONFIG_HASHES

@@ -343,8 +343,8 @@ def test_exact_weights_beyond_a_double_are_refused():
         weight_coordinates([[2**53 + 1], [0]], 1)
     basis = enumerate_basis([boson(4)] * 2, constraint=4)
     with pytest.raises(ResourceGuardError):
-        system_weights({"weights": [["1/9007199254740993", "0"]]}, basis, None)
-    wl = system_weights({"weights": [["1/2", "-1/3"]]}, basis, None)
+        system_weights({"weights": [[Fraction(1, 9007199254740993), Fraction(0)]]}, basis, None)
+    wl = system_weights({"weights": [[Fraction(1, 2), Fraction(-1, 3)]]}, basis, None)
     assert wl.denominator == 6 and wl.site_keys()[0] == (Fraction(-4, 3),)
 
 

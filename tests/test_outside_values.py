@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liefock import FockBasis, boson
+from liefock import FockBasis, boson, scenarios
 from liefock.cli import EXIT_CONFIG, main
 from liefock.errors import ConfigError, configure, exact_number, whole_number
 from liefock.scenarios import (
@@ -24,7 +24,9 @@ from liefock.scenarios import (
     builtin_scenario,
     load_state_file,
     parse_config,
+    read_state,
     run_scenario,
+    system_weights,
 )
 
 
@@ -172,8 +174,8 @@ def replaced(obj, path, value):
 def build_config(payload):
     """Everything a run does before it evolves: the basis, H and the state."""
     config = parse_config(payload)
-    basis, H, _, _ = build_system(config.system)
-    return basis, H, build_initial_state(config.initial_state, basis)
+    basis, H, _, _ = build_system(config.values["system"])
+    return basis, H, build_initial_state(config.values["initial_state"], basis)
 
 
 def build_state_file(spec):
@@ -426,11 +428,11 @@ def test_an_amplitude_that_is_not_a_pair_of_finite_numbers_exits_2(tmp_path, cap
 
 def test_amplitude_parts_are_read_as_numbers():
     pairs = [[3, 0], [0.1, "1/2"], ["0.25", -7]]
-    got = build_initial_state({"amplitudes": pairs}, FockBasis([boson(2)]))
+    got = build_initial_state(read_state({"amplitudes": pairs}, "initial_state"), FockBasis([boson(2)]))
     want = np.array([3, 0.1 + 0.5j, 0.25 - 7j])
     assert np.array_equal(got, want / np.linalg.norm(want))
     with pytest.raises(ConfigError) as info:
-        build_initial_state({"amplitudes": {"0": [1, 0]}}, FockBasis([boson(1)]))
+        read_state({"amplitudes": {"0": [1, 0]}}, "initial_state")
     assert info.value.field == "initial_state.amplitudes"
 
 
@@ -510,3 +512,164 @@ def test_a_coherent_state_off_its_register_is_refused_before_it_is_built(basis, 
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert info.value.field == "state.coherent" and peak < 1_000_000
+
+
+def test_the_reals_of_a_config_read_rational_strings(tmp_path):
+    # coeff, phase and times are read by exact_number, as the reals of a
+    # coherent state are: "1/2" writes the bytes of 0.5, and the hash, which
+    # covers the config as given, tells the two spellings apart
+    def config(coeff, phase, start, stop):
+        bond = {"create": 0, "annihilate": 1, "coeff": coeff, "phase": phase}
+        return parse_config(dict(
+            with_system(bilinears=[bond]), times={"start": start, "stop": stop, "num": 3}, outputs={"csv": "r.csv"}
+        ))
+
+    floats, strings = config(0.5, 0.25, 0.0, 1.5), config("1/2", "0.25", "0", "3/2")
+    assert floats.values == strings.values and floats.hash() != strings.hash()
+    run_scenario(floats, out_dir=tmp_path / "floats")
+    run_scenario(strings, out_dir=tmp_path / "strings")
+    assert (tmp_path / "floats" / "r.csv").read_bytes() == (tmp_path / "strings" / "r.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# every leaf of the built-in configs, replaced by a value of another kind
+# ---------------------------------------------------------------------------
+
+FUZZ_CONFIGS = dict(SMALL_CONFIGS, closure_gallery=builtin_scenario("closure_gallery").to_dict())
+# null, bools, strings, lists, objects, zero, negatives, NaN and fractions;
+# the integers are 0 and -1, so the largest basis built has 625 states (the
+# so5 N=4 quench without its constraint)
+FUZZ_VALUES = [None, True, False, "x", "1/2", [], [1], {}, {"x": 1}, 0, -1, float("nan"), 0.5, -2.5]
+
+
+def paths_of(obj, path=()):
+    """The path of every value below `obj`, containers and leaves."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from paths_of(value, path + (key,))
+
+
+FUZZ_PATHS = [(name, path) for name, cfg in FUZZ_CONFIGS.items() for path in paths_of(cfg)]
+
+
+def dotted(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+# the rules between fields name a field other than the changed one: a time
+# grid that runs forward names `times`, a Hermitian combination of generators
+# `system.terms`, and a changed system whose basis no longer holds the
+# initial state names the state's occupation or amplitudes
+RELATED = {
+    ("times",): {"times"},
+    ("system", "terms"): {"system.terms"},
+    ("system",): {"initial_state.fock", "initial_state.amplitudes"},
+}
+
+
+def names_of(path):
+    """The fields that name the value at `path`: its dotted path; the list
+    that holds it, for an entry of a list of numbers read as a whole (an
+    occupation, an amplitude pair or one of its parts); "algebra parameter
+    <name>" for an algebra parameter; and the fields of RELATED."""
+    names = {dotted(path)} | {field for prefix, fields in RELATED.items() if path[: len(prefix)] == prefix for field in fields}
+    if path[-3:-1] == ("algebra", "params"):
+        names.add(f"algebra parameter {path[-1]}")
+    while "fock" in path[:-1] or "amplitudes" in path[:-1]:
+        path = path[:-1]
+        names.add(dotted(path))
+    return names
+
+
+def named(field, path):
+    """Whether `field` names the value at `path`, or a field inside the value
+    put in its place."""
+    own = dotted(path)
+    inside = (f"{own}.", f"{own}[") + (("algebra parameter ",) if path[-2:] == ("algebra", "params") else ())
+    return field in names_of(path) or field.startswith(inside)
+
+
+def prepare(payload):
+    """Everything a run does before it evolves: the config, the system, the
+    initial state, the checks of the outputs against them, the site weights
+    and the CSV header that the observables name."""
+    config = parse_config(payload)
+    if config.kind == "evolution":
+        basis, _, model, _ = build_system(config.values["system"])
+        build_initial_state(config.values["initial_state"], basis)
+        observables = scenarios._observables(config, basis, model)
+        system_weights(config.values["system"], basis, model)
+        ",".join(["t", *(name for name, _ in observables)])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(FUZZ_PATHS))
+def test_a_malformed_leaf_of_a_builtin_config_is_refused_naming_it(leaf):
+    # each value in turn: the built-in configs have about 400 paths
+    name, path = leaf
+    for bad in FUZZ_VALUES:
+        try:
+            prepare(replaced(FUZZ_CONFIGS[name], path, bad))
+        except ConfigError as exc:
+            assert named(exc.field, path), (bad, str(exc))
+
+
+# ---------------------------------------------------------------------------
+# leaves refused since the schema reads each by its kind
+# ---------------------------------------------------------------------------
+
+JC = SMALL_CONFIGS["jc_sectors"]
+
+
+@pytest.mark.parametrize(
+    "change,field",
+    [
+        ({"observables": [{"name": 5, "generator": "n_b"}]}, "observables[0].name"),
+        ({"observables": [{"name": "b", "generator": 5}]}, "observables[0].generator"),
+        ({"observables": [{"name": "b", "generator": "n_x"}]}, "observables[0].generator"),
+        ({"name": 5}, "name"),
+        ({"name": ["a"]}, "name"),
+        ({"name": ""}, "name"),
+        ({"outputs": {"csv": "j.csv", "site_populations": "no"}}, "outputs.site_populations"),
+        ({"outputs": {"heatmap": {"path": "j.pgm", "time_index": 1, "fourth_root": 1}}}, "outputs.heatmap.fourth_root"),
+        ({"extra": ["a"]}, "extra"),
+        ({"initial_state": {"fock": [0, 7]}}, "initial_state.fock"),
+        ({"initial_state": {"fock": [0]}}, "initial_state.fock"),
+        ({"system": dict(JC["system"], algebra={"name": "jc_super", "params": {"cutoff": 0}})}, "algebra parameter cutoff"),
+    ],
+)
+def test_an_evolve_config_refused_at_a_leaf_exits_2_and_writes_nothing(tmp_path, capsys, change, field):
+    spec, out_dir = tmp_path / "cfg.json", tmp_path / "out"
+    spec.write_text(json.dumps(dict(JC, **change)))
+    assert main(["--out-dir", str(out_dir), "evolve", "--scenario", str(spec)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"(field: {field})" in captured.err and "Traceback" not in captured.err
+    assert not captured.out and not (out_dir.exists() and any(out_dir.iterdir()))
+
+
+def test_a_state_file_occupation_outside_its_basis_exits_2_naming_it(tmp_path, capsys):
+    spath, out = tmp_path / "state.json", tmp_path / "q.csv"
+    spath.write_text(json.dumps({"basis": BOSON_3, "state": {"fock": [7]}}))
+    assert main(["husimi", "--state", str(spath), "--space", "plane", "--out", str(out), "--nodes", "5", "5"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "(field: state.fock)" in err and "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["closure", "rabi", "--cutoff", "0"], "--cutoff"),
+        (["closure", "lmg", "--cutoff", "0"], "--cutoff"),
+        (["algebra", "hw", "--params", '{"cutoff": 0}'], "algebra parameter cutoff"),
+        (["algebra", "e2", "--params", '{"L": 3}'], "algebra parameter L"),
+        (["algebra", "sp2n_boson", "--params", '{"modes": 0, "cutoff": 2}'], "algebra parameters modes, cutoff"),
+        (["scenario", "run", "--name", "su2_transport", "--params", '{"S": 0}'], "algebra parameter S"),
+        (["scenario", "run", "--name", "su3_center_release", "--params", '{"N": 10}'], "scenario parameter N"),
+    ],
+)
+def test_a_parameter_out_of_range_exits_2_naming_it(tmp_path, capsys, argv, field):
+    assert main(["--out-dir", str(tmp_path), *argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"(field: {field})" in captured.err and "Traceback" not in captured.err
+    assert not captured.out and not list(tmp_path.iterdir())

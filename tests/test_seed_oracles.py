@@ -134,6 +134,7 @@ from liefock.scenarios import (
     build_system,
     builtin_scenario,
     parse_config,
+    read_system,
     run_scenario,
     system_weights,
 )
@@ -611,7 +612,7 @@ def test_linear_form_weights_match_oracle(case, data):
         st.lists(st.lists(rationals.map(str), min_size=len(modes), max_size=len(modes)),
                  min_size=rank, max_size=rank)
     )
-    wl = system_weights({"weights": rows}, basis, None)
+    wl = system_weights({"weights": [[Fraction(c) for c in row] for row in rows]}, basis, None)
     coords = oracle_linear_forms(oracle_states(modes, constraint), rows)
     floats, sites = oracle_group(coords)
     assert wl.coordinates == coords
@@ -931,7 +932,7 @@ def test_hermiticity_defect_allocates_less_than_two_matrices():
     difference peaked at 35 MiB traced; the in-place comparison holds one
     transposed copy and one real array of the entries."""
     config = builtin_scenario("so5_quench", N=60, phi=2.0, form="six_bond")
-    _, H, _, _ = build_system(config.system)
+    _, H, _, _ = build_system(config.values["system"])
     tracemalloc.start()
     try:
         defect = H.hermiticity_defect()
@@ -1385,6 +1386,7 @@ def test_elementary_cycles_match_per_edge_search(case):
     ids=["su3_N9_phased", "so5_six_bond_N8", "so5_roots_N6"],
 )
 def test_catalog_lattice_cycles_match_per_edge_search(system):
+    system = read_system(system, "system")
     basis, H, model, terms = build_system(system)
     wl = system_weights(system, basis, model)
     assert_cycles_match_per_edge_search(system_graph(H, model, terms), wl.coordinates_float)
@@ -1850,8 +1852,8 @@ def so5_corner_quench(N, phi):
     prod |U_j0|^(2 n_j) of every Fock population, U = exp(-i h t) with h
     the 4 x 4 hopping matrix."""
     config = builtin_scenario("so5_quench", N=N, phi=phi, form="six_bond", method="krylov")
-    basis, H, _, _ = build_system(config.system)
-    result = evolve(H, build_initial_state(config.initial_state, basis), [1.0], method="krylov", store="populations")
+    basis, H, _, _ = build_system(config.values["system"])
+    result = evolve(H, build_initial_state(config.values["initial_state"], basis), [1.0], method="krylov", store="populations")
     h = np.zeros((4, 4), dtype=complex)
     for bond in config.system["bilinears"]:
         c = bond["coeff"] * np.exp(1j * bond.get("phase", 0.0))
@@ -2158,6 +2160,7 @@ def test_json_text_writes_the_su3_export_records_through_the_template(monkeypatc
     terms = [{"label": lab, "coeff": 1.0} for lab in ("I+", "I-", "U+", "U-")]
     terms += [{"label": "V+", "coeff": 1.0, "phase": 1.3}, {"label": "V-", "coeff": 1.0, "phase": -1.3}]
     system = {"algebra": {"name": "su3_schwinger", "params": {"N": 30}}, "terms": terms}
+    system = read_system(system, "system")
     basis, H, model, parsed = build_system(system)
     graph = system_graph(H, model, parsed)
     wl = system_weights(system, basis, model)
