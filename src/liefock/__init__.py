@@ -5,7 +5,7 @@ the lattice graph a Hermitian operator induces on the basis, evolve states,
 and compare against closed-form solutions.
 """
 
-from .fock import BOSON, FERMION, SPIN, FockBasis, ModeSpec, boson, enumerate_basis, fermion, spin
+from .fock import BOSON, FERMION, SPIN, FockBasis, ModeSpec, boson, fermion, spin
 from .operators import (
     EVEN,
     ODD,

@@ -16,11 +16,11 @@ operators carry no exact values.
 
 Representations on truncated bases break the algebraic identities in the
 outermost cutoff levels; identity checks therefore run on an interior block
-that excludes DEFAULT_BOUNDARY_WINDOW (2) boundary states. The
-blocks P A P stay sparse: norms are taken over their stored entries, and the
-closure span and structure-constant fit hold blocks as rows of one array over
-their stored flat positions, so the checks scale with the operators' non-zeros
-rather than with the square of the basis dimension.
+that excludes DEFAULT_BOUNDARY_WINDOW (2) boundary states. Each check reads a
+block P A P through one reader, which takes its stored entries and their flat
+positions straight off the operator's CSR arrays: norms are taken over them,
+and the closure span and structure-constant fit are rows of one array over the
+flat positions, so the checks scale with the non-zeros, not with dim^2.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from .errors import DegenerateGeneratorsError, configure
+from .errors import DegenerateGeneratorsError, configure, lookup
 from .fock import DEFAULT_BOUNDARY_WINDOW, FERMION, FockBasis, boson, fermion, spin
 from .lattice import WeightLattice, weight_coordinates
 from .operators import (
@@ -79,6 +79,13 @@ class AlgebraModel:
 
     def generator(self, label) -> SparseOperator:
         return self.generators[self.labels.index(label)]
+
+    def root_pair(self, label) -> RootPair:
+        """The root pair with `label` as either member; ValueError if none has."""
+        for rp in self.root_pairs:
+            if label in (self.labels[rp.raising], self.labels[rp.lowering]):
+                return rp
+        raise ValueError(f"no root pair with label {label!r} in {self.name}")
 
     def interior(self) -> np.ndarray:
         """Mask of basis states DEFAULT_BOUNDARY_WINDOW or more from a truncation boundary."""
@@ -147,34 +154,40 @@ class ClosureReport:
 CLOSURE_TOL = 1e-10
 
 
-def _norm(block) -> float:
-    """Frobenius norm of a sparse block, from its stored entries."""
-    return float(np.linalg.norm(block.data))
+def _norm(entries) -> float:
+    """Frobenius norm of an interior block, from its `entries` (flat, data)."""
+    return float(np.linalg.norm(entries[1]))
 
 
-def _flat_keys(block) -> np.ndarray:
-    """Row-major flat positions of the stored entries of a CSR block."""
-    rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
-    return rows * block.shape[1] + block.indices
-
-
-def _on_keys(block, keys):
+def _on_keys(entries, keys):
     """The block's entries at the sorted flat positions `keys` (zeros where it
     stores none), and the norm of the entries it stores elsewhere."""
-    flat = _flat_keys(block)
+    flat, data = entries
     pos = np.searchsorted(keys, flat)
     hit = pos < len(keys)
     hit[hit] = keys[pos[hit]] == flat[hit]
     row = np.zeros(len(keys), dtype=complex)
-    row[pos[hit]] = block.data[hit]
-    return row, float(np.linalg.norm(block.data[~hit]))
+    row[pos[hit]] = data[hit]
+    return row, float(np.linalg.norm(data[~hit]))
 
 
 def _interior_and_labels(ops, interior, labels):
-    """Interior basis indices (all of them when `interior` is None) and the
-    labels, g0, g1, ... when none are given."""
-    idx = np.arange(ops[0].dim) if interior is None else np.flatnonzero(np.asarray(interior, bool))
-    return idx, labels if labels is not None else [f"g{i}" for i in range(len(ops))]
+    """The interior reader and the labels (g0, g1, ... when none are given).
+    `entries(op)` gives (flat, data) of the stored entries of op's block P A P
+    (all of A when `interior` is None), in storage order: their row-major
+    positions in the block, through one map from basis index to interior
+    position (-1 outside), and their values."""
+    mask = np.ones(ops[0].dim, bool) if interior is None else np.asarray(interior, bool)
+    n = int(np.count_nonzero(mask))
+    where = np.full(len(mask), -1)
+    where[mask] = np.arange(n)
+
+    def entries(op):
+        rows, cols = np.repeat(where, np.diff(op.mat.indptr)), where[op.mat.indices]
+        keep = (rows >= 0) & (cols >= 0)
+        return rows[keep] * n + cols[keep], op.mat.data[keep]
+
+    return entries, labels if labels is not None else [f"g{i}" for i in range(len(ops))]
 
 
 class _Span:
@@ -187,8 +200,8 @@ class _Span:
     projection passes (classical Gram-Schmidt twice) is two GEMVs.
     """
 
-    def __init__(self, interior_idx):
-        self.idx = interior_idx
+    def __init__(self, entries):
+        self.entries = entries
         self.keys = np.empty(0, dtype=np.int64)
         self.q = np.empty((0, 0), dtype=complex)
 
@@ -196,12 +209,12 @@ class _Span:
         """Add the part of `op`'s interior block outside the span when its
         norm r exceeds tol * max(||v||, scale). Returns the ratio it tested,
         r / max(||v||, scale); the direction was added iff that exceeds tol."""
-        v = op.block(self.idx)
+        v = self.entries(op)
         norm_v = _norm(v)
         denom = max(norm_v, scale) or 1.0
         if norm_v / denom <= tol:  # r <= ||v||: nothing to project or add
             return norm_v / denom
-        keys = np.union1d(self.keys, _flat_keys(v))
+        keys = np.union1d(self.keys, v[0])
         if len(keys) > len(self.keys):
             q = np.zeros((len(self.q), len(keys)), dtype=complex)
             q[:, np.searchsorted(keys, self.keys)] = self.q
@@ -239,12 +252,12 @@ def lie_closure(
     seed = list(seed)
     if cap < len(seed):
         raise ValueError(f"cap {cap} is smaller than the seed size {len(seed)}")
-    idx, labels = _interior_and_labels(seed, interior, labels)
+    entries, labels = _interior_and_labels(seed, interior, labels)
 
-    span = _Span(idx)
+    span = _Span(entries)
     ops, names, norms = [], [], []
     for op, lab in zip(seed, labels):
-        norm = _norm(op.block(idx))
+        norm = _norm(entries(op))
         if span.try_add(op, scale=norm, tol=tol) > tol:
             ops.append(op)
             names.append(lab)
@@ -264,7 +277,7 @@ def lie_closure(
                     both_odd = ops[i].grade == ODD and ops[j].grade == ODD
                     ops.append(br)
                     names.append(("{%s,%s}" if both_odd else "[%s,%s]") % (names[i], names[j]))
-                    norms.append(_norm(br.block(idx)))
+                    norms.append(_norm(entries(br)))
                     added.append(names[-1])
                     if len(span) > cap:
                         dims.append(len(span))
@@ -283,11 +296,11 @@ def extract_structure_constants(gens, interior=None, labels=None) -> StructureCo
     gens = list(gens)
     if len(gens) < 2:
         raise ValueError("need at least two generators")
-    idx, labels = _interior_and_labels(gens, interior, labels)
+    entries, labels = _interior_and_labels(gens, interior, labels)
 
     n = len(gens)
-    blocks = [g.block(idx) for g in gens]
-    keys = np.unique(np.concatenate([_flat_keys(x) for x in blocks]))
+    blocks = [entries(g) for g in gens]
+    keys = np.unique(np.concatenate([flat for flat, _ in blocks]))
     rows = np.array([_on_keys(x, keys)[0] for x in blocks])
     gram = rows.conj() @ rows.T
     sv = np.linalg.svd(gram, compute_uv=False)
@@ -303,7 +316,7 @@ def extract_structure_constants(gens, interior=None, labels=None) -> StructureCo
     norms = np.linalg.norm(rows, axis=1)
     for a in range(n):
         for b in range(a + 1, n):
-            v = graded_commutator(gens[a], gens[b]).block(idx)
+            v = entries(graded_commutator(gens[a], gens[b]))
             nv = _norm(v)
             if nv <= 1e-13 * norms[a] * norms[b]:
                 continue
@@ -326,15 +339,15 @@ def extract_structure_constants(gens, interior=None, labels=None) -> StructureCo
 
 def verify_casimir(op: SparseOperator, model: AlgebraModel) -> float:
     """max over generators of ||[op, X]|| / (||op|| ||X||) on the interior block."""
-    idx = np.where(model.interior())[0]
-    op_norm = _norm(op.block(idx))
+    entries, _ = _interior_and_labels(model.generators, model.interior(), model.labels)
+    op_norm = _norm(entries(op))
     worst = 0.0
     for g in model.generators:
-        g_norm = _norm(g.block(idx))
+        g_norm = _norm(entries(g))
         if op_norm == 0 or g_norm == 0:
             continue
         comm = graded_commutator(op, g)
-        worst = max(worst, _norm(comm.block(idx)) / (op_norm * g_norm))
+        worst = max(worst, _norm(entries(comm)) / (op_norm * g_norm))
     return float(worst)
 
 
@@ -364,27 +377,27 @@ def verify_model(model: AlgebraModel) -> dict:
     """Self-check report: Cartan diagonality/commutativity, root eigen-relations,
     closure of the generator set (capped at 4 * dim + 8), and Casimir residuals."""
     interior = model.interior()
-    idx = np.where(interior)[0]
-    scale = max((_norm(g.block(idx)) for g in model.generators), default=1.0)
+    entries, _ = _interior_and_labels(model.generators, interior, model.labels)
+    scale = max((_norm(entries(g)) for g in model.generators), default=1.0)
 
     cartan = model.cartan_ops()
     cartan_ok = all(h.is_diagonal() for h in cartan)
     for i, hi in enumerate(cartan):
         for hj in cartan[i + 1 :]:
-            if _norm(graded_commutator(hi, hj).block(idx)) > 1e-12 * scale**2:
+            if _norm(entries(graded_commutator(hi, hj))) > 1e-12 * scale**2:
                 cartan_ok = False
 
     root_ok = True
     root_worst = 0.0
     for pair in model.root_pairs:
         e = model.generators[pair.raising]
-        enorm = _norm(e.block(idx))
+        enorm = _norm(entries(e))
         # the root in physical (float) Cartan eigenvalues is unit * root
         for h, unit, r in zip(cartan, model.cartan_units, pair.root):
             diff = SparseOperator(graded_commutator(h, e).mat - unit * float(r) * e.mat)
-            rel = _norm(diff.block(idx)) / max(enorm, 1e-300)
+            rel = _norm(entries(diff)) / max(enorm, 1e-300)
             root_worst = max(root_worst, rel)
-            if rel > 1e-10 * max(1.0, _norm(h.block(idx))):
+            if rel > 1e-10 * max(1.0, _norm(entries(h))):
                 root_ok = False
 
     report = lie_closure(
@@ -393,7 +406,6 @@ def verify_model(model: AlgebraModel) -> dict:
         interior=interior,
         labels=list(model.labels),
     )
-    casimirs = {label: verify_casimir(op, model) for label, op in model.casimirs.items()}
     return {
         "cartan_ok": bool(cartan_ok),
         "root_eigen_ok": bool(root_ok),
@@ -403,7 +415,7 @@ def verify_model(model: AlgebraModel) -> dict:
             "closed": report.closed,
             "residual": None if not report.closed else report.max_residual,
         },
-        "casimirs": [{"label": k, "residual": v} for k, v in casimirs.items()],
+        "casimirs": [{"label": k, "residual": verify_casimir(op, model)} for k, op in model.casimirs.items()],
     }
 
 
@@ -747,13 +759,7 @@ CATALOG = {
 def build_algebra(name, **params) -> AlgebraModel:
     """Instantiate a catalog algebra over its matching Fock basis; `params`
     are passed to its builder by `errors.configure`."""
-    try:
-        builder = CATALOG[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown algebra {name!r}; available: {', '.join(sorted(CATALOG))}"
-        ) from None
-    return configure(builder, params, "algebra")
+    return configure(lookup(CATALOG, name, "algebra"), params, "algebra")
 
 
 # ---------------------------------------------------------------------------

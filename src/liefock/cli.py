@@ -23,6 +23,7 @@ from .errors import (
     complex_number,
     configure,
     exact_number,
+    named,
     real_number,
     whole_number,
 )
@@ -95,10 +96,7 @@ def _cmd_algebra(args):
 def _cmd_closure(args):
     if args.seed in ("rabi", "lmg"):
         seed, default = (rabi_seed, 12) if args.seed == "rabi" else (lmg_seed, 8)
-        try:
-            ops, labels, mask = seed(default if args.cutoff is None else args.cutoff)
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="--cutoff") from exc
+        ops, labels, mask = named("--cutoff", seed, default if args.cutoff is None else args.cutoff)
     else:
         model = build_algebra(args.seed, **_load_params(args.params))
         ops, labels, mask = model.generators, list(model.labels), model.interior()

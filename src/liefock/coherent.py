@@ -50,10 +50,7 @@ def displace(model, root_label, beta, state) -> np.ndarray:
     DEFAULT_BOUNDARY_WINDOW states of a truncated basis boundary. A pair
     that is not mutually adjoint fails evolve's Hermiticity check.
     """
-    labels = model.labels
-    pair = next((rp for rp in model.root_pairs if root_label in (labels[rp.raising], labels[rp.lowering])), None)
-    if pair is None:
-        raise ValueError(f"no root pair with label {root_label!r} in {model.name}")
+    pair = model.root_pair(root_label)
     beta = complex(beta)
     gen = beta * model.generators[pair.raising].mat - np.conj(beta) * model.generators[pair.lowering].mat
     out = evolve(SparseOperator(1j * gen), state, [1.0], method="krylov").snapshots[0]

@@ -69,6 +69,25 @@ def whole_number(value, field) -> int:
     return int(number)
 
 
+def lookup(table, name, what):
+    """table[name] for a name from outside; an unknown one raises ConfigError listing the known names."""
+    if name not in table:
+        raise ConfigError(f"unknown {what} {name!r}; available: {', '.join(sorted(table))}")
+    return table[name]
+
+
+def named(field, fn, *args, **kwargs):
+    """fn(*args, **kwargs) for values from outside whose range fn fixes: a
+    ValueError it raises without a field becomes a ConfigError naming
+    `field` (unless that is None)."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        if field is None or getattr(exc, "field", None) is not None:
+            raise
+        raise ConfigError(str(exc), field) from exc
+
+
 def configure(fn, params, what):
     """fn(**params) for a parameter object from outside. A name fn does not
     take, or a required one that is missing, raises ConfigError naming it
@@ -83,12 +102,7 @@ def configure(fn, params, what):
         if p.default is p.empty and key not in params:
             raise ConfigError(f"missing {what} parameter {key!r}", f"{what} parameter {key}")
     read = {k: whole_number(v, f"{what} parameter {k}") if k in WHOLE_PARAMS else v for k, v in params.items()}
-    try:
-        return fn(**read)
-    except ValueError as exc:
-        if not params or getattr(exc, "field", None) is not None:
-            raise
-        raise ConfigError(str(exc), f"{what} parameter{'s' * (len(params) > 1)} {', '.join(params)}") from exc
+    return named(f"{what} parameter{'s' * (len(params) > 1)} {', '.join(params)}" if params else None, fn, **read)
 
 
 class InfeasibleSectorError(ValueError):

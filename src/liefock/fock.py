@@ -115,6 +115,10 @@ class FockBasis:
     state comes first when present and within a fixed-N two-mode sector
     |j, N-j> appears at index j. `states`, `state_at` and iteration give
     plain tuples, built from `occ` on demand.
+
+    An unsatisfiable `constraint` raises InfeasibleSectorError rather than
+    giving an empty basis, and ResourceGuardError is raised when the keys
+    would overflow int64.
     """
 
     def __init__(self, modes, constraint=None):
@@ -273,11 +277,3 @@ class FockBasis:
                 field="count",
             )
         return basis
-
-
-def enumerate_basis(modes, constraint=None) -> FockBasis:
-    """Build the basis of all admissible occupation tuples, deterministically
-    ordered. Raises InfeasibleSectorError for unsatisfiable constraints
-    rather than returning an empty basis, and ResourceGuardError when the
-    keys would overflow int64."""
-    return FockBasis(modes, constraint)

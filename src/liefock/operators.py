@@ -79,11 +79,6 @@ class SparseOperator:
     def diagonal(self) -> np.ndarray:
         return self.mat.diagonal()
 
-    def block(self, indices) -> sparse.csr_matrix:
-        """Sparse sub-block over the given basis indices (rows and columns)."""
-        indices = np.asarray(indices)
-        return self.mat[indices][:, indices]
-
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.mat.data))) if self.mat.nnz else 0.0
 

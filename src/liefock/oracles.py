@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import configure
+from .errors import configure, lookup
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +311,4 @@ LADDER_KINDS = {
 
 def ladder_oracles(kind, **params):
     """Dispatcher used by the CLI (through `errors.configure`); see LADDER_KINDS."""
-    try:
-        fn = LADDER_KINDS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown oracle kind {kind!r}; available: {', '.join(sorted(LADDER_KINDS))}"
-        ) from None
-    return configure(fn, params, "oracle")
+    return configure(lookup(LADDER_KINDS, kind, "oracle kind"), params, "oracle")

@@ -30,7 +30,7 @@ from .algebra import CATALOG, build_algebra, lie_closure, lmg_seed, rabi_seed
 from . import coherent
 from .coherent import SPACES, chart_param, husimi_chart
 from .dynamics import evolve, expectation_series, fidelity_series
-from .errors import ConfigError, complex_number, configure, exact_number, real_number, whole_number
+from .errors import ConfigError, complex_number, configure, exact_number, lookup, named, real_number, whole_number
 from .fock import BOSON, FERMION, SPIN, FockBasis, ModeSpec, boson, spin
 from .lattice import (
     check_exact,
@@ -213,41 +213,47 @@ def read_system(spec, path):
 _SU3_ANGLES = ("theta1", "theta2", "phi1", "phi2")
 
 
-def _su3(f):
+def _one_mode(mode, key, state, shift=0):
+    """The constructor of a kind with the one mode `mode(f[key] + shift)` and the state `state(**f)`."""
+    return lambda f, at="coherent": (([named(f"{at}.{key}", mode, f[key] + shift)], None), lambda _: state(**f))
+
+
+def _su3(f, at="coherent"):
     zeta = f["zeta"] if "zeta" in f else coherent.su3_angles_to_zeta(*(f[key] for key in _SU3_ANGLES))
-    return ([boson(f["N"])] * 3, f["N"]), lambda basis: coherent.su3_coherent_state(f["N"], zeta, basis)
+    return ([named(f"{at}.N", boson, f["N"])] * 3, f["N"]), lambda basis: coherent.su3_coherent_state(f["N"], zeta, basis)
 
 
-def _displaced(f):
+def _displaced(f, at="coherent"):
     model = build_algebra(f["algebra"], **f.get("params", {}))
+    named(f"{at}.root", model.root_pair, f["root"])
     return (model.basis.modes, model.basis.constraint), lambda basis: coherent.displaced_state(model, f)
 
 
 # Each coherent-state kind: the schema of its fields (a field in no form is
 # optional); the field lists that complete a spec (the last is asked for
-# when none does); and its constructor, from the read fields to the modes and
-# constraint of its register and a function from a basis with the register's
-# states to the state on that basis.
+# when none does); and its constructor, from the read fields and the spec's
+# path `at` (which names a value they refuse) to the modes and constraint of
+# its register and a function from a basis with its states to the state.
 COHERENT_KINDS = {
     "spin": (
         {"S": exact_number, "theta": real_number, "phi": real_number},
         (("S", "theta", "phi"),),
-        lambda f: (([spin(f["S"])], None), lambda _: coherent.spin_coherent_state(**f)),
+        _one_mode(spin, "S", coherent.spin_coherent_state),
     ),
     "glauber": (
         {"alpha": complex_number, "cutoff": whole_number},
         (("alpha", "cutoff"),),
-        lambda f: (([boson(f["cutoff"])], None), lambda _: coherent.glauber_state(**f)),
+        _one_mode(boson, "cutoff", coherent.glauber_state),
     ),
     "squeezed": (
         {"xi": complex_number, "cutoff": whole_number, "k": exact_number},
         (("xi", "cutoff"),),
-        lambda f: (([boson(f["cutoff"])], None), lambda _: coherent.squeezed_vacuum_state(**f)),
+        _one_mode(boson, "cutoff", coherent.squeezed_vacuum_state),
     ),
     "euclidean": (
         {"beta": complex_number, "L": whole_number, "start": whole_number},
         (("beta", "L"),),
-        lambda f: (([boson(f["L"] - 1)], None), lambda _: coherent.euclidean_coherent_state(**f)),
+        _one_mode(boson, "L", coherent.euclidean_coherent_state, -1),
     ),
     "su3": (
         {"N": whole_number, "zeta": _each(complex_number), **dict.fromkeys(_SU3_ANGLES, real_number)},
@@ -363,9 +369,10 @@ def _states(modes, constraint):
 # ---------------------------------------------------------------------------
 
 
-def _basis(spec):
-    """The FockBasis of a read BASIS spec."""
-    return FockBasis([ModeSpec(**mode) for mode in spec["modes"]], spec.get("constraint"))
+def _basis(spec, path):
+    """The FockBasis of a read BASIS spec at `path`; a capacity or constraint it refuses names its field."""
+    modes = [named(f"{path}.modes[{k}].capacity", ModeSpec, **m) for k, m in enumerate(spec["modes"])]
+    return named(f"{path}.constraint", FockBasis, modes, spec.get("constraint"))
 
 
 def _label(model, label, path):
@@ -388,7 +395,7 @@ def build_system(system):
         if not H.is_hermitian():
             raise ConfigError("the requested generator combination is not Hermitian", field="system.terms")
         return model.basis, H, model, terms
-    basis = _basis(system["basis"])
+    basis = _basis(system["basis"], "system.basis")
     acc = None
     for term in system["bilinears"]:
         i, j = term["create"], term["annihilate"]
@@ -442,7 +449,8 @@ def build_initial_state(state, basis, path="initial_state"):
             raise ConfigError("amplitude vector is zero", field=field)
         return amp / nrm
     spec = state["coherent"]
-    (modes, constraint), make = COHERENT_KINDS[spec["kind"]][2]({k: v for k, v in spec.items() if k != "kind"})
+    fields = {k: v for k, v in spec.items() if k != "kind"}
+    (modes, constraint), make = COHERENT_KINDS[spec["kind"]][2](fields, f"{path}.coherent")
     if _states(modes, constraint) != _states(basis.modes, basis.constraint):
         needs = f"the {spec['kind']} coherent state needs the modes {modes} with constraint {constraint}"
         raise ConfigError(needs, field=f"{path}.coherent")
@@ -454,7 +462,7 @@ def load_state_file(spec):
     file, read against STATE_FILE; a malformed one raises ConfigError
     naming the field."""
     values = _read(spec, STATE_FILE, "")
-    return build_initial_state(values["state"], _basis(values["basis"]), "state"), values.get("space_params", {})
+    return build_initial_state(values["state"], _basis(values["basis"], "basis"), "state"), values.get("space_params", {})
 
 
 @dataclass
@@ -643,14 +651,11 @@ def closure_gallery_report():
     hw = build_algebra("hw", cutoff=24)
     a, adag, n, one = hw.generators
     run("ladder_triple", [a, adag, one], ["a", "adag", "I"], hw.interior())
-    su2 = build_algebra("su2_spin", S=4)
-    run("su2", su2.generators, list(su2.labels), None)
-    su3 = build_algebra("su3_schwinger", N=3)
-    run("su3", su3.generators, list(su3.labels), None)
-    sp4 = build_algebra("sp2n_boson", modes=2, cutoff=6)
-    run("sp4", sp4.generators, list(sp4.labels), sp4.interior())
-    jc = build_algebra("jc_super", cutoff=10)
-    run("jc_super", jc.generators, list(jc.labels), jc.interior())
+    algebras = {"su2": ("su2_spin", {"S": 4}), "su3": ("su3_schwinger", {"N": 3}),
+                "sp4": ("sp2n_boson", {"modes": 2, "cutoff": 6}), "jc_super": ("jc_super", {"cutoff": 10})}
+    for name, (algebra, params) in algebras.items():
+        model = build_algebra(algebra, **params)
+        run(name, model.generators, list(model.labels), model.interior())
     ops, labels, mask = rabi_seed(cutoff=12)
     run("rabi", ops, labels, mask)
     ops, labels, mask = lmg_seed(S=8)
@@ -910,10 +915,4 @@ BUILTIN_SCENARIOS = {
 def builtin_scenario(name, **overrides) -> ScenarioConfig:
     """The config of a built-in scenario; `overrides` are passed to its
     factory by `errors.configure`."""
-    try:
-        factory = BUILTIN_SCENARIOS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown scenario {name!r}; available: {', '.join(sorted(BUILTIN_SCENARIOS))}"
-        ) from None
-    return configure(factory, overrides, "scenario")
+    return configure(lookup(BUILTIN_SCENARIOS, name, "scenario"), overrides, "scenario")

@@ -5,11 +5,11 @@ import numpy as np
 from scipy.special import jv
 
 from liefock import (
+    FockBasis,
     SparseOperator,
     boson,
     build_algebra,
     build_fsl,
-    enumerate_basis,
     evolve,
     fidelity_series,
     ladder_ops,
@@ -45,7 +45,7 @@ def report(num, ok, detail):
 
 
 def quadratic_hamiltonian(h4, N):
-    basis = enumerate_basis([boson(N)] * 4, constraint=N)
+    basis = FockBasis([boson(N)] * 4, constraint=N)
     acc = None
     for i in range(4):
         for j in range(4):
@@ -221,7 +221,7 @@ def test_criterion_07_so5_spectra_and_revival():
 
 def test_criterion_08_su11_occupation_and_ground_population():
     cutoff, omega, xi = 400, 2.0, 1.0
-    basis = enumerate_basis([boson(cutoff)])
+    basis = FockBasis([boson(cutoff)])
     a, adag = ladder_ops(basis, 0)
     n_op = number_op(basis, 0)
     H = SparseOperator(

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liefock import (
+    FockBasis,
     SparseOperator,
     build_algebra,
-    enumerate_basis,
     extract_structure_constants,
     fermion,
     find_reference_states,
@@ -284,7 +284,7 @@ def test_grade_picks_the_bracket(grade, label, diag, swap_sign):
     # one fermion mode: as odd operators c, c^dag close through {c, c^dag} = 1,
     # the same matrices wrapped as even close through [c, c^dag] = 1 - 2n
     c, cdag = (
-        SparseOperator(op.mat, grade=grade) for op in ladder_ops(enumerate_basis([fermion()]), 0)
+        SparseOperator(op.mat, grade=grade) for op in ladder_ops(FockBasis([fermion()]), 0)
     )
     report = lie_closure([c, cdag], cap=4, labels=["c", "cdag"])
     assert report.closed and report.dimension == 3 and report.added_labels == [label]

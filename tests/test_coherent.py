@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.special import jv
 
-from liefock import FockBasis, boson, build_algebra, enumerate_basis, evolve, ladder_ops, number_op, spin
+from liefock import FockBasis, boson, build_algebra, evolve, ladder_ops, number_op, spin
 from liefock.algebra import AlgebraModel, RootPair
 from liefock.coherent import (
     displace,
@@ -77,7 +77,7 @@ def test_squeezed_vacuum_ground_population():
 
 
 def test_su3_corner_state():
-    basis = enumerate_basis([boson(4)] * 3, constraint=4)
+    basis = FockBasis([boson(4)] * 3, constraint=4)
     state = su3_coherent_state(4, (1.0, 0.0, 0.0), basis)
     assert abs(state[basis.index_of((4, 0, 0))]) == pytest.approx(1.0)
 
@@ -156,7 +156,7 @@ def test_quadratic_generators_complete_two_circuits_per_rotation():
     # under omega*n the pair expectation <a^2> returns after pi/omega while
     # the linear amplitude <a> needs the full 2 pi/omega
     cutoff, omega = 50, 1.0
-    basis = enumerate_basis([boson(cutoff)])
+    basis = FockBasis([boson(cutoff)])
     a, adag = ladder_ops(basis, 0)
     H = SparseOperator(omega * number_op(basis, 0).mat)
     psi0 = glauber_state(1.2, cutoff)
@@ -302,7 +302,7 @@ def test_uncertainty_pole_saturation():
 def test_squeezed_quadrature_variances():
     cutoff, r = 120, 0.5
     state = squeezed_vacuum_state(r, cutoff)  # theta_s = 0
-    basis = enumerate_basis([boson(cutoff)])
+    basis = FockBasis([boson(cutoff)])
     a, adag = ladder_ops(basis, 0)
     x = SparseOperator((a.mat + adag.mat) / np.sqrt(2))
     p = SparseOperator((a.mat - adag.mat) / (1j * np.sqrt(2)))
@@ -317,7 +317,7 @@ def test_squeezed_quadrature_variances():
 
 def test_fock_state_uncertainty_product():
     cutoff = 30
-    basis = enumerate_basis([boson(cutoff)])
+    basis = FockBasis([boson(cutoff)])
     a, adag = ladder_ops(basis, 0)
     x = SparseOperator((a.mat + adag.mat) / np.sqrt(2))
     p = SparseOperator((a.mat - adag.mat) / (1j * np.sqrt(2)))
@@ -340,7 +340,7 @@ def test_truncation_leakage_warning():
 def test_closed_form_dispatcher():
     # each kind's row of the table gives the register its state is defined on
     # (modes and constraint) and the state on a basis with the register's states
-    basis = enumerate_basis([boson(3)] * 3, constraint=3)
+    basis = FockBasis([boson(3)] * 3, constraint=3)
     register, state = COHERENT_KINDS["su3"][2]({"N": 3, "zeta": (0, 1.0, 0)})
     assert register == ([boson(3)] * 3, 3)
     v1 = state(basis)
@@ -404,7 +404,7 @@ def test_su3_angle_parametrization_normalized():
 
     zeta = su3_angles_to_zeta(0.7, 0.4, 1.1, 2.2)
     assert np.linalg.norm(zeta) == pytest.approx(1.0)
-    basis = enumerate_basis([boson(5)] * 3, constraint=5)
+    basis = FockBasis([boson(5)] * 3, constraint=5)
     state = su3_coherent_state(5, zeta, basis)
     assert np.linalg.norm(state) == pytest.approx(1.0)
 
@@ -418,7 +418,7 @@ def ladder_pair_model(basis, raising, lowering):
 
 
 def test_displace_checks_the_pair_is_mutually_adjoint():
-    basis = enumerate_basis([boson(6)])
+    basis = FockBasis([boson(6)])
     lower, raising = ladder_ops(basis, 0)
     state = basis.vector((2,))
     # within the bound: a defect of 1e-13 relative to the largest entry

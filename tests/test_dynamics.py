@@ -3,11 +3,11 @@ import pytest
 import scipy.sparse as sparse
 
 from liefock import (
+    FockBasis,
     SparseOperator,
     boson,
     build_algebra,
     detect_revivals,
-    enumerate_basis,
     equidistant_gap,
     evolve,
     expectation_series,
@@ -41,7 +41,7 @@ def quadratic_boson_hamiltonian(h4, N):
     """Number-conserving many-body operator from a 4x4 single-particle matrix."""
     from liefock import transfer_op
 
-    basis = enumerate_basis([boson(N)] * 4, constraint=N)
+    basis = FockBasis([boson(N)] * 4, constraint=N)
     acc = None
     for i in range(4):
         for j in range(4):
@@ -53,7 +53,7 @@ def quadratic_boson_hamiltonian(h4, N):
 
 
 def test_zero_hamiltonian_constant():
-    basis = enumerate_basis([boson(4)])
+    basis = FockBasis([boson(4)])
     H = SparseOperator(sparse.csr_matrix((5, 5), dtype=complex))
     psi0 = basis.vector((2,))
     res = evolve(H, psi0, np.linspace(0, 3, 7))
@@ -172,7 +172,7 @@ def test_so5_revival_formula_at_second_rational_point():
 
 
 def test_populations_only_blocks_fidelity():
-    basis = enumerate_basis([boson(3)])
+    basis = FockBasis([boson(3)])
     H = number_op(basis, 0)
     res = evolve(H, basis.vector((1,)), np.linspace(0, 1, 5), store="populations")
     assert res.snapshots is None
@@ -211,7 +211,7 @@ def test_bloch_oracle_mode_amplitudes():
     S, delta, J = 2.0, 0.8, 0.6
     alpha = np.sqrt(2 * S)
     cutoff = 24
-    basis = enumerate_basis([boson(cutoff), boson(cutoff)])
+    basis = FockBasis([boson(cutoff), boson(cutoff)])
     a, adag = ladder_ops(basis, 0)
     b, bdag = ladder_ops(basis, 1)
     na, nb = number_op(basis, 0), number_op(basis, 1)
@@ -231,7 +231,7 @@ def test_bloch_oracle_mode_amplitudes():
 
 def test_su11_mean_occupation_matches_formula():
     cutoff, omega, xi = 120, 2.0, 1.0
-    basis = enumerate_basis([boson(cutoff)])
+    basis = FockBasis([boson(cutoff)])
     a, adag = ladder_ops(basis, 0)
     H = SparseOperator(
         omega * number_op(basis, 0).mat
@@ -261,7 +261,7 @@ def test_squeezing_oracle_reconstructs_full_state():
         ("marginal", 1.0, 1.0, 2.0, 400, 1e-9),
     ]
     for name, omega, xi, tmax, cutoff, tol in cases:
-        basis = enumerate_basis([boson(cutoff)])
+        basis = FockBasis([boson(cutoff)])
         a, adag = ladder_ops(basis, 0)
         H = SparseOperator(
             omega * number_op(basis, 0).mat
@@ -298,7 +298,7 @@ def test_dense_vs_krylov_agreement():
 
 def test_krylov_on_larger_grid_matches_dense():
     cutoff = 300
-    basis = enumerate_basis([boson(cutoff)])
+    basis = FockBasis([boson(cutoff)])
     a, adag = ladder_ops(basis, 0)
     H = SparseOperator(
         number_op(basis, 0).mat + 0.4 * (a.mat + adag.mat)
@@ -364,7 +364,7 @@ def test_so5_quadratic_sum_rule():
 
 def test_expectation_series_of_hermitian_product_is_real():
     # adag @ a is Hermitian by the numeric rule, although it is a product
-    basis = enumerate_basis([boson(8)])
+    basis = FockBasis([boson(8)])
     a, adag = ladder_ops(basis, 0)
     n = number_op(basis, 0)
     H = SparseOperator(n.mat + 0.3 * (a.mat + adag.mat))
@@ -376,7 +376,7 @@ def test_expectation_series_of_hermitian_product_is_real():
 
 
 def test_validation_errors():
-    basis = enumerate_basis([boson(3)])
+    basis = FockBasis([boson(3)])
     a, _ = ladder_ops(basis, 0)
     with pytest.raises(NumericContractError, match="operator is not Hermitian"):
         evolve(a, basis.vector((0,)), np.array([1.0]))

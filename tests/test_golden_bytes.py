@@ -4,16 +4,23 @@ The lattice cases avoid BLAS-dependent numbers: lattice exports hold
 generator matrix elements, onsite energies and weight coordinates only, and
 of the quench CSV only the header line (the site keys) is pinned. Four kinds
 of pin are exceptions and hold for the BLAS kernels they were recorded with
-(OpenBLAS, x86-64): the Krylov scenario CSV pins every float of a Lanczos
-run whose step sizes the first-crossing rule picks, `closure_gallery.json` and the
-`algebra jc_super --verify` report pin closure residuals at round-off, and
-the `husimi` CSVs and heatmap pin Husimi values that come out of a matrix
+(OpenBLAS, x86-64; one thread for the N=45 report): the Krylov scenario CSV
+pins every float of a Lanczos run whose step sizes the first-crossing rule
+picks; `closure_gallery.json`, the `algebra jc_super --verify` and
+`su3_schwinger` N=45 `--verify` reports and the `closure rabi|lmg --cap 128`
+reports pin closure residuals at round-off;
+and the `husimi` CSVs and heatmap pin Husimi values that come out of a matrix
 product (sphere, cylinder, disk) or of Horner's rule (plane).
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import liefock
 from liefock.cli import main
 from liefock.scenarios import BUILTIN_SCENARIOS, builtin_scenario
 
@@ -64,6 +71,12 @@ SU2_KRYLOV = {
 SU2_KRYLOV_CSV = "514b1424a6506ad84787b460d3b214b15ac3333512a065849826d3bd6fff5c11"
 CLOSURE_GALLERY_JSON = "895437809e03c43931ffe6cc1d07fcfabefc6306f362bc9a222fda4e2d791abe"
 JC_SUPER_VERIFY = "b389ba4239a4606dffc3d4bccb68f7e3d4d109b9aa5085cf49dcc1c0ebc5dc73"
+SU3_N45_VERIFY = "b3e40f4d10504556063ecd6c007efb1e1cb9bf1ef66cdfe9cdabec537ecf89a9"
+# `closure <seed> --cap 128`: a masked (rabi) and an unmasked (lmg) interior
+CLOSURE_CAP_128 = {
+    "rabi": "e18346d4e958da434d6e9fc1e18566957958d6f919f09c819cff99bba1d4e39f",
+    "lmg": "93640d500bb432bd16e7af81f50a7c7c9ed0b5b257ee6b9d3285c3a8e742d56f",
+}
 
 # `husimi` state files, one per phase space, charted on 12 x 9 nodes
 HUSIMI_AMPLITUDES = [[0.6, 0.0], [0.0, 0.5], [0.3, -0.2], [0.1, 0.4]] + [[0.0, 0.0]] * 17
@@ -155,6 +168,25 @@ def test_jc_super_verify_stdout_bytes(capsys):
     # the superalgebra's odd pair is bracketed by its anticommutator
     assert main(["algebra", "jc_super", "--verify"]) == 0
     assert sha256(capsys.readouterr().out.encode()) == JC_SUPER_VERIFY
+
+
+def test_su3_n45_verify_stdout_bytes():
+    # the closure span here is 8 x 7,290, large enough for OpenBLAS to split
+    # its GEMVs across threads, and the residual's last bits follow the
+    # split: the pin holds for one thread, so a child process runs with one
+    src = str(Path(liefock.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["algebra", "su3_schwinger", "--params", '{"N": 45}', "--verify"]
+    run = subprocess.run([sys.executable, "-m", "liefock.cli", *argv], env=env, capture_output=True, timeout=300)
+    assert run.returncode == 0, run.stderr.decode()
+    assert sha256(run.stdout) == SU3_N45_VERIFY
+
+
+def test_closure_cap_128_stdout_bytes(capsys):
+    for seed, digest in CLOSURE_CAP_128.items():
+        assert main(["closure", seed, "--cap", "128"]) == 0
+        assert sha256(capsys.readouterr().out.encode()) == digest, seed
 
 
 def test_husimi_csv_and_heatmap_bytes(tmp_path, capsys):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from liefock import (
+    FockBasis,
     SparseOperator,
     boson,
     build_algebra,
     build_fsl,
     connected_components,
-    enumerate_basis,
     fermion,
     ladder_ops,
     plaquette_fluxes,
@@ -47,7 +47,7 @@ def test_two_mode_chain_amplitudes():
 
 
 def test_diagonal_hamiltonian_has_no_edges():
-    basis = enumerate_basis([boson(5)])
+    basis = FockBasis([boson(5)])
     H = number_op(basis, 0)
     graph = build_fsl(H)
     assert graph.n_edges == 0
@@ -55,7 +55,7 @@ def test_diagonal_hamiltonian_has_no_edges():
 
 
 def test_non_hermitian_rejected():
-    basis = enumerate_basis([boson(4)])
+    basis = FockBasis([boson(4)])
     a, _ = ladder_ops(basis, 0)
     with pytest.raises(NumericContractError, match="operator is not Hermitian"):
         build_fsl(a)
@@ -91,7 +91,7 @@ def test_su11_hopping_graph_two_chains():
 
 
 def test_two_mode_unconstrained_sectors():
-    basis = enumerate_basis([boson(6), boson(6)])
+    basis = FockBasis([boson(6), boson(6)])
     from liefock import transfer_op
 
     hop = transfer_op(basis, 0, 1)
@@ -108,7 +108,7 @@ def test_two_mode_unconstrained_sectors():
 
 
 def test_edgeless_graph_components():
-    basis = enumerate_basis([boson(3)])
+    basis = FockBasis([boson(3)])
     graph = build_fsl(number_op(basis, 0))
     comps = connected_components(graph)
     assert comps == [[0], [1], [2], [3]]
@@ -229,7 +229,7 @@ def test_su3_staggered_fluxes_match_brute_force():
 def so5_full_hamiltonian(N, phi, J1=1.0, J2=1.0):
     from liefock import transfer_op
 
-    basis = enumerate_basis([boson(N)] * 4, constraint=N)
+    basis = FockBasis([boson(N)] * 4, constraint=N)
     bonds = [
         (0, 1, J1), (2, 3, J1),
         (0, 2, J2 * np.exp(1j * phi)), (0, 3, J2), (1, 2, J2), (1, 3, J2),
@@ -341,7 +341,7 @@ def test_exact_weights_beyond_a_double_are_refused():
         weight_coordinates(np.ones((3, 1)), 2**60)
     with pytest.raises(ResourceGuardError):
         weight_coordinates([[2**53 + 1], [0]], 1)
-    basis = enumerate_basis([boson(4)] * 2, constraint=4)
+    basis = FockBasis([boson(4)] * 2, constraint=4)
     with pytest.raises(ResourceGuardError):
         system_weights({"weights": [[Fraction(1, 9007199254740993), Fraction(0)]]}, basis, None)
     wl = system_weights({"weights": [[Fraction(1, 2), Fraction(-1, 3)]]}, basis, None)

@@ -5,9 +5,9 @@ import pytest
 import scipy.sparse as sparse
 
 from liefock import (
+    FockBasis,
     SparseOperator,
     boson,
-    enumerate_basis,
     fermion,
     frobenius_inner,
     graded_commutator,
@@ -44,7 +44,7 @@ def dense_fermion_ops(n_modes):
 
 
 def test_boson_ladder_normalization():
-    basis = enumerate_basis([boson(5)])
+    basis = FockBasis([boson(5)])
     a, adag = ladder_ops(basis, 0)
     dense = a.toarray()
     assert dense[0, 1] == pytest.approx(1.0)        # <0|a|1>
@@ -53,14 +53,14 @@ def test_boson_ladder_normalization():
 
 
 def test_raise_is_structural_dagger():
-    basis = enumerate_basis([boson(4), spin(1)])
+    basis = FockBasis([boson(4), spin(1)])
     for mode in (0, 1):
         low, high = ladder_ops(basis, mode)
         assert (high.mat != low.mat.conj().T.tocsr()).nnz == 0
 
 
 def test_fermion_jordan_wigner_signs():
-    basis = enumerate_basis([fermion(), fermion()])
+    basis = FockBasis([fermion(), fermion()])
     c1, _ = ladder_ops(basis, 0)
     c2, _ = ladder_ops(basis, 1)
     # c2 acting on |1,1> picks up the sign of the occupied earlier mode
@@ -68,7 +68,7 @@ def test_fermion_jordan_wigner_signs():
     assert out[basis.index_of((1, 0))] == pytest.approx(-1.0)
     # oracle: independent Kronecker-string construction, all modes
     for n_modes in (2, 3):
-        b = enumerate_basis([fermion()] * n_modes)
+        b = FockBasis([fermion()] * n_modes)
         oracle = dense_fermion_ops(n_modes)
         # the Kronecker ordering enumerates mode 0 as the MOST significant
         # qubit; our basis orders occupation tuples the same way
@@ -78,7 +78,7 @@ def test_fermion_jordan_wigner_signs():
 
 
 def test_fermion_jw_custom_order_validation():
-    basis = enumerate_basis([fermion(), fermion(), boson(2)])
+    basis = FockBasis([fermion(), fermion(), boson(2)])
     ladder_ops(basis, 0, jw_order=[1, 0])
     with pytest.raises(ValueError, match="Jordan-Wigner"):
         ladder_ops(basis, 0, jw_order=[0])
@@ -87,7 +87,7 @@ def test_fermion_jw_custom_order_validation():
 
 
 def test_spin_ladder_matrix_elements():
-    basis = enumerate_basis([spin(1)])
+    basis = FockBasis([spin(1)])
     low, high = ladder_ops(basis, 0)
     dense = low.toarray()
     # <S, m-1 | S- | S, m> = sqrt(S(S+1) - m(m-1)), S = 1
@@ -96,31 +96,31 @@ def test_spin_ladder_matrix_elements():
 
 
 def test_ladder_on_constrained_basis_rejected():
-    basis = enumerate_basis([boson(3), boson(3)], constraint=3)
+    basis = FockBasis([boson(3), boson(3)], constraint=3)
     with pytest.raises(ValueError, match="bilinear"):
         ladder_ops(basis, 0)
 
 
 def test_canonical_commutators():
-    basis = enumerate_basis([boson(10)])
+    basis = FockBasis([boson(10)])
     a, adag = ladder_ops(basis, 0)
     comm = graded_commutator(a, adag).toarray()
     assert np.allclose(comm[:10, :10], np.eye(10))  # exact away from the cutoff row
 
-    fb = enumerate_basis([fermion()])
+    fb = FockBasis([fermion()])
     c, cdag = ladder_ops(fb, 0)
     anti = graded_commutator(c, cdag)
     assert c.grade == ODD and anti.grade == EVEN
     assert np.allclose(anti.toarray(), np.eye(2))
 
-    sb = enumerate_basis([spin(2)])
+    sb = FockBasis([spin(2)])
     sm, sp = ladder_ops(sb, 0)
     sz = np.diag(np.arange(-2.0, 3.0))
     assert np.allclose(graded_commutator(sp, sm).toarray(), 2 * sz)
 
 
 def test_number_shift_identity():
-    basis = enumerate_basis([boson(10)])
+    basis = FockBasis([boson(10)])
     a, _ = ladder_ops(basis, 0)
     n = number_op(basis, 0)
     comm = graded_commutator(n, a)
@@ -128,7 +128,7 @@ def test_number_shift_identity():
 
 
 def test_apply_examples():
-    basis = enumerate_basis([boson(4), boson(4)])
+    basis = FockBasis([boson(4), boson(4)])
     v = basis.vector((2, 2))
     assert np.allclose(identity(basis).apply(v), v)
 
@@ -152,13 +152,13 @@ def test_apply_examples():
 
 
 def test_apply_length_mismatch():
-    basis = enumerate_basis([boson(3)])
+    basis = FockBasis([boson(3)])
     with pytest.raises(ValueError):
         number_op(basis, 0).apply(np.zeros(7))
 
 
 def test_transfer_op_matches_ladder_product():
-    uncon = enumerate_basis([boson(6), boson(6)])
+    uncon = FockBasis([boson(6), boson(6)])
     a, adag = ladder_ops(uncon, 0)
     b, _ = ladder_ops(uncon, 1)
     product = (adag @ b).toarray()
@@ -207,7 +207,7 @@ def test_jacobi_identity_random():
 def test_hermitian_flag_contract():
     # Hermiticity is computed from the matrix by the one 1e-12-relative rule,
     # whatever built the operator
-    basis = enumerate_basis([boson(6)])
+    basis = FockBasis([boson(6)])
     a, adag = ladder_ops(basis, 0)
     n = number_op(basis, 0)
     assert n.is_hermitian() and n.hermiticity_defect() <= 1e-12 * n.max_norm()
@@ -218,7 +218,7 @@ def test_hermitian_flag_contract():
 
 
 def test_to_json_reports_computed_hermiticity():
-    basis = enumerate_basis([boson(4)])
+    basis = FockBasis([boson(4)])
     a, adag = ladder_ops(basis, 0)
     assert json.loads((adag @ a).to_json())["hermitian"] is True
     assert json.loads(a.to_json())["hermitian"] is False
@@ -244,7 +244,7 @@ def test_grade_validation_and_dimension_mismatch():
 
 
 def test_json_round_trip_sorted_entries():
-    basis = enumerate_basis([boson(3)])
+    basis = FockBasis([boson(3)])
     a, adag = ladder_ops(basis, 0)
     op = SparseOperator(adag.mat @ adag.mat - 0.5j * a.mat, grade=EVEN)
     text = op.to_json()

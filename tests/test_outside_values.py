@@ -656,6 +656,48 @@ def test_a_state_file_occupation_outside_its_basis_exits_2_naming_it(tmp_path, c
     assert "(field: state.fock)" in err and "Traceback" not in err and not out.exists()
 
 
+def _state_file(coherent, modes=BOSON_3):
+    return "husimi", {"basis": modes, "state": {"coherent": coherent}}
+
+
+def _ham(basis):
+    return "lattice", {"basis": basis, "bilinears": [{"create": 0, "annihilate": 1, "coeff": 1.0}]}
+
+
+SPIN_2 = {"modes": [{"kind": "spin", "capacity": 2}]}
+
+
+@pytest.mark.parametrize(
+    "command,spec,field",
+    [
+        (*_ham({"modes": [{"kind": "boson", "capacity": 2}, {"kind": "fermion", "capacity": 2}]}),
+         "system.basis.modes[1].capacity"),
+        (*_ham({"modes": [{"kind": "boson", "capacity": 2}] * 2, "constraint": 9}), "system.basis.constraint"),
+        (*_state_file({"kind": "glauber", "alpha": 1.0, "cutoff": 0}), "state.coherent.cutoff"),
+        (*_state_file({"kind": "squeezed", "xi": 0.3, "cutoff": 0}), "state.coherent.cutoff"),
+        (*_state_file({"kind": "euclidean", "beta": 0.3, "L": 1}), "state.coherent.L"),
+        (*_state_file({"kind": "su3", "N": 0, "zeta": [1, 0]}), "state.coherent.N"),
+        (*_state_file({"kind": "spin", "S": 0, "theta": 0.1, "phi": 0.2}, SPIN_2), "state.coherent.S"),
+        (*_state_file({"kind": "displaced", "algebra": "su2_spin", "root": "Q+", "beta": 0.3}, SPIN_2),
+         "state.coherent.root"),
+    ],
+)
+def test_a_value_its_basis_or_register_refuses_exits_2_naming_it(tmp_path, capsys, command, spec, field):
+    """Values whose range another field or a builder fixes: a capacity its
+    mode kind refuses, a constraint above the capacity sum, a register size
+    below one mode and a root the algebra lacks."""
+    path, out = tmp_path / "spec.json", tmp_path / "q.csv"
+    path.write_text(json.dumps(spec))
+    argv = {
+        "lattice": ["lattice", "--ham", str(path)],
+        "husimi": ["husimi", "--state", str(path), "--space", "plane", "--nodes", "3", "3", "--out", str(out)],
+    }[command]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"(field: {field})" in captured.err and "Traceback" not in captured.err
+    assert not captured.out and not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv,field",
     [

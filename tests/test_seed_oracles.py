@@ -51,6 +51,12 @@ top-level dict through one template, is checked against
 `json.dumps(payload, indent=1, sort_keys=True) + "\n"` on generated
 payloads: equal text, or the same exception type.
 
+The interior reader of `algebra`, which reads the stored entries of a block
+P A P and their flat positions straight off an operator's CSR arrays, is
+checked bit for bit against the block it replaced, built by two fancy-index
+slices and flattened row by row (`oracle_interior_entries`), on random
+sparse operators and masks and on every catalog generator.
+
 The catalog builders, which now state only their exact weights and
 off-diagonal generators and derive the Cartan diagonals and the roots, are
 checked against the builders that stated both by hand (`oracle_catalog`):
@@ -89,7 +95,7 @@ from liefock.dynamics import (
     _krylov_step,
     evolve,
 )
-from liefock.algebra import CATALOG, AlgebraModel, RootPair, build_algebra
+from liefock.algebra import CATALOG, AlgebraModel, RootPair, _interior_and_labels, build_algebra
 from liefock.coherent import (
     HusimiGrid,
     displace,
@@ -163,7 +169,8 @@ CATALOG_CASES = [(name, {}) for name in CATALOG] + [
 
 def restricted(op, indices) -> np.ndarray:
     """Dense sub-block of op over the given basis indices (rows and columns)."""
-    return op.block(indices).toarray()
+    indices = np.asarray(indices)
+    return op.mat[indices][:, indices].toarray()
 
 
 def fro_norm(op) -> float:
@@ -2186,6 +2193,61 @@ def test_json_text_writes_shared_containers_and_refuses_cycles():
     record["a"][0]["b"] = record
     for cyclic in (loop, record, [[1], record]):
         assert written(json_text, cyclic) is written(oracle_json_text, cyclic) is ValueError
+
+
+# ---------------------------------------------------------------------------
+# the interior block through two fancy-index slices
+# ---------------------------------------------------------------------------
+
+
+def oracle_interior_entries(op, idx):
+    """The stored entries of op's block over the basis indices `idx`, as the
+    two fancy-index slices built the block and its row-major flat positions
+    were read off it: (flat positions, data)."""
+    block = op.mat[idx][:, idx]
+    rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+    return rows * block.shape[1] + block.indices, block.data
+
+
+def assert_reader_matches_slices(op, interior):
+    entries, _ = _interior_and_labels([op], interior, None)
+    flat, data = entries(op)
+    idx = np.arange(op.dim) if interior is None else np.flatnonzero(interior)
+    want_flat, want_data = oracle_interior_entries(op, idx)
+    assert np.array_equal(flat, want_flat)
+    assert data.dtype == want_data.dtype and np.array_equal(data, want_data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.floats(0.0, 1.0),
+    st.sampled_from(["random", "all", "none", None]),
+    st.integers(0, 2**32 - 1),
+)
+@example(n=7, density=0.0, mask="random", seed=0)  # no stored entries
+@example(n=1, density=1.0, mask="none", seed=0)
+def test_interior_reader_matches_two_slices(n, density, mask, seed):
+    """On random complex sparse operators and interior masks, all-False,
+    all-True and None among them, the reader gives the sliced block's flat
+    positions and values bit for bit."""
+    rng = np.random.default_rng(seed)
+    mat = sparse.random(n, n, density=density, random_state=rng, format="csr").astype(complex)
+    mat.data *= np.exp(1j * rng.uniform(-np.pi, np.pi, mat.nnz))
+    interior = {
+        "random": rng.random(n) < rng.random(),
+        "all": np.ones(n, bool),
+        "none": np.zeros(n, bool),
+        None: None,
+    }[mask]
+    assert_reader_matches_slices(SparseOperator(mat), interior)
+
+
+@pytest.mark.parametrize("name,params", CATALOG_CASES)
+def test_interior_reader_matches_two_slices_on_the_catalog(name, params):
+    model = build_algebra(name, **params)
+    for op in model.generators + list(model.casimirs.values()):
+        assert_reader_matches_slices(op, model.interior())
 
 
 # ---------------------------------------------------------------------------
