@@ -70,7 +70,7 @@ class WeightLattice:
     positive denominator for all entries. `site_numerators` lists the
     distinct rows in ascending order, which is ascending order of the
     rational tuples, and `site_index[v]` is the site of vertex v. Fractions
-    are only built on request (`coordinates`, `sites`, `site_keys`).
+    are only built on request (`coordinates`, `site_keys`).
     Build one with `weight_coordinates`.
     """
 
@@ -93,24 +93,25 @@ class WeightLattice:
         """Exact rational coordinates of each site, in site order."""
         return self._fractions(self.site_numerators)
 
-    def site_members(self) -> list:
-        """Ascending vertex indices of each site, in site order: slices of
-        one stable argsort (np.split takes about three times as long for
-        the 3721 sites of so5 N=60)."""
-        order = np.argsort(self.site_index, kind="stable")
-        ends = np.cumsum(self.multiplicity_array()).tolist()
-        return [order[start:end] for start, end in zip([0] + ends[:-1], ends)]
-
     def multiplicity_array(self) -> np.ndarray:
         return np.bincount(self.site_index, minlength=len(self.site_numerators))
 
-    @property
-    def sites(self) -> list:
-        """(coordinate tuple, member vertex list) per site."""
-        return [
-            (key, members.tolist())
-            for key, members in zip(self.site_keys(), self.site_members())
-        ]
+    def site_sums(self, values) -> np.ndarray:
+        """`values[..., v]` summed over the members v of each site, one entry
+        per site along the last axis. Each site's sum is numpy's pairwise
+        sum over its members in ascending order, which the written bytes
+        depend on: the sites with m members are summed together as the
+        contiguous rows of `values[..., members]`, `members` their
+        (n_sites_m, m) ascending members cut from one stable argsort."""
+        values = np.asarray(values)
+        counts = self.multiplicity_array()
+        order = np.argsort(self.site_index, kind="stable")
+        starts = np.cumsum(counts) - counts
+        out = np.empty(values.shape[:-1] + counts.shape, dtype=values.dtype)
+        for m in np.unique(counts).tolist():
+            ids = np.flatnonzero(counts == m)
+            out[..., ids] = values[..., order[starts[ids, None] + np.arange(m)]].sum(axis=-1)
+        return out
 
 
 @dataclass

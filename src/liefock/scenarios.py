@@ -226,7 +226,8 @@ def _su3(f, at="coherent"):
 def _displaced(f, at="coherent"):
     model = build_algebra(f["algebra"], **f.get("params", {}))
     named(f"{at}.root", model.root_pair, f["root"])
-    return (model.basis.modes, model.basis.constraint), lambda basis: coherent.displaced_state(model, f)
+    reference = f"{at}.reference"  # a ValueError of the state is about its reference: length, norm, none found
+    return (model.basis.modes, model.basis.constraint), lambda _: named(reference, coherent.displaced_state, model, f)
 
 
 # Each coherent-state kind: the schema of its fields (a field in no form is
@@ -246,7 +247,8 @@ COHERENT_KINDS = {
         _one_mode(boson, "cutoff", coherent.glauber_state),
     ),
     "squeezed": (
-        {"xi": complex_number, "cutoff": whole_number, "k": exact_number},
+        {"xi": complex_number, "cutoff": whole_number,
+         "k": _leaf("1/4 or 3/4", lambda k: k in (Fraction(1, 4), Fraction(3, 4)), exact_number)},
         (("xi", "cutoff"),),
         _one_mode(boson, "cutoff", coherent.squeezed_vacuum_state),
     ),
@@ -583,21 +585,17 @@ def _site_populations(populations, wl):
     g = np.gcd(wl.site_numerators, wl.denominator)
     rows = zip((wl.site_numerators // g).tolist(), (wl.denominator // g).tolist())
     keys = ["(" + ",".join(str(n) if d == 1 else f"{n}/{d}" for n, d in zip(*row)) + ")" for row in rows]
-    out = np.zeros((populations.shape[0], len(keys)))
-    # one sum per site over its ascending members keeps numpy's summation
-    # order, so the written floats do not depend on how sites are grouped
-    for s, members in enumerate(wl.site_members()):
-        out[:, s] = populations[:, members].sum(axis=1)
-    return out, keys
+    return wl.site_sums(populations), keys
 
 
 def _weight_grid(populations_at_t, wl):
     """Populations summed per weight site, arranged on the rectangular grid
     spanned by the first two weight coordinates (rows: second coordinate
     descending, columns: first ascending); sites that share their first two
-    coordinates are summed into one cell. 1D weights produce a single row."""
-    sums = np.array([np.sum(populations_at_t[members]) for members in wl.site_members()])
-    if wl.site_numerators.shape[1] == 1:
+    coordinates are summed into one cell. 1D weights produce a single row,
+    and rank-0 weights (one site) a single cell."""
+    sums = wl.site_sums(populations_at_t)
+    if wl.site_numerators.shape[1] <= 1:
         return sums[None, :]
     xs, col = np.unique(wl.site_numerators[:, 0], return_inverse=True)
     ys, row = np.unique(wl.site_numerators[:, 1], return_inverse=True)

@@ -587,6 +587,34 @@ def test_cli_lattice_exports_the_scenario_weights(tmp_path, capsys):
     assert cli["vertices"][0]["weight"] == [0.0, -4.0]  # the state (0, 0, 0, 8)
 
 
+def test_rank_zero_weights_make_one_site_and_a_one_cell_heatmap(tmp_path, capsys):
+    # `"weights": []` gives every state the empty weight (): one site holding
+    # the whole population, charted as a single cell
+    system = dict(SO5_BILINEAR, weights=[])
+    ham = tmp_path / "sys.json"
+    ham.write_text(json.dumps(system))
+    assert main(["lattice", "--ham", str(ham)]) == EXIT_OK
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "version": 1,
+        "name": "rank0",
+        "system": system,
+        "initial_state": {"fock": [8, 0, 0, 0]},
+        "times": {"start": 0.0, "stop": 0.5, "num": 2},
+        "outputs": {"csv": "rank0.csv", "site_populations": True,
+                    "heatmap": {"path": "rank0.pgm", "time_index": 1}},
+    }))
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "evolve", "--scenario", str(config)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    lines = (out / "rank0.csv").read_text().splitlines()
+    assert lines[0] == "t,fidelity,norm,P()"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.allclose(rows[:, 3], rows[:, 2] ** 2, rtol=0, atol=1e-12)
+    arr, _, _ = read_heatmap(out / "rank0.pgm")
+    assert arr.shape == (1, 1)
+
+
 def test_cli_closure_has_no_graded_flag(capsys):
     # the bracket follows the generators' grades; there is nothing to select
     with pytest.raises(SystemExit):

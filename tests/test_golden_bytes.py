@@ -2,11 +2,12 @@
 
 The lattice cases avoid BLAS-dependent numbers: lattice exports hold
 generator matrix elements, onsite energies and weight coordinates only, and
-of the quench CSV only the header line (the site keys) is pinned. Four kinds
-of pin are exceptions and hold for the BLAS kernels they were recorded with
-(OpenBLAS, x86-64; one thread for the N=45 report): the Krylov scenario CSV
-pins every float of a Lanczos run whose step sizes the first-crossing rule
-picks; `closure_gallery.json`, the `algebra jc_super --verify` and
+of the N=12 quench CSV the header line (the site keys) is pinned on its own.
+Four kinds of pin are exceptions and hold for the BLAS kernels they were
+recorded with (OpenBLAS, x86-64; one thread for the N=45 report): the Krylov
+scenario CSVs and the quench heatmap pin every float of a Lanczos run whose
+step sizes the first-crossing rule picks, and the quench files also the site
+sums of sites with up to 7 members; `closure_gallery.json`, the `algebra jc_super --verify` and
 `su3_schwinger` N=45 `--verify` reports and the `closure rabi|lmg --cap 128`
 reports pin closure residuals at round-off;
 and the `husimi` CSVs and heatmap pin Husimi values that come out of a matrix
@@ -53,6 +54,12 @@ GOLDEN_FLUXES = {
     "so5": "495893558af29acb8bb06e1ee392043c74a43b29a230b6490a5a1e75df5e75f4",
 }
 SO5_QUENCH_HEADER = "a3a923e3dcd1c83d9185c89ef9f17205f62ac6340c1e2eec21e9c817bcc3ab91"
+# the whole so5 quench at N=12: fidelity, norm and 169 rank-2 site columns
+# of 1 to 7 members, and the fourth-root heatmap of the snapshot at t = 1
+SO5_QUENCH_N12 = {
+    "so5_quench.csv": "3f4b16cf3683da478cd25e7f154f247e02f382b911d2df2c05083488c710161e",
+    "so5_quench.pgm": "41553347d6bc7c7df4c1d2293821a1129c8a2caf33396d191cdefdbe212171ce",
+}
 # a spin-20 chain (dim 41) from the top state over t = 0, 1, 2, 3: three
 # Lanczos bases of 41 rows, one per unit interval
 SU2_KRYLOV = {
@@ -150,6 +157,12 @@ def test_so5_quench_site_key_header(tmp_path, capsys):
         header = fh.readline()
     assert header.startswith(b"t,fidelity,norm,P(-6,0),P(-11/2,-1/2),")
     assert sha256(header) == SO5_QUENCH_HEADER
+
+
+def test_so5_quench_csv_and_heatmap_bytes(tmp_path, capsys):
+    argv = ["--out-dir", str(tmp_path), "scenario", "run", "--name", "so5_quench", "--params", '{"N": 12}']
+    assert main(argv) == 0
+    assert {name: sha256((tmp_path / name).read_bytes()) for name in SO5_QUENCH_N12} == SO5_QUENCH_N12
 
 
 def test_krylov_scenario_csv_bytes(tmp_path, capsys):

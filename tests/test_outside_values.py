@@ -680,6 +680,9 @@ SPIN_2 = {"modes": [{"kind": "spin", "capacity": 2}]}
         (*_state_file({"kind": "spin", "S": 0, "theta": 0.1, "phi": 0.2}, SPIN_2), "state.coherent.S"),
         (*_state_file({"kind": "displaced", "algebra": "su2_spin", "root": "Q+", "beta": 0.3}, SPIN_2),
          "state.coherent.root"),
+        (*_state_file({"kind": "squeezed", "xi": 0.3, "cutoff": 3, "k": "1/2"}), "state.coherent.k"),
+        (*_state_file({"kind": "displaced", "algebra": "su2_spin", "root": "S+", "beta": 0.3, "reference": [1, 0]},
+                      SPIN_2), "state.coherent.reference"),
     ],
 )
 def test_a_value_its_basis_or_register_refuses_exits_2_naming_it(tmp_path, capsys, command, spec, field):

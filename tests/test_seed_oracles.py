@@ -22,8 +22,10 @@ components and cycle counts equal, every flux equal bit for bit. Flux
 classes are gauge-invariant, also on long rings whose flux of pi lands on
 either side of the cut at +-pi before it is reported as pi. The elementary
 cycles, triangles from one sparse product, are checked against the per-edge
-breadth-first searches they replaced (`oracle_elementary_cycles`), and row
-grouping by one lexsort against `np.unique(axis=0)`.
+breadth-first searches they replaced (`oracle_elementary_cycles`), row
+grouping by one lexsort against `np.unique(axis=0)`, and the per-site sums,
+one reduction per multiplicity (`WeightLattice.site_sums`), bit for bit
+against the per-site loop they replaced (`oracle_site_sums`).
 
 The Krylov basis (`_krylov_basis`, the plain three-term Lanczos recurrence,
 built once per substep and grown until it covers the interval) and Krylov
@@ -188,6 +190,11 @@ def multiplicities(wl) -> list:
     return wl.multiplicity_array().tolist()
 
 
+def site_list(wl) -> list:
+    """(coordinate tuple, member vertex list) per site of a `WeightLattice`."""
+    return [(key, members.tolist()) for key, members in zip(wl.site_keys(), oracle_site_members(wl))]
+
+
 # ---------------------------------------------------------------------------
 # oracles: the per-state loop implementations
 # ---------------------------------------------------------------------------
@@ -318,6 +325,22 @@ def oracle_weight_coordinates(columns):
     for v, c in enumerate(coords):
         groups.setdefault(c, []).append(v)
     return coords, sorted(groups.items(), key=lambda kv: kv[0])
+
+
+def oracle_site_members(wl) -> list:
+    """Ascending vertex indices of each site, in site order: the pieces
+    np.split makes of the stable argsort of the site index."""
+    return np.split(np.argsort(wl.site_index, kind="stable"), np.cumsum(wl.multiplicity_array())[:-1])
+
+
+def oracle_site_sums(values, wl) -> np.ndarray:
+    """The per-site loop `WeightLattice.site_sums` replaced: one np.sum per
+    site over its ascending members, along the last axis of `values`."""
+    values = np.asarray(values)
+    out = np.zeros(values.shape[:-1] + (len(wl.site_numerators),))
+    for s, members in enumerate(oracle_site_members(wl)):
+        out[..., s] = np.sum(values[..., members], axis=-1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +646,7 @@ def test_linear_form_weights_match_oracle(case, data):
     coords = oracle_linear_forms(oracle_states(modes, constraint), rows)
     floats, sites = oracle_group(coords)
     assert wl.coordinates == coords
-    assert wl.sites == sites
+    assert site_list(wl) == sites
     assert multiplicities(wl) == [len(members) for _, members in sites]
     assert np.array_equal(wl.coordinates_float, floats)
 
@@ -636,7 +659,7 @@ def test_occupation_weights_match_oracle(case):
     coords = [tuple(Fraction(v) for v in s) for s in oracle_states(modes, constraint)]
     floats, sites = oracle_group(coords)
     wl = weight_coordinates(basis.occ, 1)
-    assert wl.sites == sites and np.array_equal(wl.coordinates_float, floats)
+    assert site_list(wl) == sites and np.array_equal(wl.coordinates_float, floats)
 
 
 @settings(max_examples=100, deadline=None)
@@ -651,7 +674,7 @@ def test_cartan_weights_match_oracle(dim, rank, seed, data):
     wl = weight_coordinates(numerators, den, floats)
     coords, sites = oracle_weight_coordinates(columns)
     assert wl.coordinates == coords
-    assert wl.sites == sites
+    assert site_list(wl) == sites
     expected = floats if floats is not None else [[float(c) for c in row] for row in coords]
     assert np.array_equal(wl.coordinates_float, expected)
 
@@ -689,15 +712,41 @@ def test_group_rows_matches_unique(rows):
 @given(repeating_rows().filter(len), st.integers(1, 12))
 def test_site_columns_match_fraction_keys_and_split_members(rows, den):
     """The scenario CSV's site keys are str() of each reduced Fraction, and
-    each site's members are the pieces np.split made of the stable argsort."""
+    each site's column sums its members, the pieces np.split made of the
+    stable argsort (`oracle_site_sums`)."""
     wl = weight_coordinates(rows.astype(np.int64), den)
     populations = np.random.default_rng(den).random((2, len(rows)))
     sums, keys = _site_populations(populations, wl)
     assert keys == ["(" + ",".join(str(c) for c in coord) + ")" for coord in wl.site_keys()]
-    members = np.split(np.argsort(wl.site_index, kind="stable"), np.cumsum(wl.multiplicity_array())[:-1])
-    assert len(wl.site_members()) == len(members)
-    assert all(np.array_equal(got, want) for got, want in zip(wl.site_members(), members))
-    assert same_bits(sums, np.stack([populations[:, m].sum(axis=1) for m in members], axis=1))
+    assert same_bits(sums, oracle_site_sums(populations, wl))
+
+
+@st.composite
+def site_sum_cases(draw):
+    """(values, weight lattice): random site indices of rank 0 to 2 whose
+    multiplicities reach past 128, numpy's pairwise block, and 1-D or 2-D
+    values of both signs with magnitudes from 1e-8 to 1e7."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(0, 2))
+    sizes = st.integers(1, 4) | st.sampled_from([127, 128, 129, 255, 256, 257]) | st.integers(1, 1500)
+    counts = draw(st.lists(sizes, min_size=1, max_size=1 if rank == 0 else 8))
+    site = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    key = rng.permutation(len(counts))
+    rows = np.stack((key, key % 3), axis=1)[:, :rank] - 1
+    shape = (draw(st.integers(1, 3)), len(site)) if draw(st.booleans()) else (len(site),)
+    values = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 7, size=shape)
+    return values, weight_coordinates(rows[site], draw(st.integers(1, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(site_sum_cases())
+def test_site_sums_match_per_site_loop(case):
+    """Every site sum is bit for bit numpy's sum over the site's ascending
+    members, the order the scenario CSV and heatmap bytes depend on."""
+    values, wl = case
+    got, want = wl.site_sums(values), oracle_site_sums(values, wl)
+    assert got.shape == want.shape == values.shape[:-1] + (len(wl.site_keys()),)
+    assert np.array_equal(got, want) and same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------
