@@ -198,7 +198,7 @@ def displaced_state(model, fields) -> np.ndarray:
     if refs is None:
         candidates = find_reference_states(model)
         if not candidates:
-            raise ValueError(f"{model.name} has no reference state to displace")
+            raise ValueError(f"{model.name} has no reference state to displace: give one as 'reference'")
         refs = candidates[0]
     return displace(model, fields["root"], fields["beta"], refs)
 

@@ -70,7 +70,7 @@ class WeightLattice:
     positive denominator for all entries. `site_numerators` lists the
     distinct rows in ascending order, which is ascending order of the
     rational tuples, and `site_index[v]` is the site of vertex v. Fractions
-    are only built on request (`coordinates`, `site_keys`).
+    are only built on request (`coordinates`, `sites`, `site_keys`).
     Build one with `weight_coordinates`.
     """
 
@@ -96,13 +96,18 @@ class WeightLattice:
     def multiplicity_array(self) -> np.ndarray:
         return np.bincount(self.site_index, minlength=len(self.site_numerators))
 
+    @property
+    def sites(self) -> list:
+        """(coordinate tuple, member vertex list) per site."""
+        order = np.argsort(self.site_index, kind="stable").tolist()
+        ends = np.cumsum(self.multiplicity_array()).tolist()
+        return [(key, order[start:end]) for key, start, end in zip(self.site_keys(), [0] + ends[:-1], ends)]
+
     def site_sums(self, values) -> np.ndarray:
-        """`values[..., v]` summed over the members v of each site, one entry
-        per site along the last axis. Each site's sum is numpy's pairwise
-        sum over its members in ascending order, which the written bytes
-        depend on: the sites with m members are summed together as the
-        contiguous rows of `values[..., members]`, `members` their
-        (n_sites_m, m) ascending members cut from one stable argsort."""
+        """`values[..., v]` summed over the members v of each site, one entry per site along the
+        last axis. Each sum is numpy's pairwise sum over the site's ascending members, which the
+        written bytes depend on: the sites with m members are summed as the contiguous rows of
+        `values[..., members]`, their (n_sites_m, m) members cut from one stable argsort."""
         values = np.asarray(values)
         counts = self.multiplicity_array()
         order = np.argsort(self.site_index, kind="stable")

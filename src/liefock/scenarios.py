@@ -213,9 +213,11 @@ def read_system(spec, path):
 _SU3_ANGLES = ("theta1", "theta2", "phi1", "phi2")
 
 
-def _one_mode(mode, key, state, shift=0):
-    """The constructor of a kind with the one mode `mode(f[key] + shift)` and the state `state(**f)`."""
-    return lambda f, at="coherent": (([named(f"{at}.{key}", mode, f[key] + shift)], None), lambda _: state(**f))
+def _one_mode(mode, key, state, shift=0, refused=None):
+    """The constructor of a kind with the one mode `mode(f[key] + shift)` and the state `state(**f)`,
+    a ValueError of which names the field `refused`."""
+    return lambda f, at="coherent": (([named(f"{at}.{key}", mode, f[key] + shift)], None),
+                                     lambda _: named(refused and f"{at}.{refused}", state, **f))
 
 
 def _su3(f, at="coherent"):
@@ -226,7 +228,7 @@ def _su3(f, at="coherent"):
 def _displaced(f, at="coherent"):
     model = build_algebra(f["algebra"], **f.get("params", {}))
     named(f"{at}.root", model.root_pair, f["root"])
-    reference = f"{at}.reference"  # a ValueError of the state is about its reference: length, norm, none found
+    reference = f"{at}.reference" if "reference" in f else at  # its length or norm, or the spec lacks one
     return (model.basis.modes, model.basis.constraint), lambda _: named(reference, coherent.displaced_state, model, f)
 
 
@@ -247,10 +249,9 @@ COHERENT_KINDS = {
         _one_mode(boson, "cutoff", coherent.glauber_state),
     ),
     "squeezed": (
-        {"xi": complex_number, "cutoff": whole_number,
-         "k": _leaf("1/4 or 3/4", lambda k: k in (Fraction(1, 4), Fraction(3, 4)), exact_number)},
+        {"xi": complex_number, "cutoff": whole_number, "k": exact_number},
         (("xi", "cutoff"),),
-        _one_mode(boson, "cutoff", coherent.squeezed_vacuum_state),
+        _one_mode(boson, "cutoff", coherent.squeezed_vacuum_state, refused="k"),
     ),
     "euclidean": (
         {"beta": complex_number, "L": whole_number, "start": whole_number},

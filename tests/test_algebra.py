@@ -229,8 +229,8 @@ def test_so5_site_count_disagrees_with_quadratic_formula():
     wl = model.weight_lattice()
     claimed = 2**2 // 2 + 2 + 1
     assert model.basis.dim == 10
-    assert len(wl.site_keys()) == 9
-    assert len(wl.site_keys()) != claimed and model.basis.dim != claimed
+    assert len(wl.sites) == 9
+    assert len(wl.sites) != claimed and model.basis.dim != claimed
 
 
 def test_sp2n_dimension_formula_and_independence():

@@ -125,7 +125,7 @@ def test_weight_coordinates_su2():
 def test_weight_coordinates_su3_triangle():
     model, graph = su3_hamiltonian(1, 0.0)
     wl = model.weight_lattice()
-    assert len(wl.site_keys()) == 3
+    assert len(wl.sites) == 3
     assert multiplicities(wl) == [1, 1, 1]
     assert graph.n_edges == 3  # triangle
 
@@ -133,8 +133,8 @@ def test_weight_coordinates_su3_triangle():
 def test_weight_multiplicities_so5():
     model = build_algebra("so5_quoted", N=2)
     wl = model.weight_lattice()
-    assert len(wl.site_keys()) == 9
-    mult = dict(zip(wl.site_keys(), multiplicities(wl)))
+    assert len(wl.sites) == 9
+    mult = dict(zip([tuple(c) for c, _ in wl.sites], multiplicities(wl)))
     assert mult[(Fraction(0), Fraction(0))] == 2
     assert sum(multiplicities(wl)) == model.basis.dim == 10
 

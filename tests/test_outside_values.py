@@ -665,6 +665,7 @@ def _ham(basis):
 
 
 SPIN_2 = {"modes": [{"kind": "spin", "capacity": 2}]}
+E2_CHAIN = {"modes": [{"kind": "boson", "capacity": 20}]}  # the e2 chain, which has no reference state
 
 
 @pytest.mark.parametrize(
@@ -683,6 +684,7 @@ SPIN_2 = {"modes": [{"kind": "spin", "capacity": 2}]}
         (*_state_file({"kind": "squeezed", "xi": 0.3, "cutoff": 3, "k": "1/2"}), "state.coherent.k"),
         (*_state_file({"kind": "displaced", "algebra": "su2_spin", "root": "S+", "beta": 0.3, "reference": [1, 0]},
                       SPIN_2), "state.coherent.reference"),
+        (*_state_file({"kind": "displaced", "algebra": "e2", "root": "E+", "beta": 0.3}, E2_CHAIN), "state.coherent"),
     ],
 )
 def test_a_value_its_basis_or_register_refuses_exits_2_naming_it(tmp_path, capsys, command, spec, field):

@@ -190,11 +190,6 @@ def multiplicities(wl) -> list:
     return wl.multiplicity_array().tolist()
 
 
-def site_list(wl) -> list:
-    """(coordinate tuple, member vertex list) per site of a `WeightLattice`."""
-    return [(key, members.tolist()) for key, members in zip(wl.site_keys(), oracle_site_members(wl))]
-
-
 # ---------------------------------------------------------------------------
 # oracles: the per-state loop implementations
 # ---------------------------------------------------------------------------
@@ -646,7 +641,7 @@ def test_linear_form_weights_match_oracle(case, data):
     coords = oracle_linear_forms(oracle_states(modes, constraint), rows)
     floats, sites = oracle_group(coords)
     assert wl.coordinates == coords
-    assert site_list(wl) == sites
+    assert wl.sites == sites
     assert multiplicities(wl) == [len(members) for _, members in sites]
     assert np.array_equal(wl.coordinates_float, floats)
 
@@ -659,7 +654,7 @@ def test_occupation_weights_match_oracle(case):
     coords = [tuple(Fraction(v) for v in s) for s in oracle_states(modes, constraint)]
     floats, sites = oracle_group(coords)
     wl = weight_coordinates(basis.occ, 1)
-    assert site_list(wl) == sites and np.array_equal(wl.coordinates_float, floats)
+    assert wl.sites == sites and np.array_equal(wl.coordinates_float, floats)
 
 
 @settings(max_examples=100, deadline=None)
@@ -674,7 +669,7 @@ def test_cartan_weights_match_oracle(dim, rank, seed, data):
     wl = weight_coordinates(numerators, den, floats)
     coords, sites = oracle_weight_coordinates(columns)
     assert wl.coordinates == coords
-    assert site_list(wl) == sites
+    assert wl.sites == sites
     expected = floats if floats is not None else [[float(c) for c in row] for row in coords]
     assert np.array_equal(wl.coordinates_float, expected)
 
