@@ -1,6 +1,6 @@
 """Catalog of operator algebras in concrete boson/fermion/spin representations,
 plus numerical structure-constant extraction, (super-)closure detection,
-Casimir verification, and reference-state search.
+Casimir verification, and exact reference states.
 
 Every catalog entry realizes its generators over an explicit FockBasis and
 classifies them into mutually commuting diagonal (Cartan) generators and
@@ -20,7 +20,8 @@ that excludes DEFAULT_BOUNDARY_WINDOW (2) boundary states. Each check reads a
 block P A P through one reader, which takes its stored entries and their flat
 positions straight off the operator's CSR arrays: norms are taken over them,
 and the closure span and structure-constant fit are rows of one array over the
-flat positions, so the checks scale with the non-zeros, not with dim^2.
+flat positions, so the checks scale with the non-zeros, not with dim^2. The
+reference states are read off the stored entries too, with no dense copy.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 
 from .errors import DegenerateGeneratorsError, configure, lookup
@@ -352,25 +352,18 @@ def verify_casimir(op: SparseOperator, model: AlgebraModel) -> float:
 
 
 def find_reference_states(model: AlgebraModel) -> list:
-    """Orthonormal basis of the joint kernel of the model's annihilator set.
-
-    Kernel vectors with more than 1e-8 of their weight on the truncation
-    boundary are artifacts of the cutoff and are discarded; an empty list
-    is a legitimate result (the translationally invariant chain has no
-    reference state).
-    """
+    """The interior basis states in the annihilators' joint kernel, as unit
+    vectors in ascending basis order. No annihilator may send two states onto
+    one (ValueError: a row with two stored entries), so the stored columns are
+    independent and the kernel is spanned by the states with none. An empty
+    list is legitimate (the translationally invariant chain has none)."""
     if not model.annihilators:
         return []
-    stacked = np.vstack([model.generators[i].toarray() for i in model.annihilators])
-    null = scipy.linalg.null_space(stacked, rcond=1e-10)
-    if null.size == 0:
-        return []
-    outside = ~model.interior()
-    kept = [v for v in null.T if np.sum(np.abs(v[outside]) ** 2) < 1e-8]
-    if not kept:
-        return []
-    q, _ = np.linalg.qr(np.stack(kept, axis=1))
-    return [q[:, k] for k in range(q.shape[1])]
+    stacked = sparse.vstack([model.generators[i].mat for i in model.annihilators], format="csr")
+    if np.any(np.diff(stacked.indptr) > 1):
+        raise ValueError(f"an annihilator of {model.name} sends two basis states onto one")
+    free = model.interior() & (np.bincount(stacked.indices, minlength=model.basis.dim) == 0)
+    return [np.eye(1, len(free), v, dtype=complex)[0] for v in np.flatnonzero(free)]
 
 
 def verify_model(model: AlgebraModel) -> dict:

@@ -230,7 +230,7 @@ def _cmd_oracle(args):
         }
         if N is not None:
             N = whole_number(N, "oracle parameter N")
-            payload["manybody_generator_form"] = list(so5_manybody(singles.generator_form, N))
+            payload["manybody_generator_form"] = list(named("oracle parameter N", so5_manybody, singles.generator_form, N))
         payload["revival_time"] = so5_revival(params["phi"], params.get("J1", 1.0))
     elif args.kind in LADDER_KINDS:
         values = ladder_oracles(args.kind, **params)
@@ -265,7 +265,8 @@ def build_parser():
         description="Fock-state lattices from operator algebras: build, analyze, evolve.",
     )
     parser.add_argument("--out-dir", default=".", help="directory for output files")
-    parser.add_argument("--tol", type=float, default=None, help="edge/drop tolerance override")
+    parser.add_argument("--tol", type=float, default=None, help="lattice edge threshold |H_nm| > TOL "
+                        "(build_fsl/system_graph; default 1e-12 max|H|); the drop tolerance DROP_TOL is fixed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("algebra", help="build and inspect a catalog algebra")

@@ -192,8 +192,8 @@ def su3_angles_to_zeta(theta1, theta2, phi1, phi2):
 
 def displaced_state(model, fields) -> np.ndarray:
     """The `displaced` coherent state of `fields` (root, beta and an optional
-    reference) on the basis of `model`: without a reference, the first
-    reference state `find_reference_states` gives is displaced."""
+    reference) on the basis of `model`: without a reference, the first state
+    `find_reference_states` gives (the lowest kernel state) is displaced."""
     refs = fields.get("reference")
     if refs is None:
         candidates = find_reference_states(model)

@@ -47,6 +47,8 @@ def bloch(delta, J, S, t) -> BlochSample:
         raise ValueError("S must be a positive half-integer")
     t = np.asarray(t, dtype=float)
     om = np.hypot(delta, 2 * J)
+    if om**2 == 0:
+        raise ValueError("Omega^2 = delta^2 + 4 J^2 is 0 (or underflows), which the formulas divide by")
     cos, sin = np.cos(om * t), np.sin(om * t)
     sx = (2 * J * delta / om**2) * S * (1 - cos)
     sy = -(2 * J / om) * S * sin
@@ -219,6 +221,8 @@ def so5_manybody(singles, N) -> np.ndarray:
     singles = np.asarray(singles, dtype=float)
     if singles.shape != (4,):
         raise ValueError("expected exactly four single-particle energies")
+    if N < 0:
+        raise ValueError("N must be non-negative")
     out = []
     for n1, n2, n3 in itertools.product(range(N + 1), repeat=3):
         n4 = N - n1 - n2 - n3
@@ -280,6 +284,8 @@ def spin_pcs_width(S, theta) -> np.ndarray:
     """Standard deviation sqrt(S/2) |sin theta| of the magnetic distribution
     of a spin coherent state."""
     S = float(Fraction(S))
+    if S < 0:
+        raise ValueError("S must be non-negative")
     return np.sqrt(S / 2.0) * np.abs(np.sin(np.asarray(theta, dtype=float)))
 
 

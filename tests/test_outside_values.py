@@ -713,6 +713,10 @@ def test_a_value_its_basis_or_register_refuses_exits_2_naming_it(tmp_path, capsy
         (["algebra", "sp2n_boson", "--params", '{"modes": 0, "cutoff": 2}'], "algebra parameters modes, cutoff"),
         (["scenario", "run", "--name", "su2_transport", "--params", '{"S": 0}'], "algebra parameter S"),
         (["scenario", "run", "--name", "su3_center_release", "--params", '{"N": 10}'], "scenario parameter N"),
+        (["oracle", "bloch", "--params", '{"delta": 0, "J": 0, "S": 1, "t": 1}'], "oracle parameters delta, J, S, t"),
+        (["oracle", "bloch", "--params", '{"delta": 1e-200, "J": 0, "S": 1, "t": 1}'], "oracle parameters delta, J, S, t"),
+        (["oracle", "spin_pcs_width", "--params", '{"S": -1, "theta": 1}'], "oracle parameters S, theta"),
+        (["oracle", "so5", "--params", '{"N": -1, "J1": 1, "J2": 1, "phi": 1}'], "oracle parameter N"),
     ],
 )
 def test_a_parameter_out_of_range_exits_2_naming_it(tmp_path, capsys, argv, field):

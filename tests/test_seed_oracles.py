@@ -63,6 +63,11 @@ The catalog builders, which now state only their exact weights and
 off-diagonal generators and derive the Cartan diagonals and the roots, are
 checked against the builders that stated both by hand (`oracle_catalog`):
 every model field equal bit for bit, signed zeros included.
+
+The reference states, read off the annihilators' stored entries, are checked
+against the dense null space they replaced (`oracle_reference_states`) on
+every catalog case: equal counts and equal spans, measured both ways as
+||B - A A^H B|| rather than through principal angles.
 """
 
 import functools
@@ -71,7 +76,7 @@ import math
 import tracemalloc
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from unittest import mock
@@ -97,10 +102,18 @@ from liefock.dynamics import (
     _krylov_step,
     evolve,
 )
-from liefock.algebra import CATALOG, AlgebraModel, RootPair, _interior_and_labels, build_algebra
+from liefock.algebra import (
+    CATALOG,
+    AlgebraModel,
+    RootPair,
+    _interior_and_labels,
+    build_algebra,
+    find_reference_states,
+)
 from liefock.coherent import (
     HusimiGrid,
     displace,
+    displaced_state,
     husimi_cylinder,
     husimi_disk,
     husimi_plane,
@@ -2791,3 +2804,101 @@ ORACLE_CATALOG_CASES = CATALOG_CASES + [
 def test_catalog_matches_hand_stated_builders(name, params):
     assert_same_model(build_algebra(name, **params), oracle_catalog[name](**params))
 
+
+# ---------------------------------------------------------------------------
+# reference states through the dense null space
+# ---------------------------------------------------------------------------
+
+
+def oracle_reference_states(model: AlgebraModel) -> list:
+    """Orthonormal basis of the joint kernel of the model's annihilator set.
+
+    Kernel vectors with more than 1e-8 of their weight on the truncation
+    boundary are artifacts of the cutoff and are discarded; an empty list
+    is a legitimate result (the translationally invariant chain has no
+    reference state).
+    """
+    if not model.annihilators:
+        return []
+    stacked = np.vstack([model.generators[i].toarray() for i in model.annihilators])
+    null = scipy.linalg.null_space(stacked, rcond=1e-10)
+    if null.size == 0:
+        return []
+    outside = ~model.interior()
+    kept = [v for v in null.T if np.sum(np.abs(v[outside]) ** 2) < 1e-8]
+    if not kept:
+        return []
+    q, _ = np.linalg.qr(np.stack(kept, axis=1))
+    return [q[:, k] for k in range(q.shape[1])]
+
+
+@pytest.mark.parametrize("name,params", CATALOG_CASES)
+def test_reference_states_span_the_dense_kernel(name, params):
+    """Equal counts, unit vectors in ascending basis order, and each span
+    inside the other: ||B - A A^H B|| <= 1e-12 both ways, with no arccos."""
+    model = build_algebra(name, **params)
+    got, want = find_reference_states(model), oracle_reference_states(model)
+    assert len(got) == len(want)
+    if not got:
+        return
+    A, B = np.stack(got, axis=1), np.stack(want, axis=1)
+    states = np.argmax(np.abs(A), axis=0)
+    assert np.array_equal(A, np.eye(model.basis.dim, dtype=complex)[:, states])
+    assert np.all(np.diff(states) > 0)
+    assert np.linalg.norm(B - A @ (A.conj().T @ B)) <= 1e-12
+    assert np.linalg.norm(A - B @ (B.conj().T @ A)) <= 1e-12
+
+
+def test_an_annihilator_sending_two_states_onto_one_is_refused():
+    # on su3 N = 2, I+ takes |0,1,1> and V+ takes |0,0,2> onto |1,0,1>
+    model = build_algebra("su3_schwinger", N=2)
+    summed = model.generator("I+") + model.generator("V+")
+    target = model.basis.index_of((1, 0, 1))
+    sources = [model.basis.index_of(s) for s in ((0, 1, 1), (0, 0, 2))]
+    assert summed.mat[target].indices.tolist() == sorted(sources)
+    bad = replace(model, labels=model.labels + ["I+ + V+"], generators=model.generators + [summed],
+                  annihilators=[len(model.generators)])
+    with pytest.raises(ValueError, match="sends two basis states onto one"):
+        find_reference_states(bad)
+
+
+@pytest.mark.parametrize("name,lowest", [
+    ("su11_single", (0,)),
+    ("su11_twomode", (0, 0)),
+    ("jc_super", (0, 0)),
+])
+def test_the_default_reference_is_the_lowest_kernel_state(name, lowest):
+    """Where the kernel holds several states, `displaced_state` displaces the
+    first in basis order (the dense path took the first vector LAPACK gave)."""
+    model = build_algebra(name)
+    refs = find_reference_states(model)
+    assert len(refs) > 1
+    assert np.array_equal(refs[0], model.basis.vector(lowest))
+    root = model.labels[model.root_pairs[0].raising]
+    assert np.array_equal(
+        displaced_state(model, {"root": root, "beta": 0.3}),
+        displace(model, root, 0.3, model.basis.vector(lowest)),
+    )
+
+
+def traced_peak(call):
+    """call()'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_reference_states_at_su3_n90_stay_small():
+    # the dense stack of the three annihilators alone was 3 * 4186^2 * 16 B, about 841 MB
+    model = build_algebra("su3_schwinger", N=90)
+    assert model.basis.dim == 4186
+    refs, peak = traced_peak(lambda: find_reference_states(model))
+    assert len(refs) == 1 and refs[0][model.basis.index_of((90, 0, 0))] == 1
+    assert peak < 16 * 2**20
+    psi, peak = traced_peak(lambda: displaced_state(model, {"root": "I+", "beta": 0.3}))
+    assert abs(np.linalg.norm(psi) - 1) < 1e-12
+    assert peak < 16 * 2**20
