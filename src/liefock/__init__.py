@@ -11,7 +11,6 @@ from .operators import (
     ODD,
     SparseOperator,
     diagonal_op,
-    frobenius_inner,
     graded_commutator,
     identity,
     ladder_ops,
@@ -45,9 +44,6 @@ from .lattice import (
 )
 from .dynamics import (
     EvolutionResult,
-    RevivalReport,
-    detect_revivals,
-    equidistant_gap,
     evolve,
     expectation_series,
     fidelity_series,

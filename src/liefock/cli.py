@@ -23,6 +23,7 @@ from .errors import (
     complex_number,
     configure,
     exact_number,
+    given,
     named,
     real_number,
     whole_number,
@@ -188,6 +189,7 @@ def _cmd_oracle(args):
     params = {key: _oracle_number(args.kind, key, value) for key, value in _load_params(args.params).items()}
     if "t" in params:
         params["t"] = np.atleast_1d(params["t"])
+    field = given(params, "oracle")
     if args.kind == "bloch":
         sample = configure(bloch, params, "oracle")
         payload = {
@@ -237,7 +239,8 @@ def _cmd_oracle(args):
         payload = {"kind": args.kind, "values": np.atleast_1d(values).tolist()}
     else:
         raise ConfigError(f"unknown oracle kind {args.kind!r}")
-    print(json.dumps(payload, indent=1 if not args.compact else None))
+    # a formula that overflows gives inf or NaN, which JSON cannot hold
+    print(named(field, json.dumps, payload, indent=1 if not args.compact else None, allow_nan=False))
     return EXIT_OK
 
 

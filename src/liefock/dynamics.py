@@ -1,4 +1,4 @@
-"""Unitary time evolution, spectra, revival detection, and observable series.
+"""Unitary time evolution, spectra, and observable series.
 
 Two propagators: a dense eigendecomposition, computed afresh by every call
 (exact up to machine precision, dimension-capped at DENSE_LIMIT), and a
@@ -61,13 +61,6 @@ class EvolutionResult:
     stats: EvolutionStats = field(default_factory=EvolutionStats)
 
 
-@dataclass
-class RevivalReport:
-    revival_times: list
-    fidelities: list
-    threshold: float
-
-
 def _check_dense_size(H: SparseOperator):
     """The one dense-size guard, shared by `spectrum` and dense evolution."""
     if H.dim > DENSE_LIMIT:
@@ -100,6 +93,10 @@ def evolve(
         raise ValueError("time grid must be a non-empty 1D array")
     if np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing")
+    if method not in ("dense_eig", "krylov"):
+        raise ValueError(f"unknown method {method!r}")
+    if store not in ("snapshots", "populations"):
+        raise ValueError(f"unknown store mode {store!r}")
 
     stats = EvolutionStats()
     if method == "dense_eig":
@@ -108,7 +105,7 @@ def evolve(
         c0 = vectors.conj().T @ psi0
         coeffs = np.exp(-1j * np.outer(times, energies)) * c0  # (n_times, dim)
         snaps = coeffs @ vectors.T
-    elif method == "krylov":
+    else:
         snaps = np.empty((times.size, H.dim), dtype=complex)
         current = psi0
         t_prev = 0.0
@@ -118,19 +115,14 @@ def evolve(
                 current = _krylov_propagate(H, current, dt, stats)
             snaps[k] = current
             t_prev = t
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
     norms = np.linalg.norm(snaps, axis=1)
     stats.norm_drift = float(np.max(np.abs(norms - 1.0)))
     if stats.norm_drift > UNITARITY_TOL:
         raise NumericContractError(f"unitarity breach: max | ||psi|| - 1 | = {stats.norm_drift:.3e}")
     populations = np.abs(snaps) ** 2
-    if store == "populations":
-        return EvolutionResult(times, None, populations, norms, method, stats)
-    if store != "snapshots":
-        raise ValueError(f"unknown store mode {store!r}")
-    return EvolutionResult(times, snaps, populations, norms, method, stats)
+    kept = snaps if store == "snapshots" else None
+    return EvolutionResult(times, kept, populations, norms, method, stats)
 
 
 def _krylov_propagate(H: SparseOperator, v, dt, stats):
@@ -282,47 +274,3 @@ def fidelity_series(result: EvolutionResult, psi0) -> np.ndarray:
     psi0 = np.asarray(psi0, dtype=complex)
     overlaps = result.snapshots @ psi0.conj()
     return np.abs(overlaps) ** 2
-
-
-def detect_revivals(
-    result: EvolutionResult, psi0, threshold=0.99, refractory=None
-) -> RevivalReport:
-    """Local maxima of the return probability above `threshold`, separated by
-    at least `refractory` (default: 5% of the scanned span). t = times[0] is
-    the initial condition, not a revival."""
-    if not 0 < threshold <= 1:
-        raise ValueError("threshold must lie in (0, 1]")
-    fid = fidelity_series(result, psi0)
-    times = result.times
-    if refractory is None:
-        refractory = 0.05 * (times[-1] - times[0])
-    revival_times, fidelities = [], []
-    last = None
-    for k in range(1, len(times)):
-        left = fid[k - 1]
-        right = fid[k + 1] if k + 1 < len(times) else -np.inf
-        if fid[k] >= threshold and fid[k] >= left and fid[k] >= right:
-            if last is not None and times[k] - last < refractory:
-                if fidelities and fid[k] > fidelities[-1]:
-                    revival_times[-1] = float(times[k])
-                    fidelities[-1] = float(fid[k])
-                    last = float(times[k])
-                continue
-            revival_times.append(float(times[k]))
-            fidelities.append(float(fid[k]))
-            last = float(times[k])
-    return RevivalReport(revival_times, fidelities, threshold)
-
-
-def equidistant_gap(energies, tol=1e-9):
-    """Base gap g when all level spacings are integer multiples of g, else None."""
-    energies = np.sort(np.asarray(energies, dtype=float))
-    diffs = np.diff(energies)
-    diffs = diffs[diffs > tol]
-    if diffs.size == 0:
-        return None
-    g = np.min(diffs)
-    ratios = diffs / g
-    if np.max(np.abs(ratios - np.round(ratios))) > tol / g:
-        return None
-    return float(g)

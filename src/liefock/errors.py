@@ -88,6 +88,11 @@ def named(field, fn, *args, **kwargs):
         raise ConfigError(str(exc), field) from exc
 
 
+def given(params, what):
+    """The field naming a parameter object's names, "`what` parameter(s) a, b", or None for none."""
+    return f"{what} parameter{'s' * (len(params) > 1)} {', '.join(params)}" if params else None
+
+
 def configure(fn, params, what):
     """fn(**params) for a parameter object from outside. A name fn does not
     take, or a required one that is missing, raises ConfigError naming it
@@ -102,7 +107,7 @@ def configure(fn, params, what):
         if p.default is p.empty and key not in params:
             raise ConfigError(f"missing {what} parameter {key!r}", f"{what} parameter {key}")
     read = {k: whole_number(v, f"{what} parameter {k}") if k in WHOLE_PARAMS else v for k, v in params.items()}
-    return named(f"{what} parameter{'s' * (len(params) > 1)} {', '.join(params)}" if params else None, fn, **read)
+    return named(given(params, what), fn, **read)
 
 
 class InfeasibleSectorError(ValueError):

@@ -17,20 +17,18 @@ that indices are reproducible across runs and can be baked into golden files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleSectorError, ResourceGuardError, StateNotInBasisError
+from .errors import InfeasibleSectorError, ResourceGuardError, StateNotInBasisError
 
 BOSON = "boson"
 FERMION = "fermion"
 SPIN = "spin"
 
-_SERIAL_VERSION = 1
 DEFAULT_BOUNDARY_WINDOW = 2  # levels next to a truncation boundary left out of identity checks
 _KEY_LIMIT = 2**63 - 1  # largest int64
 
@@ -249,31 +247,3 @@ class FockBasis:
             occ = self.occ[:, m]
             mask &= (occ <= self.modes[m].capacity - DEFAULT_BOUNDARY_WINDOW) & (occ >= DEFAULT_BOUNDARY_WINDOW)
         return mask
-
-    def to_json(self) -> str:
-        """Versioned description; state lists are re-derivable, never stored."""
-        payload = {
-            "version": _SERIAL_VERSION,
-            "modes": [{"kind": m.kind, "capacity": m.capacity} for m in self.modes],
-            "constraint": self.constraint,
-            "count": len(self),
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FockBasis":
-        payload = json.loads(text)
-        if payload.get("version") != _SERIAL_VERSION:
-            raise ConfigError(
-                f"unsupported basis serialization version {payload.get('version')}",
-                field="version",
-            )
-        modes = [ModeSpec(m["kind"], int(m["capacity"])) for m in payload["modes"]]
-        basis = cls(modes, payload.get("constraint"))
-        count = payload.get("count")
-        if count is not None and count != len(basis):
-            raise ConfigError(
-                f"stored state count {count} does not match re-derived {len(basis)}",
-                field="count",
-            )
-        return basis

@@ -13,8 +13,6 @@ every product so chained commutators do not accumulate numerical fill-in.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import scipy.sparse as sparse
 
@@ -114,29 +112,6 @@ class SparseOperator:
             return True
         return float(np.max(np.abs(off.data))) <= 1e-12 * max(self.max_norm(), 1.0)
 
-    # -- algebra ----------------------------------------------------------
-
-    def __add__(self, other):
-        return SparseOperator(
-            self.mat + other.mat, grade=self.grade if self.grade == other.grade else EVEN
-        )
-
-    def __sub__(self, other):
-        return SparseOperator(
-            self.mat - other.mat, grade=self.grade if self.grade == other.grade else EVEN
-        )
-
-    def __mul__(self, scalar):
-        return SparseOperator(self.mat * complex(scalar), grade=self.grade)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
-    def __matmul__(self, other):
-        return SparseOperator(self.mat @ other.mat, grade=self.grade ^ other.grade)
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Exact sparse matrix-vector product."""
         vec = np.asarray(vec)
@@ -145,37 +120,6 @@ class SparseOperator:
                 f"vector length {vec.shape[0]} does not match operator dim {self.dim}"
             )
         return self.mat @ vec
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> str:
-        """Triplet-list form with entries sorted by (row, col); `"hermitian"`
-        reports `is_hermitian()` and `from_json` ignores it."""
-        coo = self.mat.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        entries = [
-            [int(coo.row[k]), int(coo.col[k]), float(coo.data[k].real), float(coo.data[k].imag)]
-            for k in order
-        ]
-        return json.dumps(
-            {
-                "dim": self.dim,
-                "hermitian": self.is_hermitian(),
-                "grade": "odd" if self.grade == ODD else "even",
-                "entries": entries,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SparseOperator":
-        payload = json.loads(text)
-        dim = int(payload["dim"])
-        entries = payload["entries"]
-        rows = [e[0] for e in entries]
-        cols = [e[1] for e in entries]
-        vals = [complex(e[2], e[3]) for e in entries]
-        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-        return cls(mat, grade=ODD if payload.get("grade") == "odd" else EVEN)
 
     def __repr__(self):
         g = "odd" if self.grade == ODD else "even"
@@ -288,13 +232,6 @@ def graded_commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     else:
         mat = a.mat @ b.mat - b.mat @ a.mat
     return SparseOperator(mat, grade=a.grade ^ b.grade)
-
-
-def frobenius_inner(a, b) -> complex:
-    """trace(a^dagger b) of two operators, or of two sparse blocks of one shape."""
-    a = a.mat if isinstance(a, SparseOperator) else a
-    b = b.mat if isinstance(b, SparseOperator) else b
-    return complex(a.conj().multiply(b).sum())
 
 
 def linear_combination(ops, coeffs) -> SparseOperator:

@@ -31,9 +31,6 @@ class BlochSample:
     a: np.ndarray
     b: np.ndarray
 
-    def sphere_radius_sq(self) -> np.ndarray:
-        return self.sx**2 + self.sy**2 + self.sz**2
-
 
 def bloch(delta, J, S, t) -> BlochSample:
     """Expectations under H = delta*Sz + 2J*Sx from the top spin state, with
@@ -155,12 +152,6 @@ class So5Singles:
     quoted_matrix: np.ndarray     # eigenvalues of the commonly quoted 4x4 matrix
     generator_form: np.ndarray     # eigenvalues of the root-combination form
 
-    def discrepancy(self) -> float:
-        """max distance between closed form and quoted matrix (sorted)."""
-        if self.closed_form is None:
-            return float("nan")
-        return float(np.max(np.abs(np.sort(self.closed_form) - np.sort(self.quoted_matrix))))
-
 
 def so5_quoted_matrix(J1, J2, phi) -> np.ndarray:
     e = J2 * np.exp(1j * phi)
@@ -184,19 +175,6 @@ def so5_generator_matrix(J1, J2, phi) -> np.ndarray:
     h[2, 3] = J1
     h[0, 3] = J2 * np.exp(1j * phi)
     h[1, 2] = J2
-    return h + h.conj().T
-
-
-def so5_full_matrix(J1, J2, phi) -> np.ndarray:
-    """Single-particle matrix of the six-bond Hamiltonian
-    J1(a-flip + b-flip) + J2(e^{i phi} up-up + up-down + down-up + down-down)."""
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 1] = J1
-    h[2, 3] = J1
-    h[0, 2] = J2 * np.exp(1j * phi)
-    h[0, 3] = J2
-    h[1, 2] = J2
-    h[1, 3] = J2
     return h + h.conj().T
 
 
@@ -287,23 +265,6 @@ def spin_pcs_width(S, theta) -> np.ndarray:
     if S < 0:
         raise ValueError("S must be non-negative")
     return np.sqrt(S / 2.0) * np.abs(np.sin(np.asarray(theta, dtype=float)))
-
-
-def su11_pcs_expectations(k, r, theta):
-    """(K0, K1-like, K2-like) = k (cosh 2r, sinh 2r cos theta, sinh 2r sin theta)."""
-    k = float(k)
-    r = np.asarray(r, dtype=float)
-    return (
-        k * np.cosh(2 * r),
-        k * np.sinh(2 * r) * np.cos(theta),
-        k * np.sinh(2 * r) * np.sin(theta),
-    )
-
-
-def squeezed_quadrature_variances(r, theta):
-    """((dx)^2, (dp)^2) = (cosh 2r -+ cos(theta) sinh 2r)/2."""
-    ch, sh = np.cosh(2 * r), np.sinh(2 * r)
-    return 0.5 * (ch - np.cos(theta) * sh), 0.5 * (ch + np.cos(theta) * sh)
 
 
 LADDER_KINDS = {

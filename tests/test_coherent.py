@@ -162,9 +162,10 @@ def test_quadratic_generators_complete_two_circuits_per_rotation():
     psi0 = glauber_state(1.2, cutoff)
     times = np.array([np.pi / omega, 2 * np.pi / omega])
     res = evolve(H, psi0, times)
+    a2 = SparseOperator(a.mat @ a.mat)
     a_t = [np.vdot(s, a.apply(s)) for s in res.snapshots]
-    a2_t = [np.vdot(s, (a @ a).apply(s)) for s in res.snapshots]
-    a2_0 = np.vdot(psi0, (a @ a).apply(psi0))
+    a2_t = [np.vdot(s, a2.apply(s)) for s in res.snapshots]
+    a2_0 = np.vdot(psi0, a2.apply(psi0))
     a_0 = np.vdot(psi0, a.apply(psi0))
     assert abs(a2_t[0] - a2_0) < 1e-10          # half rotation: quadratics back
     assert abs(a_t[0] + a_0) < 1e-10            # but the amplitude is inverted

@@ -7,8 +7,6 @@ from liefock import (
     SparseOperator,
     boson,
     build_algebra,
-    detect_revivals,
-    equidistant_gap,
     evolve,
     expectation_series,
     fidelity_series,
@@ -19,6 +17,7 @@ from liefock import (
 from liefock.errors import NumericContractError, ResourceGuardError
 from liefock.operators import diagonal_op, linear_combination
 from liefock.oracles import bloch, so5_generator_matrix, so5_manybody, squeezing
+from test_seed_oracles import detect_revivals, equidistant_gap, so5_full_matrix, sphere_radius_sq
 
 
 def su2_chain_hamiltonian(S, J0=1.0):
@@ -203,7 +202,7 @@ def test_bloch_oracle_spin_components():
     assert np.max(np.abs(expectation_series(res, sx) - oracle.sx)) < 1e-9
     assert np.max(np.abs(expectation_series(res, sy) - oracle.sy)) < 1e-9
     assert np.max(np.abs(expectation_series(res, sz) - oracle.sz)) < 1e-9
-    assert np.max(np.abs(oracle.sphere_radius_sq() - S**2)) < 1e-9
+    assert np.max(np.abs(sphere_radius_sq(oracle) - S**2)) < 1e-9
 
 
 def test_bloch_oracle_mode_amplitudes():
@@ -343,17 +342,7 @@ def test_equidistant_spectrum_implies_revival():
 def test_so5_quadratic_sum_rule():
     for N in (1, 2, 3):
         for phi in (0.0, np.pi, 1.1):
-            h4 = np.array(
-                [
-                    [0, 1.0, 1.0 * np.exp(1j * phi), 1.0],
-                    [1.0, 0, 1.0, 1.0],
-                    [1.0 * np.exp(-1j * phi), 1.0, 0, 1.0],
-                    [1.0, 1.0, 1.0, 0],
-                ]
-            )
             # build from the six-bond combination directly
-            from liefock.oracles import so5_full_matrix
-
             h4 = so5_full_matrix(1.0, 1.0, phi)
             basis, H = quadratic_boson_hamiltonian(h4, N)
             many = spectrum(H)
@@ -369,7 +358,7 @@ def test_expectation_series_of_hermitian_product_is_real():
     n = number_op(basis, 0)
     H = SparseOperator(n.mat + 0.3 * (a.mat + adag.mat))
     res = evolve(H, basis.vector((0,)), np.linspace(0.0, 1.0, 5))
-    series = expectation_series(res, adag @ a)
+    series = expectation_series(res, SparseOperator(adag.mat @ a.mat))
     assert series.dtype == np.float64
     assert np.max(np.abs(series - expectation_series(res, n))) < 1e-12
     assert np.iscomplexobj(expectation_series(res, a))
@@ -392,3 +381,16 @@ def test_validation_errors():
         evolve(big, v, np.array([1.0]), method="dense_eig")
     with pytest.raises(ResourceGuardError):
         spectrum(diagonal_op(np.arange(5000, dtype=float)))
+
+
+@pytest.mark.parametrize("option,message", [
+    ({"store": "bogus"}, "unknown store mode 'bogus'"),
+    ({"method": "bogus"}, "unknown method 'bogus'"),
+])
+def test_unknown_store_or_method_is_refused_before_propagating(option, message):
+    # above the dense guard: checked after propagating, it would raise ResourceGuardError
+    H = diagonal_op(np.arange(4097, dtype=float))
+    v = np.zeros(4097)
+    v[0] = 1.0
+    with pytest.raises(ValueError, match=message):
+        evolve(H, v, np.array([1.0]), **{"method": "dense_eig", **option})

@@ -67,6 +67,9 @@ def test_round_trip_bijection():
     for i, s in enumerate(basis.states):
         assert basis.index_of(basis.state_at(i)) == i
         assert basis.state_at(basis.index_of(s)) == s
+    # a basis equals every basis built from the same modes and constraint
+    assert basis == FockBasis([boson(3), spin(1), fermion()], constraint=3)
+    assert basis != FockBasis([boson(3), spin(1), fermion()], constraint=2)
 
 
 def test_ordering_stable_against_sorted():
@@ -116,13 +119,6 @@ def test_interior_mask():
     assert list(inner) == [True, True, True, True, False, False]
     both = basis.interior_mask(two_sided_modes=(0,))
     assert list(both) == [False, False, True, True, False, False]
-
-
-def test_serialization_round_trip():
-    basis = FockBasis([boson(4), fermion(), spin(1.5)], constraint=3)
-    clone = FockBasis.from_json(basis.to_json())
-    assert clone == basis
-    assert clone.states == basis.states
 
 
 def test_above_capacity_lookup_does_not_alias():

@@ -28,6 +28,7 @@ from liefock.scenarios import (
     run_scenario,
     system_weights,
 )
+from test_seed_oracles import assert_same_basis, assert_same_operator_bytes
 
 
 @pytest.mark.parametrize(
@@ -238,8 +239,8 @@ def test_every_spelling_of_a_whole_number_builds_the_same_system(leaf, spell):
         target = target[key]
     want, got = build(spec), build(replaced(spec, path, spell(target)))
     if isinstance(want, tuple):  # a config: its basis, H and initial state
-        assert got[0].to_json() == want[0].to_json()
-        assert (got[1].mat != want[1].mat).nnz == 0
+        assert_same_basis(got[0], want[0])
+        assert_same_operator_bytes(got[1], want[1], "H")
         want, got = want[2], got[2]
     assert np.array_equal(got, want)
 
@@ -717,6 +718,10 @@ def test_a_value_its_basis_or_register_refuses_exits_2_naming_it(tmp_path, capsy
         (["oracle", "bloch", "--params", '{"delta": 1e-200, "J": 0, "S": 1, "t": 1}'], "oracle parameters delta, J, S, t"),
         (["oracle", "spin_pcs_width", "--params", '{"S": -1, "theta": 1}'], "oracle parameters S, theta"),
         (["oracle", "so5", "--params", '{"N": -1, "J1": 1, "J2": 1, "phi": 1}'], "oracle parameter N"),
+        # formulas that overflow to inf or NaN, which JSON cannot hold
+        (["oracle", "wannier_stark", "--params", '{"omega": 1e308, "js": [10]}'], "oracle parameters omega, js"),
+        (["oracle", "band", "--params", '{"J": 1e308, "k": [0]}'], "oracle parameters J, k"),
+        (["oracle", "squeezing", "--params", '{"omega": 0, "xi": 1, "t": [1000]}'], "oracle parameters omega, xi, t"),
     ],
 )
 def test_a_parameter_out_of_range_exits_2_naming_it(tmp_path, capsys, argv, field):

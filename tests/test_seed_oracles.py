@@ -68,6 +68,11 @@ The reference states, read off the annihilators' stored entries, are checked
 against the dense null space they replaced (`oracle_reference_states`) on
 every catalog case: equal counts and equal spans, measured both ways as
 ||B - A A^H B|| rather than through principal angles.
+
+Closed forms and checks that only the tests call live here too: the six-bond
+so5 single-particle matrix, the su(1,1) coherent-state expectations, the
+squeezed quadrature variances, the Bloch-sphere radius, the so5 closed-form
+discrepancy, revival detection and the equidistant-gap test.
 """
 
 import functools
@@ -101,6 +106,7 @@ from liefock.dynamics import (
     _krylov_basis,
     _krylov_step,
     evolve,
+    fidelity_series,
 )
 from liefock.algebra import (
     CATALOG,
@@ -201,6 +207,103 @@ def degrees(graph) -> np.ndarray:
 def multiplicities(wl) -> list:
     """The number of basis states at each site of a `WeightLattice`."""
     return wl.multiplicity_array().tolist()
+
+
+# ---------------------------------------------------------------------------
+# closed forms and revival detection that only tests use
+# ---------------------------------------------------------------------------
+
+
+def sphere_radius_sq(sample) -> np.ndarray:
+    """Sx^2 + Sy^2 + Sz^2 of an `oracles.BlochSample`, S^2 at every time."""
+    return sample.sx**2 + sample.sy**2 + sample.sz**2
+
+
+def discrepancy(singles) -> float:
+    """max distance between the sorted closed form and quoted-matrix spectra
+    of an `oracles.So5Singles`; NaN when there is no closed form (J1 != J2)."""
+    if singles.closed_form is None:
+        return float("nan")
+    return float(np.max(np.abs(np.sort(singles.closed_form) - np.sort(singles.quoted_matrix))))
+
+
+def so5_full_matrix(J1, J2, phi) -> np.ndarray:
+    """Single-particle matrix of the six-bond Hamiltonian
+    J1(a-flip + b-flip) + J2(e^{i phi} up-up + up-down + down-up + down-down)."""
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 1] = J1
+    h[2, 3] = J1
+    h[0, 2] = J2 * np.exp(1j * phi)
+    h[0, 3] = J2
+    h[1, 2] = J2
+    h[1, 3] = J2
+    return h + h.conj().T
+
+
+def su11_pcs_expectations(k, r, theta):
+    """(K0, K1-like, K2-like) = k (cosh 2r, sinh 2r cos theta, sinh 2r sin theta)."""
+    k = float(k)
+    r = np.asarray(r, dtype=float)
+    return (
+        k * np.cosh(2 * r),
+        k * np.sinh(2 * r) * np.cos(theta),
+        k * np.sinh(2 * r) * np.sin(theta),
+    )
+
+
+def squeezed_quadrature_variances(r, theta):
+    """((dx)^2, (dp)^2) = (cosh 2r -+ cos(theta) sinh 2r)/2."""
+    ch, sh = np.cosh(2 * r), np.sinh(2 * r)
+    return 0.5 * (ch - np.cos(theta) * sh), 0.5 * (ch + np.cos(theta) * sh)
+
+
+@dataclass
+class RevivalReport:
+    revival_times: list
+    fidelities: list
+    threshold: float
+
+
+def detect_revivals(result, psi0, threshold=0.99, refractory=None) -> RevivalReport:
+    """Local maxima of the return probability of an `EvolutionResult` above
+    `threshold`, separated by at least `refractory` (default: 5% of the
+    scanned span). t = times[0] is the initial condition, not a revival."""
+    if not 0 < threshold <= 1:
+        raise ValueError("threshold must lie in (0, 1]")
+    fid = fidelity_series(result, psi0)
+    times = result.times
+    if refractory is None:
+        refractory = 0.05 * (times[-1] - times[0])
+    revival_times, fidelities = [], []
+    last = None
+    for k in range(1, len(times)):
+        left = fid[k - 1]
+        right = fid[k + 1] if k + 1 < len(times) else -np.inf
+        if fid[k] >= threshold and fid[k] >= left and fid[k] >= right:
+            if last is not None and times[k] - last < refractory:
+                if fidelities and fid[k] > fidelities[-1]:
+                    revival_times[-1] = float(times[k])
+                    fidelities[-1] = float(fid[k])
+                    last = float(times[k])
+                continue
+            revival_times.append(float(times[k]))
+            fidelities.append(float(fid[k]))
+            last = float(times[k])
+    return RevivalReport(revival_times, fidelities, threshold)
+
+
+def equidistant_gap(energies, tol=1e-9):
+    """Base gap g when all level spacings are integer multiples of g, else None."""
+    energies = np.sort(np.asarray(energies, dtype=float))
+    diffs = np.diff(energies)
+    diffs = diffs[diffs > tol]
+    if diffs.size == 0:
+        return None
+    g = np.min(diffs)
+    ratios = diffs / g
+    if np.max(np.abs(ratios - np.round(ratios))) > tol / g:
+        return None
+    return float(g)
 
 
 # ---------------------------------------------------------------------------
@@ -2755,13 +2858,18 @@ def assert_same_operator_bytes(got, want, what):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (what, attr)
 
 
+def assert_same_basis(got, want):
+    """Two bases with the same modes and constraint and equal occupation rows."""
+    assert (got.modes, got.constraint) == (want.modes, want.constraint)
+    assert np.array_equal(got.occ, want.occ)
+
+
 def assert_same_model(got, want):
     """Every field of two algebra models equal bit for bit: operator bytes
     (signed zeros included), grades, roots as Fractions, unit bits."""
     assert (got.name, got.params, got.labels) == (want.name, want.params, want.labels)
     assert [type(v) for v in got.params.values()] == [type(v) for v in want.params.values()]
-    assert got.basis.to_json() == want.basis.to_json()
-    assert np.array_equal(got.basis.occ, want.basis.occ)
+    assert_same_basis(got.basis, want.basis)
     assert len(got.generators) == len(want.generators)
     for label, g, w in zip(got.labels, got.generators, want.generators):
         assert_same_operator_bytes(g, w, label)
@@ -2852,7 +2960,7 @@ def test_reference_states_span_the_dense_kernel(name, params):
 def test_an_annihilator_sending_two_states_onto_one_is_refused():
     # on su3 N = 2, I+ takes |0,1,1> and V+ takes |0,0,2> onto |1,0,1>
     model = build_algebra("su3_schwinger", N=2)
-    summed = model.generator("I+") + model.generator("V+")
+    summed = SparseOperator(model.generator("I+").mat + model.generator("V+").mat)
     target = model.basis.index_of((1, 0, 1))
     sources = [model.basis.index_of(s) for s in ((0, 1, 1), (0, 0, 2))]
     assert summed.mat[target].indices.tolist() == sorted(sources)
