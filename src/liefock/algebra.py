@@ -159,13 +159,27 @@ def _norm(entries) -> float:
     return float(np.linalg.norm(entries[1]))
 
 
+def _find(keys, flat):
+    """Positions of `flat` in the sorted `keys`, and which of them hold it."""
+    pos = np.searchsorted(keys, flat)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == flat[hit]
+    return pos, hit
+
+
+def _sorted_unique(flat):
+    """np.unique(flat) by one sort and a mask of repeats; numpy 2.4's hashes."""
+    flat = np.sort(flat)
+    keep = np.ones(len(flat), dtype=bool)
+    keep[1:] = flat[1:] != flat[:-1]
+    return flat[keep]
+
+
 def _on_keys(entries, keys):
     """The block's entries at the sorted flat positions `keys` (zeros where it
     stores none), and the norm of the entries it stores elsewhere."""
     flat, data = entries
-    pos = np.searchsorted(keys, flat)
-    hit = pos < len(keys)
-    hit[hit] = keys[pos[hit]] == flat[hit]
+    pos, hit = _find(keys, flat)
     row = np.zeros(len(keys), dtype=complex)
     row[pos[hit]] = data[hit]
     return row, float(np.linalg.norm(data[~hit]))
@@ -196,7 +210,9 @@ class _Span:
     The span is one dense (n_span, n_keys) complex array `q`: row k holds
     the k-th orthonormal direction at the sorted row-major flat positions
     `keys` of the interior block, the union of the supports seen so far.
-    A growing pattern is one scatter into a wider array, and each of the two
+    A block's positions are found in `keys` by one np.searchsorted; the
+    support grows by a sorted merge of the positions outside it, and the
+    wider pattern is one scatter into a wider array. Each of the two
     projection passes (classical Gram-Schmidt twice) is two GEMVs.
     """
 
@@ -214,12 +230,16 @@ class _Span:
         denom = max(norm_v, scale) or 1.0
         if norm_v / denom <= tol:  # r <= ||v||: nothing to project or add
             return norm_v / denom
-        keys = np.union1d(self.keys, v[0])
-        if len(keys) > len(self.keys):
+        flat, data = v
+        pos, hit = _find(self.keys, flat)
+        if not hit.all():  # grow the support by the positions outside it
+            keys = _sorted_unique(np.concatenate([self.keys, flat[~hit]]))
             q = np.zeros((len(self.q), len(keys)), dtype=complex)
             q[:, np.searchsorted(keys, self.keys)] = self.q
             self.keys, self.q = keys, q
-        r, _ = _on_keys(v, self.keys)
+            pos = np.searchsorted(keys, flat)
+        r = np.zeros(len(self.keys), dtype=complex)
+        r[pos] = data  # every stored entry is now on the support
         for _ in range(2):  # the second pass guards against cancellation
             r -= (self.q @ r.conj()).conj() @ self.q
         rn = float(np.linalg.norm(r))
@@ -300,7 +320,7 @@ def extract_structure_constants(gens, interior=None, labels=None) -> StructureCo
 
     n = len(gens)
     blocks = [entries(g) for g in gens]
-    keys = np.unique(np.concatenate([flat for flat, _ in blocks]))
+    keys = _sorted_unique(np.concatenate([flat for flat, _ in blocks]))
     rows = np.array([_on_keys(x, keys)[0] for x in blocks])
     gram = rows.conj() @ rows.T
     sv = np.linalg.svd(gram, compute_uv=False)

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric contract violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -185,6 +186,7 @@ def _oracle_number(kind, key, value):
     return (complex_number if kind == "squeezing" and key == "xi" else real_number)(value, field)
 
 
+@np.errstate(all="ignore")  # an overflow is refused below, not warned about
 def _cmd_oracle(args):
     params = {key: _oracle_number(args.kind, key, value) for key, value in _load_params(args.params).items()}
     if "t" in params:
@@ -262,7 +264,9 @@ def _cmd_scenario(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="liefock",
         description="Fock-state lattices from operator algebras: build, analyze, evolve.",

@@ -165,12 +165,14 @@ def _edge_labels(graph, labels, model):
     """Per edge, the merged labels of the generators with an entry on it."""
     n = graph.n_vertices
     edge_keys = _pair_keys(n, *graph.edges.T)
-    # covers[e, k]: generator k has an entry on edge e (in either direction)
-    covers = np.empty((graph.n_edges, len(labels)), dtype=bool)
+    # covers[e, k]: generator k has an entry on edge e (in either direction), found by
+    # its key's position in the ascending edge keys; no edge has a diagonal key i * n + i
+    covers = np.zeros((graph.n_edges, len(labels)), dtype=bool)
     for k, lab in enumerate(labels):
         coo = model.generator(lab).mat.tocoo()
-        off = coo.row != coo.col
-        covers[:, k] = np.isin(edge_keys, _pair_keys(n, coo.row[off].astype(np.int64), coo.col[off]))
+        keys = _pair_keys(n, coo.row.astype(np.int64), coo.col)
+        pos = np.minimum(np.searchsorted(edge_keys, keys), graph.n_edges - 1)
+        covers[pos[edge_keys[pos] == keys], k] = True
     patterns, pattern_of_edge = group_rows(covers)
     names = [_merge_labels([lab for lab, hit in zip(labels, row) if hit]) for row in patterns.tolist()]
     return list(map(names.__getitem__, pattern_of_edge.tolist()))
@@ -333,7 +335,8 @@ def plaquette_fluxes(fsl: FSLGraph, weights=None) -> FluxReport:
     parent = _bfs_forest(adj, roots)
 
     child = np.flatnonzero(parent != np.arange(n))
-    non_tree = fsl.edges[~np.isin(_pair_keys(n, *fsl.edges.T), _pair_keys(n, child, parent[child]))]
+    tree = np.searchsorted(_pair_keys(n, *fsl.edges.T), _pair_keys(n, child, parent[child]))
+    non_tree = np.delete(fsl.edges, tree, axis=0)  # a tree edge is an edge, so its key is found
     cycle_count = fsl.n_edges - n + len(roots)
     assert len(non_tree) == cycle_count
 

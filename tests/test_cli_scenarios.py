@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from liefock.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCE, main
+from liefock.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCE, build_parser, main
 from liefock.algebra import build_algebra
 from liefock.coherent import displaced_state
 from liefock.errors import ConfigError, ResourceGuardError
@@ -265,6 +265,39 @@ def test_cli_oracle(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["values"][0] == pytest.approx(np.sqrt(6))
     assert main(["oracle", "nope"]) == EXIT_CONFIG
+
+
+def exit_and_output(capsys, argv):
+    """main(argv)'s exit code, argparse's refusals included, and its stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_parser_built_once_answers_as_fresh_parsers(capsys):
+    """One parser serves a run of commands, argparse refusals among them,
+    with the exit codes and output a parser built for each call gives."""
+    argvs = [
+        ["algebra", "su2_schwinger", "--params", '{"N": 3}'],
+        ["oracle", "su2_hopping", "--params", '{"J0": 1.0, "N": 4, "j": 1}'],
+        ["algebra", "no_such_algebra"],
+        ["closure", "rabi", "--cap", "many"],
+        ["algebra", "hw", "--params", '{"cutoff": 0}'],
+        ["algebra", "su2_schwinger", "--params", '{"N": 3}', "--verify"],
+        ["algebra", "su2_schwinger", "--params", '{"N": 3}'],
+    ]
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(exit_and_output(capsys, argv))
+    build_parser.cache_clear()
+    once = [exit_and_output(capsys, argv) for argv in argvs]
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in once] == [EXIT_OK, EXIT_OK, 2, 2, EXIT_CONFIG, EXIT_OK, EXIT_OK]
+    assert once == fresh
 
 
 def test_cli_scenario_run_and_evolve(tmp_path, capsys):

@@ -5,15 +5,20 @@ amplitude pairs of a state, the oracle's formula parameters, and unknown
 parameter names, down to the CLI's exit code 2."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liefock
 from liefock import FockBasis, boson, scenarios
 from liefock.cli import EXIT_CONFIG, main
 from liefock.errors import ConfigError, configure, exact_number, whole_number
@@ -729,3 +734,23 @@ def test_a_parameter_out_of_range_exits_2_naming_it(tmp_path, capsys, argv, fiel
     captured = capsys.readouterr()
     assert f"(field: {field})" in captured.err and "Traceback" not in captured.err
     assert not captured.out and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("squeezing", '{"omega": 0, "xi": 1, "t": [1000]}'),
+        ("wannier_stark", '{"omega": 1e308, "js": [10]}'),
+        ("band", '{"J": 1e308, "k": [0]}'),
+    ],
+)
+def test_an_overflowing_oracle_prints_only_its_error_line(kind, params):
+    """numpy's floating-point warnings on the way to inf or NaN do not reach
+    stderr, which holds the one `error:` line; a child process shows what a
+    shell sees."""
+    src = str(Path(liefock.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "liefock.cli", "oracle", kind, "--params", params]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == EXIT_CONFIG and not run.stdout
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: "), run.stderr

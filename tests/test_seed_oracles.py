@@ -59,6 +59,13 @@ checked bit for bit against the block it replaced, built by two fancy-index
 slices and flattened row by row (`oracle_interior_entries`), on random
 sparse operators and masks and on every catalog generator.
 
+The closure span, which finds a block's positions in its support by
+`searchsorted` and grows the support by a sorted merge, is checked against
+the span that grew it by `np.union1d` (`OracleSpan`): equal ratios, supports
+and `q` bit for bit after every add. Edge labels, marked by each generator
+entry's position in the ascending edge keys, are checked against the
+`np.isin` marking (`oracle_edge_labels`).
+
 The catalog builders, which now state only their exact weights and
 off-diagonal generators and derive the Cartan diagonals and the roots, are
 checked against the builders that stated both by hand (`oracle_catalog`):
@@ -83,7 +90,8 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -110,9 +118,12 @@ from liefock.dynamics import (
 )
 from liefock.algebra import (
     CATALOG,
+    CLOSURE_TOL,
     AlgebraModel,
     RootPair,
     _interior_and_labels,
+    _sorted_unique,
+    _Span,
     build_algebra,
     find_reference_states,
 )
@@ -146,6 +157,7 @@ from liefock.operators import (
     ODD,
     SparseOperator,
     diagonal_op,
+    graded_commutator,
     identity,
     ladder_ops,
     linear_combination,
@@ -1402,6 +1414,42 @@ def test_edge_array_graph_matches_edge_list_oracle(case):
     assert rep.independent_classes == independent
 
 
+def oracle_edge_labels(graph, labels, model):
+    """`lattice._edge_labels` as it marked each generator's edges by np.isin."""
+    n = graph.n_vertices
+    edge_keys = np.minimum(*graph.edges.T) * n + np.maximum(*graph.edges.T)
+    covers = np.empty((graph.n_edges, len(labels)), dtype=bool)
+    for k, lab in enumerate(labels):
+        coo = model.generator(lab).mat.tocoo()
+        off = coo.row != coo.col
+        a, b = coo.row[off].astype(np.int64), coo.col[off]
+        covers[:, k] = np.isin(edge_keys, np.minimum(a, b) * n + np.maximum(a, b))
+    patterns, pattern_of_edge = group_rows(covers)
+    names = [lattice._merge_labels([lab for lab, hit in zip(labels, row) if hit]) for row in patterns.tolist()]
+    return list(map(names.__getitem__, pattern_of_edge.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hermitian_graphs(), st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_edge_labels_match_isin_oracle(case, seed, count):
+    """Generators with entries on some edges, on pairs that are no edge
+    (past the last edge key too) and on the diagonal label every edge as the
+    np.isin marking did."""
+    H, _ = case
+    graph = build_fsl(H)
+    if not graph.n_edges:
+        return
+    rng = np.random.default_rng(seed)
+    n = H.dim
+    generators = {}
+    for k in range(count):
+        mat = sparse.random(n, n, density=rng.uniform(0.0, 0.8), random_state=rng, format="csr")
+        generators[f"g{k}+" if k % 2 else f"g{k}"] = SparseOperator(mat.astype(complex))
+    labels = list(generators)
+    model = SimpleNamespace(generator=generators.__getitem__)
+    assert lattice._edge_labels(graph, labels, model) == oracle_edge_labels(graph, labels, model)
+
+
 @settings(max_examples=100, deadline=None)
 @given(hermitian_graphs(), st.data())
 def test_every_zero_amplitude_edge_raises(case, data):
@@ -2408,6 +2456,130 @@ def test_interior_reader_matches_two_slices_on_the_catalog(name, params):
     model = build_algebra(name, **params)
     for op in model.generators + list(model.casimirs.values()):
         assert_reader_matches_slices(op, model.interior())
+
+
+# ---------------------------------------------------------------------------
+# the closure span's support through np.union1d
+# ---------------------------------------------------------------------------
+
+
+def oracle_on_keys(entries, keys):
+    """The block's entries at the sorted flat positions `keys` (zeros where it
+    stores none), and the norm of the entries it stores elsewhere."""
+    flat, data = entries
+    pos = np.searchsorted(keys, flat)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == flat[hit]
+    row = np.zeros(len(keys), dtype=complex)
+    row[pos[hit]] = data[hit]
+    return row, float(np.linalg.norm(data[~hit]))
+
+
+class OracleSpan:
+    """`algebra._Span` as it grew its support by np.union1d on every add."""
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.keys = np.empty(0, dtype=np.int64)
+        self.q = np.empty((0, 0), dtype=complex)
+
+    def try_add(self, op, scale, tol=CLOSURE_TOL) -> float:
+        v = self.entries(op)
+        norm_v = float(np.linalg.norm(v[1]))
+        denom = max(norm_v, scale) or 1.0
+        if norm_v / denom <= tol:  # r <= ||v||: nothing to project or add
+            return norm_v / denom
+        keys = np.union1d(self.keys, v[0])
+        if len(keys) > len(self.keys):
+            q = np.zeros((len(self.q), len(keys)), dtype=complex)
+            q[:, np.searchsorted(keys, self.keys)] = self.q
+            self.keys, self.q = keys, q
+        r, _ = oracle_on_keys(v, self.keys)
+        for _ in range(2):  # the second pass guards against cancellation
+            r -= (self.q @ r.conj()).conj() @ self.q
+        rn = float(np.linalg.norm(r))
+        ratio = rn / denom
+        if ratio > tol:
+            self.q = np.vstack([self.q, r / rn])
+        return ratio
+
+
+# catalog cases small enough to list every flat position of the interior block
+SPAN_CATALOG = [case for case in CATALOG_CASES if case[1]] + [("su2_spin", {}), ("so2n_fermion", {})]
+
+
+@functools.cache
+def span_pool(case):
+    """A catalog case's generators, the brackets of its first generator
+    pairs, and its interior mask."""
+    name, params = SPAN_CATALOG[case]
+    model = build_algebra(name, **params)
+    pairs = list(combinations(model.generators, 2))[:12]
+    return model.generators + [graded_commutator(a, b) for a, b in pairs], model.interior()
+
+
+def ops_at(flat, values, idx, dim):
+    """An operator of dimension `dim` with `values` at the interior block's
+    row-major flat positions `flat`, the block being over the basis indices `idx`."""
+    r, c = np.divmod(flat, len(idx))
+    return SparseOperator(sparse.csr_matrix((values, (idx[r], idx[c])), shape=(dim, dim)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_span_grows_its_support_as_union1d_did(data):
+    """Fed the same operators, `_Span` (positions by np.searchsorted, the
+    support grown by a sorted merge) and `OracleSpan` (np.union1d) return
+    the same ratios bit for bit and hold equal supports and bit-equal `q`
+    after every add. The operators are catalog generators and brackets or
+    random canonical CSR operators, with zero blocks, blocks wholly inside
+    the support so far and blocks wholly outside it in between; the first
+    add meets an empty support."""
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans(), label="catalog"):
+        pool, interior = span_pool(data.draw(st.integers(0, len(SPAN_CATALOG) - 1), label="case"))
+        dim = pool[0].dim
+    else:
+        dim = data.draw(st.integers(1, 16), label="dim")
+        interior = data.draw(st.sampled_from([None, "random"]), label="mask")
+        interior = None if interior is None else rng.random(dim) < rng.uniform(0.3, 1.0)
+        pool = []
+        for _ in range(6):
+            mat = sparse.random(dim, dim, density=rng.uniform(0.05, 0.6), random_state=rng, format="csr")
+            pool.append(SparseOperator(mat.astype(complex) * np.exp(1j * rng.uniform(-np.pi, np.pi))))
+    idx = np.arange(dim) if interior is None else np.flatnonzero(interior)
+    entries, _ = _interior_and_labels(pool, interior, None)
+    got, want = _Span(entries), OracleSpan(entries)
+    kinds = st.sampled_from(["pool", "zero", "inside", "outside"])
+    for kind in data.draw(st.lists(kinds, min_size=1, max_size=10), label="kinds"):
+        keys = want.keys
+        outside = np.setdiff1d(np.arange(len(idx) ** 2), keys)
+        if kind == "inside" and len(keys):
+            flat = rng.choice(keys, size=rng.integers(1, len(keys) + 1), replace=False)
+        elif kind == "outside" and len(outside):
+            flat = rng.choice(outside, size=rng.integers(1, len(outside) + 1), replace=False)
+        else:
+            flat = None
+        if kind == "zero":
+            op = SparseOperator(sparse.csr_matrix((dim, dim), dtype=complex))
+        elif flat is not None:
+            op = ops_at(flat, rng.normal(size=len(flat)) + 1j * rng.normal(size=len(flat)), idx, dim)
+        else:
+            op = pool[rng.integers(len(pool))]
+        scale = data.draw(st.sampled_from([0.0, 1.0, 1e3]), label="scale")
+        tol = data.draw(st.sampled_from([CLOSURE_TOL, 0.3]), label="tol")
+        assert same_bits(got.try_add(op, scale, tol), want.try_add(op, scale, tol))
+        assert got.keys.dtype == want.keys.dtype and np.array_equal(got.keys, want.keys)
+        assert got.q.shape == want.q.shape and got.q.tobytes() == want.q.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**62), 2**62) | st.integers(-3, 3), max_size=60))
+def test_sorted_unique_matches_np_unique(values):
+    flat = np.array(values, dtype=np.int64)
+    got, want = _sorted_unique(flat), np.unique(flat)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
