@@ -31,13 +31,13 @@ from .errors import (
 )
 from .lattice import (
     connected_components,
+    graph_json_text,
     graph_to_adjacency_csv,
-    graph_to_json_dict,
     plaquette_fluxes,
     system_graph,
 )
 from .oracles import LADDER_KINDS, bloch, ladder_oracles, so5_manybody, so5_revival, so5_singles, squeezing
-from .output import export_heatmap, grid_csv_bytes, json_text, write_json
+from .output import export_heatmap, grid_csv_bytes, json_text
 from .scenarios import (
     BUILTIN_SCENARIOS,
     build_system,
@@ -126,20 +126,22 @@ def _cmd_lattice(args):
     basis, H, model, terms = build_system(system)
     graph = system_graph(H, model, terms, tol=args.tol)
     wl = system_weights(system, basis, model)
-    payload = graph_to_json_dict(graph, wl)
+    extra = {}
     if args.fluxes:
         rep = plaquette_fluxes(graph, None if wl is None else wl.coordinates_float)
-        payload["fluxes"] = {
+        extra["fluxes"] = {
             "cycle_count": rep.cycle_count,
             "class_values": rep.class_values,
             "independent_classes": rep.independent_classes,
         }
-    payload["components"] = [len(c) for c in connected_components(graph)]
+    extra["components"] = [len(c) for c in connected_components(graph)]
+    text = graph_json_text(graph, wl, extra)
     if args.export:
-        write_json(args.export, payload)
+        with open(args.export, "wb") as fh:
+            fh.write(text.encode())
         print(f"wrote {args.export}")
     else:
-        print(json_text(payload), end="")
+        print(text, end="")
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(graph_to_adjacency_csv(graph))

@@ -26,6 +26,7 @@ six-bond so5 lattice, every one on the square so5 lattice of the root form.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,7 @@ import scipy.sparse as sparse  # loads sparse.csgraph on first use
 
 from .errors import ResourceGuardError
 from .operators import SparseOperator
-from .output import float_rows
+from .output import float_texts, records_text
 
 FLUX_DEDUP_TOL = 1e-9
 
@@ -416,32 +417,31 @@ def _shortest_path_avoiding(indptr, indices, src, dst):
     raise AssertionError("a non-tree edge always closes a cycle")
 
 
-def graph_to_json_dict(fsl: FSLGraph, weight_lattice: WeightLattice = None) -> dict:
-    """Export form: sorted vertex records with onsite energy, optional weight
-    tuple and site multiplicity, plus edge records with re/im amplitudes."""
-    onsite = fsl.onsite.tolist()
-    if weight_lattice is None:
-        vertices = [{"id": v, "onsite": e} for v, e in enumerate(onsite)]
-    else:
-        weights = weight_lattice.coordinates_float.tolist()
-        mult = weight_lattice.multiplicity_array()[weight_lattice.site_index].tolist()
-        vertices = [
-            {"id": v, "onsite": e, "weight": w, "multiplicity": m}
-            for v, (e, w, m) in enumerate(zip(onsite, weights, mult))
-        ]
-    re, im = fsl.amplitudes.real.tolist(), fsl.amplitudes.imag.tolist()
-    edges = [
-        {"i": i, "j": j, "re": r, "im": m, "label": lab}
-        for (i, j), r, m, lab in zip(fsl.edges.tolist(), re, im, fsl.labels or [None] * fsl.n_edges)
-    ]
-    return {"vertices": vertices, "edges": edges}
+def _edge_columns(fsl: FSLGraph) -> dict:
+    i, j = fsl.edges.T
+    labels = fsl.labels or [None] * fsl.n_edges
+    return {"i": i, "j": j, "re": fsl.amplitudes.real, "im": fsl.amplitudes.imag, "label": labels}
+
+
+def graph_json_text(fsl: FSLGraph, weight_lattice: WeightLattice = None, extra=None) -> str:
+    """The export text, `output.json_text` of {"vertices": [...], "edges":
+    [...], **extra}: vertex records with id, onsite energy and, given a
+    weight lattice, the float weight and site multiplicity; edge records with
+    i, j, re/im amplitude and label. The records are written column by
+    column from the graph's arrays (`output.records_text`)."""
+    vertices = {"id": np.arange(fsl.n_vertices), "onsite": fsl.onsite}
+    if weight_lattice is not None:
+        vertices["weight"] = weight_lattice.coordinates_float
+        vertices["multiplicity"] = weight_lattice.multiplicity_array()[weight_lattice.site_index]
+    texts = {"vertices": records_text(vertices), "edges": records_text(_edge_columns(fsl))}
+    for key, value in (extra or {}).items():
+        texts[key] = json.dumps(value, indent=1, sort_keys=True).replace("\n", "\n ")
+    return "{\n " + ",\n ".join(json.dumps(key) + ": " + texts[key] for key in sorted(texts)) + "\n}\n"
 
 
 def graph_to_adjacency_csv(fsl: FSLGraph) -> str:
     """Spreadsheet-style adjacency listing: i, j, re, im, label per line."""
-    amps = float_rows(np.stack((fsl.amplitudes.real, fsl.amplitudes.imag), axis=1))
-    lines = ["i,j,re,im,label"] + [
-        f"{i},{j},{re_im},{'' if lab is None else lab}"
-        for (i, j), re_im, lab in zip(fsl.edges.tolist(), amps, fsl.labels or [None] * fsl.n_edges)
-    ]
-    return "\n".join(lines) + "\n"
+    columns = _edge_columns(fsl)
+    cells = [columns["i"].tolist(), columns["j"].tolist(), float_texts(columns["re"]), float_texts(columns["im"])]
+    cells.append(["" if lab is None else lab for lab in columns["label"]])
+    return "\n".join(["i,j,re,im,label", *map("%s,%s,%s,%s,%s".__mod__, zip(*cells))]) + "\n"

@@ -3,23 +3,21 @@ portable graymaps, and JSON with a stable key order. Byte-identical reruns
 of the same configuration are a contract, so nothing here depends on dict
 iteration order, locale, or wall-clock time.
 
-Float formatting is most of the cost of the CSV writers. The Husimi grid
-writer formats each axis entry once and each distinct weight of a grid row
-once, since a chart repeats them at every node; only the values are
-formatted per node.
+Float formatting is most of the cost of the writers. The Husimi grid writer
+formats each axis entry once and each distinct weight of a grid row once,
+since a chart repeats them at every node; only the values are formatted per
+node.
 
-`json_text` writes the JSON files and the JSON reports of `liefock algebra`,
-`lattice`, `evolve` and `scenario run`; the `closure` and `oracle` reports
-still print through `json.dumps` in the CLI. Its text is json.dumps's, but
-each list of records in a top-level dict (the vertices and edges of a graph
-export) is written through one `%` template: about three times as fast as
-json.dumps on the 1.7 MB su3 N=90 flux export."""
+Every JSON text is `json.dumps(payload, indent=1, sort_keys=True)` plus a
+newline (`json_text`). The one large one, a graph export, is never built as
+a payload: `records_text` writes a list of records from its columns (the
+arrays of a graph), formatting each distinct float and each distinct string
+once, through one `%` template, into the same text."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from itertools import chain
 
 import numpy as np
 
@@ -41,6 +39,22 @@ def float_rows(table) -> list:
     return [",".join(map(_float_text, row)) for row in np.asarray(table, dtype=float).tolist()]
 
 
+def float_texts(values) -> list:
+    """The `_float_text` of each entry of a float array, row-major, as a CSV
+    cell writes it; each distinct 64-bit pattern is formatted once."""
+    return _by_pattern(values, lambda distinct: list(map(_float_text, distinct)))
+
+
+def _by_pattern(values, texts_of):
+    """texts_of(distinct values) picked per entry of a float array, row-major:
+    the distinct values are the distinct 64-bit patterns, so -0.0 and 0.0
+    keep their own text."""
+    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    texts = texts_of(bits.view(np.float64).tolist())
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
 def grid_csv_bytes(grid) -> bytes:
     """A Husimi grid as CSV `coord_a,coord_b,weight,value`, one line per node
     in row-major order: coord_a runs over grid.axes[0] (the rows of
@@ -51,7 +65,7 @@ def grid_csv_bytes(grid) -> bytes:
     64-bit pattern of a weights row once per row (so -0.0 and 0.0 keep their
     own text); the values are formatted per node."""
     axis_a, axis_b = (np.asarray(ax, dtype=float).tolist() for ax in grid.axes)
-    weights = np.ascontiguousarray(grid.weights, dtype=float)
+    weights = np.asarray(grid.weights, dtype=float)
     values = np.asarray(grid.values, dtype=float)
     if weights.shape != values.shape or values.shape != (len(axis_a), len(axis_b)):
         raise ValueError(f"grid of shape {values.shape} does not match its axes or weights")
@@ -61,80 +75,61 @@ def grid_csv_bytes(grid) -> bytes:
     # several times the size of the text
     for a, w_row, v_row in zip(axis_a, weights, values):
         head = _float_text(a) + ","
-        bits, inverse = np.unique(w_row.view(np.uint64), return_inverse=True)
-        cells_w = [_float_text(w) + "," for w in bits.view(np.float64).tolist()]
-        lines = [
-            head + b + w + v
-            for b, w, v in zip(cells_b, map(cells_w.__getitem__, inverse.tolist()), map(_float_text, v_row.tolist()))
-        ]
+        cells_w = _by_pattern(w_row, lambda distinct: [_float_text(w) + "," for w in distinct])
+        lines = [head + b + w + v for b, w, v in zip(cells_b, cells_w, map(_float_text, v_row.tolist()))]
         out.append(("\n".join(lines) + "\n").encode())
     return b"".join(out)
 
 
 def json_text(payload) -> str:
-    """`json.dumps(payload, indent=1, sort_keys=True) + "\\n"`: the same text
-    and the same exception types.
-
-    The stdlib writes indented JSON with its pure-Python encoder, one
-    generator step per token. When `payload` is a dict with str keys, each
-    value that is a record list goes through `_records_text` instead, and
-    every other value is json.dumps's text with one space added after each
-    newline (a JSON text holds no raw newline, so that indents it one level).
-
-    A record list is a non-empty list of dicts that all have the same
-    non-empty set of str keys. Under each key the values are either all
-    leaves of exact type str, int, float, bool or None, or all lists of such
-    leaves of one non-zero length. Anything else (a numpy scalar, ragged keys
-    or lengths, an empty nested list, a tuple) goes to json.dumps; a record
-    list holds nothing json.dumps refuses and no cycle."""
-    if type(payload) is not dict or not payload or not all(type(key) is str for key in payload):
-        return _dumps(payload) + "\n"
-    items = []
-    for key in sorted(payload):
-        text = _records_text(payload[key])
-        items.append(_dumps(key) + ": " + (_dumps(payload[key]).replace("\n", "\n ") if text is None else text))
-    return "{\n " + ",\n ".join(items) + "\n}\n"
+    """The JSON text of the reports, manifests and other small payloads."""
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
-def _dumps(value) -> str:
-    return json.dumps(value, indent=1, sort_keys=True)
+# With "\n" between items, the text of a list of values splits back into one
+# text per value: the encoder escapes every control character in a string.
+_ITEMS = json.JSONEncoder(separators=("\n", ": "))
 
 
-# With "\n" between items, the text of a list of leaves splits back into one
-# text per leaf: the encoder escapes every control character in a string.
-_LEAVES = json.JSONEncoder(separators=("\n", ": "))
-_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
+def _json_texts(values) -> list:
+    """json.dumps's text of each of a list of str, None or float values."""
+    return _ITEMS.encode(values)[1:-1].split("\n")
 
 
-def _records_text(records):
-    """The text of a record list (see `json_text`) as a value of the
-    top-level dict, or None if `records` is not one. One `%` template writes
-    every record; the leaves under a key come from one encoder call, and
-    slot s of a nested list of length n takes texts[s::n] of them."""
-    if type(records) is not list or not records or type(records[0]) is not dict or not records[0]:
-        return None
-    keys = records[0].keys()
-    if not all(type(key) is str for key in keys) or not all(type(r) is dict and r.keys() == keys for r in records):
-        return None
-    slots, columns = [], []
-    for key in sorted(keys):
-        column = [record[key] for record in records]
-        n = len(column[0]) if type(column[0]) is list else 0
-        nested = n and all(type(value) is list and len(value) == n for value in column)
-        if nested:
-            column = list(chain.from_iterable(column))
-        if not set(map(type, column)) <= _LEAF_TYPES:
-            return None
-        texts = _LEAVES.encode(column)[1:-1].split("\n")
-        head = _dumps(key).replace("%", "%%") + ": "
-        if nested:
-            slots.append(head + "[\n    " + ",\n    ".join(["%s"] * n) + "\n   ]")
-            columns.extend(texts[s::n] for s in range(n))
+def records_text(columns) -> str:
+    """The text that `json_text` writes for a list of records, as the value of
+    a top-level key: record r is {key: columns[key][r]}, keys sorted.
+
+    A column is a 1-D int or float array, a list of str or None, or a 2-D
+    float array whose rows are nested lists (of width 0 too). One `%`
+    template writes every record; each distinct float pattern and each
+    distinct string of a column is formatted once, ints by `%s` itself."""
+    lengths = {len(column) for column in columns.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+    if lengths <= {0}:
+        return "[]"
+    slots, cells = [], []
+    for key in sorted(columns):
+        column = columns[key]
+        if type(column) is list:
+            distinct = list(dict.fromkeys(column))
+            text_of = dict(zip(distinct, _json_texts(distinct)))
+            texts = list(map(text_of.__getitem__, column))
+        elif column.dtype.kind in "iu":
+            texts = column.tolist()
         else:
+            texts = _by_pattern(column, _json_texts)
+        head = json.dumps(key).replace("%", "%%") + ": "
+        if type(column) is list or column.ndim == 1:
             slots.append(head + "%s")
-            columns.append(texts)
+            cells.append(texts)
+        else:
+            n = column.shape[1]
+            slots.append(head + ("[\n    " + ",\n    ".join(["%s"] * n) + "\n   ]" if n else "[]"))
+            cells.extend(texts[s::n] for s in range(n))
     template = "{\n   " + ",\n   ".join(slots) + "\n  }"
-    return "[\n  " + ",\n  ".join(map(template.__mod__, zip(*columns))) + "\n ]"
+    return "[\n  " + ",\n  ".join(map(template.__mod__, zip(*cells))) + "\n ]"
 
 
 def write_json(path, payload):

@@ -34,8 +34,8 @@ from .errors import ConfigError, complex_number, configure, exact_number, lookup
 from .fock import BOSON, FERMION, SPIN, FockBasis, ModeSpec, boson, spin
 from .lattice import (
     check_exact,
+    graph_json_text,
     graph_to_adjacency_csv,
-    graph_to_json_dict,
     system_graph,
     weight_coordinates,
 )
@@ -560,8 +560,7 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
         pending.append((outputs["csv"], text.encode()))
 
     if "graph_json" in outputs:
-        payload = graph_to_json_dict(graph, wl)
-        pending.append((outputs["graph_json"], json_text(payload).encode()))
+        pending.append((outputs["graph_json"], graph_json_text(graph, wl).encode()))
     if "adjacency_csv" in outputs:
         pending.append((outputs["adjacency_csv"], graph_to_adjacency_csv(graph).encode()))
 

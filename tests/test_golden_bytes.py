@@ -53,6 +53,18 @@ GOLDEN_FLUXES = {
     "su3": "3bea6dba4ab7a88ea66d5fd7afb71cc0990c2497112ca3ecd488e356f9baed72",
     "so5": "495893558af29acb8bb06e1ee392043c74a43b29a230b6490a5a1e75df5e75f4",
 }
+# the `graph_json` of two scenarios: labeled edges with rank-2 weights, one
+# at its defaults and one at N=30 (496 vertices)
+SCENARIO_GRAPHS = {
+    ("jc_sectors", "{}"): (
+        "jc_sectors_graph.json",
+        "e2a394c66d49f8c3cf39a19460726e36b044d4031d70b4b38bfe39f363d3b2aa",
+    ),
+    ("su3_center_release", '{"N": 30}'): (
+        "su3_center_release_graph.json",
+        "24aa16ba69688b72c2851c3eff9b904c581bc832daee628a9ac7b5a56dae6bbd",
+    ),
+}
 SO5_QUENCH_HEADER = "a3a923e3dcd1c83d9185c89ef9f17205f62ac6340c1e2eec21e9c817bcc3ab91"
 # the whole so5 quench at N=12: fidelity, norm and 169 rank-2 site columns
 # of 1 to 7 members, and the fourth-root heatmap of the snapshot at t = 1
@@ -148,6 +160,13 @@ def test_lattice_flux_export_bytes(tmp_path, capsys):
         graph = tmp_path / f"{name}_graph.json"
         assert main(["lattice", "--ham", str(ham), "--fluxes", "--export", str(graph)]) == 0
         assert sha256(graph.read_bytes()) == GOLDEN_FLUXES[name], name
+
+
+def test_scenario_graph_json_bytes(tmp_path, capsys):
+    for (name, params), (graph, digest) in SCENARIO_GRAPHS.items():
+        out = tmp_path / name
+        assert main(["--out-dir", str(out), "scenario", "run", "--name", name, "--params", params]) == 0
+        assert sha256((out / graph).read_bytes()) == digest, name
 
 
 def test_so5_quench_site_key_header(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from liefock import (
     weight_coordinates,
 )
 from liefock.errors import NumericContractError
-from liefock.lattice import FSLGraph, graph_to_adjacency_csv, graph_to_json_dict, system_graph
+from liefock.lattice import FSLGraph, graph_json_text, graph_to_adjacency_csv, system_graph
 from liefock.operators import linear_combination, number_op
 from test_seed_oracles import degrees, multiplicities
 
@@ -294,7 +295,7 @@ def test_cycle_count_formula():
 def test_graph_export_round_trip():
     model, graph = su3_hamiltonian(2, 0.5)
     wl = model.weight_lattice()
-    payload = graph_to_json_dict(graph, wl)
+    payload = json.loads(graph_json_text(graph, wl))
     assert [v["id"] for v in payload["vertices"]] == list(range(graph.n_vertices))
     assert all({"i", "j", "re", "im", "label"} <= set(e) for e in payload["edges"])
     csv_text = graph_to_adjacency_csv(graph)

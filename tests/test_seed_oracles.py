@@ -48,10 +48,15 @@ The array-expression SU(3) coherent state is checked against its per-state
 loop to within 1e-15 * max|ref|: the two multiply the factors in a
 different order.
 
-The JSON writer `json_text`, which writes each list of records in a
-top-level dict through one template, is checked against
-`json.dumps(payload, indent=1, sort_keys=True) + "\n"` on generated
-payloads: equal text, or the same exception type.
+The graph export, written column by column from the graph's arrays
+(`graph_json_text` through `records_text`), is checked against
+`json.dumps(payload, indent=1, sort_keys=True) + "\n"` of the record dicts it
+replaced (`oracle_graph_to_json_dict`) on random graphs with special floats,
+labels and weights of rank 0 to 3, and on the su3 flux exports: equal text.
+The adjacency CSV, from the same edge columns, is checked against the
+per-edge f-strings it replaced on the same graphs.
+`json_text`, which writes every other JSON text, is that json.dumps call on
+generated payloads: equal text, or the same exception type.
 
 The interior reader of `algebra`, which reads the stored entries of a block
 P A P and their flat positions straight off an operator's CSR arrays, is
@@ -145,7 +150,8 @@ from liefock.lattice import (
     _flux_classes,
     build_fsl,
     connected_components,
-    graph_to_json_dict,
+    graph_json_text,
+    graph_to_adjacency_csv,
     group_rows,
     plaquette_fluxes,
     system_graph,
@@ -165,8 +171,7 @@ from liefock.operators import (
     transfer_op,
     within_hermitian_bound,
 )
-from liefock import output
-from liefock.output import float_rows, grid_csv_bytes, json_text
+from liefock.output import float_rows, grid_csv_bytes, json_text, records_text
 from liefock.scenarios import (
     _site_populations,
     build_initial_state,
@@ -2222,7 +2227,7 @@ def test_su3_coherent_state_matches_per_state_loop(N, zeta):
 
 
 # ---------------------------------------------------------------------------
-# the JSON writer against json.dumps
+# the JSON writers against json.dumps
 # ---------------------------------------------------------------------------
 
 
@@ -2288,8 +2293,8 @@ def holds_itself(payload):
 
 @settings(max_examples=300, deadline=None)
 @given(json_payloads)
-# record lists written through the template: vertex-like records with a
-# nested weight, edge-like records with a label and a "%" in a key
+# record lists: vertex-like records with a nested weight, edge-like records
+# with a label and a "%" in a key
 @example({"n": 2, "vertices": [
     {"id": 0, "onsite": -0.0, "weight": [0.5, -1.5], "multiplicity": 1},
     {"id": 1, "onsite": 1e308, "weight": [float("nan"), 2.0], "multiplicity": 2},
@@ -2298,7 +2303,7 @@ def holds_itself(payload):
     {"i": 0, "j": 1, "re": 1.0, "im": 0.0, "label": None, "%s": "%d"},
     {"i": 1, "j": 2, "re": 0.5, "im": -5e-324, "label": "V+\n\"é", "%s": ""},
 ]})
-# not record lists: a float subclass leaf, ragged nested lengths, an empty nested list
+# a float subclass leaf, ragged nested lengths, an empty nested list
 @example({
     "a": [{"x": 1.0}, {"x": np.float64(2.0)}],
     "b": [{"w": [1, 2]}, {"w": [3]}],
@@ -2332,75 +2337,115 @@ def test_json_text_raises_like_json_dumps(payload, bad, where):
     assert isinstance(got, type) and got is written(oracle_json_text, wrapped)
 
 
-record_leaves = st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), json_strings)
+def oracle_graph_to_json_dict(fsl, weight_lattice=None) -> dict:
+    """Export form: sorted vertex records with onsite energy, optional weight
+    tuple and site multiplicity, plus edge records with re/im amplitudes."""
+    onsite = fsl.onsite.tolist()
+    if weight_lattice is None:
+        vertices = [{"id": v, "onsite": e} for v, e in enumerate(onsite)]
+    else:
+        weights = weight_lattice.coordinates_float.tolist()
+        mult = weight_lattice.multiplicity_array()[weight_lattice.site_index].tolist()
+        vertices = [
+            {"id": v, "onsite": e, "weight": w, "multiplicity": m}
+            for v, (e, w, m) in enumerate(zip(onsite, weights, mult))
+        ]
+    re, im = fsl.amplitudes.real.tolist(), fsl.amplitudes.imag.tolist()
+    edges = [
+        {"i": i, "j": j, "re": r, "im": m, "label": lab}
+        for (i, j), r, m, lab in zip(fsl.edges.tolist(), re, im, fsl.labels or [None] * fsl.n_edges)
+    ]
+    return {"vertices": vertices, "edges": edges}
+
+
+def oracle_graph_json_text(fsl, weight_lattice=None, extra=None):
+    return oracle_json_text({**oracle_graph_to_json_dict(fsl, weight_lattice), **(extra or {})})
+
+
+def oracle_graph_to_adjacency_csv(fsl):
+    """Spreadsheet-style adjacency listing: i, j, re, im, label per line."""
+    amps = float_rows(np.stack((fsl.amplitudes.real, fsl.amplitudes.imag), axis=1))
+    lines = ["i,j,re,im,label"] + [
+        f"{i},{j},{re_im},{'' if lab is None else lab}"
+        for (i, j), re_im, lab in zip(fsl.edges.tolist(), amps, fsl.labels or [None] * fsl.n_edges)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, float("nan"), float("inf"), -float("inf"), 1.5]
 
 
 @st.composite
-def record_dicts(draw):
-    """Top-level dicts of record lists: mostly regular ones, with columns of
-    leaves and of nested lists, and some that are ragged in keys, types or
-    nested lengths, so that they fall back to json.dumps."""
-    payload = {}
-    for name in draw(st.lists(json_strings, max_size=3, unique=True)):
-        keys = draw(st.lists(json_strings, min_size=draw(st.sampled_from([0, 1, 1])), max_size=4, unique=True))
-        lengths = {key: draw(st.sampled_from([None, None, 1, 2, 3])) for key in keys}
-        records = []
-        for _ in range(draw(st.integers(0, 5))):
-            record, own = {}, draw(st.permutations(keys))
-            if own and draw(st.integers(0, 20)) == 0:  # a record that lacks a key
-                own = own[1:]
-            for key in own:
-                n = lengths[key]
-                leaves = record_leaves
-                if draw(st.integers(0, 40)) == 0:  # a field that breaks the pattern
-                    n = draw(st.sampled_from([None, 0, 1, 4]))
-                    leaves = st.floats().map(np.float64) | record_leaves
-                record[key] = draw(leaves) if n is None else draw(st.lists(leaves, min_size=n, max_size=n))
-            records.append(record)
-        payload[name] = records
+def graph_exports(draw):
+    """A graph of `hermitian_graphs()` whose onsite energies and amplitude
+    parts are in places special or repeated floats, with or without edge
+    labels (quotes, control and non-ASCII characters, None) and edges; no
+    weights or a weight lattice of rank 0 to 3 whose float coordinates are
+    in places special; and extra top-level values."""
+    H, _ = draw(hermitian_graphs())
+    graph = build_fsl(H)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def special(values):
+        return np.where(rng.random(values.shape) < 0.3, rng.choice(SPECIAL_FLOATS, values.shape), values)
+
+    m = 0 if draw(st.integers(0, 4)) == 0 else graph.n_edges
+    amplitudes = np.empty(m, dtype=complex)
+    amplitudes.real, amplitudes.imag = special(graph.amplitudes.real[:m]), special(graph.amplitudes.imag[:m])
+    labels = None
     if draw(st.booleans()):
-        payload[draw(json_strings)] = draw(json_payloads)
-    return payload
+        pool = draw(st.lists(st.none() | json_strings, min_size=1, max_size=4))
+        labels = [pool[k] for k in rng.integers(len(pool), size=m).tolist()]
+    graph = FSLGraph(graph.n_vertices, special(graph.onsite), graph.edges[:m], amplitudes, labels)
+    rank = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    wl = None
+    if rank is not None:
+        numerators = rng.integers(-4, 5, size=(graph.n_vertices, rank))
+        den = draw(st.integers(1, 6))
+        wl = weight_coordinates(numerators, den, special(numerators / den))
+    extra = draw(
+        st.dictionaries(st.sampled_from(["fluxes", "components", "%s\n"]), json_payloads, max_size=2).filter(
+            lambda extra: isinstance(written(oracle_json_text, extra), str)
+        )
+    )
+    return graph, wl, extra
 
 
 @settings(max_examples=300, deadline=None)
-@given(record_dicts())
-def test_json_text_writes_record_lists_like_json_dumps(payload):
-    assert written(json_text, payload) == written(oracle_json_text, payload)
+@given(graph_exports())
+def test_graph_json_text_and_csv_match_the_record_writers(case):
+    graph, wl, extra = case
+    assert graph_json_text(graph, wl, extra) == oracle_graph_json_text(graph, wl, extra)
+    assert graph_to_adjacency_csv(graph) == oracle_graph_to_adjacency_csv(graph)
 
 
-def test_json_text_writes_the_su3_export_records_through_the_template(monkeypatch):
-    """The vertices and edges of an su3 N=30 flux export never reach
-    json.dumps: the fallback is never handed a list of records."""
+@pytest.mark.parametrize("N", [30, 90])
+def test_graph_json_text_writes_the_su3_flux_exports(N):
+    """The su3 flux export as `liefock lattice --fluxes` writes it: 496 and
+    4186 vertices, labeled edges, rank-2 weights."""
     terms = [{"label": lab, "coeff": 1.0} for lab in ("I+", "I-", "U+", "U-")]
     terms += [{"label": "V+", "coeff": 1.0, "phase": 1.3}, {"label": "V-", "coeff": 1.0, "phase": -1.3}]
-    system = {"algebra": {"name": "su3_schwinger", "params": {"N": 30}}, "terms": terms}
+    system = {"algebra": {"name": "su3_schwinger", "params": {"N": N}}, "terms": terms}
     system = read_system(system, "system")
     basis, H, model, parsed = build_system(system)
     graph = system_graph(H, model, parsed)
     wl = system_weights(system, basis, model)
-    payload = graph_to_json_dict(graph, wl)
-    payload["fluxes"] = {"cycle_count": plaquette_fluxes(graph, wl.coordinates_float).cycle_count}
-    assert len(payload["vertices"]) == 496 and len(payload["edges"]) > 1000
-    handed = []
-    dumps = output._dumps
-    monkeypatch.setattr(output, "_dumps", lambda value: handed.append(value) or dumps(value))
-    assert json_text(payload) == oracle_json_text(payload)
-    assert not any(type(value) is list and value and type(value[0]) is dict for value in handed)
-    assert handed
+    rep = plaquette_fluxes(graph, wl.coordinates_float)
+    extra = {
+        "fluxes": {"cycle_count": rep.cycle_count, "class_values": rep.class_values, "independent_classes": 1},
+        "components": [len(c) for c in connected_components(graph)],
+    }
+    text = graph_json_text(graph, wl, extra)
+    payload = json.loads(text)
+    assert len(payload["vertices"]) == (N + 1) * (N + 2) // 2 and len(payload["edges"]) == 3 * N * (N + 1) // 2
+    assert {e["label"] for e in payload["edges"]} == {"I+", "U+", "V+"}
+    assert text == oracle_graph_json_text(graph, wl, extra)
 
 
-def test_json_text_writes_shared_containers_and_refuses_cycles():
-    shared = [1, {"a": [2]}]
-    payload = {"x": shared, "y": [shared, {"z": shared}]}
-    assert json_text(payload) == oracle_json_text(payload)
-    loop = []
-    loop.append(loop)
-    loop.append([loop])
-    record = {"a": [{"b": None}]}
-    record["a"][0]["b"] = record
-    for cyclic in (loop, record, [[1], record]):
-        assert written(json_text, cyclic) is written(oracle_json_text, cyclic) is ValueError
+def test_records_text_refuses_columns_of_unequal_lengths():
+    with pytest.raises(ValueError, match="unequal lengths"):
+        records_text({"id": np.arange(3), "label": [None, "a"]})
+    assert records_text({"id": np.arange(0), "label": []}) == "[]"
 
 
 # ---------------------------------------------------------------------------
