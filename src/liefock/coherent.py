@@ -10,11 +10,12 @@ the `coherent` specs of scenarios and state files are read and dispatched by
 
 A Husimi chart is evaluated over its whole grid at once. On the sphere, the
 cylinder and the disk the coherent state at node (i, j) factorises as
-radial[i, n] e^{i order_n angle_j}, so its overlaps with one vector are one
-matrix product over the grid. On the plane they are Horner's rule in
-conj(alpha), with the Gaussian e^{-|alpha|^2/2} spread over the steps so that
-no partial sum overflows. A density matrix adds one eigenvector's chart at a
-time.
+radial[i, n] e^{i order_n angle_j}, with consecutive integer orders, so its
+overlaps with one vector are one matrix product over the grid, and a density
+matrix is one quadratic form over the diagonals of its Hermitian part. On
+the plane the overlaps are Horner's rule in conj(alpha), with the Gaussian
+e^{-|alpha|^2/2} spread over the steps so that no partial sum overflows, and
+a density matrix adds one eigenvector's chart at a time.
 """
 
 from __future__ import annotations
@@ -220,27 +221,31 @@ class HusimiGrid:
         return float(np.sum(self.weights * self.values))
 
 
-def _chart_values(psi_or_rho, overlaps, w):
+def _chart_values(psi_or_rho, w, overlaps, quadratic_form=None):
     """w * <c|rho|c> over a grid, where `overlaps(v)` gives <c|v> at every
-    node as one array.
+    node as one array, and `quadratic_form(h)`, where the chart has one,
+    gives <c|h|c> at every node for a Hermitian matrix h.
 
-    A pure state is the one-term case of rho = sum_k lam_k |v_k><v_k| (the
-    eigenvectors of rho's Hermitian part), so both take the same path:
-    <c|rho|c> = sum_k lam_k |<c|v_k>|^2, accumulated one term at a time so
-    that no array over terms and nodes is built. A non-finite value raises
+    A pure state is |<c|psi>|^2. A density matrix charts its Hermitian part
+    h: through `quadratic_form` where given, else as sum_k lam_k |<c|v_k>|^2
+    over the eigenvectors of h, accumulated one term at a time so that no
+    array over terms and nodes is built. A non-finite value raises
     NumericContractError; a value below -1e-12 raises ValueError.
     """
     arr = np.asarray(psi_or_rho)
     if arr.ndim == 1:
-        terms = [(1.0, arr)]
-    elif arr.ndim == 2:
-        lam, vecs = np.linalg.eigh((arr + arr.conj().T) / 2)
-        terms = zip(lam, vecs.T)
+        values = np.abs(overlaps(arr)) ** 2
+    elif arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
+        h = (arr + arr.conj().T) / 2
+        if quadratic_form is not None:
+            values = quadratic_form(h)
+        else:
+            lam, vecs = np.linalg.eigh(h)
+            values = 0.0
+            for lam_k, v in zip(lam, vecs.T):
+                values = values + lam_k * np.abs(overlaps(v)) ** 2
     else:
-        raise ValueError("expected a state vector or a density matrix")
-    values = 0.0
-    for lam_k, v in terms:
-        values = values + lam_k * np.abs(overlaps(v)) ** 2
+        raise ValueError("expected a state vector or a square density matrix")
     values = w * values
     if not np.all(np.isfinite(values)):
         raise NumericContractError("Husimi chart has non-finite values")
@@ -249,11 +254,31 @@ def _chart_values(psi_or_rho, overlaps, w):
     return np.maximum(values, 0.0)
 
 
-def _factorised_overlaps(radial, orders, angles):
-    """<c|v> for the states c(i, j)_n = radial[i, n] e^{i orders_n angles_j}:
-    one matrix product (radial * v) @ e^{-i orders angles} per vector v."""
-    phases = np.exp(-1j * np.multiply.outer(orders, angles))
-    return lambda v: (radial * v) @ phases
+def _factorised(radial, orders, angles):
+    """The overlaps and the quadratic form of `_chart_values` for the states
+    c(i, j)_n = radial[i, n] e^{i orders_n angles_j}, whose orders are
+    consecutive integers. <c|v> is one matrix product
+    (radial * v) @ e^{-i orders angles}. <c|h|c> is
+    Re sum_d G[i, d] e^{i d angles_j} over the 2N-1 diagonals d of h, with
+    G[i, d] = sum_n radial[i, n] radial[i, n+d] h[n, n+d]; since h is
+    Hermitian, G[i, -d] = conj(G[i, d]), so only d >= 0 is built and the
+    sum is two real matrix products."""
+    n = radial.shape[-1]
+
+    def overlaps(v):
+        return (radial * v) @ np.exp(-1j * np.multiply.outer(orders, angles))
+
+    def quadratic_form(h):
+        if h.shape != (n, n):
+            raise ValueError(f"a chart of dimension {n} needs a {n} x {n} density matrix, got {h.shape}")
+        g = np.empty((radial.shape[0], n), dtype=complex)
+        for d in range(n):
+            g[:, d] = (radial[:, : n - d] * radial[:, d:]) @ np.diagonal(h, d)
+        g[:, 1:] *= 2
+        turns = np.multiply.outer(np.arange(n), angles)
+        return g.real @ np.cos(turns) - g.imag @ np.sin(turns)
+
+    return overlaps, quadratic_form
 
 
 def _glauber_overlaps(alphas, v):
@@ -285,7 +310,7 @@ def husimi_plane(psi_or_rho, cutoff, x, p) -> HusimiGrid:
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     alphas = (x[:, None] + 1j * p) / np.sqrt(2.0)
-    values = _chart_values(psi_or_rho, functools.partial(_glauber_overlaps, alphas), 1.0 / np.pi)
+    values = _chart_values(psi_or_rho, 1.0 / np.pi, functools.partial(_glauber_overlaps, alphas))
     dx = x[1] - x[0] if x.size > 1 else 1.0
     dp = p[1] - p[0] if p.size > 1 else 1.0
     weights = np.full(values.shape, dx * dp / 2.0)
@@ -302,7 +327,7 @@ def husimi_sphere(psi_or_rho, S, n_theta=200, n_phi=200) -> HusimiGrid:
     theta = np.arccos(nodes)
     phi = np.linspace(0, 2 * np.pi, n_phi, endpoint=False)
     dphi = 2 * np.pi / n_phi
-    values = _chart_values(psi_or_rho, _factorised_overlaps(*_spin_radial(two_s, theta), phi), norm)
+    values = _chart_values(psi_or_rho, norm, *_factorised(*_spin_radial(two_s, theta), phi))
     weights = np.outer(gl_w, np.full(n_phi, dphi))
     return HusimiGrid("sphere", (theta, phi), weights, values, norm)
 
@@ -313,8 +338,7 @@ def husimi_cylinder(psi_or_rho, L, n_arc=201, n_rad=201) -> HusimiGrid:
     measure r dr darc. Axes (rad, arc): rows run over |beta|."""
     arc = np.linspace(-np.pi, np.pi, n_arc, endpoint=False)
     rad = np.linspace(0, L / 4.0, n_rad)
-    overlaps = _factorised_overlaps(*_bessel_radial(rad, L, (L - 1) // 2), arc)
-    values = _chart_values(psi_or_rho, overlaps, 1.0 / np.pi)
+    values = _chart_values(psi_or_rho, 1.0 / np.pi, *_factorised(*_bessel_radial(rad, L, (L - 1) // 2), arc))
     dr = rad[1] - rad[0] if n_rad > 1 else 1.0
     darc = 2 * np.pi / n_arc
     weights = np.outer(rad * dr, np.full(n_arc, darc))
@@ -345,8 +369,8 @@ def husimi_disk(psi_or_rho_chain, k, n_rad=160, n_arg=160) -> HusimiGrid:
     theta = np.linspace(-np.pi, np.pi, n_arg, endpoint=False)
     dth = 2 * np.pi / n_arg
     w_const = (2 * k - 1) / np.pi if k > 0.5 else 1 / np.pi
-    overlaps = _factorised_overlaps(*_pcs_radial(k, zmag, np.shape(psi_or_rho_chain)[0]), theta)
-    values = _chart_values(psi_or_rho_chain, overlaps, w_const)
+    kernel = _factorised(*_pcs_radial(k, zmag, np.shape(psi_or_rho_chain)[0]), theta)
+    values = _chart_values(psi_or_rho_chain, w_const, *kernel)
     # d^2 zeta = (1/2) ds dtheta ; invariant measure divides by (1-s)^2
     radial_w = 0.5 * ds / (1 - s) ** 2
     weights = np.outer(radial_w, np.full(n_arg, dth))

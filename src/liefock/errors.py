@@ -40,11 +40,12 @@ def exact_number(value, field) -> Fraction:
 
 
 def real_number(value, field) -> float:
-    """An outside real: an exact_number as a float. A float reads as itself
-    (its repr round-trips, and -0.0 keeps its sign), so "1/2" and 0.5 read
-    as the same float."""
-    number = exact_number(value, field)
-    return float(value) if isinstance(value, float) else float(number)
+    """An outside real: an exact_number as a float. A finite float reads as
+    itself, with no Fraction built (its repr round-trips, and -0.0 keeps its
+    sign), so "1/2" and 0.5 read as the same float."""
+    if isinstance(value, float) and cmath.isfinite(value):
+        return float(value)
+    return float(exact_number(value, field))
 
 
 def complex_number(value, field) -> complex:

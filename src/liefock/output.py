@@ -4,9 +4,10 @@ of the same configuration are a contract, so nothing here depends on dict
 iteration order, locale, or wall-clock time.
 
 Float formatting is most of the cost of the writers. The Husimi grid writer
-formats each axis entry once and each distinct weight of a grid row once,
+formats each axis entry once and each distinct weight of the grid once,
 since a chart repeats them at every node; only the values are formatted per
-node.
+node, and each line is joined from its cells in C, so `float.__repr__` of
+the values is about four fifths of its time.
 
 Every JSON text is `json.dumps(payload, indent=1, sort_keys=True)` plus a
 newline (`json_text`). The one large one, a graph export, is never built as
@@ -62,22 +63,24 @@ def grid_csv_bytes(grid) -> bytes:
 
     Every cell is the `_float_text` of its float64 value, as `float_rows`
     writes it, but each axis entry is formatted once and each distinct
-    64-bit pattern of a weights row once per row (so -0.0 and 0.0 keep their
-    own text); the values are formatted per node."""
+    64-bit pattern of the weights once per grid (so -0.0 and 0.0 keep their
+    own text); the values are formatted per node, one grid row at a time,
+    and each line is joined from its four cells in C."""
     axis_a, axis_b = (np.asarray(ax, dtype=float).tolist() for ax in grid.axes)
     weights = np.asarray(grid.weights, dtype=float)
     values = np.asarray(grid.values, dtype=float)
-    if weights.shape != values.shape or values.shape != (len(axis_a), len(axis_b)):
+    n_b = len(axis_b)
+    if weights.shape != values.shape or values.shape != (len(axis_a), n_b):
         raise ValueError(f"grid of shape {values.shape} does not match its axes or weights")
     cells_b = [_float_text(b) + "," for b in axis_b]
+    cells_w = _by_pattern(weights, lambda distinct: [_float_text(w) + "," for w in distinct])
     out = [b"coord_a,coord_b,weight,value\n"]
-    # one grid row at a time: Python strings for the whole grid would take
-    # several times the size of the text
-    for a, w_row, v_row in zip(axis_a, weights, values):
-        head = _float_text(a) + ","
-        cells_w = _by_pattern(w_row, lambda distinct: [_float_text(w) + "," for w in distinct])
-        lines = [head + b + w + v for b, w, v in zip(cells_b, cells_w, map(_float_text, v_row.tolist()))]
-        out.append(("\n".join(lines) + "\n").encode())
+    # one grid row at a time: the value texts of the whole grid would take
+    # about as much memory as the text itself
+    for i, (a, v_row) in enumerate(zip(axis_a, values)):
+        row_w = cells_w[i * n_b : (i + 1) * n_b]
+        cells = zip([_float_text(a) + ","] * n_b, cells_b, row_w, map(_float_text, v_row.tolist()))
+        out.append(("\n".join(map("".join, cells)) + "\n").encode())
     return b"".join(out)
 
 

@@ -10,10 +10,20 @@ Every comparison of those is exact equality.
 The Husimi charts are checked against the per-node loops they replaced (one
 closed-form coherent state per grid node) and the two per-cell CSV writers:
 values within 1e-12 * max(1, max|ref|), weights and written bytes exact.
+On the sphere, the cylinder and the disk a density matrix is charted by one
+quadratic form over the diagonals of its Hermitian part; it is checked
+against the eigenvector loop it replaced (`oracle_chart_values_eigen`) on
+density matrices of rank 1..N and non-Hermitian matrices: values within
+1e-12 * max(1, max|ref|), axes and weights equal.
 The grid writer, which formats each axis entry and each distinct weight of
-a row once, is checked byte for byte against the writer that formatted
+the grid once, is checked byte for byte against the writer that formatted
 every cell, on generated grids (signed zeros, infinities, NaN payloads,
-subnormals, float32 and int inputs, non-contiguous arrays) and on charts.
+subnormals, float32 and int inputs, non-contiguous arrays) and on charts,
+and its traced peak is held to 2.5 times the text it writes.
+
+`errors.real_number`, which reads a finite float as itself, is checked bit
+for bit against the reader that built a Fraction from every float's repr
+(`oracle_real_number`), refusals included.
 
 The edge-array lattice graph is checked against the `Edge`-list graph it
 replaced (adjacency dicts, union-find components, dict BFS trees and one
@@ -90,6 +100,7 @@ discrepancy, revival detection and the equidistant-gap test.
 import functools
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 from collections import deque
@@ -157,7 +168,7 @@ from liefock.lattice import (
     system_graph,
     weight_coordinates,
 )
-from liefock.errors import NumericContractError, TruncationLeakageWarning
+from liefock.errors import ConfigError, NumericContractError, TruncationLeakageWarning, exact_number, real_number
 from liefock.operators import (
     EVEN,
     ODD,
@@ -565,6 +576,38 @@ def oracle_clip(values):
     return np.maximum(values, 0.0)
 
 
+def oracle_chart_values_eigen(psi_or_rho, overlaps, w):
+    """The chart values of a state or density matrix as one eigenvector's
+    chart at a time: <c|rho|c> = sum_k lam_k |<c|v_k>|^2 over the
+    eigenvectors of rho's Hermitian part."""
+    arr = np.asarray(psi_or_rho)
+    if arr.ndim == 1:
+        terms = [(1.0, arr)]
+    elif arr.ndim == 2:
+        lam, vecs = np.linalg.eigh((arr + arr.conj().T) / 2)
+        terms = zip(lam, vecs.T)
+    else:
+        raise ValueError("expected a state vector or a density matrix")
+    values = 0.0
+    for lam_k, v in terms:
+        values = values + lam_k * np.abs(overlaps(v)) ** 2
+    values = w * values
+    if not np.all(np.isfinite(values)):
+        raise NumericContractError("Husimi chart has non-finite values")
+    if np.min(values, initial=0.0) < -1e-12:
+        raise ValueError("Husimi values fell below the -1e-12 clip floor")
+    return np.maximum(values, 0.0)
+
+
+def eigen_charts():
+    """The charts of `liefock.coherent`, their density matrices charted by
+    `oracle_chart_values_eigen` instead of the quadratic form."""
+    return mock.patch(
+        "liefock.coherent._chart_values",
+        lambda psi_or_rho, w, overlaps, quadratic_form=None: oracle_chart_values_eigen(psi_or_rho, overlaps, w),
+    )
+
+
 def oracle_husimi_plane(psi_or_rho, cutoff, x, p):
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -967,14 +1010,17 @@ def test_plane_chart_is_finite_at_large_cutoff_and_radius(cutoff, half, mixed):
 @pytest.mark.parametrize("k", [0, -1, Fraction(-1, 2)])
 def test_husimi_kernel_raises_on_non_finite_values(k):
     # the PCS normalisation Gamma(m+2k)/Gamma(2k) is undefined at k <= 0; the
-    # kernel refuses the NaN it gives instead of clipping it
-    with np.errstate(invalid="ignore"), pytest.raises(NumericContractError, match="non-finite"):
-        husimi_disk(random_state(0, 8, False), k, 5, 4)
+    # kernel refuses the NaN it gives instead of clipping it, for a state
+    # vector and a density matrix alike
+    for mixed in (False, True):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericContractError, match="non-finite"):
+            husimi_disk(random_state(0, 8, mixed), k, 5, 4)
 
 
 def test_husimi_density_matrix_chart_memory():
-    # lam_k |<c|v_k>|^2 is accumulated one eigenvector at a time: stacking
-    # the 61 terms over 160 x 160 nodes would take 25 MB of complex128
+    # the quadratic form holds one complex array over rows and diagonals and
+    # two real tables over diagonals and columns: an array over the 61
+    # eigenvector terms and 160 x 160 nodes would take 25 MB of complex128
     rng = np.random.default_rng(61)
     g = rng.normal(size=(61, 61)) + 1j * rng.normal(size=(61, 61))
     rho = g @ g.conj().T
@@ -987,6 +1033,63 @@ def test_husimi_density_matrix_chart_memory():
         tracemalloc.stop()
     assert grid.values.shape == (160, 160)
     assert peak < 4 * 2**20
+
+
+def non_hermitian(rho, seed):
+    """rho plus an anti-Hermitian matrix, so that its Hermitian part is rho."""
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape)
+    return rho + (b - b.conj().T) / 2
+
+
+def assert_matches_eigen_chart(chart, state):
+    got = chart(state)
+    with eigen_charts():
+        want = chart(state)
+    assert got.values.shape == want.values.shape
+    tol = 1e-12 * max(1.0, np.max(np.abs(want.values)))
+    assert np.max(np.abs(got.values - want.values)) <= tol
+    assert all(np.array_equal(g, w) for g, w in zip(got.axes, want.axes))
+    assert np.array_equal(got.weights, want.weights) and got.normalization == want.normalization
+
+
+@settings(max_examples=200, deadline=None)
+@given(husimi_cases().filter(lambda case: case[0] != "plane"), st.integers(0, 2**32 - 1), st.booleans())
+def test_density_matrix_quadratic_form_matches_eigenvector_loop(case, seed, hermitian):
+    """On the sphere, the cylinder and the disk a density matrix of rank
+    1..N, or a non-Hermitian matrix whose Hermitian part is one, is charted
+    by the quadratic form over its diagonals within 1e-12 * max(1, max|ref|)
+    of the eigenvector loop it replaced."""
+    chart, dim, new, _ = case
+    rho = random_state(seed, dim, True)
+    assert_matches_eigen_chart(new, rho if hermitian else non_hermitian(rho, seed))
+
+
+@pytest.mark.parametrize("chart", [
+    lambda s: husimi_sphere(s, 0, 7, 5),
+    lambda s: husimi_cylinder(s, 1, 5, 7),
+    lambda s: husimi_disk(s, Fraction(3, 4), 7, 5),
+])
+@pytest.mark.parametrize("rho", [np.array([[1.0]]), np.array([[0.5 + 0.3j]])])
+def test_density_matrix_quadratic_form_of_dimension_one(chart, rho):
+    assert_matches_eigen_chart(chart, rho)
+
+
+@pytest.mark.parametrize("chart", ["sphere", "cylinder", "disk"])
+def test_density_matrix_charts_still_refuse(chart):
+    """A matrix whose Hermitian part is negative falls below the clip floor,
+    a 2-D input that is not square is refused, and so is a matrix of the
+    wrong dimension where the chart fixes it (the disk takes its own)."""
+    draw = {"sphere": lambda s: husimi_sphere(s, 2, 6, 5), "cylinder": lambda s: husimi_cylinder(s, 5, 5, 6),
+            "disk": lambda s: husimi_disk(s, Fraction(3, 4), 6, 5)}[chart]
+    rho = random_state(3, 5, True)
+    with pytest.raises(ValueError, match="clip floor"):
+        draw(-rho)
+    with pytest.raises(ValueError, match="square"):
+        draw(rho[:, :4])
+    if chart != "disk":
+        with pytest.raises(ValueError, match="dimension"):
+            draw(rho[:4, :4])
 
 
 @settings(max_examples=100, deadline=None)
@@ -1061,6 +1164,16 @@ def writer_grids(draw):
 @given(writer_grids())
 def test_grid_writer_matches_oracle(grid):
     assert grid_csv_bytes(grid) == oracle_grid_csv_bytes(grid)
+
+
+def test_grid_writer_holds_one_row_of_value_texts():
+    """On a 300 x 300 chart the writer peaks at about 2.1 times the text it
+    writes: the row texts and their join. Formatting the values of the whole
+    grid at once peaks at about 3.1 times."""
+    grid = husimi_sphere(random_state(5, 21, False), 10, 300, 300)
+    data, peak = traced_peak(lambda: grid_csv_bytes(grid))
+    assert data.count(b"\n") == 1 + 300 * 300
+    assert peak < 2.5 * len(data)
 
 
 # ---------------------------------------------------------------------------
@@ -3227,3 +3340,52 @@ def test_reference_states_at_su3_n90_stay_small():
     psi, peak = traced_peak(lambda: displaced_state(model, {"root": "I+", "beta": 0.3}))
     assert abs(np.linalg.norm(psi) - 1) < 1e-12
     assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the real reader through exact_number
+# ---------------------------------------------------------------------------
+
+
+def oracle_real_number(value, field) -> float:
+    """real_number that read every value through exact_number, a float through
+    a Fraction of its repr."""
+    number = exact_number(value, field)
+    return float(value) if isinstance(value, float) else float(number)
+
+
+EXTREME_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, sys.float_info.max,
+                  -sys.float_info.max, 0.1, 1 / 3, float("nan"), float("inf"), float("-inf")]
+outside_reals = st.one_of(
+    st.sampled_from(EXTREME_FLOATS),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from(EXTREME_FLOATS).map(np.float64),
+    st.booleans(),
+    st.integers(-2**1030, 2**1030),
+    st.fractions(max_denominator=10**6).map(str),
+    st.sampled_from(["0.5", "-0.0", "nan", "1e309", "x", ""]),
+    st.none(),
+)
+
+
+def read_or_refusal(reader, value):
+    try:
+        return reader(value, "state.amplitudes")
+    except ConfigError as exc:
+        return (str(exc), exc.field)
+
+
+@settings(max_examples=500, deadline=None)
+@given(outside_reals)
+def test_real_number_matches_exact_number_reader(value):
+    """A finite float, np.float64 included, reads as itself without a
+    Fraction; every value reads bit for bit as through exact_number, and
+    NaN, infinities and bools are refused naming the field, as before."""
+    got, want = read_or_refusal(real_number, value), read_or_refusal(oracle_real_number, value)
+    if isinstance(want, tuple):
+        assert got == want and want[1] == "state.amplitudes"
+    else:
+        assert type(got) is float and same_bits(np.float64(got), np.float64(want))
+    if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
+        assert isinstance(got, tuple)
