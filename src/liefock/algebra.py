@@ -7,12 +7,13 @@ classifies them into mutually commuting diagonal (Cartan) generators and
 raising/lowering pairs carrying a root vector. A builder states only the
 exact Cartan weights of the basis states (`cartan_weights`, integer
 numerators over one denominator, in per-Cartan eigenvalue units;
-`cartan_units` holds the possibly irrational unit, e.g. 1/sqrt(3)) and its
-off-diagonal generators. Everything else is read off the weights (`_model`):
-each Cartan generator is its column of weights as a diagonal, and each root
-is the exact weight step along the stored entries of its raising generator,
-so a raising generator with no entries on the basis is refused. The
-operators carry no exact values.
+`cartan_units` holds the possibly irrational unit, e.g. 1/sqrt(3)), its
+off-diagonal generators and, where its coherent states are charted, its Lie
+phase space (`phase_space`). Everything else is read off the weights
+(`_model`): each Cartan generator is its column of weights as a diagonal,
+and each root is the exact weight step along the stored entries of its
+raising generator, so a raising generator with no entries on the basis is
+refused. The operators carry no exact values.
 
 Representations on truncated bases break the algebraic identities in the
 outermost cutoff levels; identity checks therefore run on an interior block
@@ -59,6 +60,9 @@ class RootPair:
 
 @dataclass
 class AlgebraModel:
+    """A catalog algebra on its basis: its Cartan weights give the lattice sites, its root pairs
+    the bonds, and `phase_space` the chart of its coherent states (None: the catalog has none)."""
+
     name: str
     params: dict
     basis: FockBasis
@@ -72,6 +76,7 @@ class AlgebraModel:
     casimirs: dict = field(default_factory=dict)
     truncated_modes: tuple = ()
     two_sided_modes: tuple = ()
+    phase_space: str = None
 
     @property
     def dim(self) -> int:
@@ -458,7 +463,8 @@ def _model(name, params, basis, weights, generators, pairs, annihilators, scale=
     with the unit 1 / scale[k] (scale defaults to all ones). Each
     (raising, lowering) label pair of `pairs` gets its root from the
     raising generator's entries. `annihilators` are labels; `fields` are the
-    remaining AlgebraModel fields (casimirs, truncated_modes, two_sided_modes).
+    remaining AlgebraModel fields (casimirs, truncated_modes, two_sided_modes,
+    phase_space).
     """
     num, den = weights
     scale = scale or (1.0,) * num.shape[1]
@@ -514,6 +520,7 @@ def _e2(L=21):
         {"E0": None, "E+": ep, "E-": em},
         pairs=[("E+", "E-")],
         annihilators=["E+"],
+        phase_space="cylinder",
         casimirs={"shift_product": SparseOperator(ep.mat @ em.mat)},
         two_sided_modes=(0,),
     )
@@ -532,6 +539,7 @@ def _hw(cutoff=20):
         {"a": a, "adag": adag, "n": None, "I": one},
         pairs=[("adag", "a")],
         annihilators=["a"],
+        phase_space="plane",
         casimirs={"identity": one},
         truncated_modes=(0,),
     )
@@ -551,6 +559,7 @@ def _su2_spin(S=1):
         {"Sz": None, "S+": sp_, "S-": sm},
         pairs=[("S+", "S-")],
         annihilators=["S+"],
+        phase_space="sphere",
     )
     model.casimirs["S2"] = _quadratic_casimir(model)
     return model
@@ -569,6 +578,7 @@ def _su2_schwinger(N=4):
         {"Sz": None, "S+": sp_, "S-": sp_.dagger()},
         pairs=[("S+", "S-")],
         annihilators=["S+"],
+        phase_space="sphere",
         casimirs={"total_number": diagonal_op((na + nb).astype(float))},
     )
     model.casimirs["S2"] = _quadratic_casimir(model)
@@ -638,6 +648,7 @@ def _su11_chain(name, params, basis, weights, kp: SparseOperator):
         {"K0": None, "K+": kp, "K-": km},
         pairs=[("K+", "K-")],
         annihilators=["K-"],
+        phase_space="disk",
         truncated_modes=tuple(range(len(basis.modes))),
     )
     k0 = model.generators[0]

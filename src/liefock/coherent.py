@@ -425,23 +425,12 @@ def husimi_chart(psi_or_rho, space, nodes, params) -> HusimiGrid:
     return husimi_disk(psi_or_rho, value, n_rad=n_a, n_arg=n_b)
 
 
-PHASE_SPACES = {
-    "hw": "plane",
-    "su2_spin": "sphere",
-    "su2_schwinger": "sphere",
-    "e2": "cylinder",
-    "su11_single": "disk",
-    "su11_intensity": "disk",
-    "su11_twomode": "disk",
-}
-
-
 def husimi(state_or_rho, space, model, nodes=(101, 101), half_width=6.0) -> HusimiGrid:
-    """husimi_chart for a catalog model, rejecting grids whose
-    parametrization does not match the model's phase space. A plane chart
-    spans [-half_width, half_width]^2; a disk chart takes k from the model's
-    parameters (1/2 if it has none)."""
-    expected = PHASE_SPACES.get(model.name)
+    """husimi_chart for a catalog model, rejecting a model without a phase
+    space (`AlgebraModel.phase_space` None) and a grid on any other space. A
+    plane chart spans [-half_width, half_width]^2; a disk chart takes k from
+    the model's parameters (1/2 if it has none)."""
+    expected = model.phase_space
     if expected is None:
         raise ValueError(f"no phase-space chart registered for {model.name!r}")
     if space != expected:

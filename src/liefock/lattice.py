@@ -6,8 +6,9 @@ edge of a breadth-first spanning forest.
 Vertices are basis states with real onsite energies. A graph keeps its edges
 as arrays: `edges[k] = (i, j)` with i < j, lexsorted, wherever |H[i, j]|
 exceeds a tolerance, and `amplitudes[k] = H[i, j]` (the reverse direction
-carries the conjugate). Components and breadth-first spanning trees come
-from `scipy.sparse.csgraph` on the symmetric CSR adjacency of the edges.
+carries the conjugate); the edges of an algebra's terms are labeled by the
+raising label of each term's root pair. Components and breadth-first spanning
+trees come from `scipy.sparse.csgraph` on the symmetric CSR adjacency.
 A graph carries bonds only: site coordinates are a separate `WeightLattice`,
 passed to the functions that use them. `weight_coordinates` is its one
 constructor; it takes exact integer numerators over a common denominator,
@@ -149,8 +150,8 @@ def build_fsl(H: SparseOperator, tol=None) -> FSLGraph:
 
 def system_graph(H, model, terms, tol=None) -> FSLGraph:
     """The graph of a system as `scenarios.build_system` returns it. When the
-    system names an algebra (`terms` given), each edge is labeled by the
-    generator that produced it (merged labels on collision)."""
+    system names an algebra (`terms` given), each edge is labeled by its bond,
+    the raising label of the root pair of the term that produced it."""
     graph = build_fsl(H, tol=tol)
     if terms is not None and graph.n_edges:
         graph.labels = _edge_labels(graph, [lab for lab, _ in terms], model)
@@ -163,7 +164,10 @@ def _pair_keys(n, a, b):
 
 
 def _edge_labels(graph, labels, model):
-    """Per edge, the merged labels of the generators with an entry on it."""
+    """Per edge, the bond name of each term with an entry on it, joined in
+    term order (`_merge_labels`). A term that is a member of one of the
+    model's root pairs is named by the pair's raising label, so a bond and
+    its conjugate carry one name; any other term by its own label."""
     n = graph.n_vertices
     edge_keys = _pair_keys(n, *graph.edges.T)
     # covers[e, k]: generator k has an entry on edge e (in either direction), found by
@@ -174,31 +178,17 @@ def _edge_labels(graph, labels, model):
         keys = _pair_keys(n, coo.row.astype(np.int64), coo.col)
         pos = np.minimum(np.searchsorted(edge_keys, keys), graph.n_edges - 1)
         covers[pos[edge_keys[pos] == keys], k] = True
+    raising = {model.labels[i]: model.labels[rp.raising] for rp in model.root_pairs for i in (rp.raising, rp.lowering)}
+    bonds = [raising.get(lab, lab) for lab in labels]
     patterns, pattern_of_edge = group_rows(covers)
-    names = [_merge_labels([lab for lab, hit in zip(labels, row) if hit]) for row in patterns.tolist()]
+    names = [_merge_labels([bond for bond, hit in zip(bonds, row) if hit]) for row in patterns.tolist()]
     return list(map(names.__getitem__, pattern_of_edge.tolist()))
 
 
 def _merge_labels(labels):
-    """One edge label from the labels of the terms covering it, in term
-    order: repeats collapse, a raise/lower pair keeps one name, and
-    distinct generators are joined with '|'. None when no term covers it."""
-    merged = None
-    for lab in labels:
-        if merged is None or merged == lab:
-            merged = lab
-        elif _conjugate_labels(merged, lab):
-            merged = min(merged, lab)  # one name per raise/lower pair
-        elif lab not in merged.split("|"):
-            merged = merged + "|" + lab
-    return merged
-
-
-def _conjugate_labels(a: str, b: str) -> bool:
-    """True when two labels name the two members of one raise/lower pair
-    under the catalog's trailing +/- convention."""
-    swap = {"+": "-", "-": "+"}
-    return len(a) == len(b) and a[:-1] == b[:-1] and swap.get(a[-1]) == b[-1]
+    """One edge label: the distinct labels in their order, joined with '|';
+    None when no term covers the edge."""
+    return "|".join(dict.fromkeys(labels)) or None
 
 
 EXACT_LIMIT = 2**53  # integers up to this are exact in a double

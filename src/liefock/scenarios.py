@@ -529,16 +529,14 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
         times = np.array([span["start"]], dtype=float)
     result = evolve(H, psi0, times, method=config.method, store=config.store)
 
-    graph = None
-    wl = None
+    graph = wl = sites = None
     needs_sites = outputs.get("site_populations") or "heatmap" in outputs
     if "graph_json" in outputs or "adjacency_csv" in outputs:
         graph = system_graph(H, model, terms, tol=tol)
-    if graph is not None or needs_sites:
-        wl = system_weights(system, basis, model)
-    if wl is None and needs_sites:
-        # site populations and heatmaps fall back to the occupations
-        wl = weight_coordinates(basis.occ, 1)
+    if "graph_json" in outputs or needs_sites:
+        wl = system_weights(system, basis, model)  # the graph's vertices carry these or none
+    if needs_sites:  # site populations and heatmaps fall back to the occupations
+        sites = wl if wl is not None else weight_coordinates(basis.occ, 1)
 
     # observable columns
     columns = []
@@ -550,7 +548,7 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
 
     site_columns = []
     if outputs.get("site_populations"):
-        site_pops, site_keys = _site_populations(result.populations, wl)
+        site_pops, site_keys = _site_populations(result.populations, sites)
         site_columns = [(f"P{key}", site_pops[:, s]) for s, key in enumerate(site_keys)]
 
     if "csv" in outputs:
@@ -566,7 +564,7 @@ def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
 
     if "heatmap" in outputs:
         hm = outputs["heatmap"]
-        table = _weight_grid(result.populations[hm["time_index"]], wl)
+        table = _weight_grid(result.populations[hm["time_index"]], sites)
         pending.append((hm["path"], heatmap_bytes(table, hm.get("fourth_root", False))))
 
     hu = outputs.get("husimi")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -595,13 +596,34 @@ def test_time_index_that_int_reads_is_accepted(tmp_path):
     assert (tmp_path / "h.pgm").exists() and (tmp_path / "q.csv").exists()
 
 
-def test_cli_lattice_exports_the_scenario_weights(tmp_path, capsys):
-    # one coordinate rule: a bilinear spec's `weights` rows label the sites of
-    # `liefock lattice` exactly as they do a scenario's graph_json
-    system = dict(SO5_BILINEAR, weights=[["1/2", "-1/2", "0", "0"], ["0", "0", "1/2", "-1/2"]])
+SO5_SITE_WEIGHTS = [["1/2", "-1/2", "0", "0"], ["0", "0", "1/2", "-1/2"]]
+# SHA-256 of the site CSV and heatmap of the Krylov run below, with and without `weights`
+SITE_OUTPUTS = {
+    True: (
+        "865f2e9505c661cae7c4685c769b1c707a5604b76658309a7c27c1cf1903ddd6",
+        "5c4601c26919689df334e22d578ee6708d70bbff73dff110fffa7691e738819f",
+    ),
+    False: (
+        "66535ce5c9a5c7012e9f83095f623e71f140cd0da36817e1fdbcc3d39e28e694",
+        "6094a39fa44c56c597853deb122d93a34c1a126c17e9829e9652bb7be90351d4",
+    ),
+}
+
+
+@pytest.mark.parametrize("site_outputs", [False, True], ids=["graph_only", "with_sites"])
+@pytest.mark.parametrize("weighted", [True, False], ids=["weights", "no_weights"])
+def test_cli_lattice_exports_the_scenario_weights(tmp_path, capsys, weighted, site_outputs):
+    # one coordinate rule: a bilinear spec's `weights` rows, or none, label the
+    # sites of `liefock lattice` exactly as they do a scenario's graph_json,
+    # whatever else the scenario writes; only the site columns and the
+    # heatmap fall back to the occupations
+    system = dict(SO5_BILINEAR, weights=SO5_SITE_WEIGHTS) if weighted else dict(SO5_BILINEAR)
     ham = tmp_path / "sys.json"
     ham.write_text(json.dumps(system))
     assert main(["lattice", "--ham", str(ham), "--export", str(tmp_path / "cli.json")]) == EXIT_OK
+    outputs = {"graph_json": "scenario.json"}
+    if site_outputs:
+        outputs.update(csv="sites.csv", site_populations=True, heatmap={"path": "sites.pgm", "time_index": 1})
     config = parse_config(
         {
             "version": 1,
@@ -609,7 +631,8 @@ def test_cli_lattice_exports_the_scenario_weights(tmp_path, capsys):
             "system": system,
             "initial_state": {"fock": [8, 0, 0, 0]},
             "times": {"start": 0.0, "stop": 0.1, "num": 2},
-            "outputs": {"graph_json": "scenario.json"},
+            "evolve": {"method": "krylov"},
+            "outputs": outputs,
         }
     )
     run_scenario(config, out_dir=tmp_path)
@@ -617,7 +640,13 @@ def test_cli_lattice_exports_the_scenario_weights(tmp_path, capsys):
     scenario = json.loads((tmp_path / "scenario.json").read_text())
     assert cli["vertices"] == scenario["vertices"]
     assert cli["edges"] == scenario["edges"]
-    assert cli["vertices"][0]["weight"] == [0.0, -4.0]  # the state (0, 0, 0, 8)
+    if weighted:
+        assert cli["vertices"][0]["weight"] == [0.0, -4.0]  # the state (0, 0, 0, 8)
+    else:
+        assert all(set(v) == {"id", "onsite"} for v in scenario["vertices"])
+    if site_outputs:
+        digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("sites.csv", "sites.pgm"))
+        assert digests == SITE_OUTPUTS[weighted]
 
 
 def test_rank_zero_weights_make_one_site_and_a_one_cell_heatmap(tmp_path, capsys):

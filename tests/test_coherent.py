@@ -373,8 +373,21 @@ def test_occupation_shell():
     assert occupation_shell(1.0, 1.0) == pytest.approx(1.5)
 
 
+# the Lie phase space of each charted catalog algebra
+PHASE_SPACE_ORACLE = {
+    "hw": "plane",
+    "su2_spin": "sphere",
+    "su2_schwinger": "sphere",
+    "e2": "cylinder",
+    "su11_single": "disk",
+    "su11_intensity": "disk",
+    "su11_twomode": "disk",
+}
+
+
 def test_husimi_dispatcher_validates_phase_space():
-    from liefock.coherent import PHASE_SPACES, SPACES, husimi
+    from liefock.algebra import CATALOG
+    from liefock.coherent import SPACES, husimi
 
     model = build_algebra("su2_spin", S=3)
     state = model.basis.vector((6,))
@@ -396,8 +409,14 @@ def test_husimi_dispatcher_validates_phase_space():
     grid = husimi(hw.basis.vector((0,)), "plane", hw, nodes=(5, 3), half_width=2.5)
     assert grid.axes[0].tolist() == [-2.5, -1.25, 0.0, 1.25, 2.5]
     assert grid.axes[1].tolist() == [-2.5, 0.0, 2.5]
-    # every model's chart is one of the dispatcher's spaces
-    assert set(PHASE_SPACES.values()) == set(SPACES)
+    # each catalog entry states its phase space, one of the dispatcher's; the other five none
+    assert {name: build_algebra(name).phase_space for name in CATALOG} == {
+        name: PHASE_SPACE_ORACLE.get(name) for name in CATALOG
+    }
+    assert set(PHASE_SPACE_ORACLE.values()) == set(SPACES)
+    su3 = build_algebra("su3_schwinger", N=2)
+    with pytest.raises(ValueError, match="no phase-space chart registered for 'su3_schwinger'"):
+        husimi(su3.basis.vector((2, 0, 0)), "sphere", su3)
 
 
 def test_su3_angle_parametrization_normalized():

@@ -16,6 +16,7 @@ from liefock import (
     plaquette_fluxes,
     weight_coordinates,
 )
+from liefock.algebra import CATALOG
 from liefock.errors import NumericContractError
 from liefock.lattice import FSLGraph, graph_json_text, graph_to_adjacency_csv, system_graph
 from liefock.operators import linear_combination, number_op
@@ -156,16 +157,21 @@ def test_su3_lattice_shape():
     assert interior and all(degree[v] == 6 for v in interior)
 
 
-def test_root_labeled_edges_translate_by_root():
-    model, graph = su3_hamiltonian(3, 0.0)
-    wl = model.weight_lattice()
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_root_labeled_edges_translate_by_root(name):
+    # both members of every root pair as terms: each edge is named by the
+    # raising label of one pair and joins two states that pair's root apart
+    model = build_algebra(name)
+    terms = [(model.labels[i], 1.0) for p in model.root_pairs for i in (p.raising, p.lowering)]
+    H = linear_combination([model.generator(lab) for lab, _ in terms], [c for _, c in terms])
+    graph = system_graph(H, model, terms)
+    coordinates = model.weight_lattice().coordinates
     roots = {model.labels[p.raising]: p.root for p in model.root_pairs}
+    assert roots and graph.n_edges  # every catalog entry has root pairs
     for (i, j), label in zip(graph.edges.tolist(), graph.labels):
         assert label in roots
         alpha = roots[label]
-        ci = wl.coordinates[i]
-        cj = wl.coordinates[j]
-        delta = tuple(b - a for a, b in zip(ci, cj))
+        delta = tuple(b - a for a, b in zip(coordinates[i], coordinates[j]))
         neg = tuple(-d for d in delta)
         assert delta == alpha or neg == alpha
 

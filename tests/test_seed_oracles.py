@@ -1564,7 +1564,7 @@ def test_edge_labels_match_isin_oracle(case, seed, count):
         mat = sparse.random(n, n, density=rng.uniform(0.0, 0.8), random_state=rng, format="csr")
         generators[f"g{k}+" if k % 2 else f"g{k}"] = SparseOperator(mat.astype(complex))
     labels = list(generators)
-    model = SimpleNamespace(generator=generators.__getitem__)
+    model = SimpleNamespace(generator=generators.__getitem__, labels=labels, root_pairs=[])
     assert lattice._edge_labels(graph, labels, model) == oracle_edge_labels(graph, labels, model)
 
 
