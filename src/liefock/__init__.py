@@ -10,6 +10,7 @@ from .operators import (
     EVEN,
     ODD,
     SparseOperator,
+    bilinear_op,
     diagonal_op,
     graded_commutator,
     identity,

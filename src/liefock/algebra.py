@@ -9,7 +9,9 @@ exact Cartan weights of the basis states (`cartan_weights`, integer
 numerators over one denominator, in per-Cartan eigenvalue units;
 `cartan_units` holds the possibly irrational unit, e.g. 1/sqrt(3)), its
 off-diagonal generators and, where its coherent states are charted, its Lie
-phase space (`phase_space`). Everything else is read off the weights
+phase space (`phase_space`); a Schwinger-boson builder states a Cartan generator
+by its diagonal Fraction row over the modes and a raising one by its matrix
+unit E_ij (`_schwinger`). Everything else is read off the weights
 (`_model`): each Cartan generator is its column of weights as a diagonal,
 and each root is the exact weight step along the stored entries of its
 raising generator, so a raising generator with no entries on the basis is
@@ -36,7 +38,7 @@ import scipy.sparse as sparse
 
 from .errors import DegenerateGeneratorsError, configure, lookup
 from .fock import DEFAULT_BOUNDARY_WINDOW, FERMION, FockBasis, boson, fermion, spin
-from .lattice import WeightLattice, weight_coordinates
+from .lattice import WeightLattice, linear_weights, weight_coordinates
 from .operators import (
     ODD,
     SparseOperator,
@@ -47,6 +49,9 @@ from .operators import (
     number_op,
     transfer_op,
 )
+
+_HALF = Fraction(1, 2)
+
 
 @dataclass(frozen=True)
 class RootPair:
@@ -565,73 +570,49 @@ def _su2_spin(S=1):
     return model
 
 
+def _schwinger(name, N, cartan, raising, casimir=None, **fields) -> AlgebraModel:
+    """A Schwinger-boson algebra on the fixed-N sector of its boson modes, by
+    single-particle matrices: a Cartan label maps to the diagonal, a Fraction
+    row over the modes that gives the exact weights (`lattice.linear_weights`),
+    a raising label to (i, j), the matrix unit E_ij or a_i^dagger a_j, whose
+    conjugate is the lowering label ('-' for the closing '+'). The total number
+    is a Casimir, and the quadratic Casimir too when `casimir` names it."""
+    basis = FockBasis([boson(N)] * len(next(iter(cartan.values()))), constraint=N)
+    generators = dict.fromkeys(cartan)
+    for up, (i, j) in raising.items():
+        op = transfer_op(basis, i, j)
+        generators.update({up: op, up[:-1] + "-": op.dagger()})
+    model = _model(name, {"N": N}, basis, linear_weights(basis, list(cartan.values())), generators,
+                   pairs=[(up, up[:-1] + "-") for up in raising], annihilators=list(raising),
+                   casimirs={"total_number": diagonal_op(basis.occ.sum(axis=1).astype(float))}, **fields)
+    if casimir:
+        model.casimirs[casimir] = _quadratic_casimir(model)
+    return model
+
+
 def _su2_schwinger(N=4):
     """Two-boson realization of the spin algebra on the fixed-N sector."""
-    basis = FockBasis([boson(N), boson(N)], constraint=N)
-    na, nb = basis.occ.T
-    sp_ = transfer_op(basis, 0, 1)
-    model = _model(
-        "su2_schwinger",
-        {"N": N},
-        basis,
-        ((na - nb)[:, None], 2),
-        {"Sz": None, "S+": sp_, "S-": sp_.dagger()},
-        pairs=[("S+", "S-")],
-        annihilators=["S+"],
-        phase_space="sphere",
-        casimirs={"total_number": diagonal_op((na + nb).astype(float))},
-    )
-    model.casimirs["S2"] = _quadratic_casimir(model)
-    return model
+    return _schwinger("su2_schwinger", N, {"Sz": [_HALF, -_HALF]}, {"S+": (0, 1)}, "S2", phase_space="sphere")
 
 
 def _su3_schwinger(N=3):
     """Three-boson realization with two diagonal generators and three
     raising/lowering pairs; the fixed-N sector is a triangular lattice.
     H2 is (na + nb - 2 nc) / (2 sqrt(3)), so its unit is 1/sqrt(3)."""
-    basis = FockBasis([boson(N)] * 3, constraint=N)
-    na, nb, nc = basis.occ.T
-    ip = transfer_op(basis, 0, 1)
-    up = transfer_op(basis, 1, 2)
-    vp = transfer_op(basis, 0, 2)
-    model = _model(
-        "su3_schwinger",
-        {"N": N},
-        basis,
-        (np.stack([na - nb, na + nb - 2 * nc], axis=1), 2),
-        {"H1": None, "H2": None, "I+": ip, "I-": ip.dagger(),
-         "U+": up, "U-": up.dagger(), "V+": vp, "V-": vp.dagger()},
-        pairs=[("I+", "I-"), ("U+", "U-"), ("V+", "V-")],
-        annihilators=["I+", "U+", "V+"],
-        scale=(1.0, np.sqrt(3.0)),
-        casimirs={"total_number": diagonal_op((na + nb + nc).astype(float))},
-    )
-    model.casimirs["quadratic"] = _quadratic_casimir(model)
-    return model
+    cartan = {"H1": [_HALF, -_HALF, 0], "H2": [_HALF, _HALF, -1]}
+    raising = {"I+": (0, 1), "U+": (1, 2), "V+": (0, 2)}
+    return _schwinger("su3_schwinger", N, cartan, raising, "quadratic", scale=(1.0, np.sqrt(3.0)))
 
 
 def _so5_quoted(N=2):
     """Four-boson, fixed-N representation with the commonly quoted ten-element
-    generator list (two diagonal, four raising/lowering pairs). The quoted
-    set is not closed under commutation; closure and site-count diagnostics
-    report whatever they find."""
-    basis = FockBasis([boson(N)] * 4, constraint=N)
-    n_au, n_ad, n_bu, n_bd = basis.occ.T
-    sa = transfer_op(basis, 0, 1)   # a-spin flip up
-    sb = transfer_op(basis, 2, 3)   # b-spin flip up
-    sab = transfer_op(basis, 0, 3)  # cross flip along (1/2, 1/2)
-    sba = transfer_op(basis, 1, 2)  # cross flip along (-1/2, -1/2)
-    return _model(
-        "so5_quoted",
-        {"N": N},
-        basis,
-        (np.stack([n_au - n_ad, n_bu - n_bd], axis=1), 2),
-        {"H1": None, "H2": None, "Sa+": sa, "Sa-": sa.dagger(), "Sb+": sb, "Sb-": sb.dagger(),
-         "Sab+": sab, "Sab-": sab.dagger(), "Sba+": sba, "Sba-": sba.dagger()},
-        pairs=[("Sa+", "Sa-"), ("Sb+", "Sb-"), ("Sab+", "Sab-"), ("Sba+", "Sba-")],
-        annihilators=["Sa+", "Sb+", "Sab+", "Sba+"],
-        casimirs={"total_number": diagonal_op((n_au + n_ad + n_bu + n_bd).astype(float))},
-    )
+    generator list (two diagonal, four raising/lowering pairs): the a- and
+    b-spin flips up, and the cross flips along (1/2, 1/2) and (-1/2, -1/2).
+    The quoted set is not closed under commutation; closure and site-count
+    diagnostics report whatever they find."""
+    cartan = {"H1": [_HALF, -_HALF, 0, 0], "H2": [0, 0, _HALF, -_HALF]}
+    raising = {"Sa+": (0, 1), "Sb+": (2, 3), "Sab+": (0, 3), "Sba+": (1, 2)}
+    return _schwinger("so5_quoted", N, cartan, raising)
 
 
 def _su11_chain(name, params, basis, weights, kp: SparseOperator):

@@ -13,7 +13,9 @@ A graph carries bonds only: site coordinates are a separate `WeightLattice`,
 passed to the functions that use them. `weight_coordinates` is its one
 constructor; it takes exact integer numerators over a common denominator,
 whatever their source (an algebra's Cartan weights, a spec's `weights` rows
-or the occupations; `scenarios.system_weights` picks). Equal weight rows,
+or the occupations; `scenarios.system_weights` picks). `linear_weights` gives
+them for rational linear forms of the occupations: a spec's `weights` rows and
+the Cartan rows of the Schwinger-boson algebras. Equal weight rows,
 like equal label patterns of edges, are grouped by `group_rows`: one
 lexsort and a comparison of neighbouring rows.
 
@@ -32,6 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 import numpy as np
 import scipy.sparse as sparse  # loads sparse.csgraph on first use
@@ -203,6 +206,17 @@ def check_exact(largest, denominator):
             "exact weights need numerators and a common denominator of at most "
             f"2^53; got denominator {denominator}, numerators up to {largest}"
         )
+
+
+def linear_weights(basis, rows) -> tuple:
+    """Exact weights of the basis states under rational linear forms of the
+    occupations, one row of Fractions per coordinate and one entry per mode:
+    (numerators (dim, rank) int64, denominator), the rows scaled to integers
+    over their common denominator."""
+    den = lcm(*(f.denominator for row in rows for f in row))
+    coeffs = [[int(f * den) for f in row] for row in rows]
+    check_exact(max((sum(abs(c) * m.capacity for c, m in zip(row, basis.modes)) for row in coeffs), default=0), den)
+    return basis.occ @ np.array(coeffs, dtype=np.int64).reshape(len(rows), len(basis.modes)).T, den
 
 
 def weight_coordinates(numerators, denominator, coordinates_float=None) -> WeightLattice:

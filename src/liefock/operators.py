@@ -6,9 +6,11 @@ algebra model (`AlgebraModel.cartan_weights`), not to its operators.
 Hermiticity is always computed from the matrix by the one numeric rule
 (`within_hermitian_bound`), and the bracket of two operators
 (`graded_commutator`) is the commutator or, for two odd operators, the
-anticommutator. Also constructors for ladder, number, and bilinear transfer
-operators. Entries below a relative drop tolerance are eliminated after
-every product so chained commutators do not accumulate numerical fill-in.
+anticommutator. Also constructors for ladder and number operators and for
+boson bilinears sum_k c_k a_i^dagger a_j (`bilinear_op`, read off the key
+shifts of the basis in one CSR construction; `transfer_op` is its one-entry
+case). Entries below a relative drop tolerance are eliminated after every
+product so chained commutators do not accumulate numerical fill-in.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ def ladder_ops(basis: FockBasis, mode: int, jw_order=None):
     if basis.constraint is not None:
         raise ValueError(
             "single-mode ladder operators change the conserved total; "
-            "build bilinears with transfer_op on a constrained basis"
+            "build bilinears with bilinear_op on a constrained basis"
         )
     if not 0 <= mode < len(basis.modes):
         raise ValueError(f"mode index {mode} out of range")
@@ -195,29 +197,42 @@ def number_op(basis: FockBasis, mode: int) -> SparseOperator:
     return diagonal_op(basis.occupations_of_mode(mode).astype(float))
 
 
-def transfer_op(basis: FockBasis, to_mode: int, from_mode: int) -> SparseOperator:
-    """Bosonic bilinear a_to^dagger a_from, valid on constrained sectors.
-
-    Built directly from matrix elements sqrt((n_to + 1) n_from) so that no
-    intermediate state ever leaves the sector.
-    """
-    for m in (to_mode, from_mode):
-        if basis.modes[m].kind != BOSON:
-            raise ValueError("transfer_op is defined for boson modes")
-    if to_mode == from_mode:
-        return number_op(basis, to_mode)
-    n_to, n_from = basis.occ[:, to_mode], basis.occ[:, from_mode]
-    cols = np.flatnonzero((n_from > 0) & (n_to < basis.modes[to_mode].capacity))
+def bilinear_op(basis: FockBasis, entries) -> SparseOperator:
+    """sum_k c_k a_{i_k}^dagger a_{j_k} of ordered (i, j, c) entries in one CSR
+    construction, valid on constrained sectors. An off-diagonal entry needs
+    boson modes and moves column s, by the key shift key_of(e_i - e_j), to the
+    state keyed keys[s] + shift with sqrt((n_i + 1) n_j), so no intermediate
+    state leaves the sector; a diagonal entry takes n_i of any mode kind. A
+    row's columns run by descending shift, and each value is its contributions
+    summed in entry order from complex zero; a single entry keeps its values."""
     unit = np.eye(len(basis.modes), dtype=np.int64)
-    shift = basis.key_of(unit[to_mode] - unit[from_mode])
-    rows = basis.indices_of_keys(basis.keys[cols] + shift)
-    found = rows >= 0
-    rows, cols = rows[found], cols[found]
-    vals = np.sqrt((n_to[cols] + 1) * n_from[cols])
-    mat = sparse.csr_matrix(
-        (vals.astype(complex), (rows, cols)), shape=(basis.dim, basis.dim)
-    )
-    return SparseOperator(mat)
+    shifts = [int(basis.key_of(unit[i] - unit[j])) for i, j, _ in entries]
+    slots = sorted(set(shifts), reverse=True)
+    cols = np.full((len(slots), basis.dim), -1, dtype=np.int64)
+    vals = np.zeros(cols.shape, dtype=complex)
+    for (i, j, c), shift in zip(entries, shifts):
+        n_i, n_j = basis.occ[:, i], basis.occ[:, j]
+        if i == j:
+            rows = src = np.flatnonzero(n_i)
+            amp = n_i[src]
+        elif {basis.modes[i].kind, basis.modes[j].kind} != {BOSON}:
+            raise ValueError("off-diagonal bilinears are defined for boson modes")
+        else:
+            src = np.flatnonzero((n_j > 0) & (n_i < basis.modes[i].capacity))
+            rows = basis.indices_of_keys(basis.keys[src] + shift)
+            amp = np.sqrt((n_i[src] + 1) * n_j[src])
+        slot = slots.index(shift)
+        cols[slot, rows] = src
+        value = amp.astype(complex) * c
+        vals[slot, rows] = value if len(entries) == 1 else vals[slot, rows] + value
+    stored = (cols >= 0).T
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(stored, axis=1))))
+    return SparseOperator(sparse.csr_matrix((vals.T[stored], cols.T[stored], indptr), shape=(basis.dim,) * 2))
+
+
+def transfer_op(basis: FockBasis, to_mode: int, from_mode: int) -> SparseOperator:
+    """Bilinear a_to^dagger a_from: the one-entry `bilinear_op`."""
+    return bilinear_op(basis, [(to_mode, from_mode, 1.0)])
 
 
 def graded_commutator(a: SparseOperator, b: SparseOperator) -> SparseOperator:

@@ -21,7 +21,6 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -32,14 +31,8 @@ from .coherent import SPACES, chart_param, husimi_chart
 from .dynamics import evolve, expectation_series, fidelity_series
 from .errors import ConfigError, complex_number, configure, exact_number, lookup, named, real_number, whole_number
 from .fock import BOSON, FERMION, SPIN, FockBasis, ModeSpec, boson, spin
-from .lattice import (
-    check_exact,
-    graph_json_text,
-    graph_to_adjacency_csv,
-    system_graph,
-    weight_coordinates,
-)
-from .operators import SparseOperator, linear_combination, number_op, transfer_op
+from .lattice import graph_json_text, graph_to_adjacency_csv, linear_weights, system_graph, weight_coordinates
+from .operators import bilinear_op, linear_combination, number_op
 from .output import float_rows, grid_csv_bytes, heatmap_bytes, json_text, sha256_bytes, write_json
 
 CONFIG_VERSION = 1
@@ -174,7 +167,9 @@ _CONSTRAINT = _leaf("null or a whole number >= 0", lambda n: n is None or n >= 0
 _PARAMS = Obj({"*": exact_number})
 _TERM = {"coeff": real_number, "phase": real_number}
 _MODE = Obj({"kind": _one_of((BOSON, FERMION, SPIN)), "capacity": _COUNT}, ("kind", "capacity"))
-_MODES = _leaf("at least one mode", len, lambda value, path: _read(value, [_MODE], path))
+# each mode read as its ModeSpec, whose refusal of a capacity for its kind names the capacity
+_MODES = _leaf("at least one mode", len, lambda value, path: [
+    named(f"{path}[{k}].capacity", ModeSpec, **m) for k, m in enumerate(_read(value, [_MODE], path))])
 BASIS = Obj({"modes": _MODES, "constraint": _CONSTRAINT}, ("modes",))
 _BILINEAR = Obj({"create": whole_number, "annihilate": whole_number, **_TERM}, ("create", "annihilate", "coeff"))
 _ALGEBRA = Obj({"name": _one_of(tuple(CATALOG)), "params": _PARAMS}, ("name",))
@@ -189,7 +184,8 @@ def read_system(spec, path):
     """A system spec read by the schema of its form, algebra+terms or
     basis+bilinears (with optional weights), then the rules between its
     fields: at least one term, bilinear indices below the number of modes,
-    no phase on a diagonal bilinear, and one weight entry per mode."""
+    boson modes under an off-diagonal bilinear, no phase on a diagonal
+    bilinear, and one weight entry per mode."""
     forms = [key for key in SYSTEM_FORMS if isinstance(spec, dict) and key in spec]
     if len(forms) != 1:
         raise ConfigError("system must contain either 'algebra'+'terms' or 'basis'+'bilinears'", field=path)
@@ -198,12 +194,16 @@ def read_system(spec, path):
     if not system[terms]:
         raise ConfigError("at least one term is needed", field=f"{path}.{terms}")
     if "basis" in system:
-        modes = len(system["basis"]["modes"])
+        kinds = [mode.kind for mode in system["basis"]["modes"]]
+        modes = len(kinds)
         for k, term in enumerate(system["bilinears"]):
-            for key in ("create", "annihilate"):
-                _in_range(term[key], modes, f"{path}.bilinears[{k}].{key}")
-            if term["create"] == term["annihilate"] and term.get("phase", 0.0) != 0.0:
-                raise ConfigError("diagonal bilinears cannot carry a phase", field=f"{path}.bilinears[{k}].phase")
+            at = f"{path}.bilinears[{k}]"
+            i, j = (_in_range(term[key], modes, f"{at}.{key}") for key in ("create", "annihilate"))
+            for key, m in (("create", i), ("annihilate", j)):
+                if i != j and kinds[m] != BOSON:
+                    raise ConfigError(f"off-diagonal bilinears need boson modes; mode {m} is a {kinds[m]}", field=f"{at}.{key}")
+            if i == j and term.get("phase", 0.0) != 0.0:
+                raise ConfigError("diagonal bilinears cannot carry a phase", field=f"{at}.phase")
         for k, row in enumerate(system.get("weights", [])):
             if len(row) != modes:
                 raise ConfigError("each weight row needs one rational entry per mode", field=f"{path}.weights[{k}]")
@@ -373,9 +373,8 @@ def _states(modes, constraint):
 
 
 def _basis(spec, path):
-    """The FockBasis of a read BASIS spec at `path`; a capacity or constraint it refuses names its field."""
-    modes = [named(f"{path}.modes[{k}].capacity", ModeSpec, **m) for k, m in enumerate(spec["modes"])]
-    return named(f"{path}.constraint", FockBasis, modes, spec.get("constraint"))
+    """The FockBasis of a read BASIS spec at `path`; a constraint it refuses names its field."""
+    return named(f"{path}.constraint", FockBasis, spec["modes"], spec.get("constraint"))
 
 
 def _label(model, label, path):
@@ -399,15 +398,11 @@ def build_system(system):
             raise ConfigError("the requested generator combination is not Hermitian", field="system.terms")
         return model.basis, H, model, terms
     basis = _basis(system["basis"], "system.basis")
-    acc = None
+    entries = []
     for term in system["bilinears"]:
-        i, j = term["create"], term["annihilate"]
-        op = transfer_op(basis, i, j) if i != j else number_op(basis, i)
-        piece = op.mat * (term["coeff"] * np.exp(1j * term.get("phase", 0.0)))
-        if i != j:
-            piece = piece + piece.conj().T
-        acc = piece if acc is None else acc + piece
-    H = SparseOperator(acc)
+        i, j, c = term["create"], term["annihilate"], term["coeff"] * np.exp(1j * term.get("phase", 0.0))
+        entries += [(i, j, c), (j, i, np.conj(c))] if i != j else [(i, j, c)]
+    H = bilinear_op(basis, entries)
     if not H.is_hermitian():
         raise ConfigError("assembled Hamiltonian is not Hermitian", field="system.bilinears")
     return basis, H, None, None
@@ -417,19 +412,13 @@ def system_weights(system, basis, model):
     """The exact coordinates that label a system's lattice sites, or None:
     the Cartan weights of a named algebra (`AlgebraModel.weight_lattice`),
     else the read system's `weights` rows, exact rational linear forms of
-    the occupations (one Fraction per mode), scaled to integers over their
-    common denominator. Both go through `lattice.weight_coordinates`."""
+    the occupations (`lattice.linear_weights`). Both go through
+    `lattice.weight_coordinates`."""
     if model is not None and model.cartan:
         return model.weight_lattice()
     if "weights" not in system:
         return None
-    forms = system["weights"]
-    den = lcm(*(f.denominator for row in forms for f in row))
-    coeffs = [[int(f * den) for f in row] for row in forms]
-    caps = [m.capacity for m in basis.modes]
-    check_exact(max((sum(abs(c) * n for c, n in zip(row, caps)) for row in coeffs), default=0), den)
-    coeffs = np.array(coeffs, dtype=np.int64).reshape(len(forms), len(caps))
-    return weight_coordinates(basis.occ @ coeffs.T, den)
+    return weight_coordinates(*linear_weights(basis, system["weights"]))
 
 
 def build_initial_state(state, basis, path="initial_state"):

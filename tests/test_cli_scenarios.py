@@ -425,6 +425,21 @@ def test_cli_lattice_and_husimi(tmp_path, capsys):
             },
             "system.bilinears[1].annihilate",
         ),
+        # an off-diagonal bilinear needs boson modes; the first non-boson index is named
+        (
+            {
+                "basis": {"modes": [{"kind": "spin", "capacity": 2}, {"kind": "boson", "capacity": 2}]},
+                "bilinears": [{"create": 1, "annihilate": 1, "coeff": 1.0}, {"create": 0, "annihilate": 1, "coeff": 1.0}],
+            },
+            "system.bilinears[1].create",
+        ),
+        (
+            {
+                "basis": {"modes": [{"kind": "boson", "capacity": 2}, {"kind": "fermion", "capacity": 1}]},
+                "bilinears": [{"create": 0, "annihilate": 1, "coeff": 1.0}],
+            },
+            "system.bilinears[0].annihilate",
+        ),
         ({"algebra": {"name": []}, "terms": [{"label": "S+", "coeff": 1.0}]}, "system.algebra.name"),
         (
             {"algebra": {"name": "su2_spin", "params": {"S": None}}, "terms": [{"label": "S+", "coeff": 1.0}]},
@@ -441,6 +456,37 @@ def test_cli_lattice_rejects_malformed_spec(tmp_path, capsys, spec, field):
     assert "Traceback" not in err
     if field in ("system.bilinears", "system.terms"):
         assert "at least one term is needed" in err
+
+
+# a repeated pair, its reverse and diagonal terms on a fermion and a spin mode
+MIXED_BILINEARS = {
+    "basis": {"modes": [{"kind": "fermion", "capacity": 1}, {"kind": "boson", "capacity": 2},
+                        {"kind": "boson", "capacity": 2}, {"kind": "spin", "capacity": 2}]},
+    "bilinears": [
+        {"create": 1, "annihilate": 2, "coeff": 1.0},
+        {"create": 2, "annihilate": 1, "coeff": 0.5},
+        {"create": 1, "annihilate": 2, "coeff": 0.25, "phase": 0.3},
+        {"create": 0, "annihilate": 0, "coeff": 0.7},
+        {"create": 3, "annihilate": 3, "coeff": -0.2},
+    ],
+}
+
+
+@pytest.mark.parametrize("spin_term", [False, True])
+def test_off_diagonal_bilinear_on_a_spin_mode_names_its_field_and_diagonal_ones_run(tmp_path, capsys, spin_term):
+    bilinears = MIXED_BILINEARS["bilinears"] + [{"create": 1, "annihilate": 3, "coeff": 1.0}] * spin_term
+    system = dict(MIXED_BILINEARS, bilinears=bilinears)
+    config = {"version": 1, "name": "mixed", "system": system, "initial_state": {"fock": [1, 2, 0, 1]},
+              "times": {"start": 0.0, "stop": 0.5, "num": 3}, "outputs": {"csv": "mixed.csv"}}
+    (tmp_path / "ham.json").write_text(json.dumps(system))
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    runs = [["lattice", "--ham", str(tmp_path / "ham.json")],
+            ["--out-dir", str(tmp_path / "out"), "scenario", "run", "--config", str(tmp_path / "cfg.json")]]
+    for argv in runs:
+        assert main(argv) == (EXIT_CONFIG if spin_term else EXIT_OK)
+        err = capsys.readouterr().err
+        assert ("(field: system.bilinears[5].annihilate)" in err) == spin_term and "transfer_op" not in err
+    assert (tmp_path / "out" / "mixed.csv").exists() != spin_term
 
 
 def test_cli_lattice_accepts_capacity_that_int_reads(tmp_path, capsys):

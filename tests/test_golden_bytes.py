@@ -4,8 +4,9 @@ The lattice cases avoid BLAS-dependent numbers: lattice exports hold
 generator matrix elements, onsite energies and weight coordinates only, and
 of the N=12 quench CSV the header line (the site keys) is pinned on its own.
 Four kinds of pin are exceptions and hold for the BLAS kernels they were
-recorded with (OpenBLAS, x86-64; one thread for the N=45 report): the Krylov
-scenario CSVs and the quench heatmap pin every float of a Lanczos run whose
+recorded with (OpenBLAS, x86-64; one thread for the N=45 report and the N=60
+quench files): the Krylov scenario CSVs and the quench heatmaps, at N=12 and
+at N=60 (dim 39,711) with phi 0 and 2, pin every float of a Lanczos run whose
 step sizes the first-crossing rule picks, and the quench files also the site
 sums of sites with up to 7 members; `closure_gallery.json`, the `algebra jc_super --verify` and
 `su3_schwinger` N=45 `--verify` reports and the `closure rabi|lmg --cap 128`
@@ -71,6 +72,19 @@ SO5_QUENCH_HEADER = "a3a923e3dcd1c83d9185c89ef9f17205f62ac6340c1e2eec21e9c817bcc
 SO5_QUENCH_N12 = {
     "so5_quench.csv": "3f4b16cf3683da478cd25e7f154f247e02f382b911d2df2c05083488c710161e",
     "so5_quench.pgm": "41553347d6bc7c7df4c1d2293821a1129c8a2caf33396d191cdefdbe212171ce",
+}
+# the six-bond so5 quench at N=60 (dim 39,711) through `krylov`: at phi = 0 and
+# at phi = 2, whose Lanczos bytes follow the BLAS thread count, so a child
+# process runs each with one thread
+SO5_QUENCH_N60 = {
+    0: {
+        "so5_quench.csv": "8a87ce67bc18ec66dc775e38819b5b49374d1645ebb90747da5a9bb2be56c33d",
+        "so5_quench.pgm": "8da2c7ec620e097eba29ea6977353ec1460783aaa924638dfe0d6a9735539efb",
+    },
+    2: {
+        "so5_quench.csv": "cd7e904459ed4a9ebfbd952171356064f4bfed7f579042ea0ebfeb81b503d276",
+        "so5_quench.pgm": "919716d297c4df64b660622d910a490704bd2f3da37036291fbf31c7a257b57e",
+    },
 }
 # a spin-20 chain (dim 41) from the top state over t = 0, 1, 2, 3: three
 # Lanczos bases of 41 rows, one per unit interval
@@ -202,17 +216,30 @@ def test_jc_super_verify_stdout_bytes(capsys):
     assert sha256(capsys.readouterr().out.encode()) == JC_SUPER_VERIFY
 
 
+def one_thread_cli(*argv):
+    """The console entry in a child process with one OpenBLAS thread."""
+    src = str(Path(liefock.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "liefock.cli", *argv], env=env, capture_output=True, timeout=300)
+    assert run.returncode == 0, run.stderr.decode()
+    return run.stdout
+
+
+def test_so5_quench_n60_csv_and_heatmap_bytes(tmp_path):
+    for phi, digests in SO5_QUENCH_N60.items():
+        out = tmp_path / f"phi{phi}"
+        params = json.dumps({"N": 60, "form": "six_bond", "phi": phi})
+        one_thread_cli("--out-dir", str(out), "scenario", "run", "--name", "so5_quench", "--params", params)
+        assert {name: sha256((out / name).read_bytes()) for name in digests} == digests, phi
+
+
 def test_su3_n45_verify_stdout_bytes():
     # the closure span here is 8 x 7,290, large enough for OpenBLAS to split
     # its GEMVs across threads, and the residual's last bits follow the
     # split: the pin holds for one thread, so a child process runs with one
-    src = str(Path(liefock.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = ["algebra", "su3_schwinger", "--params", '{"N": 45}', "--verify"]
-    run = subprocess.run([sys.executable, "-m", "liefock.cli", *argv], env=env, capture_output=True, timeout=300)
-    assert run.returncode == 0, run.stderr.decode()
-    assert sha256(run.stdout) == SU3_N45_VERIFY
+    stdout = one_thread_cli("algebra", "su3_schwinger", "--params", '{"N": 45}', "--verify")
+    assert sha256(stdout) == SU3_N45_VERIFY
 
 
 def test_closure_cap_128_stdout_bytes(capsys):

@@ -7,6 +7,14 @@ enumeration with a dict index, per-state transfer and ladder loops with a
 per-state Jordan-Wigner sign, and `Fraction` weights grouped in a dict.
 Every comparison of those is exact equality.
 
+A boson bilinear, now one CSR construction (`bilinear_op`), is checked bit
+for bit against the earlier `transfer_op` (`oracle_transfer_op`) and the
+term loop of `build_system` that summed one sparse piece per term and its
+conjugate (`oracle_bilinear_sum`), on bilinear specs over bases with every
+mode kind; the Schwinger-boson catalog builders, now stated by their
+single-particle matrices, against the hand-stated builders over
+`oracle_transfer_op` at several N.
+
 The Husimi charts are checked against the per-node loops they replaced (one
 closed-form coherent state per grid node) and the two per-cell CSV writers:
 values within 1e-12 * max(1, max|ref|), weights and written bytes exact.
@@ -173,6 +181,7 @@ from liefock.operators import (
     EVEN,
     ODD,
     SparseOperator,
+    bilinear_op,
     diagonal_op,
     graded_commutator,
     identity,
@@ -439,6 +448,44 @@ def oracle_transfer(modes, constraint, to_mode, from_mode):
         (np.asarray(vals, dtype=complex), (rows, cols)), shape=(len(states), len(states))
     )
     return SparseOperator(mat)
+
+
+def oracle_transfer_op(basis, to_mode, from_mode):
+    """`operators.transfer_op` before `bilinear_op`, verbatim: a_to^dagger
+    a_from from the matrix elements sqrt((n_to + 1) n_from), or the number
+    operator when the two modes are one."""
+    for m in (to_mode, from_mode):
+        if basis.modes[m].kind != BOSON:
+            raise ValueError("transfer_op is defined for boson modes")
+    if to_mode == from_mode:
+        return number_op(basis, to_mode)
+    n_to, n_from = basis.occ[:, to_mode], basis.occ[:, from_mode]
+    cols = np.flatnonzero((n_from > 0) & (n_to < basis.modes[to_mode].capacity))
+    unit = np.eye(len(basis.modes), dtype=np.int64)
+    shift = basis.key_of(unit[to_mode] - unit[from_mode])
+    rows = basis.indices_of_keys(basis.keys[cols] + shift)
+    found = rows >= 0
+    rows, cols = rows[found], cols[found]
+    vals = np.sqrt((n_to[cols] + 1) * n_from[cols])
+    mat = sparse.csr_matrix(
+        (vals.astype(complex), (rows, cols)), shape=(basis.dim, basis.dim)
+    )
+    return SparseOperator(mat)
+
+
+def oracle_bilinear_sum(basis, bilinears):
+    """The term loop of `scenarios.build_system` before `bilinear_op`,
+    verbatim: one sparse piece per term, plus its conjugate transpose when
+    the term is off-diagonal, summed by sparse additions in term order."""
+    acc = None
+    for term in bilinears:
+        i, j = term["create"], term["annihilate"]
+        op = oracle_transfer_op(basis, i, j) if i != j else number_op(basis, i)
+        piece = op.mat * (term["coeff"] * np.exp(1j * term.get("phase", 0.0)))
+        if i != j:
+            piece = piece + piece.conj().T
+        acc = piece if acc is None else acc + piece
+    return SparseOperator(acc)
 
 
 def oracle_group(coords):
@@ -798,6 +845,90 @@ def test_transfer_op_matches_oracle(case, data):
     assert_same_csr(
         transfer_op(basis, to_mode, from_mode), oracle_transfer(modes, constraint, to_mode, from_mode)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(bases(specs=st.integers(1, 4).map(boson)), st.data())
+def test_transfer_op_is_the_seed_transfer_op(case, data):
+    basis = FockBasis(*case)
+    to_mode, from_mode = (data.draw(st.integers(0, len(basis.modes) - 1)) for _ in range(2))
+    assert_same_operator_bytes(
+        transfer_op(basis, to_mode, from_mode), oracle_transfer_op(basis, to_mode, from_mode), "transfer_op"
+    )
+
+
+coefficients = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5]), st.floats(-4, 4, allow_subnormal=False)
+)
+phases = st.one_of(st.sampled_from([0.0, np.pi / 2, np.pi, -np.pi / 2]), st.floats(-7, 7))
+
+
+@st.composite
+def bilinear_specs(draw):
+    """A basis from `bases`, constrained or not, and 1..8 bilinears:
+    off-diagonal ones on boson modes, drawn from a few pairs so that pairs
+    repeat and reverse, each with a phase or none; diagonal ones on any
+    mode, with no phase or phase 0."""
+    modes, constraint = draw(bases())
+    bosons = [k for k, m in enumerate(modes) if m.kind == BOSON]
+    pairs = [(i, j) for i in bosons for j in bosons if i != j]
+    pool = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3)) if pairs else []
+    diagonal = st.integers(0, len(modes) - 1).map(lambda i: (i, i))
+    terms = []
+    for i, j in draw(st.lists(st.one_of(diagonal, *map(st.just, pool)), min_size=1, max_size=8)):
+        term = {"create": i, "annihilate": j, "coeff": draw(coefficients)}
+        if draw(st.booleans()):
+            term["phase"] = draw(phases) if i != j else 0.0
+        terms.append(term)
+    return modes, constraint, terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(bilinear_specs())
+@example(([fermion()], None, [{"create": 0, "annihilate": 0, "coeff": -0.0}]))
+@example(([boson(3)], None, [{"create": 0, "annihilate": 0, "coeff": -2.5}]))
+@example(([spin(1), boson(2)], None, [{"create": 0, "annihilate": 0, "coeff": 1.0, "phase": 0.0}]))
+# -1.0 times the elements gives -0.0 imaginary parts, which the sum from complex zero makes +0.0
+@example(([boson(2)] * 2, None, [{"create": 0, "annihilate": 1, "coeff": -1.0}]))
+# in term order 0.1 + 0.2 + 0.3 is 0.6000000000000001; in reverse order it is 0.6
+@example(([boson(1)], None, [{"create": 0, "annihilate": 0, "coeff": c} for c in (0.1, 0.2, 0.3)]))
+@example(([boson(2)] * 2, 2, [
+    {"create": 0, "annihilate": 1, "coeff": 1.0, "phase": np.pi},
+    {"create": 1, "annihilate": 0, "coeff": -1.0},
+    {"create": 0, "annihilate": 1, "coeff": 0.0, "phase": np.pi / 2},
+    {"create": 1, "annihilate": 1, "coeff": 0.5},
+]))
+def test_bilinears_assemble_bit_for_bit_as_the_term_loop(case):
+    modes, constraint, terms = case
+    spec = {"modes": [{"kind": m.kind, "capacity": m.capacity} for m in modes], "constraint": constraint}
+    system = read_system({"basis": spec, "bilinears": terms}, "system")
+    _, got, _, _ = build_system(system)
+    want = oracle_bilinear_sum(FockBasis(modes, constraint), system["bilinears"])
+    assert_same_csr(got, want)
+    assert got.mat.data.tobytes() == want.mat.data.tobytes()
+    assert_same_operator_bytes(got, want, "H")
+
+
+def test_off_diagonal_bilinear_needs_boson_modes():
+    basis = FockBasis([boson(2), fermion(), spin(1)])
+    for i, j in ((0, 1), (2, 0), (1, 2)):
+        with pytest.raises(ValueError, match="boson modes"):
+            bilinear_op(basis, [(i, j, 1.0)])
+    for i in range(3):  # a diagonal entry takes the occupation of any mode kind
+        assert_same_operator_bytes(bilinear_op(basis, [(i, i, 1.0)]), number_op(basis, i), f"n{i}")
+        # one entry keeps its computed values: here a -0.0 imaginary part, as n_i times c gives it
+        c = complex(-1.5, -0.0)
+        got, want = bilinear_op(basis, [(i, i, c)]), SparseOperator(number_op(basis, i).mat * c)
+        assert np.all(np.signbit(got.mat.data.imag))
+        assert_same_operator_bytes(got, want, f"{c} n{i}")
+
+
+@pytest.mark.parametrize("name", ["su2_schwinger", "su3_schwinger", "so5_quoted"])
+@pytest.mark.parametrize("N", [1, 2, 3, 6, 13])
+def test_schwinger_builders_match_the_seed_transfer_op(name, N):
+    # every generator bit for bit and the exact Cartan weights equal, against
+    # the hand-stated builders over the seed's transfer_op
+    assert_same_model(build_algebra(name, N=N), oracle_catalog[name](N=N))
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -2855,7 +2986,7 @@ def oracle_su2_schwinger(N=4):
     nb = basis.occupations_of_mode(1)
     two_sz = na - nb
     sz = diagonal_op(two_sz / 2)
-    sp_ = transfer_op(basis, 0, 1)
+    sp_ = oracle_transfer_op(basis, 0, 1)
     sm = sp_.dagger()
     ntot = diagonal_op((na + nb).astype(float))
     s2 = SparseOperator(sz.mat @ sz.mat + 0.5 * (sp_.mat @ sm.mat + sm.mat @ sp_.mat))
@@ -2886,9 +3017,9 @@ def oracle_su3_schwinger(N=3):
     two_h2 = na + nb - 2 * nc
     h1 = diagonal_op(two_h1 / 2)
     h2 = diagonal_op(two_h2 / 2 / np.sqrt(3.0))
-    ip = transfer_op(basis, 0, 1)
-    up = transfer_op(basis, 1, 2)
-    vp = transfer_op(basis, 0, 2)
+    ip = oracle_transfer_op(basis, 0, 1)
+    up = oracle_transfer_op(basis, 1, 2)
+    vp = oracle_transfer_op(basis, 0, 2)
     gens = [h1, h2, ip, ip.dagger(), up, up.dagger(), vp, vp.dagger()]
     labels = ["H1", "H2", "I+", "I-", "U+", "U-", "V+", "V-"]
     ntot = diagonal_op((na + nb + nc).astype(float))
@@ -2930,10 +3061,10 @@ def oracle_so5_quoted(N=2):
     two_h2 = n_bu - n_bd
     h1 = diagonal_op(two_h1 / 2)
     h2 = diagonal_op(two_h2 / 2)
-    sa = transfer_op(basis, 0, 1)   # a-spin flip up
-    sb = transfer_op(basis, 2, 3)   # b-spin flip up
-    sab = transfer_op(basis, 0, 3)  # cross flip along (1/2, 1/2)
-    sba = transfer_op(basis, 1, 2)  # cross flip along (-1/2, -1/2)
+    sa = oracle_transfer_op(basis, 0, 1)   # a-spin flip up
+    sb = oracle_transfer_op(basis, 2, 3)   # b-spin flip up
+    sab = oracle_transfer_op(basis, 0, 3)  # cross flip along (1/2, 1/2)
+    sba = oracle_transfer_op(basis, 1, 2)  # cross flip along (-1/2, -1/2)
     gens = [h1, h2, sa, sa.dagger(), sb, sb.dagger(), sab, sab.dagger(), sba, sba.dagger()]
     labels = ["H1", "H2", "Sa+", "Sa-", "Sb+", "Sb-", "Sab+", "Sab-", "Sba+", "Sba-"]
     ntot = diagonal_op((n_au + n_ad + n_bu + n_bd).astype(float))
