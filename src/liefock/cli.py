@@ -37,7 +37,7 @@ from .lattice import (
     system_graph,
 )
 from .oracles import LADDER_KINDS, bloch, ladder_oracles, so5_manybody, so5_revival, so5_singles, squeezing
-from .output import export_heatmap, grid_csv_bytes, json_text
+from .output import grid_csv_bytes, heatmap_bytes, json_text, write_file
 from .scenarios import (
     BUILTIN_SCENARIOS,
     build_system,
@@ -137,14 +137,12 @@ def _cmd_lattice(args):
     extra["components"] = [len(c) for c in connected_components(graph)]
     text = graph_json_text(graph, wl, extra)
     if args.export:
-        with open(args.export, "wb") as fh:
-            fh.write(text.encode())
+        write_file(args.export, text.encode())
         print(f"wrote {args.export}")
     else:
         print(text, end="")
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(graph_to_adjacency_csv(graph))
+        write_file(args.csv, graph_to_adjacency_csv(graph).encode())
         print(f"wrote {args.csv}")
     return EXIT_OK
 
@@ -155,8 +153,7 @@ def _cmd_evolve(args):
     config = parse_config(payload)
     if args.out:  # the CSV name, read as the config's own
         config = parse_config(dict(payload, outputs=dict(payload.get("outputs", {}), csv=args.out)))
-    archive = run_scenario(config, out_dir=args.out_dir, tol=args.tol)
-    print(json_text(archive.to_dict()), end="")
+    print(json_text(run_scenario(config, out_dir=args.out_dir, tol=args.tol)), end="")
     return EXIT_OK
 
 
@@ -166,11 +163,10 @@ def _cmd_husimi(args):
     state, space_params = load_state_file(spec)
     chart_param(args.space, space_params, len(state), "space_params")
     grid = husimi_chart(state, args.space, args.nodes, space_params)
-    with open(args.out, "wb") as fh:
-        fh.write(grid_csv_bytes(grid))
+    write_file(args.out, grid_csv_bytes(grid))
     print(f"wrote {args.out} (integral {grid.integral():.6f})")
     if args.heatmap:
-        export_heatmap(grid.values, args.heatmap)
+        write_file(args.heatmap, heatmap_bytes(grid.values))
         print(f"wrote {args.heatmap}")
     return EXIT_OK
 
@@ -261,8 +257,7 @@ def _cmd_scenario(args):
         config = builtin_scenario(args.name, **overrides)
     else:
         raise ConfigError("scenario run needs --name or --config")
-    archive = run_scenario(config, out_dir=args.out_dir, tol=args.tol)
-    print(json_text(archive.to_dict()), end="")
+    print(json_text(run_scenario(config, out_dir=args.out_dir, tol=args.tol)), end="")
     return EXIT_OK
 
 

@@ -9,8 +9,9 @@ Hermiticity is always computed from the matrix by the one numeric rule
 anticommutator. Also constructors for ladder and number operators and for
 boson bilinears sum_k c_k a_i^dagger a_j (`bilinear_op`, read off the key
 shifts of the basis in one CSR construction; `transfer_op` is its one-entry
-case). Entries below a relative drop tolerance are eliminated after every
-product so chained commutators do not accumulate numerical fill-in.
+case). Every construction of an operator (a product, a sum, a dagger, a
+diagonal operator, a bilinear) drops its entries below a relative tolerance,
+so chained commutators do not accumulate numerical fill-in.
 """
 
 from __future__ import annotations
@@ -210,6 +211,7 @@ def bilinear_op(basis: FockBasis, entries) -> SparseOperator:
     slots = sorted(set(shifts), reverse=True)
     cols = np.full((len(slots), basis.dim), -1, dtype=np.int64)
     vals = np.zeros(cols.shape, dtype=complex)
+    found = {}  # (i, j): its (src, rows), which an entry (j, i) takes swapped
     for (i, j, c), shift in zip(entries, shifts):
         n_i, n_j = basis.occ[:, i], basis.occ[:, j]
         if i == j:
@@ -218,8 +220,9 @@ def bilinear_op(basis: FockBasis, entries) -> SparseOperator:
         elif {basis.modes[i].kind, basis.modes[j].kind} != {BOSON}:
             raise ValueError("off-diagonal bilinears are defined for boson modes")
         else:
-            src = np.flatnonzero((n_j > 0) & (n_i < basis.modes[i].capacity))
-            rows = basis.indices_of_keys(basis.keys[src] + shift)
+            rows, src = found.get((j, i)) or (None, np.flatnonzero((n_j > 0) & (n_i < basis.modes[i].capacity)))
+            rows = basis.indices_of_keys(basis.keys[src] + shift) if rows is None else rows
+            found[i, j] = src, rows
             amp = np.sqrt((n_i[src] + 1) * n_j[src])
         slot = slots.index(shift)
         cols[slot, rows] = src

@@ -135,13 +135,6 @@ def records_text(columns) -> str:
     return "[\n  " + ",\n  ".join(map(template.__mod__, zip(*cells))) + "\n ]"
 
 
-def write_json(path, payload):
-    data = json_text(payload).encode()
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return data
-
-
 def heatmap_bytes(table, fourth_root=False) -> bytes:
     """16-bit binary PGM, row-major, max-normalized; the pre-scaling maximum
     (after the optional fourth-root transform) is recorded in a header
@@ -168,11 +161,11 @@ def heatmap_bytes(table, fourth_root=False) -> bytes:
     return header + scaled.tobytes()
 
 
-def export_heatmap(table, path, fourth_root=False):
-    data = heatmap_bytes(table, fourth_root=fourth_root)
+def write_file(path, blob: bytes):
+    """Write `blob` to `path`: the one writer of every file liefock writes.
+    A missing directory is an error here; only a scenario run creates one."""
     with open(path, "wb") as fh:
-        fh.write(data)
-    return data
+        fh.write(blob)
 
 
 def sha256_bytes(data: bytes) -> str:

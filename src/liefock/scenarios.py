@@ -1,6 +1,9 @@
 """Scenario-driven runs: a strict versioned JSON configuration, a registry of
 built-in scenarios, and the runner that assembles the system, evolves it,
-and persists outputs with a reproducibility manifest.
+and persists outputs with a reproducibility manifest. A run is its config
+(`ScenarioConfig`: the payload as given and the values read from it) and
+its manifest (the dict `run_scenario` returns and writes as
+`<name>_manifest.json`); `output.write_file` writes every file.
 
 The schema is stated once, as data (CONFIG, BASIS, STATE, STATE_FILE, the
 forms of a system and the rows of COHERENT_KINDS): each field has its reader
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -33,7 +36,7 @@ from .errors import ConfigError, complex_number, configure, exact_number, lookup
 from .fock import BOSON, FERMION, SPIN, FockBasis, ModeSpec, boson, spin
 from .lattice import graph_json_text, graph_to_adjacency_csv, linear_weights, system_graph, weight_coordinates
 from .operators import bilinear_op, linear_combination, number_op
-from .output import float_rows, grid_csv_bytes, heatmap_bytes, json_text, sha256_bytes, write_json
+from .output import float_rows, grid_csv_bytes, heatmap_bytes, json_text, sha256_bytes, write_file
 
 CONFIG_VERSION = 1
 
@@ -45,44 +48,41 @@ def _rational_str(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """A config as given, which its hash covers, and `values`, the values
-    `parse_config` read from it, which a run uses."""
+    """A config: `payload`, the dict as given, which its hash covers, and
+    `values`, the values `parse_config` read from it, which a run uses."""
 
-    name: str
-    system: dict
-    initial_state: dict
-    times: dict
-    method: str = "dense_eig"
-    store: str = "snapshots"
-    observables: list = field(default_factory=list)
-    outputs: dict = field(default_factory=dict)
-    kind: str = "evolution"
-    extra: dict = field(default_factory=dict)
-    values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    payload: dict
+    values: dict
+
+    name = property(lambda self: self.values["name"])
+    kind = property(lambda self: self.values.get("kind", "evolution"))
+    method = property(lambda self: self.values.get("evolve", {}).get("method", "dense_eig"))
+    store = property(lambda self: self.values.get("evolve", {}).get("store", "snapshots"))
 
     def to_dict(self) -> dict:
+        """The payload with every default written out; a closure gallery
+        keeps none of the sections of an evolution."""
+        given = self.payload if self.kind == "evolution" else {}
         out = {
             "version": CONFIG_VERSION,
             "name": self.name,
             "kind": self.kind,
-            "system": self.system,
-            "initial_state": self.initial_state,
-            "times": self.times,
+            "system": given.get("system", {}),
+            "initial_state": given.get("initial_state", {}),
+            "times": given.get("times", {}),
             "evolve": {"method": self.method, "store": self.store},
-            "observables": self.observables,
-            "outputs": self.outputs,
+            "observables": given.get("observables", []),
+            "outputs": self.payload.get("outputs", {}),
         }
-        if self.extra:
-            out["extra"] = self.extra
+        if self.payload.get("extra"):
+            out["extra"] = self.payload["extra"]
         return out
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"), default=_rational_str)
-
     def hash(self) -> str:
-        return sha256_bytes(self.canonical_json().encode())
+        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"), default=_rational_str)
+        return sha256_bytes(text.encode())
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +344,9 @@ def parse_config(payload) -> ScenarioConfig:
         for k, obs in enumerate(values.get("observables", [])):
             if ("generator" in obs) == ("number_mode" in obs):
                 raise ConfigError("observable needs exactly one of 'generator' or 'number_mode'", field=f"observables[{k}]")
-    given, ev = ({}, {}) if gallery else (payload, values.get("evolve", {}))
-    config = ScenarioConfig(
-        name=payload["name"],
-        system=given.get("system", {}),
-        initial_state=given.get("initial_state", {}),
-        times=given.get("times", {}),
-        method=ev.get("method", "dense_eig"),
-        store=ev.get("store", "snapshots"),
-        observables=given.get("observables", []),
-        outputs=payload.get("outputs", {}),
-        kind=values.get("kind", "evolution"),
-        extra=payload.get("extra", {}),
-    )
-    config.values = values
-    return config
+    if gallery:  # read as given, and not kept
+        values = {key: value for key, value in values.items() if key not in _EVOLUTION}
+    return ScenarioConfig(payload, values)
 
 
 def _states(modes, constraint):
@@ -402,9 +390,10 @@ def build_system(system):
     for term in system["bilinears"]:
         i, j, c = term["create"], term["annihilate"], term["coeff"] * np.exp(1j * term.get("phase", 0.0))
         entries += [(i, j, c), (j, i, np.conj(c))] if i != j else [(i, j, c)]
-    H = bilinear_op(basis, entries)
-    if not H.is_hermitian():
-        raise ConfigError("assembled Hamiltonian is not Hermitian", field="system.bilinears")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned about
+        H = bilinear_op(basis, entries)  # Hermitian by construction: each term with its conjugate
+    if not np.isfinite(H.mat.data).all():
+        raise ConfigError("the entries of the assembled Hamiltonian overflowed", field="system.bilinears")
     return basis, H, None, None
 
 
@@ -457,17 +446,6 @@ def load_state_file(spec):
     return build_initial_state(values["state"], _basis(values["basis"], "basis"), "state"), values.get("space_params", {})
 
 
-@dataclass
-class RunArchive:
-    config_hash: str
-    version: int
-    outputs: list           # [{"path", "sha256", "bytes"}]
-    wall_clock_seconds: float
-
-    def to_dict(self):
-        return asdict(self)
-
-
 def _observables(config, basis, model):
     """The (name, operator) pairs of a run's observables, once its outputs
     are checked against the system: observables and a Husimi chart need
@@ -493,11 +471,11 @@ def _observables(config, basis, model):
     return observables
 
 
-def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> RunArchive:
+def run_scenario(config: ScenarioConfig, out_dir=".", tol=None) -> dict:
     """Assemble, evolve, and persist the read values of a config
-    (`parse_config`). All files are written at the end."""
+    (`parse_config`). All files are written at the end, by `_finalize`;
+    returns the manifest it writes."""
     started = time.monotonic()
-    os.makedirs(out_dir, exist_ok=True)
     pending = []  # (filename, bytes) written by a single writer at the end
     outputs = config.values.get("outputs", {})
 
@@ -592,21 +570,21 @@ def _weight_grid(populations_at_t, wl):
 
 
 def _finalize(config, out_dir, pending, started):
+    """Write each pending (name, bytes) under `out_dir`, the one place that
+    creates missing output directories, then `<name>_manifest.json`: the
+    config hash, and the path, SHA-256 and size of each file. Returns the
+    manifest."""
+    os.makedirs(out_dir, exist_ok=True)
     outputs = []
     for name, blob in pending:
         path = os.path.join(out_dir, name)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(blob)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write_file(path, blob)
         outputs.append({"path": name, "sha256": sha256_bytes(blob), "bytes": len(blob)})
-    archive = RunArchive(
-        config_hash=config.hash(),
-        version=CONFIG_VERSION,
-        outputs=outputs,
-        wall_clock_seconds=time.monotonic() - started,
-    )
-    write_json(os.path.join(out_dir, f"{config.name}_manifest.json"), archive.to_dict())
-    return archive
+    manifest = {"config_hash": config.hash(), "version": CONFIG_VERSION, "outputs": outputs,
+                "wall_clock_seconds": time.monotonic() - started}
+    write_file(os.path.join(out_dir, f"{config.name}_manifest.json"), json_text(manifest).encode())
+    return manifest
 
 
 # ---------------------------------------------------------------------------

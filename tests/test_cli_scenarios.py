@@ -80,8 +80,8 @@ def test_determinism_byte_identical(tmp_path):
     config = builtin_scenario("su2_transport", S=8, num=21)
     a1 = run_scenario(config, out_dir=tmp_path / "r1")
     a2 = run_scenario(config, out_dir=tmp_path / "r2")
-    assert a1.config_hash == a2.config_hash
-    for o1, o2 in zip(a1.outputs, a2.outputs):
+    assert a1["config_hash"] == a2["config_hash"]
+    for o1, o2 in zip(a1["outputs"], a2["outputs"]):
         assert o1["path"] == o2["path"]
         assert o1["sha256"] == o2["sha256"]
         b1 = (tmp_path / "r1" / o1["path"]).read_bytes()
@@ -147,8 +147,8 @@ def test_resource_guard_raises():
 
 def test_amplitude_initial_state_round_trip(tmp_path):
     config = builtin_scenario("ws_bloch", L=31, num=11)
-    archive = run_scenario(config, out_dir=tmp_path)
-    assert any(o["path"] == "ws_bloch.csv" for o in archive.outputs)
+    manifest = run_scenario(config, out_dir=tmp_path)
+    assert any(o["path"] == "ws_bloch.csv" for o in manifest["outputs"])
     text = (tmp_path / "ws_bloch.csv").read_text()
     assert text.splitlines()[0].startswith("t,fidelity,norm,position")
 
@@ -159,10 +159,10 @@ def test_amplitude_initial_state_round_trip(tmp_path):
 
 
 def test_heatmap_single_pixel(tmp_path):
-    from liefock.output import export_heatmap
+    from liefock.output import write_file
 
     path = tmp_path / "one.pgm"
-    export_heatmap(np.array([[0.37]]), path)
+    write_file(path, heatmap_bytes(np.array([[0.37]])))
     arr, peak, transform = read_heatmap(path)
     assert arr.shape == (1, 1) and arr[0, 0] == 65535
     assert peak == pytest.approx(0.37)
@@ -487,6 +487,48 @@ def test_off_diagonal_bilinear_on_a_spin_mode_names_its_field_and_diagonal_ones_
         err = capsys.readouterr().err
         assert ("(field: system.bilinears[5].annihilate)" in err) == spin_term and "transfer_op" not in err
     assert (tmp_path / "out" / "mixed.csv").exists() != spin_term
+
+
+@pytest.mark.filterwarnings("error")  # an overflow is refused, not warned about
+@pytest.mark.parametrize("coeff", [1e308, 1e300])
+def test_bilinears_whose_entries_overflow_are_refused_naming_the_field(tmp_path, capsys, coeff):
+    """A bilinear H is Hermitian by construction, so the one refusal left is
+    an entry that overflows: 1e308 times sqrt(2) does, 1e300 does not."""
+    system = {"basis": {"modes": [{"kind": "boson", "capacity": 2}] * 2},
+              "bilinears": [{"create": 0, "annihilate": 1, "coeff": coeff}]}
+    config = {"version": 1, "name": "big", "system": system, "initial_state": {"fock": [1, 0]},
+              "times": {"start": 0.0, "stop": 0.5, "num": 3}, "outputs": {"csv": "big.csv"}}
+    (tmp_path / "ham.json").write_text(json.dumps(system))
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    runs = [["lattice", "--ham", str(tmp_path / "ham.json")],
+            ["--out-dir", str(tmp_path / "out"), "scenario", "run", "--config", str(tmp_path / "cfg.json")]]
+    for argv in runs:
+        assert main(argv) == (EXIT_CONFIG if coeff == 1e308 else EXIT_OK)
+        err = capsys.readouterr().err
+        if coeff == 1e308:
+            assert err == "error: the entries of the assembled Hamiltonian overflowed (field: system.bilinears)\n"
+        else:
+            assert not err
+    assert (tmp_path / "out" / "big.csv").exists() == (coeff == 1e300)
+
+
+def test_cli_output_paths_in_a_missing_directory_exit_2(tmp_path, capsys):
+    """Only a scenario run creates its output directories; a path given to
+    lattice or husimi in a missing directory is refused, and nothing is made."""
+    (tmp_path / "ham.json").write_text(json.dumps(SO5_BILINEAR))
+    state = {"basis": {"modes": [{"kind": "boson", "capacity": 3}]}, "state": {"fock": [1]}}
+    (tmp_path / "state.json").write_text(json.dumps(state))
+    missing = tmp_path / "missing"
+    runs = [["lattice", "--ham", str(tmp_path / "ham.json"), "--export", str(missing / "g.json")],
+            ["lattice", "--ham", str(tmp_path / "ham.json"), "--csv", str(missing / "a.csv")],
+            ["husimi", "--state", str(tmp_path / "state.json"), "--space", "plane", "--nodes", "3", "3",
+             "--out", str(missing / "q.csv")],
+            ["husimi", "--state", str(tmp_path / "state.json"), "--space", "plane", "--nodes", "3", "3",
+             "--out", str(tmp_path / "q.csv"), "--heatmap", str(missing / "q.pgm")]]
+    for argv in runs:
+        assert main(argv) == EXIT_CONFIG
+        assert "No such file or directory" in capsys.readouterr().err
+    assert not missing.exists()
 
 
 def test_cli_lattice_accepts_capacity_that_int_reads(tmp_path, capsys):

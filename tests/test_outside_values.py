@@ -489,8 +489,8 @@ def test_a_whole_number_written_as_a_float_is_read_as_it(tmp_path):
     outputs = []
     for num in (3, 3.0, "3"):
         config = parse_config(dict(payload, times=dict(payload["times"], num=num)))
-        assert config.times["num"] == num and type(config.times["num"]) is type(num)
-        outputs.append(run_scenario(config, out_dir=tmp_path / str(num)).outputs)
+        assert config.payload["times"]["num"] == num and type(config.payload["times"]["num"]) is type(num)
+        outputs.append(run_scenario(config, out_dir=tmp_path / str(num))["outputs"])
     assert outputs[0] == outputs[1] == outputs[2]
 
 

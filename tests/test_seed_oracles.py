@@ -33,6 +33,11 @@ and its traced peak is held to 2.5 times the text it writes.
 for bit against the reader that built a Fraction from every float's repr
 (`oracle_real_number`), refusals included.
 
+A scenario config, now kept as its payload and read values, is checked
+against the record that copied nine fields out of the payload
+(`oracle_config_dict`): equal `to_dict()` and `hash()` on built-in, partial
+and closure-gallery configs.
+
 The edge-array lattice graph is checked against the `Edge`-list graph it
 replaced (adjacency dicts, union-find components, dict BFS trees and one
 Python product per cycle) on random Hermitian sparse matrices: edges,
@@ -112,7 +117,7 @@ import sys
 import tracemalloc
 import warnings
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, combinations
 from types import SimpleNamespace
@@ -191,8 +196,13 @@ from liefock.operators import (
     transfer_op,
     within_hermitian_bound,
 )
-from liefock.output import float_rows, grid_csv_bytes, json_text, records_text
+from liefock.output import float_rows, grid_csv_bytes, json_text, records_text, sha256_bytes
 from liefock.scenarios import (
+    CONFIG,
+    CONFIG_VERSION,
+    GALLERY,
+    _rational_str,
+    _read,
     _site_populations,
     build_initial_state,
     build_system,
@@ -588,7 +598,7 @@ def oracle_su11_pcs(k, zeta, chain_len):
 
 
 def read_heatmap(path):
-    """Inverse of `output.export_heatmap`: (array scaled to u16, peak, transform)."""
+    """Inverse of `output.heatmap_bytes`: (array scaled to u16, peak, transform)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     lines = []
@@ -907,6 +917,16 @@ def test_bilinears_assemble_bit_for_bit_as_the_term_loop(case):
     assert_same_csr(got, want)
     assert got.mat.data.tobytes() == want.mat.data.tobytes()
     assert_same_operator_bytes(got, want, "H")
+
+
+def test_a_bond_and_its_conjugate_share_one_key_lookup():
+    """The six-bond so5 spec gives twelve ordered entries, each bond with its
+    conjugate; the conjugate takes the bond's lookup swapped, so building H
+    looks keys up six times."""
+    system = builtin_scenario("so5_quench", N=8, form="six_bond").values["system"]
+    with mock.patch.object(FockBasis, "indices_of_keys", autospec=True, side_effect=FockBasis.indices_of_keys) as lookups:
+        build_system(system)
+    assert lookups.call_count == 6
 
 
 def test_off_diagonal_bilinear_needs_boson_modes():
@@ -1844,8 +1864,8 @@ def test_elementary_cycles_match_per_edge_search(case):
             "terms": [{"label": lab, "coeff": 1.0} for lab in ("I+", "I-", "U+", "U-")]
             + [{"label": "V+", "coeff": 1.0, "phase": 0.7}, {"label": "V-", "coeff": 1.0, "phase": -0.7}],
         },
-        builtin_scenario("so5_quench", N=8, form="six_bond").system,
-        builtin_scenario("so5_quench", N=6, form="roots", phi=float(np.pi)).system,
+        builtin_scenario("so5_quench", N=8, form="six_bond").payload["system"],
+        builtin_scenario("so5_quench", N=6, form="roots", phi=float(np.pi)).payload["system"],
     ],
     ids=["su3_N9_phased", "so5_six_bond_N8", "so5_roots_N6"],
 )
@@ -2319,7 +2339,7 @@ def so5_corner_quench(N, phi):
     basis, H, _, _ = build_system(config.values["system"])
     result = evolve(H, build_initial_state(config.values["initial_state"], basis), [1.0], method="krylov", store="populations")
     h = np.zeros((4, 4), dtype=complex)
-    for bond in config.system["bilinears"]:
+    for bond in config.values["system"]["bilinears"]:
         c = bond["coeff"] * np.exp(1j * bond.get("phase", 0.0))
         h[bond["create"], bond["annihilate"]] += c
         h[bond["annihilate"], bond["create"]] += np.conj(c)
@@ -3520,3 +3540,142 @@ def test_real_number_matches_exact_number_reader(value):
         assert type(got) is float and same_bits(np.float64(got), np.float64(want))
     if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
         assert isinstance(got, tuple)
+
+
+# ---------------------------------------------------------------------------
+# the config record: a payload and its read values, against the nine copied fields
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class OracleScenarioConfig:
+    """A config as given, which its hash covers, and `values`, the values
+    `parse_config` read from it, which a run uses."""
+
+    name: str
+    system: dict
+    initial_state: dict
+    times: dict
+    method: str = "dense_eig"
+    store: str = "snapshots"
+    observables: list = field(default_factory=list)
+    outputs: dict = field(default_factory=dict)
+    kind: str = "evolution"
+    extra: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def to_dict(self) -> dict:
+        out = {
+            "version": CONFIG_VERSION,
+            "name": self.name,
+            "kind": self.kind,
+            "system": self.system,
+            "initial_state": self.initial_state,
+            "times": self.times,
+            "evolve": {"method": self.method, "store": self.store},
+            "observables": self.observables,
+            "outputs": self.outputs,
+        }
+        if self.extra:
+            out["extra"] = self.extra
+        return out
+
+    def canonical_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"), default=_rational_str)
+
+    def hash(self) -> str:
+        return sha256_bytes(self.canonical_json().encode())
+
+
+def oracle_config_dict(payload):
+    """(to_dict(), hash()) of a config that parse_config accepts, through the
+    ScenarioConfig that copied nine fields out of its payload, built as
+    parse_config built it."""
+    gallery = isinstance(payload, dict) and payload.get("kind") == "closure_gallery"
+    values = _read(payload, GALLERY if gallery else CONFIG, "")
+    given, ev = ({}, {}) if gallery else (payload, values.get("evolve", {}))
+    config = OracleScenarioConfig(
+        name=payload["name"],
+        system=given.get("system", {}),
+        initial_state=given.get("initial_state", {}),
+        times=given.get("times", {}),
+        method=ev.get("method", "dense_eig"),
+        store=ev.get("store", "snapshots"),
+        observables=given.get("observables", []),
+        outputs=payload.get("outputs", {}),
+        kind=values.get("kind", "evolution"),
+        extra=payload.get("extra", {}),
+    )
+    config.values = values
+    return config.to_dict(), config.hash()
+
+
+small_reals = st.floats(0.1, 3.0)
+# each built-in scenario with a few of its parameters drawn small
+BUILTIN_DRAWS = {
+    "su2_transport": {"S": st.sampled_from([1, 2, Fraction(7, 2), "7/2", "1/2"]), "J0": small_reals,
+                      "num": st.integers(1, 5)},
+    "su3_center_release": {"N": st.sampled_from([3, 6]), "phi": small_reals, "J": small_reals,
+                           "t_snap": small_reals, "method": st.sampled_from(["krylov", "dense_eig"])},
+    "so5_quench": {"N": st.sampled_from([4, 8]), "phi": small_reals, "J1": small_reals, "J2": small_reals,
+                   "start": st.sampled_from(["corner", "center"]), "form": st.sampled_from(["six_bond", "roots"]),
+                   "method": st.sampled_from(["krylov", "dense_eig"])},
+    "ws_breathing": {"L": st.integers(3, 9), "omega": small_reals, "J": small_reals, "num": st.integers(1, 5)},
+    "ws_bloch": {"L": st.integers(3, 9), "k0": small_reals, "width": small_reals, "num": st.integers(1, 5)},
+    "squeeze_vac": {"cutoff": st.integers(2, 8), "omega": small_reals, "xi": small_reals, "num": st.integers(1, 5)},
+    "jc_sectors": {"cutoff": st.integers(1, 4), "g": small_reals, "num": st.integers(1, 5)},
+    "closure_gallery": {},
+}
+builtin_payloads = st.one_of(*(
+    st.fixed_dictionaries({}, optional=draws).map(functools.partial(lambda name, over: builtin_scenario(name, **over).payload, name))
+    for name, draws in BUILTIN_DRAWS.items()
+))
+SMALL_EVOLUTION = {
+    "version": 1,
+    "name": "small",
+    "system": {"algebra": {"name": "su2_spin", "params": {"S": "1/2"}}, "terms": [{"label": "S+", "coeff": 1.0}]},
+    "initial_state": {"fock": [0]},
+    "times": {"start": 0.0, "stop": 1.0, "num": 3},
+}
+json_leaves = st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3)
+json_values = st.recursive(json_leaves, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                           max_leaves=6)
+# every optional section of a config absent, empty or filled
+OPTIONAL_SECTIONS = {
+    "evolve": st.fixed_dictionaries({}, optional={"method": st.sampled_from(["dense_eig", "krylov"]),
+                                                  "store": st.sampled_from(["snapshots", "populations"])}),
+    "observables": st.lists(st.sampled_from([{"name": "Sz", "generator": "Sz"}, {"name": "n0", "number_mode": 0}]), max_size=2),
+    "outputs": st.fixed_dictionaries({}, optional={"csv": st.just("small.csv"), "graph_json": st.just("small.json"),
+                                                   "site_populations": st.booleans()}),
+    "extra": st.dictionaries(st.text(max_size=3), json_values, max_size=2),
+}
+section_payloads = st.fixed_dictionaries(
+    {"version": st.sampled_from([1, 1.0, "1"])},
+    optional={"kind": st.just("evolution"), **OPTIONAL_SECTIONS},
+).map(lambda sections: {**SMALL_EVOLUTION, **sections})
+# a closure gallery keeps none of the sections of an evolution, whatever they hold
+gallery_payloads = st.fixed_dictionaries(
+    {"version": st.just(1), "name": st.just("closure_gallery"), "kind": st.just("closure_gallery")},
+    optional={**dict.fromkeys(("system", "initial_state", "times", "evolve", "observables"), json_values),
+              "outputs": OPTIONAL_SECTIONS["outputs"], "extra": OPTIONAL_SECTIONS["extra"]},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(builtin_payloads, section_payloads, gallery_payloads))
+def test_config_record_writes_and_hashes_as_the_copied_fields(payload):
+    """A config kept as its payload and read values writes every default
+    and hashes as the record that copied nine fields out of the payload."""
+    config = parse_config(payload)
+    got, want = (config.to_dict(), config.hash()), oracle_config_dict(payload)
+    assert got == want
+
+
+def test_run_scenario_returns_the_manifest_it_writes(tmp_path):
+    config = builtin_scenario("su2_transport", S=2, num=3)
+    manifest = run_scenario(config, out_dir=tmp_path / "run")
+    assert (tmp_path / "run" / "su2_transport_manifest.json").read_text() == json_text(manifest)
+    assert manifest["config_hash"] == config.hash() and manifest["version"] == CONFIG_VERSION
+    for rec in manifest["outputs"]:
+        blob = (tmp_path / "run" / rec["path"]).read_bytes()
+        assert (rec["sha256"], rec["bytes"]) == (sha256_bytes(blob), len(blob))
