@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -71,6 +72,13 @@ def _load_params(text):
     return params
 
 
+def _check_out_dirs(**paths):
+    """Refuse, before any work, an output path (keyed by its flag) in a missing directory."""
+    for flag, path in paths.items():
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"No such file or directory: {os.path.dirname(path)!r}", field=f"--{flag}")
+
+
 def _cmd_algebra(args):
     model = build_algebra(args.name, **_load_params(args.params))
     if args.verify:
@@ -121,6 +129,7 @@ def _cmd_closure(args):
 
 
 def _cmd_lattice(args):
+    _check_out_dirs(export=args.export, csv=args.csv)
     with open(args.ham) as fh:
         system = read_system(json.load(fh), "system")
     basis, H, model, terms = build_system(system)
@@ -158,6 +167,7 @@ def _cmd_evolve(args):
 
 
 def _cmd_husimi(args):
+    _check_out_dirs(out=args.out, heatmap=args.heatmap)
     with open(args.state) as fh:
         spec = json.load(fh)
     state, space_params = load_state_file(spec)

@@ -13,7 +13,10 @@ estimate stays within KRYLOV_TOL on a fine geometric grid of smaller steps
 (the first crossing), so an estimate that dips back below the tolerance far
 out, as it does on near-commensurate spectra, is never reached. Adapting
 both the basis size and the step follows Niesen & Wright (ACM TOMS 38,
-2012). The caller picks the method; DENSE_LIMIT is read here alone. Both
+2012). With H real, a substep from a real state (a Fock state at t = 0)
+builds a float64 basis, as its whole recurrence is real; only the projected
+exponential is complex (Park & Light, J. Chem. Phys. 85, 1986). The caller
+picks the method; DENSE_LIMIT is read here alone. Both
 honor the unitarity contract | ||psi(t)|| - 1 | < 1e-10; a breach raises
 NumericContractError instead of silently renormalizing. Every result
 carries `EvolutionStats` (bases and matrix-vector products among them),
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dznrm2, zaxpy, zdotc
+from scipy.linalg.blas import daxpy, zaxpy
 
 from .errors import NumericContractError, ResourceGuardError
 from .operators import SparseOperator
@@ -106,15 +109,7 @@ def evolve(
         coeffs = np.exp(-1j * np.outer(times, energies)) * c0  # (n_times, dim)
         snaps = coeffs @ vectors.T
     else:
-        snaps = np.empty((times.size, H.dim), dtype=complex)
-        current = psi0
-        t_prev = 0.0
-        for k, t in enumerate(times):
-            dt = t - t_prev
-            if dt > 0:
-                current = _krylov_propagate(H, current, dt, stats)
-            snaps[k] = current
-            t_prev = t
+        snaps = _krylov_propagate(H, psi0, times, stats)
 
     norms = np.linalg.norm(snaps, axis=1)
     stats.norm_drift = float(np.max(np.abs(norms - 1.0)))
@@ -125,16 +120,28 @@ def evolve(
     return EvolutionResult(times, kept, populations, norms, method, stats)
 
 
-def _krylov_propagate(H: SparseOperator, v, dt, stats):
-    """Lanczos exponential over dt in accepted substeps, one basis each. A
-    substep takes the largest step its basis allows (`_first_crossing`), up
-    to what is left of dt."""
+def _krylov_propagate(H: SparseOperator, v, times, stats):
+    """The Lanczos exponential of v at every time of the grid, in accepted
+    substeps, one basis each. A substep takes the largest step its basis
+    allows (`_first_crossing`), up to what is left of its interval. When H
+    has no imaginary part, a substep from a real state builds a real basis,
+    on a float64 copy of H's entries that shares its index arrays."""
+    mat, real = H.mat, None
+    if not mat.data.imag.any():  # contiguous: scipy copies a strided .real view on every matvec
+        real = type(mat)((np.ascontiguousarray(mat.data.real), mat.indices, mat.indptr), shape=mat.shape)
     m = _basis_rows(H.dim)
-    remaining = float(dt)
-    while remaining > 1e-15 * abs(dt):
-        v, h = _krylov_substep(H.mat, v, m, remaining, stats)
-        remaining -= h
-    return v
+    snaps = np.empty((times.size, H.dim), dtype=complex)
+    t_prev = 0.0
+    for k, t in enumerate(times):
+        dt = remaining = float(t - t_prev)
+        while remaining > 1e-15 * abs(dt):
+            if real is not None and not v.imag.any():
+                v, h = _krylov_substep(real, v.real.copy(), m, remaining, stats)
+            else:
+                v, h = _krylov_substep(mat, v, m, remaining, stats)
+            remaining -= h
+        snaps[k], t_prev = v, t
+    return snaps
 
 
 def _basis_rows(dim):
@@ -156,9 +163,15 @@ def _krylov_substep(mat, v, m, remaining, stats):
     stats.max_estimate = max(stats.max_estimate, err)
     u, _ = _krylov_step(basis, h)
     rows = basis[0]
-    out = rows[0] * u[0]
-    for row, c in zip(rows[1:], u[1:]):
-        out = zaxpy(row, out, a=c)
+    if rows[0].dtype == complex:
+        out = rows[0] * u[0]
+        for row, c in zip(rows[1:], u[1:]):
+            out = zaxpy(row, out, a=c)
+        return out, h
+    out = np.zeros(rows[0].size, dtype=complex)  # real rows go into its real and imaginary parts in place
+    for row, c in zip(rows, u):
+        daxpy(row, out.view(float), a=c.real, incy=2)
+        daxpy(row, out.view(float), a=c.imag, offy=1, incy=2)
     return out, h
 
 
@@ -178,16 +191,17 @@ def _krylov_basis(mat, v, m, remaining):
     Knizhnerman, SISC 19, 1998); a drift would fail evolve's norm check.
     Each row is its own array, the matvec output updated in place through
     BLAS and divided in place, so memory grows with the rows built, not
-    with m."""
+    with m. The rows and their BLAS routines take v's dtype."""
     m = min(m, v.shape[0])
+    dot, axpy, nrm2 = scipy.linalg.get_blas_funcs(("dotc", "axpy", "nrm2"), (v,))
     V, alpha, beta = [v], [], [0.0]  # beta[k] couples V[k-1], V[k]
     for k in range(m):
         w = mat @ V[k]
-        alpha.append(zdotc(V[k], w).real)
-        w = zaxpy(V[k], w, a=-alpha[k])
+        alpha.append(dot(V[k], w).real)
+        w = axpy(V[k], w, a=-alpha[k])
         if k > 0:
-            w = zaxpy(V[k - 1], w, a=-beta[k])
-        res = dznrm2(w)  # w is the residual direction of the error estimate
+            w = axpy(V[k - 1], w, a=-beta[k])
+        res = nrm2(w)  # w is the residual direction of the error estimate
         if k + 1 == m:
             break
         if res < 1e-14:

@@ -572,9 +572,9 @@ def _weight_grid(populations_at_t, wl):
 def _finalize(config, out_dir, pending, started):
     """Write each pending (name, bytes) under `out_dir`, the one place that
     creates missing output directories, then `<name>_manifest.json`: the
-    config hash, and the path, SHA-256 and size of each file. Returns the
-    manifest."""
-    os.makedirs(out_dir, exist_ok=True)
+    config hash, and the path under `out_dir`, SHA-256 and size of each file.
+    Returns the manifest."""
+    os.makedirs(os.path.dirname(os.path.join(out_dir, config.name)), exist_ok=True)  # the manifest's
     outputs = []
     for name, blob in pending:
         path = os.path.join(out_dir, name)

@@ -513,22 +513,43 @@ def test_bilinears_whose_entries_overflow_are_refused_naming_the_field(tmp_path,
 
 
 def test_cli_output_paths_in_a_missing_directory_exit_2(tmp_path, capsys):
-    """Only a scenario run creates its output directories; a path given to
-    lattice or husimi in a missing directory is refused, and nothing is made."""
+    """Only a scenario run creates its output directories. husimi and lattice
+    check the directory of every output path before any work: one in a
+    missing directory exits 2 naming its flag, and no file is written, not
+    even an output whose directory exists."""
     (tmp_path / "ham.json").write_text(json.dumps(SO5_BILINEAR))
     state = {"basis": {"modes": [{"kind": "boson", "capacity": 3}]}, "state": {"fock": [1]}}
     (tmp_path / "state.json").write_text(json.dumps(state))
     missing = tmp_path / "missing"
-    runs = [["lattice", "--ham", str(tmp_path / "ham.json"), "--export", str(missing / "g.json")],
-            ["lattice", "--ham", str(tmp_path / "ham.json"), "--csv", str(missing / "a.csv")],
-            ["husimi", "--state", str(tmp_path / "state.json"), "--space", "plane", "--nodes", "3", "3",
-             "--out", str(missing / "q.csv")],
-            ["husimi", "--state", str(tmp_path / "state.json"), "--space", "plane", "--nodes", "3", "3",
-             "--out", str(tmp_path / "q.csv"), "--heatmap", str(missing / "q.pgm")]]
-    for argv in runs:
+    husimi = ["husimi", "--state", str(tmp_path / "state.json"), "--space", "plane", "--nodes", "3", "3"]
+    runs = [("--export", ["lattice", "--ham", str(tmp_path / "ham.json"), "--export", str(missing / "g.json")]),
+            ("--csv", ["lattice", "--ham", str(tmp_path / "ham.json"), "--csv", str(missing / "a.csv")]),
+            ("--csv", ["lattice", "--ham", str(tmp_path / "ham.json"), "--export", str(tmp_path / "g.json"),
+                       "--csv", str(missing / "a.csv")]),
+            ("--out", husimi + ["--out", str(missing / "q.csv")]),
+            ("--heatmap", husimi + ["--out", str(tmp_path / "q.csv"), "--heatmap", str(missing / "q.pgm")])]
+    for flag, argv in runs:
         assert main(argv) == EXIT_CONFIG
-        assert "No such file or directory" in capsys.readouterr().err
-    assert not missing.exists()
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and f"(field: {flag})" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ham.json", "state.json"]
+
+
+def test_a_scenario_name_with_a_directory_part_writes_its_manifest(tmp_path, capsys):
+    """A config named "sub/evo" writes its manifest under out_dir/sub; the
+    manifest lists each output by its path under out_dir, with the SHA-256
+    and size of the file on disk."""
+    payload = builtin_scenario("su2_transport", S=2, num=3).to_dict()
+    payload.update(name="sub/evo", outputs={"csv": "evo.csv"})
+    (tmp_path / "evo.json").write_text(json.dumps(payload))
+    out = tmp_path / "D"
+    assert main(["--out-dir", str(out), "evolve", "--scenario", str(tmp_path / "evo.json")]) == EXIT_OK
+    manifest = json.loads((out / "sub" / "evo_manifest.json").read_text())
+    assert manifest == json.loads(capsys.readouterr().out)
+    assert [o["path"] for o in manifest["outputs"]] == ["evo.csv"]
+    for o in manifest["outputs"]:
+        blob = (out / o["path"]).read_bytes()
+        assert (o["sha256"], o["bytes"]) == (hashlib.sha256(blob).hexdigest(), len(blob))
 
 
 def test_cli_lattice_accepts_capacity_that_int_reads(tmp_path, capsys):

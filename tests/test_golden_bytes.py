@@ -70,15 +70,15 @@ SO5_QUENCH_HEADER = "a3a923e3dcd1c83d9185c89ef9f17205f62ac6340c1e2eec21e9c817bcc
 # the whole so5 quench at N=12: fidelity, norm and 169 rank-2 site columns
 # of 1 to 7 members, and the fourth-root heatmap of the snapshot at t = 1
 SO5_QUENCH_N12 = {
-    "so5_quench.csv": "3f4b16cf3683da478cd25e7f154f247e02f382b911d2df2c05083488c710161e",
-    "so5_quench.pgm": "41553347d6bc7c7df4c1d2293821a1129c8a2caf33396d191cdefdbe212171ce",
+    "so5_quench.csv": "21b05e2c1335a8294ce3e278d6ac6d053c13376df061eaebcc14c9fe81d9b093",
+    "so5_quench.pgm": "2c26c3bf9462ddaab753afa36a9f9114e6468f8ded9f757a30364a63089dacea",
 }
 # the six-bond so5 quench at N=60 (dim 39,711) through `krylov`: at phi = 0 and
 # at phi = 2, whose Lanczos bytes follow the BLAS thread count, so a child
 # process runs each with one thread
 SO5_QUENCH_N60 = {
     0: {
-        "so5_quench.csv": "8a87ce67bc18ec66dc775e38819b5b49374d1645ebb90747da5a9bb2be56c33d",
+        "so5_quench.csv": "1987eca3cdd9707c17f6d5f8a501d767423e694e8e93917662f0131057cabe0b",
         "so5_quench.pgm": "8da2c7ec620e097eba29ea6977353ec1460783aaa924638dfe0d6a9735539efb",
     },
     2: {
